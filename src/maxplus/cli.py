@@ -5,8 +5,9 @@ generate, oracle.  Matrices travel in the bit-exact text format (first
 line the dimension, then one row per line; '-inf' or '*' for missing
 arcs).  Node indices on the command line are 0-based.
 
-Exit codes: 0 success, 1 usage or precondition error, 2 a check verb
-returned a negative verdict, 3 internal assertion failure.
+Exit codes: 0 success, 1 usage or precondition error (including an
+exhausted generator budget or a transient past its scan cap), 2 a check
+verb returned a negative verdict, 3 internal assertion failure.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .csr import analyze, weak_threshold_T1
+from .csr import analyze, build_csr, csr_at, weak_threshold_T1
 from .extremal import (
     generate_dm,
     generate_wielandt,
@@ -27,7 +28,6 @@ from .extremal import (
     verify_wielandt,
 )
 from .matrix import MaxPlusMatrix, mat_power, parse_matrix, render_matrix
-from .csr import build_csr, csr_at
 
 
 def _load(path: str) -> MaxPlusMatrix:
@@ -246,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

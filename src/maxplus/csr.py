@@ -14,6 +14,12 @@ holds for all t past a threshold T1, where B is the Nachtigall matrix
 found by scanning t up to the ceiling min(Wi(n), DM(g, n)), which is a
 proven upper bound for T1, and taking one past the last failing t.
 
+B^t is -inf on every critical row and column, so there the expansion
+compares A^t with C S^t R alone: the transient of each critical row and
+column is read off the same scan, as one past its own last failure.
+The scan for the transient T is separate, since T may exceed the
+ceiling.
+
 The triple may also be built with respect to a completely reducible
 subgraph of the critical graph (then gamma is the subgraph's cyclicity
 and C, S, R are carved at the subgraph's nodes and arcs).
@@ -24,6 +30,7 @@ convention and B = A, so the expansion holds trivially from t = 1.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from .bounds import dm_bound, wielandt_bound
@@ -39,15 +46,17 @@ from .matrix import (
     zeros,
 )
 from .semiring import BOTTOM, MaxPlusScalar, negate, scalar_power
-from .spectral import CritGraph, critical_graph, max_cycle_mean, spectrum
+from .spectral import CritGraph, spectrum
 
 
 @dataclass(eq=False)
 class CsrTriple:
     """The matrices C, S, R with the cycle mean and defining cyclicity.
 
-    csr_at evaluates C S^t R for any t >= 1; internally only the gamma
-    distinct normalized values are computed, then shifted by t*lambda.
+    crit is the critical (sub)graph that C, S and R were carved at, or
+    None when the digraph is acyclic.  csr_at evaluates C S^t R for any
+    t >= 1; internally only the gamma distinct normalized values are
+    computed, then shifted by t*lambda.
     """
 
     c: MaxPlusMatrix
@@ -55,6 +64,7 @@ class CsrTriple:
     r: MaxPlusMatrix
     lam: MaxPlusScalar
     gamma: int
+    crit: CritGraph | None = None
     _residues: dict[int, MaxPlusMatrix] = field(default_factory=dict, repr=False)
 
     @property
@@ -69,15 +79,15 @@ def build_csr(a: MaxPlusMatrix, subgraph: CritGraph | None = None) -> CsrTriple:
     graph (e.g. one of its strongly connected components); its own
     cyclicity becomes gamma.
     """
-    lam = max_cycle_mean(a)
-    if lam.is_bottom:
+    sp = spectrum(a)
+    if sp.crit is None:
         if subgraph is not None:
             raise ValueError("no critical subgraph exists for an acyclic digraph")
         z = zeros(a.n)
         return CsrTriple(c=z, s=z, r=z, lam=BOTTOM, gamma=1)
-    crit = critical_graph(a)
-    k = crit if subgraph is None else subgraph
-    if not k.arcs <= crit.arcs:
+    lam = sp.lam
+    k = sp.crit if subgraph is None else subgraph
+    if not k.arcs <= sp.crit.arcs:
         raise ValueError("subgraph is not contained in the critical graph")
     gamma = k.cyclicity
     normalized = scalar_times(negate(lam), a)
@@ -96,6 +106,7 @@ def build_csr(a: MaxPlusMatrix, subgraph: CritGraph | None = None) -> CsrTriple:
         r=MaxPlusMatrix._from_raw(r_raw),
         lam=lam,
         gamma=gamma,
+        crit=k,
     )
 
 
@@ -135,12 +146,17 @@ class WeakExpansion:
     """The weak expansion data: CSR triple, Nachtigall matrix, threshold T1.
 
     A^t equals csr_at(t) (+) B^t exactly for every t >= t1, and differs
-    at t1 - 1 whenever t1 > 1.
+    at t1 - 1 whenever t1 > 1.  rows and cols map each critical index to
+    the least T from which its row (resp. column) of A^t equals the same
+    row of C S^t R for all t >= T; both are empty when the digraph is
+    acyclic.
     """
 
     csr: CsrTriple
     b: MaxPlusMatrix
     t1: int
+    rows: dict[int, int]
+    cols: dict[int, int]
 
 
 def weak_threshold_T1(a: MaxPlusMatrix) -> WeakExpansion:
@@ -148,22 +164,40 @@ def weak_threshold_T1(a: MaxPlusMatrix) -> WeakExpansion:
 
     Scans every t from 1 up to the proven ceiling min(Wi(n), DM(g, n));
     equality at one t does not imply it at the next, so the scan keeps
-    the last failure rather than stopping early.
+    the last failure rather than stopping early.  At each failing t it
+    also records which critical rows and columns differ.
     """
-    sp = spectrum(a)
-    if sp.crit is None:
-        return WeakExpansion(csr=build_csr(a), b=a, t1=1)
     triple = build_csr(a)
-    b = nachtigall_matrix(a, sp.crit)
-    ceiling = min(wielandt_bound(a.n), dm_bound(sp.crit.girth, a.n))
+    crit = triple.crit
+    if crit is None:
+        return WeakExpansion(csr=triple, b=a, t1=1, rows={}, cols={})
+    b = nachtigall_matrix(a, crit)
+    nodes = sorted(crit.nodes)
+    ceiling = min(wielandt_bound(a.n), dm_bound(crit.girth, a.n))
     last_fail = 0
+    row_fail = dict.fromkeys(nodes, 0)
+    col_fail = dict.fromkeys(nodes, 0)
     at = bt = None
     for t in range(1, ceiling + 1):
         at = a if at is None else mat_mul(at, a)
         bt = b if bt is None else mat_mul(bt, b)
-        if at != mat_oplus(csr_at(triple, t), bt):
-            last_fail = t
-    return WeakExpansion(csr=triple, b=b, t1=last_fail + 1)
+        expected = mat_oplus(csr_at(triple, t), bt)
+        if at == expected:
+            continue
+        last_fail = t
+        araw, eraw = at.raw(), expected.raw()
+        for k in nodes:
+            if araw[k] != eraw[k]:
+                row_fail[k] = t
+            if any(arow[k] != erow[k] for arow, erow in zip(araw, eraw)):
+                col_fail[k] = t
+    return WeakExpansion(
+        csr=triple,
+        b=b,
+        t1=last_fail + 1,
+        rows={i: f + 1 for i, f in row_fail.items()},
+        cols={j: f + 1 for j, f in col_fail.items()},
+    )
 
 
 def transient_T(a: MaxPlusMatrix, max_t: int = 10_000) -> int:
@@ -172,23 +206,24 @@ def transient_T(a: MaxPlusMatrix, max_t: int = 10_000) -> int:
     Defined for strongly connected digraphs; gamma is the cyclicity of
     the critical graph.  The scan walks t upward and stops once gamma
     consecutive checks succeed, which propagates to all larger t because
-    equality at t forces equality at t + gamma.
+    equality at t forces equality at t + gamma.  Only the gamma + 1
+    powers A^t .. A^(t+gamma) are kept.
     """
     g = associated_digraph(a)
     if len(scc_decompose(g).components) != 1:
         raise ValueError("transient is defined for strongly connected digraphs only")
-    lam = max_cycle_mean(a)
-    if lam.is_bottom:
+    sp = spectrum(a)
+    if sp.crit is None:
         raise ValueError("transient undefined: single node without a loop")
-    gamma = critical_graph(a).cyclicity
-    shift = scalar_power(lam, gamma)
-    powers = [identity(a.n)]
+    gamma = sp.crit.cyclicity
+    shift = scalar_power(sp.lam, gamma)
+    window = deque([identity(a.n)])
     last_fail = -1
     t = 0
     while t <= last_fail + gamma:
-        while len(powers) <= t + gamma:
-            powers.append(mat_mul(powers[-1], a))
-        if powers[t + gamma] != scalar_times(shift, powers[t]):
+        while len(window) <= gamma:
+            window.append(mat_mul(window[-1], a))
+        if window[-1] != scalar_times(shift, window.popleft()):
             last_fail = t
         t += 1
         if t > max_t:
@@ -205,36 +240,18 @@ def crit_row_col_transient(a: MaxPlusMatrix) -> int:
 def crit_row_col_profile(a: MaxPlusMatrix) -> tuple[int, dict[int, int], dict[int, int]]:
     """Overall and per-index transients of the critical rows and columns.
 
-    Returns (overall, row_transients, col_transients) where the dicts map
-    each critical index to the least T from which its row (resp. column)
-    of A^t equals the same row of C S^t R for all t >= T.  The overall
-    value is the max and never exceeds the weak expansion threshold.
+    Returns (overall, row_transients, col_transients), read from the
+    rows and cols of weak_threshold_T1.  The overall value is the max and
+    never exceeds the weak expansion threshold.
     """
-    sp = spectrum(a)
-    if sp.crit is None:
+    expansion = weak_threshold_T1(a)
+    if expansion.csr.crit is None:
         raise ValueError("no critical rows or columns: the digraph is acyclic")
-    crit_nodes = sorted(sp.crit.nodes)
-    triple = build_csr(a)
-    ceiling = min(wielandt_bound(a.n), dm_bound(sp.crit.girth, a.n))
-    row_fail = {i: 0 for i in crit_nodes}
-    col_fail = {j: 0 for j in crit_nodes}
-    at = None
-    for t in range(1, ceiling + 1):
-        at = a if at is None else mat_mul(at, a)
-        cs = csr_at(triple, t)
-        araw, craw = at.raw(), cs.raw()
-        for i in crit_nodes:
-            if araw[i] != craw[i]:
-                row_fail[i] = t
-        for j in crit_nodes:
-            for i in range(a.n):
-                if araw[i][j] != craw[i][j]:
-                    col_fail[j] = t
-                    break
-    rows = {i: f + 1 for i, f in row_fail.items()}
-    cols = {j: f + 1 for j, f in col_fail.items()}
-    overall = max(max(rows.values()), max(cols.values()))
-    return overall, rows, cols
+    return _crit_rc_overall(expansion), expansion.rows, expansion.cols
+
+
+def _crit_rc_overall(expansion: WeakExpansion) -> int | None:
+    return max([*expansion.rows.values(), *expansion.cols.values()], default=None)
 
 
 @dataclass(eq=False)
@@ -282,38 +299,24 @@ class TransientReport:
 
 def analyze(a: MaxPlusMatrix) -> TransientReport:
     """Full transient report: lambda, crit summary, T, T1, bounds, flags."""
-    sp = spectrum(a)
-    wi = wielandt_bound(a.n)
-    if sp.crit is None:
-        return TransientReport(
-            n=a.n,
-            lam=sp.lam,
-            g=None,
-            gamma=None,
-            t=None,
-            t1=1,
-            wi=wi,
-            dm=None,
-            attains_dm=False,
-            attains_wiel=1 == wi,
-            crit_rc_transient=None,
-        )
     expansion = weak_threshold_T1(a)
-    dm = dm_bound(sp.crit.girth, a.n)
+    crit = expansion.csr.crit
     try:
         t = transient_T(a)
     except ValueError:
         t = None
+    wi = wielandt_bound(a.n)
+    dm = None if crit is None else dm_bound(crit.girth, a.n)
     return TransientReport(
         n=a.n,
-        lam=sp.lam,
-        g=sp.crit.girth,
-        gamma=sp.crit.cyclicity,
+        lam=expansion.csr.lam,
+        g=None if crit is None else crit.girth,
+        gamma=None if crit is None else crit.cyclicity,
         t=t,
         t1=expansion.t1,
         wi=wi,
         dm=dm,
         attains_dm=expansion.t1 == dm,
         attains_wiel=expansion.t1 == wi,
-        crit_rc_transient=crit_row_col_transient(a),
+        crit_rc_transient=_crit_rc_overall(expansion),
     )

@@ -38,7 +38,7 @@ from .matrix import (
     zeros,
 )
 from .semiring import MaxPlusScalar, negate, scalar_power
-from .spectral import CritGraph, critical_graph, max_cycle_mean
+from .spectral import CritGraph, _cyclic_spectrum, critical_graph, max_cycle_mean
 
 SEARCH_LIMIT = 10  # exhaustive Hamiltonian-cycle search is desk-scale only
 
@@ -179,6 +179,14 @@ def _unique_max_weight(a: MaxPlusMatrix, cycles: list[tuple[int, ...]]) -> tuple
     return winners[0] if len(winners) == 1 else None
 
 
+def _check_search_limit(n: int, search_limit: int) -> None:
+    if n > search_limit:
+        raise ValueError(
+            f"n={n} exceeds the exhaustive search limit {search_limit}; "
+            "supply an explicit numbering"
+        )
+
+
 def _rotations(cycle: tuple[int, ...]) -> set[tuple[int, ...]]:
     k = len(cycle)
     return {cycle[r:] + cycle[:r] for r in range(k)}
@@ -247,6 +255,21 @@ def _crit_positions(crit: CritGraph, numbering: tuple[int, ...]) -> set[tuple[in
     return {(inv[i], inv[j]) for (i, j) in crit.arcs}
 
 
+def _cycle_arcs(k: int) -> list[tuple[int, int]]:
+    """The arcs of the cycle 0 -> 1 -> ... -> k-1 -> 0."""
+    return [(i, i + 1) for i in range(k - 1)] + [(k - 1, 0)]
+
+
+def _support_check(praw, arcs) -> ConditionCheck:
+    missing = [arc for arc in arcs if praw[arc[0]][arc[1]] is None]
+    return ConditionCheck(not missing, detail=f"missing arcs {missing}" if missing else "")
+
+
+def _critical_check(arcs, crit_pos: set[tuple[int, int]]) -> ConditionCheck:
+    noncrit = [arc for arc in arcs if arc not in crit_pos]
+    return ConditionCheck(not noncrit, detail=f"non-critical arcs {noncrit}" if noncrit else "")
+
+
 def _scalar_strictly_less(x: MaxPlusScalar, y: MaxPlusScalar) -> bool:
     """Strict domination of single entries: -inf < finite, never -inf < -inf."""
     if x.is_bottom:
@@ -267,7 +290,8 @@ def verify_dm(
     graphs are rejected: no attainment characterization is known there.
     """
     n = a.n
-    crit = critical_graph(a)  # raises on acyclic input
+    sp = _cyclic_spectrum(a)
+    crit = sp.crit
     g = crit.girth
     if g == 1:
         raise ValueError(
@@ -284,11 +308,7 @@ def verify_dm(
     )
 
     if numbering is None:
-        if n > search_limit:
-            raise ValueError(
-                f"n={n} exceeds the exhaustive search limit {search_limit}; "
-                "supply an explicit numbering"
-            )
+        _check_search_limit(n, search_limit)
         if not strongly or len(short_cycles) != 1:
             return DmVerdict(holds=False, numbering=None, conditions=conditions)
         numbering = _search_dm_numbering(a, short_cycles[0], conditions)
@@ -298,15 +318,16 @@ def verify_dm(
         numbering = tuple(numbering)
         _check_numbering(n, numbering)
 
-    _dm_conditions(a, crit, g, numbering, conditions)
+    _dm_conditions(a, sp.lam, crit, g, numbering, conditions)
     holds = all(c.passed for c in conditions.values())
     return DmVerdict(holds=holds, numbering=numbering, conditions=conditions)
 
 
-def _search_dm_numbering(
-    a: MaxPlusMatrix, short_cycle: tuple[int, ...], conditions: dict
+def _unique_heaviest_hamiltonian(
+    a: MaxPlusMatrix, dg: WeightedDigraph, conditions: dict
 ) -> tuple[int, ...] | None:
-    hams = hamiltonian_cycles(associated_digraph(a))
+    """The unique maximum-weight Hamiltonian cycle, recording the verdict."""
+    hams = hamiltonian_cycles(dg)
     if not hams:
         _fail(conditions, "unique_max_weight_hamiltonian", "no Hamiltonian cycle")
         return None
@@ -319,6 +340,15 @@ def _search_dm_numbering(
         )
         return None
     conditions["unique_max_weight_hamiltonian"] = ConditionCheck(True)
+    return ham
+
+
+def _search_dm_numbering(
+    a: MaxPlusMatrix, short_cycle: tuple[int, ...], conditions: dict
+) -> tuple[int, ...] | None:
+    ham = _unique_heaviest_hamiltonian(a, associated_digraph(a), conditions)
+    if ham is None:
+        return None
     numbering = _align_numbering(ham, short_cycle)
     if numbering is None:
         _fail(
@@ -331,29 +361,20 @@ def _search_dm_numbering(
 
 def _dm_conditions(
     a: MaxPlusMatrix,
+    lam: MaxPlusScalar,
     crit: CritGraph,
     g: int,
     numbering: tuple[int, ...],
     conditions: dict[str, ConditionCheck],
 ) -> None:
     n = a.n
-    lam = max_cycle_mean(a)
     dec = decompose(a, g, numbering)
     p = apply_numbering(a, numbering)
     praw = p.raw()
     crit_pos = _crit_positions(crit, numbering)
 
-    ham_arcs = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
-    missing = [arc for arc in ham_arcs if praw[arc[0]][arc[1]] is None]
-    conditions["hamiltonian_support"] = ConditionCheck(
-        not missing, detail=f"missing arcs {missing}" if missing else ""
-    )
-
-    short_arcs = [(i, i + 1) for i in range(g - 1)] + [(g - 1, 0)]
-    noncrit = [arc for arc in short_arcs if arc not in crit_pos]
-    conditions["short_cycle_critical"] = ConditionCheck(
-        not noncrit, detail=f"non-critical arcs {noncrit}" if noncrit else ""
-    )
+    conditions["hamiltonian_support"] = _support_check(praw, _cycle_arcs(n))
+    conditions["short_cycle_critical"] = _critical_check(_cycle_arcs(g), crit_pos)
 
     conditions["coprime"] = ConditionCheck(
         gcd(g, n) == 1, detail=f"gcd({g},{n})={gcd(g, n)}"
@@ -430,11 +451,7 @@ def verify_wielandt(
     conditions: dict[str, ConditionCheck] = {}
 
     if numbering is None:
-        if n > search_limit:
-            raise ValueError(
-                f"n={n} exceeds the exhaustive search limit {search_limit}; "
-                "supply an explicit numbering"
-            )
+        _check_search_limit(n, search_limit)
         numbering = _search_wielandt_numbering(a, conditions)
         if numbering is None:
             return WielandtVerdict(holds=False, numbering=None, case=None, conditions=conditions)
@@ -449,19 +466,9 @@ def verify_wielandt(
 
 def _search_wielandt_numbering(a: MaxPlusMatrix, conditions: dict) -> tuple[int, ...] | None:
     dg = associated_digraph(a)
-    hams = hamiltonian_cycles(dg)
-    if not hams:
-        _fail(conditions, "unique_max_weight_hamiltonian", "no Hamiltonian cycle")
-        return None
-    ham = _unique_max_weight(a, hams)
+    ham = _unique_heaviest_hamiltonian(a, dg, conditions)
     if ham is None:
-        _fail(
-            conditions,
-            "unique_max_weight_hamiltonian",
-            "maximum-weight Hamiltonian cycle is not unique",
-        )
         return None
-    conditions["unique_max_weight_hamiltonian"] = ConditionCheck(True)
 
     n = a.n
     subs = [c.nodes for c in enumerate_cycles(dg, max_n=n, max_length=n - 1) if c.length == n - 1]
@@ -499,26 +506,14 @@ def _wielandt_conditions(
     praw = p.raw()
     crit_pos = _crit_positions(crit, numbering)
 
-    pattern = a1_pattern(n, n - 1)
-    missing = [arc for arc in sorted(pattern) if praw[arc[0]][arc[1]] is None]
-    conditions["skeleton_support"] = ConditionCheck(
-        not missing, detail=f"missing arcs {missing}" if missing else ""
-    )
+    conditions["skeleton_support"] = _support_check(praw, sorted(a1_pattern(n, n - 1)))
 
     case: str | None = None
     if g_crit == n:
-        ham_arcs = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
-        noncrit = [arc for arc in ham_arcs if arc not in crit_pos]
-        conditions["named_cycle_critical"] = ConditionCheck(
-            not noncrit, detail=f"non-critical arcs {noncrit}" if noncrit else ""
-        )
+        conditions["named_cycle_critical"] = _critical_check(_cycle_arcs(n), crit_pos)
         case = "n"
     elif g_crit == n - 1:
-        sub_arcs = [(i, i + 1) for i in range(n - 2)] + [(n - 2, 0)]
-        noncrit = [arc for arc in sub_arcs if arc not in crit_pos]
-        conditions["named_cycle_critical"] = ConditionCheck(
-            not noncrit, detail=f"non-critical arcs {noncrit}" if noncrit else ""
-        )
+        conditions["named_cycle_critical"] = _critical_check(_cycle_arcs(n - 1), crit_pos)
         conditions["crit_strongly_connected"] = ConditionCheck(
             len(crit.scc.components) == 1
         )
@@ -603,18 +598,12 @@ def verify_crit_rc_wielandt(
     if numbering is not None:
         candidates = [tuple(numbering)]
     else:
-        if n > search_limit:
-            raise ValueError(
-                f"n={n} exceeds the exhaustive search limit {search_limit}; "
-                "supply an explicit numbering"
-            )
+        _check_search_limit(n, search_limit)
         dg = associated_digraph(a)
         candidates = []
         for ham in hamiltonian_cycles(dg):
             for k in range(n):
                 candidates.append(tuple(ham[(k + p) % n] for p in range(n)))
-    if _wielandt_digraph_index(n) != wielandt_bound(n):
-        raise AssertionError("Wielandt digraph index mismatch")
     for cand in candidates:
         _check_numbering(n, cand)
         p = apply_numbering(a, cand)
@@ -628,15 +617,6 @@ def verify_crit_rc_wielandt(
         if strictly_dominated_by(a2, csr_at(build_csr(a1), 1)):
             return True
     return False
-
-
-_WIELANDT_INDEX_CACHE: dict[int, int] = {}
-
-
-def _wielandt_digraph_index(n: int) -> int:
-    if n not in _WIELANDT_INDEX_CACHE:
-        _WIELANDT_INDEX_CACHE[n] = transient_T(wielandt_skeleton(n))
-    return _WIELANDT_INDEX_CACHE[n]
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +647,33 @@ def _rand_margin(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(1, 6 * den), den)
 
 
+def _hamiltonian_entries(
+    rng: random.Random, n: int
+) -> tuple[list[Fraction], dict[tuple[int, int], Fraction]]:
+    """Random weights on the arcs (i, i+1), and (n-1, 0) closing them at mean 0."""
+    hamw = [_rand_fraction(rng, -3, 3) for _ in range(n - 1)]
+    entries = {(i, i + 1): hamw[i] for i in range(n - 1)}
+    entries[(n - 1, 0)] = -sum(hamw)
+    return hamw, entries
+
+
+def _sample_remainder(
+    rng: random.Random, bound: MaxPlusMatrix, taken: set[tuple[int, int]]
+) -> dict[tuple[int, int], Fraction]:
+    """Random entries off `taken`, each strictly below its entry of bound."""
+    n = bound.n
+    ceiling_raw = bound.raw()
+    entries: dict[tuple[int, int], Fraction] = {}
+    for i in range(n):
+        for j in range(n):
+            if (i, j) in taken or rng.random() >= 0.5:
+                continue
+            ceiling = ceiling_raw[i][j]
+            if ceiling is not None:
+                entries[(i, j)] = ceiling - _rand_margin(rng)
+    return entries
+
+
 class GenerationError(RuntimeError):
     """Raised when the rejection-sampling budget runs out."""
 
@@ -689,11 +696,7 @@ def generate_dm(n: int, g: int, seed, budget: int = 200) -> MaxPlusMatrix:
     identity_numbering = tuple(range(n))
 
     for _ in range(budget):
-        hamw = [_rand_fraction(rng, -3, 3) for _ in range(n - 1)]
-        entries: dict[tuple[int, int], Fraction] = {}
-        for i in range(n - 1):
-            entries[(i, i + 1)] = hamw[i]
-        entries[(n - 1, 0)] = -sum(hamw)
+        hamw, entries = _hamiltonian_entries(rng, n)
         entries[(g - 1, 0)] = -sum(hamw[: g - 1])
         a1 = from_entries(n, entries)
 
@@ -720,17 +723,8 @@ def generate_dm(n: int, g: int, seed, budget: int = 200) -> MaxPlusMatrix:
             if not _scalar_strictly_less(lhs, rhs):
                 continue
 
-        csr1_raw = csr_at(csr1, 1).raw()
         taken = a1_pattern(n, g) | b1_pattern(n, g)
-        a2_entries: dict[tuple[int, int], Fraction] = {}
-        for i in range(n):
-            for j in range(n):
-                if (i, j) in taken or rng.random() >= 0.5:
-                    continue
-                ceiling = csr1_raw[i][j]
-                if ceiling is not None:
-                    a2_entries[(i, j)] = ceiling - _rand_margin(rng)
-
+        a2_entries = _sample_remainder(rng, csr_at(csr1, 1), taken)
         candidate = from_entries(n, {**entries, **b1_entries, **a2_entries})
         if (
             verify_dm(candidate, numbering=identity_numbering).holds
@@ -759,11 +753,7 @@ def generate_wielandt(n: int, seed, case: str = "n-1", budget: int = 200) -> Max
     chord = (n - 2, 0)
 
     for _ in range(budget):
-        hamw = [_rand_fraction(rng, -3, 3) for _ in range(n - 1)]
-        entries: dict[tuple[int, int], Fraction] = {}
-        for i in range(n - 1):
-            entries[(i, i + 1)] = hamw[i]
-        entries[(n - 1, 0)] = -sum(hamw)
+        hamw, entries = _hamiltonian_entries(rng, n)
         chord_even = -sum(hamw[: n - 2])  # closes the (n-1)-cycle at mean 0
         if case == "n-1":
             entries[chord] = chord_even
@@ -771,17 +761,7 @@ def generate_wielandt(n: int, seed, case: str = "n-1", budget: int = 200) -> Max
             entries[chord] = chord_even - _rand_margin(rng)
         a1 = from_entries(n, entries)
 
-        csr1_raw = csr_at(build_csr(a1), 1).raw()
-        pattern = a1_pattern(n, n - 1)
-        a2_entries: dict[tuple[int, int], Fraction] = {}
-        for i in range(n):
-            for j in range(n):
-                if (i, j) in pattern or rng.random() >= 0.5:
-                    continue
-                ceiling = csr1_raw[i][j]
-                if ceiling is not None:
-                    a2_entries[(i, j)] = ceiling - _rand_margin(rng)
-
+        a2_entries = _sample_remainder(rng, csr_at(build_csr(a1), 1), a1_pattern(n, n - 1))
         candidate = from_entries(n, {**entries, **a2_entries})
         verdict = verify_wielandt(candidate, numbering=identity_numbering)
         if (
@@ -830,7 +810,8 @@ def twice_optimal_walk(
         raise ValueError(f"need t >= 1, got {t}")
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError("walk endpoints out of range")
-    crit = critical_graph(a)
+    sp = _cyclic_spectrum(a)
+    crit = sp.crit
     g = crit.girth
     z0_cycles = _critical_cycles_of_length(a, crit, g)
     if len(z0_cycles) != 1:
@@ -838,7 +819,7 @@ def twice_optimal_walk(
             f"the walk oracle needs a unique critical {g}-cycle, found {len(z0_cycles)}"
         )
     z0 = set(z0_cycles[0])
-    lam = max_cycle_mean(a)
+    lam = sp.lam
     normalized = scalar_times(negate(lam), a)
     nraw = normalized.raw()
     arcs = [

@@ -120,11 +120,29 @@ def _karp_scc(raw, nodes: list[int]) -> Fraction:
     return best
 
 
-def critical_graph(a: MaxPlusMatrix) -> CritGraph:
-    """All nodes and arcs on cycles whose mean equals the maximum cycle mean."""
+def spectrum(a: MaxPlusMatrix) -> Spectrum:
+    """The maximum cycle mean and, unless it is -inf, the critical graph."""
     lam = max_cycle_mean(a)
     if lam.is_bottom:
+        return Spectrum(lam=lam, crit=None)
+    return Spectrum(lam=lam, crit=_critical_graph_at(a, lam))
+
+
+def _cyclic_spectrum(a: MaxPlusMatrix) -> Spectrum:
+    """spectrum(a), rejecting acyclic input."""
+    sp = spectrum(a)
+    if sp.crit is None:
         raise ValueError("critical graph undefined: the digraph is acyclic")
+    return sp
+
+
+def critical_graph(a: MaxPlusMatrix) -> CritGraph:
+    """All nodes and arcs on cycles whose mean equals the maximum cycle mean."""
+    return _cyclic_spectrum(a).crit
+
+
+def _critical_graph_at(a: MaxPlusMatrix, lam: MaxPlusScalar) -> CritGraph:
+    """The critical graph of a, given its finite maximum cycle mean lam."""
     normalized = scalar_times(negate(lam), a)
     closure = mat_mul(normalized, kleene_star(normalized))
     nraw = normalized.raw()
@@ -156,13 +174,6 @@ def critical_graph(a: MaxPlusMatrix) -> CritGraph:
     )
 
 
-def spectrum(a: MaxPlusMatrix) -> Spectrum:
-    lam = max_cycle_mean(a)
-    if lam.is_bottom:
-        return Spectrum(lam=lam, crit=None)
-    return Spectrum(lam=lam, crit=critical_graph(a))
-
-
 def critical_components(crit: CritGraph) -> list[CritGraph]:
     """The critical graph split into its strongly connected components."""
     out = []
@@ -189,10 +200,10 @@ def visualize(a: MaxPlusMatrix) -> tuple[DiagonalScaling, MaxPlusMatrix]:
     entries and b_ij = lambda exactly on the critical arcs.  The choice of
     d is not unique; only this postcondition is contractual.
     """
-    lam = max_cycle_mean(a)
-    if lam.is_bottom:
+    sp = spectrum(a)
+    if sp.crit is None:
         raise ValueError("visualization undefined: the digraph is acyclic")
-    crit = critical_graph(a)
+    lam, crit = sp.lam, sp.crit
     normalized = scalar_times(negate(lam), a)
     nraw = normalized.raw()
     n = a.n
@@ -241,17 +252,18 @@ def _check_visualized(a: MaxPlusMatrix, lam: MaxPlusScalar, crit: CritGraph, str
     return True
 
 
+def _visualized(a: MaxPlusMatrix, strict: bool) -> bool:
+    sp = spectrum(a)
+    if sp.crit is None:
+        raise ValueError("visualization predicates need a finite cycle mean")
+    return _check_visualized(a, sp.lam, sp.crit, strict)
+
+
 def is_visualized(a: MaxPlusMatrix) -> bool:
     """Every entry <= lambda, with entries on critical arcs equal to lambda."""
-    lam = max_cycle_mean(a)
-    if lam.is_bottom:
-        raise ValueError("visualization predicates need a finite cycle mean")
-    return _check_visualized(a, lam, critical_graph(a), strict=False)
+    return _visualized(a, strict=False)
 
 
 def is_strictly_visualized(a: MaxPlusMatrix) -> bool:
     """Visualized with equality to lambda exactly on the critical arcs."""
-    lam = max_cycle_mean(a)
-    if lam.is_bottom:
-        raise ValueError("visualization predicates need a finite cycle mean")
-    return _check_visualized(a, lam, critical_graph(a), strict=True)
+    return _visualized(a, strict=True)

@@ -1,6 +1,7 @@
 import json
 
-from maxplus import parse_matrix, render_matrix, wielandt_skeleton
+from maxplus import generate_dm, parse_matrix, render_matrix, transient_T, wielandt_skeleton
+from maxplus import cli, csr
 from maxplus.cli import main
 
 
@@ -171,3 +172,21 @@ def test_matrix_text_roundtrip_via_cli(tmp_path, capsys):
     path.write_text(text)
     code, out, _ = run(capsys, "powers", str(path), "--t", "1")
     assert code == 0 and out == text
+
+
+def test_exhausted_generator_budget_is_exit_one(monkeypatch, capsys):
+    monkeypatch.setattr(
+        cli, "generate_dm", lambda n, g, seed: generate_dm(n, g, seed, budget=0)
+    )
+    code, out, err = run(capsys, "generate", "dm", "--n", "5", "--g", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: budget of 0 attempts exhausted")
+    assert err.count("\n") == 1
+
+
+def test_transient_past_scan_cap_is_exit_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(csr, "transient_T", lambda a: transient_T(a, max_t=3))
+    path = write_matrix(tmp_path, wielandt_skeleton(5))  # T = 17
+    code, out, err = run(capsys, "analyze", path, "--json")
+    assert code == 1 and out == ""
+    assert err == "error: transient exceeds the scan cap 3\n"

@@ -22,6 +22,7 @@ from maxplus import (
     nachtigall_matrix,
     scalar_power,
     scalar_times,
+    spectrum,
     strictly_dominated_by,
     transient_T,
     transpose,
@@ -36,7 +37,7 @@ from conftest import (
     random_irreducible,
     random_strictly_below,
 )
-from oracles import csr_walk_oracle
+from oracles import csr_walk_oracle, walk_power
 
 N = None
 
@@ -388,8 +389,75 @@ def test_crit_rc_profile_per_index(rng):
         crit_row_col_transient(zeros(2))
 
 
+def _per_index_scan(a):
+    """Row and column transients of the critical indices, one index at a time."""
+    crit = critical_graph(a)
+    triple = build_csr(a)
+    ceiling = min(wielandt_bound(a.n), dm_bound(crit.girth, a.n))
+    powers = [walk_power(a, t) for t in range(1, ceiling + 1)]
+    terms = [csr_at(triple, t).raw() for t in range(1, ceiling + 1)]
+    rows, cols = {}, {}
+    for k in crit.nodes:
+        rows[k] = 1 + max(
+            (t for t in range(1, ceiling + 1) if powers[t - 1][k] != terms[t - 1][k]),
+            default=0,
+        )
+        cols[k] = 1 + max(
+            (
+                t
+                for t in range(1, ceiling + 1)
+                if any(powers[t - 1][i][k] != terms[t - 1][i][k] for i in range(a.n))
+            ),
+            default=0,
+        )
+    return rows, cols
+
+
+def test_crit_rc_profile_matches_per_index_scan(rng):
+    for _ in range(20):
+        a = random_cyclic_matrix(rng, rng.randint(2, 5), density=rng.choice((0.3, 0.6)))
+        overall, rows, cols = crit_row_col_profile(a)
+        expected_rows, expected_cols = _per_index_scan(a)
+        assert rows == expected_rows and cols == expected_cols
+        assert overall == max(*expected_rows.values(), *expected_cols.values())
+
+
 # ---------------------------------------------------------------------------
 # report
+
+
+def test_report_fields_match_standalone_functions(rng):
+    cases = [random_irreducible(rng, rng.randint(1, 6)) for _ in range(8)]
+    for _ in range(6):
+        # block upper triangular: node 0 cannot be reached from the rest
+        a = random_cyclic_matrix(rng, rng.randint(2, 5))
+        raw = [list(row) for row in a.raw()]
+        for i in range(1, a.n):
+            raw[i][0] = None
+        cases.append(MaxPlusMatrix(raw))
+    for n in (1, 3, 5):
+        # strictly upper triangular: acyclic
+        cases.append(from_entries(n, {(i, j): i - j for i in range(n) for j in range(i + 1, n)}))
+    kinds = set()
+    for a in cases:
+        report = analyze(a)
+        sp = spectrum(a)
+        assert report.lam == sp.lam
+        assert report.t1 == weak_threshold_T1(a).t1
+        try:
+            t = transient_T(a)
+        except ValueError:
+            t = None
+        assert report.t == t
+        if sp.crit is None:
+            kinds.add("acyclic")
+            assert report.g is report.gamma is report.dm is report.crit_rc_transient is None
+            continue
+        kinds.add("irreducible" if t is not None else "reducible")
+        assert (report.g, report.gamma) == (sp.crit.girth, sp.crit.cyclicity)
+        assert report.dm == dm_bound(sp.crit.girth, a.n)
+        assert report.crit_rc_transient == crit_row_col_transient(a)
+    assert kinds == {"acyclic", "irreducible", "reducible"}
 
 
 def test_report_keys_and_values():

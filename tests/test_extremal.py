@@ -31,7 +31,7 @@ from maxplus import (
     zeros,
 )
 from maxplus.digraph import associated_digraph
-from maxplus.extremal import a1_pattern, b1_pattern
+from maxplus.extremal import SEARCH_LIMIT, a1_pattern, b1_pattern
 from conftest import random_cyclic_matrix
 
 N = None
@@ -373,7 +373,9 @@ def test_crit_rc_dm_verdict_tracks_transient(rng):
 def test_boolean_skeleton_indices_attain_bounds():
     for g, n in [(2, 5), (3, 5), (2, 7), (3, 7)]:
         assert transient_T(dm_skeleton(n, g)) == dm_bound(g, n)
-    for n in (3, 4, 5, 6):
+    # the skeleton sought by verify_crit_rc_wielandt has digraph index
+    # Wi(n) at every size its exhaustive search accepts
+    for n in range(2, SEARCH_LIMIT + 1):
         assert transient_T(wielandt_skeleton(n)) == wielandt_bound(n)
 
 
