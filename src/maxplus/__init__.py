@@ -1,6 +1,6 @@
 """Exact max-plus linear algebra and transient analysis.
 
-Everything is exact rational arithmetic over (Q and -inf, max, +): dense
+Everything is exact arithmetic over (Q and -inf, max, +): dense
 matrix operations, digraph analytics, maximum cycle means and critical
 graphs, CSR expansions with their thresholds, the Wielandt and
 Dulmage-Mendelsohn bounds, and verifiers/generators for the matrix
@@ -66,7 +66,6 @@ from .matrix import (
     from_entries,
     identity,
     kleene_star,
-    mat_equal,
     mat_mul,
     mat_oplus,
     mat_power,

@@ -17,7 +17,8 @@ import json
 import sys
 from pathlib import Path
 
-from .csr import analyze, build_csr, csr_at, weak_threshold_T1
+from .bounds import dm_bound, wielandt_bound
+from .csr import analyze, build_csr, csr_at
 from .extremal import (
     generate_dm,
     generate_wielandt,
@@ -137,11 +138,14 @@ def _cmd_generate(args) -> int:
             raise ValueError("generate dm needs --g")
         matrix = generate_dm(args.n, args.g, args.seed)
         provenance = {"family": "dm", "n": args.n, "g": args.g, "seed": args.seed}
+        bound = dm_bound(args.g, args.n)
     else:
         matrix = generate_wielandt(args.n, args.seed, case=args.case)
         provenance = {"family": "wielandt", "n": args.n, "case": args.case, "seed": args.seed}
+        bound = wielandt_bound(args.n)
     provenance["numbering"] = list(range(args.n))
-    provenance["verified_T1"] = weak_threshold_T1(matrix).t1
+    # The generators return only candidates whose T1 scan gave this bound.
+    provenance["verified_T1"] = bound
     text = render_matrix(matrix)
     if args.out:
         Path(args.out).write_text(text)

@@ -37,10 +37,11 @@ from .bounds import dm_bound, wielandt_bound
 from .digraph import associated_digraph, scc_decompose
 from .matrix import (
     MaxPlusMatrix,
-    identity,
+    _finite_entries,
+    _int_mul,
+    _scaled,
     kleene_star,
     mat_mul,
-    mat_oplus,
     mat_power,
     scalar_times,
     zeros,
@@ -116,14 +117,18 @@ def csr_at(triple: CsrTriple, t: int) -> MaxPlusMatrix:
         raise ValueError(f"csr_at needs t >= 1, got {t}")
     if triple.lam.is_bottom:
         return zeros(triple.n)
-    gamma = triple.gamma
-    residue = ((t - 1) % gamma) + 1
+    return scalar_times(scalar_power(triple.lam, t), _residue(triple, t))
+
+
+def _residue(triple: CsrTriple, t: int) -> MaxPlusMatrix:
+    """C S^t R - t*lambda, which depends on t mod gamma only; lambda finite."""
+    residue = ((t - 1) % triple.gamma) + 1
     cached = triple._residues.get(residue)
     if cached is None:
         s_norm = scalar_times(negate(triple.lam), triple.s)
         cached = mat_mul(mat_mul(triple.c, mat_power(s_norm, residue)), triple.r)
         triple._residues[residue] = cached
-    return scalar_times(scalar_power(triple.lam, t), cached)
+    return cached
 
 
 def nachtigall_matrix(a: MaxPlusMatrix, crit: CritGraph | None) -> MaxPlusMatrix:
@@ -159,6 +164,11 @@ class WeakExpansion:
     cols: dict[int, int]
 
 
+def _shifted(rows: list[list], c: int) -> list[list]:
+    """Add the integer c to every finite entry of int-or-None rows."""
+    return [[None if x is None else x + c for x in row] for row in rows]
+
+
 def weak_threshold_T1(a: MaxPlusMatrix) -> WeakExpansion:
     """Least t1 >= 1 with A^t = C S^t R (+) B^t for all t >= t1.
 
@@ -166,6 +176,11 @@ def weak_threshold_T1(a: MaxPlusMatrix) -> WeakExpansion:
     equality at one t does not imply it at the next, so the scan keeps
     the last failure rather than stopping early.  At each failing t it
     also records which critical rows and columns differ.
+
+    The scan runs on integers: A, B, lambda and the gamma residues
+    C S^r R - r*lambda are scaled to one common denominator, and both
+    sides are compared after subtracting t*lambda, i.e. as powers of
+    A - lambda and B - lambda against the residue of t.
     """
     triple = build_csr(a)
     crit = triple.crit
@@ -174,22 +189,29 @@ def weak_threshold_T1(a: MaxPlusMatrix) -> WeakExpansion:
     b = nachtigall_matrix(a, crit)
     nodes = sorted(crit.nodes)
     ceiling = min(wielandt_bound(a.n), dm_bound(crit.girth, a.n))
+    gamma = triple.gamma
+    _, (arows, brows, *residues), lam = _scaled(
+        [a, b, *(_residue(triple, r) for r in range(1, gamma + 1))], triple.lam.value
+    )
+    at, bt = _shifted(arows, -lam), _shifted(brows, -lam)
+    a_step, b_step = _finite_entries(at), _finite_entries(bt)
     last_fail = 0
     row_fail = dict.fromkeys(nodes, 0)
     col_fail = dict.fromkeys(nodes, 0)
-    at = bt = None
     for t in range(1, ceiling + 1):
-        at = a if at is None else mat_mul(at, a)
-        bt = b if bt is None else mat_mul(bt, b)
-        expected = mat_oplus(csr_at(triple, t), bt)
+        if t > 1:
+            at, bt = _int_mul(at, a_step), _int_mul(bt, b_step)
+        expected = [
+            [x if y is None or (x is not None and x >= y) else y for x, y in zip(rrow, brow)]
+            for rrow, brow in zip(residues[(t - 1) % gamma], bt)
+        ]
         if at == expected:
             continue
         last_fail = t
-        araw, eraw = at.raw(), expected.raw()
         for k in nodes:
-            if araw[k] != eraw[k]:
+            if at[k] != expected[k]:
                 row_fail[k] = t
-            if any(arow[k] != erow[k] for arow, erow in zip(araw, eraw)):
+            if any(arow[k] != erow[k] for arow, erow in zip(at, expected)):
                 col_fail[k] = t
     return WeakExpansion(
         csr=triple,
@@ -200,7 +222,10 @@ def weak_threshold_T1(a: MaxPlusMatrix) -> WeakExpansion:
     )
 
 
-def transient_T(a: MaxPlusMatrix, max_t: int = 10_000) -> int:
+_SCAN_CAP = 10_000
+
+
+def transient_T(a: MaxPlusMatrix, max_t: int = _SCAN_CAP) -> int:
     """Least T >= 0 with A^(t+gamma) = lambda^gamma * A^t for all t >= T.
 
     Defined for strongly connected digraphs; gamma is the cyclicity of
@@ -209,21 +234,34 @@ def transient_T(a: MaxPlusMatrix, max_t: int = 10_000) -> int:
     equality at t forces equality at t + gamma.  Only the gamma + 1
     powers A^t .. A^(t+gamma) are kept.
     """
-    g = associated_digraph(a)
-    if len(scc_decompose(g).components) != 1:
+    if not _strongly_connected(a):
         raise ValueError("transient is defined for strongly connected digraphs only")
     sp = spectrum(a)
     if sp.crit is None:
         raise ValueError("transient undefined: single node without a loop")
-    gamma = sp.crit.cyclicity
-    shift = scalar_power(sp.lam, gamma)
-    window = deque([identity(a.n)])
+    return _transient_scan(a, sp.lam, sp.crit.cyclicity, max_t)
+
+
+def _strongly_connected(a: MaxPlusMatrix) -> bool:
+    return len(scc_decompose(associated_digraph(a)).components) == 1
+
+
+def _transient_scan(a: MaxPlusMatrix, lam: MaxPlusScalar, gamma: int, max_t: int) -> int:
+    """transient_T's scan, given the finite cycle mean and the cyclicity.
+
+    Runs on the scaled integer powers of A - lambda, for which the
+    condition reads (A - lambda)^(t+gamma) = (A - lambda)^t.
+    """
+    _, (rows,), lam_d = _scaled([a], lam.value)
+    step = _finite_entries(_shifted(rows, -lam_d))
+    n = a.n
+    window = deque([[[0 if i == j else None for j in range(n)] for i in range(n)]])
     last_fail = -1
     t = 0
     while t <= last_fail + gamma:
         while len(window) <= gamma:
-            window.append(mat_mul(window[-1], a))
-        if window[-1] != scalar_times(shift, window.popleft()):
+            window.append(_int_mul(window[-1], step))
+        if window[-1] != window.popleft():
             last_fail = t
         t += 1
         if t > max_t:
@@ -300,16 +338,15 @@ class TransientReport:
 def analyze(a: MaxPlusMatrix) -> TransientReport:
     """Full transient report: lambda, crit summary, T, T1, bounds, flags."""
     expansion = weak_threshold_T1(a)
-    crit = expansion.csr.crit
-    try:
-        t = transient_T(a)
-    except ValueError:
-        t = None
+    lam, crit = expansion.csr.lam, expansion.csr.crit
+    t = None
+    if crit is not None and _strongly_connected(a):
+        t = _transient_scan(a, lam, crit.cyclicity, _SCAN_CAP)
     wi = wielandt_bound(a.n)
     dm = None if crit is None else dm_bound(crit.girth, a.n)
     return TransientReport(
         n=a.n,
-        lam=expansion.csr.lam,
+        lam=lam,
         g=None if crit is None else crit.girth,
         gamma=None if crit is None else crit.cyclicity,
         t=t,

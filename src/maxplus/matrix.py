@@ -4,17 +4,23 @@ Multiplication, powers by repeated squaring, the Kleene star via an
 all-pairs closure, diagonal scalings, the strict entrywise domination
 order, and a bit-exact text format.  Matrices are immutable values;
 every operation returns a fresh matrix.
+
+A matrix holds rows of Fraction-or-None, None encoding -inf.  The
+products and closures run on an exact integer kernel instead: the
+entries (and the cycle mean, where one is involved) are brought to one
+common denominator d and each x is replaced by the integer x*d.  Sums
+and comparisons of the scaled integers are those of the rationals, so
+nothing is rounded; the rows convert back to Fraction only for the
+value returned.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .semiring import MaxPlusScalar, as_scalar, negate
-
-# Internal representation: rows of Fraction-or-None, None encoding -inf.
-RawRow = list  # list[Fraction | None]
 
 
 class MaxPlusMatrix:
@@ -35,13 +41,13 @@ class MaxPlusMatrix:
         self._rows = raw
 
     @classmethod
-    def _from_raw(cls, raw: list[RawRow]) -> "MaxPlusMatrix":
+    def _from_raw(cls, raw: list[list]) -> "MaxPlusMatrix":
         m = object.__new__(cls)
         m.n = len(raw)
         m._rows = raw
         return m
 
-    def raw(self) -> list[RawRow]:
+    def raw(self) -> list[list]:
         """Internal Fraction-or-None rows; callers must not mutate."""
         return self._rows
 
@@ -83,32 +89,83 @@ def _check_dims(a: MaxPlusMatrix, b: MaxPlusMatrix) -> None:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
 
 
+def _scaled(mats: Sequence[MaxPlusMatrix], lam: Fraction | None = None):
+    """The integer form of some matrices and, optionally, a cycle mean lam.
+
+    Returns (d, rows, lam_d): d is the least common denominator of every
+    finite entry and of lam, rows holds one list of int-or-None rows per
+    matrix with each x replaced by x*d, and lam_d is lam*d (None without
+    lam).
+    """
+    dens = {x.denominator for m in mats for row in m._rows for x in row if x is not None}
+    if lam is not None:
+        dens.add(lam.denominator)
+    d = lcm(*dens)
+    rows = [
+        [[None if x is None else x.numerator * (d // x.denominator) for x in row] for row in m._rows]
+        for m in mats
+    ]
+    return d, rows, None if lam is None else lam.numerator * (d // lam.denominator)
+
+
+def _unscaled(rows: list[list], d: int) -> MaxPlusMatrix:
+    """The matrix whose entries are the scaled integers in rows divided by d."""
+    return MaxPlusMatrix._from_raw(
+        [[None if v is None else Fraction(v, d) for v in row] for row in rows]
+    )
+
+
+def _finite_entries(rows: list[list]) -> list[list]:
+    """Each int-or-None row as the (column, value) pairs of its finite entries."""
+    return [[(j, y) for j, y in enumerate(row) if y is not None] for row in rows]
+
+
+def _int_mul(arows: list[list], bfinite: list[list]) -> list[list]:
+    """Max-plus product of int-or-None rows and a right factor given by
+    _finite_entries; -inf entries of a left row are skipped."""
+    n = len(bfinite)
+    out = []
+    for arow in arows:
+        best = [None] * n
+        for x, finite in zip(arow, bfinite):
+            if x is None:
+                continue
+            for j, y in finite:
+                s = x + y
+                b = best[j]
+                if b is None or s > b:
+                    best[j] = s
+        out.append(best)
+    return out
+
+
+def _int_closure(rows: list[list]) -> None:
+    """Floyd-Warshall closure of int-or-None rows, in place.
+
+    With no positive cycle, entry (i, j) ends as the best weight of a
+    walk of length >= 1 from i to j.
+    """
+    n = len(rows)
+    for k in range(n):
+        dk = rows[k]
+        for di in rows:
+            dik = di[k]
+            if dik is None:
+                continue
+            for j in range(n):
+                dkj = dk[j]
+                if dkj is None:
+                    continue
+                s = dik + dkj
+                if di[j] is None or s > di[j]:
+                    di[j] = s
+
+
 def mat_mul(a: MaxPlusMatrix, b: MaxPlusMatrix) -> MaxPlusMatrix:
     """Exact max-plus product: (ab)_ij = max_k (a_ik + b_kj)."""
     _check_dims(a, b)
-    n = a.n
-    arows = a._rows
-    bcols = [[b._rows[k][j] for k in range(n)] for j in range(n)]
-    out = []
-    for i in range(n):
-        arow = arows[i]
-        orow: RawRow = []
-        for j in range(n):
-            bcol = bcols[j]
-            best = None
-            for k in range(n):
-                x = arow[k]
-                if x is None:
-                    continue
-                y = bcol[k]
-                if y is None:
-                    continue
-                s = x + y
-                if best is None or s > best:
-                    best = s
-            orow.append(best)
-        out.append(orow)
-    return MaxPlusMatrix._from_raw(out)
+    d, (arows, brows), _ = _scaled([a, b])
+    return _unscaled(_int_mul(arows, _finite_entries(brows)), d)
 
 
 def mat_power(a: MaxPlusMatrix, t: int) -> MaxPlusMatrix:
@@ -131,7 +188,7 @@ def mat_oplus(a: MaxPlusMatrix, b: MaxPlusMatrix) -> MaxPlusMatrix:
     _check_dims(a, b)
     out = []
     for ra, rb in zip(a._rows, b._rows):
-        row: RawRow = []
+        row = []
         for x, y in zip(ra, rb):
             if x is None:
                 row.append(y)
@@ -141,11 +198,6 @@ def mat_oplus(a: MaxPlusMatrix, b: MaxPlusMatrix) -> MaxPlusMatrix:
                 row.append(y)
         out.append(row)
     return MaxPlusMatrix._from_raw(out)
-
-
-def mat_equal(a: MaxPlusMatrix, b: MaxPlusMatrix) -> bool:
-    _check_dims(a, b)
-    return a._rows == b._rows
 
 
 def transpose(a: MaxPlusMatrix) -> MaxPlusMatrix:
@@ -171,28 +223,13 @@ def kleene_star(a: MaxPlusMatrix) -> MaxPlusMatrix:
     Defined only when the maximum cycle mean is <= 0; a positive cycle
     makes the star diverge and is rejected.
     """
-    n = a.n
-    d = [row[:] for row in a._rows]
-    for k in range(n):
-        dk = d[k]
-        for i in range(n):
-            dik = d[i][k]
-            if dik is None:
-                continue
-            di = d[i]
-            for j in range(n):
-                dkj = dk[j]
-                if dkj is None:
-                    continue
-                s = dik + dkj
-                if di[j] is None or s > di[j]:
-                    di[j] = s
-    for i in range(n):
-        dii = d[i][i]
-        if dii is not None and dii > 0:
+    d, (rows,), _ = _scaled([a])
+    _int_closure(rows)
+    for i, row in enumerate(rows):
+        if row[i] is not None and row[i] > 0:
             raise ValueError("kleene_star diverges: digraph has a positive-weight cycle")
-        d[i][i] = Fraction(0) if dii is None or dii < 0 else dii
-    return MaxPlusMatrix._from_raw(d)
+        row[i] = 0
+    return _unscaled(rows, d)
 
 
 class DiagonalScaling:

@@ -1,11 +1,11 @@
 """Maximum cycle mean, critical graph extraction, and visualization scalings.
 
 The maximum cycle mean is computed by Karp's dynamic program run per
-strongly connected component, in exact rational arithmetic.  The critical
-graph (all nodes and arcs of cycles attaining the maximum mean) is read
-off the Kleene closure of the mean-normalized matrix: an arc (i, j) is
-critical exactly when it closes a zero-weight circuit, i.e. when
-a'_ij + (A'+)_ji = 0 for the normalized A'.
+strongly connected component, on the exactly scaled integer entries.
+The critical graph (all nodes and arcs of cycles attaining the maximum
+mean) is read off the Kleene closure of the mean-normalized matrix: an
+arc (i, j) is critical exactly when it closes a zero-weight circuit,
+i.e. when a'_ij + (A'+)_ji = 0 for the normalized A'.
 
 A visualization is a diagonal scaling pushing every entry to at most the
 cycle mean; a strict visualization additionally puts an entry *at* the
@@ -33,6 +33,7 @@ from .digraph import (
 from .matrix import (
     DiagonalScaling,
     MaxPlusMatrix,
+    _scaled,
     kleene_star,
     mat_mul,
     scalar_times,
@@ -66,30 +67,34 @@ class Spectrum:
 def max_cycle_mean(a: MaxPlusMatrix) -> MaxPlusScalar:
     """Largest mean weight over all cycles; -inf when the digraph is acyclic."""
     g = associated_digraph(a)
-    raw = a.raw()
+    d, (rows,), _ = _scaled([a])
     best: Fraction | None = None
     for comp in scc_decompose(g).components:
         if comp.girth is None:
             continue
-        lam = _karp_scc(raw, sorted(comp.nodes))
+        lam = _karp_scc(rows, sorted(comp.nodes))
         if best is None or lam > best:
             best = lam
-    return BOTTOM if best is None else MaxPlusScalar(best)
+    return BOTTOM if best is None else MaxPlusScalar(best / d)
 
 
-def _karp_scc(raw, nodes: list[int]) -> Fraction:
-    """Karp's max-mean-cycle value on one strongly connected component."""
+def _karp_scc(rows, nodes: list[int]) -> Fraction:
+    """Karp's max-mean-cycle value on one strongly connected component.
+
+    rows are the matrix's scaled int-or-None rows; the walk weights stay
+    integers and the value is returned in the same scaled units.
+    """
     m = len(nodes)
     pos = {v: k for k, v in enumerate(nodes)}
     arcs = [
-        (pos[u], pos[v], raw[u][v])
+        (pos[u], pos[v], rows[u][v])
         for u in nodes
         for v in nodes
-        if raw[u][v] is not None
+        if rows[u][v] is not None
     ]
     # dp[k][v] = max weight of a walk of length exactly k from the source.
     dp = [[None] * m for _ in range(m + 1)]
-    dp[0][0] = Fraction(0)
+    dp[0][0] = 0
     for k in range(m):
         cur, nxt = dp[k], dp[k + 1]
         for u, v, w in arcs:
@@ -99,6 +104,8 @@ def _karp_scc(raw, nodes: list[int]) -> Fraction:
             s = x + w
             if nxt[v] is None or s > nxt[v]:
                 nxt[v] = s
+    # max over v of min over k of (dp[m][v] - dp[k][v]) / (m - k), kept as
+    # a (numerator, positive denominator) pair and compared crosswise.
     best = None
     last = dp[m]
     for v in range(m):
@@ -110,14 +117,14 @@ def _karp_scc(raw, nodes: list[int]) -> Fraction:
             dkv = dp[k][v]
             if dkv is None:
                 continue
-            ratio = (dmv - dkv) / (m - k)
-            if inner is None or ratio < inner:
+            ratio = (dmv - dkv, m - k)
+            if inner is None or ratio[0] * inner[1] < inner[0] * ratio[1]:
                 inner = ratio
-        if inner is not None and (best is None or inner > best):
+        if inner is not None and (best is None or inner[0] * best[1] > best[0] * inner[1]):
             best = inner
     if best is None:
         raise AssertionError("Karp found no closed walk in a strongly connected component")
-    return best
+    return Fraction(*best)
 
 
 def spectrum(a: MaxPlusMatrix) -> Spectrum:

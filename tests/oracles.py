@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import gcd, lcm
 
 
 def raw_of(matrix):
@@ -18,10 +19,16 @@ def raw_of(matrix):
 
 def walk_power(a, t):
     """Best weight of walks of length exactly t, per entry, by direct DP."""
+    return walk_powers(a, t)[t]
+
+
+def walk_powers(a, horizon):
+    """[None, A^1, ..., A^horizon] as raw rows, one walk-extension DP step each."""
     raw = a.raw()
     n = a.n
     cur = [[raw[i][j] for j in range(n)] for i in range(n)]
-    for _ in range(t - 1):
+    out = [None, cur]
+    for _ in range(horizon - 1):
         nxt = [[None] * n for _ in range(n)]
         for i in range(n):
             for k in range(n):
@@ -36,7 +43,8 @@ def walk_power(a, t):
                     if nxt[i][j] is None or s > nxt[i][j]:
                         nxt[i][j] = s
         cur = nxt
-    return cur
+        out.append(cur)
+    return out
 
 
 def cycles_by_permutations(a):
@@ -81,6 +89,31 @@ def critical_arcs_brute(a):
             for s in range(k):
                 arcs.add((nodes[s], nodes[(s + 1) % k]))
     return arcs
+
+
+def critical_girth_cyclicity_brute(a):
+    """(girth, cyclicity) of the critical graph, from its elementary cycles.
+
+    Critical cycles sharing a node lie in one component of the critical
+    graph, and every cycle of that graph is critical, so a component's
+    girth is its shortest critical cycle and its cyclicity the gcd of the
+    critical cycle lengths.  The graph's girth is the largest component
+    girth and its cyclicity the lcm of the component cyclicities.
+    """
+    lam = max_cycle_mean_brute(a)
+    comps = []  # [node set, cycle lengths]
+    for nodes, weight in cycles_by_permutations(a).items():
+        if weight / len(nodes) != lam:
+            continue
+        merged = [set(nodes), [len(nodes)]]
+        for comp in [c for c in comps if c[0] & merged[0]]:
+            comps.remove(comp)
+            merged[0] |= comp[0]
+            merged[1] += comp[1]
+        comps.append(merged)
+    girth = max(min(lengths) for _, lengths in comps)
+    cyclicity = lcm(*(gcd(*lengths) for _, lengths in comps))
+    return girth, cyclicity
 
 
 def best_walks_through(a, through, max_len):

@@ -1,6 +1,8 @@
 import json
 
-from maxplus import generate_dm, parse_matrix, render_matrix, transient_T, wielandt_skeleton
+import pytest
+
+from maxplus import generate_dm, parse_matrix, render_matrix, weak_threshold_T1, wielandt_skeleton
 from maxplus import cli, csr
 from maxplus.cli import main
 
@@ -84,6 +86,22 @@ def test_generate_without_out_streams_matrix_then_provenance(capsys):
     a = parse_matrix(out)  # trailing provenance line is ignored by the parser
     assert a.n == 4
     assert json.loads(out.strip().splitlines()[-1])["verified_T1"] == 10
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dm", "--n", "5", "--g", "2", "--seed", "4"),
+        ("dm", "--n", "7", "--g", "3", "--seed", "1"),
+        ("wielandt", "--n", "5", "--seed", "2", "--case", "n-1"),
+        ("wielandt", "--n", "6", "--seed", "0", "--case", "n"),
+    ],
+)
+def test_generate_verified_T1_matches_a_fresh_scan(capsys, argv):
+    code, out, _ = run(capsys, "generate", *argv)
+    assert code == 0
+    provenance = json.loads(out.strip().splitlines()[-1])
+    assert provenance["verified_T1"] == weak_threshold_T1(parse_matrix(out)).t1
 
 
 def test_generate_is_deterministic(capsys):
@@ -185,7 +203,7 @@ def test_exhausted_generator_budget_is_exit_one(monkeypatch, capsys):
 
 
 def test_transient_past_scan_cap_is_exit_one(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(csr, "transient_T", lambda a: transient_T(a, max_t=3))
+    monkeypatch.setattr(csr, "_SCAN_CAP", 3)
     path = write_matrix(tmp_path, wielandt_skeleton(5))  # T = 17
     code, out, err = run(capsys, "analyze", path, "--json")
     assert code == 1 and out == ""
