@@ -9,8 +9,6 @@ families attaining them.
 
 from .bounds import (
     BoundComparison,
-    BoundPair,
-    bound_pair,
     compare_bounds,
     dm_bound,
     wielandt_bound,

@@ -22,18 +22,6 @@ def dm_bound(g: int, n: int) -> int:
 
 
 @dataclass(frozen=True)
-class BoundPair:
-    wi: int
-    dm: int
-    g: int
-    n: int
-
-
-def bound_pair(g: int, n: int) -> BoundPair:
-    return BoundPair(wi=wielandt_bound(n), dm=dm_bound(g, n), g=g, n=n)
-
-
-@dataclass(frozen=True)
 class BoundComparison:
     """Which of the two bounds binds, and whether Wi(n) is attainable at all.
 

@@ -229,10 +229,10 @@ def transient_T(a: MaxPlusMatrix, max_t: int = _SCAN_CAP) -> int:
     """Least T >= 0 with A^(t+gamma) = lambda^gamma * A^t for all t >= T.
 
     Defined for strongly connected digraphs; gamma is the cyclicity of
-    the critical graph.  The scan walks t upward and stops once gamma
-    consecutive checks succeed, which propagates to all larger t because
-    equality at t forces equality at t + gamma.  Only the gamma + 1
-    powers A^t .. A^(t+gamma) are kept.
+    the critical graph.  The scan walks t upward and stops at the first
+    t where the equality holds: multiplying both sides by A shows that
+    equality at t forces equality at t + 1.  Only the gamma + 1 powers
+    A^t .. A^(t+gamma) are kept.  Raises RuntimeError when T > max_t.
     """
     if not _strongly_connected(a):
         raise ValueError("transient is defined for strongly connected digraphs only")
@@ -250,23 +250,19 @@ def _transient_scan(a: MaxPlusMatrix, lam: MaxPlusScalar, gamma: int, max_t: int
     """transient_T's scan, given the finite cycle mean and the cyclicity.
 
     Runs on the scaled integer powers of A - lambda, for which the
-    condition reads (A - lambda)^(t+gamma) = (A - lambda)^t.
+    condition reads (A - lambda)^(t+gamma) = (A - lambda)^t, and returns
+    the first t where it holds.
     """
     _, (rows,), lam_d = _scaled([a], lam.value)
     step = _finite_entries(_shifted(rows, -lam_d))
     n = a.n
     window = deque([[[0 if i == j else None for j in range(n)] for i in range(n)]])
-    last_fail = -1
-    t = 0
-    while t <= last_fail + gamma:
+    for t in range(max_t + 1):
         while len(window) <= gamma:
             window.append(_int_mul(window[-1], step))
-        if window[-1] != window.popleft():
-            last_fail = t
-        t += 1
-        if t > max_t:
-            raise RuntimeError(f"transient exceeds the scan cap {max_t}")
-    return last_fail + 1
+        if window[-1] == window.popleft():
+            return t
+    raise RuntimeError(f"transient exceeds the scan cap {max_t}")
 
 
 def crit_row_col_transient(a: MaxPlusMatrix) -> int:

@@ -38,7 +38,7 @@ from .matrix import (
     zeros,
 )
 from .semiring import MaxPlusScalar, negate, scalar_power
-from .spectral import CritGraph, _cyclic_spectrum, critical_graph, max_cycle_mean
+from .spectral import CritGraph, _cyclic_spectrum, critical_graph
 
 SEARCH_LIMIT = 10  # exhaustive Hamiltonian-cycle search is desk-scale only
 
@@ -192,10 +192,14 @@ def _rotations(cycle: tuple[int, ...]) -> set[tuple[int, ...]]:
     return {cycle[r:] + cycle[:r] for r in range(k)}
 
 
+def _crit_digraph(a: MaxPlusMatrix, crit: CritGraph) -> WeightedDigraph:
+    """The digraph of the critical arcs, weighted as in a."""
+    raw = a.raw()
+    return WeightedDigraph(a.n, {(i, j): MaxPlusScalar(raw[i][j]) for (i, j) in crit.arcs})
+
+
 def _critical_cycles_of_length(a: MaxPlusMatrix, crit: CritGraph, length: int) -> list[tuple[int, ...]]:
-    sub = WeightedDigraph(
-        a.n, {(i, j): MaxPlusScalar(a.raw()[i][j]) for (i, j) in crit.arcs}
-    )
+    sub = _crit_digraph(a, crit)
     cycles = enumerate_cycles(sub, max_n=sub.n, max_length=length)
     return [c.nodes for c in cycles if c.length == length]
 
@@ -581,39 +585,56 @@ def verify_crit_rc_dm(a: MaxPlusMatrix) -> bool:
 def verify_crit_rc_wielandt(
     a: MaxPlusMatrix,
     numbering: tuple[int, ...] | None = None,
-    search_limit: int = SEARCH_LIMIT,
 ) -> bool:
     """Does some numbering split a into a Wielandt-index skeleton plus remainder?
 
     The shape sought: the skeleton layer a1 (Hamiltonian arcs plus the
     chord) has digraph index Wi(n), its Hamiltonian cycle is critical in
-    a1, and the remainder is strictly dominated by CSR of a1.  This is
+    a1, and the remainder a2 is strictly dominated by CSR of a1.  This is
     exactly when the critical rows and columns have transient Wi(n); the
     critical graph itself may be a bare Hamiltonian cycle.
+
+    Only the Hamiltonian cycles of crit(a), the critical graph of a, are
+    tried, because a2 < CSR(a1) forces crit(a) = crit(a1).  Proof: a1
+    and a2 have disjoint supports and a = a1 (+) a2.  Let lam = lam(a1)
+    and weigh walks in a1 - lam, where every closed walk weighs <= 0 and
+    exactly the critical cycles of a1 weigh 0.  A finite entry (i, j) of
+    CSR(a1) - lam = C (S - lam) R is the weight of a walk of a1 from i
+    to j, so each arc (i, j) of a2 is strictly lighter than some walk
+    P_ij of a1.  Replacing every a2 arc of a cycle Z of a by its P_ij
+    gives a closed walk of a1, hence w(Z) <= 0, strictly so when Z uses
+    an arc of a2.  So lam(a) <= lam(a1) <= lam(a), and the cycles of
+    weight 0, the critical ones, are the same in a and a1.
+
+    Hence the Hamiltonian cycle of a numbering that succeeds is critical
+    in a, and crit(a) = crit(a1) lies within the n + 1 skeleton arcs: it
+    covers all n nodes, has at most n + 1 arcs and at most two
+    Hamiltonian cycles, each tried in its n rotations.  Conversely such a
+    cycle has mean lam(a) >= lam(a1), so once it lies in a1 it is
+    critical there, and only the support and CSR checks remain.  An
+    explicit numbering is checked only if it is one of these candidates,
+    which by the same argument loses no numbering that succeeds.
     """
     n = a.n
     if n < 2:
         raise ValueError("Wielandt attainment needs n >= 2")
-    critical_graph(a)  # precondition: a finite cycle mean
+    crit = critical_graph(a)  # precondition: a finite cycle mean
     if numbering is not None:
-        candidates = [tuple(numbering)]
-    else:
-        _check_search_limit(n, search_limit)
-        dg = associated_digraph(a)
-        candidates = []
-        for ham in hamiltonian_cycles(dg):
-            for k in range(n):
-                candidates.append(tuple(ham[(k + p) % n] for p in range(n)))
+        numbering = tuple(numbering)
+        _check_numbering(n, numbering)
+    if len(crit.nodes) < n or len(crit.arcs) > n + 1:
+        return False
+    candidates = [
+        ham[k:] + ham[:k] for ham in hamiltonian_cycles(_crit_digraph(a, crit)) for k in range(n)
+    ]
+    if numbering is not None:
+        candidates = [numbering] if numbering in candidates else []
     for cand in candidates:
-        _check_numbering(n, cand)
         p = apply_numbering(a, cand)
         praw = p.raw()
         if any(praw[i][j] is None for (i, j) in a1_pattern(n, n - 1)):
             continue
         a1, a2 = _wielandt_layers(p)
-        ham_mean = _cycle_weight(a1, tuple(range(n)))
-        if ham_mean is None or MaxPlusScalar(ham_mean / n) != max_cycle_mean(a1):
-            continue
         if strictly_dominated_by(a2, csr_at(build_csr(a1), 1)):
             return True
     return False

@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: dynamic programs over explicit
 walk lengths and exhaustive enumeration over node permutations.  None of
-it shares code with the library paths under test.
+it shares code with the library paths under test, except
+crit_rc_wielandt_brute, which checks only how the library narrows its
+search and takes the CSR terms from the library itself.
 """
 
 from __future__ import annotations
@@ -10,6 +12,19 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 from math import gcd, lcm
+
+from maxplus import (
+    MaxPlusMatrix,
+    MaxPlusScalar,
+    apply_numbering,
+    associated_digraph,
+    build_csr,
+    critical_graph,
+    csr_at,
+    hamiltonian_cycles,
+    max_cycle_mean,
+    strictly_dominated_by,
+)
 
 
 def raw_of(matrix):
@@ -174,3 +189,39 @@ def csr_walk_oracle(a_normalized, crit_nodes, gamma, t, max_len):
                 if x is not None and (out[i][j] is None or x > out[i][j]):
                     out[i][j] = x
     return out
+
+
+def crit_rc_wielandt_brute(a, numbering=None):
+    """verify_crit_rc_wielandt by exhaustive search over numberings.
+
+    Tries every Hamiltonian cycle of the full digraph in all n rotations
+    (or just the given numbering).  A numbering succeeds when the
+    permuted matrix has the skeleton support (Hamiltonian arcs plus the
+    chord (n-2, 0)), the Hamiltonian cycle is critical in the skeleton
+    layer a1, and the remainder a2 is strictly below CSR(a1).
+    """
+    n = a.n
+    critical_graph(a)  # precondition: a finite cycle mean
+    if numbering is not None:
+        candidates = [tuple(numbering)]
+    else:
+        candidates = [
+            ham[k:] + ham[:k] for ham in hamiltonian_cycles(associated_digraph(a)) for k in range(n)
+        ]
+    skeleton = {(i, i + 1) for i in range(n - 1)} | {(n - 1, 0), (n - 2, 0)}
+    for cand in candidates:
+        praw = apply_numbering(a, cand).raw()
+        if any(praw[i][j] is None for (i, j) in skeleton):
+            continue
+        a1 = MaxPlusMatrix(
+            [[praw[i][j] if (i, j) in skeleton else None for j in range(n)] for i in range(n)]
+        )
+        a2 = MaxPlusMatrix(
+            [[praw[i][j] if (i, j) not in skeleton else None for j in range(n)] for i in range(n)]
+        )
+        ham_mean = sum(praw[i][(i + 1) % n] for i in range(n)) / n
+        if MaxPlusScalar(ham_mean) != max_cycle_mean(a1):
+            continue
+        if strictly_dominated_by(a2, csr_at(build_csr(a1), 1)):
+            return True
+    return False

@@ -2,7 +2,14 @@ import json
 
 import pytest
 
-from maxplus import generate_dm, parse_matrix, render_matrix, weak_threshold_T1, wielandt_skeleton
+from maxplus import (
+    generate_dm,
+    generate_wielandt,
+    parse_matrix,
+    render_matrix,
+    weak_threshold_T1,
+    wielandt_skeleton,
+)
 from maxplus import cli, csr
 from maxplus.cli import main
 
@@ -132,6 +139,14 @@ def test_check_verbs_exit_two_on_negative_verdict(tmp_path, capsys):
     assert code == 2
     verdict = json.loads(out)
     assert verdict == {"crit_rc_dm": False, "crit_rc_wielandt": False}
+
+
+@pytest.mark.parametrize("case", ["n-1", "n"])
+def test_check_crit_rc_has_no_size_limit(tmp_path, capsys, case):
+    path = write_matrix(tmp_path, generate_wielandt(12, seed=0, case=case))
+    code, out, _ = run(capsys, "check-crit-rc", path)
+    assert code == 0
+    assert "crit_rc_wielandt: holds" in out.splitlines()
 
 
 def test_check_dm_with_explicit_numbering(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -18,6 +19,7 @@ from maxplus import (
     hamiltonian_cycles,
     mat_oplus,
     mat_power,
+    max_cycle_mean,
     render_matrix,
     transient_T,
     twice_optimal_walk,
@@ -33,6 +35,7 @@ from maxplus import (
 from maxplus.digraph import associated_digraph
 from maxplus.extremal import SEARCH_LIMIT, a1_pattern, b1_pattern
 from conftest import random_cyclic_matrix
+from oracles import crit_rc_wielandt_brute
 
 N = None
 
@@ -370,11 +373,72 @@ def test_crit_rc_dm_verdict_tracks_transient(rng):
     assert negatives >= 10
 
 
+def _renumbered(rng, a):
+    """A random renumbering of a and the numbering that undoes it."""
+    perm = list(range(a.n))
+    rng.shuffle(perm)
+    inverse = [0] * a.n
+    for p, node in enumerate(perm):
+        inverse[node] = p
+    return apply_numbering(a, tuple(perm)), tuple(inverse)
+
+
+def _overwritten(rng, a, count):
+    """Copy of a with `count` random entries set to random weights in [-3, 3]."""
+    rows = [list(row) for row in a.raw()]
+    for _ in range(count):
+        rows[rng.randrange(a.n)][rng.randrange(a.n)] = Fraction(rng.randint(-6, 6), 2)
+    return MaxPlusMatrix(rows)
+
+
+def test_crit_rc_wielandt_matches_exhaustive_search():
+    rng = random.Random(4)
+    cases = []  # (matrix, a numbering to check explicitly)
+    # ties in small integer and half-integer weights make many critical arcs
+    while len(cases) < 120:
+        n = rng.randint(2, 6)
+        density = rng.uniform(0.3, 1.0)
+        den = rng.choice((1, 2))
+        rows = [
+            [Fraction(rng.randint(-2 * den, 2 * den), den) if rng.random() < density else None for _ in range(n)]
+            for _ in range(n)
+        ]
+        a = MaxPlusMatrix(rows)
+        if not max_cycle_mean(a).is_bottom:
+            cases.append(_renumbered(rng, a))
+    for n in range(2, 8):
+        for case in ("n-1", "n"):
+            for seed in range(3):
+                cases.append(_renumbered(rng, generate_wielandt(n, seed=seed, case=case)))
+    for g, n in COPRIME_PAIRS[:10]:
+        a = generate_dm(n, g, seed=g + n)
+        cases.append(_renumbered(rng, a))
+        for count in (1, 2, 3):
+            b = _overwritten(rng, a, count)
+            cases.append(_renumbered(rng, b))
+    positives = 0
+    for a, numbering in cases:
+        verdict = verify_crit_rc_wielandt(a)
+        assert verdict == crit_rc_wielandt_brute(a), render_matrix(a)
+        assert verify_crit_rc_wielandt(a, numbering) == crit_rc_wielandt_brute(a, numbering)
+        positives += verdict
+    assert positives >= 30
+
+
+def test_crit_rc_wielandt_beyond_exhaustive_sizes():
+    rng = random.Random(16)
+    for case in ("n-1", "n"):
+        a, numbering = _renumbered(rng, generate_wielandt(16, seed=1, case=case))
+        assert verify_crit_rc_wielandt(a)
+        assert verify_crit_rc_wielandt(a, numbering)
+
+
 def test_boolean_skeleton_indices_attain_bounds():
     for g, n in [(2, 5), (3, 5), (2, 7), (3, 7)]:
         assert transient_T(dm_skeleton(n, g)) == dm_bound(g, n)
     # the skeleton sought by verify_crit_rc_wielandt has digraph index
-    # Wi(n) at every size its exhaustive search accepts
+    # Wi(n); checked up to the search limit that verify_dm and
+    # verify_wielandt keep
     for n in range(2, SEARCH_LIMIT + 1):
         assert transient_T(wielandt_skeleton(n)) == wielandt_bound(n)
 
