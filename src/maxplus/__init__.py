@@ -20,7 +20,6 @@ from .csr import (
     analyze,
     build_csr,
     crit_row_col_profile,
-    crit_row_col_transient,
     csr_at,
     nachtigall_matrix,
     transient_T,

@@ -26,6 +26,13 @@ and C, S, R are carved at the subgraph's nodes and arcs).
 
 When lambda = -inf (acyclic digraph) the CSR terms are all -inf by
 convention and B = A, so the expansion holds trivially from t = 1.
+
+Everything here works on the scaled integer rows of A - lambda that
+`spectrum` computed, the one place that scales A with lambda: M, the
+gamma residues C S^r R - r*lambda, and the powers of A - lambda and
+B - lambda in both scans.  t*lambda thereby drops out of every
+comparison, and only the public C, R and the values csr_at returns are
+converted back to Fractions.
 """
 
 from __future__ import annotations
@@ -38,15 +45,13 @@ from .digraph import associated_digraph, scc_decompose
 from .matrix import (
     MaxPlusMatrix,
     _finite_entries,
+    _int_closure,
     _int_mul,
-    _scaled,
-    kleene_star,
-    mat_mul,
-    mat_power,
-    scalar_times,
+    _unscaled,
+    mat_mul,  # unused here; perfbench/test_bench.py reads csr.mat_mul
     zeros,
 )
-from .semiring import BOTTOM, MaxPlusScalar, negate, scalar_power
+from .semiring import BOTTOM, MaxPlusScalar
 from .spectral import CritGraph, spectrum
 
 
@@ -56,8 +61,8 @@ class CsrTriple:
 
     crit is the critical (sub)graph that C, S and R were carved at, or
     None when the digraph is acyclic.  csr_at evaluates C S^t R for any
-    t >= 1; internally only the gamma distinct normalized values are
-    computed, then shifted by t*lambda.
+    t >= 1 from _residues, C S^r R - r*lambda for r = 1..gamma, kept as
+    int rows scaled by _d like the spectrum's rows _norm of A - lambda.
     """
 
     c: MaxPlusMatrix
@@ -66,7 +71,9 @@ class CsrTriple:
     lam: MaxPlusScalar
     gamma: int
     crit: CritGraph | None = None
-    _residues: dict[int, MaxPlusMatrix] = field(default_factory=dict, repr=False)
+    _d: int | None = field(default=None, repr=False)
+    _norm: list[list] | None = field(default=None, repr=False)
+    _residues: list[list[list]] = field(default_factory=list, repr=False)
 
     @property
     def n(self) -> int:
@@ -91,59 +98,62 @@ def build_csr(a: MaxPlusMatrix, subgraph: CritGraph | None = None) -> CsrTriple:
     if not k.arcs <= sp.crit.arcs:
         raise ValueError("subgraph is not contained in the critical graph")
     gamma = k.cyclicity
-    normalized = scalar_times(negate(lam), a)
-    m = kleene_star(mat_power(normalized, gamma))
-    mraw = m.raw()
-    araw = a.raw()
     n = a.n
-    c_raw = [[mraw[i][j] if j in k.nodes else None for j in range(n)] for i in range(n)]
-    r_raw = [[mraw[i][j] if i in k.nodes else None for j in range(n)] for i in range(n)]
-    s_raw = [
-        [araw[i][j] if (i, j) in k.arcs else None for j in range(n)] for i in range(n)
-    ]
+    norm, d = sp._norm, sp._d
+    m, step = [row[:] for row in norm], _finite_entries(norm)
+    for _ in range(gamma - 1):
+        m = _int_mul(m, step)
+    _int_closure(m)
+    for i, row in enumerate(m):
+        row[i] = 0  # M = ((A - lambda)^gamma)^*; its cycles weigh <= 0
+    c = [[m[i][j] if j in k.nodes else None for j in range(n)] for i in range(n)]
+    r = [[m[i][j] if i in k.nodes else None for j in range(n)] for i in range(n)]
+    s_norm = [[(j, norm[i][j]) for j in range(n) if (i, j) in k.arcs] for i in range(n)]
+    r_finite = _finite_entries(r)
+    residues, cs = [], c
+    for _ in range(gamma):
+        cs = _int_mul(cs, s_norm)
+        residues.append(_int_mul(cs, r_finite))
+    araw = a.raw()
+    s = [[araw[i][j] if (i, j) in k.arcs else None for j in range(n)] for i in range(n)]
     return CsrTriple(
-        c=MaxPlusMatrix._from_raw(c_raw),
-        s=MaxPlusMatrix._from_raw(s_raw),
-        r=MaxPlusMatrix._from_raw(r_raw),
+        c=_unscaled(c, d),
+        s=MaxPlusMatrix._from_raw(s),
+        r=_unscaled(r, d),
         lam=lam,
         gamma=gamma,
         crit=k,
+        _d=d,
+        _norm=norm,
+        _residues=residues,
     )
 
 
 def csr_at(triple: CsrTriple, t: int) -> MaxPlusMatrix:
-    """Evaluate C S^t R exactly, t >= 1, using the gamma-periodic cache."""
+    """Evaluate C S^t R exactly, t >= 1, from the gamma residues."""
     if t < 1:
         raise ValueError(f"csr_at needs t >= 1, got {t}")
     if triple.lam.is_bottom:
         return zeros(triple.n)
-    return scalar_times(scalar_power(triple.lam, t), _residue(triple, t))
-
-
-def _residue(triple: CsrTriple, t: int) -> MaxPlusMatrix:
-    """C S^t R - t*lambda, which depends on t mod gamma only; lambda finite."""
-    residue = ((t - 1) % triple.gamma) + 1
-    cached = triple._residues.get(residue)
-    if cached is None:
-        s_norm = scalar_times(negate(triple.lam), triple.s)
-        cached = mat_mul(mat_mul(triple.c, mat_power(s_norm, residue)), triple.r)
-        triple._residues[residue] = cached
-    return cached
+    shift = int(t * triple.lam.value * triple._d)
+    residue = triple._residues[(t - 1) % triple.gamma]
+    shifted = [[None if x is None else x + shift for x in row] for row in residue]
+    return _unscaled(shifted, triple._d)
 
 
 def nachtigall_matrix(a: MaxPlusMatrix, crit: CritGraph | None) -> MaxPlusMatrix:
     """a with every entry in a critical row or column replaced by -inf."""
     if crit is None:
         return a
-    raw = a.raw()
-    out = [
-        [
-            None if (i in crit.nodes or j in crit.nodes) else raw[i][j]
-            for j in range(a.n)
-        ]
-        for i in range(a.n)
+    return MaxPlusMatrix._from_raw(_nachtigall_rows(a.raw(), crit.nodes))
+
+
+def _nachtigall_rows(rows: list[list], nodes: frozenset[int]) -> list[list]:
+    """rows with every entry in a row or column in nodes set to None."""
+    return [
+        [None if (i in nodes or j in nodes) else x for j, x in enumerate(row)]
+        for i, row in enumerate(rows)
     ]
-    return MaxPlusMatrix._from_raw(out)
 
 
 @dataclass(eq=False)
@@ -164,11 +174,6 @@ class WeakExpansion:
     cols: dict[int, int]
 
 
-def _shifted(rows: list[list], c: int) -> list[list]:
-    """Add the integer c to every finite entry of int-or-None rows."""
-    return [[None if x is None else x + c for x in row] for row in rows]
-
-
 def weak_threshold_T1(a: MaxPlusMatrix) -> WeakExpansion:
     """Least t1 >= 1 with A^t = C S^t R (+) B^t for all t >= t1.
 
@@ -177,10 +182,10 @@ def weak_threshold_T1(a: MaxPlusMatrix) -> WeakExpansion:
     the last failure rather than stopping early.  At each failing t it
     also records which critical rows and columns differ.
 
-    The scan runs on integers: A, B, lambda and the gamma residues
-    C S^r R - r*lambda are scaled to one common denominator, and both
-    sides are compared after subtracting t*lambda, i.e. as powers of
-    A - lambda and B - lambda against the residue of t.
+    The scan runs on the triple's integers: both sides are compared
+    after subtracting t*lambda, i.e. as powers of A - lambda and
+    B - lambda (A - lambda with the critical rows and columns at -inf)
+    against the residue of t.
     """
     triple = build_csr(a)
     crit = triple.crit
@@ -189,11 +194,8 @@ def weak_threshold_T1(a: MaxPlusMatrix) -> WeakExpansion:
     b = nachtigall_matrix(a, crit)
     nodes = sorted(crit.nodes)
     ceiling = min(wielandt_bound(a.n), dm_bound(crit.girth, a.n))
-    gamma = triple.gamma
-    _, (arows, brows, *residues), lam = _scaled(
-        [a, b, *(_residue(triple, r) for r in range(1, gamma + 1))], triple.lam.value
-    )
-    at, bt = _shifted(arows, -lam), _shifted(brows, -lam)
+    gamma, residues = triple.gamma, triple._residues
+    at, bt = triple._norm, _nachtigall_rows(triple._norm, crit.nodes)
     a_step, b_step = _finite_entries(at), _finite_entries(bt)
     last_fail = 0
     row_fail = dict.fromkeys(nodes, 0)
@@ -225,50 +227,43 @@ def weak_threshold_T1(a: MaxPlusMatrix) -> WeakExpansion:
 _SCAN_CAP = 10_000
 
 
-def transient_T(a: MaxPlusMatrix, max_t: int = _SCAN_CAP) -> int:
+def transient_T(a: MaxPlusMatrix) -> int:
     """Least T >= 0 with A^(t+gamma) = lambda^gamma * A^t for all t >= T.
 
     Defined for strongly connected digraphs; gamma is the cyclicity of
     the critical graph.  The scan walks t upward and stops at the first
     t where the equality holds: multiplying both sides by A shows that
     equality at t forces equality at t + 1.  Only the gamma + 1 powers
-    A^t .. A^(t+gamma) are kept.  Raises RuntimeError when T > max_t.
+    A^t .. A^(t+gamma) are kept.  Raises RuntimeError when T > _SCAN_CAP.
     """
     if not _strongly_connected(a):
         raise ValueError("transient is defined for strongly connected digraphs only")
     sp = spectrum(a)
     if sp.crit is None:
         raise ValueError("transient undefined: single node without a loop")
-    return _transient_scan(a, sp.lam, sp.crit.cyclicity, max_t)
+    return _transient_scan(sp._norm, sp.crit.cyclicity)
 
 
 def _strongly_connected(a: MaxPlusMatrix) -> bool:
     return len(scc_decompose(associated_digraph(a)).components) == 1
 
 
-def _transient_scan(a: MaxPlusMatrix, lam: MaxPlusScalar, gamma: int, max_t: int) -> int:
-    """transient_T's scan, given the finite cycle mean and the cyclicity.
+def _transient_scan(norm: list[list], gamma: int) -> int:
+    """transient_T's scan, given the scaled int rows of A - lambda and the
+    cyclicity gamma of the critical graph.
 
-    Runs on the scaled integer powers of A - lambda, for which the
-    condition reads (A - lambda)^(t+gamma) = (A - lambda)^t, and returns
-    the first t where it holds.
+    For A - lambda the condition reads (A - lambda)^(t+gamma) =
+    (A - lambda)^t; returns the first t <= _SCAN_CAP where it holds.
     """
-    _, (rows,), lam_d = _scaled([a], lam.value)
-    step = _finite_entries(_shifted(rows, -lam_d))
-    n = a.n
+    step = _finite_entries(norm)
+    n = len(norm)
     window = deque([[[0 if i == j else None for j in range(n)] for i in range(n)]])
-    for t in range(max_t + 1):
+    for t in range(_SCAN_CAP + 1):
         while len(window) <= gamma:
             window.append(_int_mul(window[-1], step))
         if window[-1] == window.popleft():
             return t
-    raise RuntimeError(f"transient exceeds the scan cap {max_t}")
-
-
-def crit_row_col_transient(a: MaxPlusMatrix) -> int:
-    """Least T past which critical rows and columns of A^t agree with C S^t R."""
-    overall, _, _ = crit_row_col_profile(a)
-    return overall
+    raise RuntimeError(f"transient exceeds the scan cap {_SCAN_CAP}")
 
 
 def crit_row_col_profile(a: MaxPlusMatrix) -> tuple[int, dict[int, int], dict[int, int]]:
@@ -337,7 +332,7 @@ def analyze(a: MaxPlusMatrix) -> TransientReport:
     lam, crit = expansion.csr.lam, expansion.csr.crit
     t = None
     if crit is not None and _strongly_connected(a):
-        t = _transient_scan(a, lam, crit.cyclicity, _SCAN_CAP)
+        t = _transient_scan(expansion.csr._norm, crit.cyclicity)
     wi = wielandt_bound(a.n)
     dm = None if crit is None else dm_bound(crit.girth, a.n)
     return TransientReport(

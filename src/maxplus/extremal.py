@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd
 
 from .bounds import dm_bound, wielandt_bound
-from .csr import build_csr, csr_at, transient_T, weak_threshold_T1
+from .csr import _transient_scan, build_csr, csr_at, weak_threshold_T1
 from .digraph import WeightedDigraph, associated_digraph, enumerate_cycles
 from .matrix import (
     MaxPlusMatrix,
@@ -179,10 +179,10 @@ def _unique_max_weight(a: MaxPlusMatrix, cycles: list[tuple[int, ...]]) -> tuple
     return winners[0] if len(winners) == 1 else None
 
 
-def _check_search_limit(n: int, search_limit: int) -> None:
-    if n > search_limit:
+def _check_search_limit(n: int) -> None:
+    if n > SEARCH_LIMIT:
         raise ValueError(
-            f"n={n} exceeds the exhaustive search limit {search_limit}; "
+            f"n={n} exceeds the exhaustive search limit {SEARCH_LIMIT}; "
             "supply an explicit numbering"
         )
 
@@ -284,7 +284,6 @@ def _scalar_strictly_less(x: MaxPlusScalar, y: MaxPlusScalar) -> bool:
 def verify_dm(
     a: MaxPlusMatrix,
     numbering: tuple[int, ...] | None = None,
-    search_limit: int = SEARCH_LIMIT,
 ) -> DmVerdict:
     """Check the exact conditions equivalent to T1 attaining DM(g, n), g >= 2.
 
@@ -312,7 +311,7 @@ def verify_dm(
     )
 
     if numbering is None:
-        _check_search_limit(n, search_limit)
+        _check_search_limit(n)
         if not strongly or len(short_cycles) != 1:
             return DmVerdict(holds=False, numbering=None, conditions=conditions)
         numbering = _search_dm_numbering(a, short_cycles[0], conditions)
@@ -437,7 +436,6 @@ def _dm_conditions(
 def verify_wielandt(
     a: MaxPlusMatrix,
     numbering: tuple[int, ...] | None = None,
-    search_limit: int = SEARCH_LIMIT,
 ) -> WielandtVerdict:
     """Check the conditions equivalent to T1 attaining Wi(n) = (n-1)^2 + 1.
 
@@ -455,7 +453,7 @@ def verify_wielandt(
     conditions: dict[str, ConditionCheck] = {}
 
     if numbering is None:
-        _check_search_limit(n, search_limit)
+        _check_search_limit(n)
         numbering = _search_wielandt_numbering(a, conditions)
         if numbering is None:
             return WielandtVerdict(holds=False, numbering=None, case=None, conditions=conditions)
@@ -560,15 +558,18 @@ def _wielandt_layers(p: MaxPlusMatrix) -> tuple[MaxPlusMatrix, MaxPlusMatrix]:
 
 
 def _boolean_index(crit: CritGraph) -> int:
-    """Transient of the critical graph as a 0/-inf matrix (max over components)."""
+    """Transient of the critical graph as a 0/-inf matrix (max over components).
+
+    Each component is strongly connected and every cycle in it weighs 0,
+    so its 0/-inf matrix has cycle mean 0, is its own A - lambda, and has
+    the whole component as critical graph, of cyclicity comp.cyclicity:
+    the transient scan runs on those rows directly.
+    """
     worst = 0
     for comp in crit.scc.components:
         nodes = sorted(comp.nodes)
-        pos = {v: k for k, v in enumerate(nodes)}
-        entries = {
-            (pos[i], pos[j]): 0 for (i, j) in crit.arcs if i in comp.nodes and j in comp.nodes
-        }
-        worst = max(worst, transient_T(from_entries(len(nodes), entries)))
+        rows = [[0 if (i, j) in crit.arcs else None for j in nodes] for i in nodes]
+        worst = max(worst, _transient_scan(rows, comp.cyclicity))
     return worst
 
 

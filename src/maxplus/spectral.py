@@ -2,10 +2,12 @@
 
 The maximum cycle mean is computed by Karp's dynamic program run per
 strongly connected component, on the exactly scaled integer entries.
-The critical graph (all nodes and arcs of cycles attaining the maximum
-mean) is read off the Kleene closure of the mean-normalized matrix: an
-arc (i, j) is critical exactly when it closes a zero-weight circuit,
-i.e. when a'_ij + (A'+)_ji = 0 for the normalized A'.
+`spectrum` then scales A - lambda to integers once; that integer form
+stays on the returned Spectrum, and the CSR terms and both scans in
+`csr` read it instead of scaling again.  The critical graph (all nodes
+and arcs of cycles attaining the maximum mean) is read off its closure:
+an arc (i, j) is critical exactly when it closes a zero-weight circuit,
+i.e. when a'_ij + (A'+)_ji = 0 for the normalized A' = A - lambda.
 
 A visualization is a diagonal scaling pushing every entry to at most the
 cycle mean; a strict visualization additionally puts an entry *at* the
@@ -19,7 +21,7 @@ The postcondition is asserted on every call and failure raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .digraph import (
@@ -33,13 +35,14 @@ from .digraph import (
 from .matrix import (
     DiagonalScaling,
     MaxPlusMatrix,
+    _int_closure,
     _scaled,
     kleene_star,
-    mat_mul,
+    mat_mul,  # unused here; perfbench/test_bench.py reads spectral.mat_mul
     scalar_times,
     scale,
 )
-from .semiring import BOTTOM, MaxPlusScalar, negate
+from .semiring import BOTTOM, UNIT, MaxPlusScalar, negate
 
 
 @dataclass(frozen=True)
@@ -60,8 +63,13 @@ class CritGraph:
 
 @dataclass(frozen=True)
 class Spectrum:
+    """The cycle mean lam, the critical graph (None if acyclic) and, for a
+    finite lam, the rows _norm of A - lam as ints (None: -inf) scaled by _d."""
+
     lam: MaxPlusScalar
     crit: CritGraph | None
+    _d: int | None = field(default=None, compare=False, repr=False)
+    _norm: list[list] | None = field(default=None, compare=False, repr=False)
 
 
 def max_cycle_mean(a: MaxPlusMatrix) -> MaxPlusScalar:
@@ -132,7 +140,9 @@ def spectrum(a: MaxPlusMatrix) -> Spectrum:
     lam = max_cycle_mean(a)
     if lam.is_bottom:
         return Spectrum(lam=lam, crit=None)
-    return Spectrum(lam=lam, crit=_critical_graph_at(a, lam))
+    d, (rows,), lam_d = _scaled([a], lam.value)
+    norm = [[None if x is None else x - lam_d for x in row] for row in rows]
+    return Spectrum(lam=lam, crit=_critical_graph_at(norm), _d=d, _norm=norm)
 
 
 def _cyclic_spectrum(a: MaxPlusMatrix) -> Spectrum:
@@ -148,26 +158,18 @@ def critical_graph(a: MaxPlusMatrix) -> CritGraph:
     return _cyclic_spectrum(a).crit
 
 
-def _critical_graph_at(a: MaxPlusMatrix, lam: MaxPlusScalar) -> CritGraph:
-    """The critical graph of a, given its finite maximum cycle mean lam."""
-    normalized = scalar_times(negate(lam), a)
-    closure = mat_mul(normalized, kleene_star(normalized))
-    nraw = normalized.raw()
-    craw = closure.raw()
-    arcs = set()
-    for i in range(a.n):
-        for j in range(a.n):
-            w = nraw[i][j]
-            if w is None:
-                continue
-            back = craw[j][i]
-            if back is not None and w + back == 0:
-                arcs.add((i, j))
+def _critical_graph_at(norm: list[list]) -> CritGraph:
+    """The critical graph, given the scaled int rows of A - lambda."""
+    closure = [row[:] for row in norm]
+    _int_closure(closure)
+    arcs = {
+        (i, j)
+        for i, row in enumerate(norm)
+        for j, w in enumerate(row)
+        if w is not None and closure[j][i] is not None and w + closure[j][i] == 0
+    }
     nodes = {i for (i, j) in arcs} | {j for (i, j) in arcs}
-    crit_digraph = WeightedDigraph(
-        a.n, {(i, j): MaxPlusScalar(a.raw()[i][j]) for (i, j) in arcs}
-    )
-    scc = scc_decompose(crit_digraph, nodes)
+    scc = scc_decompose(WeightedDigraph(len(norm), dict.fromkeys(arcs, UNIT)), nodes)
     # Complete reducibility: every critical arc stays inside one component.
     for (i, j) in arcs:
         if scc.component_of(i) is not scc.component_of(j):

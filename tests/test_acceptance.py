@@ -16,7 +16,7 @@ import pytest
 from maxplus import (
     MaxPlusMatrix,
     build_csr,
-    crit_row_col_transient,
+    crit_row_col_profile,
     critical_graph,
     csr_at,
     dm_bound,
@@ -184,12 +184,12 @@ def test_criterion_07_perturbation_invariance():
 
 def test_criterion_08_critical_row_column_attainment(dm_corpus, wielandt_corpus):
     for (g, n, seed), a in dm_corpus.items():
-        assert crit_row_col_transient(a) == dm_bound(g, n), (g, n, seed)
+        assert crit_row_col_profile(a)[0] == dm_bound(g, n), (g, n, seed)
         assert _boolean_index(critical_graph(a)) == dm_bound(g, n), (g, n, seed)
         assert verify_crit_rc_dm(a), (g, n, seed)
     for (n, case), a in wielandt_corpus.items():
         assert verify_crit_rc_wielandt(a), (n, case)
-        assert crit_row_col_transient(a) == wielandt_bound(n), (n, case)
+        assert crit_row_col_profile(a)[0] == wielandt_bound(n), (n, case)
     report(8, "critical rows/columns attain DM on DM instances and Wi on Wielandt instances")
 
 

@@ -181,6 +181,27 @@ def test_oracle_verb(tmp_path, capsys):
     assert code == 0 and "interesting: True" in out
 
 
+def test_readme_example_session(tmp_path, capsys):
+    path = str(tmp_path / "ex.txt")
+    code, _, _ = run(capsys, "generate", "dm", "--n", "5", "--g", "3", "--seed", "0", "--out", path)
+    assert code == 0
+    code, out, _ = run(capsys, "analyze", path, "--json")
+    report = json.loads(out)
+    assert code == 0 and report["T"] == report["T1"] == 14
+    assert report["attains_dm"] is True and report["attains_wiel"] is False
+    code, out, _ = run(capsys, "check-dm", path)
+    assert code == 0
+    assert out.splitlines()[:2] == ["dm_attainment: holds", "  numbering: 0 1 2 3 4"]
+    code, out, _ = run(capsys, "oracle", path, "--i", "3", "--j", "4", "--t", "13")
+    assert code == 0
+    assert out.splitlines() == [
+        "walk: " + " ".join(map(str, [3, 4] + [0, 1, 2, 3, 4] * 3)),
+        "length: 16",
+        "weight: 0",
+        "interesting: True",
+    ]
+
+
 def test_oracle_size_guard(tmp_path, capsys):
     from maxplus import dm_skeleton
 

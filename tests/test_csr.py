@@ -8,7 +8,6 @@ from maxplus import (
     as_scalar,
     build_csr,
     crit_row_col_profile,
-    crit_row_col_transient,
     critical_components,
     critical_graph,
     csr_at,
@@ -31,6 +30,7 @@ from maxplus import (
     wielandt_skeleton,
     zeros,
 )
+from maxplus import csr
 from conftest import (
     normalized,
     random_cyclic_matrix,
@@ -305,6 +305,15 @@ def test_transient_wielandt_n4():
     assert transient_T(wielandt_skeleton(4)) == 10
 
 
+def test_transient_past_the_scan_cap_raises(monkeypatch):
+    a = wielandt_skeleton(4)  # T = 10
+    monkeypatch.setattr(csr, "_SCAN_CAP", 9)
+    with pytest.raises(RuntimeError):
+        transient_T(a)
+    monkeypatch.setattr(csr, "_SCAN_CAP", 10)
+    assert transient_T(a) == 10
+
+
 def test_transient_rejects_reducible():
     with pytest.raises(ValueError):
         transient_T(from_entries(2, {(0, 0): 0, (0, 1): 0}))
@@ -358,7 +367,7 @@ def test_transient_dominates_weak_threshold_on_irreducible(rng):
 def test_crit_rc_never_exceeds_t1(rng):
     for _ in range(25):
         a = random_cyclic_matrix(rng, rng.randint(2, 6))
-        assert crit_row_col_transient(a) <= weak_threshold_T1(a).t1
+        assert crit_row_col_profile(a)[0] <= weak_threshold_T1(a).t1
 
 
 def test_crit_rc_equals_t1_when_everything_critical(rng):
@@ -371,12 +380,12 @@ def test_crit_rc_equals_t1_when_everything_critical(rng):
         cases.append(boolean)
     for a in cases:
         assert critical_graph(a).nodes == set(range(a.n))
-        assert crit_row_col_transient(a) == weak_threshold_T1(a).t1
+        assert crit_row_col_profile(a)[0] == weak_threshold_T1(a).t1
 
 
 def test_crit_rc_on_dm_extremal_instance():
     a = generate_dm(5, 3, seed=11)
-    assert crit_row_col_transient(a) == dm_bound(3, 5)
+    assert crit_row_col_profile(a)[0] == dm_bound(3, 5)
 
 
 def test_crit_rc_profile_per_index(rng):
@@ -386,7 +395,7 @@ def test_crit_rc_profile_per_index(rng):
     assert set(rows) == critical_graph(a).nodes
     assert all(1 <= v <= overall for v in rows.values())
     with pytest.raises(ValueError):
-        crit_row_col_transient(zeros(2))
+        crit_row_col_profile(zeros(2))[0]
 
 
 def _per_index_scan(a):
@@ -456,7 +465,7 @@ def test_report_fields_match_standalone_functions(rng):
         kinds.add("irreducible" if t is not None else "reducible")
         assert (report.g, report.gamma) == (sp.crit.girth, sp.crit.cyclicity)
         assert report.dm == dm_bound(sp.crit.girth, a.n)
-        assert report.crit_rc_transient == crit_row_col_transient(a)
+        assert report.crit_rc_transient == crit_row_col_profile(a)[0]
     assert kinds == {"acyclic", "irreducible", "reducible"}
 
 

@@ -8,6 +8,7 @@ from maxplus import (
     MaxPlusMatrix,
     apply_numbering,
     build_csr,
+    crit_row_col_profile,
     critical_graph,
     csr_at,
     decompose,
@@ -33,6 +34,7 @@ from maxplus import (
     zeros,
 )
 from maxplus.digraph import associated_digraph
+from maxplus import extremal
 from maxplus.extremal import SEARCH_LIMIT, a1_pattern, b1_pattern
 from conftest import random_cyclic_matrix
 from oracles import crit_rc_wielandt_brute
@@ -194,11 +196,12 @@ def test_verify_dm_search_handles_missing_hamiltonian_cycle():
     assert not verdict.conditions["unique_max_weight_hamiltonian"].passed
 
 
-def test_verify_dm_search_limit():
+def test_verify_dm_search_limit(monkeypatch):
     a = dm_skeleton(11, 2)
     with pytest.raises(ValueError):
         verify_dm(a)
-    assert verify_dm(a, search_limit=11).holds  # Boolean skeleton attains DM
+    monkeypatch.setattr(extremal, "SEARCH_LIMIT", 11)
+    assert verify_dm(a).holds  # Boolean skeleton attains DM
 
 
 def test_unique_max_weight_hamiltonian_on_extremal_instances():
@@ -340,9 +343,7 @@ def test_crit_rc_dm_on_generated_instances():
     for g, n in [(2, 5), (3, 5), (2, 7)]:
         a = generate_dm(n, g, seed=3)
         assert verify_crit_rc_dm(a)
-        from maxplus import crit_row_col_transient
-
-        assert crit_row_col_transient(a) == dm_bound(g, n)
+        assert crit_row_col_profile(a)[0] == dm_bound(g, n)
 
 
 def test_crit_rc_wielandt_shape_without_critical_index():
@@ -351,9 +352,7 @@ def test_crit_rc_wielandt_shape_without_critical_index():
     a = generate_wielandt(5, seed=6, case="n")
     assert verify_crit_rc_wielandt(a)
     assert not verify_crit_rc_dm(a)
-    from maxplus import crit_row_col_transient
-
-    assert crit_row_col_transient(a) == wielandt_bound(5)
+    assert crit_row_col_profile(a)[0] == wielandt_bound(5)
     crit = critical_graph(a)
     assert crit.girth == 5  # just the Hamiltonian cycle
 
@@ -361,13 +360,11 @@ def test_crit_rc_wielandt_shape_without_critical_index():
 def test_crit_rc_dm_verdict_tracks_transient(rng):
     # the verdict and the directly computed row/column transient agree in
     # both directions on random instances
-    from maxplus import crit_row_col_transient
-
     negatives = 0
     for _ in range(15):
         a = random_cyclic_matrix(rng, 4)
         crit = critical_graph(a)
-        attained = crit_row_col_transient(a) == dm_bound(crit.girth, a.n)
+        attained = crit_row_col_profile(a)[0] == dm_bound(crit.girth, a.n)
         assert verify_crit_rc_dm(a) == attained
         negatives += not attained
     assert negatives >= 10

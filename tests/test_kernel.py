@@ -10,12 +10,14 @@ powers.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from maxplus import (
     MaxPlusMatrix,
+    csr,
     csr_at,
     dm_bound,
     from_entries,
@@ -23,7 +25,10 @@ from maxplus import (
     mat_mul,
     mat_power,
     max_cycle_mean,
+    matrix,
     scalar_times,
+    spectral,
+    spectrum,
     as_scalar,
     transient_T,
     weak_threshold_T1,
@@ -129,6 +134,34 @@ def test_max_cycle_mean_with_a_coprime_mean_denominator():
     for n in range(3, 8):
         a = third_mean_cycle(n)
         assert max_cycle_mean(a).value == max_cycle_mean_brute(a) == Fraction(1, 3)
+
+
+def test_critical_arcs_when_the_mean_brings_a_new_denominator():
+    # lambda's denominator divides no entry denominator, so only the
+    # scaling of A - lambda in spectrum brings it into the integers
+    seven = {(k, (k + 1) % 7): int(k == 0) for k in range(7)}  # mean 1/7
+    seven.update({(0, 3): -2, (3, 0): -1, (5, 5): 0, (6, 2): -1})
+    two_thirds = {(0, 1): 2, (1, 2): -3, (2, 0): 2, (0, 3): 1, (3, 4): 1, (4, 0): -1, (2, 3): -1}
+    halves_fifths = {
+        (0, 1): Fraction(1, 2), (1, 2): Fraction(1, 5), (2, 0): 0,  # mean 7/30
+        (0, 3): Fraction(1, 5), (3, 4): Fraction(1, 2), (4, 0): 0,  # mean 7/30
+        (1, 3): Fraction(-1, 2),
+    }
+    cases = [third_mean_cycle(n) for n in range(3, 8)]
+    cases += [from_entries(7, seven), from_entries(5, two_thirds), from_entries(5, halves_fifths)]
+    for a in cases:
+        assert 10 % max_cycle_mean_brute(a).denominator != 0
+    rng = random.Random(9)
+    drawn = 0
+    while drawn < 20:  # random supports, weights over 2 or over 5
+        n = rng.randint(3, 7)
+        arcs = [(i, j) for i, j, w in irreducible(rng, n, 0.3).entries() if not w.is_bottom]
+        a = from_entries(n, {ij: Fraction(rng.randint(-12, 12), rng.choice((2, 5))) for ij in arcs})
+        if 10 % max_cycle_mean_brute(a).denominator != 0:
+            cases.append(a)
+            drawn += 1
+    for a in cases:
+        assert spectrum(a).crit.arcs == critical_arcs_brute(a)
 
 
 def test_kleene_star_matches_walk_closure():
@@ -251,3 +284,32 @@ def test_transient_matches_walk_dp():
 def test_transient_with_a_coprime_mean_denominator():
     transients = [check_transient(third_mean_cycle(n)) for n in range(3, 8)]
     assert transients[0] == 0 and min(transients[1:]) >= 1  # a bare cycle is periodic
+
+
+# ---------------------------------------------------------------------------
+# one integer form of A - lambda per analysis
+
+
+def test_analyze_scales_once_and_runs_no_fraction_level_products(monkeypatch):
+    # Karp scales A, spectrum scales A - lambda; everything after reads that
+    fraction_level = ("mat_mul", "mat_power", "kleene_star", "scalar_times")
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (matrix, spectral, csr):
+        for name in ("spectrum", "_scaled", *fraction_level):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, counted(name, vars(module)[name]))
+    loop = from_entries(3, {(0, 0): 1, (0, 1): 0, (1, 2): -1, (2, 0): 0})
+    for gamma, a in ((1, loop), (3, third_mean_cycle(6))):
+        calls.clear()
+        report = csr.analyze(a)
+        assert report.gamma == gamma and report.t is not None
+        assert calls["spectrum"] == 1 and calls["_scaled"] <= 2
+        assert [calls[name] for name in fraction_level] == [0] * len(fraction_level)
