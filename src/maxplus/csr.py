@@ -10,15 +10,10 @@ gamma (up to a lambda^gamma shift), and the weak expansion
     A^t = C S^t R  (+)  B^t
 
 holds for all t past a threshold T1, where B is the Nachtigall matrix
-(A with every row and column of a critical node pushed to -inf).  T1 is
-found by scanning t up to the ceiling min(Wi(n), DM(g, n)), which is a
-proven upper bound for T1, and taking one past the last failing t.
-
-B^t is -inf on every critical row and column, so there the expansion
-compares A^t with C S^t R alone: the transient of each critical row and
-column is read off the same scan, as one past its own last failure.
-The scan for the transient T is separate, since T may exceed the
-ceiling.
+(A with every row and column of a critical node pushed to -inf).  One
+sweep over the powers of A - lambda (see _sweep) yields T1, the
+transient of each critical row and column, where B^t is -inf and A^t
+meets C S^t R alone, and the transient T.
 
 The triple may also be built with respect to a completely reducible
 subgraph of the critical graph (then gamma is the subgraph's cyclicity
@@ -30,7 +25,7 @@ convention and B = A, so the expansion holds trivially from t = 1.
 Everything here works on the scaled integer rows of A - lambda that
 `spectrum` computed, the one place that scales A with lambda: M, the
 gamma residues C S^r R - r*lambda, and the powers of A - lambda and
-B - lambda in both scans.  t*lambda thereby drops out of every
+B - lambda in the sweep.  t*lambda thereby drops out of every
 comparison, and only the public C, R and the values csr_at returns are
 converted back to Fractions.
 """
@@ -39,6 +34,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import count
 
 from .bounds import dm_bound, wielandt_bound
 from .digraph import associated_digraph, scc_decompose
@@ -177,51 +173,21 @@ class WeakExpansion:
 def weak_threshold_T1(a: MaxPlusMatrix) -> WeakExpansion:
     """Least t1 >= 1 with A^t = C S^t R (+) B^t for all t >= t1.
 
-    Scans every t from 1 up to the proven ceiling min(Wi(n), DM(g, n));
-    equality at one t does not imply it at the next, so the scan keeps
-    the last failure rather than stopping early.  At each failing t it
-    also records which critical rows and columns differ.
-
-    The scan runs on the triple's integers: both sides are compared
-    after subtracting t*lambda, i.e. as powers of A - lambda and
-    B - lambda (A - lambda with the critical rows and columns at -inf)
-    against the residue of t.
+    Equality at one t does not imply it at the next, so the sweep keeps
+    the last failure, also per critical row and column, up to the proven
+    ceiling min(Wi(n), DM(g, n)) or to T + gamma if sooner (see _sweep).
     """
+    return _expand(a, seek_t=False)[0]
+
+
+def _expand(a: MaxPlusMatrix, seek_t: bool) -> tuple[WeakExpansion, int | None]:
+    """weak_threshold_T1's expansion and T, from one sweep (T None if not found)."""
     triple = build_csr(a)
-    crit = triple.crit
-    if crit is None:
-        return WeakExpansion(csr=triple, b=a, t1=1, rows={}, cols={})
-    b = nachtigall_matrix(a, crit)
-    nodes = sorted(crit.nodes)
-    ceiling = min(wielandt_bound(a.n), dm_bound(crit.girth, a.n))
-    gamma, residues = triple.gamma, triple._residues
-    at, bt = triple._norm, _nachtigall_rows(triple._norm, crit.nodes)
-    a_step, b_step = _finite_entries(at), _finite_entries(bt)
-    last_fail = 0
-    row_fail = dict.fromkeys(nodes, 0)
-    col_fail = dict.fromkeys(nodes, 0)
-    for t in range(1, ceiling + 1):
-        if t > 1:
-            at, bt = _int_mul(at, a_step), _int_mul(bt, b_step)
-        expected = [
-            [x if y is None or (x is not None and x >= y) else y for x, y in zip(rrow, brow)]
-            for rrow, brow in zip(residues[(t - 1) % gamma], bt)
-        ]
-        if at == expected:
-            continue
-        last_fail = t
-        for k in nodes:
-            if at[k] != expected[k]:
-                row_fail[k] = t
-            if any(arow[k] != erow[k] for arow, erow in zip(at, expected)):
-                col_fail[k] = t
-    return WeakExpansion(
-        csr=triple,
-        b=b,
-        t1=last_fail + 1,
-        rows={i: f + 1 for i, f in row_fail.items()},
-        cols={j: f + 1 for j, f in col_fail.items()},
-    )
+    t, t1, rows, cols = None, 1, {}, {}
+    if triple.crit is not None:
+        t, t1, rows, cols = _sweep(triple._norm, triple.gamma, triple, seek_t)
+    expansion = WeakExpansion(csr=triple, b=nachtigall_matrix(a, triple.crit), t1=t1, rows=rows, cols=cols)
+    return expansion, t
 
 
 _SCAN_CAP = 10_000
@@ -230,40 +196,76 @@ _SCAN_CAP = 10_000
 def transient_T(a: MaxPlusMatrix) -> int:
     """Least T >= 0 with A^(t+gamma) = lambda^gamma * A^t for all t >= T.
 
-    Defined for strongly connected digraphs; gamma is the cyclicity of
-    the critical graph.  The scan walks t upward and stops at the first
-    t where the equality holds: multiplying both sides by A shows that
-    equality at t forces equality at t + 1.  Only the gamma + 1 powers
-    A^t .. A^(t+gamma) are kept.  Raises RuntimeError when T > _SCAN_CAP.
+    Defined for strongly connected digraphs, with gamma the cyclicity of
+    the critical graph; raises RuntimeError when T > _SCAN_CAP.
     """
     if not _strongly_connected(a):
         raise ValueError("transient is defined for strongly connected digraphs only")
     sp = spectrum(a)
     if sp.crit is None:
         raise ValueError("transient undefined: single node without a loop")
-    return _transient_scan(sp._norm, sp.crit.cyclicity)
+    return _sweep(sp._norm, sp.crit.cyclicity)[0]
 
 
 def _strongly_connected(a: MaxPlusMatrix) -> bool:
     return len(scc_decompose(associated_digraph(a)).components) == 1
 
 
-def _transient_scan(norm: list[list], gamma: int) -> int:
-    """transient_T's scan, given the scaled int rows of A - lambda and the
-    cyclicity gamma of the critical graph.
+def _sweep(
+    norm: list[list], gamma: int, triple: CsrTriple | None = None, seek_t: bool = True
+) -> tuple[int | None, int, dict[int, int], dict[int, int]]:
+    """(T, t1, rows, cols) from one loop over the powers P^t of P = A - lambda.
 
-    For A - lambda the condition reads (A - lambda)^(t+gamma) =
-    (A - lambda)^t; returns the first t <= _SCAN_CAP where it holds.
+    T is the least t >= 0 with P^(t+gamma) = P^t; equality at t forces
+    it at t + 1, so with the window P^(t-gamma) .. P^t the sweep stops at
+    t = T + gamma.  Given the triple of the whole critical graph, each t
+    up to the ceiling min(Wi(n), DM(g, n)) also compares P^t with the
+    residue of t (+) (B - lambda)^t, for t1 and the critical row and
+    column transients (1 and empty without a triple).  With T not found
+    by the ceiling the sweep stops there, unless seek_t: then P's powers
+    go on until T settles, raising RuntimeError once T > _SCAN_CAP.
+
+    No t >= T fails.  P^(t+k*gamma) = P^t for all k >= 0, and t + k*gamma
+    is past T1 for k large, so P^t = Q_t (+) (B - lambda)^(t+k*gamma),
+    where Q_t, the residue of t, depends on t only modulo gamma.  Every
+    cycle of B avoids the critical nodes, so weighs less than lambda: as
+    k grows, (B - lambda)^(t+k*gamma) sinks below any bound, and
+    P^t = Q_t.  As B <= A, Q_t <= Q_t (+) (B - lambda)^t <= P^t = Q_t.
+    Irreducibility is not used, so reducible input may stop early too.
     """
-    step = _finite_entries(norm)
     n = len(norm)
-    window = deque([[[0 if i == j else None for j in range(n)] for i in range(n)]])
-    for t in range(_SCAN_CAP + 1):
-        while len(window) <= gamma:
-            window.append(_int_mul(window[-1], step))
-        if window[-1] == window.popleft():
-            return t
-    raise RuntimeError(f"transient exceeds the scan cap {_SCAN_CAP}")
+    step = _finite_entries(norm)
+    window = deque([[[0 if i == j else None for j in range(n)] for i in range(n)], norm], maxlen=gamma + 1)
+    ceiling, t1, rows, cols = 0, 1, {}, {}
+    if triple is not None:
+        nodes = sorted(triple.crit.nodes)
+        ceiling = min(wielandt_bound(n), dm_bound(triple.crit.girth, n))
+        rows, cols = dict.fromkeys(nodes, 1), dict.fromkeys(nodes, 1)
+        bt = _nachtigall_rows(norm, triple.crit.nodes)
+        b_step = _finite_entries(bt)
+    for t in count(1):
+        at = window[-1]
+        if len(window) > gamma and window[0] == at:
+            return t - gamma, t1, rows, cols
+        if t <= ceiling:
+            if t > 1:
+                bt = _int_mul(bt, b_step)
+            expected = [
+                [x if y is None or (x is not None and x >= y) else y for x, y in zip(rrow, brow)]
+                for rrow, brow in zip(triple._residues[(t - 1) % gamma], bt)
+            ]
+            if at != expected:
+                t1 = t + 1
+                for k in nodes:
+                    if at[k] != expected[k]:
+                        rows[k] = t + 1
+                    if any(arow[k] != erow[k] for arow, erow in zip(at, expected)):
+                        cols[k] = t + 1
+        if not seek_t and t >= ceiling:
+            return None, t1, rows, cols
+        if seek_t and t - gamma >= _SCAN_CAP:
+            raise RuntimeError(f"transient exceeds the scan cap {_SCAN_CAP}")
+        window.append(_int_mul(at, step))
 
 
 def crit_row_col_profile(a: MaxPlusMatrix) -> tuple[int, dict[int, int], dict[int, int]]:
@@ -328,11 +330,9 @@ class TransientReport:
 
 def analyze(a: MaxPlusMatrix) -> TransientReport:
     """Full transient report: lambda, crit summary, T, T1, bounds, flags."""
-    expansion = weak_threshold_T1(a)
+    connected = _strongly_connected(a)
+    expansion, t = _expand(a, seek_t=connected)
     lam, crit = expansion.csr.lam, expansion.csr.crit
-    t = None
-    if crit is not None and _strongly_connected(a):
-        t = _transient_scan(expansion.csr._norm, crit.cyclicity)
     wi = wielandt_bound(a.n)
     dm = None if crit is None else dm_bound(crit.girth, a.n)
     return TransientReport(
@@ -340,7 +340,7 @@ def analyze(a: MaxPlusMatrix) -> TransientReport:
         lam=lam,
         g=None if crit is None else crit.girth,
         gamma=None if crit is None else crit.cyclicity,
-        t=t,
+        t=t if connected else None,
         t1=expansion.t1,
         wi=wi,
         dm=dm,

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd
 
 from .bounds import dm_bound, wielandt_bound
-from .csr import _transient_scan, build_csr, csr_at, weak_threshold_T1
+from .csr import _sweep, build_csr, csr_at, weak_threshold_T1
 from .digraph import WeightedDigraph, associated_digraph, enumerate_cycles
 from .matrix import (
     MaxPlusMatrix,
@@ -37,7 +37,7 @@ from .matrix import (
     strictly_dominated_by,
     zeros,
 )
-from .semiring import MaxPlusScalar, negate, scalar_power
+from .semiring import UNIT, MaxPlusScalar, negate, scalar_power
 from .spectral import CritGraph, _cyclic_spectrum, critical_graph
 
 SEARCH_LIMIT = 10  # exhaustive Hamiltonian-cycle search is desk-scale only
@@ -192,14 +192,13 @@ def _rotations(cycle: tuple[int, ...]) -> set[tuple[int, ...]]:
     return {cycle[r:] + cycle[:r] for r in range(k)}
 
 
-def _crit_digraph(a: MaxPlusMatrix, crit: CritGraph) -> WeightedDigraph:
-    """The digraph of the critical arcs, weighted as in a."""
-    raw = a.raw()
-    return WeightedDigraph(a.n, {(i, j): MaxPlusScalar(raw[i][j]) for (i, j) in crit.arcs})
+def _crit_digraph(n: int, crit: CritGraph) -> WeightedDigraph:
+    """The digraph of the critical arcs on n nodes, every arc of weight 0."""
+    return WeightedDigraph(n, dict.fromkeys(crit.arcs, UNIT))
 
 
 def _critical_cycles_of_length(a: MaxPlusMatrix, crit: CritGraph, length: int) -> list[tuple[int, ...]]:
-    sub = _crit_digraph(a, crit)
+    sub = _crit_digraph(a.n, crit)
     cycles = enumerate_cycles(sub, max_n=sub.n, max_length=length)
     return [c.nodes for c in cycles if c.length == length]
 
@@ -563,13 +562,13 @@ def _boolean_index(crit: CritGraph) -> int:
     Each component is strongly connected and every cycle in it weighs 0,
     so its 0/-inf matrix has cycle mean 0, is its own A - lambda, and has
     the whole component as critical graph, of cyclicity comp.cyclicity:
-    the transient scan runs on those rows directly.
+    the sweep for the transient runs on those rows directly.
     """
     worst = 0
     for comp in crit.scc.components:
         nodes = sorted(comp.nodes)
         rows = [[0 if (i, j) in crit.arcs else None for j in nodes] for i in nodes]
-        worst = max(worst, _transient_scan(rows, comp.cyclicity))
+        worst = max(worst, _sweep(rows, comp.cyclicity)[0])
     return worst
 
 
@@ -626,7 +625,7 @@ def verify_crit_rc_wielandt(
     if len(crit.nodes) < n or len(crit.arcs) > n + 1:
         return False
     candidates = [
-        ham[k:] + ham[:k] for ham in hamiltonian_cycles(_crit_digraph(a, crit)) for k in range(n)
+        ham[k:] + ham[:k] for ham in hamiltonian_cycles(_crit_digraph(n, crit)) for k in range(n)
     ]
     if numbering is not None:
         candidates = [numbering] if numbering in candidates else []

@@ -4,7 +4,8 @@ Everything here is deliberately naive: dynamic programs over explicit
 walk lengths and exhaustive enumeration over node permutations.  None of
 it shares code with the library paths under test, except
 crit_rc_wielandt_brute, which checks only how the library narrows its
-search and takes the CSR terms from the library itself.
+search, and weak_threshold_T1_full, which checks only where the library
+stops its sweep; both take the CSR terms from the library itself.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ from maxplus import (
     build_csr,
     critical_graph,
     csr_at,
+    dm_bound,
     hamiltonian_cycles,
     max_cycle_mean,
     strictly_dominated_by,
+    wielandt_bound,
 )
 
 
@@ -225,3 +228,43 @@ def crit_rc_wielandt_brute(a, numbering=None):
         if strictly_dominated_by(a2, csr_at(build_csr(a1), 1)):
             return True
     return False
+
+
+def weak_threshold_T1_full(a):
+    """(t1, rows, cols) of weak_threshold_T1 by comparing every t up to the ceiling.
+
+    A^t and B^t come from the walk DP and are compared with
+    C S^t R (+) B^t at each t from 1 to min(Wi(n), DM(g, n)), with no
+    early stop.  t1 is one past the last failing t, and rows and cols map
+    each critical index to one past the last t at which its row (resp.
+    column) differs.  Like crit_rc_wielandt_brute, it takes the critical
+    graph and the CSR terms from the library (build_csr, csr_at).
+    """
+    triple = build_csr(a)
+    if triple.crit is None:
+        return 1, {}, {}
+    n = a.n
+    nodes = sorted(triple.crit.nodes)
+    ceiling = min(wielandt_bound(n), dm_bound(triple.crit.girth, n))
+    raw = a.raw()
+    b = MaxPlusMatrix(
+        [[None if i in nodes or j in nodes else raw[i][j] for j in range(n)] for i in range(n)]
+    )
+    a_powers, b_powers = walk_powers(a, ceiling), walk_powers(b, ceiling)
+    last_fail, row_fail, col_fail = 0, dict.fromkeys(nodes, 0), dict.fromkeys(nodes, 0)
+    for t in range(1, ceiling + 1):
+        at = a_powers[t]
+        expected = [
+            [y if x is None else x if y is None else max(x, y) for x, y in zip(crow, brow)]
+            for crow, brow in zip(csr_at(triple, t).raw(), b_powers[t])
+        ]
+        if at == expected:
+            continue
+        last_fail = t
+        for k in nodes:
+            if at[k] != expected[k]:
+                row_fail[k] = t
+            if any(arow[k] != erow[k] for arow, erow in zip(at, expected)):
+                col_fail[k] = t
+    rows = {i: f + 1 for i, f in row_fail.items()}
+    return last_fail + 1, rows, {j: f + 1 for j, f in col_fail.items()}

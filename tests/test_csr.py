@@ -314,6 +314,14 @@ def test_transient_past_the_scan_cap_raises(monkeypatch):
     assert transient_T(a) == 10
 
 
+def test_the_scan_cap_bounds_only_the_transient(monkeypatch):
+    a = wielandt_skeleton(5)  # T = T1 = 17, the ceiling
+    profile = crit_row_col_profile(a)
+    monkeypatch.setattr(csr, "_SCAN_CAP", 3)
+    assert weak_threshold_T1(a).t1 == 17
+    assert crit_row_col_profile(a) == profile
+
+
 def test_transient_rejects_reducible():
     with pytest.raises(ValueError):
         transient_T(from_entries(2, {(0, 0): 0, (0, 1): 0}))

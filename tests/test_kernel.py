@@ -1,12 +1,12 @@
 """Differential tests of the exact integer kernel against tests/oracles.py.
 
-Products, powers, Kleene stars, Karp's cycle mean, the T1 scan and the
-transient scan all run on entries scaled to one common denominator.  The
-weights drawn here mix coprime denominators up to the prime 10**9 + 7,
-so that common denominator is large and differs from matrix to matrix;
-they include negative weights and sparse -inf patterns.  Every expected
-value comes from the brute-force oracles, never from the library's own
-powers.
+Products, powers, Kleene stars, Karp's cycle mean and the sweep behind
+T1 and the transient T all run on entries scaled to one common
+denominator.  The weights drawn here mix coprime denominators up to the
+prime 10**9 + 7, so that common denominator is large and differs from
+matrix to matrix; they include negative weights and sparse -inf
+patterns.  Every expected value comes from the brute-force oracles,
+never from the library's own powers.
 """
 
 import random
@@ -17,6 +17,8 @@ import pytest
 
 from maxplus import (
     MaxPlusMatrix,
+    analyze,
+    associated_digraph,
     csr,
     csr_at,
     dm_bound,
@@ -27,6 +29,7 @@ from maxplus import (
     max_cycle_mean,
     matrix,
     scalar_times,
+    scc_decompose,
     spectral,
     spectrum,
     as_scalar,
@@ -41,6 +44,7 @@ from oracles import (
     max_cycle_mean_brute,
     walk_power,
     walk_powers,
+    weak_threshold_T1_full,
 )
 
 DENOMINATORS = (1, 2, 3, 5, 7, 11, 13, 10**9 + 7)
@@ -184,7 +188,7 @@ def test_kleene_star_rejects_a_positive_cycle():
 
 
 # ---------------------------------------------------------------------------
-# the two scans
+# the sweep: T1 and the transient T
 
 
 def check_weak_expansion(a):
@@ -284,6 +288,66 @@ def test_transient_matches_walk_dp():
 def test_transient_with_a_coprime_mean_denominator():
     transients = [check_transient(third_mean_cycle(n)) for n in range(3, 8)]
     assert transients[0] == 0 and min(transients[1:]) >= 1  # a bare cycle is periodic
+
+
+def test_sweep_matches_the_full_ceiling_scan(monkeypatch):
+    # the sweep stops at T + gamma when that comes before the ceiling;
+    # the oracle compares every t up to the ceiling
+    found = []
+    sweep = csr._sweep
+
+    def recorded(*args):
+        out = sweep(*args)
+        found.append(out[0])
+        return out
+
+    monkeypatch.setattr(csr, "_sweep", recorded)
+    kinds = Counter()
+    for a in [*instances(10, 300), *instances(11, 100, make=irreducible)]:
+        t1, rows, cols = weak_threshold_T1_full(a)
+        found.clear()
+        wx = weak_threshold_T1(a)
+        assert (wx.t1, wx.rows, wx.cols) == (t1, rows, cols)
+        report = analyze(a)
+        crit_rc = max([*rows.values(), *cols.values()], default=None)
+        assert (report.t1, report.crit_rc_transient) == (t1, crit_rc)
+        assert (report.attains_dm, report.attains_wiel) == (t1 == report.dm, t1 == report.wi)
+        if wx.csr.crit is None:
+            kinds["acyclic"] += 1
+            continue
+        connected = len(scc_decompose(associated_digraph(a)).components) == 1
+        kind = "irreducible" if connected else "reducible"
+        kinds[kind] += 1
+        assert report.t == (transient_T(a) if connected else None)
+        ceiling = min(wielandt_bound(a.n), dm_bound(wx.csr.crit.girth, a.n))
+        if found[0] is not None and found[0] + wx.csr.gamma < ceiling:
+            kinds[f"{kind}, stopped early"] += 1
+    assert kinds["acyclic"] >= 30 and kinds["reducible"] >= 100 and kinds["irreducible"] >= 100
+    assert kinds["reducible, stopped early"] >= 20 and kinds["irreducible, stopped early"] >= 80
+
+
+def test_analyze_stops_the_sweep_at_T_plus_gamma(monkeypatch):
+    # M takes gamma - 1 products and the residues 2 gamma; the sweep at
+    # most T + gamma powers of each of A - lambda and B - lambda
+    products = Counter()
+    int_mul = matrix._int_mul
+
+    def counted(*args):
+        products["_int_mul"] += 1
+        return int_mul(*args)
+
+    for module in (matrix, spectral, csr):
+        if "_int_mul" in vars(module):
+            monkeypatch.setattr(module, "_int_mul", counted)
+    cases = [(third_mean_cycle(7), 8, 3, 8)]  # T + gamma = 11, the ceiling is 22
+    for n in range(1, 6):  # bare cycles are periodic from T = 0; T1 is 1 by convention
+        cases.append((from_entries(n, {(i, (i + 1) % n): 0 for i in range(n)}), 0, n, 1))
+    for a, t, gamma, t1 in cases:
+        products.clear()
+        report = analyze(a)
+        assert (report.t, report.gamma, report.t1) == (t, gamma, t1)
+        assert products["_int_mul"] <= 3 * gamma - 1 + 2 * (t + gamma)
+    assert analyze(third_mean_cycle(7)).dm == 22 < wielandt_bound(7)
 
 
 # ---------------------------------------------------------------------------
