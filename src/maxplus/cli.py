@@ -20,11 +20,10 @@ from pathlib import Path
 from .bounds import dm_bound, wielandt_bound
 from .csr import analyze, build_csr, csr_at
 from .extremal import (
+    _crit_rc_verdicts,
     generate_dm,
     generate_wielandt,
     twice_optimal_walk,
-    verify_crit_rc_dm,
-    verify_crit_rc_wielandt,
     verify_dm,
     verify_wielandt,
 )
@@ -122,8 +121,7 @@ def _cmd_check_wiel(args) -> int:
 
 def _cmd_check_crit_rc(args) -> int:
     a = _load(args.file)
-    dm_ok = verify_crit_rc_dm(a)
-    wiel_ok = verify_crit_rc_wielandt(a)
+    dm_ok, wiel_ok = _crit_rc_verdicts(a)
     if args.json:
         _emit_json({"crit_rc_dm": dm_ok, "crit_rc_wielandt": wiel_ok})
     else:
@@ -144,7 +142,8 @@ def _cmd_generate(args) -> int:
         provenance = {"family": "wielandt", "n": args.n, "case": args.case, "seed": args.seed}
         bound = wielandt_bound(args.n)
     provenance["numbering"] = list(range(args.n))
-    # The generators return only candidates whose T1 scan gave this bound.
+    # The generators return only candidates whose T1 they checked equals
+    # this bound, at the two powers that decide it.
     provenance["verified_T1"] = bound
     text = render_matrix(matrix)
     if args.out:

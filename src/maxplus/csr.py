@@ -13,7 +13,9 @@ holds for all t past a threshold T1, where B is the Nachtigall matrix
 (A with every row and column of a critical node pushed to -inf).  One
 sweep over the powers of A - lambda (see _sweep) yields T1, the
 transient of each critical row and column, where B^t is -inf and A^t
-meets C S^t R alone, and the transient T.
+meets C S^t R alone, and the transient T.  Whether T1 equals the
+ceiling of that sweep is also decided at two powers alone (see
+_t1_at_ceiling); the generators in `extremal` check their candidates so.
 
 The triple may also be built with respect to a completely reducible
 subgraph of the critical graph (then gamma is the subgraph's cyclicity
@@ -43,6 +45,7 @@ from .matrix import (
     _finite_entries,
     _int_closure,
     _int_mul,
+    _int_power,
     _unscaled,
     mat_mul,  # unused here; perfbench/test_bench.py reads csr.mat_mul
     zeros,
@@ -239,7 +242,7 @@ def _sweep(
     ceiling, t1, rows, cols = 0, 1, {}, {}
     if triple is not None:
         nodes = sorted(triple.crit.nodes)
-        ceiling = min(wielandt_bound(n), dm_bound(triple.crit.girth, n))
+        ceiling = _ceiling(triple)
         rows, cols = dict.fromkeys(nodes, 1), dict.fromkeys(nodes, 1)
         bt = _nachtigall_rows(norm, triple.crit.nodes)
         b_step = _finite_entries(bt)
@@ -250,11 +253,8 @@ def _sweep(
         if t <= ceiling:
             if t > 1:
                 bt = _int_mul(bt, b_step)
-            expected = [
-                [x if y is None or (x is not None and x >= y) else y for x, y in zip(rrow, brow)]
-                for rrow, brow in zip(triple._residues[(t - 1) % gamma], bt)
-            ]
-            if at != expected:
+            expected = _mismatch(triple, t, at, bt)
+            if expected is not None:
                 t1 = t + 1
                 for k in nodes:
                     if at[k] != expected[k]:
@@ -266,6 +266,50 @@ def _sweep(
         if seek_t and t - gamma >= _SCAN_CAP:
             raise RuntimeError(f"transient exceeds the scan cap {_SCAN_CAP}")
         window.append(_int_mul(at, step))
+
+
+def _ceiling(triple: CsrTriple) -> int:
+    """The proven bound min(Wi(n), DM(g, n)) on T1, g the critical girth."""
+    n = triple.n
+    return min(wielandt_bound(n), dm_bound(triple.crit.girth, n))
+
+
+def _mismatch(triple: CsrTriple, t: int, at: list[list], bt: list[list]) -> list[list] | None:
+    """The residue of t (+) bt when it differs from at, else None.
+
+    at and bt are P^t and (B - lambda)^t; None means the weak expansion
+    holds at t.
+    """
+    expected = [
+        [x if y is None or (x is not None and x >= y) else y for x, y in zip(rrow, brow)]
+        for rrow, brow in zip(triple._residues[(t - 1) % triple.gamma], bt)
+    ]
+    return None if at == expected else expected
+
+
+def _t1_at_ceiling(a: MaxPlusMatrix, bound: int) -> bool:
+    """Whether weak_threshold_T1(a).t1 == bound and bound is a's ceiling c.
+
+    c = min(Wi(n), DM(g, n)), g the critical girth.  Exactness: the
+    sweep's t1 is one more than the last t <= c at which P^t, P = A -
+    lambda, differs from the residue of t (+) (B - lambda)^t, and 1 when
+    no t fails; stopping at T + gamma changes nothing (see _sweep).  So
+    t1 == c exactly when t = c - 1 fails and t = c holds.  The powers for
+    those two comparisons come by repeated squaring, in O(log c) products.
+    c >= 2 for n >= 2, and c = 0 < t1 for n = 1.  A bound other than the
+    ceiling gives False even when t1 equals it, and so does an acyclic a,
+    which has no critical girth.
+    """
+    triple = build_csr(a)
+    if triple.crit is None or a.n == 1 or bound != _ceiling(triple):
+        return False
+    p = triple._norm
+    b = _nachtigall_rows(p, triple.crit.nodes)
+    at, bt = _int_power(p, bound - 1), _int_power(b, bound - 1)
+    if _mismatch(triple, bound - 1, at, bt) is None:
+        return False
+    at, bt = _int_mul(at, _finite_entries(p)), _int_mul(bt, _finite_entries(b))
+    return _mismatch(triple, bound, at, bt) is None
 
 
 def crit_row_col_profile(a: MaxPlusMatrix) -> tuple[int, dict[int, int], dict[int, int]]:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd
 
 from .bounds import dm_bound, wielandt_bound
-from .csr import _sweep, build_csr, csr_at, weak_threshold_T1
+from .csr import _sweep, _t1_at_ceiling, build_csr, csr_at
 from .digraph import WeightedDigraph, associated_digraph, enumerate_cycles
 from .matrix import (
     MaxPlusMatrix,
@@ -185,6 +185,11 @@ def _check_search_limit(n: int) -> None:
             f"n={n} exceeds the exhaustive search limit {SEARCH_LIMIT}; "
             "supply an explicit numbering"
         )
+
+
+def _need_two_nodes(n: int) -> None:
+    if n < 2:
+        raise ValueError("Wielandt attainment needs n >= 2")
 
 
 def _rotations(cycle: tuple[int, ...]) -> set[tuple[int, ...]]:
@@ -446,8 +451,7 @@ def verify_wielandt(
     occupies the leading positions.
     """
     n = a.n
-    if n < 2:
-        raise ValueError("Wielandt attainment needs n >= 2")
+    _need_two_nodes(n)
     crit = critical_graph(a)
     conditions: dict[str, ConditionCheck] = {}
 
@@ -578,8 +582,11 @@ def verify_crit_rc_dm(a: MaxPlusMatrix) -> bool:
     Equivalent to the transient of the critical rows and columns hitting
     the DM bound.
     """
-    crit = critical_graph(a)
-    return _boolean_index(crit) == dm_bound(crit.girth, a.n)
+    return _crit_rc_dm(a.n, critical_graph(a))
+
+
+def _crit_rc_dm(n: int, crit: CritGraph) -> bool:
+    return _boolean_index(crit) == dm_bound(crit.girth, n)
 
 
 def verify_crit_rc_wielandt(
@@ -615,10 +622,12 @@ def verify_crit_rc_wielandt(
     explicit numbering is checked only if it is one of these candidates,
     which by the same argument loses no numbering that succeeds.
     """
+    _need_two_nodes(a.n)
+    return _crit_rc_wielandt(a, critical_graph(a), numbering)  # precondition: a finite cycle mean
+
+
+def _crit_rc_wielandt(a: MaxPlusMatrix, crit: CritGraph, numbering: tuple[int, ...] | None) -> bool:
     n = a.n
-    if n < 2:
-        raise ValueError("Wielandt attainment needs n >= 2")
-    crit = critical_graph(a)  # precondition: a finite cycle mean
     if numbering is not None:
         numbering = tuple(numbering)
         _check_numbering(n, numbering)
@@ -638,6 +647,14 @@ def verify_crit_rc_wielandt(
         if strictly_dominated_by(a2, csr_at(build_csr(a1), 1)):
             return True
     return False
+
+
+def _crit_rc_verdicts(a: MaxPlusMatrix) -> tuple[bool, bool]:
+    """verify_crit_rc_dm(a) and verify_crit_rc_wielandt(a) from one critical
+    graph, raising as the first of the two calls that raises would."""
+    crit = critical_graph(a)
+    _need_two_nodes(a.n)
+    return _crit_rc_dm(a.n, crit), _crit_rc_wielandt(a, crit, None)
 
 
 # ---------------------------------------------------------------------------
@@ -705,8 +722,12 @@ def generate_dm(n: int, g: int, seed, budget: int = 200) -> MaxPlusMatrix:
     Both skeleton cycles (the g-cycle and the Hamiltonian cycle) are made
     critical with mean 0, residue chords are sampled strictly inside
     their constraints, and the remainder strictly below the skeleton CSR
-    term.  Every candidate is post-verified (condition verdict plus an
-    independent T1 scan) before being returned.
+    term.  Every candidate is post-verified before being returned: the
+    condition verdict, then an independent check of T1 == DM(g, n) at
+    the two powers that decide it (csr._t1_at_ceiling).  That check also
+    asks DM(g, n) to be the ceiling min(Wi(n), DM(girth, n)), which loses
+    no candidate: the verdict makes the g-cycle critical, so the ceiling
+    is at most DM(g, n), and T1 never exceeds it.
     """
     if not 2 <= g < n:
         raise ValueError(f"need 2 <= g < n, got g={g}, n={n}")
@@ -747,10 +768,7 @@ def generate_dm(n: int, g: int, seed, budget: int = 200) -> MaxPlusMatrix:
         taken = a1_pattern(n, g) | b1_pattern(n, g)
         a2_entries = _sample_remainder(rng, csr_at(csr1, 1), taken)
         candidate = from_entries(n, {**entries, **b1_entries, **a2_entries})
-        if (
-            verify_dm(candidate, numbering=identity_numbering).holds
-            and weak_threshold_T1(candidate).t1 == dmv
-        ):
+        if verify_dm(candidate, numbering=identity_numbering).holds and _t1_at_ceiling(candidate, dmv):
             return candidate
     raise GenerationError(f"budget of {budget} attempts exhausted for (n={n}, g={g}, seed={seed!r})")
 
@@ -762,7 +780,8 @@ def generate_wielandt(n: int, seed, case: str = "n-1", budget: int = 200) -> Max
     then also left at the critical mean, so the whole skeleton digraph is
     critical and the critical rows and columns attain the bound as well);
     case "n" makes only the Hamiltonian cycle critical.  Post-verified
-    like generate_dm.
+    like generate_dm: the verdict puts the critical girth at n - 1 or n,
+    so Wi(n) is the ceiling and T1 == Wi(n) is checked at two powers.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -785,11 +804,7 @@ def generate_wielandt(n: int, seed, case: str = "n-1", budget: int = 200) -> Max
         a2_entries = _sample_remainder(rng, csr_at(build_csr(a1), 1), a1_pattern(n, n - 1))
         candidate = from_entries(n, {**entries, **a2_entries})
         verdict = verify_wielandt(candidate, numbering=identity_numbering)
-        if (
-            verdict.holds
-            and verdict.case == case
-            and weak_threshold_T1(candidate).t1 == wi
-        ):
+        if verdict.holds and verdict.case == case and _t1_at_ceiling(candidate, wi):
             return candidate
     raise GenerationError(f"budget of {budget} attempts exhausted for (n={n}, case={case}, seed={seed!r})")
 

@@ -161,6 +161,19 @@ def _int_closure(rows: list[list]) -> None:
                     di[j] = s
 
 
+def _int_power(rows: list[list], t: int) -> list[list]:
+    """int-or-None rows to the t-th power, t >= 1, by repeated squaring."""
+    result, base = None, rows
+    while True:
+        step = _finite_entries(base)
+        if t & 1:
+            result = base if result is None else _int_mul(result, step)
+        t >>= 1
+        if not t:
+            return result
+        base = _int_mul(base, step)
+
+
 def mat_mul(a: MaxPlusMatrix, b: MaxPlusMatrix) -> MaxPlusMatrix:
     """Exact max-plus product: (ab)_ij = max_k (a_ik + b_kj)."""
     _check_dims(a, b)
@@ -172,15 +185,8 @@ def mat_power(a: MaxPlusMatrix, t: int) -> MaxPlusMatrix:
     """a to the t-th power, t >= 1, by repeated squaring."""
     if t < 1:
         raise ValueError(f"mat_power needs t >= 1, got {t}")
-    result = None
-    base = a
-    while t:
-        if t & 1:
-            result = base if result is None else mat_mul(result, base)
-        t >>= 1
-        if t:
-            base = mat_mul(base, base)
-    return result
+    d, (rows,), _ = _scaled([a])
+    return _unscaled(_int_power(rows, t), d)
 
 
 def mat_oplus(a: MaxPlusMatrix, b: MaxPlusMatrix) -> MaxPlusMatrix:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from maxplus import (
+    dm_skeleton,
     generate_dm,
     generate_wielandt,
     parse_matrix,
@@ -10,7 +11,7 @@ from maxplus import (
     weak_threshold_T1,
     wielandt_skeleton,
 )
-from maxplus import cli, csr
+from maxplus import cli, csr, spectral
 from maxplus.cli import main
 
 
@@ -147,6 +148,35 @@ def test_check_crit_rc_has_no_size_limit(tmp_path, capsys, case):
     code, out, _ = run(capsys, "check-crit-rc", path)
     assert code == 0
     assert "crit_rc_wielandt: holds" in out.splitlines()
+
+
+def test_check_crit_rc_computes_the_spectrum_once(tmp_path, capsys, monkeypatch):
+    # both verdicts read one critical graph of the input; the skeleton
+    # layers that the Wielandt verdict tries have spectra of their own
+    inputs = []
+    spectrum = spectral.spectrum
+
+    def recorded(a):
+        inputs.append(a)
+        return spectrum(a)
+
+    for module in (spectral, csr):
+        monkeypatch.setattr(module, "spectrum", recorded)
+    cases = [
+        (generate_wielandt(6, seed=1, case="n-1"), 0),
+        (generate_wielandt(6, seed=1, case="n"), 0),
+        (generate_dm(5, 3, seed=0), 0),
+        (dm_skeleton(5, 2), 0),
+        (parse_matrix("3\n-inf 1 -inf\n-inf -inf 2\n3 -inf -1\n"), 2),
+        (parse_matrix("1\n0\n"), 1),
+    ]
+    for a, expected in cases:
+        path = write_matrix(tmp_path, a)
+        for extra in ((), ("--json",)):
+            inputs.clear()
+            code, _, _ = run(capsys, "check-crit-rc", path, *extra)
+            assert code == expected
+            assert sum(b == a for b in inputs) == 1
 
 
 def test_check_dm_with_explicit_numbering(tmp_path, capsys):

@@ -12,6 +12,7 @@ never from the library's own powers.
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -22,7 +23,11 @@ from maxplus import (
     csr,
     csr_at,
     dm_bound,
+    dm_skeleton,
+    extremal,
     from_entries,
+    generate_dm,
+    generate_wielandt,
     kleene_star,
     mat_mul,
     mat_power,
@@ -36,6 +41,7 @@ from maxplus import (
     transient_T,
     weak_threshold_T1,
     wielandt_bound,
+    wielandt_skeleton,
 )
 from oracles import (
     critical_arcs_brute,
@@ -377,3 +383,95 @@ def test_analyze_scales_once_and_runs_no_fraction_level_products(monkeypatch):
         assert report.gamma == gamma and report.t is not None
         assert calls["spectrum"] == 1 and calls["_scaled"] <= 2
         assert [calls[name] for name in fraction_level] == [0] * len(fraction_level)
+
+
+# ---------------------------------------------------------------------------
+# the generators' point check of T1 == bound
+
+
+def perturbed(rng, a):
+    """a with 1 to 3 entries overwritten by -inf or a random weight."""
+    raw = [row[:] for row in a.raw()]
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.randrange(a.n), rng.randrange(a.n)
+        raw[i][j] = rng.choice((None, Fraction(rng.randint(-12, 12), rng.choice((1, 2, 5)))))
+    return MaxPlusMatrix(raw)
+
+
+def test_point_check_matches_the_full_sweep():
+    # csr._t1_at_ceiling(a, bound) is T1 == bound with bound the ceiling,
+    # for every bound Wi(n) and DM(g, n), g = 1..n, against the oracle
+    rng = random.Random(13)
+    attaining = []
+    for n in range(2, 9):
+        for seed in range(3):
+            attaining += [generate_wielandt(n, seed, case=case) for case in ("n-1", "n")]
+            attaining += [generate_dm(n, g, seed) for g in range(2, n) if gcd(g, n) == 1]
+    cases = attaining + [perturbed(rng, a) for a in attaining]
+    cases += [dm_skeleton(n, g) for n in range(1, 9) for g in range(1, n + 1)]
+    cases += [wielandt_skeleton(n) for n in range(2, 9)]
+    for _ in range(2000):
+        n, density = rng.randint(1, 7), rng.random()
+        cases.append(
+            MaxPlusMatrix(
+                [
+                    [Fraction(rng.randint(-10, 10), rng.choice((1, 2, 5))) if rng.random() < density else None for _ in range(n)]
+                    for _ in range(n)
+                ]
+            )
+        )
+    outcomes = Counter()
+    for a in cases:
+        t1 = weak_threshold_T1_full(a)[0]
+        crit = spectrum(a).crit
+        ceiling = None if crit is None else min(wielandt_bound(a.n), dm_bound(crit.girth, a.n))
+        for bound in {wielandt_bound(a.n), *(dm_bound(g, a.n) for g in range(1, a.n + 1))}:
+            check = csr._t1_at_ceiling(a, bound)
+            assert check == (t1 == bound and bound == ceiling), (a, bound)
+            outcomes["positive"] += check
+            outcomes["T1 at a bound below the ceiling"] += t1 == bound != ceiling
+    assert outcomes["positive"] >= 100 and outcomes["T1 at a bound below the ceiling"] >= 1
+
+
+@pytest.mark.parametrize(
+    "generate",
+    [lambda seed: generate_wielandt(12, seed, case="n"), lambda seed: generate_dm(12, 11, seed)],
+    ids=["wielandt-n", "dm-g11"],
+)
+def test_generators_check_T1_at_two_powers_only(monkeypatch, generate):
+    # no sweep: O(log bound) products beyond the CSR triple's own
+    calls, depth = Counter(), [0]
+    int_mul = matrix._int_mul
+
+    def counted(*args):
+        calls["_int_mul"] += depth[0] == 0
+        return int_mul(*args)
+
+    def inside(fn):
+        def wrapper(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return wrapper
+
+    def no_sweep(*args):
+        raise AssertionError("the generator ran the sweep")
+
+    for module in (matrix, spectral, csr, extremal):
+        if "_int_mul" in vars(module):
+            monkeypatch.setattr(module, "_int_mul", counted)
+        for name in ("build_csr", "spectrum"):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, inside(vars(module)[name]))
+        if "_sweep" in vars(module):
+            monkeypatch.setattr(module, "_sweep", no_sweep)
+    bound = wielandt_bound(12)  # = DM(11, 12) = 122
+    for seed in range(3):
+        calls.clear()
+        a = generate(seed)
+        assert 0 < calls["_int_mul"] <= 4 * bound.bit_length() + 8
+    monkeypatch.undo()
+    assert weak_threshold_T1(a).t1 == bound
