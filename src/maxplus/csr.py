@@ -10,9 +10,10 @@ gamma (up to a lambda^gamma shift), and the weak expansion
     A^t = C S^t R  (+)  B^t
 
 holds for all t past a threshold T1, where B is the Nachtigall matrix
-(A with every row and column of a critical node pushed to -inf).  One
-sweep over the powers of A - lambda (see _sweep) yields T1, the
-transient of each critical row and column, where B^t is -inf and A^t
+(A with every row and column of a critical node pushed to -inf).  It
+holds at t exactly when C S^t R <= A^t (see _excess), so no power of B
+is computed.  One sweep over the powers of A - lambda (see _sweep)
+yields T1, the transient of each critical row and column, where A^t
 meets C S^t R alone, and the transient T.  Whether T1 equals the
 ceiling of that sweep is also decided at two powers alone (see
 _t1_at_ceiling); the generators in `extremal` check their candidates so.
@@ -26,10 +27,10 @@ convention and B = A, so the expansion holds trivially from t = 1.
 
 Everything here works on the scaled integer rows of A - lambda that
 `spectrum` computed, the one place that scales A with lambda: M, the
-gamma residues C S^r R - r*lambda, and the powers of A - lambda and
-B - lambda in the sweep.  t*lambda thereby drops out of every
-comparison, and only the public C, R and the values csr_at returns are
-converted back to Fractions.
+gamma residues C S^r R - r*lambda, and the powers of A - lambda in
+the sweep.  t*lambda thereby drops out of every comparison, and only
+the public C, R and the values csr_at returns are converted back to
+Fractions.
 """
 
 from __future__ import annotations
@@ -144,15 +145,10 @@ def nachtigall_matrix(a: MaxPlusMatrix, crit: CritGraph | None) -> MaxPlusMatrix
     """a with every entry in a critical row or column replaced by -inf."""
     if crit is None:
         return a
-    return MaxPlusMatrix._from_raw(_nachtigall_rows(a.raw(), crit.nodes))
-
-
-def _nachtigall_rows(rows: list[list], nodes: frozenset[int]) -> list[list]:
-    """rows with every entry in a row or column in nodes set to None."""
-    return [
-        [None if (i in nodes or j in nodes) else x for j, x in enumerate(row)]
-        for i, row in enumerate(rows)
-    ]
+    keep = [i not in crit.nodes for i in range(a.n)]
+    return MaxPlusMatrix._from_raw(
+        [[x if keep[i] and keep[j] else None for j, x in enumerate(row)] for i, row in enumerate(a.raw())]
+    )
 
 
 @dataclass(eq=False)
@@ -176,8 +172,9 @@ class WeakExpansion:
 def weak_threshold_T1(a: MaxPlusMatrix) -> WeakExpansion:
     """Least t1 >= 1 with A^t = C S^t R (+) B^t for all t >= t1.
 
-    Equality at one t does not imply it at the next, so the sweep keeps
-    the last failure, also per critical row and column, up to the proven
+    It holds at t exactly when C S^t R <= A^t (see _excess), and holding
+    at one t does not imply it at the next, so the sweep keeps the last
+    failure, also per critical row and column, up to the proven
     ceiling min(Wi(n), DM(g, n)) or to T + gamma if sooner (see _sweep).
     """
     return _expand(a, seek_t=False)[0]
@@ -222,19 +219,16 @@ def _sweep(
     T is the least t >= 0 with P^(t+gamma) = P^t; equality at t forces
     it at t + 1, so with the window P^(t-gamma) .. P^t the sweep stops at
     t = T + gamma.  Given the triple of the whole critical graph, each t
-    up to the ceiling min(Wi(n), DM(g, n)) also compares P^t with the
-    residue of t (+) (B - lambda)^t, for t1 and the critical row and
+    up to the ceiling min(Wi(n), DM(g, n)) also finds where the residue
+    Q_t of t exceeds P^t (see _excess), for t1 and the critical row and
     column transients (1 and empty without a triple).  With T not found
     by the ceiling the sweep stops there, unless seek_t: then P's powers
     go on until T settles, raising RuntimeError once T > _SCAN_CAP.
 
-    No t >= T fails.  P^(t+k*gamma) = P^t for all k >= 0, and t + k*gamma
-    is past T1 for k large, so P^t = Q_t (+) (B - lambda)^(t+k*gamma),
-    where Q_t, the residue of t, depends on t only modulo gamma.  Every
-    cycle of B avoids the critical nodes, so weighs less than lambda: as
-    k grows, (B - lambda)^(t+k*gamma) sinks below any bound, and
-    P^t = Q_t.  As B <= A, Q_t <= Q_t (+) (B - lambda)^t <= P^t = Q_t.
-    Irreducibility is not used, so reducible input may stop early too.
+    No t >= T fails.  P^(t+k*gamma) = P^t for all k >= 0, Q_t depends on
+    t only modulo gamma, and t + k*gamma is past T1 for k large, so
+    Q_t <= P^t.  Irreducibility is not used, so reducible input may stop
+    early too.
     """
     n = len(norm)
     step = _finite_entries(norm)
@@ -244,23 +238,16 @@ def _sweep(
         nodes = sorted(triple.crit.nodes)
         ceiling = _ceiling(triple)
         rows, cols = dict.fromkeys(nodes, 1), dict.fromkeys(nodes, 1)
-        bt = _nachtigall_rows(norm, triple.crit.nodes)
-        b_step = _finite_entries(bt)
     for t in count(1):
         at = window[-1]
         if len(window) > gamma and window[0] == at:
             return t - gamma, t1, rows, cols
         if t <= ceiling:
-            if t > 1:
-                bt = _int_mul(bt, b_step)
-            expected = _mismatch(triple, t, at, bt)
-            if expected is not None:
+            excess = _excess(triple, t, at)
+            if excess:
                 t1 = t + 1
-                for k in nodes:
-                    if at[k] != expected[k]:
-                        rows[k] = t + 1
-                    if any(arow[k] != erow[k] for arow, erow in zip(at, expected)):
-                        cols[k] = t + 1
+                rows.update((i, t + 1) for i, _ in excess if i in rows)
+                cols.update((j, t + 1) for _, j in excess if j in cols)
         if not seek_t and t >= ceiling:
             return None, t1, rows, cols
         if seek_t and t - gamma >= _SCAN_CAP:
@@ -274,28 +261,46 @@ def _ceiling(triple: CsrTriple) -> int:
     return min(wielandt_bound(n), dm_bound(triple.crit.girth, n))
 
 
-def _mismatch(triple: CsrTriple, t: int, at: list[list], bt: list[list]) -> list[list] | None:
-    """The residue of t (+) bt when it differs from at, else None.
+def _excess(triple: CsrTriple, t: int, at: list[list]) -> list[tuple[int, int]]:
+    """The entries (i, j) where the residue Q_t of t exceeds at = P^t.
 
-    at and bt are P^t and (B - lambda)^t; None means the weak expansion
-    holds at t.
+    With P = A - lambda and Q_t = C S^t R - t*lambda, the expansion at t
+    is P^t = Q_t (+) (B - lambda)^t.  It holds exactly when no entry
+    exceeds, and so does a critical row (column) when none lies in it.
+
+    Proof.  Take a walk W of length t from i to j.  If W avoids the
+    critical nodes, it is a walk of B.  Else it splits at a critical k
+    into W1 of length a and W2 of length t - a.  The critical graph,
+    where closed walks weigh 0, has walks from k to some k' of length
+    = -a, from k' to some l of length t, and from l back to k of length
+    = a - t (mod gamma; the lengths agree modulo the cyclicity of k's
+    component).  Their weights w1, w2, w3 sum to 0, and M = (P^gamma)^*
+    has M(i, k') >= w(W1) + w1 and M(l, j) >= w3 + w(W2), while
+    (S - lambda)^t has (k', l) >= w2, so Q_t(i, j) >= w(W).  Hence
+    P^t <= Q_t (+) (B - lambda)^t, while (B - lambda)^t <= P^t as B <= A:
+    the expansion holds iff Q_t <= P^t.  Every walk from or to a critical
+    k passes k, and (B - lambda)^t is -inf on row and column k, so row
+    and column k of P^t are <= those of Q_t.
     """
-    expected = [
-        [x if y is None or (x is not None and x >= y) else y for x, y in zip(rrow, brow)]
-        for rrow, brow in zip(triple._residues[(t - 1) % triple.gamma], bt)
+    residue = triple._residues[(t - 1) % triple.gamma]
+    return [
+        (i, j)
+        for i, (qrow, prow) in enumerate(zip(residue, at))
+        if qrow != prow
+        for j, (q, p) in enumerate(zip(qrow, prow))
+        if q is not None and (p is None or q > p)
     ]
-    return None if at == expected else expected
 
 
 def _t1_at_ceiling(a: MaxPlusMatrix, bound: int) -> bool:
     """Whether weak_threshold_T1(a).t1 == bound and bound is a's ceiling c.
 
     c = min(Wi(n), DM(g, n)), g the critical girth.  Exactness: the
-    sweep's t1 is one more than the last t <= c at which P^t, P = A -
-    lambda, differs from the residue of t (+) (B - lambda)^t, and 1 when
+    sweep's t1 is one more than the last t <= c at which the residue of
+    t exceeds P^t, P = A - lambda, somewhere (see _excess), and 1 when
     no t fails; stopping at T + gamma changes nothing (see _sweep).  So
     t1 == c exactly when t = c - 1 fails and t = c holds.  The powers for
-    those two comparisons come by repeated squaring, in O(log c) products.
+    those two comparisons come by squaring P alone, in O(log c) products.
     c >= 2 for n >= 2, and c = 0 < t1 for n = 1.  A bound other than the
     ceiling gives False even when t1 equals it, and so does an acyclic a,
     which has no critical girth.
@@ -304,12 +309,8 @@ def _t1_at_ceiling(a: MaxPlusMatrix, bound: int) -> bool:
     if triple.crit is None or a.n == 1 or bound != _ceiling(triple):
         return False
     p = triple._norm
-    b = _nachtigall_rows(p, triple.crit.nodes)
-    at, bt = _int_power(p, bound - 1), _int_power(b, bound - 1)
-    if _mismatch(triple, bound - 1, at, bt) is None:
-        return False
-    at, bt = _int_mul(at, _finite_entries(p)), _int_mul(bt, _finite_entries(b))
-    return _mismatch(triple, bound, at, bt) is None
+    at = _int_power(p, bound - 1)
+    return bool(_excess(triple, bound - 1, at)) and not _excess(triple, bound, _int_mul(at, _finite_entries(p)))
 
 
 def crit_row_col_profile(a: MaxPlusMatrix) -> tuple[int, dict[int, int], dict[int, int]]:

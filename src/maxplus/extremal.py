@@ -533,27 +533,26 @@ def _wielandt_conditions(
         )
         return None
 
-    a1, a2 = _wielandt_layers(p)
-    conditions["remainder_below_csr"] = ConditionCheck(
-        strictly_dominated_by(a2, csr_at(build_csr(a1), 1))
-    )
+    conditions["remainder_below_csr"] = ConditionCheck(_remainder_below_csr(p))
     return case
 
 
-def _wielandt_layers(p: MaxPlusMatrix) -> tuple[MaxPlusMatrix, MaxPlusMatrix]:
-    """Skeleton (Hamiltonian + chord at (n-2, 0)) and remainder of a permuted matrix.
+def _remainder_below_csr(p: MaxPlusMatrix) -> bool:
+    """Is the remainder a2 of a permuted matrix strictly below CSR(a1) at t = 1?
 
-    The remainder is the complement of the skeleton pattern.  For n = 2 the
-    residue-chord layer of the general decomposition would swallow the
-    (1, 1) loop; it belongs to the remainder here, consistently with the
-    2x2 characterization (attainment iff the two loops differ).
+    a1 is the skeleton (Hamiltonian arcs + chord at (n-2, 0)), a2 the
+    complement of its pattern.  For n = 2 the residue-chord layer of the
+    general decomposition would swallow the (1, 1) loop; it belongs to
+    the remainder here, consistently with the 2x2 characterization
+    (attainment iff the two loops differ).
     """
     n = p.n
     praw = p.raw()
     pattern = a1_pattern(n, n - 1)
     a1 = [[praw[i][j] if (i, j) in pattern else None for j in range(n)] for i in range(n)]
     a2 = [[praw[i][j] if (i, j) not in pattern else None for j in range(n)] for i in range(n)]
-    return MaxPlusMatrix._from_raw(a1), MaxPlusMatrix._from_raw(a2)
+    a1_csr = csr_at(build_csr(MaxPlusMatrix._from_raw(a1)), 1)
+    return strictly_dominated_by(MaxPlusMatrix._from_raw(a2), a1_csr)
 
 
 # ---------------------------------------------------------------------------
@@ -641,10 +640,7 @@ def _crit_rc_wielandt(a: MaxPlusMatrix, crit: CritGraph, numbering: tuple[int, .
     for cand in candidates:
         p = apply_numbering(a, cand)
         praw = p.raw()
-        if any(praw[i][j] is None for (i, j) in a1_pattern(n, n - 1)):
-            continue
-        a1, a2 = _wielandt_layers(p)
-        if strictly_dominated_by(a2, csr_at(build_csr(a1), 1)):
+        if all(praw[i][j] is not None for (i, j) in a1_pattern(n, n - 1)) and _remainder_below_csr(p):
             return True
     return False
 

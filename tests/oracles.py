@@ -4,8 +4,9 @@ Everything here is deliberately naive: dynamic programs over explicit
 walk lengths and exhaustive enumeration over node permutations.  None of
 it shares code with the library paths under test, except
 crit_rc_wielandt_brute, which checks only how the library narrows its
-search, and weak_threshold_T1_full, which checks only where the library
-stops its sweep; both take the CSR terms from the library itself.
+search, and weak_threshold_T1_full, which checks where the library stops
+its sweep and its one-sided test (C S^t R <= A^t) against the full
+comparison with B^t; both take the CSR terms from the library itself.
 """
 
 from __future__ import annotations
@@ -233,11 +234,12 @@ def crit_rc_wielandt_brute(a, numbering=None):
 def weak_threshold_T1_full(a):
     """(t1, rows, cols) of weak_threshold_T1 by comparing every t up to the ceiling.
 
-    A^t and B^t come from the walk DP and are compared with
+    A^t and B^t come from the walk DP, and A^t is compared with
     C S^t R (+) B^t at each t from 1 to min(Wi(n), DM(g, n)), with no
-    early stop.  t1 is one past the last failing t, and rows and cols map
-    each critical index to one past the last t at which its row (resp.
-    column) differs.  Like crit_rc_wielandt_brute, it takes the critical
+    early stop; the library's sweep computes no B^t and checks only
+    C S^t R <= A^t.  t1 is one past the last failing t, and rows and
+    cols map each critical index to one past the last t at which its row
+    (resp. column) differs.  Like crit_rc_wielandt_brute, it takes the critical
     graph and the CSR terms from the library (build_csr, csr_at).
     """
     triple = build_csr(a)

@@ -38,6 +38,7 @@ from maxplus import (
     spectral,
     spectrum,
     as_scalar,
+    build_csr,
     transient_T,
     weak_threshold_T1,
     wielandt_bound,
@@ -88,6 +89,27 @@ def oplus_rows(x, y):
 
 def shift_rows(rows, c):
     return [[None if x is None else x + c for x in row] for row in rows]
+
+
+def below(x, y):
+    """Whether raw rows x <= y entrywise, None being -inf."""
+    return all(
+        a is None or (b is not None and a <= b) for ra, rb in zip(x, y) for a, b in zip(ra, rb)
+    )
+
+
+def nachtigall_brute(a, nodes):
+    """a with every arc at a node of nodes dropped."""
+    raw = a.raw()
+    return from_entries(
+        a.n,
+        {
+            (i, j): raw[i][j]
+            for i in range(a.n)
+            for j in range(a.n)
+            if raw[i][j] is not None and i not in nodes and j not in nodes
+        },
+    )
 
 
 def instances(seed, count, sizes=range(1, 8), make=sparse):
@@ -209,16 +231,7 @@ def check_weak_expansion(a):
     nodes = {i for arc in arcs for i in arc}
     girth, gamma = critical_girth_cyclicity_brute(a)
     assert wx.csr.gamma == gamma and wx.csr.crit.arcs == arcs
-    raw = a.raw()
-    b = from_entries(
-        a.n,
-        {
-            (i, j): raw[i][j]
-            for i in range(a.n)
-            for j in range(a.n)
-            if raw[i][j] is not None and i not in nodes and j not in nodes
-        },
-    )
+    b = nachtigall_brute(a, nodes)
     assert wx.b == b
     horizon = min(wielandt_bound(a.n), dm_bound(girth, a.n)) + gamma + 1
     a_powers, b_powers = walk_powers(a, horizon), walk_powers(b, horizon)
@@ -268,6 +281,30 @@ def test_csr_terms_match_walks_through_critical_nodes():
         for t in range(1, gamma + 2):
             walks = csr_walk_oracle(normalized, nodes, gamma, t, gamma * a.n + a.n)
             assert csr_at(wx.csr, t).raw() == shift_rows(walks, t * lam)
+
+
+def test_walks_not_through_critical_nodes_are_walks_of_B():
+    # A^t <= C S^t R (+) B^t and B^t <= A^t at every t, so the expansion
+    # holds exactly when C S^t R <= A^t: the one-sided test of the sweep
+    cases = [*instances(21, 150), *instances(22, 80, make=irreducible)]
+    cases += [third_mean_cycle(n) for n in range(3, 8)]
+    excess = 0
+    for a in cases:
+        triple = build_csr(a)  # its critical graph is checked in check_weak_expansion
+        if triple.crit is None:
+            continue
+        nodes = triple.crit.nodes
+        horizon = min(wielandt_bound(a.n), dm_bound(triple.crit.girth, a.n)) + triple.gamma
+        a_powers = walk_powers(a, horizon)
+        b_powers = walk_powers(nachtigall_brute(a, nodes), horizon)
+        for t in range(1, horizon + 1):
+            at, bt, csr = a_powers[t], b_powers[t], csr_at(triple, t).raw()
+            assert below(at, oplus_rows(csr, bt)) and below(bt, at)
+            for k in nodes:
+                assert below([at[k]], [csr[k]])
+                assert below([[row[k] for row in at]], [[row[k] for row in csr]])
+            excess += not below(csr, at)
+    assert excess >= 100
 
 
 def check_transient(a):
@@ -334,7 +371,7 @@ def test_sweep_matches_the_full_ceiling_scan(monkeypatch):
 
 def test_analyze_stops_the_sweep_at_T_plus_gamma(monkeypatch):
     # M takes gamma - 1 products and the residues 2 gamma; the sweep at
-    # most T + gamma powers of each of A - lambda and B - lambda
+    # most T + gamma powers of A - lambda, and none of B - lambda
     products = Counter()
     int_mul = matrix._int_mul
 
@@ -352,7 +389,7 @@ def test_analyze_stops_the_sweep_at_T_plus_gamma(monkeypatch):
         products.clear()
         report = analyze(a)
         assert (report.t, report.gamma, report.t1) == (t, gamma, t1)
-        assert products["_int_mul"] <= 3 * gamma - 1 + 2 * (t + gamma)
+        assert products["_int_mul"] <= 3 * gamma - 1 + (t + gamma)
     assert analyze(third_mean_cycle(7)).dm == 22 < wielandt_bound(7)
 
 
@@ -439,7 +476,8 @@ def test_point_check_matches_the_full_sweep():
     ids=["wielandt-n", "dm-g11"],
 )
 def test_generators_check_T1_at_two_powers_only(monkeypatch, generate):
-    # no sweep: O(log bound) products beyond the CSR triple's own
+    # no sweep: O(log bound) products beyond the CSR triple's own, all
+    # of them powers of A - lambda
     calls, depth = Counter(), [0]
     int_mul = matrix._int_mul
 
@@ -472,6 +510,6 @@ def test_generators_check_T1_at_two_powers_only(monkeypatch, generate):
     for seed in range(3):
         calls.clear()
         a = generate(seed)
-        assert 0 < calls["_int_mul"] <= 4 * bound.bit_length() + 8
+        assert 0 < calls["_int_mul"] <= 2 * bound.bit_length() + 4
     monkeypatch.undo()
     assert weak_threshold_T1(a).t1 == bound
