@@ -5,9 +5,14 @@ generate, oracle.  Matrices travel in the bit-exact text format (first
 line the dimension, then one row per line; '-inf' or '*' for missing
 arcs).  Node indices on the command line are 0-based.
 
-Exit codes: 0 success, 1 usage or precondition error (including an
-exhausted generator budget or a transient past its scan cap), 2 a check
-verb returned a negative verdict, 3 internal assertion failure.
+Exit codes: 0 success (also after --help), 1 usage or precondition
+error (including a bad or missing argument, an exhausted generator
+budget or a transient past its scan cap), 2 a check verb returned a
+negative verdict, 3 internal assertion failure.
+
+The argument parser is built on the first call to `main` and reused by
+every later call in the process: each parse fills a fresh namespace, and
+the verbs look up the library functions they call at call time.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .bounds import dm_bound, wielandt_bound
@@ -184,6 +190,7 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maxplus",
@@ -245,8 +252,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:

@@ -219,32 +219,47 @@ class Cycle:
 def enumerate_cycles(g: WeightedDigraph, max_n: int = 8, max_length: int | None = None) -> list[Cycle]:
     """All elementary cycles with their exact weights, for small instances.
 
-    Enumerates by rooting each cycle at its least node (so every cycle is
-    reported exactly once up to rotation).  Refuses instances with more
-    than max_n nodes; optionally caps the cycle length.
+    The cycles come from `_elementary_cycles`, the one cycle DFS of the
+    package, and only those it returns are weighed.  Refuses instances
+    with more than max_n nodes; optionally caps the cycle length.
     """
     if g.n > max_n:
         raise ValueError(f"instance too large for cycle enumeration: n={g.n} > {max_n}")
-    cap = g.n if max_length is None else max_length
-    cycles: list[Cycle] = []
+    cycles = []
+    for nodes in _elementary_cycles(g, g.n if max_length is None else max_length):
+        weight = UNIT
+        for u, v in zip(nodes, nodes[1:] + nodes[:1]):
+            weight = otimes(weight, g.weight(u, v))
+        cycles.append(Cycle(nodes, len(nodes), weight))
+    cycles.sort(key=lambda c: (c.length, c.nodes))
+    return cycles
 
-    def dfs(root: int, path: list[int], on_path: set[int], weight: MaxPlusScalar) -> None:
-        u = path[-1]
+
+def _elementary_cycles(g: WeightedDigraph, max_length: int) -> list[tuple[int, ...]]:
+    """Every elementary cycle of at most max_length nodes, as a node tuple.
+
+    Each cycle is rooted at its least node, so it is reported exactly once
+    up to rotation; no weight is computed.
+    """
+    cycles: list[tuple[int, ...]] = []
+    path: list[int] = []
+    on_path = [False] * g.n
+
+    def dfs(root: int, u: int) -> None:
         for v in g.successors(u):
-            if v == root and len(path) >= 1:
-                cycles.append(
-                    Cycle(tuple(path), len(path), otimes(weight, g.weight(u, root)))
-                )
-            elif v > root and v not in on_path and len(path) < cap:
+            if v == root:
+                cycles.append(tuple(path))
+            elif v > root and not on_path[v] and len(path) < max_length:
                 path.append(v)
-                on_path.add(v)
-                dfs(root, path, on_path, otimes(weight, g.weight(u, v)))
-                on_path.discard(v)
+                on_path[v] = True
+                dfs(root, v)
+                on_path[v] = False
                 path.pop()
 
     for root in range(g.n):
-        dfs(root, [root], {root}, UNIT)
-    cycles.sort(key=lambda c: (c.length, c.nodes))
+        path.append(root)
+        dfs(root, root)
+        path.pop()
     return cycles
 
 

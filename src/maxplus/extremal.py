@@ -28,7 +28,7 @@ from math import gcd
 
 from .bounds import dm_bound, wielandt_bound
 from .csr import _sweep, _t1_at_ceiling, build_csr, csr_at
-from .digraph import WeightedDigraph, associated_digraph, enumerate_cycles
+from .digraph import WeightedDigraph, _elementary_cycles, associated_digraph
 from .matrix import (
     MaxPlusMatrix,
     from_entries,
@@ -152,26 +152,22 @@ def hamiltonian_cycles(dg: WeightedDigraph) -> list[tuple[int, ...]]:
     return found
 
 
-def _cycle_weight(a: MaxPlusMatrix, cycle: tuple[int, ...]) -> Fraction | None:
-    raw = a.raw()
-    total = Fraction(0)
-    k = len(cycle)
-    for s in range(k):
-        w = raw[cycle[s]][cycle[(s + 1) % k]]
-        if w is None:
-            return None
-        total += w
-    return total
+def _unique_max_weight(norm: list[list], cycles: list[tuple[int, ...]]) -> tuple[int, ...] | None:
+    """The single heaviest cycle of the list, or None on ties / empty input.
 
-
-def _unique_max_weight(a: MaxPlusMatrix, cycles: list[tuple[int, ...]]) -> tuple[int, ...] | None:
-    """The single heaviest cycle of the list, or None on ties / empty input."""
+    Cycles are ranked on norm, the spectrum's integer rows d(A - lambda).
+    Every cycle of one ranking has the same length k (n for the
+    Hamiltonian cycles, n - 1 for the subcycles), so the scaled weight
+    d(w - k lambda) of a cycle keeps both the order and the ties of its
+    weight w.
+    """
     best_w = None
     winners: list[tuple[int, ...]] = []
     for cyc in cycles:
-        w = _cycle_weight(a, cyc)
-        if w is None:
-            raise AssertionError(f"cycle {cyc} has a missing arc")
+        try:
+            w = norm[cyc[-1]][cyc[0]] + sum(norm[u][v] for u, v in zip(cyc, cyc[1:]))
+        except TypeError:  # None + int: the cycle uses a missing arc
+            raise AssertionError(f"cycle {cyc} has a missing arc") from None
         if best_w is None or w > best_w:
             best_w, winners = w, [cyc]
         elif w == best_w:
@@ -203,9 +199,7 @@ def _crit_digraph(n: int, crit: CritGraph) -> WeightedDigraph:
 
 
 def _critical_cycles_of_length(a: MaxPlusMatrix, crit: CritGraph, length: int) -> list[tuple[int, ...]]:
-    sub = _crit_digraph(a.n, crit)
-    cycles = enumerate_cycles(sub, max_n=sub.n, max_length=length)
-    return [c.nodes for c in cycles if c.length == length]
+    return [c for c in _elementary_cycles(_crit_digraph(a.n, crit), length) if len(c) == length]
 
 
 def _align_numbering(
@@ -318,7 +312,7 @@ def verify_dm(
         _check_search_limit(n)
         if not strongly or len(short_cycles) != 1:
             return DmVerdict(holds=False, numbering=None, conditions=conditions)
-        numbering = _search_dm_numbering(a, short_cycles[0], conditions)
+        numbering = _search_dm_numbering(a, sp._norm, short_cycles[0], conditions)
         if numbering is None:
             return DmVerdict(holds=False, numbering=None, conditions=conditions)
     else:
@@ -331,14 +325,14 @@ def verify_dm(
 
 
 def _unique_heaviest_hamiltonian(
-    a: MaxPlusMatrix, dg: WeightedDigraph, conditions: dict
+    norm: list[list], dg: WeightedDigraph, conditions: dict
 ) -> tuple[int, ...] | None:
     """The unique maximum-weight Hamiltonian cycle, recording the verdict."""
     hams = hamiltonian_cycles(dg)
     if not hams:
         _fail(conditions, "unique_max_weight_hamiltonian", "no Hamiltonian cycle")
         return None
-    ham = _unique_max_weight(a, hams)
+    ham = _unique_max_weight(norm, hams)
     if ham is None:
         _fail(
             conditions,
@@ -351,9 +345,9 @@ def _unique_heaviest_hamiltonian(
 
 
 def _search_dm_numbering(
-    a: MaxPlusMatrix, short_cycle: tuple[int, ...], conditions: dict
+    a: MaxPlusMatrix, norm: list[list], short_cycle: tuple[int, ...], conditions: dict
 ) -> tuple[int, ...] | None:
-    ham = _unique_heaviest_hamiltonian(a, associated_digraph(a), conditions)
+    ham = _unique_heaviest_hamiltonian(norm, associated_digraph(a), conditions)
     if ham is None:
         return None
     numbering = _align_numbering(ham, short_cycle)
@@ -452,35 +446,35 @@ def verify_wielandt(
     """
     n = a.n
     _need_two_nodes(n)
-    crit = critical_graph(a)
+    sp = _cyclic_spectrum(a)
     conditions: dict[str, ConditionCheck] = {}
 
     if numbering is None:
         _check_search_limit(n)
-        numbering = _search_wielandt_numbering(a, conditions)
+        numbering = _search_wielandt_numbering(a, sp._norm, conditions)
         if numbering is None:
             return WielandtVerdict(holds=False, numbering=None, case=None, conditions=conditions)
     else:
         numbering = tuple(numbering)
         _check_numbering(n, numbering)
 
-    case = _wielandt_conditions(a, crit, numbering, conditions)
+    case = _wielandt_conditions(a, sp.crit, numbering, conditions)
     holds = all(c.passed for c in conditions.values())
     return WielandtVerdict(holds=holds, numbering=numbering, case=case, conditions=conditions)
 
 
-def _search_wielandt_numbering(a: MaxPlusMatrix, conditions: dict) -> tuple[int, ...] | None:
+def _search_wielandt_numbering(a: MaxPlusMatrix, norm: list[list], conditions: dict) -> tuple[int, ...] | None:
     dg = associated_digraph(a)
-    ham = _unique_heaviest_hamiltonian(a, dg, conditions)
+    ham = _unique_heaviest_hamiltonian(norm, dg, conditions)
     if ham is None:
         return None
 
     n = a.n
-    subs = [c.nodes for c in enumerate_cycles(dg, max_n=n, max_length=n - 1) if c.length == n - 1]
+    subs = [c for c in _elementary_cycles(dg, n - 1) if len(c) == n - 1]
     if not subs:
         _fail(conditions, "unique_max_weight_subcycle", f"no cycle of length {n - 1}")
         return None
-    sub = _unique_max_weight(a, subs)
+    sub = _unique_max_weight(norm, subs)
     if sub is None:
         _fail(
             conditions,

@@ -7,6 +7,8 @@ crit_rc_wielandt_brute, which checks only how the library narrows its
 search, and weak_threshold_T1_full, which checks where the library stops
 its sweep and its one-sided test (C S^t R <= A^t) against the full
 comparison with B^t; both take the CSR terms from the library itself.
+unique_max_weight_brute ranks cycles by their exact Fraction weights,
+where the library ranks them on the spectrum's scaled integer rows.
 """
 
 from __future__ import annotations
@@ -193,6 +195,16 @@ def csr_walk_oracle(a_normalized, crit_nodes, gamma, t, max_len):
                 if x is not None and (out[i][j] is None or x > out[i][j]):
                     out[i][j] = x
     return out
+
+
+def unique_max_weight_brute(a, cycles):
+    """The single heaviest of the given cycles (node tuples) by exact weight
+    in a, or None when the maximum is tied or the list is empty."""
+    raw = a.raw()
+    weights = [sum(raw[c[s]][c[(s + 1) % len(c)]] for s in range(len(c))) for c in cycles]
+    best = max(weights, default=None)
+    winners = [c for c, w in zip(cycles, weights) if w == best]
+    return winners[0] if len(winners) == 1 else None
 
 
 def crit_rc_wielandt_brute(a, numbering=None):

@@ -1,8 +1,10 @@
+import argparse
 import json
 
 import pytest
 
 from maxplus import (
+    apply_numbering,
     dm_skeleton,
     generate_dm,
     generate_wielandt,
@@ -274,3 +276,72 @@ def test_transient_past_scan_cap_is_exit_one(tmp_path, monkeypatch, capsys):
     code, out, err = run(capsys, "analyze", path, "--json")
     assert code == 1 and out == ""
     assert err == "error: transient exceeds the scan cap 3\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-dm",),
+        ("generate", "dm", "--n", "5", "--g", "x"),
+        ("analyze", "m.txt", "--bogus"),
+    ],
+)
+def test_usage_errors_exit_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage: maxplus") and "error:" in err
+
+
+def test_help_exits_zero(capsys):
+    code, out, err = run(capsys, "--help")
+    assert code == 0 and err == ""
+    assert out.startswith("usage: maxplus") and "check-wiel" in out
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    path = write_matrix(tmp_path, wielandt_skeleton(4))
+    run(capsys, "analyze", path)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in (
+        ("analyze", path, "--json"),
+        ("check-wiel", path),
+        ("generate", "dm", "--n", "5", "--g", "2"),
+        ("check-dm",),
+        ("--help",),
+    ):
+        run(capsys, *argv)
+    assert built == []
+
+
+def test_cached_parser_carries_no_state_between_calls(tmp_path, capsys):
+    wiel = write_matrix(tmp_path, generate_wielandt(5, seed=0), "w.txt")
+    # under the identity numbering this instance fails; the search finds one that holds
+    dm = write_matrix(tmp_path, apply_numbering(generate_dm(3, 2, seed=0), (1, 2, 0)), "dm.txt")
+    out = str(tmp_path / "g.txt")
+    sequences = [
+        [("check-wiel", wiel, "--json"), ("check-wiel", wiel)],
+        [("check-dm", dm, "--numbering", "0,1,2"), ("check-dm", dm)],
+        [("generate", "dm", "--n", "5", "--g", "x"), ("check-wiel", wiel)],
+        [("generate", "dm", "--n", "5", "--g", "2", "--out", out), ("generate", "dm", "--n", "5", "--g", "2")],
+    ]
+    for calls in sequences:
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert [run(capsys, *argv) for argv in calls] == fresh
+
+    _, plain, _ = run(capsys, "check-wiel", wiel)
+    assert plain.startswith("wielandt_attainment: holds\n")
+    assert [run(capsys, *argv)[0] for argv in sequences[1]] == [2, 0]
+    assert [run(capsys, *argv)[0] for argv in sequences[2]] == [1, 0]
+    code, text, _ = run(capsys, *sequences[3][1])
+    assert code == 0 and parse_matrix(text).n == 5
+    assert json.loads(text.splitlines()[-1])["verified_T1"] == 11

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -37,7 +38,7 @@ from maxplus.digraph import associated_digraph
 from maxplus import extremal
 from maxplus.extremal import SEARCH_LIMIT, a1_pattern, b1_pattern
 from conftest import random_cyclic_matrix
-from oracles import crit_rc_wielandt_brute
+from oracles import crit_rc_wielandt_brute, unique_max_weight_brute
 
 N = None
 
@@ -214,6 +215,58 @@ def test_unique_max_weight_hamiltonian_on_extremal_instances():
             weights.append(sum(raw[cyc[k]][cyc[(k + 1) % n]] for k in range(n)))
         top = max(weights)
         assert weights.count(top) == 1
+
+
+def _ranking_matrices():
+    """Random matrices, n 2..7, denominators 1/2/3/5, a third with 0/1 weights,
+    plus scrambled generated instances whose searches succeed."""
+    rng = random.Random(4099)
+    out = []
+    for _ in range(360):
+        n, den, tied = rng.randint(2, 7), rng.choice((1, 2, 3, 5)), rng.random() < 0.35
+        density = rng.choice((0.6, 0.8, 1.0))
+        out.append(MaxPlusMatrix([
+            [
+                (Fraction(rng.randint(0, 1)) if tied else Fraction(rng.randint(-6 * den, 6 * den), den))
+                if rng.random() < density else None
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]))
+    for n in range(3, 8):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        out.append(apply_numbering(generate_wielandt(n, seed=n, case=("n", "n-1")[n % 2]), tuple(perm)))
+        out.append(apply_numbering(generate_dm(n, n - 1, seed=n), tuple(perm)))
+    return out
+
+
+def _verdict_or_error(verify, a):
+    try:
+        v = verify(a)
+    except ValueError as exc:
+        return str(exc)
+    conditions = {key: (c.passed, c.vacuous, c.detail) for key, c in v.conditions.items()}
+    return v.holds, v.numbering, getattr(v, "case", None), conditions
+
+
+def test_integer_cycle_ranking_matches_the_fraction_oracle(monkeypatch):
+    # The searches rank cycles on the spectrum's scaled int rows; the same
+    # verdicts with the Fraction ranking of the oracle must agree field by field.
+    matrices = _ranking_matrices()
+    verdicts = [(_verdict_or_error(verify_dm, a), _verdict_or_error(verify_wielandt, a)) for a in matrices]
+    branches = Counter()
+
+    def ranked_by_oracle(norm, cycles):
+        winner = unique_max_weight_brute(current, cycles)
+        branches["not unique" if winner is None else "unique"] += bool(cycles)
+        return winner
+
+    monkeypatch.setattr(extremal, "_unique_max_weight", ranked_by_oracle)
+    for current, expected in zip(matrices, verdicts):
+        assert (_verdict_or_error(verify_dm, current), _verdict_or_error(verify_wielandt, current)) == expected
+    assert branches["unique"] >= 20 and branches["not unique"] >= 20, branches
+    assert sum(dm[0] is True or wiel[0] is True for dm, wiel in verdicts) >= 10
 
 
 def test_remark_small_n_regime_reports_vacuous_conditions():

@@ -1,0 +1,20 @@
+import ast
+import types
+from pathlib import Path
+
+import maxplus
+
+
+def test_all_lists_exactly_the_public_imports():
+    tree = ast.parse(Path(maxplus.__file__).read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    ]
+    assert len(set(maxplus.__all__)) == len(maxplus.__all__)
+    assert set(maxplus.__all__) == set(imported)
+    for name in maxplus.__all__:
+        assert not isinstance(getattr(maxplus, name), types.ModuleType), name
