@@ -26,11 +26,17 @@ When lambda = -inf (acyclic digraph) the CSR terms are all -inf by
 convention and B = A, so the expansion holds trivially from t = 1.
 
 Everything here works on the scaled integer rows of A - lambda that
-`spectrum` computed, the one place that scales A with lambda: M, the
-gamma residues C S^r R - r*lambda, and the powers of A - lambda in
-the sweep.  t*lambda thereby drops out of every comparison, and only
-the public C, R and the values csr_at returns are converted back to
-Fractions.
+`spectrum` computed, the one place that scales A with lambda: M, by
+repeated squaring, the gamma residues C S^r R - r*lambda, and the
+powers of A - lambda in the sweep.  t*lambda thereby drops out of every
+comparison, and only the public C, R and the values csr_at returns are
+converted back to Fractions.
+
+A triple is built only as far as it is read.  build_csr computes M and
+keeps C and R as int rows; C and R become Fraction matrices when the
+properties are read, and each residue is computed the first time csr_at
+or the sweep reads it.  The triple of a matrix's whole critical graph is
+built once per matrix and stored on it, like its spectrum.
 """
 
 from __future__ import annotations
@@ -40,7 +46,6 @@ from dataclasses import dataclass, field
 from itertools import count
 
 from .bounds import dm_bound, wielandt_bound
-from .digraph import associated_digraph, scc_decompose
 from .matrix import (
     MaxPlusMatrix,
     _finite_entries,
@@ -60,24 +65,38 @@ class CsrTriple:
     """The matrices C, S, R with the cycle mean and defining cyclicity.
 
     crit is the critical (sub)graph that C, S and R were carved at, or
-    None when the digraph is acyclic.  csr_at evaluates C S^t R for any
-    t >= 1 from _residues, C S^r R - r*lambda for r = 1..gamma, kept as
-    int rows scaled by _d like the spectrum's rows _norm of A - lambda.
+    None when the digraph is acyclic.  C and R are kept as int rows _c
+    and _r, scaled by _d like the spectrum's rows _norm of A - lambda,
+    and the properties c and r convert them when read.  csr_at evaluates
+    C S^t R for any t >= 1 from the residue C S^r R - r*lambda, r = t
+    modulo gamma, which _residue computes on its first read from the
+    chain _cs of C (S - lambda)^k, k = 0, 1, ..., grown only as far as
+    it is read, and keeps in _residues.
     """
 
-    c: MaxPlusMatrix
     s: MaxPlusMatrix
-    r: MaxPlusMatrix
     lam: MaxPlusScalar
     gamma: int
     crit: CritGraph | None = None
-    _d: int | None = field(default=None, repr=False)
+    _d: int = field(default=1, repr=False)
     _norm: list[list] | None = field(default=None, repr=False)
-    _residues: list[list[list]] = field(default_factory=list, repr=False)
+    _c: list[list] = field(default_factory=list, repr=False)
+    _r: list[list] = field(default_factory=list, repr=False)
+    _s_norm: list[list] = field(default_factory=list, repr=False)
+    _cs: list[list[list]] = field(default_factory=list, repr=False)
+    _residues: dict[int, list[list]] = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
-        return self.c.n
+        return self.s.n
+
+    @property
+    def c(self) -> MaxPlusMatrix:
+        return _unscaled(self._c, self._d)
+
+    @property
+    def r(self) -> MaxPlusMatrix:
+        return _unscaled(self._r, self._d)
 
 
 def build_csr(a: MaxPlusMatrix, subgraph: CritGraph | None = None) -> CsrTriple:
@@ -85,59 +104,62 @@ def build_csr(a: MaxPlusMatrix, subgraph: CritGraph | None = None) -> CsrTriple:
 
     The subgraph must be a completely reducible subgraph of the critical
     graph (e.g. one of its strongly connected components); its own
-    cyclicity becomes gamma.
+    cyclicity becomes gamma.  The triple of the whole critical graph is
+    built once per matrix: it is stored on a and returned again.
     """
+    if subgraph is not None:
+        return _build_csr(a, subgraph)
+    if a._csr is None:
+        a._csr = _build_csr(a, None)
+    return a._csr
+
+
+def _build_csr(a: MaxPlusMatrix, subgraph: CritGraph | None) -> CsrTriple:
     sp = spectrum(a)
+    n = a.n
     if sp.crit is None:
         if subgraph is not None:
             raise ValueError("no critical subgraph exists for an acyclic digraph")
-        z = zeros(a.n)
-        return CsrTriple(c=z, s=z, r=z, lam=BOTTOM, gamma=1)
-    lam = sp.lam
+        z = [[None] * n for _ in range(n)]
+        return CsrTriple(s=zeros(n), lam=BOTTOM, gamma=1, _c=z, _r=z)
     k = sp.crit if subgraph is None else subgraph
     if not k.arcs <= sp.crit.arcs:
         raise ValueError("subgraph is not contained in the critical graph")
-    gamma = k.cyclicity
-    n = a.n
-    norm, d = sp._norm, sp._d
-    m, step = [row[:] for row in norm], _finite_entries(norm)
-    for _ in range(gamma - 1):
-        m = _int_mul(m, step)
+    norm = sp._norm
+    m = [row[:] for row in _int_power(norm, k.cyclicity)]
     _int_closure(m)
     for i, row in enumerate(m):
         row[i] = 0  # M = ((A - lambda)^gamma)^*; its cycles weigh <= 0
     c = [[m[i][j] if j in k.nodes else None for j in range(n)] for i in range(n)]
     r = [[m[i][j] if i in k.nodes else None for j in range(n)] for i in range(n)]
     s_norm = [[(j, norm[i][j]) for j in range(n) if (i, j) in k.arcs] for i in range(n)]
-    r_finite = _finite_entries(r)
-    residues, cs = [], c
-    for _ in range(gamma):
-        cs = _int_mul(cs, s_norm)
-        residues.append(_int_mul(cs, r_finite))
     araw = a.raw()
     s = [[araw[i][j] if (i, j) in k.arcs else None for j in range(n)] for i in range(n)]
     return CsrTriple(
-        c=_unscaled(c, d),
-        s=MaxPlusMatrix._from_raw(s),
-        r=_unscaled(r, d),
-        lam=lam,
-        gamma=gamma,
-        crit=k,
-        _d=d,
-        _norm=norm,
-        _residues=residues,
+        MaxPlusMatrix._from_raw(s), sp.lam, k.cyclicity, k, _d=sp._d, _norm=norm, _c=c, _r=r, _s_norm=s_norm, _cs=[c]
     )
 
 
+def _residue(triple: CsrTriple, t: int) -> list[list]:
+    """C S^t R - t*lambda as int rows scaled by _d, t >= 1, from the chain
+    C (S - lambda)^k; it depends on t modulo gamma only."""
+    k = (t - 1) % triple.gamma + 1
+    if k not in triple._residues:
+        cs = triple._cs
+        while len(cs) <= k:
+            cs.append(_int_mul(cs[-1], triple._s_norm))
+        triple._residues[k] = _int_mul(cs[k], _finite_entries(triple._r))
+    return triple._residues[k]
+
+
 def csr_at(triple: CsrTriple, t: int) -> MaxPlusMatrix:
-    """Evaluate C S^t R exactly, t >= 1, from the gamma residues."""
+    """Evaluate C S^t R exactly, t >= 1, from the residue of t modulo gamma."""
     if t < 1:
         raise ValueError(f"csr_at needs t >= 1, got {t}")
     if triple.lam.is_bottom:
         return zeros(triple.n)
     shift = int(t * triple.lam.value * triple._d)
-    residue = triple._residues[(t - 1) % triple.gamma]
-    shifted = [[None if x is None else x + shift for x in row] for row in residue]
+    shifted = [[None if x is None else x + shift for x in row] for row in _residue(triple, t)]
     return _unscaled(shifted, triple._d)
 
 
@@ -199,16 +221,12 @@ def transient_T(a: MaxPlusMatrix) -> int:
     Defined for strongly connected digraphs, with gamma the cyclicity of
     the critical graph; raises RuntimeError when T > _SCAN_CAP.
     """
-    if not _strongly_connected(a):
-        raise ValueError("transient is defined for strongly connected digraphs only")
     sp = spectrum(a)
+    if not sp._strongly_connected:
+        raise ValueError("transient is defined for strongly connected digraphs only")
     if sp.crit is None:
         raise ValueError("transient undefined: single node without a loop")
     return _sweep(sp._norm, sp.crit.cyclicity)[0]
-
-
-def _strongly_connected(a: MaxPlusMatrix) -> bool:
-    return len(scc_decompose(associated_digraph(a)).components) == 1
 
 
 def _sweep(
@@ -282,7 +300,7 @@ def _excess(triple: CsrTriple, t: int, at: list[list]) -> list[tuple[int, int]]:
     k passes k, and (B - lambda)^t is -inf on row and column k, so row
     and column k of P^t are <= those of Q_t.
     """
-    residue = triple._residues[(t - 1) % triple.gamma]
+    residue = _residue(triple, t)
     return [
         (i, j)
         for i, (qrow, prow) in enumerate(zip(residue, at))
@@ -375,7 +393,7 @@ class TransientReport:
 
 def analyze(a: MaxPlusMatrix) -> TransientReport:
     """Full transient report: lambda, crit summary, T, T1, bounds, flags."""
-    connected = _strongly_connected(a)
+    connected = spectrum(a)._strongly_connected
     expansion, t = _expand(a, seek_t=connected)
     lam, crit = expansion.csr.lam, expansion.csr.crit
     wi = wielandt_bound(a.n)

@@ -3,7 +3,9 @@
 Multiplication, powers by repeated squaring, the Kleene star via an
 all-pairs closure, diagonal scalings, the strict entrywise domination
 order, and a bit-exact text format.  Matrices are immutable values;
-every operation returns a fresh matrix.
+every operation returns a fresh matrix.  So a matrix may keep what is
+computed from it: `spectral.spectrum` and `csr.build_csr` store their
+results in its two private slots, and a second call returns them.
 
 A matrix holds rows of Fraction-or-None, None encoding -inf.  The
 products and closures run on an exact integer kernel instead: the
@@ -26,7 +28,7 @@ from .semiring import MaxPlusScalar, as_scalar, negate
 class MaxPlusMatrix:
     """An n-by-n matrix of max-plus scalars, n >= 1."""
 
-    __slots__ = ("n", "_rows")
+    __slots__ = ("n", "_rows", "_spectrum", "_csr")
 
     def __init__(self, rows: Sequence[Sequence]):
         n = len(rows)
@@ -39,12 +41,15 @@ class MaxPlusMatrix:
             raw.append([as_scalar(x).value for x in row])
         self.n = n
         self._rows = raw
+        self._spectrum = self._csr = None
 
     @classmethod
     def _from_raw(cls, raw: list[list]) -> "MaxPlusMatrix":
+        """The matrix holding raw itself; callers must not mutate it after."""
         m = object.__new__(cls)
         m.n = len(raw)
         m._rows = raw
+        m._spectrum = m._csr = None
         return m
 
     def raw(self) -> list[list]:

@@ -1,13 +1,17 @@
 """Maximum cycle mean, critical graph extraction, and visualization scalings.
 
 The maximum cycle mean is computed by Karp's dynamic program run per
-strongly connected component, on the exactly scaled integer entries.
-`spectrum` then scales A - lambda to integers once; that integer form
-stays on the returned Spectrum, and the CSR terms and both scans in
-`csr` read it instead of scaling again.  The critical graph (all nodes
-and arcs of cycles attaining the maximum mean) is read off its closure:
-an arc (i, j) is critical exactly when it closes a zero-weight circuit,
-i.e. when a'_ij + (A'+)_ji = 0 for the normalized A' = A - lambda.
+strongly connected component, on the exactly scaled integer entries;
+Tarjan finds the components on those integer rows too.  `spectrum`
+scales A once, turns the rows into those of A - lambda, and keeps that
+integer form on the returned Spectrum, together with whether the
+digraph is strongly connected; the CSR terms and both scans in `csr`
+read it instead of scaling again.  A matrix's spectrum is computed
+once: it is stored on the matrix and returned by every later call.
+The critical graph (all nodes and arcs of cycles attaining the maximum
+mean) is read off its closure: an arc (i, j) is critical exactly when
+it closes a zero-weight circuit, i.e. when a'_ij + (A'+)_ji = 0 for
+the normalized A' = A - lambda.
 
 A visualization is a diagonal scaling pushing every entry to at most the
 cycle mean; a strict visualization additionally puts an entry *at* the
@@ -23,11 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .digraph import (
     SccDecomposition,
     WeightedDigraph,
-    associated_digraph,
+    _tarjan,
     global_cyclicity,
     maximal_girth,
     scc_decompose,
@@ -63,27 +68,34 @@ class CritGraph:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """The cycle mean lam, the critical graph (None if acyclic) and, for a
-    finite lam, the rows _norm of A - lam as ints (None: -inf) scaled by _d."""
+    """The cycle mean lam, the critical graph (None if acyclic), whether the
+    digraph is strongly connected and, for a finite lam, the rows _norm of
+    A - lam as ints (None: -inf) scaled by _d."""
 
     lam: MaxPlusScalar
     crit: CritGraph | None
+    _strongly_connected: bool = field(default=False, compare=False, repr=False)
     _d: int | None = field(default=None, compare=False, repr=False)
     _norm: list[list] | None = field(default=None, compare=False, repr=False)
 
 
 def max_cycle_mean(a: MaxPlusMatrix) -> MaxPlusScalar:
     """Largest mean weight over all cycles; -inf when the digraph is acyclic."""
-    g = associated_digraph(a)
     d, (rows,), _ = _scaled([a])
-    best: Fraction | None = None
-    for comp in scc_decompose(g).components:
-        if comp.girth is None:
-            continue
-        lam = _karp_scc(rows, sorted(comp.nodes))
-        if best is None or lam > best:
-            best = lam
+    best = _karp(rows)[0]
     return BOTTOM if best is None else MaxPlusScalar(best / d)
+
+
+def _karp(rows: list[list]) -> tuple[Fraction | None, int]:
+    """The largest cycle mean of scaled int-or-None rows, in their units
+    (None when acyclic), and the number of strongly connected components.
+
+    Tarjan runs on the finite entries, and Karp on each component but a
+    single node without a loop, which has no cycle.
+    """
+    comps = _tarjan([[j for j, x in enumerate(row) if x is not None] for row in rows], range(len(rows)))
+    means = [_karp_scc(rows, sorted(c)) for c in comps if len(c) > 1 or rows[min(c)][min(c)] is not None]
+    return max(means, default=None), len(comps)
 
 
 def _karp_scc(rows, nodes: list[int]) -> Fraction:
@@ -136,13 +148,26 @@ def _karp_scc(rows, nodes: list[int]) -> Fraction:
 
 
 def spectrum(a: MaxPlusMatrix) -> Spectrum:
-    """The maximum cycle mean and, unless it is -inf, the critical graph."""
-    lam = max_cycle_mean(a)
-    if lam.is_bottom:
-        return Spectrum(lam=lam, crit=None)
-    d, (rows,), lam_d = _scaled([a], lam.value)
-    norm = [[None if x is None else x - lam_d for x in row] for row in rows]
-    return Spectrum(lam=lam, crit=_critical_graph_at(norm), _d=d, _norm=norm)
+    """The maximum cycle mean and, unless it is -inf, the critical graph.
+
+    Computed once per matrix: the result is stored on a and returned again.
+    """
+    if a._spectrum is None:
+        a._spectrum = _spectrum(a)
+    return a._spectrum
+
+
+def _spectrum(a: MaxPlusMatrix) -> Spectrum:
+    d, (rows,), _ = _scaled([a])
+    best, components = _karp(rows)
+    if best is None:
+        return Spectrum(lam=BOTTOM, crit=None, _strongly_connected=components == 1)
+    lam = best / d  # rescale to the lcm of d and lam's denominator
+    d_lam = lcm(d, lam.denominator)
+    lam_d = lam.numerator * (d_lam // lam.denominator)
+    norm = [[None if x is None else x * (d_lam // d) - lam_d for x in row] for row in rows]
+    crit = _critical_graph_at(norm)
+    return Spectrum(MaxPlusScalar(lam), crit, components == 1, d_lam, norm)
 
 
 def _cyclic_spectrum(a: MaxPlusMatrix) -> Spectrum:

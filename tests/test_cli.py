@@ -39,7 +39,7 @@ def test_analyze_wielandt_skeleton(tmp_path, capsys):
 
     code, out, _ = run(capsys, "analyze", path)
     assert code == 0
-    assert "T1: 17" in out.replace(" ", "").replace("T1:", "T1: ").replace("  ", " ") or "17" in out
+    assert f"{'T1':>18}: 17" in out.splitlines()
 
 
 def test_powers_and_csr_output_matrix_text(tmp_path, capsys):

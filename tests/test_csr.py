@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from maxplus import (
     MaxPlusMatrix,
     analyze,
     as_scalar,
+    associated_digraph,
     build_csr,
     crit_row_col_profile,
     critical_components,
@@ -14,13 +17,18 @@ from maxplus import (
     dm_bound,
     from_entries,
     generate_dm,
+    generate_wielandt,
     mat_mul,
     mat_oplus,
     mat_power,
     max_cycle_mean,
     nachtigall_matrix,
+    negate,
+    parse_matrix,
+    render_matrix,
     scalar_power,
     scalar_times,
+    scc_decompose,
     spectrum,
     strictly_dominated_by,
     transient_T,
@@ -30,14 +38,15 @@ from maxplus import (
     wielandt_skeleton,
     zeros,
 )
-from maxplus import csr
+from maxplus import csr, matrix, spectral
 from conftest import (
     normalized,
     random_cyclic_matrix,
     random_irreducible,
+    random_matrix,
     random_strictly_below,
 )
-from oracles import csr_walk_oracle, walk_power
+from oracles import csr_walk_oracle, walk_power, walk_powers
 
 N = None
 
@@ -288,6 +297,96 @@ def test_perturbation_invariance(rng):
         for t in range(1, csr1.gamma + 2):
             assert csr_at(csr, t) == csr_at(csr1, t)
         assert weak_threshold_T1(a).t1 == weak_threshold_T1(a1).t1
+
+
+# ---------------------------------------------------------------------------
+# one spectrum and one triple per matrix, each built only as far as it is read
+
+
+def _lazy_triple_inputs():
+    """240 random matrices, n 1..6: a third irreducible, the rest sparse
+    enough that many are reducible or acyclic."""
+    rng = random.Random(1010)
+    return [
+        random_irreducible(rng, rng.randint(1, 6))
+        if k % 3 == 0
+        else random_matrix(rng, rng.randint(1, 6), density=rng.choice((0.15, 0.3, 0.5)))
+        for k in range(240)
+    ]
+
+
+def _recording_spectrum(monkeypatch):
+    """The matrices whose spectrum is computed, in order, not merely asked for."""
+    computed, compute = [], spectral._spectrum
+    monkeypatch.setattr(spectral, "_spectrum", lambda a: computed.append(a) or compute(a))
+    return computed
+
+
+def test_a_matrix_keeps_its_spectrum_and_triple(monkeypatch, rng):
+    computed = _recording_spectrum(monkeypatch)
+    products, int_mul = [], matrix._int_mul
+    for module in (matrix, csr):
+        monkeypatch.setattr(module, "_int_mul", lambda *args: products.append(args) or int_mul(*args))
+    for _ in range(10):
+        text = render_matrix(random_cyclic_matrix(rng, rng.randint(2, 6)))
+        first, second = parse_matrix(text), parse_matrix(text)
+        computed.clear()
+        triple = build_csr(first)
+        products.clear()
+        assert build_csr(first) is triple and spectrum(first) is spectrum(first)
+        assert not products
+        # no cache keyed by value: an equal matrix computes its own
+        assert spectrum(second) == spectrum(first) and spectrum(second) is not spectrum(first)
+        assert build_csr(second) is not triple
+        assert [id(b) for b in computed] == [id(first), id(second)]
+
+
+def test_generator_computes_its_candidates_spectrum_once(monkeypatch):
+    # verify_wielandt and the check of T1 at two powers share it
+    computed = _recording_spectrum(monkeypatch)
+    for seed in range(3):
+        computed.clear()
+        a = generate_wielandt(12, seed, case="n")
+        assert sum(b is a for b in computed) == 1
+
+
+def test_lazy_triples_match_the_walk_oracle():
+    # full and per-component triples, residues read at shuffled t; C and R
+    # against the columns and rows of M = ((A - lambda)^gamma)^*
+    rng = random.Random(11)
+    kinds = Counter()
+    for a in _lazy_triple_inputs():
+        n, sp, full = a.n, spectrum(a), build_csr(a)
+        if sp.crit is None:
+            kinds["acyclic"] += 1
+            assert full.c == full.r == full.s == zeros(n) and csr_at(full, 3) == zeros(n)
+            continue
+        kinds["irreducible" if sp._strongly_connected else "reducible"] += 1
+        lam, an = sp.lam.value, scalar_times(negate(sp.lam), a)
+        parts = [(sp.crit, full)] + [(k, build_csr(a, subgraph=k)) for k in critical_components(sp.crit)]
+        for k, triple in parts:
+            gamma = k.cyclicity
+            ts = list(range(1, gamma + 3))
+            rng.shuffle(ts)
+            for t in ts:
+                walks = csr_walk_oracle(an, k.nodes, gamma, t, gamma * n + n)
+                expected = [[None if x is None else x + t * lam for x in row] for row in walks]
+                assert csr_at(triple, t).raw() == expected
+            # P^gamma has no positive cycle, so M = I (+) P^gamma (+) ... (+) P^(gamma (n - 1))
+            m = [[Fraction(0) if i == j else None for j in range(n)] for i in range(n)]
+            for p in walk_powers(an, gamma * (n - 1))[gamma::gamma]:
+                for i in range(n):
+                    for j in range(n):
+                        if p[i][j] is not None and (m[i][j] is None or p[i][j] > m[i][j]):
+                            m[i][j] = p[i][j]
+            assert triple.c.raw() == [[m[i][j] if j in k.nodes else None for j in range(n)] for i in range(n)]
+            assert triple.r.raw() == [[m[i][j] if i in k.nodes else None for j in range(n)] for i in range(n)]
+    assert min(kinds[kind] for kind in ("acyclic", "reducible", "irreducible")) >= 20
+
+
+def test_spectrum_records_strong_connectivity():
+    for a in _lazy_triple_inputs():
+        assert spectrum(a)._strongly_connected == (len(scc_decompose(associated_digraph(a)).components) == 1)
 
 
 # ---------------------------------------------------------------------------

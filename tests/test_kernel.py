@@ -398,7 +398,8 @@ def test_analyze_stops_the_sweep_at_T_plus_gamma(monkeypatch):
 
 
 def test_analyze_scales_once_and_runs_no_fraction_level_products(monkeypatch):
-    # Karp scales A, spectrum scales A - lambda; everything after reads that
+    # the spectrum is computed once, though analyze and build_csr both ask
+    # for it; it scales A, and everything after reads its rows of A - lambda
     fraction_level = ("mat_mul", "mat_power", "kleene_star", "scalar_times")
     calls = Counter()
 
@@ -410,7 +411,7 @@ def test_analyze_scales_once_and_runs_no_fraction_level_products(monkeypatch):
         return wrapper
 
     for module in (matrix, spectral, csr):
-        for name in ("spectrum", "_scaled", *fraction_level):
+        for name in ("_spectrum", "_scaled", *fraction_level):
             if name in vars(module):
                 monkeypatch.setattr(module, name, counted(name, vars(module)[name]))
     loop = from_entries(3, {(0, 0): 1, (0, 1): 0, (1, 2): -1, (2, 0): 0})
@@ -418,7 +419,7 @@ def test_analyze_scales_once_and_runs_no_fraction_level_products(monkeypatch):
         calls.clear()
         report = csr.analyze(a)
         assert report.gamma == gamma and report.t is not None
-        assert calls["spectrum"] == 1 and calls["_scaled"] <= 2
+        assert calls["_spectrum"] == 1 and calls["_scaled"] <= 2
         assert [calls[name] for name in fraction_level] == [0] * len(fraction_level)
 
 
@@ -476,8 +477,9 @@ def test_point_check_matches_the_full_sweep():
     ids=["wielandt-n", "dm-g11"],
 )
 def test_generators_check_T1_at_two_powers_only(monkeypatch, generate):
-    # no sweep: O(log bound) products beyond the CSR triple's own, all
-    # of them powers of A - lambda
+    # no sweep: O(log bound) products beyond the CSR triple's own (its
+    # residues, computed when first read, included), all of them powers
+    # of A - lambda
     calls, depth = Counter(), [0]
     int_mul = matrix._int_mul
 
@@ -501,7 +503,7 @@ def test_generators_check_T1_at_two_powers_only(monkeypatch, generate):
     for module in (matrix, spectral, csr, extremal):
         if "_int_mul" in vars(module):
             monkeypatch.setattr(module, "_int_mul", counted)
-        for name in ("build_csr", "spectrum"):
+        for name in ("build_csr", "spectrum", "_residue"):
             if name in vars(module):
                 monkeypatch.setattr(module, name, inside(vars(module)[name]))
         if "_sweep" in vars(module):
