@@ -4,6 +4,10 @@ Associated digraphs, strongly connected components with per-component
 girth and cyclicity, the aggregate maximal girth / cyclicity, and
 elementary-cycle enumeration for small instances.
 
+Below the public `WeightedDigraph`, the algorithms run on sorted
+successor lists (`_successors`), which `spectral` and `extremal` build
+from the spectrum's integer rows with no weighted digraph in between.
+
 A caution on terminology: ``maximal_girth`` is the maximum over
 components of the per-component girth (minimal cycle length), not the
 lcm-of-girths quantity some texts call the girth of a reducible graph.
@@ -32,10 +36,7 @@ class WeightedDigraph:
             if w.is_bottom:
                 raise ValueError(f"arc ({i},{j}) must carry a finite weight")
         self.arcs = dict(arcs)
-        succ: list[list[int]] = [[] for _ in range(n)]
-        for i, j in sorted(arcs):
-            succ[i].append(j)
-        self._succ = succ
+        self._succ = _successors(n, arcs)
 
     def successors(self, i: int) -> list[int]:
         return self._succ[i]
@@ -43,11 +44,18 @@ class WeightedDigraph:
     def weight(self, i: int, j: int) -> MaxPlusScalar:
         return self.arcs.get((i, j), BOTTOM)
 
-    def subgraph(self, nodes: Iterable[int]) -> "WeightedDigraph":
-        """Induced subgraph, keeping the original node numbering."""
-        keep = set(nodes)
-        arcs = {(i, j): w for (i, j), w in self.arcs.items() if i in keep and j in keep}
-        return WeightedDigraph(self.n, arcs)
+
+def _successors(n: int, arcs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """The sorted successor lists of the arcs on nodes 0..n-1."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for i, j in sorted(arcs):
+        succ[i].append(j)
+    return succ
+
+
+def _support(rows: list[list]) -> list[list[int]]:
+    """The successor lists of the finite (not None) entries of some rows."""
+    return [[j for j, x in enumerate(row) if x is not None] for row in rows]
 
 
 def associated_digraph(a: MaxPlusMatrix) -> WeightedDigraph:
@@ -135,29 +143,29 @@ def _tarjan(succ: Sequence[Sequence[int]], nodes: Iterable[int]) -> list[set[int
     return sccs
 
 
-def _component_girth(g: WeightedDigraph, comp: set[int]) -> int | None:
-    """Minimal directed cycle length inside the component, by BFS per node."""
+def _component_girth(succ: Sequence[Sequence[int]], comp: set[int]) -> int | None:
+    """Minimal directed cycle length inside the component, by BFS per node.
+
+    The BFS from s stops at the first level whose nodes have an arc back
+    to s, and at the shortest cycle found so far.
+    """
     best = None
     for s in comp:
-        dist = {s: 0}
-        frontier = [s]
-        while frontier:
+        seen, frontier, depth = {s}, [s], 1
+        while frontier and (best is None or depth < best):
             nxt = []
             for u in frontier:
-                for v in g.successors(u):
-                    if v in comp and v not in dist:
-                        dist[v] = dist[u] + 1
+                for v in succ[u]:
+                    if v == s:
+                        best = depth
+                    elif v in comp and v not in seen:
+                        seen.add(v)
                         nxt.append(v)
-            frontier = nxt
-        for u, du in dist.items():
-            if (u, s) in g.arcs:
-                cand = du + 1
-                if best is None or cand < best:
-                    best = cand
+            frontier, depth = nxt, depth + 1
     return best
 
 
-def _component_cyclicity(g: WeightedDigraph, comp: set[int]) -> int | None:
+def _component_cyclicity(succ: Sequence[Sequence[int]], comp: set[int]) -> int | None:
     """gcd of cycle lengths via BFS level labels: gcd of level(u)+1-level(v)."""
     root = min(comp)
     level = {root: 0}
@@ -165,28 +173,33 @@ def _component_cyclicity(g: WeightedDigraph, comp: set[int]) -> int | None:
     while frontier:
         nxt = []
         for u in frontier:
-            for v in g.successors(u):
+            for v in succ[u]:
                 if v in comp and v not in level:
                     level[v] = level[u] + 1
                     nxt.append(v)
         frontier = nxt
     result = 0
-    for (i, j) in g.arcs:
-        if i in comp and j in comp:
-            result = gcd(result, level[i] + 1 - level[j])
+    for i in comp:
+        for j in succ[i]:
+            if j in comp:
+                result = gcd(result, level[i] + 1 - level[j])
     return result if result > 0 else None
+
+
+def _scc_decomposition(succ: Sequence[Sequence[int]], nodes: Iterable[int]) -> SccDecomposition:
+    """The SCCs of the subgraph induced on nodes, with girth and cyclicity."""
+    comps = []
+    for comp in _tarjan(succ, nodes):
+        girth = _component_girth(succ, comp)
+        cyc = _component_cyclicity(succ, comp) if girth is not None else None
+        comps.append(SccInfo(nodes=frozenset(comp), girth=girth, cyclicity=cyc))
+    comps.sort(key=lambda c: min(c.nodes))
+    return SccDecomposition(components=tuple(comps))
 
 
 def scc_decompose(g: WeightedDigraph, nodes: Iterable[int] | None = None) -> SccDecomposition:
     """Partition the node set (default: all nodes) into SCCs with girth/cyclicity."""
-    node_iter = range(g.n) if nodes is None else nodes
-    comps = []
-    for comp in _tarjan(g._succ, node_iter):
-        girth = _component_girth(g, comp)
-        cyc = _component_cyclicity(g, comp) if girth is not None else None
-        comps.append(SccInfo(nodes=frozenset(comp), girth=girth, cyclicity=cyc))
-    comps.sort(key=lambda c: min(c.nodes))
-    return SccDecomposition(components=tuple(comps))
+    return _scc_decomposition(g._succ, range(g.n) if nodes is None else nodes)
 
 
 def maximal_girth(d: SccDecomposition) -> int:
@@ -226,7 +239,7 @@ def enumerate_cycles(g: WeightedDigraph, max_n: int = 8, max_length: int | None 
     if g.n > max_n:
         raise ValueError(f"instance too large for cycle enumeration: n={g.n} > {max_n}")
     cycles = []
-    for nodes in _elementary_cycles(g, g.n if max_length is None else max_length):
+    for nodes in _elementary_cycles(g._succ, g.n if max_length is None else max_length):
         weight = UNIT
         for u, v in zip(nodes, nodes[1:] + nodes[:1]):
             weight = otimes(weight, g.weight(u, v))
@@ -235,18 +248,19 @@ def enumerate_cycles(g: WeightedDigraph, max_n: int = 8, max_length: int | None 
     return cycles
 
 
-def _elementary_cycles(g: WeightedDigraph, max_length: int) -> list[tuple[int, ...]]:
+def _elementary_cycles(succ: Sequence[Sequence[int]], max_length: int) -> list[tuple[int, ...]]:
     """Every elementary cycle of at most max_length nodes, as a node tuple.
 
     Each cycle is rooted at its least node, so it is reported exactly once
     up to rotation; no weight is computed.
     """
+    n = len(succ)
     cycles: list[tuple[int, ...]] = []
     path: list[int] = []
-    on_path = [False] * g.n
+    on_path = [False] * n
 
     def dfs(root: int, u: int) -> None:
-        for v in g.successors(u):
+        for v in succ[u]:
             if v == root:
                 cycles.append(tuple(path))
             elif v > root and not on_path[v] and len(path) < max_length:
@@ -256,7 +270,7 @@ def _elementary_cycles(g: WeightedDigraph, max_length: int) -> list[tuple[int, .
                 on_path[v] = False
                 path.pop()
 
-    for root in range(g.n):
+    for root in range(n):
         path.append(root)
         dfs(root, root)
         path.pop()

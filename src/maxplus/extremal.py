@@ -14,6 +14,10 @@ satisfy exact strict inequalities.  This module implements that
 decomposition, the condition verifiers for both bounds (including the
 critical row/column variants), randomized generators of attaining
 instances, and the twice-optimal walk oracle used to inspect them.
+The verdicts and the oracle read the spectrum's integer rows of
+A - lambda: cycles are searched on their successor lists (critical
+ones on those of the critical arcs), then ranked, chords checked and
+walks weighed on the integers.
 
 Node indices are 0-based throughout; a numbering is a permutation tuple
 ``sigma`` placing original node ``sigma[p]`` at position ``p``.
@@ -27,18 +31,16 @@ from fractions import Fraction
 from math import gcd
 
 from .bounds import dm_bound, wielandt_bound
-from .csr import _sweep, _t1_at_ceiling, build_csr, csr_at
-from .digraph import WeightedDigraph, _elementary_cycles, associated_digraph
+from .csr import CsrTriple, _sweep, _t1_at_ceiling, build_csr, csr_at
+from .digraph import WeightedDigraph, _elementary_cycles, _successors, _support
 from .matrix import (
     MaxPlusMatrix,
     from_entries,
     mat_power,
-    scalar_times,
     strictly_dominated_by,
-    zeros,
 )
-from .semiring import UNIT, MaxPlusScalar, negate, scalar_power
-from .spectral import CritGraph, _cyclic_spectrum, critical_graph
+from .semiring import MaxPlusScalar
+from .spectral import CritGraph, Spectrum, _cyclic_spectrum, critical_graph
 
 SEARCH_LIMIT = 10  # exhaustive Hamiltonian-cycle search is desk-scale only
 
@@ -127,9 +129,14 @@ def decompose(a: MaxPlusMatrix, g: int, numbering: tuple[int, ...]) -> Decomposi
 
 def hamiltonian_cycles(dg: WeightedDigraph) -> list[tuple[int, ...]]:
     """All Hamiltonian cycles as node tuples starting at node 0."""
-    n = dg.n
+    return _hamiltonian_cycles(dg._succ)
+
+
+def _hamiltonian_cycles(succ: list[list[int]]) -> list[tuple[int, ...]]:
+    """hamiltonian_cycles on sorted successor lists."""
+    n = len(succ)
     if n == 1:
-        return [(0,)] if (0, 0) in dg.arcs else []
+        return [(0,)] if 0 in succ[0] else []
     found: list[tuple[int, ...]] = []
     path = [0]
     used = [False] * n
@@ -137,10 +144,10 @@ def hamiltonian_cycles(dg: WeightedDigraph) -> list[tuple[int, ...]]:
 
     def extend(u: int) -> None:
         if len(path) == n:
-            if (u, 0) in dg.arcs:
+            if 0 in succ[u]:
                 found.append(tuple(path))
             return
-        for v in dg.successors(u):
+        for v in succ[u]:
             if not used[v]:
                 used[v] = True
                 path.append(v)
@@ -193,13 +200,8 @@ def _rotations(cycle: tuple[int, ...]) -> set[tuple[int, ...]]:
     return {cycle[r:] + cycle[:r] for r in range(k)}
 
 
-def _crit_digraph(n: int, crit: CritGraph) -> WeightedDigraph:
-    """The digraph of the critical arcs on n nodes, every arc of weight 0."""
-    return WeightedDigraph(n, dict.fromkeys(crit.arcs, UNIT))
-
-
 def _critical_cycles_of_length(a: MaxPlusMatrix, crit: CritGraph, length: int) -> list[tuple[int, ...]]:
-    return [c for c in _elementary_cycles(_crit_digraph(a.n, crit), length) if len(c) == length]
+    return [c for c in _elementary_cycles(_successors(a.n, crit.arcs), length) if len(c) == length]
 
 
 def _align_numbering(
@@ -272,13 +274,6 @@ def _critical_check(arcs, crit_pos: set[tuple[int, int]]) -> ConditionCheck:
     return ConditionCheck(not noncrit, detail=f"non-critical arcs {noncrit}" if noncrit else "")
 
 
-def _scalar_strictly_less(x: MaxPlusScalar, y: MaxPlusScalar) -> bool:
-    """Strict domination of single entries: -inf < finite, never -inf < -inf."""
-    if x.is_bottom:
-        return not y.is_bottom
-    return not y.is_bottom and x.value < y.value
-
-
 def verify_dm(
     a: MaxPlusMatrix,
     numbering: tuple[int, ...] | None = None,
@@ -312,123 +307,110 @@ def verify_dm(
         _check_search_limit(n)
         if not strongly or len(short_cycles) != 1:
             return DmVerdict(holds=False, numbering=None, conditions=conditions)
-        numbering = _search_dm_numbering(a, sp._norm, short_cycles[0], conditions)
+        numbering = _search_dm_numbering(sp._norm, short_cycles[0], conditions)
         if numbering is None:
             return DmVerdict(holds=False, numbering=None, conditions=conditions)
     else:
         numbering = tuple(numbering)
         _check_numbering(n, numbering)
 
-    _dm_conditions(a, sp.lam, crit, g, numbering, conditions)
+    _dm_conditions(a, sp, g, numbering, conditions)
     holds = all(c.passed for c in conditions.values())
     return DmVerdict(holds=holds, numbering=numbering, conditions=conditions)
 
 
-def _unique_heaviest_hamiltonian(
-    norm: list[list], dg: WeightedDigraph, conditions: dict
-) -> tuple[int, ...] | None:
-    """The unique maximum-weight Hamiltonian cycle, recording the verdict."""
-    hams = hamiltonian_cycles(dg)
+def _unique_heaviest_hamiltonian(norm: list[list], succ: list[list[int]], conditions: dict) -> tuple[int, ...] | None:
+    """The unique maximum-weight Hamiltonian cycle of the support succ of
+    the rows norm, recording the verdict."""
+    hams = _hamiltonian_cycles(succ)
     if not hams:
         _fail(conditions, "unique_max_weight_hamiltonian", "no Hamiltonian cycle")
         return None
     ham = _unique_max_weight(norm, hams)
     if ham is None:
-        _fail(
-            conditions,
-            "unique_max_weight_hamiltonian",
-            "maximum-weight Hamiltonian cycle is not unique",
-        )
+        _fail(conditions, "unique_max_weight_hamiltonian", "maximum-weight Hamiltonian cycle is not unique")
         return None
     conditions["unique_max_weight_hamiltonian"] = ConditionCheck(True)
     return ham
 
 
-def _search_dm_numbering(
-    a: MaxPlusMatrix, norm: list[list], short_cycle: tuple[int, ...], conditions: dict
-) -> tuple[int, ...] | None:
-    ham = _unique_heaviest_hamiltonian(norm, associated_digraph(a), conditions)
+def _search_dm_numbering(norm: list[list], short_cycle: tuple[int, ...], conditions: dict) -> tuple[int, ...] | None:
+    ham = _unique_heaviest_hamiltonian(norm, _support(norm), conditions)
     if ham is None:
         return None
     numbering = _align_numbering(ham, short_cycle)
     if numbering is None:
-        _fail(
-            conditions,
-            "short_cycle_consecutive",
-            "critical cycle does not sit consecutively on the Hamiltonian cycle",
-        )
+        detail = "critical cycle does not sit consecutively on the Hamiltonian cycle"
+        _fail(conditions, "short_cycle_consecutive", detail)
     return numbering
 
 
-def _dm_conditions(
-    a: MaxPlusMatrix,
-    lam: MaxPlusScalar,
-    crit: CritGraph,
-    g: int,
-    numbering: tuple[int, ...],
-    conditions: dict[str, ConditionCheck],
-) -> None:
+def _dm_conditions(a: MaxPlusMatrix, sp: Spectrum, g: int, numbering: tuple[int, ...], conditions: dict) -> None:
     n = a.n
     dec = decompose(a, g, numbering)
-    p = apply_numbering(a, numbering)
-    praw = p.raw()
-    crit_pos = _crit_positions(crit, numbering)
+    # the Hamiltonian arcs belong to the a1 pattern
+    conditions["hamiltonian_support"] = _support_check(dec.a1.raw(), _cycle_arcs(n))
+    conditions["short_cycle_critical"] = _critical_check(_cycle_arcs(g), _crit_positions(sp.crit, numbering))
 
-    conditions["hamiltonian_support"] = _support_check(praw, _cycle_arcs(n))
-    conditions["short_cycle_critical"] = _critical_check(_cycle_arcs(g), crit_pos)
-
-    conditions["coprime"] = ConditionCheck(
-        gcd(g, n) == 1, detail=f"gcd({g},{n})={gcd(g, n)}"
-    )
+    conditions["coprime"] = ConditionCheck(gcd(g, n) == 1, detail=f"gcd({g},{n})={gcd(g, n)}")
 
     csr1 = build_csr(dec.a1)
-    conditions["remainder_below_csr"] = ConditionCheck(
-        strictly_dominated_by(dec.a2, csr_at(csr1, 1))
-    )
+    conditions["remainder_below_csr"] = ConditionCheck(strictly_dominated_by(dec.a2, csr_at(csr1, 1)))
 
-    # Residue chords must lose strictly to the parallel run of consecutive
-    # arcs: (j-i-1)*lambda + b1_ij < (a1^(j-i))_ij for j > i+1.
-    b1raw = dec.b1.raw()
-    witnesses = []
-    qualifying = 0
-    a1_powers: dict[int, MaxPlusMatrix] = {}
+    witnesses, qualifying = _residue_chord_witnesses(sp._norm, g, numbering)
+    if qualifying == 0:
+        chords = ConditionCheck(True, vacuous=True, detail="no qualifying chord positions")
+    else:
+        chords = ConditionCheck(not witnesses, detail=f"violated at {witnesses}" if witnesses else "")
+    conditions["residue_chords_below_paths"] = chords
+
+    if n < 2 * g:
+        # b1 is the bare path g -> ... -> n-1 here: (j - i - 1) % g == 0
+        # with |j - i - 1| <= n - g < g forces j = i + 1.  A path has no cycle.
+        conditions["chord_power_below_csr"] = ConditionCheck(True, vacuous=True, detail="chord layer is acyclic")
+    else:
+        lhs, rhs = _chord_power_corner(dec.b1, csr1, g)
+        conditions["chord_power_below_csr"] = ConditionCheck(lhs < rhs, detail=f"{lhs} vs {rhs}")
+
+
+def _residue_chord_witnesses(norm: list[list], g: int, numbering: tuple[int, ...]) -> tuple[list, int]:
+    """The positions (i, j) that break the residue-chord condition, and the
+    number of qualifying positions: g <= i, i + 1 < j < n, j = i + 1 mod g.
+
+    The condition is (j-i-1)*lambda + b1_ij < (a1^(j-i))_ij at every
+    qualifying position where b1_ij is finite, in the permuted matrix.
+    It is read on norm, the spectrum's rows d(A - lambda), by running
+    sums along the Hamiltonian path.  The only walk of a1 of length
+    j - i from i to j is the path i -> i+1 -> ... -> j: the only arc of
+    a1 out of a node k >= g is (k, k+1), or (n-1, 0) for k = n - 1, and
+    a walk that takes (n-1, 0), and maybe (g-1, 0), before it reaches j
+    needs more than j - i arcs.  So (a1^(j-i))_ij is the path's weight
+    (-inf when an arc is missing), and subtracting (j - i)*lambda from
+    both sides and scaling by d turns the condition into norm(b1_ij) <
+    the path's sum in norm.
+    """
+    n = len(norm)
+    witnesses, qualifying = [], 0
     for i in range(g, n):
-        for j in range(g, n):
-            if j <= i + 1 or (j - i - 1) % g != 0:
+        path = 0
+        for j in range(i + 1, n):
+            arc = norm[numbering[j - 1]][numbering[j]]
+            path = None if path is None or arc is None else path + arc
+            if j == i + 1 or (j - i - 1) % g:
                 continue
             qualifying += 1
-            bij = b1raw[i][j]
-            if bij is None:
-                continue
-            k = j - i
-            if k not in a1_powers:
-                a1_powers[k] = mat_power(dec.a1, k)
-            rhs = a1_powers[k].raw()[i][j]
-            lhs = scalar_power(lam, k - 1).value + bij
-            if rhs is None or lhs >= rhs:
+            chord = norm[numbering[i]][numbering[j]]
+            if chord is not None and (path is None or chord >= path):
                 witnesses.append((i, j))
-    if qualifying == 0:
-        conditions["residue_chords_below_paths"] = ConditionCheck(
-            True, vacuous=True, detail="no qualifying chord positions"
-        )
-    else:
-        conditions["residue_chords_below_paths"] = ConditionCheck(
-            not witnesses, detail=f"violated at {witnesses}" if witnesses else ""
-        )
+    return witnesses, qualifying
 
-    dmv = dm_bound(g, n)
-    if n < 2 * g:
-        # The chord layer is a bare path here, hence nilpotent.
-        nilpotent = mat_power(dec.b1, n - g) == zeros(n) if n - g >= 1 else True
-        conditions["chord_power_below_csr"] = ConditionCheck(
-            nilpotent, vacuous=True, detail="chord layer is acyclic" if nilpotent else "chord layer unexpectedly has a cycle"
-        )
-    else:
-        lhs = mat_power(dec.b1, dmv - 1)[g, n - 1]
-        rhs = csr_at(csr1, dmv - 1)[g, n - 1]
-        conditions["chord_power_below_csr"] = ConditionCheck(
-            _scalar_strictly_less(lhs, rhs), detail=f"{lhs} vs {rhs}"
-        )
+
+def _chord_power_corner(b1: MaxPlusMatrix, csr1: CsrTriple, g: int) -> tuple[MaxPlusScalar, MaxPlusScalar]:
+    """(b1^(DM-1))_{g, n-1} and (CSR(a1) at DM - 1)_{g, n-1}, DM = DM(g, n);
+    the chord condition asks the first to be strictly below the second."""
+    n = b1.n
+    t = dm_bound(g, n) - 1
+    return mat_power(b1, t)[g, n - 1], csr_at(csr1, t)[g, n - 1]
 
 
 def verify_wielandt(
@@ -451,7 +433,7 @@ def verify_wielandt(
 
     if numbering is None:
         _check_search_limit(n)
-        numbering = _search_wielandt_numbering(a, sp._norm, conditions)
+        numbering = _search_wielandt_numbering(sp._norm, conditions)
         if numbering is None:
             return WielandtVerdict(holds=False, numbering=None, case=None, conditions=conditions)
     else:
@@ -463,14 +445,14 @@ def verify_wielandt(
     return WielandtVerdict(holds=holds, numbering=numbering, case=case, conditions=conditions)
 
 
-def _search_wielandt_numbering(a: MaxPlusMatrix, norm: list[list], conditions: dict) -> tuple[int, ...] | None:
-    dg = associated_digraph(a)
-    ham = _unique_heaviest_hamiltonian(norm, dg, conditions)
+def _search_wielandt_numbering(norm: list[list], conditions: dict) -> tuple[int, ...] | None:
+    succ = _support(norm)
+    ham = _unique_heaviest_hamiltonian(norm, succ, conditions)
     if ham is None:
         return None
 
-    n = a.n
-    subs = [c for c in _elementary_cycles(dg, n - 1) if len(c) == n - 1]
+    n = len(norm)
+    subs = [c for c in _elementary_cycles(succ, n - 1) if len(c) == n - 1]
     if not subs:
         _fail(conditions, "unique_max_weight_subcycle", f"no cycle of length {n - 1}")
         return None
@@ -627,7 +609,7 @@ def _crit_rc_wielandt(a: MaxPlusMatrix, crit: CritGraph, numbering: tuple[int, .
     if len(crit.nodes) < n or len(crit.arcs) > n + 1:
         return False
     candidates = [
-        ham[k:] + ham[:k] for ham in hamiltonian_cycles(_crit_digraph(n, crit)) for k in range(n)
+        ham[k:] + ham[:k] for ham in _hamiltonian_cycles(_successors(n, crit.arcs)) for k in range(n)
     ]
     if numbering is not None:
         candidates = [numbering] if numbering in candidates else []
@@ -749,10 +731,9 @@ def generate_dm(n: int, g: int, seed, budget: int = 200) -> MaxPlusMatrix:
 
         csr1 = build_csr(a1)
         if n >= 2 * g:
-            b1 = from_entries(n, b1_entries)
-            lhs = mat_power(b1, dmv - 1)[g, n - 1]
-            rhs = csr_at(csr1, dmv - 1)[g, n - 1]
-            if not _scalar_strictly_less(lhs, rhs):
+            # this b1 lacks the path arcs (i, i+1) that _dm_conditions' b1 holds
+            lhs, rhs = _chord_power_corner(from_entries(n, b1_entries), csr1, g)
+            if not lhs < rhs:
                 continue
 
         taken = a1_pattern(n, g) | b1_pattern(n, g)
@@ -845,21 +826,18 @@ def twice_optimal_walk(
             f"the walk oracle needs a unique critical {g}-cycle, found {len(z0_cycles)}"
         )
     z0 = set(z0_cycles[0])
-    lam = sp.lam
-    normalized = scalar_times(negate(lam), a)
-    nraw = normalized.raw()
-    arcs = [
-        (u, v, nraw[u][v]) for u in range(n) for v in range(n) if nraw[u][v] is not None
-    ]
+    norm = sp._norm
+    arcs = [(u, v, w) for u, row in enumerate(norm) for v, w in enumerate(row) if w is not None]
 
     cap = g * n + n - g - 1
-    # dp[l][v][flag]: best normalized weight of a length-l walk from i to v,
-    # flag marking whether a node of the critical cycle was visited.
+    # dp[l][v][flag]: best weight in norm, the spectrum's rows d(A - lambda),
+    # of a length-l walk from i to v, flag marking whether a node of the
+    # critical cycle was visited.
     dp = [[[None, None] for _ in range(n)] for _ in range(cap + 1)]
     parent: list[list[list[tuple[int, int] | None]]] = [
         [[None, None] for _ in range(n)] for _ in range(cap + 1)
     ]
-    dp[0][i][1 if i in z0 else 0] = Fraction(0)
+    dp[0][i][1 if i in z0 else 0] = 0
     for l in range(cap):
         cur = dp[l]
         for u, v, w in arcs:
@@ -894,10 +872,9 @@ def twice_optimal_walk(
         nodes.append(u)
         v, f = u, pf
     nodes.reverse()
-    actual = best_w + scalar_power(lam, best_l).value
     return WalkResult(
         nodes=tuple(nodes),
         length=best_l,
-        weight=MaxPlusScalar(actual),
+        weight=MaxPlusScalar(Fraction(best_w, sp._d) + best_l * sp.lam.value),
         interesting=best_l == dm_bound(g, n) + g - 1,
     )

@@ -94,23 +94,19 @@ def _check_dims(a: MaxPlusMatrix, b: MaxPlusMatrix) -> None:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
 
 
-def _scaled(mats: Sequence[MaxPlusMatrix], lam: Fraction | None = None):
-    """The integer form of some matrices and, optionally, a cycle mean lam.
+def _scaled(mats: Sequence[MaxPlusMatrix]):
+    """The integer form of some matrices.
 
-    Returns (d, rows, lam_d): d is the least common denominator of every
-    finite entry and of lam, rows holds one list of int-or-None rows per
-    matrix with each x replaced by x*d, and lam_d is lam*d (None without
-    lam).
+    Returns (d, rows): d is the least common denominator of every finite
+    entry, and rows holds one list of int-or-None rows per matrix with
+    each x replaced by x*d.
     """
-    dens = {x.denominator for m in mats for row in m._rows for x in row if x is not None}
-    if lam is not None:
-        dens.add(lam.denominator)
-    d = lcm(*dens)
+    d = lcm(*{x.denominator for m in mats for row in m._rows for x in row if x is not None})
     rows = [
         [[None if x is None else x.numerator * (d // x.denominator) for x in row] for row in m._rows]
         for m in mats
     ]
-    return d, rows, None if lam is None else lam.numerator * (d // lam.denominator)
+    return d, rows
 
 
 def _unscaled(rows: list[list], d: int) -> MaxPlusMatrix:
@@ -182,7 +178,7 @@ def _int_power(rows: list[list], t: int) -> list[list]:
 def mat_mul(a: MaxPlusMatrix, b: MaxPlusMatrix) -> MaxPlusMatrix:
     """Exact max-plus product: (ab)_ij = max_k (a_ik + b_kj)."""
     _check_dims(a, b)
-    d, (arows, brows), _ = _scaled([a, b])
+    d, (arows, brows) = _scaled([a, b])
     return _unscaled(_int_mul(arows, _finite_entries(brows)), d)
 
 
@@ -190,7 +186,7 @@ def mat_power(a: MaxPlusMatrix, t: int) -> MaxPlusMatrix:
     """a to the t-th power, t >= 1, by repeated squaring."""
     if t < 1:
         raise ValueError(f"mat_power needs t >= 1, got {t}")
-    d, (rows,), _ = _scaled([a])
+    d, (rows,) = _scaled([a])
     return _unscaled(_int_power(rows, t), d)
 
 
@@ -234,7 +230,7 @@ def kleene_star(a: MaxPlusMatrix) -> MaxPlusMatrix:
     Defined only when the maximum cycle mean is <= 0; a positive cycle
     makes the star diverge and is rejected.
     """
-    d, (rows,), _ = _scaled([a])
+    d, (rows,) = _scaled([a])
     _int_closure(rows)
     for i, row in enumerate(rows):
         if row[i] is not None and row[i] > 0:

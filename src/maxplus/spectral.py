@@ -11,7 +11,9 @@ once: it is stored on the matrix and returned by every later call.
 The critical graph (all nodes and arcs of cycles attaining the maximum
 mean) is read off its closure: an arc (i, j) is critical exactly when
 it closes a zero-weight circuit, i.e. when a'_ij + (A'+)_ji = 0 for
-the normalized A' = A - lambda.
+the normalized A' = A - lambda.  Its components, girths and
+cyclicities come from the successor lists of those integer arcs, and
+`visualize` bumps the same rows of A - lambda.
 
 A visualization is a diagonal scaling pushing every entry to at most the
 cycle mean; a strict visualization additionally puts an entry *at* the
@@ -31,23 +33,24 @@ from math import lcm
 
 from .digraph import (
     SccDecomposition,
-    WeightedDigraph,
+    _scc_decomposition,
+    _successors,
+    _support,
     _tarjan,
     global_cyclicity,
     maximal_girth,
-    scc_decompose,
 )
 from .matrix import (
     DiagonalScaling,
     MaxPlusMatrix,
     _int_closure,
     _scaled,
+    _unscaled,
     kleene_star,
     mat_mul,  # unused here; perfbench/test_bench.py reads spectral.mat_mul
-    scalar_times,
     scale,
 )
-from .semiring import BOTTOM, UNIT, MaxPlusScalar, negate
+from .semiring import BOTTOM, MaxPlusScalar
 
 
 @dataclass(frozen=True)
@@ -81,7 +84,7 @@ class Spectrum:
 
 def max_cycle_mean(a: MaxPlusMatrix) -> MaxPlusScalar:
     """Largest mean weight over all cycles; -inf when the digraph is acyclic."""
-    d, (rows,), _ = _scaled([a])
+    d, (rows,) = _scaled([a])
     best = _karp(rows)[0]
     return BOTTOM if best is None else MaxPlusScalar(best / d)
 
@@ -93,7 +96,7 @@ def _karp(rows: list[list]) -> tuple[Fraction | None, int]:
     Tarjan runs on the finite entries, and Karp on each component but a
     single node without a loop, which has no cycle.
     """
-    comps = _tarjan([[j for j, x in enumerate(row) if x is not None] for row in rows], range(len(rows)))
+    comps = _tarjan(_support(rows), range(len(rows)))
     means = [_karp_scc(rows, sorted(c)) for c in comps if len(c) > 1 or rows[min(c)][min(c)] is not None]
     return max(means, default=None), len(comps)
 
@@ -158,7 +161,7 @@ def spectrum(a: MaxPlusMatrix) -> Spectrum:
 
 
 def _spectrum(a: MaxPlusMatrix) -> Spectrum:
-    d, (rows,), _ = _scaled([a])
+    d, (rows,) = _scaled([a])
     best, components = _karp(rows)
     if best is None:
         return Spectrum(lam=BOTTOM, crit=None, _strongly_connected=components == 1)
@@ -184,7 +187,8 @@ def critical_graph(a: MaxPlusMatrix) -> CritGraph:
 
 
 def _critical_graph_at(norm: list[list]) -> CritGraph:
-    """The critical graph, given the scaled int rows of A - lambda."""
+    """The critical graph, given the scaled int rows of A - lambda; its
+    components come from the successor lists of the critical arcs."""
     closure = [row[:] for row in norm]
     _int_closure(closure)
     arcs = {
@@ -194,7 +198,7 @@ def _critical_graph_at(norm: list[list]) -> CritGraph:
         if w is not None and closure[j][i] is not None and w + closure[j][i] == 0
     }
     nodes = {i for (i, j) in arcs} | {j for (i, j) in arcs}
-    scc = scc_decompose(WeightedDigraph(len(norm), dict.fromkeys(arcs, UNIT)), nodes)
+    scc = _scc_decomposition(_successors(len(norm), arcs), nodes)
     # Complete reducibility: every critical arc stays inside one component.
     for (i, j) in arcs:
         if scc.component_of(i) is not scc.component_of(j):
@@ -238,9 +242,7 @@ def visualize(a: MaxPlusMatrix) -> tuple[DiagonalScaling, MaxPlusMatrix]:
     if sp.crit is None:
         raise ValueError("visualization undefined: the digraph is acyclic")
     lam, crit = sp.lam, sp.crit
-    normalized = scalar_times(negate(lam), a)
-    nraw = normalized.raw()
-    n = a.n
+    nraw = _unscaled(sp._norm, sp._d).raw()
 
     eps = Fraction(1)
     while True:

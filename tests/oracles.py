@@ -9,6 +9,9 @@ its sweep and its one-sided test (C S^t R <= A^t) against the full
 comparison with B^t; both take the CSR terms from the library itself.
 unique_max_weight_brute ranks cycles by their exact Fraction weights,
 where the library ranks them on the spectrum's scaled integer rows.
+residue_chords_brute takes the support layers, the cycle mean and the
+powers of a1 from the library, where verify_dm reads the chords off the
+spectrum's integer rows.
 """
 
 from __future__ import annotations
@@ -25,8 +28,10 @@ from maxplus import (
     build_csr,
     critical_graph,
     csr_at,
+    decompose,
     dm_bound,
     hamiltonian_cycles,
+    mat_power,
     max_cycle_mean,
     strictly_dominated_by,
     wielandt_bound,
@@ -282,3 +287,31 @@ def weak_threshold_T1_full(a):
                 col_fail[k] = t
     rows = {i: f + 1 for i, f in row_fail.items()}
     return last_fail + 1, rows, {j: f + 1 for j, f in col_fail.items()}
+
+
+def residue_chords_brute(a, g, numbering):
+    """(passed, vacuous, detail) of verify_dm's residue_chords_below_paths.
+
+    At every position (i, j) of the permuted matrix with g <= i,
+    j > i + 1 and j = i + 1 (mod g) where the chord b1_ij is finite,
+    (j-i-1)*lambda + b1_ij must be strictly below (a1^(j-i))_ij, the
+    power taken of the whole a1 layer.
+    """
+    n = a.n
+    dec = decompose(a, g, tuple(numbering))
+    lam = max_cycle_mean(a).value
+    b1 = dec.b1.raw()
+    witnesses, qualifying = [], 0
+    for i in range(g, n):
+        for j in range(g, n):
+            if j <= i + 1 or (j - i - 1) % g != 0:
+                continue
+            qualifying += 1
+            if b1[i][j] is None:
+                continue
+            rhs = mat_power(dec.a1, j - i).raw()[i][j]
+            if rhs is None or (j - i - 1) * lam + b1[i][j] >= rhs:
+                witnesses.append((i, j))
+    if qualifying == 0:
+        return True, True, "no qualifying chord positions"
+    return not witnesses, False, f"violated at {witnesses}" if witnesses else ""

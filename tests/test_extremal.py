@@ -38,7 +38,7 @@ from maxplus.digraph import associated_digraph
 from maxplus import extremal
 from maxplus.extremal import SEARCH_LIMIT, a1_pattern, b1_pattern
 from conftest import random_cyclic_matrix
-from oracles import crit_rc_wielandt_brute, unique_max_weight_brute
+from oracles import crit_rc_wielandt_brute, residue_chords_brute, unique_max_weight_brute
 
 N = None
 
@@ -300,6 +300,44 @@ def test_dm_attainment_implies_structure(rng):
         assert verdict.conditions["unique_critical_short_cycle"].passed
         checked += 1
     assert checked >= 3  # the sweep must actually exercise attaining cases
+
+
+def _planted_chord_case(rng):
+    """(a, g, numbering): a matrix whose only critical cycle is a planted
+    g-cycle on positions 0..g-1 of a random numbering, shifted by a random
+    cycle mean, with random and sometimes missing path arcs and chords."""
+    n = rng.randint(3, 9)
+    g = rng.randint(2, n) if rng.random() < 0.2 else rng.randint(2, max(2, n // 2 - 1))  # chords need n >= 2g + 2
+    sigma = rng.sample(range(n), n)
+    den = rng.choice((1, 2, 3))
+    negative = lambda lo: Fraction(-rng.randint(1, lo * den), den)  # noqa: E731
+    raw = [[negative(8) if rng.random() < 0.4 else None for _ in range(n)] for _ in range(n)]
+    for p in range(g, n - 1):  # Hamiltonian arcs past the cycle, at times missing
+        raw[sigma[p]][sigma[p + 1]] = None if rng.random() < 0.1 else negative(3)
+    for p in range(g):  # the critical g-cycle, weight 0 before the shift
+        raw[sigma[p]][sigma[(p + 1) % g]] = Fraction(0)
+    shift = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 7)))
+    a = MaxPlusMatrix([[None if x is None else x + shift for x in row] for row in raw])
+    numbering = tuple(sigma) if rng.random() < 0.8 else tuple(rng.sample(range(n), n))
+    return a, g, numbering
+
+
+def test_residue_chords_match_the_power_oracle():
+    # verify_dm reads the chord condition off the spectrum's rows by path
+    # sums; the oracle compares with the powers of a1, as stated
+    rng = random.Random(11)
+    kinds = Counter()
+    for _ in range(400):
+        a, g, numbering = _planted_chord_case(rng)
+        assert critical_graph(a).girth == g
+        check = verify_dm(a, numbering=numbering).conditions["residue_chords_below_paths"]
+        expected = residue_chords_brute(a, g, numbering)
+        assert (check.passed, check.vacuous, check.detail) == expected, (render_matrix(a), numbering)
+        kinds["vacuous" if check.vacuous else "passed" if check.passed else "failed"] += 1
+        raw = a.raw()
+        if not check.vacuous and any(raw[numbering[p]][numbering[p + 1]] is None for p in range(g, a.n - 1)):
+            kinds["missing path arc"] += 1
+    assert min(kinds.values()) >= 20, kinds
 
 
 # ---------------------------------------------------------------------------
@@ -603,3 +641,25 @@ def test_oracle_weight_matches_power_entry():
     a = generate_dm(5, 2, seed=21)
     walk = twice_optimal_walk(a, 2, 4, dm_bound(2, 5) - 1)
     assert mat_power(a, walk.length)[2, 4] == walk.weight
+
+
+def test_oracle_weight_is_the_weight_of_its_walk():
+    # the DP weighs walks in d(A - lambda); the reported weight adds back
+    # length * lambda, which the generated (mean 0) instances cannot show
+    rng = random.Random(5)
+    found = 0
+    for _ in range(150):
+        a = random_cyclic_matrix(rng, rng.randint(2, 6), density=0.5)
+        i, j, t = rng.randrange(a.n), rng.randrange(a.n), rng.randint(1, 9)
+        try:
+            walk = twice_optimal_walk(a, i, j, t)
+        except ValueError:  # no unique critical g-cycle
+            continue
+        if walk is None:
+            continue
+        raw = a.raw()
+        assert (walk.nodes[0], walk.nodes[-1], len(walk.nodes)) == (i, j, walk.length + 1)
+        assert walk.weight.value == sum(raw[u][v] for u, v in zip(walk.nodes, walk.nodes[1:]))
+        assert (walk.length - t) % critical_graph(a).girth == 0
+        found += max_cycle_mean(a).value != 0
+    assert found >= 30

@@ -22,6 +22,7 @@ from maxplus import (
     associated_digraph,
     csr,
     csr_at,
+    digraph,
     dm_bound,
     dm_skeleton,
     extremal,
@@ -35,6 +36,7 @@ from maxplus import (
     matrix,
     scalar_times,
     scc_decompose,
+    semiring,
     spectral,
     spectrum,
     as_scalar,
@@ -421,6 +423,43 @@ def test_analyze_scales_once_and_runs_no_fraction_level_products(monkeypatch):
         assert report.gamma == gamma and report.t is not None
         assert calls["_spectrum"] == 1 and calls["_scaled"] <= 2
         assert [calls[name] for name in fraction_level] == [0] * len(fraction_level)
+
+
+def test_verdicts_and_walk_oracle_read_the_spectrums_rows(monkeypatch):
+    # the critical graph, both searches, every condition and the walk DP
+    # run on the spectrum's int rows and successor lists: no weighted
+    # digraph is built and no scalar-level arithmetic runs
+    instances = [generate_dm(8, 3, 0), generate_dm(5, 3, 1), generate_wielandt(6, 0), generate_wielandt(6, 1, case="n")]
+    calls = Counter()
+    init = digraph.WeightedDigraph.__init__
+
+    def counted_init(self, *args):
+        calls["WeightedDigraph"] += 1
+        init(self, *args)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(digraph.WeightedDigraph, "__init__", counted_init)
+    for module in (semiring, matrix, digraph, spectral, csr, extremal):
+        for name in ("scalar_times", "scalar_power", "negate"):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, counted(name, vars(module)[name]))
+    rng = random.Random(3)
+    for a in instances:
+        numbering = tuple(rng.sample(range(a.n), a.n))
+        a = MaxPlusMatrix(extremal.apply_numbering(a, numbering).raw())  # a fresh spectrum, and a search to do
+        spectrum(a)
+        for verify in (extremal.verify_dm, extremal.verify_wielandt):
+            verify(a)
+            verify(a, numbering=tuple(range(a.n)))
+        extremal._crit_rc_verdicts(a)
+        extremal.twice_optimal_walk(a, 0, a.n - 1, 5)
+    assert calls == Counter(), calls
 
 
 # ---------------------------------------------------------------------------

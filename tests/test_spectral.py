@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -20,7 +21,7 @@ from maxplus import (
 from maxplus.digraph import WeightedDigraph
 from conftest import random_cyclic_matrix, random_irreducible, random_matrix
 
-from oracles import critical_arcs_brute, max_cycle_mean_brute
+from oracles import critical_arcs_brute, cycles_by_permutations, max_cycle_mean_brute
 
 N = None
 
@@ -72,17 +73,30 @@ def test_spectrum_acyclic():
 
 
 def test_crit_scc_agrees_with_digraph_recomputation(rng):
-    for _ in range(10):
-        a = random_cyclic_matrix(rng, 6, density=0.5)
+    # each component's girth and cyclicity, against the public digraph API
+    # on the critical arcs and against the critical cycles themselves;
+    # weights in {0, -1} make ties, hence critical graphs of several parts
+    multi = 0
+    for k in range(240):
+        if k % 2:
+            a = random_cyclic_matrix(rng, 6, density=0.5)
+        else:
+            a = random_cyclic_matrix(rng, 6, density=0.6)
+            a = MaxPlusMatrix([[None if x is None else -(x.numerator % 2) for x in row] for row in a.raw()])
         crit = critical_graph(a)
         sub = WeightedDigraph(
             a.n, {(i, j): a[i, j] for (i, j) in crit.arcs}
         )
         again = scc_decompose(sub, crit.nodes)
-        assert {c.nodes for c in again.components} == {
-            c.nodes for c in crit.scc.components
-        }
+        assert again == crit.scc
+        lam = max_cycle_mean_brute(a)
+        critical = [c for c, w in cycles_by_permutations(a).items() if w / len(c) == lam]
+        for comp in crit.scc.components:
+            inside = [len(c) for c in critical if set(c) <= comp.nodes]
+            assert (comp.girth, comp.cyclicity) == (min(inside), gcd(*inside))
         assert crit.girth == max(c.girth for c in again.components)
+        multi += len(crit.scc.components) > 1
+    assert multi >= 30, multi
 
 
 def test_lambda_and_crit_invariant_under_scalar_shift(rng):
