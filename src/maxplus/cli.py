@@ -26,10 +26,11 @@ from pathlib import Path
 from .bounds import dm_bound, wielandt_bound
 from .csr import analyze, build_csr, csr_at
 from .extremal import (
-    _crit_rc_verdicts,
     generate_dm,
     generate_wielandt,
     twice_optimal_walk,
+    verify_crit_rc_dm,
+    verify_crit_rc_wielandt,
     verify_dm,
     verify_wielandt,
 )
@@ -127,7 +128,7 @@ def _cmd_check_wiel(args) -> int:
 
 def _cmd_check_crit_rc(args) -> int:
     a = _load(args.file)
-    dm_ok, wiel_ok = _crit_rc_verdicts(a)
+    dm_ok, wiel_ok = verify_crit_rc_dm(a), verify_crit_rc_wielandt(a)
     if args.json:
         _emit_json({"crit_rc_dm": dm_ok, "crit_rc_wielandt": wiel_ok})
     else:

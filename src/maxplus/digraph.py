@@ -7,6 +7,8 @@ elementary-cycle enumeration for small instances.
 Below the public `WeightedDigraph`, the algorithms run on sorted
 successor lists (`_successors`), which `spectral` and `extremal` build
 from the spectrum's integer rows with no weighted digraph in between.
+Every cycle search, the Hamiltonian ones included, goes through one
+depth-first search, `_cycles`, for the cycles of one exact length.
 
 A caution on terminology: ``maximal_girth`` is the maximum over
 components of the per-component girth (minimal cycle length), not the
@@ -37,9 +39,6 @@ class WeightedDigraph:
                 raise ValueError(f"arc ({i},{j}) must carry a finite weight")
         self.arcs = dict(arcs)
         self._succ = _successors(n, arcs)
-
-    def successors(self, i: int) -> list[int]:
-        return self._succ[i]
 
     def weight(self, i: int, j: int) -> MaxPlusScalar:
         return self.arcs.get((i, j), BOTTOM)
@@ -232,45 +231,51 @@ class Cycle:
 def enumerate_cycles(g: WeightedDigraph, max_n: int = 8, max_length: int | None = None) -> list[Cycle]:
     """All elementary cycles with their exact weights, for small instances.
 
-    The cycles come from `_elementary_cycles`, the one cycle DFS of the
-    package, and only those it returns are weighed.  Refuses instances
-    with more than max_n nodes; optionally caps the cycle length.
+    The cycles of each length k = 1, 2, ... up to max_length (default n)
+    come from `_cycles`, the one cycle DFS of the package, and only those
+    it returns are weighed.  Refuses instances with more than max_n nodes.
     """
     if g.n > max_n:
         raise ValueError(f"instance too large for cycle enumeration: n={g.n} > {max_n}")
     cycles = []
-    for nodes in _elementary_cycles(g._succ, g.n if max_length is None else max_length):
-        weight = UNIT
-        for u, v in zip(nodes, nodes[1:] + nodes[:1]):
-            weight = otimes(weight, g.weight(u, v))
-        cycles.append(Cycle(nodes, len(nodes), weight))
+    for k in range(1, (g.n if max_length is None else min(max_length, g.n)) + 1):
+        for nodes in _cycles(g._succ, k):
+            weight = UNIT
+            for u, v in zip(nodes, nodes[1:] + nodes[:1]):
+                weight = otimes(weight, g.weight(u, v))
+            cycles.append(Cycle(nodes, k, weight))
     cycles.sort(key=lambda c: (c.length, c.nodes))
     return cycles
 
 
-def _elementary_cycles(succ: Sequence[Sequence[int]], max_length: int) -> list[tuple[int, ...]]:
-    """Every elementary cycle of at most max_length nodes, as a node tuple.
+def _cycles(succ: Sequence[Sequence[int]], length: int) -> list[tuple[int, ...]]:
+    """Every elementary cycle of exactly `length` nodes, as a node tuple.
 
     Each cycle is rooted at its least node, so it is reported exactly once
-    up to rotation; no weight is computed.
+    up to rotation, and only roots 0..n-length can be least; the cycles
+    come root by root, each root's in the order of the sorted successors.
+    No weight is computed.
     """
-    n = len(succ)
+    if length < 1:
+        return []
     cycles: list[tuple[int, ...]] = []
     path: list[int] = []
-    on_path = [False] * n
+    on_path = [False] * len(succ)
 
     def dfs(root: int, u: int) -> None:
-        for v in succ[u]:
-            if v == root:
+        if len(path) == length:
+            if root in succ[u]:
                 cycles.append(tuple(path))
-            elif v > root and not on_path[v] and len(path) < max_length:
+            return
+        for v in succ[u]:
+            if v > root and not on_path[v]:
                 path.append(v)
                 on_path[v] = True
                 dfs(root, v)
                 on_path[v] = False
                 path.pop()
 
-    for root in range(n):
+    for root in range(len(succ) - length + 1):
         path.append(root)
         dfs(root, root)
         path.pop()

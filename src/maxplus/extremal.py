@@ -28,11 +28,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 from .bounds import dm_bound, wielandt_bound
 from .csr import CsrTriple, _sweep, _t1_at_ceiling, build_csr, csr_at
-from .digraph import WeightedDigraph, _elementary_cycles, _successors, _support
+from .digraph import WeightedDigraph, _cycles, _successors, _support
 from .matrix import (
     MaxPlusMatrix,
     from_entries,
@@ -43,6 +44,7 @@ from .semiring import MaxPlusScalar
 from .spectral import CritGraph, Spectrum, _cyclic_spectrum, critical_graph
 
 SEARCH_LIMIT = 10  # exhaustive Hamiltonian-cycle search is desk-scale only
+_WALK_LIMIT = 8  # largest n the twice-optimal walk oracle accepts
 
 
 # ---------------------------------------------------------------------------
@@ -82,14 +84,17 @@ class Decomposition:
     numbering: tuple[int, ...]
 
 
-def _check_numbering(n: int, numbering: tuple[int, ...]) -> None:
+def _check_numbering(n: int, numbering: tuple[int, ...]) -> tuple[int, ...]:
+    """The numbering as a tuple, once it is checked to be a permutation of 0..n-1."""
+    numbering = tuple(numbering)
     if sorted(numbering) != list(range(n)):
         raise ValueError(f"invalid numbering {numbering!r} for n={n}")
+    return numbering
 
 
 def apply_numbering(a: MaxPlusMatrix, numbering: tuple[int, ...]) -> MaxPlusMatrix:
     """Relabel so that position p holds original node numbering[p]."""
-    _check_numbering(a.n, numbering)
+    numbering = _check_numbering(a.n, numbering)
     raw = a.raw()
     return MaxPlusMatrix._from_raw(
         [[raw[numbering[p]][numbering[q]] for q in range(a.n)] for p in range(a.n)]
@@ -101,26 +106,19 @@ def decompose(a: MaxPlusMatrix, g: int, numbering: tuple[int, ...]) -> Decomposi
     n = a.n
     if not 1 <= g <= n:
         raise ValueError(f"need 1 <= g <= n, got g={g}")
-    p = apply_numbering(a, numbering)
-    praw = p.raw()
-    pat1 = a1_pattern(n, g)
-    pat2 = b1_pattern(n, g)
-    a1 = [[praw[i][j] if (i, j) in pat1 else None for j in range(n)] for i in range(n)]
-    b1 = [[praw[i][j] if (i, j) in pat2 else None for j in range(n)] for i in range(n)]
-    a2 = [
-        [
-            praw[i][j] if (i, j) not in pat1 and (i, j) not in pat2 else None
-            for j in range(n)
-        ]
-        for i in range(n)
+    a1, b1, a2 = _carve(apply_numbering(a, numbering).raw(), a1_pattern(n, g), b1_pattern(n, g))
+    return Decomposition(a1=a1, b1=b1, a2=a2, g=g, numbering=tuple(numbering))
+
+
+def _carve(praw: list[list], *patterns: set[tuple[int, int]]) -> list[MaxPlusMatrix]:
+    """One matrix per arc pattern, holding the entries of the rows praw on
+    it, then one holding their entries on no pattern; -inf elsewhere."""
+    n = len(praw)
+    rest = set(product(range(n), repeat=2)).difference(*patterns)
+    return [
+        MaxPlusMatrix._from_raw([[praw[i][j] if (i, j) in arcs else None for j in range(n)] for i in range(n)])
+        for arcs in (*patterns, rest)
     ]
-    return Decomposition(
-        a1=MaxPlusMatrix._from_raw(a1),
-        b1=MaxPlusMatrix._from_raw(b1),
-        a2=MaxPlusMatrix._from_raw(a2),
-        g=g,
-        numbering=tuple(numbering),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -129,34 +127,7 @@ def decompose(a: MaxPlusMatrix, g: int, numbering: tuple[int, ...]) -> Decomposi
 
 def hamiltonian_cycles(dg: WeightedDigraph) -> list[tuple[int, ...]]:
     """All Hamiltonian cycles as node tuples starting at node 0."""
-    return _hamiltonian_cycles(dg._succ)
-
-
-def _hamiltonian_cycles(succ: list[list[int]]) -> list[tuple[int, ...]]:
-    """hamiltonian_cycles on sorted successor lists."""
-    n = len(succ)
-    if n == 1:
-        return [(0,)] if 0 in succ[0] else []
-    found: list[tuple[int, ...]] = []
-    path = [0]
-    used = [False] * n
-    used[0] = True
-
-    def extend(u: int) -> None:
-        if len(path) == n:
-            if 0 in succ[u]:
-                found.append(tuple(path))
-            return
-        for v in succ[u]:
-            if not used[v]:
-                used[v] = True
-                path.append(v)
-                extend(v)
-                path.pop()
-                used[v] = False
-
-    extend(0)
-    return found
+    return _cycles(dg._succ, dg.n)
 
 
 def _unique_max_weight(norm: list[list], cycles: list[tuple[int, ...]]) -> tuple[int, ...] | None:
@@ -201,7 +172,7 @@ def _rotations(cycle: tuple[int, ...]) -> set[tuple[int, ...]]:
 
 
 def _critical_cycles_of_length(a: MaxPlusMatrix, crit: CritGraph, length: int) -> list[tuple[int, ...]]:
-    return [c for c in _elementary_cycles(_successors(a.n, crit.arcs), length) if len(c) == length]
+    return _cycles(_successors(a.n, crit.arcs), length)
 
 
 def _align_numbering(
@@ -311,31 +282,31 @@ def verify_dm(
         if numbering is None:
             return DmVerdict(holds=False, numbering=None, conditions=conditions)
     else:
-        numbering = tuple(numbering)
-        _check_numbering(n, numbering)
+        numbering = _check_numbering(n, numbering)
 
     _dm_conditions(a, sp, g, numbering, conditions)
     holds = all(c.passed for c in conditions.values())
     return DmVerdict(holds=holds, numbering=numbering, conditions=conditions)
 
 
-def _unique_heaviest_hamiltonian(norm: list[list], succ: list[list[int]], conditions: dict) -> tuple[int, ...] | None:
-    """The unique maximum-weight Hamiltonian cycle of the support succ of
-    the rows norm, recording the verdict."""
-    hams = _hamiltonian_cycles(succ)
-    if not hams:
-        _fail(conditions, "unique_max_weight_hamiltonian", "no Hamiltonian cycle")
-        return None
-    ham = _unique_max_weight(norm, hams)
-    if ham is None:
-        _fail(conditions, "unique_max_weight_hamiltonian", "maximum-weight Hamiltonian cycle is not unique")
-        return None
-    conditions["unique_max_weight_hamiltonian"] = ConditionCheck(True)
-    return ham
+def _heaviest_cycle(
+    norm: list[list], succ: list[list[int]], k: int, key: str, conditions: dict
+) -> tuple[int, ...] | None:
+    """The unique maximum-weight cycle of k nodes on the support succ of the
+    rows norm, or None; the ranking's verdict is recorded under key."""
+    cycles = _cycles(succ, k)
+    best = _unique_max_weight(norm, cycles)
+    if best is not None:
+        conditions[key] = ConditionCheck(True)
+    elif k == len(norm):
+        _fail(conditions, key, "maximum-weight Hamiltonian cycle is not unique" if cycles else "no Hamiltonian cycle")
+    else:
+        _fail(conditions, key, f"maximum-weight {k}-cycle is not unique" if cycles else f"no cycle of length {k}")
+    return best
 
 
 def _search_dm_numbering(norm: list[list], short_cycle: tuple[int, ...], conditions: dict) -> tuple[int, ...] | None:
-    ham = _unique_heaviest_hamiltonian(norm, _support(norm), conditions)
+    ham = _heaviest_cycle(norm, _support(norm), len(norm), "unique_max_weight_hamiltonian", conditions)
     if ham is None:
         return None
     numbering = _align_numbering(ham, short_cycle)
@@ -354,8 +325,7 @@ def _dm_conditions(a: MaxPlusMatrix, sp: Spectrum, g: int, numbering: tuple[int,
 
     conditions["coprime"] = ConditionCheck(gcd(g, n) == 1, detail=f"gcd({g},{n})={gcd(g, n)}")
 
-    csr1 = build_csr(dec.a1)
-    conditions["remainder_below_csr"] = ConditionCheck(strictly_dominated_by(dec.a2, csr_at(csr1, 1)))
+    conditions["remainder_below_csr"] = ConditionCheck(_remainder_below_csr(dec.a1, dec.a2))
 
     witnesses, qualifying = _residue_chord_witnesses(sp._norm, g, numbering)
     if qualifying == 0:
@@ -369,7 +339,7 @@ def _dm_conditions(a: MaxPlusMatrix, sp: Spectrum, g: int, numbering: tuple[int,
         # with |j - i - 1| <= n - g < g forces j = i + 1.  A path has no cycle.
         conditions["chord_power_below_csr"] = ConditionCheck(True, vacuous=True, detail="chord layer is acyclic")
     else:
-        lhs, rhs = _chord_power_corner(dec.b1, csr1, g)
+        lhs, rhs = _chord_power_corner(dec.b1, build_csr(dec.a1), g)
         conditions["chord_power_below_csr"] = ConditionCheck(lhs < rhs, detail=f"{lhs} vs {rhs}")
 
 
@@ -437,8 +407,7 @@ def verify_wielandt(
         if numbering is None:
             return WielandtVerdict(holds=False, numbering=None, case=None, conditions=conditions)
     else:
-        numbering = tuple(numbering)
-        _check_numbering(n, numbering)
+        numbering = _check_numbering(n, numbering)
 
     case = _wielandt_conditions(a, sp.crit, numbering, conditions)
     holds = all(c.passed for c in conditions.values())
@@ -446,25 +415,14 @@ def verify_wielandt(
 
 
 def _search_wielandt_numbering(norm: list[list], conditions: dict) -> tuple[int, ...] | None:
+    n = len(norm)
     succ = _support(norm)
-    ham = _unique_heaviest_hamiltonian(norm, succ, conditions)
+    ham = _heaviest_cycle(norm, succ, n, "unique_max_weight_hamiltonian", conditions)
     if ham is None:
         return None
-
-    n = len(norm)
-    subs = [c for c in _elementary_cycles(succ, n - 1) if len(c) == n - 1]
-    if not subs:
-        _fail(conditions, "unique_max_weight_subcycle", f"no cycle of length {n - 1}")
-        return None
-    sub = _unique_max_weight(norm, subs)
+    sub = _heaviest_cycle(norm, succ, n - 1, "unique_max_weight_subcycle", conditions)
     if sub is None:
-        _fail(
-            conditions,
-            "unique_max_weight_subcycle",
-            f"maximum-weight {n - 1}-cycle is not unique",
-        )
         return None
-    conditions["unique_max_weight_subcycle"] = ConditionCheck(True)
     numbering = _align_numbering(ham, sub)
     if numbering is None:
         _fail(
@@ -483,11 +441,11 @@ def _wielandt_conditions(
 ) -> str | None:
     n = a.n
     g_crit = crit.girth
-    p = apply_numbering(a, numbering)
-    praw = p.raw()
+    praw = apply_numbering(a, numbering).raw()
     crit_pos = _crit_positions(crit, numbering)
+    skeleton = a1_pattern(n, n - 1)
 
-    conditions["skeleton_support"] = _support_check(praw, sorted(a1_pattern(n, n - 1)))
+    conditions["skeleton_support"] = _support_check(praw, sorted(skeleton))
 
     case: str | None = None
     if g_crit == n:
@@ -509,26 +467,20 @@ def _wielandt_conditions(
         )
         return None
 
-    conditions["remainder_below_csr"] = ConditionCheck(_remainder_below_csr(p))
+    conditions["remainder_below_csr"] = ConditionCheck(_remainder_below_csr(*_carve(praw, skeleton)))
     return case
 
 
-def _remainder_below_csr(p: MaxPlusMatrix) -> bool:
-    """Is the remainder a2 of a permuted matrix strictly below CSR(a1) at t = 1?
+def _remainder_below_csr(a1: MaxPlusMatrix, a2: MaxPlusMatrix) -> bool:
+    """Is the remainder a2 strictly below CSR(a1) at t = 1, a1 the skeleton?
 
-    a1 is the skeleton (Hamiltonian arcs + chord at (n-2, 0)), a2 the
-    complement of its pattern.  For n = 2 the residue-chord layer of the
-    general decomposition would swallow the (1, 1) loop; it belongs to
-    the remainder here, consistently with the 2x2 characterization
-    (attainment iff the two loops differ).
+    In the Wielandt split a1 is the skeleton (Hamiltonian arcs + chord at
+    (n-2, 0)) and a2 the complement of its pattern.  For n = 2 the
+    residue-chord layer of the general decomposition would swallow the
+    (1, 1) loop; it belongs to the remainder there, consistently with the
+    2x2 characterization (attainment iff the two loops differ).
     """
-    n = p.n
-    praw = p.raw()
-    pattern = a1_pattern(n, n - 1)
-    a1 = [[praw[i][j] if (i, j) in pattern else None for j in range(n)] for i in range(n)]
-    a2 = [[praw[i][j] if (i, j) not in pattern else None for j in range(n)] for i in range(n)]
-    a1_csr = csr_at(build_csr(MaxPlusMatrix._from_raw(a1)), 1)
-    return strictly_dominated_by(MaxPlusMatrix._from_raw(a2), a1_csr)
+    return strictly_dominated_by(a2, csr_at(build_csr(a1), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -557,11 +509,8 @@ def verify_crit_rc_dm(a: MaxPlusMatrix) -> bool:
     Equivalent to the transient of the critical rows and columns hitting
     the DM bound.
     """
-    return _crit_rc_dm(a.n, critical_graph(a))
-
-
-def _crit_rc_dm(n: int, crit: CritGraph) -> bool:
-    return _boolean_index(crit) == dm_bound(crit.girth, n)
+    crit = critical_graph(a)
+    return _boolean_index(crit) == dm_bound(crit.girth, a.n)
 
 
 def verify_crit_rc_wielandt(
@@ -597,36 +546,24 @@ def verify_crit_rc_wielandt(
     explicit numbering is checked only if it is one of these candidates,
     which by the same argument loses no numbering that succeeds.
     """
-    _need_two_nodes(a.n)
-    return _crit_rc_wielandt(a, critical_graph(a), numbering)  # precondition: a finite cycle mean
-
-
-def _crit_rc_wielandt(a: MaxPlusMatrix, crit: CritGraph, numbering: tuple[int, ...] | None) -> bool:
     n = a.n
+    _need_two_nodes(n)
+    crit = critical_graph(a)  # precondition: a finite cycle mean
     if numbering is not None:
-        numbering = tuple(numbering)
-        _check_numbering(n, numbering)
+        numbering = _check_numbering(n, numbering)
     if len(crit.nodes) < n or len(crit.arcs) > n + 1:
         return False
     candidates = [
-        ham[k:] + ham[:k] for ham in _hamiltonian_cycles(_successors(n, crit.arcs)) for k in range(n)
+        ham[k:] + ham[:k] for ham in _critical_cycles_of_length(a, crit, n) for k in range(n)
     ]
     if numbering is not None:
         candidates = [numbering] if numbering in candidates else []
+    pattern = a1_pattern(n, n - 1)
     for cand in candidates:
-        p = apply_numbering(a, cand)
-        praw = p.raw()
-        if all(praw[i][j] is not None for (i, j) in a1_pattern(n, n - 1)) and _remainder_below_csr(p):
+        praw = apply_numbering(a, cand).raw()
+        if _support_check(praw, pattern).passed and _remainder_below_csr(*_carve(praw, pattern)):
             return True
     return False
-
-
-def _crit_rc_verdicts(a: MaxPlusMatrix) -> tuple[bool, bool]:
-    """verify_crit_rc_dm(a) and verify_crit_rc_wielandt(a) from one critical
-    graph, raising as the first of the two calls that raises would."""
-    crit = critical_graph(a)
-    _need_two_nodes(a.n)
-    return _crit_rc_dm(a.n, crit), _crit_rc_wielandt(a, crit, None)
 
 
 # ---------------------------------------------------------------------------
@@ -799,7 +736,7 @@ class WalkResult:
 
 
 def twice_optimal_walk(
-    a: MaxPlusMatrix, i: int, j: int, t: int, max_n: int = 8
+    a: MaxPlusMatrix, i: int, j: int, t: int
 ) -> WalkResult | None:
     """The twice-optimal walk from i to j with length = t modulo g.
 
@@ -811,8 +748,8 @@ def twice_optimal_walk(
     to one within the cap with the same residue and at least the weight.
     """
     n = a.n
-    if n > max_n:
-        raise ValueError(f"instance too large for the walk oracle: n={n} > {max_n}")
+    if n > _WALK_LIMIT:
+        raise ValueError(f"instance too large for the walk oracle: n={n} > {_WALK_LIMIT}")
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
     if not (0 <= i < n and 0 <= j < n):

@@ -11,7 +11,10 @@ unique_max_weight_brute ranks cycles by their exact Fraction weights,
 where the library ranks them on the spectrum's scaled integer rows.
 residue_chords_brute takes the support layers, the cycle mean and the
 powers of a1 from the library, where verify_dm reads the chords off the
-spectrum's integer rows.
+spectrum's integer rows.  hamiltonian_cycles_dfs and
+cycles_of_length_by_filter are the two cycle searches the library ran
+before its one exact-length DFS: they fix the lists, and the order,
+that DFS must return.
 """
 
 from __future__ import annotations
@@ -24,13 +27,11 @@ from maxplus import (
     MaxPlusMatrix,
     MaxPlusScalar,
     apply_numbering,
-    associated_digraph,
     build_csr,
     critical_graph,
     csr_at,
     decompose,
     dm_bound,
-    hamiltonian_cycles,
     mat_power,
     max_cycle_mean,
     strictly_dominated_by,
@@ -212,6 +213,62 @@ def unique_max_weight_brute(a, cycles):
     return winners[0] if len(winners) == 1 else None
 
 
+def hamiltonian_cycles_dfs(succ):
+    """The Hamiltonian cycles of the sorted successor lists succ, as node
+    tuples from node 0: a DFS extends the path from node 0 by every
+    unused successor, in order, and keeps each full path closed by an arc
+    back to 0."""
+    n = len(succ)
+    if n == 1:
+        return [(0,)] if 0 in succ[0] else []
+    found = []
+    path = [0]
+    used = [True] + [False] * (n - 1)
+
+    def extend(u):
+        if len(path) == n:
+            if 0 in succ[u]:
+                found.append(tuple(path))
+            return
+        for v in succ[u]:
+            if not used[v]:
+                used[v] = True
+                path.append(v)
+                extend(v)
+                path.pop()
+                used[v] = False
+
+    extend(0)
+    return found
+
+
+def cycles_of_length_by_filter(succ, length):
+    """The elementary cycles of exactly `length` nodes of the sorted successor
+    lists succ, rooted at their least node: a DFS from every root lists each
+    cycle of at most max(length, 1) nodes whose other nodes exceed the root,
+    and those of another length are dropped."""
+    cycles = []
+    path = []
+    on_path = [False] * len(succ)
+
+    def dfs(root, u):
+        for v in succ[u]:
+            if v == root:
+                cycles.append(tuple(path))
+            elif v > root and not on_path[v] and len(path) < length:
+                path.append(v)
+                on_path[v] = True
+                dfs(root, v)
+                on_path[v] = False
+                path.pop()
+
+    for root in range(len(succ)):
+        path.append(root)
+        dfs(root, root)
+        path.pop()
+    return [c for c in cycles if len(c) == length]
+
+
 def crit_rc_wielandt_brute(a, numbering=None):
     """verify_crit_rc_wielandt by exhaustive search over numberings.
 
@@ -226,9 +283,9 @@ def crit_rc_wielandt_brute(a, numbering=None):
     if numbering is not None:
         candidates = [tuple(numbering)]
     else:
-        candidates = [
-            ham[k:] + ham[:k] for ham in hamiltonian_cycles(associated_digraph(a)) for k in range(n)
-        ]
+        raw = a.raw()
+        succ = [[j for j in range(n) if raw[i][j] is not None] for i in range(n)]
+        candidates = [ham[k:] + ham[:k] for ham in hamiltonian_cycles_dfs(succ) for k in range(n)]
     skeleton = {(i, i + 1) for i in range(n - 1)} | {(n - 1, 0), (n - 2, 0)}
     for cand in candidates:
         praw = apply_numbering(a, cand).raw()

@@ -152,33 +152,59 @@ def test_check_crit_rc_has_no_size_limit(tmp_path, capsys, case):
     assert "crit_rc_wielandt: holds" in out.splitlines()
 
 
-def test_check_crit_rc_computes_the_spectrum_once(tmp_path, capsys, monkeypatch):
-    # both verdicts read one critical graph of the input; the skeleton
-    # layers that the Wielandt verdict tries have spectra of their own
-    inputs = []
-    spectrum = spectral.spectrum
-
-    def recorded(a):
-        inputs.append(a)
-        return spectrum(a)
-
-    for module in (spectral, csr):
-        monkeypatch.setattr(module, "spectrum", recorded)
-    cases = [
+def crit_rc_cases():
+    """(matrix, exit code of check-crit-rc) pairs."""
+    return [
         (generate_wielandt(6, seed=1, case="n-1"), 0),
         (generate_wielandt(6, seed=1, case="n"), 0),
         (generate_dm(5, 3, seed=0), 0),
         (dm_skeleton(5, 2), 0),
         (parse_matrix("3\n-inf 1 -inf\n-inf -inf 2\n3 -inf -1\n"), 2),
         (parse_matrix("1\n0\n"), 1),
+        (parse_matrix("2\n-inf 1\n-inf -inf\n"), 1),
     ]
-    for a, expected in cases:
+
+
+def test_check_crit_rc_computes_the_spectrum_once(tmp_path, capsys, monkeypatch):
+    # both verdicts read one critical graph of the input: the second reads
+    # the spectrum the first stored on it; the skeleton layers that the
+    # Wielandt verdict tries have spectra of their own
+    inputs = []
+    compute = spectral._spectrum
+
+    def recorded(a):
+        inputs.append(a)
+        return compute(a)
+
+    monkeypatch.setattr(spectral, "_spectrum", recorded)
+    for a, expected in crit_rc_cases():
         path = write_matrix(tmp_path, a)
         for extra in ((), ("--json",)):
             inputs.clear()
             code, _, _ = run(capsys, "check-crit-rc", path, *extra)
             assert code == expected
             assert sum(b == a for b in inputs) == 1
+
+
+def test_check_crit_rc_calls_each_public_verdict_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    for name in ("verify_crit_rc_dm", "verify_crit_rc_wielandt"):
+        def recorded(a, verify=getattr(cli, name), name=name):
+            calls.append(name)
+            return verify(a)
+
+        monkeypatch.setattr(cli, name, recorded)
+    for a, expected in crit_rc_cases():
+        path = write_matrix(tmp_path, a)
+        for extra in ((), ("--json",)):
+            calls.clear()
+            code, out, err = run(capsys, "check-crit-rc", path, *extra)
+            assert code == expected
+            # acyclic input fails in the DM verdict, so the Wielandt one is
+            # not called; n = 1 fails in the Wielandt one; neither prints
+            both = ["verify_crit_rc_dm", "verify_crit_rc_wielandt"]
+            assert calls == (both[:1] if "acyclic" in err else both)
+            assert (out == "") == (code == 1)
 
 
 def test_check_dm_with_explicit_numbering(tmp_path, capsys):

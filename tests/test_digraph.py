@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -19,7 +20,8 @@ from maxplus import (
 )
 from conftest import random_matrix
 
-from oracles import cycles_by_permutations
+from maxplus.digraph import _cycles
+from oracles import cycles_by_permutations, cycles_of_length_by_filter, hamiltonian_cycles_dfs
 
 N = None
 
@@ -146,6 +148,23 @@ def test_enumerate_cycles_against_permutation_bruteforce(rng):
             got = {(c.nodes, c.weight.value) for c in enumerate_cycles(associated_digraph(a))}
             want = set(cycles_by_permutations(a).items())
             assert got == want
+            for cap in range(n + 1):
+                got = {(c.nodes, c.weight.value) for c in enumerate_cycles(associated_digraph(a), max_length=cap)}
+                assert got == {(nodes, w) for nodes, w in want if len(nodes) <= cap}
+
+
+def test_cycle_dfs_matches_the_old_searches():
+    # _cycles(succ, k) against the Hamiltonian DFS and the enumerate-then-
+    # filter search it replaced, list for list and in order, for every k
+    rng = random.Random(12)
+    for _ in range(320):
+        n = rng.randint(1, 8)
+        density = rng.choice((0.15, 0.3, 0.5, 0.8, 1.0))
+        loops = rng.random() < 0.5
+        succ = [[j for j in range(n) if (loops or i != j) and rng.random() < density] for i in range(n)]
+        for k in range(-1, n + 2):
+            assert _cycles(succ, k) == cycles_of_length_by_filter(succ, k), (succ, k)
+        assert _cycles(succ, n) == hamiltonian_cycles_dfs(succ), succ
 
 
 def test_girth_and_cyclicity_match_enumeration(rng):

@@ -457,7 +457,8 @@ def test_verdicts_and_walk_oracle_read_the_spectrums_rows(monkeypatch):
         for verify in (extremal.verify_dm, extremal.verify_wielandt):
             verify(a)
             verify(a, numbering=tuple(range(a.n)))
-        extremal._crit_rc_verdicts(a)
+        extremal.verify_crit_rc_dm(a)
+        extremal.verify_crit_rc_wielandt(a)
         extremal.twice_optimal_walk(a, 0, a.n - 1, 5)
     assert calls == Counter(), calls
 

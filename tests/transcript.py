@@ -14,8 +14,17 @@ and with --json; `check-dm` and `check-wiel` plain, with --json and with
 a random --numbering; `check-crit-rc` plain and with --json; `csr`,
 `powers` and `oracle` (plain and --json) at random t and endpoints.
 Each call's arguments, exit code, stdout and stderr go into one sha256.
-It prints the number of calls per exit code and that hash; two source
-trees give the same hash exactly when every call gave the same bytes.
+
+The same hash then takes in library readers that no verb prints, each
+read on a matrix parsed afresh, its value or its exception:
+`hamiltonian_cycles` and `enumerate_cycles` with max_length 1 to n on
+the associated digraph; `visualize`; the full CSR triple's `.c`, `.r`
+and `.s` and `csr_at` at a few t; and the same for the triple of each
+of `critical_components`.
+
+It prints the number of CLI calls per exit code and the hash; two source
+trees give the same hash exactly when every call and every reader gave
+the same bytes.
 
 The package is imported from --src, so the same script runs against a
 checkout of any commit.  Standard library only.
@@ -88,8 +97,52 @@ def verb_args(rng: random.Random, n: int) -> list[list[str]]:
     ]
 
 
+READER_TS = (1, 2, 3, 7)
+
+
+def library_readings(text: str) -> list[tuple[str, str]]:
+    """(reader, its value or exception) for the library readers on one matrix."""
+    import maxplus as mp
+
+    def digraph():
+        return mp.associated_digraph(mp.parse_matrix(text))
+
+    def cycles(cap: int) -> str:
+        found = mp.enumerate_cycles(digraph(), max_length=cap)
+        return repr([(c.nodes, c.length, str(c.weight)) for c in found])
+
+    def visualized() -> str:
+        d, b = mp.visualize(mp.parse_matrix(text))
+        return " ".join(map(str, d.d)) + "\n" + mp.render_matrix(b)
+
+    def triple(t) -> str:
+        parts = [mp.csr_at(t, k) for k in READER_TS] + [t.c, t.r, t.s]
+        return "".join(map(mp.render_matrix, parts)) + f"{t.lam} {t.gamma}\n"
+
+    def component_triples() -> str:
+        a = mp.parse_matrix(text)
+        return "|".join(triple(mp.build_csr(a, comp)) for comp in mp.critical_components(mp.critical_graph(a)))
+
+    n = int(text.split("\n", 1)[0])
+    readers = [("hamiltonian_cycles", lambda: repr(mp.hamiltonian_cycles(digraph())))]
+    readers += [(f"enumerate_cycles max_length={k}", lambda k=k: cycles(k)) for k in range(1, n + 1)]
+    readers += [
+        ("visualize", visualized),
+        ("build_csr", lambda: triple(mp.build_csr(mp.parse_matrix(text)))),
+        ("critical_components", component_triples),
+    ]
+    out = []
+    for name, read in readers:
+        try:
+            value = read()
+        except Exception as exc:  # an exception is recorded, not raised
+            value = f"raised {type(exc).__name__}: {exc}"
+        out.append((name, value))
+    return out
+
+
 def transcript(seed: int, count: int) -> tuple[Counter, str]:
-    """(calls per exit code, sha256 hex digest) of the transcript."""
+    """(CLI calls per exit code, sha256 hex digest) of the transcript."""
     from maxplus.cli import main
 
     rng = random.Random(seed)
@@ -119,6 +172,8 @@ def transcript(seed: int, count: int) -> tuple[Counter, str]:
             n = int(text.split("\n", 1)[0])
             for args in verb_args(rng, n):
                 call(args, path)
+            for name, value in library_readings(text):
+                digest.update("\x1f".join([name, value]).encode() + b"\x1e")
     return codes, digest.hexdigest()
 
 
