@@ -6,9 +6,9 @@ line the dimension, then one row per line; '-inf' or '*' for missing
 arcs).  Node indices on the command line are 0-based.
 
 Exit codes: 0 success (also after --help), 1 usage or precondition
-error (including a bad or missing argument, an exhausted generator
-budget or a transient past its scan cap), 2 a check verb returned a
-negative verdict, 3 internal assertion failure.
+error (including a bad or missing argument or an exhausted generator
+budget), 2 a check verb returned a negative verdict, 3 internal
+assertion failure.
 
 The argument parser is built on the first call to `main` and reused by
 every later call in the process: each parse fills a fresh namespace, and

@@ -14,8 +14,8 @@ holds for all t past a threshold T1, where B is the Nachtigall matrix
 holds at t exactly when C S^t R <= A^t (see _excess), so no power of B
 is computed.  One sweep over the powers of A - lambda (see _sweep)
 yields T1, the transient of each critical row and column, where A^t
-meets C S^t R alone, and the transient T.  Whether T1 equals the
-ceiling of that sweep is also decided at two powers alone (see
+meets C S^t R alone, and T up to its ceiling (see _transient past it).
+Whether T1 equals that ceiling is also decided at two powers alone (see
 _t1_at_ceiling); the generators in `extremal` check their candidates so.
 
 The triple may also be built with respect to a completely reducible
@@ -199,78 +199,91 @@ def weak_threshold_T1(a: MaxPlusMatrix) -> WeakExpansion:
     failure, also per critical row and column, up to the proven
     ceiling min(Wi(n), DM(g, n)) or to T + gamma if sooner (see _sweep).
     """
-    return _expand(a, seek_t=False)[0]
+    return _expand(a)[0]
 
 
-def _expand(a: MaxPlusMatrix, seek_t: bool) -> tuple[WeakExpansion, int | None]:
-    """weak_threshold_T1's expansion and T, from one sweep (T None if not found)."""
+def _expand(a: MaxPlusMatrix) -> tuple[WeakExpansion, int | None, list[list] | None]:
+    """weak_threshold_T1's expansion, and T or where _transient goes on (see _sweep)."""
     triple = build_csr(a)
-    t, t1, rows, cols = None, 1, {}, {}
+    t, at, t1, rows, cols = None, None, 1, {}, {}
     if triple.crit is not None:
-        t, t1, rows, cols = _sweep(triple._norm, triple.gamma, triple, seek_t)
+        t, at, t1, rows, cols = _sweep(triple)
     expansion = WeakExpansion(csr=triple, b=nachtigall_matrix(a, triple.crit), t1=t1, rows=rows, cols=cols)
-    return expansion, t
-
-
-_SCAN_CAP = 10_000
+    return expansion, t, at
 
 
 def transient_T(a: MaxPlusMatrix) -> int:
     """Least T >= 0 with A^(t+gamma) = lambda^gamma * A^t for all t >= T.
 
     Defined for strongly connected digraphs, with gamma the cyclicity of
-    the critical graph; raises RuntimeError when T > _SCAN_CAP.
+    the critical graph; found by _transient's galloping search from t = 0.
     """
     sp = spectrum(a)
     if not sp._strongly_connected:
         raise ValueError("transient is defined for strongly connected digraphs only")
     if sp.crit is None:
         raise ValueError("transient undefined: single node without a loop")
-    return _sweep(sp._norm, sp.crit.cyclicity)[0]
+    return _transient(sp._norm, sp.crit.cyclicity, 0, _int_identity(a.n))
 
 
-def _sweep(
-    norm: list[list], gamma: int, triple: CsrTriple | None = None, seek_t: bool = True
-) -> tuple[int | None, int, dict[int, int], dict[int, int]]:
-    """(T, t1, rows, cols) from one loop over the powers P^t of P = A - lambda.
+def _int_identity(n: int) -> list[list]:
+    return [[0 if i == j else None for j in range(n)] for i in range(n)]
 
-    T is the least t >= 0 with P^(t+gamma) = P^t; equality at t forces
-    it at t + 1, so with the window P^(t-gamma) .. P^t the sweep stops at
-    t = T + gamma.  Given the triple of the whole critical graph, each t
-    up to the ceiling min(Wi(n), DM(g, n)) also finds where the residue
-    Q_t of t exceeds P^t (see _excess), for t1 and the critical row and
-    column transients (1 and empty without a triple).  With T not found
-    by the ceiling the sweep stops there, unless seek_t: then P's powers
-    go on until T settles, raising RuntimeError once T > _SCAN_CAP.
+
+def _sweep(triple: CsrTriple) -> tuple[int, list[list] | None, int, dict[int, int], dict[int, int]]:
+    """(t, at, t1, rows, cols) from one loop over the powers P^t of P = A - lambda.
+
+    T is the least t >= 0 with P^(t+gamma) = P^t: equality at t, times P,
+    gives it at t + 1.  With the window P^(t-gamma) .. P^t the sweep tests
+    it at t - gamma and, up to the ceiling c = min(Wi(n), DM(g, n)), finds
+    where the residue Q_t exceeds P^t (see _excess), for t1 and the critical
+    row and column transients.  It stops at t = T + gamma if T <= c, with
+    (T, None), else at t = c + gamma, with (c + 1, P^(c+1)) for _transient.
 
     No t >= T fails.  P^(t+k*gamma) = P^t for all k >= 0, Q_t depends on
     t only modulo gamma, and t + k*gamma is past T1 for k large, so
     Q_t <= P^t.  Irreducibility is not used, so reducible input may stop
     early too.
     """
-    n = len(norm)
+    norm, gamma = triple._norm, triple.gamma
     step = _finite_entries(norm)
-    window = deque([[[0 if i == j else None for j in range(n)] for i in range(n)], norm], maxlen=gamma + 1)
-    ceiling, t1, rows, cols = 0, 1, {}, {}
-    if triple is not None:
-        nodes = sorted(triple.crit.nodes)
-        ceiling = _ceiling(triple)
-        rows, cols = dict.fromkeys(nodes, 1), dict.fromkeys(nodes, 1)
+    window = deque([_int_identity(len(norm)), norm], maxlen=gamma + 1)
+    nodes = sorted(triple.crit.nodes)
+    ceiling, t1, rows, cols = _ceiling(triple), 1, dict.fromkeys(nodes, 1), dict.fromkeys(nodes, 1)
     for t in count(1):
         at = window[-1]
-        if len(window) > gamma and window[0] == at:
-            return t - gamma, t1, rows, cols
+        if len(window) > gamma:
+            if window[0] == at:
+                return t - gamma, None, t1, rows, cols
+            if t - gamma >= ceiling:
+                return t - gamma + 1, window[1], t1, rows, cols
         if t <= ceiling:
             excess = _excess(triple, t, at)
             if excess:
                 t1 = t + 1
                 rows.update((i, t + 1) for i, _ in excess if i in rows)
                 cols.update((j, t + 1) for _, j in excess if j in cols)
-        if not seek_t and t >= ceiling:
-            return None, t1, rows, cols
-        if seek_t and t - gamma >= _SCAN_CAP:
-            raise RuntimeError(f"transient exceeds the scan cap {_SCAN_CAP}")
         window.append(_int_mul(at, step))
+
+
+def _transient(norm: list[list], gamma: int, t: int, at: list[list]) -> int:
+    """Least T >= t with P^(T+gamma) = P^T, P = norm, given at = P^t and
+    the equality failing below t; it holds from T on (see _sweep), so the
+    search gallops by P, P^2, P^4, ... and bisects back over the squares,
+    one product by P^gamma a probe: O(log(T - t) + log gamma) in all.
+    P must be strongly connected, so that its powers end periodic."""
+    shift = _finite_entries(_int_power(norm, gamma))
+    if _int_mul(at, shift) == at:
+        return t
+    squares = [norm]  # squares[k] is P^(2^k)
+    while (probe := _int_mul(at, _finite_entries(squares[-1]))) != _int_mul(probe, shift):  # fails at t
+        t, at = t + (1 << (len(squares) - 1)), probe
+        squares.append(_int_power(squares[-1], 2))
+    for k in reversed(range(len(squares) - 1)):  # T - t is in (0, 2^(k+1)]
+        probe = _int_mul(at, _finite_entries(squares[k]))
+        if _int_mul(probe, shift) != probe:
+            t, at = t + (1 << k), probe
+    return t + 1
 
 
 def _ceiling(triple: CsrTriple) -> int:
@@ -394,8 +407,10 @@ class TransientReport:
 def analyze(a: MaxPlusMatrix) -> TransientReport:
     """Full transient report: lambda, crit summary, T, T1, bounds, flags."""
     connected = spectrum(a)._strongly_connected
-    expansion, t = _expand(a, seek_t=connected)
+    expansion, t, at = _expand(a)
     lam, crit = expansion.csr.lam, expansion.csr.crit
+    if connected and at is not None:
+        t = _transient(expansion.csr._norm, crit.cyclicity, t, at)
     wi = wielandt_bound(a.n)
     dm = None if crit is None else dm_bound(crit.girth, a.n)
     return TransientReport(

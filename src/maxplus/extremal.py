@@ -32,7 +32,7 @@ from itertools import product
 from math import gcd
 
 from .bounds import dm_bound, wielandt_bound
-from .csr import CsrTriple, _sweep, _t1_at_ceiling, build_csr, csr_at
+from .csr import CsrTriple, _int_identity, _t1_at_ceiling, _transient, build_csr, csr_at
 from .digraph import WeightedDigraph, _cycles, _successors, _support
 from .matrix import (
     MaxPlusMatrix,
@@ -493,13 +493,13 @@ def _boolean_index(crit: CritGraph) -> int:
     Each component is strongly connected and every cycle in it weighs 0,
     so its 0/-inf matrix has cycle mean 0, is its own A - lambda, and has
     the whole component as critical graph, of cyclicity comp.cyclicity:
-    the sweep for the transient runs on those rows directly.
+    the search for the transient runs on those rows directly, from t = 0.
     """
     worst = 0
     for comp in crit.scc.components:
         nodes = sorted(comp.nodes)
         rows = [[0 if (i, j) in crit.arcs else None for j in nodes] for i in nodes]
-        worst = max(worst, _sweep(rows, comp.cyclicity)[0])
+        worst = max(worst, _transient(rows, comp.cyclicity, 0, _int_identity(len(nodes))))
     return worst
 
 

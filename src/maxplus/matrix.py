@@ -79,14 +79,12 @@ class MaxPlusMatrix:
 
 def identity(n: int) -> MaxPlusMatrix:
     """Max-plus identity: 0 on the diagonal, -inf elsewhere."""
-    return MaxPlusMatrix._from_raw(
-        [[Fraction(0) if i == j else None for j in range(n)] for i in range(n)]
-    )
+    return from_entries(n, {(i, i): 0 for i in range(n)})
 
 
 def zeros(n: int) -> MaxPlusMatrix:
     """The all-(-inf) matrix, the additive zero."""
-    return MaxPlusMatrix._from_raw([[None] * n for _ in range(n)])
+    return from_entries(n, {})
 
 
 def _check_dims(a: MaxPlusMatrix, b: MaxPlusMatrix) -> None:
@@ -327,7 +325,11 @@ def parse_matrix(text: str) -> MaxPlusMatrix:
 
 def from_entries(n: int, entries: dict[tuple[int, int], object]) -> MaxPlusMatrix:
     """Build a matrix from a sparse {(i, j): weight} map; the rest is -inf."""
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
     raw = [[None] * n for _ in range(n)]
     for (i, j), w in entries.items():
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"arc ({i},{j}) out of range for n={n}")
         raw[i][j] = as_scalar(w).value
     return MaxPlusMatrix._from_raw(raw)

@@ -14,13 +14,15 @@ powers of a1 from the library, where verify_dm reads the chords off the
 spectrum's integer rows.  hamiltonian_cycles_dfs and
 cycles_of_length_by_filter are the two cycle searches the library ran
 before its one exact-length DFS: they fix the lists, and the order,
-that DFS must return.
+that DFS must return.  transient_by_steps is the library's search for T
+before it galloped: one power at a time, capped so a test cannot hang.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
-from itertools import permutations
+from itertools import count, permutations
 from math import gcd, lcm
 
 from maxplus import (
@@ -267,6 +269,35 @@ def cycles_of_length_by_filter(succ, length):
         dfs(root, root)
         path.pop()
     return [c for c in cycles if len(c) == length]
+
+
+def transient_by_steps(rows, gamma, cap=10_000):
+    """Least T >= 0 with P^(T+gamma) = P^T, P the rows (numbers or None)
+    of a matrix of cycle mean 0, by stepping through P's powers with a
+    window of the last gamma + 1 of them; None once T > cap.
+
+    The entries are scaled to integers by their common denominator, and
+    each power is one walk-extension step of the previous one.
+    """
+    n = len(rows)
+    d = lcm(*(x.denominator for row in rows for x in row if x is not None))
+    p = [[None if x is None else int(x * d) for x in row] for row in rows]
+    window = deque([[[0 if i == j else None for j in range(n)] for i in range(n)], p], maxlen=gamma + 1)
+    for t in count(1):
+        at = window[-1]
+        if len(window) > gamma and window[0] == at:
+            return t - gamma
+        if t - gamma >= cap:
+            return None
+        nxt = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for k in range(n):
+                if at[i][k] is None:
+                    continue
+                for j in range(n):
+                    if p[k][j] is not None and (nxt[i][j] is None or at[i][k] + p[k][j] > nxt[i][j]):
+                        nxt[i][j] = at[i][k] + p[k][j]
+        window.append(nxt)
 
 
 def crit_rc_wielandt_brute(a, numbering=None):

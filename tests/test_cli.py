@@ -13,7 +13,7 @@ from maxplus import (
     weak_threshold_T1,
     wielandt_skeleton,
 )
-from maxplus import cli, csr, spectral
+from maxplus import cli, spectral
 from maxplus.cli import main
 
 
@@ -296,12 +296,15 @@ def test_exhausted_generator_budget_is_exit_one(monkeypatch, capsys):
     assert err.count("\n") == 1
 
 
-def test_transient_past_scan_cap_is_exit_one(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(csr, "_SCAN_CAP", 3)
-    path = write_matrix(tmp_path, wielandt_skeleton(5))  # T = 17
-    code, out, err = run(capsys, "analyze", path, "--json")
-    assert code == 1 and out == ""
-    assert err == "error: transient exceeds the scan cap 3\n"
+def test_transient_far_past_the_ceiling_is_reported(tmp_path, capsys):
+    # the gap below lambda = 0 is 1/1000, so T = 20/gap lies far past the
+    # ceiling DM(1, 3) = 4, where the search for T gallops
+    path = tmp_path / "gap.txt"
+    path.write_text("3\n0 -5 -inf\n-5 -1/1000 -5\n-inf -5 -1/1000\n")
+    code, out, err = run(capsys, "analyze", str(path), "--json")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert (report["T"], report["T1"], report["dm"]) == (20000, 2, 4)
 
 
 @pytest.mark.parametrize(

@@ -39,6 +39,7 @@ from maxplus import (
     zeros,
 )
 from maxplus import csr, matrix, spectral
+from maxplus.extremal import _boolean_index
 from conftest import (
     normalized,
     random_cyclic_matrix,
@@ -46,7 +47,7 @@ from conftest import (
     random_matrix,
     random_strictly_below,
 )
-from oracles import csr_walk_oracle, walk_power, walk_powers
+from oracles import csr_walk_oracle, transient_by_steps, walk_power, walk_powers, weak_threshold_T1_full
 
 N = None
 
@@ -404,21 +405,82 @@ def test_transient_wielandt_n4():
     assert transient_T(wielandt_skeleton(4)) == 10
 
 
-def test_transient_past_the_scan_cap_raises(monkeypatch):
-    a = wielandt_skeleton(4)  # T = 10
-    monkeypatch.setattr(csr, "_SCAN_CAP", 9)
-    with pytest.raises(RuntimeError):
-        transient_T(a)
-    monkeypatch.setattr(csr, "_SCAN_CAP", 10)
-    assert transient_T(a) == 10
+def small_gap(eps):
+    """lambda = 0 on the loop at node 0, and the next cycle mean is -eps.
+
+    A walk of length t that stays on the loop at node 2 weighs -eps*t,
+    and one that detours through node 0 weighs -20, so entry (2, 2) of
+    A^t settles only at T = 20/eps."""
+    return MaxPlusMatrix([[0, -5, N], [-5, -eps, -5], [N, -5, -eps]])
 
 
-def test_the_scan_cap_bounds_only_the_transient(monkeypatch):
-    a = wielandt_skeleton(5)  # T = T1 = 17, the ceiling
-    profile = crit_row_col_profile(a)
-    monkeypatch.setattr(csr, "_SCAN_CAP", 3)
-    assert weak_threshold_T1(a).t1 == 17
-    assert crit_row_col_profile(a) == profile
+def test_transient_of_a_small_gap_is_found_in_logarithmic_products(monkeypatch):
+    products = Counter()
+    int_mul = matrix._int_mul
+
+    def counted(*args):
+        products["_int_mul"] += 1
+        return int_mul(*args)
+
+    for module in (matrix, spectral, csr):
+        if "_int_mul" in vars(module):
+            monkeypatch.setattr(module, "_int_mul", counted)
+    for eps in (Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10**6)):
+        products.clear()
+        assert transient_T(small_gap(eps)) == 20 / eps
+        assert products["_int_mul"] <= 150
+
+
+def test_T1_only_callers_stop_at_the_ceiling_plus_gamma(monkeypatch):
+    # no T past the ceiling is looked for without analyze: T1 and the
+    # critical row and column transients need the powers up to c + gamma
+    skeleton = wielandt_skeleton(5)  # T = T1 = 17, the ceiling
+    gap = small_gap(Fraction(1, 1000))  # T = 20000, far past the ceiling 4
+    t1, rows, cols = weak_threshold_T1_full(skeleton)
+    assert t1 == 17 and crit_row_col_profile(skeleton) == (17, rows, cols)
+    assert weak_threshold_T1(gap).t1 == 2 and crit_row_col_profile(gap)[0] == 2
+    for a in (skeleton, gap):
+        triple = build_csr(a)
+        for t in range(1, triple.gamma + 1):
+            csr_at(triple, t)  # M and the residues are computed before the count
+        products = []
+        monkeypatch.setattr(csr, "_int_mul", lambda *args: products.append(args) or matrix._int_mul(*args))
+        weak_threshold_T1(a)
+        monkeypatch.undo()
+        assert len(products) <= min(wielandt_bound(a.n), dm_bound(triple.crit.girth, a.n)) + triple.gamma
+
+
+def test_transient_search_matches_the_stepping_search():
+    # transient_T, analyze and the critical graph's boolean index against
+    # the search one power at a time; past the ceiling the library gallops
+    rng = random.Random(11)
+    kinds = Counter()
+
+    def stepping_index(crit):
+        worst = 0
+        for comp in crit.scc.components:
+            nodes = sorted(comp.nodes)
+            rows = [[0 if (i, j) in crit.arcs else N for j in nodes] for i in nodes]
+            worst = max(worst, transient_by_steps(rows, comp.cyclicity))
+        return worst
+
+    for k in range(1000):
+        n, density = k % 8 + 1, rng.choice((0.2, 0.4, 0.8))
+        a = random_irreducible(rng, n, density) if k % 2 == 0 else random_matrix(rng, n, density)
+        if max_cycle_mean(a).is_bottom:
+            continue
+        crit = critical_graph(a)
+        assert _boolean_index(crit) == stepping_index(crit)
+        if len(scc_decompose(associated_digraph(a)).components) > 1:
+            kinds["reducible"] += 1
+            assert analyze(a).t is None
+            continue
+        lam = max_cycle_mean(a).value
+        t = transient_by_steps([[N if x is None else x - lam for x in row] for row in a.raw()], crit.cyclicity)
+        assert transient_T(a) == t == analyze(a).t
+        kinds["irreducible"] += 1
+        kinds["past the ceiling"] += t > min(wielandt_bound(n), dm_bound(crit.girth, n))
+    assert kinds["irreducible"] >= 500 and kinds["past the ceiling"] >= 50 and kinds["reducible"] >= 200
 
 
 def test_transient_rejects_reducible():

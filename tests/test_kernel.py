@@ -343,7 +343,7 @@ def test_sweep_matches_the_full_ceiling_scan(monkeypatch):
 
     def recorded(*args):
         out = sweep(*args)
-        found.append(out[0])
+        found.append(out[0] if out[1] is None else None)  # T, if the sweep found it
         return out
 
     monkeypatch.setattr(csr, "_sweep", recorded)
@@ -393,6 +393,16 @@ def test_analyze_stops_the_sweep_at_T_plus_gamma(monkeypatch):
         assert (report.t, report.gamma, report.t1) == (t, gamma, t1)
         assert products["_int_mul"] <= 3 * gamma - 1 + (t + gamma)
     assert analyze(third_mean_cycle(7)).dm == 22 < wielandt_bound(7)
+    # past the ceiling c = DM(1, 3) = 4 the search gallops from c + 1:
+    # P^gamma, then a probe, a square and a test per doubling, and a
+    # probe and a test per halving, fewer than log2(T - c) of each
+    gap = MaxPlusMatrix([[0, -5, None], [-5, Fraction(-1, 10**6), -5], [None, -5, Fraction(-1, 10**6)]])
+    products.clear()
+    report = analyze(gap)
+    assert (report.t, report.gamma, report.t1, report.dm) == (2 * 10**7, 1, 2, 4)
+    gamma, ceiling = 1, 4
+    tail = 2 * gamma.bit_length() + 5 * (report.t - ceiling).bit_length()
+    assert products["_int_mul"] <= 3 * gamma - 1 + (ceiling + gamma) + tail
 
 
 # ---------------------------------------------------------------------------

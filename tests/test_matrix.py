@@ -5,6 +5,7 @@ import pytest
 from maxplus import (
     DiagonalScaling,
     MaxPlusMatrix,
+    from_entries,
     identity,
     kleene_star,
     mat_mul,
@@ -169,6 +170,27 @@ def test_parse_accepts_star_tokens_and_trailing_junk():
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_matrix(bad)
+
+
+@pytest.mark.parametrize(
+    "build, args, message",
+    [
+        pytest.param(from_entries, (2, {(-1, 0): 1}), "arc (-1,0) out of range for n=2", id="negative-row"),
+        pytest.param(from_entries, (2, {(0, -1): 1}), "arc (0,-1) out of range for n=2", id="negative-column"),
+        pytest.param(from_entries, (2, {(2, 0): 1}), "arc (2,0) out of range for n=2", id="row-past-n"),
+        pytest.param(from_entries, (2, {(1, 2): 1}), "arc (1,2) out of range for n=2", id="column-past-n"),
+        pytest.param(from_entries, (0, {}), "dimension must be >= 1, got 0", id="from_entries-n0"),
+        pytest.param(zeros, (0,), "dimension must be >= 1, got 0", id="zeros-n0"),
+        pytest.param(identity, (0,), "dimension must be >= 1, got 0", id="identity-n0"),
+        pytest.param(identity, (-1,), "dimension must be >= 1, got -1", id="identity-negative-n"),
+    ],
+)
+def test_builders_reject_shapes_the_constructor_forbids(build, args, message):
+    # a negative index would write the row from the end, and n = 0 makes
+    # a matrix MaxPlusMatrix itself rejects
+    with pytest.raises(ValueError) as err:
+        build(*args)
+    assert str(err.value) == message
 
 
 def test_dimension_one_is_legal():

@@ -13,8 +13,8 @@ def test_transcript_repeats_and_moves_with_T1(monkeypatch):
     sweep = csr._sweep
 
     def t1_off_by_one(*args, **kwargs):
-        t, t1, rows, cols = sweep(*args, **kwargs)
-        return t, t1 + 1, rows, cols
+        t, at, t1, rows, cols = sweep(*args, **kwargs)
+        return t, at, t1 + 1, rows, cols
 
     monkeypatch.setattr(csr, "_sweep", t1_off_by_one)
     assert transcript(seed=4, count=40)[1] != digest
