@@ -199,17 +199,9 @@ def weak_threshold_T1(a: MaxPlusMatrix) -> WeakExpansion:
     failure, also per critical row and column, up to the proven
     ceiling min(Wi(n), DM(g, n)) or to T + gamma if sooner (see _sweep).
     """
-    return _expand(a)[0]
-
-
-def _expand(a: MaxPlusMatrix) -> tuple[WeakExpansion, int | None, list[list] | None]:
-    """weak_threshold_T1's expansion, and T or where _transient goes on (see _sweep)."""
     triple = build_csr(a)
-    t, at, t1, rows, cols = None, None, 1, {}, {}
-    if triple.crit is not None:
-        t, at, t1, rows, cols = _sweep(triple)
-    expansion = WeakExpansion(csr=triple, b=nachtigall_matrix(a, triple.crit), t1=t1, rows=rows, cols=cols)
-    return expansion, t, at
+    _, _, t1, rows, cols = _sweep(triple)
+    return WeakExpansion(csr=triple, b=nachtigall_matrix(a, triple.crit), t1=t1, rows=rows, cols=cols)
 
 
 def transient_T(a: MaxPlusMatrix) -> int:
@@ -230,7 +222,7 @@ def _int_identity(n: int) -> list[list]:
     return [[0 if i == j else None for j in range(n)] for i in range(n)]
 
 
-def _sweep(triple: CsrTriple) -> tuple[int, list[list] | None, int, dict[int, int], dict[int, int]]:
+def _sweep(triple: CsrTriple) -> tuple[int | None, list[list] | None, int, dict[int, int], dict[int, int]]:
     """(t, at, t1, rows, cols) from one loop over the powers P^t of P = A - lambda.
 
     T is the least t >= 0 with P^(t+gamma) = P^t: equality at t, times P,
@@ -243,8 +235,11 @@ def _sweep(triple: CsrTriple) -> tuple[int, list[list] | None, int, dict[int, in
     No t >= T fails.  P^(t+k*gamma) = P^t for all k >= 0, Q_t depends on
     t only modulo gamma, and t + k*gamma is past T1 for k large, so
     Q_t <= P^t.  Irreducibility is not used, so reducible input may stop
-    early too.
+    early too.  An acyclic digraph has no critical graph and no T; it
+    gives (None, None, 1, {}, {}).
     """
+    if triple.crit is None:
+        return None, None, 1, {}, {}
     norm, gamma = triple._norm, triple.gamma
     step = _finite_entries(norm)
     window = deque([_int_identity(len(norm)), norm], maxlen=gamma + 1)
@@ -354,11 +349,11 @@ def crit_row_col_profile(a: MaxPlusMatrix) -> tuple[int, dict[int, int], dict[in
     expansion = weak_threshold_T1(a)
     if expansion.csr.crit is None:
         raise ValueError("no critical rows or columns: the digraph is acyclic")
-    return _crit_rc_overall(expansion), expansion.rows, expansion.cols
+    return _crit_rc_overall(expansion.rows, expansion.cols), expansion.rows, expansion.cols
 
 
-def _crit_rc_overall(expansion: WeakExpansion) -> int | None:
-    return max([*expansion.rows.values(), *expansion.cols.values()], default=None)
+def _crit_rc_overall(rows: dict[int, int], cols: dict[int, int]) -> int | None:
+    return max([*rows.values(), *cols.values()], default=None)
 
 
 @dataclass(eq=False)
@@ -407,10 +402,11 @@ class TransientReport:
 def analyze(a: MaxPlusMatrix) -> TransientReport:
     """Full transient report: lambda, crit summary, T, T1, bounds, flags."""
     connected = spectrum(a)._strongly_connected
-    expansion, t, at = _expand(a)
-    lam, crit = expansion.csr.lam, expansion.csr.crit
+    triple = build_csr(a)
+    t, at, t1, rows, cols = _sweep(triple)
+    lam, crit = triple.lam, triple.crit
     if connected and at is not None:
-        t = _transient(expansion.csr._norm, crit.cyclicity, t, at)
+        t = _transient(triple._norm, crit.cyclicity, t, at)
     wi = wielandt_bound(a.n)
     dm = None if crit is None else dm_bound(crit.girth, a.n)
     return TransientReport(
@@ -419,10 +415,10 @@ def analyze(a: MaxPlusMatrix) -> TransientReport:
         g=None if crit is None else crit.girth,
         gamma=None if crit is None else crit.cyclicity,
         t=t if connected else None,
-        t1=expansion.t1,
+        t1=t1,
         wi=wi,
         dm=dm,
-        attains_dm=expansion.t1 == dm,
-        attains_wiel=expansion.t1 == wi,
-        crit_rc_transient=_crit_rc_overall(expansion),
+        attains_dm=t1 == dm,
+        attains_wiel=t1 == wi,
+        crit_rc_transient=_crit_rc_overall(rows, cols),
     )

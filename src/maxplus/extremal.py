@@ -32,7 +32,7 @@ from itertools import product
 from math import gcd
 
 from .bounds import dm_bound, wielandt_bound
-from .csr import CsrTriple, _int_identity, _t1_at_ceiling, _transient, build_csr, csr_at
+from .csr import _int_identity, _t1_at_ceiling, _transient, build_csr, csr_at
 from .digraph import WeightedDigraph, _cycles, _successors, _support
 from .matrix import (
     MaxPlusMatrix,
@@ -88,7 +88,7 @@ def _check_numbering(n: int, numbering: tuple[int, ...]) -> tuple[int, ...]:
     """The numbering as a tuple, once it is checked to be a permutation of 0..n-1."""
     numbering = tuple(numbering)
     if sorted(numbering) != list(range(n)):
-        raise ValueError(f"invalid numbering {numbering!r} for n={n}")
+        raise ValueError(f"numbering {numbering!r} is not a permutation of 0..{n - 1}")
     return numbering
 
 
@@ -257,6 +257,8 @@ def verify_dm(
     graphs are rejected: no attainment characterization is known there.
     """
     n = a.n
+    if numbering is not None:
+        numbering = _check_numbering(n, numbering)
     sp = _cyclic_spectrum(a)
     crit = sp.crit
     g = crit.girth
@@ -281,8 +283,6 @@ def verify_dm(
         numbering = _search_dm_numbering(sp._norm, short_cycles[0], conditions)
         if numbering is None:
             return DmVerdict(holds=False, numbering=None, conditions=conditions)
-    else:
-        numbering = _check_numbering(n, numbering)
 
     _dm_conditions(a, sp, g, numbering, conditions)
     holds = all(c.passed for c in conditions.values())
@@ -339,7 +339,8 @@ def _dm_conditions(a: MaxPlusMatrix, sp: Spectrum, g: int, numbering: tuple[int,
         # with |j - i - 1| <= n - g < g forces j = i + 1.  A path has no cycle.
         conditions["chord_power_below_csr"] = ConditionCheck(True, vacuous=True, detail="chord layer is acyclic")
     else:
-        lhs, rhs = _chord_power_corner(dec.b1, build_csr(dec.a1), g)
+        t = dm_bound(g, n) - 1  # (b1^t)_{g, n-1} must lie strictly below (CSR(a1) at t)_{g, n-1}
+        lhs, rhs = mat_power(dec.b1, t)[g, n - 1], csr_at(build_csr(dec.a1), t)[g, n - 1]
         conditions["chord_power_below_csr"] = ConditionCheck(lhs < rhs, detail=f"{lhs} vs {rhs}")
 
 
@@ -375,14 +376,6 @@ def _residue_chord_witnesses(norm: list[list], g: int, numbering: tuple[int, ...
     return witnesses, qualifying
 
 
-def _chord_power_corner(b1: MaxPlusMatrix, csr1: CsrTriple, g: int) -> tuple[MaxPlusScalar, MaxPlusScalar]:
-    """(b1^(DM-1))_{g, n-1} and (CSR(a1) at DM - 1)_{g, n-1}, DM = DM(g, n);
-    the chord condition asks the first to be strictly below the second."""
-    n = b1.n
-    t = dm_bound(g, n) - 1
-    return mat_power(b1, t)[g, n - 1], csr_at(csr1, t)[g, n - 1]
-
-
 def verify_wielandt(
     a: MaxPlusMatrix,
     numbering: tuple[int, ...] | None = None,
@@ -397,6 +390,8 @@ def verify_wielandt(
     occupies the leading positions.
     """
     n = a.n
+    if numbering is not None:
+        numbering = _check_numbering(n, numbering)
     _need_two_nodes(n)
     sp = _cyclic_spectrum(a)
     conditions: dict[str, ConditionCheck] = {}
@@ -406,8 +401,6 @@ def verify_wielandt(
         numbering = _search_wielandt_numbering(sp._norm, conditions)
         if numbering is None:
             return WielandtVerdict(holds=False, numbering=None, case=None, conditions=conditions)
-    else:
-        numbering = _check_numbering(n, numbering)
 
     case = _wielandt_conditions(a, sp.crit, numbering, conditions)
     holds = all(c.passed for c in conditions.values())
@@ -621,100 +614,110 @@ def _sample_remainder(
     return entries
 
 
-class GenerationError(RuntimeError):
-    """Raised when the rejection-sampling budget runs out."""
-
-
-def generate_dm(n: int, g: int, seed, budget: int = 200) -> MaxPlusMatrix:
+def generate_dm(n: int, g: int, seed) -> MaxPlusMatrix:
     """A random matrix attaining T1 = DM(g, n) under the identity numbering.
 
-    Both skeleton cycles (the g-cycle and the Hamiltonian cycle) are made
-    critical with mean 0, residue chords are sampled strictly inside
-    their constraints, and the remainder strictly below the skeleton CSR
-    term.  Every candidate is post-verified before being returned: the
-    condition verdict, then an independent check of T1 == DM(g, n) at
-    the two powers that decide it (csr._t1_at_ceiling).  That check also
-    asks DM(g, n) to be the ceiling min(Wi(n), DM(girth, n)), which loses
-    no candidate: the verdict makes the g-cycle critical, so the ceiling
-    is at most DM(g, n), and T1 never exceeds it.
+    One candidate is drawn and returned once it passes the verdict under
+    the identity numbering and csr._t1_at_ceiling, which checks T1 ==
+    DM(g, n) at the two powers that decide it.  By the proof below it
+    always does, so a failure raises AssertionError.  Let p_k = hamw[0]
+    + ... + hamw[k-1]; an arc (i, j) is tight when it weighs p_j - p_i.
+
+    1. The n + 1 skeleton arcs of a1 are tight: the Hamiltonian cycle
+       closes at mean 0 and the chord (g-1, 0) weighs p_0 - p_(g-1).
+    2. Every other arc is strictly below tight: a forward residue chord
+       weighs p_j - p_i - margin, a backward one p_j - p_i - big_m -
+       margin, and a remainder entry at most CSR(a1)_1(i, j) - margin,
+       where CSR(a1)_1(i, j) <= p_j - p_i because every walk of a1 weighs
+       at most its potential difference.
+    3. The tight values telescope to 0 around a cycle, so a cycle weighs
+       the sum over its arcs of (weight - tight value).  Hence lambda = 0
+       and the critical graph is the skeleton's cycles of tight arcs, the
+       Hamiltonian cycle and the g-cycle on positions 0..g-1: strongly
+       connected, of girth g, with a unique critical g-cycle.
+    4. The remainder and residue-chord conditions hold by construction,
+       each by a strict margin; coprimality is checked on entry.
+    5. chord_power_below_csr (n >= 2g): the verifier's b1 also holds the
+       path arcs (i, i+1), i >= g.  A walk of b1 of length DM - 1 from g
+       to n - 1 takes a backward chord, since forward arcs only climb and
+       DM - 1 > n - 1 - g, so it weighs at most p_(n-1) - p_g - big_m -
+       margin.  CSR(a1) at DM - 1 is p_(n-1) - p_g at (g, n-1): every
+       node of a1 is critical, so the entry is finite, and every walk of
+       a1 weighs its potential difference.
+    6. So T1 = DM(g, n) by the paper's characterization, which
+       _t1_at_ceiling checks independently; DM(g, n) is the ceiling
+       min(Wi(n), DM(girth, n)) it asks for, the girth being g.
     """
     if not 2 <= g < n:
         raise ValueError(f"need 2 <= g < n, got g={g}, n={n}")
     if gcd(g, n) != 1:
         raise ValueError(f"g={g} and n={n} are not coprime")
     rng = random.Random(seed)
-    dmv = dm_bound(g, n)
-    identity_numbering = tuple(range(n))
+    hamw, entries = _hamiltonian_entries(rng, n)
+    entries[(g - 1, 0)] = -sum(hamw[: g - 1])
+    a1 = from_entries(n, entries)
 
-    for _ in range(budget):
-        hamw, entries = _hamiltonian_entries(rng, n)
-        entries[(g - 1, 0)] = -sum(hamw[: g - 1])
-        a1 = from_entries(n, entries)
+    wmax = max(max(abs(w) for w in entries.values()), Fraction(1))
+    big_m = 1 + 2 * n * n * wmax
 
-        wmax = max(max(abs(w) for w in entries.values()), Fraction(1))
-        big_m = 1 + 2 * n * n * wmax
-
-        b1_entries: dict[tuple[int, int], Fraction] = {}
-        for i in range(g, n):
-            for j in range(g, n):
-                if (j - i - 1) % g != 0 or j == i + 1 or i == j:
-                    continue
-                if j > i + 1 and rng.random() < 0.7:
-                    path = sum(hamw[i:j])
-                    b1_entries[(i, j)] = path - _rand_margin(rng)
-                elif j < i and rng.random() < 0.5:
-                    path = sum(hamw[j:i])
-                    b1_entries[(i, j)] = -path - big_m - _rand_margin(rng)
-
-        csr1 = build_csr(a1)
-        if n >= 2 * g:
-            # this b1 lacks the path arcs (i, i+1) that _dm_conditions' b1 holds
-            lhs, rhs = _chord_power_corner(from_entries(n, b1_entries), csr1, g)
-            if not lhs < rhs:
+    b1_entries: dict[tuple[int, int], Fraction] = {}
+    for i in range(g, n):
+        for j in range(g, n):
+            if (j - i - 1) % g != 0 or j == i + 1 or i == j:
                 continue
+            if j > i + 1 and rng.random() < 0.7:
+                path = sum(hamw[i:j])
+                b1_entries[(i, j)] = path - _rand_margin(rng)
+            elif j < i and rng.random() < 0.5:
+                path = sum(hamw[j:i])
+                b1_entries[(i, j)] = -path - big_m - _rand_margin(rng)
 
-        taken = a1_pattern(n, g) | b1_pattern(n, g)
-        a2_entries = _sample_remainder(rng, csr_at(csr1, 1), taken)
-        candidate = from_entries(n, {**entries, **b1_entries, **a2_entries})
-        if verify_dm(candidate, numbering=identity_numbering).holds and _t1_at_ceiling(candidate, dmv):
-            return candidate
-    raise GenerationError(f"budget of {budget} attempts exhausted for (n={n}, g={g}, seed={seed!r})")
+    taken = a1_pattern(n, g) | b1_pattern(n, g)
+    a2_entries = _sample_remainder(rng, csr_at(build_csr(a1), 1), taken)
+    candidate = from_entries(n, {**entries, **b1_entries, **a2_entries})
+    if not (verify_dm(candidate, numbering=tuple(range(n))).holds and _t1_at_ceiling(candidate, dm_bound(g, n))):
+        raise AssertionError(f"generated DM candidate fails its post-verification (n={n}, g={g}, seed={seed!r})")
+    return candidate
 
 
-def generate_wielandt(n: int, seed, case: str = "n-1", budget: int = 200) -> MaxPlusMatrix:
+def generate_wielandt(n: int, seed, case: str = "n-1") -> MaxPlusMatrix:
     """A random matrix attaining T1 = Wi(n) under the identity numbering.
 
     case "n-1" makes the (n-1)-cycle critical (the Hamiltonian cycle is
     then also left at the critical mean, so the whole skeleton digraph is
     critical and the critical rows and columns attain the bound as well);
-    case "n" makes only the Hamiltonian cycle critical.  Post-verified
-    like generate_dm: the verdict puts the critical girth at n - 1 or n,
-    so Wi(n) is the ceiling and T1 == Wi(n) is checked at two powers.
+    case "n" makes only the Hamiltonian cycle critical.  One candidate is
+    drawn, checked like generate_dm's and returned; steps 1 to 3 of
+    generate_dm's proof carry over, with the chord at (n-2, 0) and no
+    residue chords.  In case "n-1" all n + 1 skeleton arcs are tight, so
+    the critical graph is the skeleton, of girth n - 1, with a unique
+    critical (n-1)-cycle; in case "n" the chord sits a margin below
+    tight, so it is the Hamiltonian cycle, of girth n.  Either way the
+    verdict's case is the one asked for, Wi(n) is the ceiling, and the
+    remainder lies a margin below CSR(a1) at t = 1 by construction.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if case not in ("n-1", "n"):
         raise ValueError(f"case must be 'n-1' or 'n', got {case!r}")
     rng = random.Random(seed)
-    wi = wielandt_bound(n)
-    identity_numbering = tuple(range(n))
     chord = (n - 2, 0)
+    hamw, entries = _hamiltonian_entries(rng, n)
+    chord_even = -sum(hamw[: n - 2])  # closes the (n-1)-cycle at mean 0
+    if case == "n-1":
+        entries[chord] = chord_even
+    else:
+        entries[chord] = chord_even - _rand_margin(rng)
+    a1 = from_entries(n, entries)
 
-    for _ in range(budget):
-        hamw, entries = _hamiltonian_entries(rng, n)
-        chord_even = -sum(hamw[: n - 2])  # closes the (n-1)-cycle at mean 0
-        if case == "n-1":
-            entries[chord] = chord_even
-        else:
-            entries[chord] = chord_even - _rand_margin(rng)
-        a1 = from_entries(n, entries)
-
-        a2_entries = _sample_remainder(rng, csr_at(build_csr(a1), 1), a1_pattern(n, n - 1))
-        candidate = from_entries(n, {**entries, **a2_entries})
-        verdict = verify_wielandt(candidate, numbering=identity_numbering)
-        if verdict.holds and verdict.case == case and _t1_at_ceiling(candidate, wi):
-            return candidate
-    raise GenerationError(f"budget of {budget} attempts exhausted for (n={n}, case={case}, seed={seed!r})")
+    a2_entries = _sample_remainder(rng, csr_at(build_csr(a1), 1), a1_pattern(n, n - 1))
+    candidate = from_entries(n, {**entries, **a2_entries})
+    verdict = verify_wielandt(candidate, numbering=tuple(range(n)))
+    if not (verdict.holds and verdict.case == case and _t1_at_ceiling(candidate, wielandt_bound(n))):
+        raise AssertionError(
+            f"generated Wielandt candidate fails its post-verification (n={n}, case={case}, seed={seed!r})"
+        )
+    return candidate
 
 
 # ---------------------------------------------------------------------------

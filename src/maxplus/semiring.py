@@ -27,6 +27,8 @@ class MaxPlusScalar:
 
     def __init__(self, value: RationalLike | Fraction | None = None):
         if value is not None and not isinstance(value, Fraction):
+            if isinstance(value, float):
+                raise TypeError(f"refusing inexact float entry {value!r}; use Fraction")
             value = Fraction(value)
         self.value: Fraction | None = value
 
@@ -64,12 +66,8 @@ def as_scalar(x) -> MaxPlusScalar:
     """Coerce ints, Fractions, token strings, None or -inf floats to a scalar."""
     if isinstance(x, MaxPlusScalar):
         return x
-    if x is None:
+    if x is None or (isinstance(x, float) and x == float("-inf")):
         return BOTTOM
-    if isinstance(x, float):
-        if x == float("-inf"):
-            return BOTTOM
-        raise TypeError(f"refusing inexact float entry {x!r}; use Fraction")
     if isinstance(x, str):
         return parse_scalar(x)
     return MaxPlusScalar(x)

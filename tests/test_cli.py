@@ -13,7 +13,7 @@ from maxplus import (
     weak_threshold_T1,
     wielandt_skeleton,
 )
-from maxplus import cli, spectral
+from maxplus import cli, extremal, spectral
 from maxplus.cli import main
 
 
@@ -286,13 +286,12 @@ def test_matrix_text_roundtrip_via_cli(tmp_path, capsys):
     assert code == 0 and out == text
 
 
-def test_exhausted_generator_budget_is_exit_one(monkeypatch, capsys):
-    monkeypatch.setattr(
-        cli, "generate_dm", lambda n, g, seed: generate_dm(n, g, seed, budget=0)
-    )
+def test_failed_generator_post_verification_is_exit_three(monkeypatch, capsys):
+    # a generator draws one candidate; failing its checks is a broken invariant
+    monkeypatch.setattr(extremal, "_t1_at_ceiling", lambda a, bound: False)
     code, out, err = run(capsys, "generate", "dm", "--n", "5", "--g", "2")
-    assert code == 1 and out == ""
-    assert err.startswith("error: budget of 0 attempts exhausted")
+    assert code == 3 and out == ""
+    assert err.startswith("internal assertion failed")
     assert err.count("\n") == 1
 
 

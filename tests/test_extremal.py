@@ -574,6 +574,46 @@ def test_generated_wielandt_two_by_two_reduces_to_distinct_loops():
         assert a[0, 0] != a[1, 1]
 
 
+def test_generated_critical_arcs_are_the_skeletons_critical_cycles():
+    # The generators' proof: lambda = 0 and the critical arcs are exactly the
+    # tight skeleton arcs, every other arc lying strictly below tight.
+    for n in range(2, 13):
+        for seed in range(5):
+            for g in range(2, n):
+                if gcd(g, n) == 1:
+                    a = generate_dm(n, g, seed)
+                    assert max_cycle_mean(a).value == 0
+                    assert critical_graph(a).arcs == a1_pattern(n, g), (n, g, seed)
+            for case, tight in (("n-1", a1_pattern(n, n - 1)), ("n", set(extremal._cycle_arcs(n)))):
+                a = generate_wielandt(n, seed, case=case)
+                assert max_cycle_mean(a).value == 0
+                assert critical_graph(a).arcs == tight, (n, case, seed)
+
+
+def test_generators_verify_one_candidate_and_power_the_chord_layer_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(extremal, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(extremal, name, wrapper)
+
+    for name in ("mat_power", "verify_dm", "verify_wielandt", "_t1_at_ceiling"):
+        counted(name)
+    for seed in range(3):
+        calls.clear()
+        generate_dm(7, 3, seed)  # n >= 2g: the verdict powers b1 to DM(3, 7) - 1
+        assert calls == Counter(mat_power=1, verify_dm=1, _t1_at_ceiling=1)
+        for case in ("n-1", "n"):
+            calls.clear()
+            generate_wielandt(7, seed, case=case)
+            assert calls == Counter(verify_wielandt=1, _t1_at_ceiling=1)
+
+
 # ---------------------------------------------------------------------------
 # twice-optimal walk oracle
 

@@ -411,8 +411,9 @@ def test_analyze_stops_the_sweep_at_T_plus_gamma(monkeypatch):
 
 def test_analyze_scales_once_and_runs_no_fraction_level_products(monkeypatch):
     # the spectrum is computed once, though analyze and build_csr both ask
-    # for it; it scales A, and everything after reads its rows of A - lambda
-    fraction_level = ("mat_mul", "mat_power", "kleene_star", "scalar_times")
+    # for it; it scales A, and everything after reads its rows of A - lambda.
+    # The report never reads B, so no Nachtigall matrix is built either.
+    fraction_level = ("mat_mul", "mat_power", "kleene_star", "scalar_times", "nachtigall_matrix")
     calls = Counter()
 
     def counted(name, fn):

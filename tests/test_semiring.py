@@ -150,3 +150,18 @@ def test_floats_rejected_except_minus_inf():
     assert as_scalar(float("-inf")) == BOTTOM
     with pytest.raises(TypeError):
         as_scalar(0.5)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: MaxPlusScalar(0.1),
+        lambda: scalar_power(MaxPlusScalar(1), 0.1),
+        lambda: MaxPlusScalar(float("-inf")),
+    ],
+    ids=["float", "float_power", "minus_inf_float"],
+)
+def test_scalar_constructor_refuses_floats(make):
+    # the constructor stored 0.1 as the float's binary fraction and overflowed on -inf
+    with pytest.raises(TypeError, match="refusing inexact float"):
+        make()
