@@ -15,6 +15,8 @@ holds at t exactly when C S^t R <= A^t (see _excess), so no power of B
 is computed.  One sweep over the powers of A - lambda (see _sweep)
 yields T1, the transient of each critical row and column, where A^t
 meets C S^t R alone, and T up to its ceiling (see _transient past it).
+A row of the powers, once periodic, stays so; the sweep then copies it
+instead of multiplying it, and tests only the rows still active.
 Whether T1 equals that ceiling is also decided at two powers alone (see
 _t1_at_ceiling); the generators in `extremal` check their candidates so.
 
@@ -26,11 +28,13 @@ When lambda = -inf (acyclic digraph) the CSR terms are all -inf by
 convention and B = A, so the expansion holds trivially from t = 1.
 
 Everything here works on the scaled integer rows of A - lambda that
-`spectrum` computed, the one place that scales A with lambda: M, by
-repeated squaring, the gamma residues C S^r R - r*lambda, and the
-powers of A - lambda in the sweep.  t*lambda thereby drops out of every
-comparison, and only the public C, R and the values csr_at returns are
-converted back to Fractions.
+`spectrum` computed, the one place that scales A with lambda: M, the
+gamma residues C S^r R - r*lambda, and the powers of A - lambda in the
+sweep.  At gamma = 1, M = I (+) (A - lambda)+ comes from the closure
+the spectrum kept; at gamma > 1 it is the closure of (A - lambda)^gamma,
+that power taken by repeated squaring.  t*lambda thereby drops out of
+every comparison, and only the public C, R and the values csr_at
+returns are converted back to Fractions.
 
 A triple is built only as far as it is read.  build_csr computes M and
 keeps C and R as int rows; C and R become Fraction matrices when the
@@ -56,7 +60,7 @@ from .matrix import (
     mat_mul,  # unused here; perfbench/test_bench.py reads csr.mat_mul
     zeros,
 )
-from .semiring import BOTTOM, MaxPlusScalar
+from .semiring import BOTTOM, MaxPlusScalar, _check_exponent
 from .spectral import CritGraph, spectrum
 
 
@@ -126,8 +130,11 @@ def _build_csr(a: MaxPlusMatrix, subgraph: CritGraph | None) -> CsrTriple:
     if not k.arcs <= sp.crit.arcs:
         raise ValueError("subgraph is not contained in the critical graph")
     norm = sp._norm
-    m = [row[:] for row in _int_power(norm, k.cyclicity)]
-    _int_closure(m)
+    if k.cyclicity == 1:
+        m = [row[:] for row in sp._closure]
+    else:
+        m = [row[:] for row in _int_power(norm, k.cyclicity)]
+        _int_closure(m)
     for i, row in enumerate(m):
         row[i] = 0  # M = ((A - lambda)^gamma)^*; its cycles weigh <= 0
     c = [[m[i][j] if j in k.nodes else None for j in range(n)] for i in range(n)]
@@ -154,6 +161,7 @@ def _residue(triple: CsrTriple, t: int) -> list[list]:
 
 def csr_at(triple: CsrTriple, t: int) -> MaxPlusMatrix:
     """Evaluate C S^t R exactly, t >= 1, from the residue of t modulo gamma."""
+    _check_exponent("csr_at", t)
     if t < 1:
         raise ValueError(f"csr_at needs t >= 1, got {t}")
     if triple.lam.is_bottom:
@@ -225,40 +233,54 @@ def _int_identity(n: int) -> list[list]:
 def _sweep(triple: CsrTriple) -> tuple[int | None, list[list] | None, int, dict[int, int], dict[int, int]]:
     """(t, at, t1, rows, cols) from one loop over the powers P^t of P = A - lambda.
 
-    T is the least t >= 0 with P^(t+gamma) = P^t: equality at t, times P,
-    gives it at t + 1.  With the window P^(t-gamma) .. P^t the sweep tests
-    it at t - gamma and, up to the ceiling c = min(Wi(n), DM(g, n)), finds
-    where the residue Q_t exceeds P^t (see _excess), for t1 and the critical
-    row and column transients.  It stops at t = T + gamma if T <= c, with
-    (T, None), else at t = c + gamma, with (c + 1, P^(c+1)) for _transient.
+    T is the least t >= 0 with P^(t+gamma) = P^t.  The sweep reads it row
+    by row: let T_i be the least t at which row i of P^(t+gamma) equals
+    row i of P^t.  Row i of P^(t+1) is row i of P^t times P, so equality
+    at t gives it at t + 1: row i is periodic from T_i on, and T is the
+    largest T_i.  With the window P^(t-gamma) .. P^t the sweep retires row
+    i at t = T_i + gamma; from then on row i of each new power is copied
+    from the power gamma steps back, and only the active rows are
+    multiplied by P.  Up to the ceiling c = min(Wi(n), DM(g, n)) it finds
+    where the residue Q_t exceeds P^t on the active rows (see _excess),
+    for t1 and the critical row and column transients.  It stops at t =
+    T + gamma, when no row is left active, if T <= c, with (T, None), else
+    at t = c + gamma, with (c + 1, P^(c+1)) for _transient.
 
-    No t >= T fails.  P^(t+k*gamma) = P^t for all k >= 0, Q_t depends on
-    t only modulo gamma, and t + k*gamma is past T1 for k large, so
-    Q_t <= P^t.  Irreducibility is not used, so reducible input may stop
-    early too.  An acyclic digraph has no critical graph and no T; it
-    gives (None, None, 1, {}, {}).
+    No t >= T_i fails in row i, so a retired row needs no test.  Row i of
+    P^(t+k*gamma) equals row i of P^t for all k >= 0, row i of Q_t depends
+    on t only modulo gamma, and t + k*gamma is past T1 for k large, so row
+    i of Q_t is <= row i of P^t: no entry (i, j) exceeds, and neither t1
+    nor a row or column transient can move.  Irreducibility is not used,
+    so rows of reducible input retire too, and it may stop early.  An
+    acyclic digraph has no critical graph and no T; it gives (None, None,
+    1, {}, {}).
     """
     if triple.crit is None:
         return None, None, 1, {}, {}
     norm, gamma = triple._norm, triple.gamma
     step = _finite_entries(norm)
     window = deque([_int_identity(len(norm)), norm], maxlen=gamma + 1)
+    active = list(range(len(norm)))  # every row, until the window is full
     nodes = sorted(triple.crit.nodes)
     ceiling, t1, rows, cols = _ceiling(triple), 1, dict.fromkeys(nodes, 1), dict.fromkeys(nodes, 1)
     for t in count(1):
         at = window[-1]
         if len(window) > gamma:
-            if window[0] == at:
+            active = [i for i in active if window[0][i] != at[i]]
+            if not active:
                 return t - gamma, None, t1, rows, cols
             if t - gamma >= ceiling:
                 return t - gamma + 1, window[1], t1, rows, cols
         if t <= ceiling:
-            excess = _excess(triple, t, at)
+            excess = _excess(triple, t, at, active)
             if excess:
                 t1 = t + 1
                 rows.update((i, t + 1) for i, _ in excess if i in rows)
                 cols.update((j, t + 1) for _, j in excess if j in cols)
-        window.append(_int_mul(at, step))
+        nxt = window[1][:]  # P^(t+1-gamma), whose retired rows are those of P^(t+1)
+        for i, row in zip(active, _int_mul([at[i] for i in active], step)):
+            nxt[i] = row
+        window.append(nxt)
 
 
 def _transient(norm: list[list], gamma: int, t: int, at: list[list]) -> int:
@@ -287,8 +309,9 @@ def _ceiling(triple: CsrTriple) -> int:
     return min(wielandt_bound(n), dm_bound(triple.crit.girth, n))
 
 
-def _excess(triple: CsrTriple, t: int, at: list[list]) -> list[tuple[int, int]]:
-    """The entries (i, j) where the residue Q_t of t exceeds at = P^t.
+def _excess(triple: CsrTriple, t: int, at: list[list], active: list[int] | range) -> list[tuple[int, int]]:
+    """The entries (i, j), i in the rows active, where the residue Q_t of t
+    exceeds at = P^t.
 
     With P = A - lambda and Q_t = C S^t R - t*lambda, the expansion at t
     is P^t = Q_t (+) (B - lambda)^t.  It holds exactly when no entry
@@ -311,9 +334,9 @@ def _excess(triple: CsrTriple, t: int, at: list[list]) -> list[tuple[int, int]]:
     residue = _residue(triple, t)
     return [
         (i, j)
-        for i, (qrow, prow) in enumerate(zip(residue, at))
-        if qrow != prow
-        for j, (q, p) in enumerate(zip(qrow, prow))
+        for i in active
+        if residue[i] != at[i]
+        for j, (q, p) in enumerate(zip(residue[i], at[i]))
         if q is not None and (p is None or q > p)
     ]
 
@@ -334,9 +357,11 @@ def _t1_at_ceiling(a: MaxPlusMatrix, bound: int) -> bool:
     triple = build_csr(a)
     if triple.crit is None or a.n == 1 or bound != _ceiling(triple):
         return False
-    p = triple._norm
+    p, rows = triple._norm, range(a.n)
     at = _int_power(p, bound - 1)
-    return bool(_excess(triple, bound - 1, at)) and not _excess(triple, bound, _int_mul(at, _finite_entries(p)))
+    return bool(_excess(triple, bound - 1, at, rows)) and not _excess(
+        triple, bound, _int_mul(at, _finite_entries(p)), rows
+    )
 
 
 def crit_row_col_profile(a: MaxPlusMatrix) -> tuple[int, dict[int, int], dict[int, int]]:

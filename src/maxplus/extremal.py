@@ -17,7 +17,11 @@ instances, and the twice-optimal walk oracle used to inspect them.
 The verdicts and the oracle read the spectrum's integer rows of
 A - lambda: cycles are searched on their successor lists (critical
 ones on those of the critical arcs), then ranked, chords checked and
-walks weighed on the integers.
+walks weighed on the integers.  A generator builds its skeleton a1, with
+a1's spectrum and CSR triple, once: the triple bounds the remainder it
+samples, and the verdict on the candidate reads it again for the
+remainder and chord-power checks once a1 equals the layer it carves
+(see _skeleton).  A generated matrix thereby costs two spectra.
 
 Node indices are 0-based throughout; a numbering is a permutation tuple
 ``sigma`` placing original node ``sigma[p]`` at position ``p``.
@@ -256,6 +260,12 @@ def verify_dm(
     critical g-cycle occupies the leading positions.  Girth-1 critical
     graphs are rejected: no attainment characterization is known there.
     """
+    return _dm_verdict(a, numbering, None)
+
+
+def _dm_verdict(a: MaxPlusMatrix, numbering: tuple[int, ...] | None, a1: MaxPlusMatrix | None) -> DmVerdict:
+    """verify_dm, reusing a1, the skeleton layer of a under numbering with
+    the triple its generator built, unless a1 is None (see _skeleton)."""
     n = a.n
     if numbering is not None:
         numbering = _check_numbering(n, numbering)
@@ -284,7 +294,7 @@ def verify_dm(
         if numbering is None:
             return DmVerdict(holds=False, numbering=None, conditions=conditions)
 
-    _dm_conditions(a, sp, g, numbering, conditions)
+    _dm_conditions(a, sp, g, numbering, conditions, a1)
     holds = all(c.passed for c in conditions.values())
     return DmVerdict(holds=holds, numbering=numbering, conditions=conditions)
 
@@ -316,16 +326,19 @@ def _search_dm_numbering(norm: list[list], short_cycle: tuple[int, ...], conditi
     return numbering
 
 
-def _dm_conditions(a: MaxPlusMatrix, sp: Spectrum, g: int, numbering: tuple[int, ...], conditions: dict) -> None:
+def _dm_conditions(
+    a: MaxPlusMatrix, sp: Spectrum, g: int, numbering: tuple[int, ...], conditions: dict, a1: MaxPlusMatrix | None
+) -> None:
     n = a.n
     dec = decompose(a, g, numbering)
+    a1 = _skeleton(a1, dec.a1)
     # the Hamiltonian arcs belong to the a1 pattern
     conditions["hamiltonian_support"] = _support_check(dec.a1.raw(), _cycle_arcs(n))
     conditions["short_cycle_critical"] = _critical_check(_cycle_arcs(g), _crit_positions(sp.crit, numbering))
 
     conditions["coprime"] = ConditionCheck(gcd(g, n) == 1, detail=f"gcd({g},{n})={gcd(g, n)}")
 
-    conditions["remainder_below_csr"] = ConditionCheck(_remainder_below_csr(dec.a1, dec.a2))
+    conditions["remainder_below_csr"] = ConditionCheck(_remainder_below_csr(a1, dec.a2))
 
     witnesses, qualifying = _residue_chord_witnesses(sp._norm, g, numbering)
     if qualifying == 0:
@@ -340,7 +353,7 @@ def _dm_conditions(a: MaxPlusMatrix, sp: Spectrum, g: int, numbering: tuple[int,
         conditions["chord_power_below_csr"] = ConditionCheck(True, vacuous=True, detail="chord layer is acyclic")
     else:
         t = dm_bound(g, n) - 1  # (b1^t)_{g, n-1} must lie strictly below (CSR(a1) at t)_{g, n-1}
-        lhs, rhs = mat_power(dec.b1, t)[g, n - 1], csr_at(build_csr(dec.a1), t)[g, n - 1]
+        lhs, rhs = mat_power(dec.b1, t)[g, n - 1], csr_at(build_csr(a1), t)[g, n - 1]
         conditions["chord_power_below_csr"] = ConditionCheck(lhs < rhs, detail=f"{lhs} vs {rhs}")
 
 
@@ -389,6 +402,13 @@ def verify_wielandt(
     Hamiltonian cycle rotated so the unique maximum-weight (n-1)-cycle
     occupies the leading positions.
     """
+    return _wielandt_verdict(a, numbering, None)
+
+
+def _wielandt_verdict(
+    a: MaxPlusMatrix, numbering: tuple[int, ...] | None, a1: MaxPlusMatrix | None
+) -> WielandtVerdict:
+    """verify_wielandt, reusing a1 like _dm_verdict."""
     n = a.n
     if numbering is not None:
         numbering = _check_numbering(n, numbering)
@@ -402,7 +422,7 @@ def verify_wielandt(
         if numbering is None:
             return WielandtVerdict(holds=False, numbering=None, case=None, conditions=conditions)
 
-    case = _wielandt_conditions(a, sp.crit, numbering, conditions)
+    case = _wielandt_conditions(a, sp.crit, numbering, conditions, a1)
     holds = all(c.passed for c in conditions.values())
     return WielandtVerdict(holds=holds, numbering=numbering, case=case, conditions=conditions)
 
@@ -431,6 +451,7 @@ def _wielandt_conditions(
     crit: CritGraph,
     numbering: tuple[int, ...],
     conditions: dict[str, ConditionCheck],
+    a1: MaxPlusMatrix | None,
 ) -> str | None:
     n = a.n
     g_crit = crit.girth
@@ -460,8 +481,25 @@ def _wielandt_conditions(
         )
         return None
 
-    conditions["remainder_below_csr"] = ConditionCheck(_remainder_below_csr(*_carve(praw, skeleton)))
+    layer, a2 = _carve(praw, skeleton)
+    conditions["remainder_below_csr"] = ConditionCheck(_remainder_below_csr(_skeleton(a1, layer), a2))
     return case
+
+
+def _skeleton(a1: MaxPlusMatrix | None, layer: MaxPlusMatrix) -> MaxPlusMatrix:
+    """The skeleton layer a verifier carved, or a1 in its place.
+
+    A generator builds its skeleton a1 first, with a1's spectrum and CSR
+    triple, to sample the remainder below CSR(a1) at t = 1; handing a1
+    to the verifier lets the remainder and chord-power checks read that
+    triple instead of building it again for an equal matrix.  They run
+    all the same, on a1, which must equal the layer entry for entry.
+    """
+    if a1 is None:
+        return layer
+    if a1 != layer:
+        raise AssertionError("the skeleton handed to the verifier is not the layer it carves")
+    return a1
 
 
 def _remainder_below_csr(a1: MaxPlusMatrix, a2: MaxPlusMatrix) -> bool:
@@ -675,7 +713,7 @@ def generate_dm(n: int, g: int, seed) -> MaxPlusMatrix:
     taken = a1_pattern(n, g) | b1_pattern(n, g)
     a2_entries = _sample_remainder(rng, csr_at(build_csr(a1), 1), taken)
     candidate = from_entries(n, {**entries, **b1_entries, **a2_entries})
-    if not (verify_dm(candidate, numbering=tuple(range(n))).holds and _t1_at_ceiling(candidate, dm_bound(g, n))):
+    if not (_dm_verdict(candidate, tuple(range(n)), a1).holds and _t1_at_ceiling(candidate, dm_bound(g, n))):
         raise AssertionError(f"generated DM candidate fails its post-verification (n={n}, g={g}, seed={seed!r})")
     return candidate
 
@@ -712,7 +750,7 @@ def generate_wielandt(n: int, seed, case: str = "n-1") -> MaxPlusMatrix:
 
     a2_entries = _sample_remainder(rng, csr_at(build_csr(a1), 1), a1_pattern(n, n - 1))
     candidate = from_entries(n, {**entries, **a2_entries})
-    verdict = verify_wielandt(candidate, numbering=tuple(range(n)))
+    verdict = _wielandt_verdict(candidate, tuple(range(n)), a1)
     if not (verdict.holds and verdict.case == case and _t1_at_ceiling(candidate, wielandt_bound(n))):
         raise AssertionError(
             f"generated Wielandt candidate fails its post-verification (n={n}, case={case}, seed={seed!r})"

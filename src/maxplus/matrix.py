@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .semiring import MaxPlusScalar, as_scalar, negate
+from .semiring import MaxPlusScalar, _check_exponent, as_scalar, negate
 
 
 class MaxPlusMatrix:
@@ -182,6 +182,7 @@ def mat_mul(a: MaxPlusMatrix, b: MaxPlusMatrix) -> MaxPlusMatrix:
 
 def mat_power(a: MaxPlusMatrix, t: int) -> MaxPlusMatrix:
     """a to the t-th power, t >= 1, by repeated squaring."""
+    _check_exponent("mat_power", t)
     if t < 1:
         raise ValueError(f"mat_power needs t >= 1, got {t}")
     d, (rows,) = _scaled([a])

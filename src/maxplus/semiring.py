@@ -98,6 +98,7 @@ def otimes(a: MaxPlusScalar, b: MaxPlusScalar) -> MaxPlusScalar:
 
 def scalar_power(a: MaxPlusScalar, t: int) -> MaxPlusScalar:
     """t-fold product of a with itself, i.e. t*a; the empty product is UNIT."""
+    _check_exponent("scalar_power", t)
     if t < 0:
         raise ValueError(f"scalar_power needs t >= 0, got {t}")
     if t == 0:
@@ -105,6 +106,14 @@ def scalar_power(a: MaxPlusScalar, t: int) -> MaxPlusScalar:
     if a.value is None:
         return BOTTOM
     return MaxPlusScalar(a.value * t)
+
+
+def _check_exponent(name: str, t) -> None:
+    """Raise TypeError unless the exponent t is an int other than a bool."""
+    if isinstance(t, float):
+        raise TypeError(f"refusing inexact float exponent {t!r}; {name} needs an int t")
+    if isinstance(t, bool) or not isinstance(t, int):
+        raise TypeError(f"{name} needs an int t, got {t!r}")
 
 
 def negate(a: MaxPlusScalar) -> MaxPlusScalar:

@@ -13,7 +13,8 @@ mean) is read off its closure: an arc (i, j) is critical exactly when
 it closes a zero-weight circuit, i.e. when a'_ij + (A'+)_ji = 0 for
 the normalized A' = A - lambda.  Its components, girths and
 cyclicities come from the successor lists of those integer arcs, and
-`visualize` bumps the same rows of A - lambda.
+`visualize` bumps the same rows of A - lambda.  The Spectrum keeps the
+closure A'+ too: at cyclicity 1 `csr` carves M = I (+) A'+ from it.
 
 A visualization is a diagonal scaling pushing every entry to at most the
 cycle mean; a strict visualization additionally puts an entry *at* the
@@ -73,13 +74,15 @@ class CritGraph:
 class Spectrum:
     """The cycle mean lam, the critical graph (None if acyclic), whether the
     digraph is strongly connected and, for a finite lam, the rows _norm of
-    A - lam as ints (None: -inf) scaled by _d."""
+    P = A - lam as ints (None: -inf) scaled by _d, and the rows _closure
+    of P+ = P (+) P^2 (+) ..., from which the critical graph was read."""
 
     lam: MaxPlusScalar
     crit: CritGraph | None
     _strongly_connected: bool = field(default=False, compare=False, repr=False)
     _d: int | None = field(default=None, compare=False, repr=False)
     _norm: list[list] | None = field(default=None, compare=False, repr=False)
+    _closure: list[list] | None = field(default=None, compare=False, repr=False)
 
 
 def max_cycle_mean(a: MaxPlusMatrix) -> MaxPlusScalar:
@@ -169,8 +172,9 @@ def _spectrum(a: MaxPlusMatrix) -> Spectrum:
     d_lam = lcm(d, lam.denominator)
     lam_d = lam.numerator * (d_lam // lam.denominator)
     norm = [[None if x is None else x * (d_lam // d) - lam_d for x in row] for row in rows]
-    crit = _critical_graph_at(norm)
-    return Spectrum(MaxPlusScalar(lam), crit, components == 1, d_lam, norm)
+    closure = [row[:] for row in norm]
+    _int_closure(closure)
+    return Spectrum(MaxPlusScalar(lam), _critical_graph_at(norm, closure), components == 1, d_lam, norm, closure)
 
 
 def _cyclic_spectrum(a: MaxPlusMatrix) -> Spectrum:
@@ -186,11 +190,10 @@ def critical_graph(a: MaxPlusMatrix) -> CritGraph:
     return _cyclic_spectrum(a).crit
 
 
-def _critical_graph_at(norm: list[list]) -> CritGraph:
-    """The critical graph, given the scaled int rows of A - lambda; its
-    components come from the successor lists of the critical arcs."""
-    closure = [row[:] for row in norm]
-    _int_closure(closure)
+def _critical_graph_at(norm: list[list], closure: list[list]) -> CritGraph:
+    """The critical graph, given the scaled int rows of A - lambda and of
+    their closure; its components come from the successor lists of the
+    critical arcs."""
     arcs = {
         (i, j)
         for i, row in enumerate(norm)

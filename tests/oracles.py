@@ -16,6 +16,8 @@ cycles_of_length_by_filter are the two cycle searches the library ran
 before its one exact-length DFS: they fix the lists, and the order,
 that DFS must return.  transient_by_steps is the library's search for T
 before it galloped: one power at a time, capped so a test cannot hang.
+row_transients_by_steps finds, by the same stepping, where each row of
+the powers turns periodic, which the sweep reads off its window.
 """
 
 from __future__ import annotations
@@ -298,6 +300,28 @@ def transient_by_steps(rows, gamma, cap=10_000):
                     if p[k][j] is not None and (nxt[i][j] is None or at[i][k] + p[k][j] > nxt[i][j]):
                         nxt[i][j] = at[i][k] + p[k][j]
         window.append(nxt)
+
+
+def row_transients_by_steps(rows, gamma, horizon):
+    """For each row i, the least T_i in 0..horizon with row i of
+    P^(T_i+gamma) equal to row i of P^(T_i), P the rows (numbers or None),
+    or None when there is none; every power is one walk-extension step of
+    the previous one, in exact arithmetic on the entries as given.
+    """
+    n = len(rows)
+    powers = [[[0 if i == j else None for j in range(n)] for i in range(n)]]
+    for _ in range(horizon + gamma):
+        at = powers[-1]
+        nxt = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for k in range(n):
+                if at[i][k] is None:
+                    continue
+                for j in range(n):
+                    if rows[k][j] is not None and (nxt[i][j] is None or at[i][k] + rows[k][j] > nxt[i][j]):
+                        nxt[i][j] = at[i][k] + rows[k][j]
+        powers.append(nxt)
+    return [next((t for t in range(horizon + 1) if powers[t][i] == powers[t + gamma][i]), None) for i in range(n)]
 
 
 def crit_rc_wielandt_brute(a, numbering=None):

@@ -316,6 +316,26 @@ def _lazy_triple_inputs():
     ]
 
 
+def _loop_beside_a_cycle(count):
+    """Matrices whose critical graph is a loop beside a k-cycle, k >= 2:
+    the loop's triple has gamma 1, the full one gamma k.  Both weigh 0,
+    every other arc is negative, and a random diagonal similarity hides
+    the zeros without moving a cycle weight."""
+    rng = random.Random(2024)
+    for _ in range(count):
+        n = rng.randint(3, 7)
+        nodes = list(range(n))
+        rng.shuffle(nodes)
+        cycle = nodes[1 : rng.randint(3, n)]
+        entries = {(nodes[0], nodes[0]): 0, **{(u, cycle[(k + 1) % len(cycle)]): 0 for k, u in enumerate(cycle)}}
+        for i in range(n):
+            for j in range(n):
+                if (i, j) not in entries and rng.random() < 0.4:
+                    entries[(i, j)] = -Fraction(rng.randint(1, 12), rng.choice((1, 2, 3)))
+        d = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 5))) for _ in range(n)]
+        yield from_entries(n, {(i, j): w - d[i] + d[j] for (i, j), w in entries.items()})
+
+
 def _recording_spectrum(monkeypatch):
     """The matrices whose spectrum is computed, in order, not merely asked for."""
     computed, compute = [], spectral._spectrum
@@ -343,12 +363,37 @@ def test_a_matrix_keeps_its_spectrum_and_triple(monkeypatch, rng):
 
 
 def test_generator_computes_its_candidates_spectrum_once(monkeypatch):
-    # verify_wielandt and the check of T1 at two powers share it
+    # the verdict and the check of T1 at two powers share it, and the
+    # verdict reads the triple of the skeleton a1 that bounded the
+    # remainder: two spectra per call, a1's and the candidate's
     computed = _recording_spectrum(monkeypatch)
-    for seed in range(3):
-        computed.clear()
-        a = generate_wielandt(12, seed, case="n")
-        assert sum(b is a for b in computed) == 1
+    generators = [
+        lambda seed: generate_dm(7, 3, seed),  # n >= 2g: the chord-power check reads CSR(a1) too
+        lambda seed: generate_dm(12, 5, seed),
+        lambda seed: generate_wielandt(12, seed, case="n-1"),
+        lambda seed: generate_wielandt(12, seed, case="n"),
+    ]
+    for generate in generators:
+        for seed in range(3):
+            computed.clear()
+            a = generate(seed)
+            assert len(computed) == 2 and computed[1] is a
+
+
+def test_analyze_closes_once_at_cyclicity_one_and_twice_above(monkeypatch, rng):
+    # at gamma = 1, M = I (+) P+ is the closure the spectrum already took
+    closures, close = [], matrix._int_closure
+    for module in (spectral, csr):
+        monkeypatch.setattr(module, "_int_closure", lambda rows: closures.append(rows) or close(rows))
+    kinds = Counter()
+    inputs = [random_cyclic_matrix(rng, rng.randint(1, 6)) for _ in range(60)]
+    inputs += [cycle_matrix(n) for n in range(1, 6)] + list(_loop_beside_a_cycle(5))
+    for a in inputs:
+        closures.clear()
+        gamma = analyze(a).gamma
+        assert len(closures) == (1 if gamma == 1 else 2)
+        kinds[gamma == 1] += 1
+    assert kinds[True] >= 20 and kinds[False] >= 20
 
 
 def test_lazy_triples_match_the_walk_oracle():
@@ -356,7 +401,7 @@ def test_lazy_triples_match_the_walk_oracle():
     # against the columns and rows of M = ((A - lambda)^gamma)^*
     rng = random.Random(11)
     kinds = Counter()
-    for a in _lazy_triple_inputs():
+    for a in [*_lazy_triple_inputs(), *_loop_beside_a_cycle(30)]:
         n, sp, full = a.n, spectrum(a), build_csr(a)
         if sp.crit is None:
             kinds["acyclic"] += 1
@@ -382,7 +427,18 @@ def test_lazy_triples_match_the_walk_oracle():
                             m[i][j] = p[i][j]
             assert triple.c.raw() == [[m[i][j] if j in k.nodes else None for j in range(n)] for i in range(n)]
             assert triple.r.raw() == [[m[i][j] if i in k.nodes else None for j in range(n)] for i in range(n)]
+            # at gamma = 1 M is I (+) the spectrum's closure P+; the integer
+            # rows agree with M from P^gamma and a fresh closure either way
+            m = [row[:] for row in matrix._int_power(sp._norm, gamma)]
+            matrix._int_closure(m)
+            for i in range(n):
+                m[i][i] = 0
+            assert triple._c == [[m[i][j] if j in k.nodes else None for j in range(n)] for i in range(n)]
+            assert triple._r == [[m[i][j] if i in k.nodes else None for j in range(n)] for i in range(n)]
+            if gamma == 1 and sp.crit.cyclicity > 1:
+                kinds["component at gamma 1, full gamma > 1"] += 1
     assert min(kinds[kind] for kind in ("acyclic", "reducible", "irreducible")) >= 20
+    assert kinds["component at gamma 1, full gamma > 1"] >= 20
 
 
 def test_spectrum_records_strong_connectivity():

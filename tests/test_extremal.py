@@ -602,16 +602,41 @@ def test_generators_verify_one_candidate_and_power_the_chord_layer_once(monkeypa
 
         monkeypatch.setattr(extremal, name, wrapper)
 
-    for name in ("mat_power", "verify_dm", "verify_wielandt", "_t1_at_ceiling"):
+    # the verdict runs on the private path that reuses the skeleton's triple
+    for name in ("mat_power", "verify_dm", "_dm_verdict", "verify_wielandt", "_wielandt_verdict", "_t1_at_ceiling"):
         counted(name)
     for seed in range(3):
         calls.clear()
         generate_dm(7, 3, seed)  # n >= 2g: the verdict powers b1 to DM(3, 7) - 1
-        assert calls == Counter(mat_power=1, verify_dm=1, _t1_at_ceiling=1)
+        assert calls == Counter(mat_power=1, _dm_verdict=1, _t1_at_ceiling=1)
         for case in ("n-1", "n"):
             calls.clear()
             generate_wielandt(7, seed, case=case)
-            assert calls == Counter(verify_wielandt=1, _t1_at_ceiling=1)
+            assert calls == Counter(_wielandt_verdict=1, _t1_at_ceiling=1)
+
+
+def test_the_verdicts_take_a_skeleton_only_if_it_is_the_layer_they_carve():
+    # a generator hands the verdict its skeleton a1, which already holds
+    # a1's triple; the verdict checks it entry for entry against its own
+    # layer, and gives what the public verdict gives
+    cases = [
+        (generate_dm(n, g, seed), g, extremal._dm_verdict, extremal.verify_dm)
+        for n, g in ((5, 2), (7, 3), (8, 3))
+        for seed in range(2)
+    ] + [
+        (generate_wielandt(n, seed, case=case), n - 1, extremal._wielandt_verdict, extremal.verify_wielandt)
+        for n in (2, 5, 7)
+        for case in ("n-1", "n")
+        for seed in range(2)
+    ]
+    for a, g, private, public in cases:
+        identity = tuple(range(a.n))
+        a1 = decompose(a, g, identity).a1
+        assert private(a, identity, a1) == public(a, identity)
+        raw = [row[:] for row in a1.raw()]
+        raw[a.n - 1][0] -= 1  # the Hamiltonian arc closing the skeleton
+        with pytest.raises(AssertionError, match="not the layer it carves"):
+            private(a, identity, MaxPlusMatrix(raw))
 
 
 # ---------------------------------------------------------------------------

@@ -46,11 +46,13 @@ from maxplus import (
     wielandt_bound,
     wielandt_skeleton,
 )
+from conftest import normalized
 from oracles import (
     critical_arcs_brute,
     critical_girth_cyclicity_brute,
     csr_walk_oracle,
     max_cycle_mean_brute,
+    row_transients_by_steps,
     walk_power,
     walk_powers,
     weak_threshold_T1_full,
@@ -336,8 +338,9 @@ def test_transient_with_a_coprime_mean_denominator():
 
 
 def test_sweep_matches_the_full_ceiling_scan(monkeypatch):
-    # the sweep stops at T + gamma when that comes before the ceiling;
-    # the oracle compares every t up to the ceiling
+    # the sweep stops at T + gamma when that comes before the ceiling,
+    # and tests a row only until it is periodic; the oracle compares
+    # every row at every t up to the ceiling
     found = []
     sweep = csr._sweep
 
@@ -367,8 +370,52 @@ def test_sweep_matches_the_full_ceiling_scan(monkeypatch):
         ceiling = min(wielandt_bound(a.n), dm_bound(wx.csr.crit.girth, a.n))
         if found[0] is not None and found[0] + wx.csr.gamma < ceiling:
             kinds[f"{kind}, stopped early"] += 1
+        horizon = (ceiling if found[0] is None else found[0]) - 2  # 2 steps before T, or before c < T
+        periodic_from = row_transients_by_steps(normalized(a).raw(), wx.csr.gamma, max(horizon, 0))
+        if horizon >= 0 and any(t is not None for t in periodic_from):
+            kinds[f"{kind}, a row retires 2 steps before T"] += 1
     assert kinds["acyclic"] >= 30 and kinds["reducible"] >= 100 and kinds["irreducible"] >= 100
     assert kinds["reducible, stopped early"] >= 20 and kinds["irreducible, stopped early"] >= 80
+    assert kinds["reducible, a row retires 2 steps before T"] >= 50
+    assert kinds["irreducible, a row retires 2 steps before T"] >= 50
+
+
+def test_the_sweep_multiplies_only_the_rows_not_yet_periodic(monkeypatch):
+    # row i is periodic from T_i on, by the oracle, and retires at
+    # T_i + gamma; until then it is one left row of each step's product.
+    # T is the largest T_i, and the sweep stops at min(T, c) + gamma.
+    left_rows, int_mul = [], matrix._int_mul
+    monkeypatch.setattr(csr, "_int_mul", lambda arows, b: left_rows.append(len(arows)) or int_mul(arows, b))
+
+    def sweep(a):
+        triple = build_csr(a)
+        gamma, ceiling = triple.gamma, min(wielandt_bound(a.n), dm_bound(triple.crit.girth, a.n))
+        for t in range(1, gamma + 1):
+            csr._residue(triple, t)  # read first, so the sweep's products are its steps alone
+        left_rows.clear()
+        t, at, *_ = csr._sweep(triple)
+        periodic_from = row_transients_by_steps(normalized(a).raw(), gamma, ceiling)  # None: past c
+        big_t = None if None in periodic_from else max(periodic_from)
+        assert t == (ceiling + 1 if big_t is None else big_t)
+        stop = (ceiling if big_t is None else big_t) + gamma
+        assert len(left_rows) == stop - 1  # one product a step
+        assert sum(left_rows) == sum(stop - 1 if ti is None else min(ti + gamma, stop) - 1 for ti in periodic_from)
+        if at is not None:  # P^(c+1) for the search past the ceiling, retired rows copied in phase
+            assert [[None if x is None else Fraction(x, triple._d) for x in row] for row in at] == walk_power(
+                normalized(a), ceiling + 1
+            )
+            kinds["P^(c+1) with rows retired, gamma > 1"] += gamma > 1 and sum(left_rows) < a.n * len(left_rows)
+        return periodic_from, list(left_rows)
+
+    # rows periodic from 6, 8, 7, 5, 5, 5, 7 at gamma 3: 57 left rows in 10 steps, not 70
+    kinds = Counter()
+    periodic_from, steps = sweep(third_mean_cycle(7))
+    assert periodic_from == [6, 8, 7, 5, 5, 5, 7] and steps == [7] * 7 + [4, 3, 1]
+    for a in [*instances(12, 120, make=irreducible), *instances(13, 120)]:
+        if spectrum(a).crit is not None:
+            _, steps = sweep(a)
+            kinds["fewer than n rows a step" if sum(steps) < a.n * len(steps) else "n rows every step"] += 1
+    assert kinds["fewer than n rows a step"] >= 100 and kinds["P^(c+1) with rows retired, gamma > 1"] >= 10
 
 
 def test_analyze_stops_the_sweep_at_T_plus_gamma(monkeypatch):

@@ -5,6 +5,8 @@ import pytest
 from maxplus import (
     DiagonalScaling,
     MaxPlusMatrix,
+    build_csr,
+    csr_at,
     from_entries,
     identity,
     kleene_star,
@@ -52,6 +54,16 @@ def test_mat_power_one_is_a(rng):
     assert mat_power(a, 1) == a
     with pytest.raises(ValueError):
         mat_power(a, 0)
+
+
+@pytest.mark.parametrize("t", [Fraction(3, 2), Fraction(2), True, 2.0, "2", None])
+def test_powers_need_an_int_exponent(t):
+    # mat_power failed on `&` or silently took a bool; csr_at on a list index
+    a = parse_matrix("2\n0 1\n-1 -inf\n")
+    with pytest.raises(TypeError, match="mat_power needs an int t"):
+        mat_power(a, t)
+    with pytest.raises(TypeError, match="csr_at needs an int t"):
+        csr_at(build_csr(a), t)
 
 
 def test_mat_power_matches_walk_dp_oracle(rng):

@@ -45,6 +45,14 @@ def test_scalar_power_examples():
         scalar_power(s(1), -1)
 
 
+@pytest.mark.parametrize("t", [Fraction(1, 2), Fraction(2), True, False, 2.0, "2", None])
+def test_scalar_power_needs_an_int_exponent(t):
+    # a Fraction t gave t*a, 1/2 for a = 1, and a bool t gave a or UNIT
+    for a in (s(1), BOTTOM):
+        with pytest.raises(TypeError, match="scalar_power needs an int t"):
+            scalar_power(a, t)
+
+
 def test_idempotence_and_neutral_on_random_rationals():
     rng = random.Random(7)
     for _ in range(100):
