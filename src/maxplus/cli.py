@@ -6,9 +6,10 @@ line the dimension, then one row per line; '-inf' or '*' for missing
 arcs).  Node indices on the command line are 0-based.
 
 Exit codes: 0 success (also after --help), 1 usage or precondition
-error (including a bad or missing argument), 2 a check verb returned a
-negative verdict, 3 internal assertion failure (including a generated
-matrix that fails its post-verification).
+error (including a bad or missing argument) or running out of memory,
+with one `error:` line on stderr, 2 a check verb returned a negative
+verdict, 3 internal assertion failure (including a generated matrix that
+fails its post-verification).
 
 The argument parser is built on the first call to `main` and reused by
 every later call in the process: each parse fills a fresh namespace, and
@@ -257,6 +258,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     except AssertionError as exc:
         print(f"internal assertion failed: {exc}", file=sys.stderr)

@@ -202,10 +202,27 @@ class WeakExpansion:
 def weak_threshold_T1(a: MaxPlusMatrix) -> WeakExpansion:
     """Least t1 >= 1 with A^t = C S^t R (+) B^t for all t >= t1.
 
-    It holds at t exactly when C S^t R <= A^t (see _excess), and holding
-    at one t does not imply it at the next, so the sweep keeps the last
-    failure, also per critical row and column, up to the proven
-    ceiling min(Wi(n), DM(g, n)) or to T + gamma if sooner (see _sweep).
+    It holds at t exactly when C S^t R <= A^t (see _excess).  The sweep
+    keeps the last failure, also per critical row and column, up to the
+    proven ceiling min(Wi(n), DM(g, n)) or to T + gamma if sooner (see
+    _sweep).
+
+    Holding at t implies holding at t + 1, in the whole matrix and in each
+    row and column alone.  Proof.  Write P = A - lambda, S' = S - lambda
+    (the arcs of P on the critical graph) and Q_t = C S'^t R, so that the
+    expansion holds at t iff Q_t <= P^t.  M = (P^gamma)^* >= P^(m*gamma)
+    for all m >= 0.  For a critical k, (S' R)(k, j) is the weight of a
+    best walk from k to j of length m*gamma + 1, m >= 0, that starts with
+    a critical arc.  That walk is also m*gamma arcs to some u followed by
+    the arc (u, j), so it weighs at most M(k, u) + P(u, j) = R(k, u) +
+    P(u, j): R P >= S' R, both sides -inf on the other rows.  Hence
+    Q_(t+1) = C S'^t (S' R) <= Q_t P, and row i of Q_t <= row i of P^t
+    gives row i of Q_(t+1) <= (row i of Q_t) P <= row i of P^(t+1).  In
+    the same way a walk of length 1 + m*gamma that ends with a critical
+    arc is one arc followed by m*gamma arcs, so P C >= C S', Q_(t+1) <=
+    P Q_t, and the columns follow.  So t1 is also the least t >= 1 at
+    which the expansion holds; the sweep still scans to its stopping
+    point, and takes no early exit on this account.
     """
     triple = build_csr(a)
     _, _, t1, rows, cols = _sweep(triple)

@@ -17,11 +17,19 @@ instances, and the twice-optimal walk oracle used to inspect them.
 The verdicts and the oracle read the spectrum's integer rows of
 A - lambda: cycles are searched on their successor lists (critical
 ones on those of the critical arcs), then ranked, chords checked and
-walks weighed on the integers.  A generator builds its skeleton a1, with
-a1's spectrum and CSR triple, once: the triple bounds the remainder it
-samples, and the verdict on the candidate reads it again for the
-remainder and chord-power checks once a1 equals the layer it carves
-(see _skeleton).  A generated matrix thereby costs two spectra.
+walks weighed on the integers.  A numbering search lists the critical
+graph's cycles of the length it ranks first: when there are any they
+are exactly the heaviest (see _heaviest_cycle), and only when there are
+none are the cycles of the whole support enumerated and ranked.  The
+remainder test compares a2 with the skeleton triple's integer residue
+(see _remainder_below_csr), and verify_crit_rc_wielandt skips a rotation
+that puts a critical arc off the skeleton before that test.
+
+A generator builds its skeleton a1, with a1's spectrum and CSR triple,
+once: the triple bounds the remainder it samples, and the verdict on the
+candidate reads it again for the remainder and chord-power checks once
+a1 equals the layer it carves (see _skeleton).  A generated matrix
+thereby costs two spectra.
 
 Node indices are 0-based throughout; a numbering is a permutation tuple
 ``sigma`` placing original node ``sigma[p]`` at position ``p``.
@@ -36,14 +44,9 @@ from itertools import product
 from math import gcd
 
 from .bounds import dm_bound, wielandt_bound
-from .csr import _int_identity, _t1_at_ceiling, _transient, build_csr, csr_at
+from .csr import _int_identity, _residue, _t1_at_ceiling, _transient, build_csr, csr_at
 from .digraph import WeightedDigraph, _cycles, _successors, _support
-from .matrix import (
-    MaxPlusMatrix,
-    from_entries,
-    mat_power,
-    strictly_dominated_by,
-)
+from .matrix import MaxPlusMatrix, from_entries, mat_power
 from .semiring import MaxPlusScalar
 from .spectral import CritGraph, Spectrum, _cyclic_spectrum, critical_graph
 
@@ -290,7 +293,7 @@ def _dm_verdict(a: MaxPlusMatrix, numbering: tuple[int, ...] | None, a1: MaxPlus
         _check_search_limit(n)
         if not strongly or len(short_cycles) != 1:
             return DmVerdict(holds=False, numbering=None, conditions=conditions)
-        numbering = _search_dm_numbering(sp._norm, short_cycles[0], conditions)
+        numbering = _search_dm_numbering(a, short_cycles[0], conditions)
         if numbering is None:
             return DmVerdict(holds=False, numbering=None, conditions=conditions)
 
@@ -299,24 +302,40 @@ def _dm_verdict(a: MaxPlusMatrix, numbering: tuple[int, ...] | None, a1: MaxPlus
     return DmVerdict(holds=holds, numbering=numbering, conditions=conditions)
 
 
-def _heaviest_cycle(
-    norm: list[list], succ: list[list[int]], k: int, key: str, conditions: dict
-) -> tuple[int, ...] | None:
-    """The unique maximum-weight cycle of k nodes on the support succ of the
-    rows norm, or None; the ranking's verdict is recorded under key."""
-    cycles = _cycles(succ, k)
-    best = _unique_max_weight(norm, cycles)
+def _heaviest_cycle(a: MaxPlusMatrix, k: int, key: str, conditions: dict) -> tuple[int, ...] | None:
+    """The unique maximum-weight cycle of k nodes in the digraph of a, or
+    None; the ranking's verdict is recorded under key.
+
+    The critical graph's k-cycles are searched first, on the successor
+    lists of the critical arcs.  In the spectrum's rows of A - lambda
+    every cycle weighs <= 0, and a cycle weighs 0 exactly when each of
+    its arcs is critical: a visualization, a diagonal similarity that
+    leaves every cycle's weight as it is, puts every arc at <= 0 and
+    every critical arc at 0.  So when the critical graph has k-cycles,
+    they are exactly the heaviest k-cycles of a, tied at 0, and the
+    ranking is unique iff there is one.  Only when it has none does the
+    search enumerate the k-cycles of the whole support and rank them on
+    norm (see _unique_max_weight).  A cycle is the same node tuple,
+    rooted at its least node, in either search.
+    """
+    sp = _cyclic_spectrum(a)
+    cycles = _critical_cycles_of_length(a, sp.crit, k)
+    if cycles:
+        best = cycles[0] if len(cycles) == 1 else None
+    else:
+        cycles = _cycles(_support(sp._norm), k)
+        best = _unique_max_weight(sp._norm, cycles)
     if best is not None:
         conditions[key] = ConditionCheck(True)
-    elif k == len(norm):
+    elif k == a.n:
         _fail(conditions, key, "maximum-weight Hamiltonian cycle is not unique" if cycles else "no Hamiltonian cycle")
     else:
         _fail(conditions, key, f"maximum-weight {k}-cycle is not unique" if cycles else f"no cycle of length {k}")
     return best
 
 
-def _search_dm_numbering(norm: list[list], short_cycle: tuple[int, ...], conditions: dict) -> tuple[int, ...] | None:
-    ham = _heaviest_cycle(norm, _support(norm), len(norm), "unique_max_weight_hamiltonian", conditions)
+def _search_dm_numbering(a: MaxPlusMatrix, short_cycle: tuple[int, ...], conditions: dict) -> tuple[int, ...] | None:
+    ham = _heaviest_cycle(a, a.n, "unique_max_weight_hamiltonian", conditions)
     if ham is None:
         return None
     numbering = _align_numbering(ham, short_cycle)
@@ -418,7 +437,7 @@ def _wielandt_verdict(
 
     if numbering is None:
         _check_search_limit(n)
-        numbering = _search_wielandt_numbering(sp._norm, conditions)
+        numbering = _search_wielandt_numbering(a, conditions)
         if numbering is None:
             return WielandtVerdict(holds=False, numbering=None, case=None, conditions=conditions)
 
@@ -427,13 +446,11 @@ def _wielandt_verdict(
     return WielandtVerdict(holds=holds, numbering=numbering, case=case, conditions=conditions)
 
 
-def _search_wielandt_numbering(norm: list[list], conditions: dict) -> tuple[int, ...] | None:
-    n = len(norm)
-    succ = _support(norm)
-    ham = _heaviest_cycle(norm, succ, n, "unique_max_weight_hamiltonian", conditions)
+def _search_wielandt_numbering(a: MaxPlusMatrix, conditions: dict) -> tuple[int, ...] | None:
+    ham = _heaviest_cycle(a, a.n, "unique_max_weight_hamiltonian", conditions)
     if ham is None:
         return None
-    sub = _heaviest_cycle(norm, succ, n - 1, "unique_max_weight_subcycle", conditions)
+    sub = _heaviest_cycle(a, a.n - 1, "unique_max_weight_subcycle", conditions)
     if sub is None:
         return None
     numbering = _align_numbering(ham, sub)
@@ -510,8 +527,25 @@ def _remainder_below_csr(a1: MaxPlusMatrix, a2: MaxPlusMatrix) -> bool:
     residue-chord layer of the general decomposition would swallow the
     (1, 1) loop; it belongs to the remainder there, consistently with the
     2x2 characterization (attainment iff the two loops differ).
+
+    It is decided on the integers, without building CSR(a1) at t = 1 as
+    Fractions.  The triple's residue Q = C S R - lambda holds int rows
+    scaled by its d, of which lambda*d is an int, so CSR(a1) at t = 1 is
+    (Q(i, j) + lambda*d)/d, and -inf where Q(i, j) is.  A finite entry
+    p/q of a2, q > 0, lies strictly below it iff Q(i, j) is finite and
+    p*d < (Q(i, j) + lambda*d)*q, both sides multiplied by d*q > 0.  An
+    acyclic a1 has CSR(a1) = -inf everywhere, and only an all -inf a2
+    lies below it.
     """
-    return strictly_dominated_by(a2, csr_at(build_csr(a1), 1))
+    triple = build_csr(a1)
+    finite = [(i, j, x) for i, row in enumerate(a2.raw()) for j, x in enumerate(row) if x is not None]
+    if triple.crit is None:
+        return not finite
+    d, lam, residue = triple._d, triple.lam.value, _residue(triple, 1)
+    shift = lam.numerator * (d // lam.denominator)
+    return all(
+        residue[i][j] is not None and x.numerator * d < (residue[i][j] + shift) * x.denominator for i, j, x in finite
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -571,11 +605,14 @@ def verify_crit_rc_wielandt(
     Hence the Hamiltonian cycle of a numbering that succeeds is critical
     in a, and crit(a) = crit(a1) lies within the n + 1 skeleton arcs: it
     covers all n nodes, has at most n + 1 arcs and at most two
-    Hamiltonian cycles, each tried in its n rotations.  Conversely such a
-    cycle has mean lam(a) >= lam(a1), so once it lies in a1 it is
-    critical there, and only the support and CSR checks remain.  An
-    explicit numbering is checked only if it is one of these candidates,
-    which by the same argument loses no numbering that succeeds.
+    Hamiltonian cycles, each tried in its n rotations.  A rotation that
+    puts some critical arc of a off the skeleton positions a1_pattern(n,
+    n-1) cannot succeed, so it is skipped before its support and CSR
+    checks.  Conversely such a cycle has mean lam(a) >= lam(a1), so once
+    it lies in a1 it is critical there, and only the support and CSR
+    checks remain.  An explicit numbering is checked only if it is one of
+    these candidates, which by the same argument loses no numbering that
+    succeeds.
     """
     n = a.n
     _need_two_nodes(n)
@@ -591,6 +628,8 @@ def verify_crit_rc_wielandt(
         candidates = [numbering] if numbering in candidates else []
     pattern = a1_pattern(n, n - 1)
     for cand in candidates:
+        if not _crit_positions(crit, cand) <= pattern:
+            continue  # crit(a) = crit(a1) would lie within the skeleton's arcs
         praw = apply_numbering(a, cand).raw()
         if _support_check(praw, pattern).passed and _remainder_below_csr(*_carve(praw, pattern)):
             return True

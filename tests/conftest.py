@@ -46,6 +46,16 @@ def random_irreducible(rng: random.Random, n: int, density: float = 0.4) -> MaxP
     return MaxPlusMatrix(rows)
 
 
+def random_reducible(rng: random.Random, n: int, density: float = 0.6) -> MaxPlusMatrix:
+    """Random matrix on two blocks of nodes, 0..cut-1 and cut..n-1, with
+    arcs within each block and from the first into the second only."""
+    cut = rng.randint(0, n)
+    return MaxPlusMatrix([
+        [x if (i < cut) == (j < cut) or i < cut <= j else None for j, x in enumerate(row)]
+        for i, row in enumerate(random_matrix(rng, n, density).raw())
+    ])
+
+
 def normalized(a: MaxPlusMatrix) -> MaxPlusMatrix:
     """Subtract the maximum cycle mean, so the result has cycle mean 0."""
     lam = max_cycle_mean(a)

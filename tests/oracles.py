@@ -18,6 +18,9 @@ that DFS must return.  transient_by_steps is the library's search for T
 before it galloped: one power at a time, capped so a test cannot hang.
 row_transients_by_steps finds, by the same stepping, where each row of
 the powers turns periodic, which the sweep reads off its window.
+heaviest_cycle_exhaustive is the numbering searches' ranking as it was
+before they looked at the critical graph first: every cycle of one
+length in the whole support, ranked by exact weight.
 """
 
 from __future__ import annotations
@@ -427,3 +430,28 @@ def residue_chords_brute(a, g, numbering):
     if qualifying == 0:
         return True, True, "no qualifying chord positions"
     return not witnesses, False, f"violated at {witnesses}" if witnesses else ""
+
+
+def heaviest_cycle_exhaustive(a, k):
+    """(cycle, passed, detail, top) of extremal._heaviest_cycle by the
+    search it made before it looked at the critical graph: every k-cycle
+    of the whole digraph of a, ranked by exact weight.
+
+    cycle is the unique heaviest k-cycle as a node tuple from its least
+    node, or None; passed and detail are the ranking's verdict as the
+    library records it; top is the heaviest weight, None without a
+    k-cycle.  The cycles come from hamiltonian_cycles_dfs for k = n and
+    from cycles_of_length_by_filter otherwise.
+    """
+    raw = a.raw()
+    succ = [[j for j, x in enumerate(row) if x is not None] for row in raw]
+    cycles = hamiltonian_cycles_dfs(succ) if k == a.n else cycles_of_length_by_filter(succ, k)
+    weights = [sum(raw[c[s]][c[(s + 1) % k]] for s in range(k)) for c in cycles]
+    top = max(weights, default=None)
+    best = unique_max_weight_brute(a, cycles)
+    if best is not None:
+        return best, True, "", top
+    what = "Hamiltonian cycle" if k == a.n else f"{k}-cycle"
+    if cycles:
+        return None, False, f"maximum-weight {what} is not unique", top
+    return None, False, "no Hamiltonian cycle" if k == a.n else f"no cycle of length {k}", top

@@ -295,6 +295,17 @@ def test_failed_generator_post_verification_is_exit_three(monkeypatch, capsys):
     assert err.count("\n") == 1
 
 
+def test_running_out_of_memory_is_exit_one(monkeypatch, capsys):
+    # the generator raises as an allocation would; no memory is asked for
+    def exhausted(n, seed, case):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "generate_wielandt", exhausted)
+    code, out, err = run(capsys, "generate", "wielandt", "--n", "20000")
+    assert code == 1 and out == ""
+    assert err == "error: out of memory\n"
+
+
 def test_transient_far_past_the_ceiling_is_reported(tmp_path, capsys):
     # the gap below lambda = 0 is 1/1000, so T = 20/gap lies far past the
     # ceiling DM(1, 3) = 4, where the search for T gallops

@@ -45,6 +45,7 @@ from conftest import (
     random_cyclic_matrix,
     random_irreducible,
     random_matrix,
+    random_reducible,
     random_strictly_below,
 )
 from oracles import csr_walk_oracle, transient_by_steps, walk_power, walk_powers, weak_threshold_T1_full
@@ -210,6 +211,48 @@ def test_weak_expansion_contract_on_result(rng):
         if wx.t1 > 1:
             t = wx.t1 - 1
             assert mat_power(a, t) != mat_oplus(csr_at(wx.csr, t), mat_power(wx.b, t))
+
+
+def _expansion_matrices(rng, count):
+    """count matrices with a cycle, n 1..7: random rational ones at mixed
+    densities, {0, 1}-weighted ones, and reducible ones made of two
+    blocks with arcs from the first into the second only."""
+    out = []
+    while len(out) < count:
+        n, kind = rng.randint(1, 7), rng.choice(("rational", "binary", "reducible"))
+        density = rng.choice((0.3, 0.5, 0.8))
+        if kind == "rational":
+            a = random_matrix(rng, n, density)
+        elif kind == "binary":
+            a = MaxPlusMatrix([[Fraction(rng.randint(0, 1)) if rng.random() < density else None for _ in range(n)] for _ in range(n)])
+        else:
+            a = random_reducible(rng, n, density)
+        if not max_cycle_mean(a).is_bottom:
+            out.append(a)
+    return out
+
+
+def test_the_expansion_once_holding_holds_at_every_later_t():
+    # weak_threshold_T1's proof: Q_t <= P^t gives Q_(t+1) <= P^(t+1), in
+    # the whole matrix and in every row and column alone; checked up to
+    # the ceiling c plus 2 gamma, past where the sweep may stop
+    rng = random.Random(1709)
+    late = 0
+    for a in _expansion_matrices(rng, 2000):
+        triple, n = build_csr(a), a.n
+        step = matrix._finite_entries(triple._norm)
+        at, held, rows_held, cols_held = triple._norm, False, set(), set()
+        for t in range(1, csr._ceiling(triple) + 2 * triple.gamma + 1):
+            excess = csr._excess(triple, t, at, range(n))
+            assert not (held and excess), render_matrix(a)
+            held = not excess
+            rows = set(range(n)) - {i for i, _ in excess}
+            cols = set(range(n)) - {j for _, j in excess}
+            assert rows_held <= rows and cols_held <= cols, (t, render_matrix(a))
+            rows_held, cols_held = rows, cols
+            at = matrix._int_mul(at, step)
+        late += weak_threshold_T1(a).t1 >= 3
+    assert late >= 500, late
 
 
 def test_t1_scaling_invariance(rng):

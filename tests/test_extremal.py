@@ -23,6 +23,7 @@ from maxplus import (
     mat_power,
     max_cycle_mean,
     render_matrix,
+    strictly_dominated_by,
     transient_T,
     twice_optimal_walk,
     verify_crit_rc_dm,
@@ -37,8 +38,8 @@ from maxplus import (
 from maxplus.digraph import associated_digraph
 from maxplus import extremal
 from maxplus.extremal import SEARCH_LIMIT, a1_pattern, b1_pattern
-from conftest import random_cyclic_matrix
-from oracles import crit_rc_wielandt_brute, residue_chords_brute, unique_max_weight_brute
+from conftest import rand_weight, random_cyclic_matrix, random_matrix, random_reducible
+from oracles import crit_rc_wielandt_brute, heaviest_cycle_exhaustive, residue_chords_brute, unique_max_weight_brute
 
 N = None
 
@@ -267,6 +268,100 @@ def test_integer_cycle_ranking_matches_the_fraction_oracle(monkeypatch):
         assert (_verdict_or_error(verify_dm, current), _verdict_or_error(verify_wielandt, current)) == expected
     assert branches["unique"] >= 20 and branches["not unique"] >= 20, branches
     assert sum(dm[0] is True or wiel[0] is True for dm, wiel in verdicts) >= 10
+
+
+def _search_matrices():
+    """Matrices with a cycle, n 2..8: one weight on every arc (every cycle
+    critical), {0, 1} weights with many ties and rational weights, at
+    mixed densities, then generated DM and Wielandt instances and copies
+    with one to three entries overwritten, all renumbered at random."""
+    rng = random.Random(8191)
+    out = []
+    while len(out) < 360:
+        n = rng.randint(2, 8)
+        density = rng.choice((0.4, 0.6, 0.8) if n < 7 else (0.3, 0.45))
+        kind, c = rng.choice(("constant", "tied", "rational", "rational")), Fraction(rng.randint(-3, 3))
+        weight = {
+            "constant": lambda: c,
+            "tied": lambda: Fraction(rng.randint(0, 1)),
+            "rational": lambda: Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3))),
+        }[kind]
+        a = MaxPlusMatrix([[weight() if rng.random() < density else None for _ in range(n)] for _ in range(n)])
+        if not max_cycle_mean(a).is_bottom:
+            out.append(a)
+    for n in range(3, 9):
+        for seed in range(3):
+            generated = [generate_wielandt(n, seed, case=case) for case in ("n-1", "n")]
+            generated += [generate_dm(n, g, seed) for g in range(2, n) if gcd(g, n) == 1]
+            for a in generated:
+                out.append(_renumbered(rng, a)[0])
+                out.append(_renumbered(rng, _overwritten(rng, a, rng.randint(1, 3)))[0])
+    return out
+
+
+def test_heaviest_cycle_matches_the_full_support_search():
+    # the critical graph's k-cycles, when it has any, are the heaviest
+    # k-cycles; every answer, and the recorded verdict, must be those of
+    # ranking all k-cycles of the whole support by exact weight
+    answered, matrices = Counter(), _search_matrices()
+    assert len(matrices) >= 500
+    for a in matrices:
+        lam = max_cycle_mean(a).value
+        for k in (a.n, a.n - 1):
+            conditions = {}
+            best = extremal._heaviest_cycle(a, k, "ranking", conditions)
+            cycle, passed, detail, top = heaviest_cycle_exhaustive(a, k)
+            check = conditions["ranking"]
+            assert (best, check.passed, check.detail) == (cycle, passed, detail), (k, render_matrix(a))
+            by_crit = top == k * lam
+            answered["critical graph" if by_crit else "whole support"] += 1
+            answered["critical graph, tied"] += by_crit and not passed
+    assert answered["critical graph"] >= 50 and answered["whole support"] >= 50, answered
+    assert answered["critical graph, tied"] >= 20, answered
+
+
+def test_integer_remainder_test_matches_the_fraction_comparison():
+    # a2 < CSR(a1) at t = 1, decided on the triple's int residue, against
+    # the comparison with CSR(a1) at t = 1 built as Fractions; a2's entries
+    # have denominators 7, 11 or 13, which divide no triple's d here
+    rng = random.Random(31)
+    seen = Counter()
+    for _ in range(600):
+        n, kind = rng.randint(1, 6), rng.choice(("random", "acyclic", "reducible", "rational mean"))
+        if kind == "acyclic":
+            a1 = MaxPlusMatrix([[rand_weight(rng) if i < j and rng.random() < 0.6 else None for j in range(n)] for i in range(n)])
+        elif kind == "reducible":
+            a1 = random_reducible(rng, n)
+        elif kind == "rational mean":  # a Hamiltonian cycle of weight 1, lambda = 1/n, beside lighter arcs
+            rows = [[rand_weight(rng, -9, -3) if rng.random() < 0.4 else None for _ in range(n)] for _ in range(n)]
+            weights = [rand_weight(rng) for _ in range(n - 1)]
+            for i, w in enumerate(weights + [1 - sum(weights)]):
+                rows[i][(i + 1) % n] = w
+            a1 = MaxPlusMatrix(rows)
+        else:
+            a1 = random_matrix(rng, n, 0.6)
+        ceiling = csr_at(build_csr(MaxPlusMatrix(a1.raw())), 1).raw()
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if ceiling[i][j] is not None and rng.random() < 0.6:
+                    rows[i][j] = ceiling[i][j] - Fraction(rng.randint(1, 30), rng.choice((7, 11, 13)))
+        broken = rng.choice(("none", "equal", "above", "off the support"))
+        i, j = rng.randrange(n), rng.randrange(n)
+        if broken == "off the support":
+            rows[i][j] = None if ceiling[i][j] is not None else Fraction(rng.randint(-50, 50), 11)
+        elif broken != "none" and ceiling[i][j] is not None:
+            rows[i][j] = ceiling[i][j] + (0 if broken == "equal" else Fraction(1, 13))
+        a2 = MaxPlusMatrix(rows)
+        expected = strictly_dominated_by(a2, MaxPlusMatrix(ceiling))
+        assert extremal._remainder_below_csr(a1, a2) == expected, (kind, render_matrix(a1), render_matrix(a2))
+        seen[(kind, expected)] += 1
+        seen[broken] += not expected
+        seen["non-integer lambda"] += max_cycle_mean(a1).value is not None and max_cycle_mean(a1).value.denominator > 1
+    assert all(seen[(kind, True)] >= 20 for kind in ("random", "acyclic", "reducible", "rational mean")), seen
+    assert all(seen[(kind, False)] >= 20 for kind in ("random", "acyclic", "reducible", "rational mean")), seen
+    assert all(seen[broken] >= 20 for broken in ("equal", "above", "off the support")), seen
+    assert seen["non-integer lambda"] >= 100, seen
 
 
 def test_remark_small_n_regime_reports_vacuous_conditions():
@@ -511,6 +606,39 @@ def test_crit_rc_wielandt_matches_exhaustive_search():
         assert verify_crit_rc_wielandt(a, numbering) == crit_rc_wielandt_brute(a, numbering)
         positives += verdict
     assert positives >= 30
+
+
+def test_crit_rc_wielandt_tests_no_remainder_off_the_critical_graph(monkeypatch):
+    # a2 < CSR(a1) forces crit(a) = crit(a1), within the skeleton's arcs:
+    # a DM instance's critical graph, its n + 1 skeleton arcs, has one
+    # Hamiltonian cycle, and only a rotation that puts its chord (g-1, 0)
+    # on the skeleton's chord, which needs g = n - 1, gets a remainder test
+    real, tests = extremal._remainder_below_csr, Counter()
+
+    def counted(a1, a2):
+        tests["remainder"] += 1
+        return real(a1, a2)
+
+    monkeypatch.setattr(extremal, "_remainder_below_csr", counted)
+    rng = random.Random(23)
+    supported = 0
+    for g, n in COPRIME_PAIRS:
+        for seed in range(2):
+            a, numbering = _renumbered(rng, generate_dm(n, g, seed))
+            crit = critical_graph(a)
+            hams = extremal._critical_cycles_of_length(a, crit, n)
+            assert len(crit.arcs) == n + 1 and len(hams) == 1
+            for explicit in (None, numbering):
+                tests.clear()
+                assert verify_crit_rc_wielandt(a, explicit) == crit_rc_wielandt_brute(a, explicit) == (g == n - 1)
+                assert tests["remainder"] == (g == n - 1), (g, n, seed, explicit)
+            # rotations with the skeleton's support, which the search would test without the filter
+            supported += sum(
+                all(apply_numbering(a, ham[k:] + ham[:k]).raw()[i][j] is not None for i, j in a1_pattern(n, n - 1))
+                for ham in hams
+                for k in range(n)
+            )
+    assert supported >= 3 * len(COPRIME_PAIRS), supported
 
 
 def test_crit_rc_wielandt_beyond_exhaustive_sizes():
