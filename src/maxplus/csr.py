@@ -14,9 +14,12 @@ holds for all t past a threshold T1, where B is the Nachtigall matrix
 holds at t exactly when C S^t R <= A^t (see _excess), so no power of B
 is computed.  One sweep over the powers of A - lambda (see _sweep)
 yields T1, the transient of each critical row and column, where A^t
-meets C S^t R alone, and T up to its ceiling (see _transient past it).
-A row of the powers, once periodic, stays so; the sweep then copies it
-instead of multiplying it, and tests only the rows still active.
+meets C S^t R alone, and T.  A row, once it meets C S^t R, keeps to it,
+so the sweep tests only the rows that failed one power back and stops
+testing at T1.  A row of the powers, once periodic, stays so; the sweep
+then copies it instead of multiplying it.  Past the ceiling on T1 it
+steps on while that costs less than the galloping search of _transient
+would, and hands over to the search when it does not.
 Whether T1 equals that ceiling is also decided at two powers alone (see
 _t1_at_ceiling); the generators in `extremal` check their candidates so.
 
@@ -203,9 +206,10 @@ def weak_threshold_T1(a: MaxPlusMatrix) -> WeakExpansion:
     """Least t1 >= 1 with A^t = C S^t R (+) B^t for all t >= t1.
 
     It holds at t exactly when C S^t R <= A^t (see _excess).  The sweep
-    keeps the last failure, also per critical row and column, up to the
-    proven ceiling min(Wi(n), DM(g, n)) or to T + gamma if sooner (see
-    _sweep).
+    tests each row until it first holds, so t1 and the transient of each
+    critical row and column are one past their last failure, up to the
+    proven ceiling min(Wi(n), DM(g, n)); it steps on to T + gamma, or to
+    the ceiling plus gamma if sooner (see _sweep).
 
     Holding at t implies holding at t + 1, in the whole matrix and in each
     row and column alone.  Proof.  Write P = A - lambda, S' = S - lambda
@@ -221,8 +225,8 @@ def weak_threshold_T1(a: MaxPlusMatrix) -> WeakExpansion:
     the same way a walk of length 1 + m*gamma that ends with a critical
     arc is one arc followed by m*gamma arcs, so P C >= C S', Q_(t+1) <=
     P Q_t, and the columns follow.  So t1 is also the least t >= 1 at
-    which the expansion holds; the sweep still scans to its stopping
-    point, and takes no early exit on this account.
+    which the expansion holds, and the sweep tests no row at a t past the
+    first at which that row held.
     """
     triple = build_csr(a)
     _, _, t1, rows, cols = _sweep(triple)
@@ -247,7 +251,9 @@ def _int_identity(n: int) -> list[list]:
     return [[0 if i == j else None for j in range(n)] for i in range(n)]
 
 
-def _sweep(triple: CsrTriple) -> tuple[int | None, list[list] | None, int, dict[int, int], dict[int, int]]:
+def _sweep(
+    triple: CsrTriple, transient: bool = False
+) -> tuple[int | None, list[list] | None, int, dict[int, int], dict[int, int]]:
     """(t, at, t1, rows, cols) from one loop over the powers P^t of P = A - lambda.
 
     T is the least t >= 0 with P^(t+gamma) = P^t.  The sweep reads it row
@@ -257,29 +263,67 @@ def _sweep(triple: CsrTriple) -> tuple[int | None, list[list] | None, int, dict[
     largest T_i.  With the window P^(t-gamma) .. P^t the sweep retires row
     i at t = T_i + gamma; from then on row i of each new power is copied
     from the power gamma steps back, and only the active rows are
-    multiplied by P.  Up to the ceiling c = min(Wi(n), DM(g, n)) it finds
-    where the residue Q_t exceeds P^t on the active rows (see _excess),
-    for t1 and the critical row and column transients.  It stops at t =
-    T + gamma, when no row is left active, if T <= c, with (T, None), else
-    at t = c + gamma, with (c + 1, P^(c+1)) for _transient.
+    multiplied by P.  It stops at t = T + gamma, when no row is left
+    active, with (T, None).
 
-    No t >= T_i fails in row i, so a retired row needs no test.  Row i of
-    P^(t+k*gamma) equals row i of P^t for all k >= 0, row i of Q_t depends
-    on t only modulo gamma, and t + k*gamma is past T1 for k large, so row
-    i of Q_t is <= row i of P^t: no entry (i, j) exceeds, and neither t1
-    nor a row or column transient can move.  Irreducibility is not used,
-    so rows of reducible input retire too, and it may stop early.  An
+    It also finds where the residue Q_t exceeds P^t (see _excess), for t1
+    and the critical row and column transients.  A row that holds at t
+    holds at every later t (see weak_threshold_T1), so at t it tests only
+    the rows that failed at t - 1, every row at t = 1, and stops testing
+    at the first t where none fails: that t is t1, and the entries that
+    exceed are those a test of every row would find.  Testing also stops
+    past the ceiling c = min(Wi(n), DM(g, n)), the proven bound on t1.
+
+    No t >= T_i fails in row i, so a retired row needs no test, and a row
+    that failed at t - 1 is still active at t.  Row i of P^(t+k*gamma)
+    equals row i of P^t for all k >= 0, row i of Q_t depends on t only
+    modulo gamma, and t + k*gamma is past T1 for k large, so row i of
+    Q_t is <= row i of P^t: no entry (i, j) exceeds, and neither t1 nor a
+    row or column transient can move.  Irreducibility is not used, so
+    rows of reducible input retire too, and it may stop early.  An
     acyclic digraph has no critical graph and no T; it gives (None, None,
     1, {}, {}).
+
+    Past t = c + gamma, T may lie arbitrarily far on.  Without transient
+    the sweep stops there, with (c + 1, P^(c+1)): the equality fails at
+    c, so T > c.  With transient, which needs P strongly connected so that
+    its powers end periodic, it steps on while that is cheaper than the
+    galloping search of _transient, a ski-rental rule: after s steps past
+    c + gamma it hands (t - gamma + 1, P^(t-gamma+1)) over as soon as the
+    work spent on those steps exceeds 2*bit_length(s)*M.  Work counts as
+    the kernel's (see _square_work).  A step passes over the rows and
+    multiplies each active one by P, so it is counted as n, plus n +
+    nnz(P) per active row, and M is the work of squaring P^(c+gamma), the price
+    of one product of the search at that density.
+
+    The bound, in units of M.  From t' with u = T - t', _transient makes
+    at most 2*bit_length(gamma) - 2 products for P^gamma and one test; for
+    u >= 1 then bit_length(u) probes, each with its test and all but the
+    last with a square, and bit_length(u) - 1 halvings of a probe and a
+    test: G(u) products in all, with G(0) = 2*bit_length(gamma) - 1 and
+    G(u) = 5*bit_length(u) + 2*bit_length(gamma) - 3 >= 5*bit_length(u) - 1
+    for u >= 1.  Take t' = c + 1 and u = T - c - 1, where the sweep without
+    transient hands over.  When all rows retire first, after s = T - c
+    steps past c + gamma, the rule held after s - 1 = u of them, so the
+    steps cost at most 2*bit_length(u)*M and one step more: at most half
+    of G(u)*M, plus a step.  When the rule hands over after s >= 1 steps,
+    T > c + s, so s - 1 < u: the steps cost at most 2*bit_length(u)*M and
+    one step more, and the search from c + s + 1, over at most u, G(u)
+    products.  So past c + gamma the sweep and the search cost at most
+    1.4 times the bound G(u)*M on the search from c + 1, plus a step and
+    M; T is exact either way.  A product by a power sparser than
+    P^(c+gamma) costs less than M, so against the search's own work the
+    sweep may spend about twice, the break-even of a ski rental.
     """
     if triple.crit is None:
         return None, None, 1, {}, {}
-    norm, gamma = triple._norm, triple.gamma
+    norm, gamma, n = triple._norm, triple.gamma, triple.n
     step = _finite_entries(norm)
-    window = deque([_int_identity(len(norm)), norm], maxlen=gamma + 1)
-    active = list(range(len(norm)))  # every row, until the window is full
+    window = deque([_int_identity(n), norm], maxlen=gamma + 1)
+    active = failing = list(range(n))  # all active until the window is full, all tested at t = 1
     nodes = sorted(triple.crit.nodes)
     ceiling, t1, rows, cols = _ceiling(triple), 1, dict.fromkeys(nodes, 1), dict.fromkeys(nodes, 1)
+    nnz, spent = sum(map(len, step)), 0  # nnz(P) bounds a row's step; spent counts the steps past c + gamma
     for t in count(1):
         at = window[-1]
         if len(window) > gamma:
@@ -287,12 +331,17 @@ def _sweep(triple: CsrTriple) -> tuple[int | None, list[list] | None, int, dict[
             if not active:
                 return t - gamma, None, t1, rows, cols
             if t - gamma >= ceiling:
-                return t - gamma + 1, window[1], t1, rows, cols
-        if t <= ceiling:
-            excess = _excess(triple, t, at, active)
+                s = t - gamma - ceiling
+                square = _square_work(at) if s == 0 else square
+                if not transient or spent > 2 * s.bit_length() * square:
+                    return t - gamma + 1, window[1], t1, rows, cols
+                spent += n + len(active) * (n + nnz)
+        if failing and t <= ceiling:
+            excess = _excess(triple, t, at, failing)
+            failing = sorted({i for i, _ in excess})
             if excess:
                 t1 = t + 1
-                rows.update((i, t + 1) for i, _ in excess if i in rows)
+                rows.update((i, t + 1) for i in failing if i in rows)
                 cols.update((j, t + 1) for _, j in excess if j in cols)
         nxt = window[1][:]  # P^(t+1-gamma), whose retired rows are those of P^(t+1)
         for i, row in zip(active, _int_mul([at[i] for i in active], step)):
@@ -320,14 +369,23 @@ def _transient(norm: list[list], gamma: int, t: int, at: list[list]) -> int:
     return t + 1
 
 
+def _square_work(at: list[list]) -> int:
+    """The kernel's work for the product of at by itself (see _int_mul): a
+    visit to each of the n^2 entries of the left rows, and for each finite
+    (i, k) one to each finite entry of row k, so the sum over k of the
+    finite entries of column k times those of row k."""
+    n = len(at)
+    return n * n + sum(len(row) * (n - col.count(None)) for row, col in zip(_finite_entries(at), zip(*at)))
+
+
 def _ceiling(triple: CsrTriple) -> int:
     """The proven bound min(Wi(n), DM(g, n)) on T1, g the critical girth."""
     n = triple.n
     return min(wielandt_bound(n), dm_bound(triple.crit.girth, n))
 
 
-def _excess(triple: CsrTriple, t: int, at: list[list], active: list[int] | range) -> list[tuple[int, int]]:
-    """The entries (i, j), i in the rows active, where the residue Q_t of t
+def _excess(triple: CsrTriple, t: int, at: list[list], rows: list[int] | range) -> list[tuple[int, int]]:
+    """The entries (i, j), i in the given rows, where the residue Q_t of t
     exceeds at = P^t.
 
     With P = A - lambda and Q_t = C S^t R - t*lambda, the expansion at t
@@ -351,7 +409,7 @@ def _excess(triple: CsrTriple, t: int, at: list[list], active: list[int] | range
     residue = _residue(triple, t)
     return [
         (i, j)
-        for i in active
+        for i in rows
         if residue[i] != at[i]
         for j, (q, p) in enumerate(zip(residue[i], at[i]))
         if q is not None and (p is None or q > p)
@@ -442,10 +500,19 @@ class TransientReport:
 
 
 def analyze(a: MaxPlusMatrix) -> TransientReport:
-    """Full transient report: lambda, crit summary, T, T1, bounds, flags."""
+    """Full transient report: lambda, crit summary, T, T1, bounds, flags.
+
+    One sweep gives T1 and the critical row and column transients, and on
+    strongly connected input T as well: past the ceiling it steps on
+    until T, or hands over to the galloping search of _transient once its
+    steps cost more than the search would, and so spends at most 1.4
+    times the search's bound at the price it reads (the proof is in
+    _sweep).  On other input it stops at the ceiling plus gamma, and T is
+    None.
+    """
     connected = spectrum(a)._strongly_connected
     triple = build_csr(a)
-    t, at, t1, rows, cols = _sweep(triple)
+    t, at, t1, rows, cols = _sweep(triple, connected)
     lam, crit = triple.lam, triple.crit
     if connected and at is not None:
         t = _transient(triple._norm, crit.cyclicity, t, at)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .semiring import MaxPlusScalar, _check_exponent, as_scalar, negate
+from .semiring import MaxPlusScalar, _check_exponent, as_scalar, negate, parse_scalar
 
 
 class MaxPlusMatrix:
@@ -302,7 +302,8 @@ def parse_matrix(text: str) -> MaxPlusMatrix:
     """Parse the text form produced by render_matrix.
 
     Trailing content after the n matrix rows (e.g. a provenance record)
-    is ignored, so generator output can be fed back directly.
+    is ignored, so generator output can be fed back directly.  Each
+    distinct token is read once, by parse_scalar.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -321,7 +322,10 @@ def parse_matrix(text: str) -> MaxPlusMatrix:
         if len(tokens) != n:
             raise ValueError(f"row {ln!r} has {len(tokens)} entries, expected {n}")
         rows.append(tokens)
-    return MaxPlusMatrix(rows)
+    values = dict.fromkeys(tok for row in rows for tok in row)  # in reading order: the first bad token raises
+    for tok in values:
+        values[tok] = parse_scalar(tok).value
+    return MaxPlusMatrix._from_raw([[values[tok] for tok in row] for row in rows])
 
 
 def from_entries(n: int, entries: dict[tuple[int, int], object]) -> MaxPlusMatrix:

@@ -68,6 +68,13 @@ def test_parse_failure_is_single_line_diagnostic(tmp_path, capsys):
     assert code == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("token", ["1e", "3/0", "1/2/3", "\u0663/0"])
+def test_a_bad_token_is_exit_one_with_one_line_naming_it(tmp_path, capsys, token):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"2\n0 {token}\n1/2 0\n")
+    assert run(capsys, "analyze", str(bad)) == (1, "", f"error: bad scalar token {token!r}\n")
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "analyze", "/nonexistent/m.txt")
     assert code == 1

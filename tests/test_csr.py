@@ -48,7 +48,14 @@ from conftest import (
     random_reducible,
     random_strictly_below,
 )
-from oracles import csr_walk_oracle, transient_by_steps, walk_power, walk_powers, weak_threshold_T1_full
+from oracles import (
+    csr_walk_oracle,
+    row_transients_by_steps,
+    transient_by_steps,
+    walk_power,
+    walk_powers,
+    weak_threshold_T1_full,
+)
 
 N = None
 
@@ -580,6 +587,127 @@ def test_transient_search_matches_the_stepping_search():
         kinds["irreducible"] += 1
         kinds["past the ceiling"] += t > min(wielandt_bound(n), dm_bound(crit.girth, n))
     assert kinds["irreducible"] >= 500 and kinds["past the ceiling"] >= 50 and kinds["reducible"] >= 200
+
+
+def _near_critical_loop(rng):
+    """A random irreducible matrix, n 3..6, with a loop at a node off the
+    critical graph weighing lambda - eps, eps 1/4, 1/16 or 1/64: a cycle
+    just below lambda, which puts T past the ceiling, up to about 2000."""
+    while True:
+        a = random_irreducible(rng, rng.randint(3, 6), rng.choice((0.2, 0.4)))
+        off = sorted(set(range(a.n)) - critical_graph(a).nodes)
+        if off:
+            raw = [row[:] for row in a.raw()]
+            v = rng.choice(off)
+            raw[v][v] = max_cycle_mean(a).value - Fraction(1, rng.choice((4, 16, 64)))
+            return MaxPlusMatrix(raw)
+
+
+def _assert_tests_only_failing_rows(calls, n, t1):
+    # every row at t = 1, then the rows that failed at t - 1, and no call
+    # once none failed or past t1
+    failing = list(range(n))
+    for k, (t, rows, excess) in enumerate(calls, 1):
+        assert t == k <= t1 and rows == failing != [], (t, rows, failing, t1)
+        failing = sorted({i for i, _ in excess})
+
+
+def test_the_sweep_tests_only_failing_rows_and_steps_past_the_ceiling(monkeypatch):
+    # analyze, weak_threshold_T1 and crit_row_col_profile against the
+    # oracles: T1 and the row and column transients by the full ceiling
+    # scan, T step by step, and past the ceiling the rows analyze's
+    # sweep multiplies at each step by the rows' own transients T_i (row
+    # i is multiplied at t while T_i + gamma > t), up to T + gamma or to
+    # its hand-over to the galloping search
+    excess_calls, left_rows, handovers = [], [], []
+    excess, int_mul, transient = csr._excess, matrix._int_mul, csr._transient
+
+    def recorded_excess(triple, t, at, rows):
+        found = excess(triple, t, at, rows)
+        excess_calls.append((t, list(rows), found))
+        return found
+
+    def recorded_transient(norm, gamma, t, at):
+        handovers.append((t, len(left_rows)))  # where the search starts, after how many products
+        return transient(norm, gamma, t, at)
+
+    monkeypatch.setattr(csr, "_excess", recorded_excess)
+    monkeypatch.setattr(csr, "_int_mul", lambda arows, b: left_rows.append(len(arows)) or int_mul(arows, b))
+    monkeypatch.setattr(csr, "_transient", recorded_transient)
+    rng = random.Random(1717)
+    corpus = []
+    for k in range(900):
+        n, density = k % 8 + 1, rng.choice((0.2, 0.4, 0.8))
+        corpus.append((random_irreducible, random_matrix, random_reducible)[k % 3](rng, n, density))
+    corpus += [_near_critical_loop(rng) for _ in range(100)]
+    kinds = Counter()
+    for a in corpus:
+        t1, rows, cols = weak_threshold_T1_full(a)
+        crit_rc = max([*rows.values(), *cols.values()], default=None)
+        excess_calls.clear()
+        wx = weak_threshold_T1(a)
+        assert (wx.t1, wx.rows, wx.cols) == (t1, rows, cols)
+        _assert_tests_only_failing_rows(excess_calls, a.n, t1)
+        triple = wx.csr
+        if triple.crit is None:
+            assert analyze(a).t1 == 1
+            continue
+        assert crit_row_col_profile(a) == (crit_rc, rows, cols)
+        gamma = triple.gamma
+        for t in range(1, gamma + 1):
+            csr._residue(triple, t)  # read first, so the sweep's products are its steps alone
+        excess_calls.clear(), left_rows.clear(), handovers.clear()
+        report = analyze(a)
+        assert (report.t1, report.crit_rc_transient) == (t1, crit_rc)
+        _assert_tests_only_failing_rows(excess_calls, a.n, t1)
+        if not spectrum(a)._strongly_connected:
+            assert report.t is None
+            kinds["reducible"] += 1
+            continue
+        kinds["irreducible"] += 1
+        p = normalized(a).raw()
+        big_t = transient_by_steps(p, gamma)
+        assert report.t == big_t
+        if big_t <= csr._ceiling(triple):
+            continue
+        kinds["past the ceiling"] += 1
+        if handovers:
+            (start, steps), = handovers
+            stop = start + gamma - 1
+            kinds["handed over"] += 1
+        else:
+            stop, steps = big_t + gamma, len(left_rows)
+            kinds["stepped to T"] += 1
+        periodic_from = row_transients_by_steps(p, gamma, stop)
+        assert left_rows[:steps] == [sum(ti is None or ti + gamma > t for ti in periodic_from) for t in range(1, stop)]
+    assert kinds["irreducible"] >= 500 and kinds["reducible"] >= 200 and kinds["past the ceiling"] >= 50, kinds
+    assert kinds["stepped to T"] >= 30 and kinds["handed over"] >= 10, kinds
+
+
+def test_analyze_steps_then_gallops_on_a_small_gap(monkeypatch):
+    # T = 20/eps lies far past the ceiling 4: the sweep steps while its
+    # steps cost less than galloping would, then hands over.  Galloping
+    # from c + 1 alone took 1355, 1847 and 3077 entry operations in all;
+    # the rule may cost up to twice that, and at most 300 products
+    ops = Counter()
+    int_mul = matrix._int_mul
+
+    def counted(arows, bfinite):
+        ops["_int_mul"] += 1
+        ops["entries"] += sum(len(bfinite[k]) for row in arows for k, x in enumerate(row) if x is not None)
+        assert ops["_int_mul"] <= 300, "more than 300 products"
+        return int_mul(arows, bfinite)
+
+    for module in (matrix, spectral, csr):
+        if "_int_mul" in vars(module):
+            monkeypatch.setattr(module, "_int_mul", counted)
+    handovers = []
+    transient = csr._transient
+    monkeypatch.setattr(csr, "_transient", lambda *args: handovers.append(args[2]) or transient(*args))
+    for eps, galloping in ((Fraction(1, 100), 1355), (Fraction(1, 1000), 1847), (Fraction(1, 10**6), 3077)):
+        ops.clear(), handovers.clear()
+        assert analyze(small_gap(eps)).t == 20 / eps
+        assert ops["entries"] <= 2 * galloping and len(handovers) == 1, (eps, ops)
 
 
 def test_transient_rejects_reducible():

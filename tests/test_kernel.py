@@ -440,16 +440,22 @@ def test_analyze_stops_the_sweep_at_T_plus_gamma(monkeypatch):
         assert (report.t, report.gamma, report.t1) == (t, gamma, t1)
         assert products["_int_mul"] <= 3 * gamma - 1 + (t + gamma)
     assert analyze(third_mean_cycle(7)).dm == 22 < wielandt_bound(7)
-    # past the ceiling c = DM(1, 3) = 4 the search gallops from c + 1:
-    # P^gamma, then a probe, a square and a test per doubling, and a
-    # probe and a test per halving, fewer than log2(T - c) of each
+    # past the ceiling c = DM(1, 3) = 4 the sweep steps on while its
+    # steps cost no more than 2*bit_length(s)*M after s of them, with M =
+    # 3^2 + 3^3 the work of squaring the dense P^5: rows 1 and 2 stay
+    # active, a step counts n + 2*(n + nnz(P)) = 23, so it hands over
+    # after the least s with 23*s > 72*bit_length(s).  The search then
+    # gallops: P^gamma, then a probe, a square and a test per
+    # doubling, and a probe and a test per halving, fewer than
+    # log2(T - c) of each
     gap = MaxPlusMatrix([[0, -5, None], [-5, Fraction(-1, 10**6), -5], [None, -5, Fraction(-1, 10**6)]])
     products.clear()
     report = analyze(gap)
     assert (report.t, report.gamma, report.t1, report.dm) == (2 * 10**7, 1, 2, 4)
     gamma, ceiling = 1, 4
+    steps = next(s for s in range(1, 100) if 23 * s > 2 * s.bit_length() * (3**2 + 3**3))
     tail = 2 * gamma.bit_length() + 5 * (report.t - ceiling).bit_length()
-    assert products["_int_mul"] <= 3 * gamma - 1 + (ceiling + gamma) + tail
+    assert products["_int_mul"] <= 3 * gamma - 1 + (ceiling + gamma) + steps + tail
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from maxplus import (
     mat_power,
     max_cycle_mean,
     parse_matrix,
+    parse_scalar,
     render_matrix,
     scale,
     strictly_dominated_by,
@@ -182,6 +183,45 @@ def test_parse_accepts_star_tokens_and_trailing_junk():
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_matrix(bad)
+
+
+ODD_TOKENS = [
+    pytest.param("+3", id="plus-sign"),
+    pytest.param("1.5", id="decimal"),
+    pytest.param("1e3", id="exponent"),
+    pytest.param("1_0", id="underscore"),
+    pytest.param("\u0663", id="arabic-indic-digit"),
+    pytest.param("3/0", id="zero-denominator"),
+    pytest.param("3/00", id="zero-denominator-two-digits"),
+    pytest.param("-0", id="negative-zero"),
+    pytest.param("-6/04", id="unreduced"),
+    pytest.param("3/-4", id="negative-denominator"),
+    pytest.param("*", id="star"),
+    pytest.param("-inf", id="minus-inf"),
+    pytest.param("-", id="bare-minus"),
+    pytest.param("5" * 5000, id="5000-digits"),
+    pytest.param("-" + "7" * 5000 + "/3", id="5000-digit-numerator"),
+]
+
+
+@pytest.mark.parametrize("token", ODD_TOKENS)
+def test_parse_reads_a_token_as_parse_scalar_does(token):
+    # parse_matrix reads each distinct token once; its values and its
+    # errors must be those of parse_scalar on each token alone
+    text = f"2\n{token} 1/2\n-3 {token}\n"
+    try:
+        value = parse_scalar(token).value
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            parse_matrix(text)
+        assert str(err.value) == str(exc)
+    else:
+        assert parse_matrix(text).raw() == [[value, Fraction(1, 2)], [-3, value]]
+
+
+def test_parse_reports_the_first_bad_token_in_reading_order():
+    with pytest.raises(ValueError, match=r"^bad scalar token 'x'$"):
+        parse_matrix("2\n1 x\ny x\n")
 
 
 @pytest.mark.parametrize(
