@@ -43,13 +43,15 @@ A triple is built only as far as it is read.  build_csr computes M and
 keeps C and R as int rows; C and R become Fraction matrices when the
 properties are read, and each residue is computed the first time csr_at
 or the sweep reads it.  The triple of a matrix's whole critical graph is
-built once per matrix and stored on it, like its spectrum.
+built once per matrix and stored on it, like its spectrum, or inherited
+with it (see extremal._inherit_skeleton).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import count
 
 from .bounds import dm_bound, wielandt_bound
@@ -169,9 +171,21 @@ def csr_at(triple: CsrTriple, t: int) -> MaxPlusMatrix:
         raise ValueError(f"csr_at needs t >= 1, got {t}")
     if triple.lam.is_bottom:
         return zeros(triple.n)
-    shift = int(t * triple.lam.value * triple._d)
+    shift = _shift(triple, t)
     shifted = [[None if x is None else x + shift for x in row] for row in _residue(triple, t)]
     return _unscaled(shifted, triple._d)
+
+
+def _csr_entry(triple: CsrTriple, t: int, i: int, j: int) -> MaxPlusScalar:
+    """Entry (i, j) of csr_at(triple, t), read from the int residue alone."""
+    q = None if triple.lam.is_bottom else _residue(triple, t)[i][j]
+    return MaxPlusScalar(None if q is None else Fraction(q + _shift(triple, t), triple._d))
+
+
+def _shift(triple: CsrTriple, t: int) -> int:
+    """t*lambda scaled by _d, an int: _d is a multiple of lambda's denominator."""
+    lam = triple.lam.value
+    return t * lam.numerator * (triple._d // lam.denominator)
 
 
 def nachtigall_matrix(a: MaxPlusMatrix, crit: CritGraph | None) -> MaxPlusMatrix:
@@ -208,8 +222,7 @@ def weak_threshold_T1(a: MaxPlusMatrix) -> WeakExpansion:
     It holds at t exactly when C S^t R <= A^t (see _excess).  The sweep
     tests each row until it first holds, so t1 and the transient of each
     critical row and column are one past their last failure, up to the
-    proven ceiling min(Wi(n), DM(g, n)); it steps on to T + gamma, or to
-    the ceiling plus gamma if sooner (see _sweep).
+    proven ceiling min(Wi(n), DM(g, n)); it stops at t1 (see _sweep).
 
     Holding at t implies holding at t + 1, in the whole matrix and in each
     row and column alone.  Proof.  Write P = A - lambda, S' = S - lambda
@@ -263,8 +276,8 @@ def _sweep(
     largest T_i.  With the window P^(t-gamma) .. P^t the sweep retires row
     i at t = T_i + gamma; from then on row i of each new power is copied
     from the power gamma steps back, and only the active rows are
-    multiplied by P.  It stops at t = T + gamma, when no row is left
-    active, with (T, None).
+    multiplied by P.  With transient it stops at t = T + gamma, when no
+    row is left active, with (T, None).
 
     It also finds where the residue Q_t exceeds P^t (see _excess), for t1
     and the critical row and column transients.  A row that holds at t
@@ -273,6 +286,9 @@ def _sweep(
     at the first t where none fails: that t is t1, and the entries that
     exceed are those a test of every row would find.  Testing also stops
     past the ceiling c = min(Wi(n), DM(g, n)), the proven bound on t1.
+    Without transient the sweep returns there, at t1, with (None, None):
+    only T needs the later powers, so it makes t1 - 1 steps.  (Only at
+    t = 1 can every row retire first, when P = I; it returns (0, None).)
 
     No t >= T_i fails in row i, so a retired row needs no test, and a row
     that failed at t - 1 is still active at t.  Row i of P^(t+k*gamma)
@@ -284,17 +300,17 @@ def _sweep(
     acyclic digraph has no critical graph and no T; it gives (None, None,
     1, {}, {}).
 
-    Past t = c + gamma, T may lie arbitrarily far on.  Without transient
-    the sweep stops there, with (c + 1, P^(c+1)): the equality fails at
-    c, so T > c.  With transient, which needs P strongly connected so that
-    its powers end periodic, it steps on while that is cheaper than the
-    galloping search of _transient, a ski-rental rule: after s steps past
-    c + gamma it hands (t - gamma + 1, P^(t-gamma+1)) over as soon as the
-    work spent on those steps exceeds 2*bit_length(s)*M.  Work counts as
-    the kernel's (see _square_work).  A step passes over the rows and
-    multiplies each active one by P, so it is counted as n, plus n +
-    nnz(P) per active row, and M is the work of squaring P^(c+gamma), the price
-    of one product of the search at that density.
+    Past t = c + gamma, which only the sweep with transient reaches, T may
+    lie arbitrarily far on; the equality fails at c, so T > c.  There the
+    sweep, which needs P strongly connected so that its powers end
+    periodic, steps on while that is cheaper than the galloping search of
+    _transient, a ski-rental rule: after s steps past c + gamma it hands
+    (t - gamma + 1, P^(t-gamma+1)) over as soon as the work spent on those
+    steps exceeds 2*bit_length(s)*M.  Work counts as the kernel's (see
+    _square_work).  A step passes over the rows and multiplies each active
+    one by P, so it is counted as n, plus n + nnz(P) per active row, and M
+    is the work of squaring P^(c+gamma), the price of one product of the
+    search at that density.
 
     The bound, in units of M.  From t' with u = T - t', _transient makes
     at most 2*bit_length(gamma) - 2 products for P^gamma and one test; for
@@ -302,8 +318,8 @@ def _sweep(
     last with a square, and bit_length(u) - 1 halvings of a probe and a
     test: G(u) products in all, with G(0) = 2*bit_length(gamma) - 1 and
     G(u) = 5*bit_length(u) + 2*bit_length(gamma) - 3 >= 5*bit_length(u) - 1
-    for u >= 1.  Take t' = c + 1 and u = T - c - 1, where the sweep without
-    transient hands over.  When all rows retire first, after s = T - c
+    for u >= 1.  Take t' = c + 1 and u = T - c - 1, where a sweep without
+    steps hands over.  When all rows retire first, after s = T - c
     steps past c + gamma, the rule held after s - 1 = u of them, so the
     steps cost at most 2*bit_length(u)*M and one step more: at most half
     of G(u)*M, plus a step.  When the rule hands over after s >= 1 steps,
@@ -333,7 +349,7 @@ def _sweep(
             if t - gamma >= ceiling:
                 s = t - gamma - ceiling
                 square = _square_work(at) if s == 0 else square
-                if not transient or spent > 2 * s.bit_length() * square:
+                if spent > 2 * s.bit_length() * square:
                     return t - gamma + 1, window[1], t1, rows, cols
                 spent += n + len(active) * (n + nnz)
         if failing and t <= ceiling:
@@ -343,6 +359,8 @@ def _sweep(
                 t1 = t + 1
                 rows.update((i, t + 1) for i in failing if i in rows)
                 cols.update((j, t + 1) for _, j in excess if j in cols)
+        if not (failing or transient):
+            return None, None, t1, rows, cols
         nxt = window[1][:]  # P^(t+1-gamma), whose retired rows are those of P^(t+1)
         for i, row in zip(active, _int_mul([at[i] for i in active], step)):
             nxt[i] = row
@@ -422,9 +440,9 @@ def _t1_at_ceiling(a: MaxPlusMatrix, bound: int) -> bool:
     c = min(Wi(n), DM(g, n)), g the critical girth.  Exactness: the
     sweep's t1 is one more than the last t <= c at which the residue of
     t exceeds P^t, P = A - lambda, somewhere (see _excess), and 1 when
-    no t fails; stopping at T + gamma changes nothing (see _sweep).  So
-    t1 == c exactly when t = c - 1 fails and t = c holds.  The powers for
-    those two comparisons come by squaring P alone, in O(log c) products.
+    no t fails (see _sweep).  So t1 == c exactly when t = c - 1 fails
+    and t = c holds.  The powers for those two comparisons come by
+    squaring P alone, in O(log c) products.
     c >= 2 for n >= 2, and c = 0 < t1 for n = 1.  A bound other than the
     ceiling gives False even when t1 equals it, and so does an acyclic a,
     which has no critical girth.
@@ -507,8 +525,7 @@ def analyze(a: MaxPlusMatrix) -> TransientReport:
     until T, or hands over to the galloping search of _transient once its
     steps cost more than the search would, and so spends at most 1.4
     times the search's bound at the price it reads (the proof is in
-    _sweep).  On other input it stops at the ceiling plus gamma, and T is
-    None.
+    _sweep).  On other input it stops at T1, and T is None.
     """
     connected = spectrum(a)._strongly_connected
     triple = build_csr(a)

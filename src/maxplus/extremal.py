@@ -28,8 +28,10 @@ that puts a critical arc off the skeleton before that test.
 A generator builds its skeleton a1, with a1's spectrum and CSR triple,
 once: the triple bounds the remainder it samples, and the verdict on the
 candidate reads it again for the remainder and chord-power checks once
-a1 equals the layer it carves (see _skeleton).  A generated matrix
-thereby costs two spectra.
+a1 equals the layer it carves (see _skeleton).  The candidate, a1 plus
+entries strictly below CSR(a1) at t = 1, inherits a1's spectrum and
+triple, rescaled (see _inherit_skeleton), and the verdict and the T1
+check read them.  A generated matrix thereby costs one spectrum, a1's.
 
 Node indices are 0-based throughout; a numbering is a permutation tuple
 ``sigma`` placing original node ``sigma[p]`` at position ``p``.
@@ -38,17 +40,17 @@ Node indices are 0-based throughout; a numbering is a permutation tuple
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import gcd
 
 from .bounds import dm_bound, wielandt_bound
-from .csr import _int_identity, _residue, _t1_at_ceiling, _transient, build_csr, csr_at
+from .csr import CsrTriple, _csr_entry, _int_identity, _residue, _shift, _t1_at_ceiling, _transient, build_csr
 from .digraph import WeightedDigraph, _cycles, _successors, _support
-from .matrix import MaxPlusMatrix, from_entries, mat_power
+from .matrix import MaxPlusMatrix, _int_power, _scaled, from_entries
 from .semiring import MaxPlusScalar
-from .spectral import CritGraph, Spectrum, _cyclic_spectrum, critical_graph
+from .spectral import CritGraph, Spectrum, _cyclic_spectrum, _normalized, critical_graph, spectrum
 
 SEARCH_LIMIT = 10  # exhaustive Hamiltonian-cycle search is desk-scale only
 _WALK_LIMIT = 8  # largest n the twice-optimal walk oracle accepts
@@ -372,7 +374,10 @@ def _dm_conditions(
         conditions["chord_power_below_csr"] = ConditionCheck(True, vacuous=True, detail="chord layer is acyclic")
     else:
         t = dm_bound(g, n) - 1  # (b1^t)_{g, n-1} must lie strictly below (CSR(a1) at t)_{g, n-1}
-        lhs, rhs = mat_power(dec.b1, t)[g, n - 1], csr_at(build_csr(a1), t)[g, n - 1]
+        d, (rows,) = _scaled([dec.b1])
+        power = _int_power(rows, t)[g][n - 1]
+        lhs = MaxPlusScalar(None if power is None else Fraction(power, d))
+        rhs = _csr_entry(build_csr(a1), t, g, n - 1)
         conditions["chord_power_below_csr"] = ConditionCheck(lhs < rhs, detail=f"{lhs} vs {rhs}")
 
 
@@ -528,23 +533,107 @@ def _remainder_below_csr(a1: MaxPlusMatrix, a2: MaxPlusMatrix) -> bool:
     (1, 1) loop; it belongs to the remainder there, consistently with the
     2x2 characterization (attainment iff the two loops differ).
 
-    It is decided on the integers, without building CSR(a1) at t = 1 as
+    It is decided on the integers (see _below_csr_at_one).
+    """
+    finite = [(i, j, x) for i, row in enumerate(a2.raw()) for j, x in enumerate(row) if x is not None]
+    return _below_csr_at_one(build_csr(a1), finite)
+
+
+def _below_csr_at_one(triple: CsrTriple, entries: list[tuple[int, int, Fraction]]) -> bool:
+    """Does each finite entry x at (i, j) lie strictly below CSR at t = 1?
+
+    It is decided on the integers, without building CSR at t = 1 as
     Fractions.  The triple's residue Q = C S R - lambda holds int rows
-    scaled by its d, of which lambda*d is an int, so CSR(a1) at t = 1 is
-    (Q(i, j) + lambda*d)/d, and -inf where Q(i, j) is.  A finite entry
-    p/q of a2, q > 0, lies strictly below it iff Q(i, j) is finite and
-    p*d < (Q(i, j) + lambda*d)*q, both sides multiplied by d*q > 0.  An
-    acyclic a1 has CSR(a1) = -inf everywhere, and only an all -inf a2
-    lies below it.
+    scaled by its d, of which lambda*d is an int, so CSR at t = 1 is
+    (Q(i, j) + lambda*d)/d, and -inf where Q(i, j) is.  An entry p/q,
+    q > 0, lies strictly below it iff Q(i, j) is finite and p*d <
+    (Q(i, j) + lambda*d)*q, both sides multiplied by d*q > 0.  An acyclic
+    digraph has CSR = -inf everywhere, and no entry lies below it.
+    """
+    if triple.crit is None:
+        return not entries
+    d, shift, residue = triple._d, _shift(triple, 1), _residue(triple, 1)
+    return all(
+        residue[i][j] is not None and x.numerator * d < (residue[i][j] + shift) * x.denominator for i, j, x in entries
+    )
+
+
+def _inherit_skeleton(candidate: MaxPlusMatrix, a1: MaxPlusMatrix) -> None:
+    """Store a1's spectrum and CSR triple on candidate, when the lemma
+    below grants them, rescaled to candidate's own scale.
+
+    The lemma's hypothesis: candidate equals a1 on a1's support, and
+    every other finite entry lies strictly below CSR(a1) at t = 1, which
+    the remainder test's integer comparison decides (see
+    _below_csr_at_one).  When it fails, or a1 is acyclic, nothing is
+    stored, and spectrum and build_csr compute candidate's as they do
+    for any matrix.  The verdicts and _t1_at_ceiling then read what is
+    stored, and run in full.
+
+    Lemma.  Let lam = lam(a1), gamma the cyclicity of crit(a1), and weigh
+    walks in A - lam, where every closed walk of a1 weighs <= 0 and
+    exactly the critical cycles of a1 weigh 0.  A finite entry (i, j) of
+    CSR(a1) - lam = C (S - lam) R is the weight of a walk of a1 from i to
+    j of length 1 modulo gamma: m*gamma arcs to a critical k, the
+    critical arc (k, l), m'*gamma arcs on to j.  So each arc (i, j) of
+    candidate off a1's support is strictly lighter than some walk W_ij of
+    a1 from i to j, of length 1 modulo gamma.  Replacing every such arc
+    of a walk W of candidate by its W_ij gives a walk of a1 with the
+    same ends, of length >= 1 and the same length modulo gamma, that
+    weighs at least w(W), and more when W took such an arc.  Every walk
+    of a1 is one of candidate, of the same weight.  Hence:
+    - lambda and the critical graph: a cycle Z of candidate weighs at
+      most a closed walk of a1, <= 0, and 0 only when Z is a cycle of a1
+      of weight 0, a critical one.  So lam(candidate) = lam, and the
+      cycles of weight 0, whose nodes and arcs form the critical graph,
+      are a1's; its components, girth and cyclicity gamma are a1's.
+    - strong connectivity: W_ij leads from i to j in a1, so a node
+      reaches the same nodes in both, and the components are the same.
+    - P+ = P (+) P^2 (+) ..., P = A - lam: entry (i, j) is the best
+      weight of a walk of length >= 1 from i to j, and each walk of
+      candidate is outweighed by one of a1, so P+ is a1's.
+    - M = (P^gamma)^*: entry (i, j) is the best weight of a walk of
+      length 0 modulo gamma, a length the replacement keeps, so M is
+      a1's, and so are C and R, M at the critical nodes.  S is the
+      entries on the critical arcs, arcs of a1 where the two agree, and
+      so every residue C S^r R - r*lam is a1's too.
+
+    Scale: a1's entries are among candidate's, so the lcm d1 of their
+    denominators and lam's divides candidate's d, and every int row of
+    a1's spectrum and triple, the residues already read among them, is
+    multiplied by d/d1.  The rows of A - lam are candidate's own.
     """
     triple = build_csr(a1)
-    finite = [(i, j, x) for i, row in enumerate(a2.raw()) for j, x in enumerate(row) if x is not None]
     if triple.crit is None:
-        return not finite
-    d, lam, residue = triple._d, triple.lam.value, _residue(triple, 1)
-    shift = lam.numerator * (d // lam.denominator)
-    return all(
-        residue[i][j] is not None and x.numerator * d < (residue[i][j] + shift) * x.denominator for i, j, x in finite
+        return
+    off = []
+    for i, (row1, row) in enumerate(zip(a1.raw(), candidate.raw())):
+        for j, (x1, x) in enumerate(zip(row1, row)):
+            if x1 is not None and x != x1:
+                return
+            if x1 is None and x is not None:
+                off.append((i, j, x))
+    if not _below_csr_at_one(triple, off):
+        return
+    sp = spectrum(a1)
+    d, (rows,) = _scaled([candidate])
+    d, norm = _normalized(d, rows, sp.lam.value)
+    f = d // sp._d
+
+    def times(rows: list[list]) -> list[list]:
+        return [[None if x is None else x * f for x in row] for row in rows]
+
+    candidate._spectrum = Spectrum(sp.lam, sp.crit, sp._strongly_connected, d, norm, times(sp._closure))
+    cs = [times(rows) for rows in triple._cs]
+    candidate._csr = replace(
+        triple,
+        _d=d,
+        _norm=norm,
+        _c=cs[0],
+        _r=times(triple._r),
+        _s_norm=[[(j, x * f) for j, x in row] for row in triple._s_norm],
+        _cs=cs,
+        _residues={k: times(rows) for k, rows in triple._residues.items()},
     )
 
 
@@ -675,17 +764,18 @@ def _hamiltonian_entries(
 
 
 def _sample_remainder(
-    rng: random.Random, bound: MaxPlusMatrix, taken: set[tuple[int, int]]
+    rng: random.Random, triple: CsrTriple, taken: set[tuple[int, int]]
 ) -> dict[tuple[int, int], Fraction]:
-    """Random entries off `taken`, each strictly below its entry of bound."""
-    n = bound.n
-    ceiling_raw = bound.raw()
+    """Random entries off `taken`, each strictly below its entry of the
+    triple's CSR at t = 1; only the entries drawn are read, from the int
+    residue (see csr._csr_entry)."""
+    n = triple.n
     entries: dict[tuple[int, int], Fraction] = {}
     for i in range(n):
         for j in range(n):
             if (i, j) in taken or rng.random() >= 0.5:
                 continue
-            ceiling = ceiling_raw[i][j]
+            ceiling = _csr_entry(triple, 1, i, j).value
             if ceiling is not None:
                 entries[(i, j)] = ceiling - _rand_margin(rng)
     return entries
@@ -713,7 +803,10 @@ def generate_dm(n: int, g: int, seed) -> MaxPlusMatrix:
        Hamiltonian cycle and the g-cycle on positions 0..g-1: strongly
        connected, of girth g, with a unique critical g-cycle.
     4. The remainder and residue-chord conditions hold by construction,
-       each by a strict margin; coprimality is checked on entry.
+       each by a strict margin; coprimality is checked on entry.  Every
+       arc off the skeleton lies strictly below CSR(a1) at t = 1, which
+       is p_j - p_i by step 5's argument at t = 1, so the candidate
+       inherits a1's spectrum and triple (see _inherit_skeleton).
     5. chord_power_below_csr (n >= 2g): the verifier's b1 also holds the
        path arcs (i, i+1), i >= g.  A walk of b1 of length DM - 1 from g
        to n - 1 takes a backward chord, since forward arcs only climb and
@@ -731,7 +824,8 @@ def generate_dm(n: int, g: int, seed) -> MaxPlusMatrix:
         raise ValueError(f"g={g} and n={n} are not coprime")
     rng = random.Random(seed)
     hamw, entries = _hamiltonian_entries(rng, n)
-    entries[(g - 1, 0)] = -sum(hamw[: g - 1])
+    p = [0, *accumulate(hamw)]
+    entries[(g - 1, 0)] = -p[g - 1]
     a1 = from_entries(n, entries)
 
     wmax = max(max(abs(w) for w in entries.values()), Fraction(1))
@@ -743,15 +837,14 @@ def generate_dm(n: int, g: int, seed) -> MaxPlusMatrix:
             if (j - i - 1) % g != 0 or j == i + 1 or i == j:
                 continue
             if j > i + 1 and rng.random() < 0.7:
-                path = sum(hamw[i:j])
-                b1_entries[(i, j)] = path - _rand_margin(rng)
+                b1_entries[(i, j)] = p[j] - p[i] - _rand_margin(rng)
             elif j < i and rng.random() < 0.5:
-                path = sum(hamw[j:i])
-                b1_entries[(i, j)] = -path - big_m - _rand_margin(rng)
+                b1_entries[(i, j)] = p[j] - p[i] - big_m - _rand_margin(rng)
 
     taken = a1_pattern(n, g) | b1_pattern(n, g)
-    a2_entries = _sample_remainder(rng, csr_at(build_csr(a1), 1), taken)
+    a2_entries = _sample_remainder(rng, build_csr(a1), taken)
     candidate = from_entries(n, {**entries, **b1_entries, **a2_entries})
+    _inherit_skeleton(candidate, a1)
     if not (_dm_verdict(candidate, tuple(range(n)), a1).holds and _t1_at_ceiling(candidate, dm_bound(g, n))):
         raise AssertionError(f"generated DM candidate fails its post-verification (n={n}, g={g}, seed={seed!r})")
     return candidate
@@ -771,7 +864,9 @@ def generate_wielandt(n: int, seed, case: str = "n-1") -> MaxPlusMatrix:
     critical (n-1)-cycle; in case "n" the chord sits a margin below
     tight, so it is the Hamiltonian cycle, of girth n.  Either way the
     verdict's case is the one asked for, Wi(n) is the ceiling, and the
-    remainder lies a margin below CSR(a1) at t = 1 by construction.
+    remainder lies a margin below CSR(a1) at t = 1 by construction.  It
+    is the only layer off the skeleton, so the candidate inherits a1's
+    spectrum and triple (see _inherit_skeleton).
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -787,8 +882,9 @@ def generate_wielandt(n: int, seed, case: str = "n-1") -> MaxPlusMatrix:
         entries[chord] = chord_even - _rand_margin(rng)
     a1 = from_entries(n, entries)
 
-    a2_entries = _sample_remainder(rng, csr_at(build_csr(a1), 1), a1_pattern(n, n - 1))
+    a2_entries = _sample_remainder(rng, build_csr(a1), a1_pattern(n, n - 1))
     candidate = from_entries(n, {**entries, **a2_entries})
+    _inherit_skeleton(candidate, a1)
     verdict = _wielandt_verdict(candidate, tuple(range(n)), a1)
     if not (verdict.holds and verdict.case == case and _t1_at_ceiling(candidate, wielandt_bound(n))):
         raise AssertionError(

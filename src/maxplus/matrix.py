@@ -5,7 +5,8 @@ all-pairs closure, diagonal scalings, the strict entrywise domination
 order, and a bit-exact text format.  Matrices are immutable values;
 every operation returns a fresh matrix.  So a matrix may keep what is
 computed from it: `spectral.spectrum` and `csr.build_csr` store their
-results in its two private slots, and a second call returns them.
+results in its two private slots, and a second call returns them; a
+generated matrix gets its skeleton's there instead.
 
 A matrix holds rows of Fraction-or-None, None encoding -inf.  The
 products and closures run on an exact integer kernel instead: the

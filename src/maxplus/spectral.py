@@ -7,7 +7,9 @@ scales A once, turns the rows into those of A - lambda, and keeps that
 integer form on the returned Spectrum, together with whether the
 digraph is strongly connected; the CSR terms and both scans in `csr`
 read it instead of scaling again.  A matrix's spectrum is computed
-once: it is stored on the matrix and returned by every later call.
+once: it is stored on the matrix and returned by every later call.  A
+generated matrix inherits its skeleton's instead (see
+extremal._inherit_skeleton).
 The critical graph (all nodes and arcs of cycles attaining the maximum
 mean) is read off its closure: an arc (i, j) is critical exactly when
 it closes a zero-weight circuit, i.e. when a'_ij + (A'+)_ji = 0 for
@@ -168,13 +170,19 @@ def _spectrum(a: MaxPlusMatrix) -> Spectrum:
     best, components = _karp(rows)
     if best is None:
         return Spectrum(lam=BOTTOM, crit=None, _strongly_connected=components == 1)
-    lam = best / d  # rescale to the lcm of d and lam's denominator
-    d_lam = lcm(d, lam.denominator)
-    lam_d = lam.numerator * (d_lam // lam.denominator)
-    norm = [[None if x is None else x * (d_lam // d) - lam_d for x in row] for row in rows]
+    lam = best / d
+    d_lam, norm = _normalized(d, rows, lam)
     closure = [row[:] for row in norm]
     _int_closure(closure)
     return Spectrum(MaxPlusScalar(lam), _critical_graph_at(norm, closure), components == 1, d_lam, norm, closure)
+
+
+def _normalized(d: int, rows: list[list], lam: Fraction) -> tuple[int, list[list]]:
+    """(d', rows of A - lam scaled by d'), given A's rows scaled by d (see
+    _scaled) and a finite lam; d' is the lcm of d and lam's denominator."""
+    d_lam = lcm(d, lam.denominator)
+    lam_d = lam.numerator * (d_lam // lam.denominator)
+    return d_lam, [[None if x is None else x * (d_lam // d) - lam_d for x in row] for row in rows]
 
 
 def _cyclic_spectrum(a: MaxPlusMatrix) -> Spectrum:

@@ -21,6 +21,9 @@ the powers turns periodic, which the sweep reads off its window.
 heaviest_cycle_exhaustive is the numbering searches' ranking as it was
 before they looked at the critical graph first: every cycle of one
 length in the whole support, ranked by exact weight.
+memo_differences runs the library's own spectrum and CSR triple on a
+copy with empty memos: what a generated matrix inherits from its
+skeleton must equal what it would compute for itself.
 """
 
 from __future__ import annotations
@@ -455,3 +458,24 @@ def heaviest_cycle_exhaustive(a, k):
     if cycles:
         return None, False, f"maximum-weight {what} is not unique", top
     return None, False, "no Hamiltonian cycle" if k == a.n else f"no cycle of length {k}", top
+
+
+def memo_differences(a):
+    """The fields in which the spectrum and CSR triple stored on a differ
+    from spectral._spectrum and csr._build_csr run on a copy of a with
+    empty memos: lambda, the critical graph, strong connectivity, the
+    scale _d, the rows of A - lambda and their closure, gamma, S, C, R and
+    every residue C S^k R - k*lambda, k = 1..gamma.  A residue a has not
+    read yet is computed from what it stores."""
+    from maxplus import csr, spectral
+
+    fresh = MaxPlusMatrix._from_raw(a.raw())
+    fresh._spectrum = spectral._spectrum(fresh)
+    fresh._csr = csr._build_csr(fresh, None)
+    pairs = [(a._spectrum, fresh._spectrum, ("lam", "crit", "_strongly_connected", "_d", "_norm", "_closure"))]
+    pairs.append((a._csr, fresh._csr, ("s", "lam", "gamma", "crit", "_d", "_norm", "_c", "_r", "_s_norm")))
+    diffs = [name for mine, theirs, names in pairs for name in names if getattr(mine, name) != getattr(theirs, name)]
+    if a._csr.crit is not None:
+        gamma = fresh._csr.gamma
+        diffs += [f"residue {k}" for k in range(1, gamma + 1) if csr._residue(a._csr, k) != csr._residue(fresh._csr, k)]
+    return diffs

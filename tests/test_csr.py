@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -39,7 +40,7 @@ from maxplus import (
     zeros,
 )
 from maxplus import csr, matrix, spectral
-from maxplus.extremal import _boolean_index
+from maxplus.extremal import _boolean_index, _inherit_skeleton
 from conftest import (
     normalized,
     random_cyclic_matrix,
@@ -50,6 +51,7 @@ from conftest import (
 )
 from oracles import (
     csr_walk_oracle,
+    memo_differences,
     row_transients_by_steps,
     transient_by_steps,
     walk_power,
@@ -414,8 +416,8 @@ def test_a_matrix_keeps_its_spectrum_and_triple(monkeypatch, rng):
 
 def test_generator_computes_its_candidates_spectrum_once(monkeypatch):
     # the verdict and the check of T1 at two powers share it, and the
-    # verdict reads the triple of the skeleton a1 that bounded the
-    # remainder: two spectra per call, a1's and the candidate's
+    # candidate inherits the spectrum and triple of the skeleton a1 that
+    # bounded the remainder: one spectrum per call, a1's
     computed = _recording_spectrum(monkeypatch)
     generators = [
         lambda seed: generate_dm(7, 3, seed),  # n >= 2g: the chord-power check reads CSR(a1) too
@@ -427,7 +429,83 @@ def test_generator_computes_its_candidates_spectrum_once(monkeypatch):
         for seed in range(3):
             computed.clear()
             a = generate(seed)
-            assert len(computed) == 2 and computed[1] is a
+            assert len(computed) == 1 and computed[0] is not a and a._spectrum is not None
+
+
+def _dominated_extension(rng, a1):
+    """The rows of a1 plus random entries off its support, each strictly
+    below CSR(a1) at t = 1 by a margin of denominator 1, 2 or 7, so that
+    the candidate's scale is often a multiple of a1's."""
+    bound = csr_at(build_csr(a1), 1).raw()
+    raw = [row[:] for row in a1.raw()]
+    for i, row in enumerate(raw):
+        for j, x in enumerate(row):
+            if x is None and bound[i][j] is not None and rng.random() < 0.5:
+                row[j] = bound[i][j] - Fraction(rng.randint(1, 9), rng.choice((1, 2, 7)))
+    return raw
+
+
+def _refusals(rng, a1, raw):
+    """One entry put into the extension raw that breaks the hypothesis of
+    _inherit_skeleton, for each way it can break on a1."""
+    bound, a1_raw, n = csr_at(build_csr(a1), 1).raw(), a1.raw(), a1.n
+    off = [(i, j) for i in range(n) for j in range(n) if a1_raw[i][j] is None]
+    below = [(i, j) for i, j in off if bound[i][j] is not None]
+    unbounded = [(i, j) for i, j in off if bound[i][j] is None]
+    on = [(i, j) for i in range(n) for j in range(n) if a1_raw[i][j] is not None]
+    cases = []
+    if below:
+        i, j = rng.choice(below)
+        cases += [("equal to CSR(a1)", i, j, bound[i][j]), ("above CSR(a1)", i, j, bound[i][j] + Fraction(1, 3))]
+    if unbounded:
+        i, j = rng.choice(unbounded)
+        cases.append(("CSR(a1) is -inf", i, j, Fraction(rng.randint(-50, 0), rng.choice((1, 7)))))
+    if on:
+        i, j = rng.choice(on)
+        cases.append(("a1's entry changed", i, j, a1_raw[i][j] + rng.choice((-1, Fraction(1, 2)))))
+    for name, i, j, x in cases:
+        bad = [row[:] for row in raw]
+        bad[i][j] = x
+        yield name, MaxPlusMatrix(bad)
+
+
+def test_a_candidate_inherits_its_skeletons_spectrum_and_triple():
+    # what _inherit_skeleton stores, rescaled to the candidate, equals
+    # spectrum and build_csr run on a copy with empty memos, and so does
+    # analyze's report; a candidate that breaks the hypothesis gets nothing
+    kinds = Counter()
+    generated = [generate_dm(n, g, seed) for n in range(3, 11) for g in range(2, n) if gcd(g, n) == 1 for seed in range(2)]
+    generated += [generate_wielandt(n, seed, case=case) for n in range(2, 11) for case in ("n-1", "n") for seed in range(2)]
+    for a in generated:
+        assert a._spectrum is not None and a._csr is not None
+        assert memo_differences(a) == []
+        assert analyze(a).as_dict() == analyze(MaxPlusMatrix(a.raw())).as_dict()
+        kinds["generated, gamma > 1"] += a._csr.gamma > 1
+    rng = random.Random(1818)
+    for a1 in [*_lazy_triple_inputs(), *_loop_beside_a_cycle(40)]:
+        sp = spectrum(a1)
+        raw = _dominated_extension(rng, a1)
+        candidate = MaxPlusMatrix(raw)
+        _inherit_skeleton(candidate, a1)
+        if sp.crit is None:  # an acyclic a1 lends nothing
+            assert candidate._spectrum is None and candidate._csr is None
+            kinds["acyclic"] += 1
+        else:
+            assert memo_differences(candidate) == []
+            assert analyze(candidate).as_dict() == analyze(MaxPlusMatrix(raw)).as_dict()
+            kinds["irreducible" if sp._strongly_connected else "reducible"] += 1
+            kinds["gamma > 1"] += build_csr(a1).gamma > 1
+            kinds["non-integer lambda"] += sp.lam.value.denominator > 1
+            kinds["extended and rescaled"] += candidate._spectrum._d != sp._d
+        for name, refused in _refusals(rng, a1, raw):
+            _inherit_skeleton(refused, a1)
+            assert refused._spectrum is None and refused._csr is None, name
+            kinds[name] += 1
+    assert len(generated) == 80 and kinds["generated, gamma > 1"] == 18
+    assert min(kinds[kind] for kind in ("acyclic", "irreducible", "reducible", "gamma > 1", "non-integer lambda")) >= 30
+    assert kinds["extended and rescaled"] >= 50
+    assert min(kinds[name] for name in ("equal to CSR(a1)", "above CSR(a1)", "CSR(a1) is -inf")) >= 50
+    assert kinds["a1's entry changed"] >= 150, kinds
 
 
 def test_analyze_closes_once_at_cyclicity_one_and_twice_above(monkeypatch, rng):
@@ -537,23 +615,25 @@ def test_transient_of_a_small_gap_is_found_in_logarithmic_products(monkeypatch):
         assert products["_int_mul"] <= 150
 
 
-def test_T1_only_callers_stop_at_the_ceiling_plus_gamma(monkeypatch):
-    # no T past the ceiling is looked for without analyze: T1 and the
-    # critical row and column transients need the powers up to c + gamma
+def test_T1_only_callers_stop_at_T1(monkeypatch):
+    # no T is looked for without analyze: T1 and the critical row and
+    # column transients need the powers up to P^T1 alone, t1 - 1 steps
     skeleton = wielandt_skeleton(5)  # T = T1 = 17, the ceiling
     gap = small_gap(Fraction(1, 1000))  # T = 20000, far past the ceiling 4
     t1, rows, cols = weak_threshold_T1_full(skeleton)
     assert t1 == 17 and crit_row_col_profile(skeleton) == (17, rows, cols)
     assert weak_threshold_T1(gap).t1 == 2 and crit_row_col_profile(gap)[0] == 2
-    for a in (skeleton, gap):
+    for a, t1 in ((skeleton, 17), (gap, 2)):
         triple = build_csr(a)
         for t in range(1, triple.gamma + 1):
             csr_at(triple, t)  # M and the residues are computed before the count
         products = []
         monkeypatch.setattr(csr, "_int_mul", lambda *args: products.append(args) or matrix._int_mul(*args))
-        weak_threshold_T1(a)
+        for caller in (weak_threshold_T1, crit_row_col_profile):
+            products.clear()
+            caller(a)
+            assert len(products) == t1 - 1
         monkeypatch.undo()
-        assert len(products) <= min(wielandt_bound(a.n), dm_bound(triple.crit.girth, a.n)) + triple.gamma
 
 
 def test_transient_search_matches_the_stepping_search():

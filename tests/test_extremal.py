@@ -377,6 +377,28 @@ def test_remark_small_n_regime_reports_vacuous_conditions():
         assert mat_power(dec.b1, n - g) == zeros(n)
 
 
+def test_the_chord_power_check_reads_what_mat_power_and_csr_at_give():
+    # the check reads (b1^t)[g, n-1] off the integer power of b1 and
+    # CSR(a1)[g, n-1] off the skeleton's integer residue; an acyclic a1
+    # reads -inf, as csr_at gives it, and the detail prints both entries
+    # as the Fraction matrices would
+    rng = random.Random(1919)
+    seen = Counter()
+    while min(seen["acyclic a1"], seen["cyclic a1"]) < 30:
+        n = rng.randint(4, 8)
+        entries = {(i, j): rand_weight(rng) for i in range(n) for j in range(n) if i != j and rng.random() < 0.45}
+        a = from_entries(n, entries)
+        if max_cycle_mean(a).is_bottom or 2 * critical_graph(a).girth > n:
+            continue
+        g, numbering = critical_graph(a).girth, tuple(rng.sample(range(n), n))
+        dec, t = decompose(a, g, numbering), dm_bound(g, n) - 1
+        lhs, rhs = mat_power(dec.b1, t)[g, n - 1], csr_at(build_csr(dec.a1), t)[g, n - 1]
+        check = verify_dm(a, numbering).conditions["chord_power_below_csr"]
+        assert check == extremal.ConditionCheck(lhs < rhs, detail=f"{lhs} vs {rhs}")
+        seen["acyclic a1" if max_cycle_mean(dec.a1).is_bottom else "cyclic a1"] += 1
+        seen["holds"] += check.passed
+
+
 def test_dm_attainment_implies_structure(rng):
     # whenever the scan certifies T1 = DM(g, n) with g >= 2, the critical
     # graph is strongly connected with a unique shortest critical cycle
@@ -730,17 +752,19 @@ def test_generators_verify_one_candidate_and_power_the_chord_layer_once(monkeypa
 
         monkeypatch.setattr(extremal, name, wrapper)
 
-    # the verdict runs on the private path that reuses the skeleton's triple
-    for name in ("mat_power", "verify_dm", "_dm_verdict", "verify_wielandt", "_wielandt_verdict", "_t1_at_ceiling"):
+    # the verdict runs on the private path that reuses the skeleton's
+    # triple, and powers the int rows of b1 once
+    names = ("_int_power", "verify_dm", "_dm_verdict", "verify_wielandt", "_wielandt_verdict", "_t1_at_ceiling")
+    for name in (*names, "_inherit_skeleton"):
         counted(name)
     for seed in range(3):
         calls.clear()
         generate_dm(7, 3, seed)  # n >= 2g: the verdict powers b1 to DM(3, 7) - 1
-        assert calls == Counter(mat_power=1, _dm_verdict=1, _t1_at_ceiling=1)
+        assert calls == Counter(_int_power=1, _dm_verdict=1, _t1_at_ceiling=1, _inherit_skeleton=1)
         for case in ("n-1", "n"):
             calls.clear()
             generate_wielandt(7, seed, case=case)
-            assert calls == Counter(_wielandt_verdict=1, _t1_at_ceiling=1)
+            assert calls == Counter(_wielandt_verdict=1, _t1_at_ceiling=1, _inherit_skeleton=1)
 
 
 def test_the_verdicts_take_a_skeleton_only_if_it_is_the_layer_they_carve():

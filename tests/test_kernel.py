@@ -338,11 +338,13 @@ def test_transient_with_a_coprime_mean_denominator():
 
 
 def test_sweep_matches_the_full_ceiling_scan(monkeypatch):
-    # the sweep stops at T + gamma when that comes before the ceiling,
-    # and tests a row only until it is periodic; the oracle compares
-    # every row at every t up to the ceiling
-    found = []
-    sweep = csr._sweep
+    # analyze's sweep on strongly connected input stops at T + gamma when
+    # that comes before the ceiling; the T1-only sweep, of
+    # weak_threshold_T1 and of analyze on other input, stops at t1, after
+    # t1 - 1 steps.  Both test a row only until it holds; the oracle
+    # compares every row at every t up to the ceiling
+    found, steps = [], []
+    sweep, int_mul = csr._sweep, matrix._int_mul
 
     def recorded(*args):
         out = sweep(*args)
@@ -350,12 +352,19 @@ def test_sweep_matches_the_full_ceiling_scan(monkeypatch):
         return out
 
     monkeypatch.setattr(csr, "_sweep", recorded)
+    monkeypatch.setattr(csr, "_int_mul", lambda *args: steps.append(1) or int_mul(*args))
     kinds = Counter()
     for a in [*instances(10, 300), *instances(11, 100, make=irreducible)]:
         t1, rows, cols = weak_threshold_T1_full(a)
+        triple = build_csr(a)
+        for t in range(1, triple.gamma + 1 if triple.crit else 1):
+            csr._residue(triple, t)  # read first, so the products counted are the sweep's steps
         found.clear()
+        steps.clear()
         wx = weak_threshold_T1(a)
         assert (wx.t1, wx.rows, wx.cols) == (t1, rows, cols)
+        assert found[0] in (None, 0) and len(steps) == t1 - 1  # T = 0 when P = I retires every row at t = 1
+        steps.clear()
         report = analyze(a)
         crit_rc = max([*rows.values(), *cols.values()], default=None)
         assert (report.t1, report.crit_rc_transient) == (t1, crit_rc)
@@ -367,55 +376,95 @@ def test_sweep_matches_the_full_ceiling_scan(monkeypatch):
         kind = "irreducible" if connected else "reducible"
         kinds[kind] += 1
         assert report.t == (transient_T(a) if connected else None)
-        ceiling = min(wielandt_bound(a.n), dm_bound(wx.csr.crit.girth, a.n))
-        if found[0] is not None and found[0] + wx.csr.gamma < ceiling:
-            kinds[f"{kind}, stopped early"] += 1
-        horizon = (ceiling if found[0] is None else found[0]) - 2  # 2 steps before T, or before c < T
-        periodic_from = row_transients_by_steps(normalized(a).raw(), wx.csr.gamma, max(horizon, 0))
-        if horizon >= 0 and any(t is not None for t in periodic_from):
-            kinds[f"{kind}, a row retires 2 steps before T"] += 1
+        gamma, ceiling = wx.csr.gamma, min(wielandt_bound(a.n), dm_bound(wx.csr.crit.girth, a.n))
+        periodic_from = row_transients_by_steps(normalized(a).raw(), gamma, ceiling)
+        big_t = None if None in periodic_from else max(periodic_from)
+        if connected:
+            assert found[1] in (None, report.t)
+            if found[1] is not None and found[1] + gamma < ceiling:
+                kinds["irreducible, stopped at T + gamma before the ceiling"] += 1
+        else:
+            assert found[1] in (None, 0) and len(steps) == t1 - 1
+        if t1 < (ceiling if big_t is None else big_t) + gamma:
+            kinds[f"{kind}, T1-only stopped before min(T, c) + gamma"] += 1
+        if any(ti is not None and ti + gamma < t1 for ti in periodic_from):
+            kinds[f"{kind}, a row retires before T1"] += 1
+        if connected and found[1] is not None and any(ti is not None and ti <= found[1] - 2 for ti in periodic_from):
+            kinds["irreducible, a row retires 2 steps before T"] += 1
     assert kinds["acyclic"] >= 30 and kinds["reducible"] >= 100 and kinds["irreducible"] >= 100
-    assert kinds["reducible, stopped early"] >= 20 and kinds["irreducible, stopped early"] >= 80
-    assert kinds["reducible, a row retires 2 steps before T"] >= 50
+    assert kinds["irreducible, stopped at T + gamma before the ceiling"] >= 80
+    assert kinds["reducible, T1-only stopped before min(T, c) + gamma"] >= 80
+    assert kinds["irreducible, T1-only stopped before min(T, c) + gamma"] >= 150
+    assert kinds["reducible, a row retires before T1"] >= 15 and kinds["irreducible, a row retires before T1"] >= 30
     assert kinds["irreducible, a row retires 2 steps before T"] >= 50
 
 
 def test_the_sweep_multiplies_only_the_rows_not_yet_periodic(monkeypatch):
     # row i is periodic from T_i on, by the oracle, and retires at
     # T_i + gamma; until then it is one left row of each step's product.
-    # T is the largest T_i, and the sweep stops at min(T, c) + gamma.
+    # T is the largest T_i.  With transient, on strongly connected input,
+    # the sweep stops at T + gamma, or past the ceiling hands P^t over;
+    # the T1-only sweep stops at t1
     left_rows, int_mul = [], matrix._int_mul
     monkeypatch.setattr(csr, "_int_mul", lambda arows, b: left_rows.append(len(arows)) or int_mul(arows, b))
 
-    def sweep(a):
+    def sweep(a, transient):
         triple = build_csr(a)
-        gamma, ceiling = triple.gamma, min(wielandt_bound(a.n), dm_bound(triple.crit.girth, a.n))
+        gamma = triple.gamma
         for t in range(1, gamma + 1):
             csr._residue(triple, t)  # read first, so the sweep's products are its steps alone
         left_rows.clear()
-        t, at, *_ = csr._sweep(triple)
-        periodic_from = row_transients_by_steps(normalized(a).raw(), gamma, ceiling)  # None: past c
-        big_t = None if None in periodic_from else max(periodic_from)
-        assert t == (ceiling + 1 if big_t is None else big_t)
-        stop = (ceiling if big_t is None else big_t) + gamma
+        t, at, t1, *_ = csr._sweep(triple, transient)
+        if not transient:
+            assert at is None and t in (None, 0)  # T = 0 when P = I retires every row at t = 1
+            stop = t1
+        elif at is None:
+            stop = t + gamma
+        else:  # P^t for the search past the ceiling, retired rows copied in phase
+            stop = t + gamma - 1
+            assert [[None if x is None else Fraction(x, triple._d) for x in row] for row in at] == walk_power(
+                normalized(a), t
+            )
+            kinds["handed over with rows retired, gamma > 1"] += gamma > 1 and sum(left_rows) < a.n * len(left_rows)
+        periodic_from = row_transients_by_steps(normalized(a).raw(), gamma, stop)  # None: past stop
+        if transient and at is None:
+            assert t == max(periodic_from)
         assert len(left_rows) == stop - 1  # one product a step
         assert sum(left_rows) == sum(stop - 1 if ti is None else min(ti + gamma, stop) - 1 for ti in periodic_from)
-        if at is not None:  # P^(c+1) for the search past the ceiling, retired rows copied in phase
-            assert [[None if x is None else Fraction(x, triple._d) for x in row] for row in at] == walk_power(
-                normalized(a), ceiling + 1
-            )
-            kinds["P^(c+1) with rows retired, gamma > 1"] += gamma > 1 and sum(left_rows) < a.n * len(left_rows)
         return periodic_from, list(left_rows)
 
-    # rows periodic from 6, 8, 7, 5, 5, 5, 7 at gamma 3: 57 left rows in 10 steps, not 70
+    # rows periodic from 6, 8, 7, 5, 5, 5, 7 at gamma 3: 57 left rows in 10
+    # steps, not 70, to T + gamma = 11; T1 = 8 takes 7 steps
     kinds = Counter()
-    periodic_from, steps = sweep(third_mean_cycle(7))
+    periodic_from, steps = sweep(third_mean_cycle(7), True)
     assert periodic_from == [6, 8, 7, 5, 5, 5, 7] and steps == [7] * 7 + [4, 3, 1]
-    for a in [*instances(12, 120, make=irreducible), *instances(13, 120)]:
-        if spectrum(a).crit is not None:
-            _, steps = sweep(a)
-            kinds["fewer than n rows a step" if sum(steps) < a.n * len(steps) else "n rows every step"] += 1
-    assert kinds["fewer than n rows a step"] >= 100 and kinds["P^(c+1) with rows retired, gamma > 1"] >= 10
+    assert sweep(third_mean_cycle(7), False)[1] == [7] * 7
+    rng = random.Random(14)
+    for a in [*instances(12, 120, make=irreducible), *instances(13, 120), *(slow_loop(rng) for _ in range(40))]:
+        sp = spectrum(a)
+        if sp.crit is None:
+            continue
+        for transient in (True, False) if sp._strongly_connected else (False,):
+            _, steps = sweep(a, transient)
+            fewer = sum(steps) < a.n * len(steps)
+            kinds[f"{'fewer than n rows a step' if fewer else 'n rows every step'}, transient {transient}"] += 1
+    assert kinds["fewer than n rows a step, transient True"] >= 100
+    assert kinds["fewer than n rows a step, transient False"] >= 50
+    assert kinds["handed over with rows retired, gamma > 1"] >= 10
+
+
+def slow_loop(rng):
+    """A random irreducible matrix, n 3..7, with a loop at a node off the
+    critical graph weighing lambda - eps, eps 1/64, 1/256 or 1/1024: T
+    lies far past the ceiling, and analyze's sweep mostly hands over."""
+    while True:
+        a = irreducible(rng, rng.randint(3, 7), rng.choice((0.2, 0.45)))
+        off = sorted(set(range(a.n)) - spectrum(a).crit.nodes)
+        if off:
+            raw = [row[:] for row in a.raw()]
+            v = rng.choice(off)
+            raw[v][v] = max_cycle_mean(a).value - Fraction(1, rng.choice((64, 256, 1024)))
+            return MaxPlusMatrix(raw)
 
 
 def test_analyze_stops_the_sweep_at_T_plus_gamma(monkeypatch):
