@@ -402,7 +402,7 @@ def _ceiling(triple: CsrTriple) -> int:
     return min(wielandt_bound(n), dm_bound(triple.crit.girth, n))
 
 
-def _excess(triple: CsrTriple, t: int, at: list[list], rows: list[int] | range) -> list[tuple[int, int]]:
+def _excess(triple: CsrTriple, t: int, at: list[list] | dict[int, list], rows: list[int] | range) -> list[tuple[int, int]]:
     """The entries (i, j), i in the given rows, where the residue Q_t of t
     exceeds at = P^t.
 
@@ -441,8 +441,10 @@ def _t1_at_ceiling(a: MaxPlusMatrix, bound: int) -> bool:
     sweep's t1 is one more than the last t <= c at which the residue of
     t exceeds P^t, P = A - lambda, somewhere (see _excess), and 1 when
     no t fails (see _sweep).  So t1 == c exactly when t = c - 1 fails
-    and t = c holds.  The powers for those two comparisons come by
-    squaring P alone, in O(log c) products.
+    and t = c holds.  P^(c-1) comes by repeated squaring, in O(log c)
+    products.  A row that holds at t holds at t + 1 (the proof is in
+    weak_threshold_T1), so t = c holds exactly when the rows that fail at
+    c - 1 hold at c, and only those rows of P^(c-1) are multiplied by P.
     c >= 2 for n >= 2, and c = 0 < t1 for n = 1.  A bound other than the
     ceiling gives False even when t1 equals it, and so does an acyclic a,
     which has no critical girth.
@@ -450,11 +452,13 @@ def _t1_at_ceiling(a: MaxPlusMatrix, bound: int) -> bool:
     triple = build_csr(a)
     if triple.crit is None or a.n == 1 or bound != _ceiling(triple):
         return False
-    p, rows = triple._norm, range(a.n)
+    p = triple._norm
     at = _int_power(p, bound - 1)
-    return bool(_excess(triple, bound - 1, at, rows)) and not _excess(
-        triple, bound, _int_mul(at, _finite_entries(p)), rows
-    )
+    failing = sorted({i for i, _ in _excess(triple, bound - 1, at, range(a.n))})
+    if not failing:
+        return False
+    stepped = dict(zip(failing, _int_mul([at[i] for i in failing], _finite_entries(p))))  # rows of P^c
+    return not _excess(triple, bound, stepped, failing)
 
 
 def crit_row_col_profile(a: MaxPlusMatrix) -> tuple[int, dict[int, int], dict[int, int]]:

@@ -748,9 +748,14 @@ def _rand_fraction(rng: random.Random, lo: int, hi: int) -> Fraction:
     return Fraction(rng.randint(lo * den, hi * den), den)
 
 
-def _rand_margin(rng: random.Random) -> Fraction:
+def _margin(rng: random.Random) -> tuple[int, int]:
+    """A random margin r/den in (0, 6], as its numerator and denominator."""
     den = rng.choice((1, 2, 3, 4))
-    return Fraction(rng.randint(1, 6 * den), den)
+    return rng.randint(1, 6 * den), den
+
+
+def _rand_margin(rng: random.Random) -> Fraction:
+    return Fraction(*_margin(rng))
 
 
 def _hamiltonian_entries(
@@ -767,17 +772,30 @@ def _sample_remainder(
     rng: random.Random, triple: CsrTriple, taken: set[tuple[int, int]]
 ) -> dict[tuple[int, int], Fraction]:
     """Random entries off `taken`, each strictly below its entry of the
-    triple's CSR at t = 1; only the entries drawn are read, from the int
-    residue (see csr._csr_entry)."""
-    n = triple.n
+    triple's CSR at t = 1 by a random margin (see _margin).
+
+    Each position off `taken` is drawn with probability 1/2, and a margin
+    is drawn for it when CSR at t = 1 is finite there.  The entry is read
+    on the integers: with the int residue q = Q(i, j) of C S R - lambda,
+    scaled by the triple's d, and shift = lambda*d, an int, CSR at t = 1
+    is (q + shift)/d, and less the margin r/den it is ((q + shift)*den -
+    r*d)/(d*den), one Fraction.  An acyclic triple is -inf everywhere:
+    only the positions are drawn.
+    """
+    n, d = triple.n, triple._d
+    if triple.crit is None:
+        residue, shift = [[None] * n] * n, 0
+    else:
+        residue, shift = _residue(triple, 1), _shift(triple, 1)
     entries: dict[tuple[int, int], Fraction] = {}
     for i in range(n):
         for j in range(n):
             if (i, j) in taken or rng.random() >= 0.5:
                 continue
-            ceiling = _csr_entry(triple, 1, i, j).value
-            if ceiling is not None:
-                entries[(i, j)] = ceiling - _rand_margin(rng)
+            q = residue[i][j]
+            if q is not None:
+                r, den = _margin(rng)
+                entries[(i, j)] = Fraction((q + shift) * den - r * d, d * den)
     return entries
 
 

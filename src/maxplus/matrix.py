@@ -162,16 +162,22 @@ def _int_closure(rows: list[list]) -> None:
 
 
 def _int_power(rows: list[list], t: int) -> list[list]:
-    """int-or-None rows to the t-th power, t >= 1, by repeated squaring."""
-    result, base = None, rows
-    while True:
-        step = _finite_entries(base)
-        if t & 1:
-            result = base if result is None else _int_mul(result, step)
-        t >>= 1
-        if not t:
-            return result
-        base = _int_mul(base, step)
+    """int-or-None rows P to the t-th power, t >= 1, by repeated squaring.
+
+    The bits of t are read from the leading one down: each later bit
+    squares the power so far, and a set bit then multiplies it by P.  So
+    every product that is not a squaring takes P itself as its right
+    factor, not a square of P.  There are bit_length(t) - 1 squarings
+    and popcount(t) - 1 products by P, as many as squaring from the
+    trailing bit takes, and the same result.
+    """
+    step = _finite_entries(rows)
+    result = rows
+    for bit in bin(t)[3:]:
+        result = _int_mul(result, _finite_entries(result))
+        if bit == "1":
+            result = _int_mul(result, step)
+    return result
 
 
 def mat_mul(a: MaxPlusMatrix, b: MaxPlusMatrix) -> MaxPlusMatrix:
@@ -182,7 +188,8 @@ def mat_mul(a: MaxPlusMatrix, b: MaxPlusMatrix) -> MaxPlusMatrix:
 
 
 def mat_power(a: MaxPlusMatrix, t: int) -> MaxPlusMatrix:
-    """a to the t-th power, t >= 1, by repeated squaring."""
+    """a to the t-th power, t >= 1, by repeated squaring from the leading
+    bit of t (see _int_power)."""
     _check_exponent("mat_power", t)
     if t < 1:
         raise ValueError(f"mat_power needs t >= 1, got {t}")

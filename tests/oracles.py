@@ -24,6 +24,9 @@ length in the whole support, ranked by exact weight.
 memo_differences runs the library's own spectrum and CSR triple on a
 copy with empty memos: what a generated matrix inherits from its
 skeleton must equal what it would compute for itself.
+sample_remainder_fractions is the generators' remainder draw as it was
+before it read the integer residue: CSR at t = 1 as a Fraction, less a
+Fraction margin; it must make the same draws and give the same entries.
 """
 
 from __future__ import annotations
@@ -479,3 +482,20 @@ def memo_differences(a):
         gamma = fresh._csr.gamma
         diffs += [f"residue {k}" for k in range(1, gamma + 1) if csr._residue(a._csr, k) != csr._residue(fresh._csr, k)]
     return diffs
+
+
+def sample_remainder_fractions(rng, triple, taken):
+    """extremal._sample_remainder by its Fraction formula: each position
+    off taken is drawn with probability 1/2, and where csr_at(triple, 1)
+    is finite the entry is that value less a margin r/den, drawn as den =
+    choice((1, 2, 3, 4)), then r = randint(1, 6*den)."""
+    ceilings = csr_at(triple, 1).raw()
+    entries = {}
+    for i in range(triple.n):
+        for j in range(triple.n):
+            if (i, j) in taken or rng.random() >= 0.5:
+                continue
+            if ceilings[i][j] is not None:
+                den = rng.choice((1, 2, 3, 4))
+                entries[(i, j)] = ceilings[i][j] - Fraction(rng.randint(1, 6 * den), den)
+    return entries

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 
 from maxplus import (
     MaxPlusMatrix,
+    MaxPlusScalar,
     apply_numbering,
     build_csr,
     crit_row_col_profile,
@@ -23,6 +25,7 @@ from maxplus import (
     mat_power,
     max_cycle_mean,
     render_matrix,
+    scalar_times,
     strictly_dominated_by,
     transient_T,
     twice_optimal_walk,
@@ -37,9 +40,16 @@ from maxplus import (
 )
 from maxplus.digraph import associated_digraph
 from maxplus import extremal
+from maxplus.csr import _shift
 from maxplus.extremal import SEARCH_LIMIT, a1_pattern, b1_pattern
 from conftest import rand_weight, random_cyclic_matrix, random_matrix, random_reducible
-from oracles import crit_rc_wielandt_brute, heaviest_cycle_exhaustive, residue_chords_brute, unique_max_weight_brute
+from oracles import (
+    crit_rc_wielandt_brute,
+    heaviest_cycle_exhaustive,
+    residue_chords_brute,
+    sample_remainder_fractions,
+    unique_max_weight_brute,
+)
 
 N = None
 
@@ -701,6 +711,70 @@ def test_generator_preconditions():
 def test_generators_are_deterministic():
     assert generate_dm(5, 2, seed=42) == generate_dm(5, 2, seed=42)
     assert generate_wielandt(4, seed=42, case="n") == generate_wielandt(4, seed=42, case="n")
+
+
+def generated_instances(max_n=12, seeds=range(3)):
+    """(family, n, g or case, seed, matrix) for every generate_dm (coprime
+    g) and generate_wielandt (both cases) output, n <= max_n."""
+    out = []
+    for seed in seeds:
+        for n in range(2, max_n + 1):
+            out += [("dm", n, g, seed, generate_dm(n, g, seed)) for g in range(2, n) if gcd(g, n) == 1]
+            out += [("wielandt", n, case, seed, generate_wielandt(n, seed, case=case)) for case in ("n-1", "n")]
+    return out
+
+
+def test_generators_draw_the_same_matrices_for_the_same_seed():
+    # one sha256 over the text of every generated matrix, n <= 12, seeds
+    # 0-2, recorded when the remainder was drawn by its Fraction formula:
+    # a draw of the generator's random stream moved, added or dropped
+    # changes it
+    digest = hashlib.sha256()
+    for *_, a in generated_instances():
+        digest.update(render_matrix(a).encode())
+    assert digest.hexdigest() == "72150077912604c34d0b3b33ec64a125a0be88481b9e35b167d1fdac73f45efe"
+
+
+def test_the_integer_remainder_draw_matches_the_fraction_formula():
+    # _sample_remainder reads the int residue and builds one Fraction per
+    # entry; the Fraction formula must give the same entries and leave the
+    # random stream in the same state.  Triples: every generator skeleton
+    # (lambda = 0) and the rescaled triple its candidate inherits, n <= 12;
+    # skeletons shifted by a non-integer lambda; random matrices, whose
+    # critical graphs have cyclicity > 1 too; acyclic ones, where only the
+    # positions are drawn
+    rng = random.Random(31)
+    triples, seen = [], Counter()
+    for family, n, param, seed, a in generated_instances():
+        g = param if family == "dm" else n - 1
+        taken = a1_pattern(n, g) | (b1_pattern(n, g) if family == "dm" else set())
+        a1 = decompose(a, g, tuple(range(n))).a1
+        triples += [(build_csr(a1), taken), (build_csr(a), taken)]
+        seen["rescaled"] += build_csr(a)._d != build_csr(a1)._d
+        shifted = scalar_times(MaxPlusScalar(Fraction(rng.randint(-9, 9), rng.choice((2, 3, 7)))), a1)
+        triples.append((build_csr(shifted), taken))
+    for _ in range(120):
+        n = rng.randint(1, 7)
+        a = random_cyclic_matrix(rng, n, rng.random())
+        triples.append((build_csr(a), {(i, j) for i in range(n) for j in range(n) if rng.random() < 0.3}))
+    for _ in range(20):
+        n = rng.randint(1, 7)
+        a = from_entries(n, {(i, j): rand_weight(rng) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6})
+        triples.append((build_csr(a), set()))
+    drawn = 0
+    for k, (triple, taken) in enumerate(triples):
+        mine, theirs = random.Random(k), random.Random(k)
+        entries = extremal._sample_remainder(mine, triple, taken)
+        assert entries == sample_remainder_fractions(theirs, triple, taken), k
+        assert mine.getstate() == theirs.getstate(), k
+        drawn += len(entries)
+        if triple.crit is None:
+            seen["acyclic"] += 1
+        else:
+            seen["shift"] += _shift(triple, 1) != 0
+            seen["gamma > 1"] += triple.gamma > 1
+    assert len(triples) >= 300 and drawn >= 1000
+    assert min(seen[key] for key in ("rescaled", "acyclic", "shift", "gamma > 1")) >= 20, seen
 
 
 def test_generated_dm_never_trusted_without_verification():

@@ -160,6 +160,53 @@ def test_mat_power_matches_walk_dp():
             assert mat_power(a, t).raw() == powers[t]
 
 
+def int_rows(rng, n, bound):
+    """Random int-or-None rows with entries in [-bound, bound]: some of
+    them reducible (no arc from the last block of nodes back to the first),
+    some with a row that is all None."""
+    density = rng.random()
+    rows = [[rng.randint(-bound, bound) if rng.random() < density else None for _ in range(n)] for _ in range(n)]
+    shape = rng.randrange(3)
+    if shape == 1:
+        cut = rng.randint(1, n)
+        rows = [[None if i >= cut > j else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    elif shape == 2:
+        rows[rng.randrange(n)] = [None] * n
+    return rows
+
+
+def test_int_power_squares_from_the_leading_bit_and_multiplies_by_the_base(monkeypatch):
+    # P^t equals the t-fold product P P ... P, made of bit_length(t) - 1
+    # squarings and popcount(t) - 1 products whose right factor is P itself,
+    # in the order of the bits of t after the leading one
+    rng = random.Random(19)
+    int_mul, finite = matrix._int_mul, matrix._finite_entries
+    products = []
+    monkeypatch.setattr(matrix, "_int_mul", lambda arows, b: products.append((arows, b)) or int_mul(arows, b))
+    for trial in range(24):
+        n = rng.randint(1, 6)
+        rows = int_rows(rng, n, 10**60 if trial % 2 else 9)
+        step, chain = finite(rows), rows
+        for t in range(1, 71):
+            if t > 1:
+                chain = int_mul(chain, step)
+            products.clear()
+            assert matrix._int_power(rows, t) == chain, (rows, t)
+            kinds = []
+            for bit in bin(t)[3:]:
+                kinds += ["square", "base"] if bit == "1" else ["square"]
+            assert len(products) == len(kinds) == t.bit_length() - 1 + bin(t).count("1") - 1
+            for kind, (arows, b) in zip(kinds, products):
+                assert b == (finite(arows) if kind == "square" else step), (rows, t, kind)
+    monkeypatch.undo()
+    for a in instances(2, 6):
+        chain = a
+        for t in range(1, 71):
+            if t > 1:
+                chain = mat_mul(chain, a)
+            assert mat_power(a, t) == chain
+
+
 def test_max_cycle_mean_matches_enumeration():
     for a in instances(3, 35):
         brute = max_cycle_mean_brute(a)
@@ -622,6 +669,57 @@ def test_point_check_matches_the_full_sweep():
             outcomes["positive"] += check
             outcomes["T1 at a bound below the ceiling"] += t1 == bound != ceiling
     assert outcomes["positive"] >= 100 and outcomes["T1 at a bound below the ceiling"] >= 1
+
+
+def test_the_ceiling_check_steps_to_c_only_the_rows_failing_at_c_minus_1(monkeypatch):
+    # a row that holds at t holds at t + 1 (see weak_threshold_T1), so
+    # _t1_at_ceiling multiplies by P only the rows of P^(c-1) that fail
+    # there, and tests only those at c; on a generated instance that is
+    # one row
+    rng = random.Random(29)
+    generated = []
+    for n in range(2, 13):
+        for seed in range(3):
+            generated += [generate_wielandt(n, seed, case=case) for case in ("n-1", "n")]
+            generated += [generate_dm(n, g, seed) for g in range(2, n) if gcd(g, n) == 1]
+    cases = generated + [perturbed(rng, a) for a in generated if a.n <= 8]
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        cases.append(sparse(rng, n, rng.random()))
+    excess, int_mul = csr._excess, matrix._int_mul
+    tests, steps = [], []
+
+    def tested(triple, t, at, rows):
+        out = excess(triple, t, at, rows)
+        tests.append((t, at, rows, out))
+        return out
+
+    monkeypatch.setattr(csr, "_excess", tested)
+    monkeypatch.setattr(csr, "_int_mul", lambda arows, b: steps.append(arows) or int_mul(arows, b))
+    stepped = Counter()
+    for k, a in enumerate(cases):
+        triple = build_csr(a)
+        if triple.crit is None or a.n == 1:
+            continue
+        c = csr._ceiling(triple)
+        for t in (c - 1, c):
+            csr._residue(triple, t)  # read before, so the one product left is the step
+        tests.clear()
+        steps.clear()
+        holds = csr._t1_at_ceiling(a, c)
+        (t, power, rows, excess_below), *at_c = tests
+        assert (t, list(rows)) == (c - 1, list(range(a.n)))
+        failing = sorted({i for i, _ in excess_below})
+        if failing:
+            assert steps == [[power[i] for i in failing]]
+            assert [(t, rows) for t, _, rows, _ in at_c] == [(c, failing)]
+            assert holds == (not at_c[0][3])
+        else:
+            assert steps == at_c == [] and not holds
+        stepped[len(failing)] += 1
+        if k < len(generated):
+            assert holds and len(failing) == 1, (a, c)
+    assert stepped[1] >= len(generated) and stepped[0] >= 100
 
 
 @pytest.mark.parametrize(
