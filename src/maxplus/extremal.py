@@ -32,6 +32,10 @@ a1 equals the layer it carves (see _skeleton).  The candidate, a1 plus
 entries strictly below CSR(a1) at t = 1, inherits a1's spectrum and
 triple, rescaled (see _inherit_skeleton), and the verdict and the T1
 check read them.  A generated matrix thereby costs one spectrum, a1's.
+A skeleton a1 that a verifier carves out of any other input takes the
+input's lambda and critical graph, relabeled, when every critical arc
+lies on a1's support, and computes only its own closure (see
+_inherit_input).
 
 Node indices are 0-based throughout; a numbering is a permutation tuple
 ``sigma`` placing original node ``sigma[p]`` at position ``p``.
@@ -47,10 +51,10 @@ from math import gcd
 
 from .bounds import dm_bound, wielandt_bound
 from .csr import CsrTriple, _csr_entry, _int_identity, _residue, _shift, _t1_at_ceiling, _transient, build_csr
-from .digraph import WeightedDigraph, _cycles, _successors, _support
+from .digraph import SccDecomposition, WeightedDigraph, _cycles, _successors, _support
 from .matrix import MaxPlusMatrix, _int_power, _scaled, from_entries
 from .semiring import MaxPlusScalar
-from .spectral import CritGraph, Spectrum, _cyclic_spectrum, _normalized, critical_graph, spectrum
+from .spectral import CritGraph, Spectrum, _cyclic_spectrum, _finite_spectrum, _normalized, critical_graph, spectrum
 
 SEARCH_LIMIT = 10  # exhaustive Hamiltonian-cycle search is desk-scale only
 _WALK_LIMIT = 8  # largest n the twice-optimal walk oracle accepts
@@ -352,7 +356,7 @@ def _dm_conditions(
 ) -> None:
     n = a.n
     dec = decompose(a, g, numbering)
-    a1 = _skeleton(a1, dec.a1)
+    a1 = _inherit_input(_skeleton(a1, dec.a1), sp, numbering)
     # the Hamiltonian arcs belong to the a1 pattern
     conditions["hamiltonian_support"] = _support_check(dec.a1.raw(), _cycle_arcs(n))
     conditions["short_cycle_critical"] = _critical_check(_cycle_arcs(g), _crit_positions(sp.crit, numbering))
@@ -446,7 +450,7 @@ def _wielandt_verdict(
         if numbering is None:
             return WielandtVerdict(holds=False, numbering=None, case=None, conditions=conditions)
 
-    case = _wielandt_conditions(a, sp.crit, numbering, conditions, a1)
+    case = _wielandt_conditions(a, sp, numbering, conditions, a1)
     holds = all(c.passed for c in conditions.values())
     return WielandtVerdict(holds=holds, numbering=numbering, case=case, conditions=conditions)
 
@@ -470,12 +474,13 @@ def _search_wielandt_numbering(a: MaxPlusMatrix, conditions: dict) -> tuple[int,
 
 def _wielandt_conditions(
     a: MaxPlusMatrix,
-    crit: CritGraph,
+    sp: Spectrum,
     numbering: tuple[int, ...],
     conditions: dict[str, ConditionCheck],
     a1: MaxPlusMatrix | None,
 ) -> str | None:
     n = a.n
+    crit = sp.crit
     g_crit = crit.girth
     praw = apply_numbering(a, numbering).raw()
     crit_pos = _crit_positions(crit, numbering)
@@ -504,7 +509,8 @@ def _wielandt_conditions(
         return None
 
     layer, a2 = _carve(praw, skeleton)
-    conditions["remainder_below_csr"] = ConditionCheck(_remainder_below_csr(_skeleton(a1, layer), a2))
+    a1 = _inherit_input(_skeleton(a1, layer), sp, numbering)
+    conditions["remainder_below_csr"] = ConditionCheck(_remainder_below_csr(a1, a2))
     return case
 
 
@@ -521,6 +527,37 @@ def _skeleton(a1: MaxPlusMatrix | None, layer: MaxPlusMatrix) -> MaxPlusMatrix:
         return layer
     if a1 != layer:
         raise AssertionError("the skeleton handed to the verifier is not the layer it carves")
+    return a1
+
+
+def _inherit_input(a1: MaxPlusMatrix, sp: Spectrum, numbering: tuple[int, ...]) -> MaxPlusMatrix:
+    """a1, the skeleton layer carved out of a under numbering, given a's
+    spectrum sp; it takes lambda(a) and crit(a), relabeled by the
+    numbering, when it holds no spectrum yet and every critical arc of a
+    lies on its support.  Its scale, its rows of A - lambda and their
+    closure are its own, and so is strong connectivity, read off that
+    closure (see spectral._finite_spectrum).
+
+    Lemma.  a1 <= a, read in the numbering's positions, with equality on
+    the support of a1.  So a1's cycles are cycles of a, of the same
+    weights, and lambda(a1) <= lambda(a);
+    and a's critical cycles, whose arcs all lie on that support, are
+    cycles of a1.  Hence lambda(a1) = lambda(a), and the cycles of a1 of
+    that mean are exactly the critical cycles of a: crit(a1) = crit(a).
+    Otherwise a1 computes its own spectrum, as any matrix does.  A
+    generator's a1 keeps the one it holds (see _inherit_skeleton).
+    """
+    if a1._spectrum is not None:
+        return a1
+    crit, raw, inv = sp.crit, a1.raw(), {node: pos for pos, node in enumerate(numbering)}
+    arcs = frozenset((inv[i], inv[j]) for i, j in crit.arcs)
+    if any(raw[i][j] is None for i, j in arcs):
+        return a1
+    comps = [replace(c, nodes=frozenset(inv[v] for v in c.nodes)) for c in crit.scc.components]
+    scc = SccDecomposition(tuple(sorted(comps, key=lambda c: min(c.nodes))))
+    relabeled = CritGraph(frozenset(inv[v] for v in crit.nodes), arcs, scc, crit.girth, crit.cyclicity)
+    d, (rows,) = _scaled([a1])
+    a1._spectrum = _finite_spectrum(d, rows, sp.lam.value, relabeled)
     return a1
 
 
@@ -699,13 +736,15 @@ def verify_crit_rc_wielandt(
     n-1) cannot succeed, so it is skipped before its support and CSR
     checks.  Conversely such a cycle has mean lam(a) >= lam(a1), so once
     it lies in a1 it is critical there, and only the support and CSR
-    checks remain.  An explicit numbering is checked only if it is one of
+    checks remain; the a1 they test takes a's lambda and critical graph
+    (see _inherit_input).  An explicit numbering is checked only if it is one of
     these candidates, which by the same argument loses no numbering that
     succeeds.
     """
     n = a.n
     _need_two_nodes(n)
-    crit = critical_graph(a)  # precondition: a finite cycle mean
+    sp = _cyclic_spectrum(a)  # precondition: a finite cycle mean
+    crit = sp.crit
     if numbering is not None:
         numbering = _check_numbering(n, numbering)
     if len(crit.nodes) < n or len(crit.arcs) > n + 1:
@@ -720,7 +759,10 @@ def verify_crit_rc_wielandt(
         if not _crit_positions(crit, cand) <= pattern:
             continue  # crit(a) = crit(a1) would lie within the skeleton's arcs
         praw = apply_numbering(a, cand).raw()
-        if _support_check(praw, pattern).passed and _remainder_below_csr(*_carve(praw, pattern)):
+        if not _support_check(praw, pattern).passed:
+            continue
+        a1, a2 = _carve(praw, pattern)
+        if _remainder_below_csr(_inherit_input(a1, sp, cand), a2):
             return True
     return False
 

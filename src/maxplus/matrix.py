@@ -143,21 +143,25 @@ def _int_closure(rows: list[list]) -> None:
     """Floyd-Warshall closure of int-or-None rows, in place.
 
     With no positive cycle, entry (i, j) ends as the best weight of a
-    walk of length >= 1 from i to j.
+    walk of length >= 1 from i to j.  The finite entries of pivot row k
+    are read once, at the start of pivot k, as in textbook
+    Floyd-Warshall, and looped over as in _int_mul.  Reading row k live
+    gives the same rows: during pivot k, row k changes only through
+    d[k][k] + d[k][j], and d[k][k] <= 0 when there is no positive cycle.
+    With one, every entry is still the weight of a walk and never drops,
+    so a node on the cycle still ends with a positive diagonal entry,
+    which kleene_star rejects.
     """
-    n = len(rows)
-    for k in range(n):
-        dk = rows[k]
+    for k, row in enumerate(rows):
+        dk = [(j, x) for j, x in enumerate(row) if x is not None]
         for di in rows:
             dik = di[k]
             if dik is None:
                 continue
-            for j in range(n):
-                dkj = dk[j]
-                if dkj is None:
-                    continue
+            for j, dkj in dk:
                 s = dik + dkj
-                if di[j] is None or s > di[j]:
+                b = di[j]
+                if b is None or s > b:
                     di[j] = s
 
 

@@ -1,22 +1,25 @@
 """Maximum cycle mean, critical graph extraction, and visualization scalings.
 
-The maximum cycle mean is computed by Karp's dynamic program run per
-strongly connected component, on the exactly scaled integer entries;
-Tarjan finds the components on those integer rows too.  `spectrum`
-scales A once, turns the rows into those of A - lambda, and keeps that
-integer form on the returned Spectrum, together with whether the
-digraph is strongly connected; the CSR terms and both scans in `csr`
-read it instead of scaling again.  A matrix's spectrum is computed
-once: it is stored on the matrix and returned by every later call.  A
-generated matrix inherits its skeleton's instead (see
-extremal._inherit_skeleton).
+The maximum cycle mean is computed by Karp's dynamic program, run once
+over the whole digraph from a virtual source, on the exactly scaled
+integer entries; no strongly connected components are found for it.
+`spectrum` scales A once, turns the rows into those of A - lambda, and
+keeps that integer form on the returned Spectrum, together with its
+closure A'+ and whether the digraph is strongly connected, which is
+read off that closure; the CSR terms and both scans in `csr` read them
+instead of scaling again.  A matrix's spectrum is computed once: it is
+stored on the matrix and returned by every later call.  A generated
+matrix inherits its skeleton's instead, and a skeleton that a verifier
+carves out of its input takes the input's lambda and critical graph
+(see extremal._inherit_skeleton and extremal._inherit_input).
 The critical graph (all nodes and arcs of cycles attaining the maximum
-mean) is read off its closure: an arc (i, j) is critical exactly when
+mean) is read off the closure: an arc (i, j) is critical exactly when
 it closes a zero-weight circuit, i.e. when a'_ij + (A'+)_ji = 0 for
-the normalized A' = A - lambda.  Its components, girths and
-cyclicities come from the successor lists of those integer arcs, and
-`visualize` bumps the same rows of A - lambda.  The Spectrum keeps the
-closure A'+ too: at cyclicity 1 `csr` carves M = I (+) A'+ from it.
+the normalized A' = A - lambda, and two critical nodes share a
+component exactly when they close one.  The girths and cyclicities of
+the components come from the successor lists of those integer arcs,
+and `visualize` bumps the same rows of A - lambda.  At cyclicity 1
+`csr` carves M = I (+) A'+ from the closure.
 
 A visualization is a diagonal scaling pushing every entry to at most the
 cycle mean; a strict visualization additionally puts an entry *at* the
@@ -36,16 +39,17 @@ from math import lcm
 
 from .digraph import (
     SccDecomposition,
-    _scc_decomposition,
+    SccInfo,
+    _component_cyclicity,
+    _component_girth,
     _successors,
-    _support,
-    _tarjan,
     global_cyclicity,
     maximal_girth,
 )
 from .matrix import (
     DiagonalScaling,
     MaxPlusMatrix,
+    _finite_entries,
     _int_closure,
     _scaled,
     _unscaled,
@@ -90,69 +94,46 @@ class Spectrum:
 def max_cycle_mean(a: MaxPlusMatrix) -> MaxPlusScalar:
     """Largest mean weight over all cycles; -inf when the digraph is acyclic."""
     d, (rows,) = _scaled([a])
-    best = _karp(rows)[0]
+    best = _karp(rows)
     return BOTTOM if best is None else MaxPlusScalar(best / d)
 
 
-def _karp(rows: list[list]) -> tuple[Fraction | None, int]:
-    """The largest cycle mean of scaled int-or-None rows, in their units
-    (None when acyclic), and the number of strongly connected components.
+def _karp(rows: list[list]) -> Fraction | None:
+    """The largest cycle mean of scaled int-or-None rows, in their units;
+    None when the digraph is acyclic.
 
-    Tarjan runs on the finite entries, and Karp on each component but a
-    single node without a loop, which has no cycle.
+    Karp's dynamic program from a virtual source with a 0-weight arc to
+    every node, which adds no cycle and reaches every node, so one pass
+    over the whole digraph serves, whatever its components (Karp,
+    Discrete Math. 23, 1978): dp[k][v] is the best weight of a walk of
+    exactly k arcs ending at v, and the mean is max over v of min over
+    k < n of (dp[n][v] - dp[k][v]) / (n - k), leaving out the -inf
+    terms.  A walk of n arcs repeats a node, so some dp[n][v] is finite
+    iff there is a cycle.  The n passes over the finite entries cost
+    O(n m), never more than the n^3 closure `spectrum` takes next.
     """
-    comps = _tarjan(_support(rows), range(len(rows)))
-    means = [_karp_scc(rows, sorted(c)) for c in comps if len(c) > 1 or rows[min(c)][min(c)] is not None]
-    return max(means, default=None), len(comps)
-
-
-def _karp_scc(rows, nodes: list[int]) -> Fraction:
-    """Karp's max-mean-cycle value on one strongly connected component.
-
-    rows are the matrix's scaled int-or-None rows; the walk weights stay
-    integers and the value is returned in the same scaled units.
-    """
-    m = len(nodes)
-    pos = {v: k for k, v in enumerate(nodes)}
-    arcs = [
-        (pos[u], pos[v], rows[u][v])
-        for u in nodes
-        for v in nodes
-        if rows[u][v] is not None
-    ]
-    # dp[k][v] = max weight of a walk of length exactly k from the source.
-    dp = [[None] * m for _ in range(m + 1)]
-    dp[0][0] = 0
-    for k in range(m):
-        cur, nxt = dp[k], dp[k + 1]
-        for u, v, w in arcs:
-            x = cur[u]
+    n = len(rows)
+    finite = _finite_entries(rows)
+    dp = [[0] * n]
+    for _ in range(n):
+        nxt = [None] * n
+        for x, arcs in zip(dp[-1], finite):
             if x is None:
                 continue
-            s = x + w
-            if nxt[v] is None or s > nxt[v]:
-                nxt[v] = s
-    # max over v of min over k of (dp[m][v] - dp[k][v]) / (m - k), kept as
-    # a (numerator, positive denominator) pair and compared crosswise.
-    best = None
-    last = dp[m]
-    for v in range(m):
-        dmv = last[v]
-        if dmv is None:
-            continue
-        inner = None
-        for k in range(m):
-            dkv = dp[k][v]
-            if dkv is None:
-                continue
-            ratio = (dmv - dkv, m - k)
-            if inner is None or ratio[0] * inner[1] < inner[0] * ratio[1]:
-                inner = ratio
-        if inner is not None and (best is None or inner[0] * best[1] > best[0] * inner[1]):
-            best = inner
-    if best is None:
-        raise AssertionError("Karp found no closed walk in a strongly connected component")
-    return Fraction(*best)
+            for v, w in arcs:
+                s = x + w
+                b = nxt[v]
+                if b is None or s > b:
+                    nxt[v] = s
+        dp.append(nxt)
+    # every quotient times the lcm L of 1..n is an integer: compare those
+    big = lcm(*range(1, n + 1))
+    means = [
+        min((x - dk[v]) * (big // (n - k)) for k, dk in enumerate(dp[:n]) if dk[v] is not None)
+        for v, x in enumerate(dp[n])
+        if x is not None
+    ]
+    return Fraction(max(means), big) if means else None
 
 
 def spectrum(a: MaxPlusMatrix) -> Spectrum:
@@ -167,14 +148,27 @@ def spectrum(a: MaxPlusMatrix) -> Spectrum:
 
 def _spectrum(a: MaxPlusMatrix) -> Spectrum:
     d, (rows,) = _scaled([a])
-    best, components = _karp(rows)
-    if best is None:
-        return Spectrum(lam=BOTTOM, crit=None, _strongly_connected=components == 1)
-    lam = best / d
+    best = _karp(rows)
+    if best is None:  # one node without a loop is strongly connected, more are not
+        return Spectrum(lam=BOTTOM, crit=None, _strongly_connected=a.n == 1)
+    return _finite_spectrum(d, rows, best / d)
+
+
+def _finite_spectrum(d: int, rows: list[list], lam: Fraction, crit: CritGraph | None = None) -> Spectrum:
+    """The spectrum of the matrix whose rows, scaled by d, are given, with
+    its finite cycle mean lam, and crit its critical graph unless it is
+    None: then it is read off the closure (see _critical_graph_at).
+
+    P+(i, j) is finite exactly when a walk of length >= 1 leads from i to
+    j, so the digraph is strongly connected iff every entry of P+ is.
+    """
     d_lam, norm = _normalized(d, rows, lam)
     closure = [row[:] for row in norm]
     _int_closure(closure)
-    return Spectrum(MaxPlusScalar(lam), _critical_graph_at(norm, closure), components == 1, d_lam, norm, closure)
+    if crit is None:
+        crit = _critical_graph_at(norm, closure)
+    strongly_connected = all(x is not None for row in closure for x in row)
+    return Spectrum(MaxPlusScalar(lam), crit, strongly_connected, d_lam, norm, closure)
 
 
 def _normalized(d: int, rows: list[list], lam: Fraction) -> tuple[int, list[list]]:
@@ -200,45 +194,45 @@ def critical_graph(a: MaxPlusMatrix) -> CritGraph:
 
 def _critical_graph_at(norm: list[list], closure: list[list]) -> CritGraph:
     """The critical graph, given the scaled int rows of A - lambda and of
-    their closure; its components come from the successor lists of the
-    critical arcs."""
-    arcs = {
-        (i, j)
-        for i, row in enumerate(norm)
-        for j, w in enumerate(row)
-        if w is not None and closure[j][i] is not None and w + closure[j][i] == 0
-    }
+    their closure P+.
+
+    So are its components: critical nodes i and j share one iff P+(i, j)
+    and P+(j, i) are finite and sum to 0.  If they do, the best walks
+    i -> j -> i close a walk of weight 0, which splits into cycles of
+    weight <= 0, each of which weighs 0 and so is critical.  Conversely,
+    critical walks i -> j -> i close a walk of critical arcs, which
+    weighs 0 (a visualization puts each critical arc at 0 and keeps the
+    weight of a closed walk), and no closed walk weighs more.  The
+    components are ordered by their least node; their girths and
+    cyclicities come from the successor lists of the critical arcs.
+    """
+
+    def closes(i: int, j: int, w: int | None) -> bool:  # w + P+(j, i) = 0
+        return w is not None and closure[j][i] is not None and w + closure[j][i] == 0
+
+    arcs = {(i, j) for i, row in enumerate(norm) for j, w in enumerate(row) if closes(i, j, w)}
     nodes = {i for (i, j) in arcs} | {j for (i, j) in arcs}
-    scc = _scc_decomposition(_successors(len(norm), arcs), nodes)
+    component: dict[int, frozenset[int]] = {}
+    for i in nodes:
+        if i not in component:
+            comp = frozenset(j for j in nodes if closes(i, j, closure[i][j]))
+            component.update(dict.fromkeys(comp, comp))
     # Complete reducibility: every critical arc stays inside one component.
     for (i, j) in arcs:
-        if scc.component_of(i) is not scc.component_of(j):
+        if component[i] is not component[j]:
             raise AssertionError(f"critical arc ({i},{j}) crosses components")
-    return CritGraph(
-        nodes=frozenset(nodes),
-        arcs=frozenset(arcs),
-        scc=scc,
-        girth=maximal_girth(scc),
-        cyclicity=global_cyclicity(scc),
-    )
+    succ = _successors(len(norm), arcs)
+    comps = sorted(set(component.values()), key=min)
+    scc = SccDecomposition(tuple(SccInfo(c, _component_girth(succ, c), _component_cyclicity(succ, c)) for c in comps))
+    return CritGraph(frozenset(nodes), frozenset(arcs), scc, maximal_girth(scc), global_cyclicity(scc))
 
 
 def critical_components(crit: CritGraph) -> list[CritGraph]:
     """The critical graph split into its strongly connected components."""
     out = []
-    for comp in crit.scc.components:
-        arcs = frozenset(
-            (i, j) for (i, j) in crit.arcs if i in comp.nodes and j in comp.nodes
-        )
-        out.append(
-            CritGraph(
-                nodes=comp.nodes,
-                arcs=arcs,
-                scc=SccDecomposition(components=(comp,)),
-                girth=comp.girth,
-                cyclicity=comp.cyclicity,
-            )
-        )
+    for c in crit.scc.components:  # no critical arc leaves its component
+        arcs = frozenset(arc for arc in crit.arcs if arc[0] in c.nodes)
+        out.append(CritGraph(c.nodes, arcs, SccDecomposition((c,)), c.girth, c.cyclicity))
     return out
 
 

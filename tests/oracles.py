@@ -27,6 +27,13 @@ skeleton must equal what it would compute for itself.
 sample_remainder_fractions is the generators' remainder draw as it was
 before it read the integer residue: CSR at t = 1 as a Fraction, less a
 Fraction margin; it must make the same draws and give the same entries.
+spectrum_by_tarjan is the spectrum as the library computed it before it
+read components and strong connectivity off the closure: Tarjan's
+components, Karp on each of them, and the library's _scc_decomposition
+(Tarjan again) on the critical arcs.  closure_live is the Floyd-Warshall
+closure that reads pivot row k live, as the library did before it read
+the row once per pivot.  spectrum_differences is memo_differences for
+the spectrum alone.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from math import gcd, lcm
 
 from maxplus import (
     MaxPlusMatrix,
+    digraph,
     MaxPlusScalar,
     apply_numbering,
     build_csr,
@@ -475,7 +483,7 @@ def memo_differences(a):
     fresh = MaxPlusMatrix._from_raw(a.raw())
     fresh._spectrum = spectral._spectrum(fresh)
     fresh._csr = csr._build_csr(fresh, None)
-    pairs = [(a._spectrum, fresh._spectrum, ("lam", "crit", "_strongly_connected", "_d", "_norm", "_closure"))]
+    pairs = [(a._spectrum, fresh._spectrum, SPECTRUM_FIELDS)]
     pairs.append((a._csr, fresh._csr, ("s", "lam", "gamma", "crit", "_d", "_norm", "_c", "_r", "_s_norm")))
     diffs = [name for mine, theirs, names in pairs for name in names if getattr(mine, name) != getattr(theirs, name)]
     if a._csr.crit is not None:
@@ -499,3 +507,88 @@ def sample_remainder_fractions(rng, triple, taken):
                 den = rng.choice((1, 2, 3, 4))
                 entries[(i, j)] = ceilings[i][j] - Fraction(rng.randint(1, 6 * den), den)
     return entries
+
+
+def closure_live(rows):
+    """Floyd-Warshall closure of int-or-None rows, in place, reading every
+    entry d[k][j] of the pivot row when it is used, not once per pivot."""
+    n = len(rows)
+    for k in range(n):
+        dk = rows[k]
+        for di in rows:
+            dik = di[k]
+            if dik is None:
+                continue
+            for j in range(n):
+                dkj = dk[j]
+                if dkj is None:
+                    continue
+                s = dik + dkj
+                if di[j] is None or s > di[j]:
+                    di[j] = s
+
+
+def karp_scc(rows, nodes):
+    """Karp's maximum cycle mean of one strongly connected component, the
+    sorted nodes of scaled int-or-None rows, in their units: walks start
+    at the component's least node."""
+    m = len(nodes)
+    pos = {v: k for k, v in enumerate(nodes)}
+    arcs = [(pos[u], pos[v], rows[u][v]) for u in nodes for v in nodes if rows[u][v] is not None]
+    dp = [[None] * m for _ in range(m + 1)]
+    dp[0][0] = 0
+    for k in range(m):
+        for u, v, w in arcs:
+            if dp[k][u] is not None and (dp[k + 1][v] is None or dp[k][u] + w > dp[k + 1][v]):
+                dp[k + 1][v] = dp[k][u] + w
+    return max(
+        min(Fraction(dp[m][v] - dp[k][v], m - k) for k in range(m) if dp[k][v] is not None)
+        for v in range(m)
+        if dp[m][v] is not None
+    )
+
+
+def spectrum_by_tarjan(a):
+    """(lam, strongly_connected, crit) of spectral._spectrum by Tarjan's
+    components: lam is the largest of Karp's means over the components
+    with a cycle (None when there is none), the digraph is strongly
+    connected when Tarjan finds one component, and crit is None or the
+    critical graph's (nodes, arcs, components, girth, cyclicity), its
+    arcs those that close a zero-weight circuit in the live-read closure
+    of A - lam and its components from _scc_decomposition on them."""
+    raw, n = a.raw(), a.n
+    d = lcm(*(x.denominator for row in raw for x in row if x is not None))
+    rows = [[None if x is None else int(x * d) for x in row] for row in raw]
+    comps = digraph._tarjan([[j for j, x in enumerate(row) if x is not None] for row in rows], range(n))
+    means = [karp_scc(rows, sorted(c)) for c in comps if len(c) > 1 or rows[min(c)][min(c)] is not None]
+    if not means:
+        return None, len(comps) == 1, None
+    lam = max(means) / d
+    d = lcm(d, lam.denominator)
+    closure = [[None if x is None else int((x - lam) * d) for x in row] for row in raw]
+    norm = [row[:] for row in closure]
+    closure_live(closure)
+    arcs = {
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if norm[i][j] is not None and closure[j][i] is not None and norm[i][j] + closure[j][i] == 0
+    }
+    nodes = {v for arc in arcs for v in arc}
+    scc = digraph._scc_decomposition(digraph._successors(n, arcs), nodes)
+    crit = (nodes, arcs, scc.components, digraph.maximal_girth(scc), digraph.global_cyclicity(scc))
+    return lam, len(comps) == 1, crit
+
+
+SPECTRUM_FIELDS = ("lam", "crit", "_strongly_connected", "_d", "_norm", "_closure")
+
+
+def spectrum_differences(a):
+    """The fields in which the spectrum stored on a differs from
+    spectral._spectrum run on a copy of a with empty memos: lambda, the
+    critical graph, strong connectivity, the scale _d, the rows of
+    A - lambda and their closure."""
+    from maxplus import spectral
+
+    fresh = spectral._spectrum(MaxPlusMatrix._from_raw(a.raw()))
+    return [name for name in SPECTRUM_FIELDS if getattr(a._spectrum, name) != getattr(fresh, name)]

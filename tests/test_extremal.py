@@ -48,6 +48,7 @@ from oracles import (
     heaviest_cycle_exhaustive,
     residue_chords_brute,
     sample_remainder_fractions,
+    spectrum_differences,
     unique_max_weight_brute,
 )
 
@@ -863,6 +864,79 @@ def test_the_verdicts_take_a_skeleton_only_if_it_is_the_layer_they_carve():
         raw[a.n - 1][0] -= 1  # the Hamiltonian arc closing the skeleton
         with pytest.raises(AssertionError, match="not the layer it carves"):
             private(a, identity, MaxPlusMatrix(raw))
+
+
+def _reweighted(rng, a):
+    """a_ij - d_i + d_j + c for random d and c: a diagonal similarity and a
+    scalar shift, which keep the critical graph and every verdict."""
+    d = [Fraction(rng.randint(-9, 9), rng.choice((1, 2))) for _ in range(a.n)]
+    c = Fraction(rng.randint(-9, 9), rng.choice((1, 3)))
+    return MaxPlusMatrix(
+        [[None if x is None else x - d[i] + d[j] + c for j, x in enumerate(row)] for i, row in enumerate(a.raw())]
+    )
+
+
+def _skeleton_inputs():
+    """(matrix, numbering) pairs: generated DM and Wielandt instances with
+    n <= 10, reweighted, and copies with one to three entries overwritten,
+    all renumbered, with the numbering that undoes it; then random cyclic
+    matrices, n 2..7, with random numberings."""
+    rng = random.Random(1920)
+    out = []
+    for n in range(2, 11):
+        generated = [generate_dm(n, g, seed) for g in range(2, n) if gcd(g, n) == 1 for seed in range(2)]
+        generated += [generate_wielandt(n, seed, case=case) for case in ("n-1", "n") for seed in range(2)]
+        for a in generated:
+            out.append(_renumbered(rng, _reweighted(rng, a)))
+            out.append(_renumbered(rng, _overwritten(rng, a, rng.randint(1, 3))))
+    for _ in range(150):
+        n = rng.randint(2, 7)
+        a = random_cyclic_matrix(rng, n, density=rng.choice((0.3, 0.5, 0.8)))
+        out.append((a, tuple(rng.sample(range(n), n))))
+    return out
+
+
+def _verdicts(a, numbering):
+    """Every verdict on a, under numbering and searched for (n <= 8), or
+    the ValueError a verifier raises."""
+
+    def outcome(verify, *args):
+        try:
+            return verify(MaxPlusMatrix(a.raw()), *args)
+        except ValueError as exc:
+            return str(exc)
+
+    arg_lists = [(numbering,), ()] if a.n <= 8 else [(numbering,)]
+    return [outcome(verify, *args) for verify in (verify_dm, verify_wielandt, verify_crit_rc_wielandt) for args in arg_lists]
+
+
+def test_a_carved_skeleton_takes_the_inputs_lambda_and_critical_graph(monkeypatch):
+    # the skeleton a1 a verifier carves takes lambda(a) and crit(a) exactly
+    # when every critical arc of a lies on its support, and what it stores
+    # then equals its own spectrum; the verdicts are those it gives when
+    # every a1 computes its own
+    real, kinds = extremal._inherit_input, Counter()
+
+    def checked(a1, sp, numbering):
+        fresh = a1._spectrum is None
+        out = real(a1, sp, numbering)
+        if fresh:
+            inv = {node: p for p, node in enumerate(numbering)}
+            if any(a1.raw()[inv[i]][inv[j]] is None for i, j in sp.crit.arcs):
+                assert a1._spectrum is None
+                kinds["refused"] += 1
+            else:
+                assert a1._spectrum is not None and spectrum_differences(a1) == []
+                kinds["inherited"] += 1
+                kinds["not strongly connected"] += not a1._spectrum._strongly_connected
+        return out
+
+    inputs = _skeleton_inputs()
+    monkeypatch.setattr(extremal, "_inherit_input", checked)
+    verdicts = [_verdicts(a, numbering) for a, numbering in inputs]
+    monkeypatch.setattr(extremal, "_inherit_input", lambda a1, sp, numbering: a1)
+    assert verdicts == [_verdicts(a, numbering) for a, numbering in inputs]
+    assert kinds["inherited"] >= 50 and kinds["refused"] >= 50 and kinds["not strongly connected"] >= 10, kinds
 
 
 # ---------------------------------------------------------------------------

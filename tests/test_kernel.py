@@ -46,8 +46,9 @@ from maxplus import (
     wielandt_bound,
     wielandt_skeleton,
 )
-from conftest import normalized
+from conftest import normalized, random_reducible
 from oracles import (
+    closure_live,
     critical_arcs_brute,
     critical_girth_cyclicity_brute,
     csr_walk_oracle,
@@ -264,6 +265,52 @@ def test_kleene_star_rejects_a_positive_cycle():
     with pytest.raises(ValueError):
         kleene_star(a)
     assert kleene_star(scalar_times(as_scalar(Fraction(-1, 3)), a)).raw()[0][0] == 0
+
+
+def test_int_closure_reads_the_pivot_row_once_and_matches_the_live_read():
+    # on rows of A - lambda (A itself when acyclic), which have no
+    # positive cycle: random, reducible, with an all-None row, and with
+    # 60-digit entries
+    rng = random.Random(60)
+    kinds = Counter()
+
+    def huge(rng, n, density):
+        return MaxPlusMatrix(
+            [[Fraction(rng.randint(-(10**60), 10**60), rng.choice((1, 3))) if rng.random() < density else None
+              for _ in range(n)] for _ in range(n)]
+        )
+
+    makers = [sparse, irreducible, random_reducible, huge]
+    for k in range(240):
+        a = makers[k % len(makers)](rng, 1 + k % 10, rng.choice((0.2, 0.45, 0.8)))
+        d, (rows,) = matrix._scaled([a])
+        if k % 3 == 0:  # an all-None row
+            rows[rng.randrange(a.n)] = [None] * a.n
+        lam = spectral._karp(rows)
+        if lam is not None:
+            rows = spectral._normalized(d, rows, lam / d)[1]
+        expected = [row[:] for row in rows]
+        closure_live(expected)
+        matrix._int_closure(rows)
+        assert rows == expected
+        kinds["cyclic" if lam is not None else "acyclic"] += 1
+        kinds["60 digits"] += any(x is not None and abs(x) >= 10**59 for row in rows for x in row)
+        kinds["not strongly connected"] += any(x is None for row in rows for x in row)
+    assert min(kinds.values()) >= 30, kinds
+    # kleene_star still finds a positive loop, 2-cycle and long cycle
+    positive = [
+        MaxPlusMatrix([[Fraction(1, 10**9 + 7)]]),
+        from_entries(3, {(0, 0): -1, (1, 1): Fraction(1, 5), (1, 2): 0, (2, 0): -3}),
+        from_entries(3, {(0, 0): -5, (1, 1): -5, (1, 2): Fraction(7, 2), (2, 1): -3, (2, 0): -1}),
+    ]
+    n = 12  # a Hamiltonian cycle of weight 1/7 through the nodes in reverse, and lighter chords
+    entries = {(v, v - 1): -1 for v in range(1, n)}
+    entries[(0, n - 1)] = n - 1 + Fraction(1, 7)
+    entries.update({(u, v): -50 for u in range(n) for v in range(u + 1, n - 1)})
+    positive.append(from_entries(n, entries))
+    for a in positive:
+        with pytest.raises(ValueError, match="positive-weight cycle"):
+            kleene_star(a)
 
 
 # ---------------------------------------------------------------------------

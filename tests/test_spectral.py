@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -6,6 +8,7 @@ import pytest
 from maxplus import (
     MaxPlusMatrix,
     as_scalar,
+    critical_components,
     critical_graph,
     from_entries,
     is_strictly_visualized,
@@ -14,14 +17,15 @@ from maxplus import (
     scalar_times,
     scale,
     scc_decompose,
+    spectral,
     spectrum,
     visualize,
     zeros,
 )
 from maxplus.digraph import WeightedDigraph
-from conftest import random_cyclic_matrix, random_irreducible, random_matrix
+from conftest import rand_weight, random_cyclic_matrix, random_irreducible, random_matrix, random_reducible
 
-from oracles import critical_arcs_brute, cycles_by_permutations, max_cycle_mean_brute
+from oracles import critical_arcs_brute, cycles_by_permutations, max_cycle_mean_brute, spectrum_by_tarjan
 
 N = None
 
@@ -97,6 +101,68 @@ def test_crit_scc_agrees_with_digraph_recomputation(rng):
         assert crit.girth == max(c.girth for c in again.components)
         multi += len(crit.scc.components) > 1
     assert multi >= 30, multi
+
+
+def _binary(rng, a):
+    """a with every finite entry replaced by 0 or 1: ties, hence critical
+    graphs of several components."""
+    return MaxPlusMatrix([[None if x is None else rng.randint(0, 1) for x in row] for row in a.raw()])
+
+
+def _acyclic(rng, n):
+    """Random arcs from each node to later ones only, relabeled at random."""
+    order = list(range(n))
+    rng.shuffle(order)
+    rows = [[None] * n for _ in range(n)]
+    for p in range(n):
+        for q in range(p + 1, n):
+            if rng.random() < 0.5:
+                rows[order[p]][order[q]] = rand_weight(rng)
+    return MaxPlusMatrix(rows)
+
+
+def spectrum_kinds():
+    """(kind, matrix) pairs: 1200 matrices with n from 1 to 12, irreducible,
+    reducible and acyclic, with random or {0, 1} weights, and the 1 x 1
+    matrices with and without a loop."""
+    rng = random.Random(2020)
+    makers = [
+        ("irreducible", lambda n: random_irreducible(rng, n, rng.choice((0.1, 0.3)))),
+        ("reducible", lambda n: random_reducible(rng, n, rng.choice((0.2, 0.4, 0.7)))),
+        ("sparse", lambda n: random_matrix(rng, n, rng.choice((0.1, 0.2, 0.4)))),
+        ("acyclic", lambda n: _acyclic(rng, n)),
+        ("binary irreducible", lambda n: _binary(rng, random_irreducible(rng, n, 0.2))),
+        ("binary reducible", lambda n: _binary(rng, random_reducible(rng, n, rng.choice((0.2, 0.4))))),
+    ]
+    for k in range(1200):
+        kind, make = makers[k % len(makers)]
+        yield kind, make(1 + k // len(makers) % 12)
+    yield "one node with a loop", MaxPlusMatrix([[Fraction(-2, 3)]])
+    yield "one node without a loop", MaxPlusMatrix([[None]])
+
+
+def test_spectrum_matches_the_tarjan_path():
+    # lambda, strong connectivity and the critical graph, components in
+    # order with their girths and cyclicities, as found by Tarjan's
+    # components, Karp on each and _scc_decomposition on the critical arcs
+    kinds = Counter()
+    for kind, a in spectrum_kinds():
+        lam, strongly_connected, crit = spectrum_by_tarjan(a)
+        sp = spectral._spectrum(a)
+        assert (sp.lam.value, sp._strongly_connected) == (lam, strongly_connected), kind
+        assert max_cycle_mean(a).value == lam
+        if crit is None:
+            assert sp.crit is None
+        else:
+            got = sp.crit
+            assert (got.nodes, got.arcs, got.scc.components, got.girth, got.cyclicity) == crit, kind
+            assert [c.nodes for c in critical_components(got)] == [c.nodes for c in crit[2]]
+        kinds[kind] += 1
+        kinds["several critical components"] += crit is not None and len(crit[2]) > 1
+        kinds["cyclic, not strongly connected"] += lam is not None and not strongly_connected
+        kinds["acyclic, n >= 2"] += lam is None and a.n > 1
+    assert kinds["several critical components"] >= 100 and kinds["cyclic, not strongly connected"] >= 100, kinds
+    assert kinds["acyclic, n >= 2"] >= 100, kinds
 
 
 def test_lambda_and_crit_invariant_under_scalar_shift(rng):
