@@ -16,10 +16,12 @@ is computed.  One sweep over the powers of A - lambda (see _sweep)
 yields T1, the transient of each critical row and column, where A^t
 meets C S^t R alone, and T.  A row, once it meets C S^t R, keeps to it,
 so the sweep tests only the rows that failed one power back and stops
-testing at T1.  A row of the powers, once periodic, stays so; the sweep
-then copies it instead of multiplying it.  Past the ceiling on T1 it
-steps on while that costs less than the galloping search of _transient
-would, and hands over to the search when it does not.
+testing at T1.  A row of the powers is periodic from t >= 1 exactly
+when it equals the same row of C S^t R; the sweep then retires it and
+multiplies only the rows not yet periodic, so T = max(T1, T2) row by
+row, T2 the time after which C S^t R dominates B^t.  Past the ceiling
+on T1 it steps on while that costs less than the galloping search of
+_transient would, and hands over to the search when it does not.
 Whether T1 equals that ceiling is also decided at two powers alone (see
 _t1_at_ceiling); the generators in `extremal` check their candidates so.
 
@@ -49,9 +51,10 @@ with it (see extremal._inherit_skeleton).
 
 from __future__ import annotations
 
-from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import count
 
 from .bounds import dm_bound, wielandt_bound
@@ -250,14 +253,15 @@ def transient_T(a: MaxPlusMatrix) -> int:
     """Least T >= 0 with A^(t+gamma) = lambda^gamma * A^t for all t >= T.
 
     Defined for strongly connected digraphs, with gamma the cyclicity of
-    the critical graph; found by _transient's galloping search from t = 0.
+    the critical graph; found by _transient's galloping search from t = 0
+    against the residues of a's CSR triple (see _sweep).
     """
     sp = spectrum(a)
     if not sp._strongly_connected:
         raise ValueError("transient is defined for strongly connected digraphs only")
     if sp.crit is None:
         raise ValueError("transient undefined: single node without a loop")
-    return _transient(sp._norm, sp.crit.cyclicity, 0, _int_identity(a.n))
+    return _transient(sp._norm, 0, _int_identity(a.n), partial(_residue, build_csr(a)))
 
 
 def _int_identity(n: int) -> list[list]:
@@ -269,89 +273,80 @@ def _sweep(
 ) -> tuple[int | None, list[list] | None, int, dict[int, int], dict[int, int]]:
     """(t, at, t1, rows, cols) from one loop over the powers P^t of P = A - lambda.
 
-    T is the least t >= 0 with P^(t+gamma) = P^t.  The sweep reads it row
-    by row: let T_i be the least t at which row i of P^(t+gamma) equals
-    row i of P^t.  Row i of P^(t+1) is row i of P^t times P, so equality
-    at t gives it at t + 1: row i is periodic from T_i on, and T is the
-    largest T_i.  With the window P^(t-gamma) .. P^t the sweep retires row
-    i at t = T_i + gamma; from then on row i of each new power is copied
-    from the power gamma steps back, and only the active rows are
-    multiplied by P.  With transient it stops at t = T + gamma, when no
-    row is left active, with (T, None).
+    T is the least t >= 0 with P^(t+gamma) = P^t, and Q_t = C S'^t R the
+    residue of t (see _residue), S' = S - lambda.  Row i of P^t is
+    periodic from t >= 1 exactly when it equals row i of Q_t, so the sweep
+    retires row i at the first t >= 1 where the two are equal, multiplies
+    only the active rows by P, and takes each retired row of P^(t+1) from
+    Q_(t+1).  With transient it stops when no row is left, with (T, None).
 
-    It also finds where the residue Q_t exceeds P^t (see _excess), for t1
-    and the critical row and column transients.  A row that holds at t
-    holds at every later t (see weak_threshold_T1), so at t it tests only
-    the rows that failed at t - 1, every row at t = 1, and stops testing
-    at the first t where none fails: that t is t1, and the entries that
-    exceed are those a test of every row would find.  Testing also stops
-    past the ceiling c = min(Wi(n), DM(g, n)), the proven bound on t1.
-    Without transient the sweep returns there, at t1, with (None, None):
-    only T needs the later powers, so it makes t1 - 1 steps.  (Only at
-    t = 1 can every row retire first, when P = I; it returns (0, None).)
+    Lemma.  On the critical rows R P = S' R, so Q_t P = Q_(t+1) for t >= 1
+    (and Q_gamma P = Q_1).  R P >= S' R is in weak_threshold_T1's proof.
+    For <=, take a walk W of length m*gamma + 1 from a critical l to j.
+    The critical graph has an arc (l, l') and a walk Z from l' back to l
+    with |Z| = -1 (mod gamma), as the cyclicity of l's component divides
+    gamma.  The arc and Z close a critical walk, of weight 0, and Z W has
+    length = 0 (mod gamma), so P(l, l') + M(l', j) >= w(W).
+    Consequences.  Row i of P^t equal to row i of Q_t gives row i of
+    P^(t+1) = (row i of Q_t) P = row i of Q_(t+1), and so on: the row is
+    periodic from t.  Conversely, let row i be periodic from t >= 1 and
+    t + k*gamma >= T1.  Row i of P^t is then row i of Q_t (+)
+    (B - lambda)^(t+k*gamma) (see _excess), whose finite entries tend to
+    -inf as k grows, since every cycle of B lies below lambda; so it is
+    row i of Q_t.  Row i thus retires at max(T_i, 1), T_i the least t from
+    which it is periodic, max(T1_i, T2_i) in the paper's terms, and T is
+    the last retirement, or 0 when every row retires at t = 1 and
+    Q_gamma = I (_residue maps t = 0 to gamma).  Irreducibility is not
+    used, but on reducible input some rows may never retire.
 
-    No t >= T_i fails in row i, so a retired row needs no test, and a row
-    that failed at t - 1 is still active at t.  Row i of P^(t+k*gamma)
-    equals row i of P^t for all k >= 0, row i of Q_t depends on t only
-    modulo gamma, and t + k*gamma is past T1 for k large, so row i of
-    Q_t is <= row i of P^t: no entry (i, j) exceeds, and neither t1 nor a
-    row or column transient can move.  Irreducibility is not used, so
-    rows of reducible input retire too, and it may stop early.  An
-    acyclic digraph has no critical graph and no T; it gives (None, None,
-    1, {}, {}).
+    It also finds where Q_t exceeds P^t (see _excess), for t1 and the
+    critical row and column transients.  A row that holds at t holds at
+    every later t (see weak_threshold_T1), so at t it tests only the rows
+    that failed at t - 1, every row at t = 1, and stops testing at the
+    first t where none fails: that t is t1, and the entries that exceed
+    are those a test of every row would find.  Testing also stops past
+    the ceiling c = min(Wi(n), DM(g, n)), the proven bound on t1.  A
+    failing row differs from Q_t, so it is active; a retired one never
+    fails again.  Without transient the sweep multiplies only the failing
+    rows and returns at t1, or at c (n = 1 has c = 0 < t1 = 1), with
+    (None, None), after t1 - 1 steps.  An acyclic digraph has no critical
+    graph and no T; it gives (None, None, 1, {}, {}).
 
-    Past t = c + gamma, which only the sweep with transient reaches, T may
-    lie arbitrarily far on; the equality fails at c, so T > c.  There the
-    sweep, which needs P strongly connected so that its powers end
-    periodic, steps on while that is cheaper than the galloping search of
-    _transient, a ski-rental rule: after s steps past c + gamma it hands
-    (t - gamma + 1, P^(t-gamma+1)) over as soon as the work spent on those
-    steps exceeds 2*bit_length(s)*M.  Work counts as the kernel's (see
-    _square_work).  A step passes over the rows and multiplies each active
+    Past c, which only the sweep with transient reaches with rows left,
+    T may lie arbitrarily far on.  There the sweep, which needs P strongly
+    connected so that its powers end periodic, steps on while that is
+    cheaper than the galloping search of _transient, a ski-rental rule:
+    at t = c + s it hands (t, P^t) over as soon as the work of its s steps
+    past c exceeds 2*bit_length(s)*M.  Work counts as the kernel's (see
+    _square_work): a step passes over the rows and multiplies each active
     one by P, so it is counted as n, plus n + nnz(P) per active row, and M
-    is the work of squaring P^(c+gamma), the price of one product of the
-    search at that density.
+    is the work of squaring P^c, the price of one product of the search.
 
-    The bound, in units of M.  From t' with u = T - t', _transient makes
-    at most 2*bit_length(gamma) - 2 products for P^gamma and one test; for
-    u >= 1 then bit_length(u) probes, each with its test and all but the
-    last with a square, and bit_length(u) - 1 halvings of a probe and a
-    test: G(u) products in all, with G(0) = 2*bit_length(gamma) - 1 and
-    G(u) = 5*bit_length(u) + 2*bit_length(gamma) - 3 >= 5*bit_length(u) - 1
-    for u >= 1.  Take t' = c + 1 and u = T - c - 1, where a sweep without
-    steps hands over.  When all rows retire first, after s = T - c
-    steps past c + gamma, the rule held after s - 1 = u of them, so the
-    steps cost at most 2*bit_length(u)*M and one step more: at most half
-    of G(u)*M, plus a step.  When the rule hands over after s >= 1 steps,
-    T > c + s, so s - 1 < u: the steps cost at most 2*bit_length(u)*M and
-    one step more, and the search from c + s + 1, over at most u, G(u)
-    products.  So past c + gamma the sweep and the search cost at most
-    1.4 times the bound G(u)*M on the search from c + 1, plus a step and
-    M; T is exact either way.  A product by a power sparser than
-    P^(c+gamma) costs less than M, so against the search's own work the
-    sweep may spend about twice, the break-even of a ski rental.
+    The bound, in units of M.  From t' with u = T - t' >= 1, _transient
+    makes bit_length(u) probes, all but the last with a square, and
+    bit_length(u) - 1 halvings: G(u) = 3*bit_length(u) - 2 products.  Let
+    u = T - c.  If all rows retire first, the rule held after u - 1 steps,
+    which cost at most 2*bit_length(u)*M, at most G(u)*M for u >= 2.  If
+    it hands over after s >= 1 steps, then 1 <= s < u, those steps cost
+    at most 2*bit_length(u)*M and the search from c + s at most G(u)*M.
+    Plus a step, that is at most (5*b - 2)/(3*b - 2) <= 2 times the bound
+    G(u)*M on the search from c, b = bit_length(u) >= 2; T is exact
+    either way.
     """
     if triple.crit is None:
         return None, None, 1, {}, {}
-    norm, gamma, n = triple._norm, triple.gamma, triple.n
+    norm, n = triple._norm, triple.n
     step = _finite_entries(norm)
-    window = deque([_int_identity(n), norm], maxlen=gamma + 1)
-    active = failing = list(range(n))  # all active until the window is full, all tested at t = 1
+    at, active, failing = norm, range(n), list(range(n))  # every row is tested at t = 1
     nodes = sorted(triple.crit.nodes)
     ceiling, t1, rows, cols = _ceiling(triple), 1, dict.fromkeys(nodes, 1), dict.fromkeys(nodes, 1)
-    nnz, spent = sum(map(len, step)), 0  # nnz(P) bounds a row's step; spent counts the steps past c + gamma
+    nnz, spent = sum(map(len, step)), 0  # nnz(P) bounds a row's step; spent counts the steps past c
     for t in count(1):
-        at = window[-1]
-        if len(window) > gamma:
-            active = [i for i in active if window[0][i] != at[i]]
+        if transient:
+            residue = _residue(triple, t)
+            active = [i for i in active if at[i] != residue[i]]
             if not active:
-                return t - gamma, None, t1, rows, cols
-            if t - gamma >= ceiling:
-                s = t - gamma - ceiling
-                square = _square_work(at) if s == 0 else square
-                if spent > 2 * s.bit_length() * square:
-                    return t - gamma + 1, window[1], t1, rows, cols
-                spent += n + len(active) * (n + nnz)
+                return (0 if t == 1 and _residue(triple, 0) == _int_identity(n) else t), None, t1, rows, cols
         if failing and t <= ceiling:
             excess = _excess(triple, t, at, failing)
             failing = sorted({i for i, _ in excess})
@@ -359,30 +354,36 @@ def _sweep(
                 t1 = t + 1
                 rows.update((i, t + 1) for i in failing if i in rows)
                 cols.update((j, t + 1) for _, j in excess if j in cols)
-        if not (failing or transient):
+        if not transient and (not failing or t >= ceiling):
             return None, None, t1, rows, cols
-        nxt = window[1][:]  # P^(t+1-gamma), whose retired rows are those of P^(t+1)
-        for i, row in zip(active, _int_mul([at[i] for i in active], step)):
+        if transient and t >= ceiling:
+            square = square if spent else _square_work(at)
+            if spent > 2 * (t - ceiling).bit_length() * square:
+                return t, at, t1, rows, cols
+            spent += n + len(active) * (n + nnz)
+        left = active if transient else failing
+        nxt = _residue(triple, t + 1)[:]  # the retired rows of P^(t+1); rows neither left nor retired are not read
+        for i, row in zip(left, _int_mul([at[i] for i in left], step)):
             nxt[i] = row
-        window.append(nxt)
+        at = nxt
 
 
-def _transient(norm: list[list], gamma: int, t: int, at: list[list]) -> int:
-    """Least T >= t with P^(T+gamma) = P^T, P = norm, given at = P^t and
-    the equality failing below t; it holds from T on (see _sweep), so the
-    search gallops by P, P^2, P^4, ... and bisects back over the squares,
-    one product by P^gamma a probe: O(log(T - t) + log gamma) in all.
-    P must be strongly connected, so that its powers end periodic."""
-    shift = _finite_entries(_int_power(norm, gamma))
-    if _int_mul(at, shift) == at:
+def _transient(norm: list[list], t: int, at: list[list], residue: Callable[[int], list[list]]) -> int:
+    """Least T >= t with P^T = Q_T, P = norm and Q_T = residue(T), given
+    at = P^t and the equality failing below t; it holds from T on (see
+    _sweep), so the search gallops by P, P^2, P^4, ... and bisects back
+    over the squares, one product a probe: O(log(T - t)) in all.  From
+    t = 0, at = I and residue(0) = Q_gamma it returns T itself.  P must be
+    strongly connected, so that its powers end periodic."""
+    if at == residue(t):
         return t
     squares = [norm]  # squares[k] is P^(2^k)
-    while (probe := _int_mul(at, _finite_entries(squares[-1]))) != _int_mul(probe, shift):  # fails at t
+    while (probe := _int_mul(at, _finite_entries(squares[-1]))) != residue(t + (1 << (len(squares) - 1))):
         t, at = t + (1 << (len(squares) - 1)), probe
         squares.append(_int_power(squares[-1], 2))
     for k in reversed(range(len(squares) - 1)):  # T - t is in (0, 2^(k+1)]
         probe = _int_mul(at, _finite_entries(squares[k]))
-        if _int_mul(probe, shift) != probe:
+        if probe != residue(t + (1 << k)):
             t, at = t + (1 << k), probe
     return t + 1
 
@@ -526,17 +527,16 @@ def analyze(a: MaxPlusMatrix) -> TransientReport:
 
     One sweep gives T1 and the critical row and column transients, and on
     strongly connected input T as well: past the ceiling it steps on
-    until T, or hands over to the galloping search of _transient once its
-    steps cost more than the search would, and so spends at most 1.4
-    times the search's bound at the price it reads (the proof is in
-    _sweep).  On other input it stops at T1, and T is None.
+    until T, or hands over to the galloping search of _transient, within
+    twice the search's bound (see _sweep).  On other input it stops at
+    T1, and T is None.
     """
     connected = spectrum(a)._strongly_connected
     triple = build_csr(a)
     t, at, t1, rows, cols = _sweep(triple, connected)
     lam, crit = triple.lam, triple.crit
     if connected and at is not None:
-        t = _transient(triple._norm, crit.cyclicity, t, at)
+        t = _transient(triple._norm, t, at, partial(_residue, triple))
     wi = wielandt_bound(a.n)
     dm = None if crit is None else dm_bound(crit.girth, a.n)
     return TransientReport(

@@ -164,8 +164,8 @@ def _component_girth(succ: Sequence[Sequence[int]], comp: set[int]) -> int | Non
     return best
 
 
-def _component_cyclicity(succ: Sequence[Sequence[int]], comp: set[int]) -> int | None:
-    """gcd of cycle lengths via BFS level labels: gcd of level(u)+1-level(v)."""
+def _levels(succ: Sequence[Sequence[int]], comp: set[int]) -> dict[int, int]:
+    """BFS level of each node of comp from its least node, along arcs within comp."""
     root = min(comp)
     level = {root: 0}
     frontier = [root]
@@ -177,6 +177,12 @@ def _component_cyclicity(succ: Sequence[Sequence[int]], comp: set[int]) -> int |
                     level[v] = level[u] + 1
                     nxt.append(v)
         frontier = nxt
+    return level
+
+
+def _component_cyclicity(succ: Sequence[Sequence[int]], comp: set[int]) -> int | None:
+    """gcd of cycle lengths via BFS level labels: gcd of level(u)+1-level(v)."""
+    level = _levels(succ, comp)
     result = 0
     for i in comp:
         for j in succ[i]:

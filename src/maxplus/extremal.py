@@ -44,6 +44,7 @@ Node indices are 0-based throughout; a numbering is a permutation tuple
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate, product
@@ -51,8 +52,8 @@ from math import gcd
 
 from .bounds import dm_bound, wielandt_bound
 from .csr import CsrTriple, _csr_entry, _int_identity, _residue, _shift, _t1_at_ceiling, _transient, build_csr
-from .digraph import SccDecomposition, WeightedDigraph, _cycles, _successors, _support
-from .matrix import MaxPlusMatrix, _int_power, _scaled, from_entries
+from .digraph import SccDecomposition, WeightedDigraph, _cycles, _levels, _successors, _support
+from .matrix import MaxPlusMatrix, _finite_entries, _int_mul, _scaled, from_entries
 from .semiring import MaxPlusScalar
 from .spectral import CritGraph, Spectrum, _cyclic_spectrum, _finite_spectrum, _normalized, critical_graph, spectrum
 
@@ -379,7 +380,10 @@ def _dm_conditions(
     else:
         t = dm_bound(g, n) - 1  # (b1^t)_{g, n-1} must lie strictly below (CSR(a1) at t)_{g, n-1}
         d, (rows,) = _scaled([dec.b1])
-        power = _int_power(rows, t)[g][n - 1]
+        row, step = rows[g], _finite_entries(rows)
+        for _ in range(t - 1):  # row g of b1^t, one row a step: t*nnz(b1) operations, not log t squarings
+            (row,) = _int_mul([row], step)
+        power = row[n - 1]
         lhs = MaxPlusScalar(None if power is None else Fraction(power, d))
         rhs = _csr_entry(build_csr(a1), t, g, n - 1)
         conditions["chord_power_below_csr"] = ConditionCheck(lhs < rhs, detail=f"{lhs} vs {rhs}")
@@ -684,14 +688,31 @@ def _boolean_index(crit: CritGraph) -> int:
     Each component is strongly connected and every cycle in it weighs 0,
     so its 0/-inf matrix has cycle mean 0, is its own A - lambda, and has
     the whole component as critical graph, of cyclicity comp.cyclicity:
-    the search for the transient runs on those rows directly, from t = 0.
+    the search for the transient runs on those rows directly, from t = 0,
+    against the residues in closed form (see _class_residue).
     """
+    succ = _successors(max(crit.nodes) + 1, crit.arcs)
     worst = 0
     for comp in crit.scc.components:
         nodes = sorted(comp.nodes)
         rows = [[0 if (i, j) in crit.arcs else None for j in nodes] for i in nodes]
-        worst = max(worst, _transient(rows, comp.cyclicity, 0, _int_identity(len(nodes))))
+        levels = _levels(succ, comp.nodes)
+        residue = _class_residue([levels[i] for i in nodes], comp.cyclicity)
+        worst = max(worst, _transient(rows, 0, _int_identity(len(nodes)), residue))
     return worst
+
+
+def _class_residue(levels: list[int], gamma: int) -> Callable[[int], list[list]]:
+    """t -> the residue Q_t of a strongly connected 0/-inf matrix of
+    cyclicity gamma, given the BFS levels l of its nodes (digraph._levels).
+
+    Every arc (u, v) has l(v) = l(u) + 1 (mod gamma), so every walk from i
+    to j has length = l(j) - l(i), and past some length there is one of
+    each such length.  So M = (P^gamma)^* is 0 exactly on the pairs of one
+    cyclic class, and Q_t = C S^t R is 0 at (i, j) exactly when
+    l(j) - l(i) = t (mod gamma), -inf elsewhere; t = 0 gives Q_gamma.
+    """
+    return lambda t: [[0 if (lj - li - t) % gamma == 0 else None for lj in levels] for li in levels]
 
 
 def verify_crit_rc_dm(a: MaxPlusMatrix) -> bool:

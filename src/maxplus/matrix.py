@@ -315,7 +315,7 @@ def parse_matrix(text: str) -> MaxPlusMatrix:
 
     Trailing content after the n matrix rows (e.g. a provenance record)
     is ignored, so generator output can be fed back directly.  Each
-    distinct token is read once, by parse_scalar.
+    distinct token is read once (see _parse_token).
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -336,8 +336,21 @@ def parse_matrix(text: str) -> MaxPlusMatrix:
         rows.append(tokens)
     values = dict.fromkeys(tok for row in rows for tok in row)  # in reading order: the first bad token raises
     for tok in values:
-        values[tok] = parse_scalar(tok).value
+        values[tok] = _parse_token(tok)
     return MaxPlusMatrix._from_raw([[values[tok] for tok in row] for row in rows])
+
+
+def _parse_token(tok: str) -> Fraction | None:
+    """parse_scalar(tok).value.  An ASCII p or p/q, p digits with an optional
+    "-" and q nonzero digits, is read by int alone, without the regex of
+    Fraction(str); every other token, and any int() refuses, by parse_scalar."""
+    p, slash, q = tok.partition("/")
+    if tok.isascii() and (p[1:] if p[:1] == "-" else p).isdigit() and (not slash or q.isdigit() and q.strip("0")):
+        try:
+            return Fraction(int(p), int(q)) if slash else Fraction(int(p))
+        except ValueError:  # past int's digit limit: parse_scalar gives the error
+            pass
+    return parse_scalar(tok).value
 
 
 def from_entries(n: int, entries: dict[tuple[int, int], object]) -> MaxPlusMatrix:

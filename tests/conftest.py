@@ -1,5 +1,8 @@
 import random
+import signal
 import sys
+import time
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -81,3 +84,37 @@ def random_strictly_below(rng: random.Random, bound: MaxPlusMatrix, prob: float 
 @pytest.fixture
 def rng():
     return random.Random(20240611)
+
+
+PER_TEST_SECONDS = 120  # the slowest test takes about 7 s on a 2-vCPU machine
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the code under test once it runs past seconds,
+    so a loop that never ends fails its test instead of hanging the run.
+    An enclosing deadline is re-armed with what is left of it; without
+    interval timers (Windows) nothing is armed."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    handler = signal.signal(signal.SIGALRM, expire)
+    outer, _ = signal.setitimer(signal.ITIMER_REAL, seconds)
+    start = time.monotonic()
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+        if outer:
+            signal.setitimer(signal.ITIMER_REAL, max(outer - (time.monotonic() - start), 1e-3))
+
+
+@pytest.fixture(autouse=True)
+def _per_test_deadline():
+    with deadline(PER_TEST_SECONDS):
+        yield

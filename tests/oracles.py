@@ -17,7 +17,9 @@ before its one exact-length DFS: they fix the lists, and the order,
 that DFS must return.  transient_by_steps is the library's search for T
 before it galloped: one power at a time, capped so a test cannot hang.
 row_transients_by_steps finds, by the same stepping, where each row of
-the powers turns periodic, which the sweep reads off its window.
+the powers turns periodic, which the sweep reads off the residue.
+weak_threshold_T2 steps the powers of B - lambda, B the Nachtigall
+matrix, and compares them with the CSR terms the library gives.
 heaviest_cycle_exhaustive is the numbering searches' ranking as it was
 before they looked at the critical graph first: every cycle of one
 length in the whole support, ranked by exact weight.
@@ -416,6 +418,30 @@ def weak_threshold_T1_full(a):
                 col_fail[k] = t
     rows = {i: f + 1 for i, f in row_fail.items()}
     return last_fail + 1, rows, {j: f + 1 for j, f in col_fail.items()}
+
+
+def weak_threshold_T2(a, horizon):
+    """Least t >= 1 with (B - lambda)^s <= Q_s for every s from t to horizon,
+    Q_s = C S^s R - s*lambda, by stepping B - lambda with the walk DP.
+
+    B is a with its critical rows and columns pushed to -inf; C S^s R
+    comes from the library's csr_at, as in weak_threshold_T1_full.  The
+    value is T2 once no s past horizon fails.  For irreducible a, any
+    horizon >= max(T, 1) will do: from there on P^s = Q_s, P = A - lambda,
+    and (B - lambda)^s <= P^s, as B <= A.
+    """
+    triple = build_csr(a)
+    lam = max_cycle_mean(a).value
+    nodes = triple.crit.nodes
+    b = MaxPlusMatrix(
+        [[None if x is None or i in nodes or j in nodes else x - lam for j, x in enumerate(row)] for i, row in enumerate(a.raw())]
+    )
+    last_fail = 0
+    for s, bs in enumerate(walk_powers(b, horizon)[1:], 1):
+        q = [[None if x is None else x - s * lam for x in row] for row in csr_at(triple, s).raw()]
+        if any(y is not None and (x is None or y > x) for brow, qrow in zip(bs, q) for y, x in zip(brow, qrow)):
+            last_fail = s
+    return last_fail + 1
 
 
 def residue_chords_brute(a, g, numbering):

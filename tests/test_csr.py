@@ -1,4 +1,5 @@
 import random
+import signal
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -39,9 +40,11 @@ from maxplus import (
     wielandt_skeleton,
     zeros,
 )
-from maxplus import csr, matrix, spectral
+from maxplus import csr, digraph, extremal, matrix, spectral
 from maxplus.extremal import _boolean_index, _inherit_skeleton
 from conftest import (
+    PER_TEST_SECONDS,
+    deadline,
     normalized,
     random_cyclic_matrix,
     random_irreducible,
@@ -57,6 +60,7 @@ from oracles import (
     walk_power,
     walk_powers,
     weak_threshold_T1_full,
+    weak_threshold_T2,
 )
 
 N = None
@@ -697,8 +701,8 @@ def test_the_sweep_tests_only_failing_rows_and_steps_past_the_ceiling(monkeypatc
     # oracles: T1 and the row and column transients by the full ceiling
     # scan, T step by step, and past the ceiling the rows analyze's
     # sweep multiplies at each step by the rows' own transients T_i (row
-    # i is multiplied at t while T_i + gamma > t), up to T + gamma or to
-    # its hand-over to the galloping search
+    # i is multiplied at t while max(T_i, 1) > t), up to T or to its
+    # hand-over to the galloping search
     excess_calls, left_rows, handovers = [], [], []
     excess, int_mul, transient = csr._excess, matrix._int_mul, csr._transient
 
@@ -707,9 +711,9 @@ def test_the_sweep_tests_only_failing_rows_and_steps_past_the_ceiling(monkeypatc
         excess_calls.append((t, list(rows), found))
         return found
 
-    def recorded_transient(norm, gamma, t, at):
+    def recorded_transient(norm, t, at, residue):
         handovers.append((t, len(left_rows)))  # where the search starts, after how many products
-        return transient(norm, gamma, t, at)
+        return transient(norm, t, at, residue)
 
     monkeypatch.setattr(csr, "_excess", recorded_excess)
     monkeypatch.setattr(csr, "_int_mul", lambda arows, b: left_rows.append(len(arows)) or int_mul(arows, b))
@@ -752,14 +756,14 @@ def test_the_sweep_tests_only_failing_rows_and_steps_past_the_ceiling(monkeypatc
             continue
         kinds["past the ceiling"] += 1
         if handovers:
-            (start, steps), = handovers
-            stop = start + gamma - 1
+            (stop, steps), = handovers
             kinds["handed over"] += 1
         else:
-            stop, steps = big_t + gamma, len(left_rows)
+            stop, steps = big_t, len(left_rows)
             kinds["stepped to T"] += 1
         periodic_from = row_transients_by_steps(p, gamma, stop)
-        assert left_rows[:steps] == [sum(ti is None or ti + gamma > t for ti in periodic_from) for t in range(1, stop)]
+        assert steps == stop - 1
+        assert left_rows[:steps] == [sum(ti is None or max(ti, 1) > t for ti in periodic_from) for t in range(1, stop)]
     assert kinds["irreducible"] >= 500 and kinds["reducible"] >= 200 and kinds["past the ceiling"] >= 50, kinds
     assert kinds["stepped to T"] >= 30 and kinds["handed over"] >= 10, kinds
 
@@ -767,8 +771,9 @@ def test_the_sweep_tests_only_failing_rows_and_steps_past_the_ceiling(monkeypatc
 def test_analyze_steps_then_gallops_on_a_small_gap(monkeypatch):
     # T = 20/eps lies far past the ceiling 4: the sweep steps while its
     # steps cost less than galloping would, then hands over.  Galloping
-    # from c + 1 alone took 1355, 1847 and 3077 entry operations in all;
-    # the rule may cost up to twice that, and at most 300 products
+    # from c + 1 alone, from P^(c+1) with the residues read, takes 815,
+    # 1139 and 1949 entry operations; the rule may cost up to twice that,
+    # and at most 300 products
     ops = Counter()
     int_mul = matrix._int_mul
 
@@ -783,8 +788,8 @@ def test_analyze_steps_then_gallops_on_a_small_gap(monkeypatch):
             monkeypatch.setattr(module, "_int_mul", counted)
     handovers = []
     transient = csr._transient
-    monkeypatch.setattr(csr, "_transient", lambda *args: handovers.append(args[2]) or transient(*args))
-    for eps, galloping in ((Fraction(1, 100), 1355), (Fraction(1, 1000), 1847), (Fraction(1, 10**6), 3077)):
+    monkeypatch.setattr(csr, "_transient", lambda *args: handovers.append(args[1]) or transient(*args))
+    for eps, galloping in ((Fraction(1, 100), 815), (Fraction(1, 1000), 1139), (Fraction(1, 10**6), 1949)):
         ops.clear(), handovers.clear()
         assert analyze(small_gap(eps)).t == 20 / eps
         assert ops["entries"] <= 2 * galloping and len(handovers) == 1, (eps, ops)
@@ -834,6 +839,151 @@ def test_transient_dominates_weak_threshold_on_irreducible(rng):
         assert wx.t1 <= start
         for s in range(start, start + wx.csr.gamma + 1):
             assert mat_power(a, s) == csr_at(wx.csr, s)
+
+
+# ---------------------------------------------------------------------------
+# the residue: a row of P^t that meets it is periodic, and T = max(T1, T2)
+
+
+def _binary(rng, n, density):
+    """A random matrix with weights 0 and 1: many critical cycles, often gamma > 1."""
+    return MaxPlusMatrix([[rng.randint(0, 1) if rng.random() < density else None for _ in range(n)] for _ in range(n)])
+
+
+def test_the_residue_times_P_is_the_next_residue():
+    # the lemma of csr._sweep: Q_t P = Q_(t+1) for t = 1..gamma, Q_(gamma+1)
+    # being Q_1, on irreducible, reducible and {0, 1}-weighted input
+    rng = random.Random(2112)
+    kinds = Counter()
+    for k in range(1000):
+        n, density = k % 9 + 1, rng.choice((0.15, 0.3, 0.6))
+        a = (random_irreducible, random_reducible, _binary, _binary)[k % 4](rng, n, density)
+        triple = build_csr(a)
+        if triple.crit is None:
+            continue
+        step = matrix._finite_entries(triple._norm)
+        for t in range(1, triple.gamma + 1):
+            assert matrix._int_mul(csr._residue(triple, t), step) == csr._residue(triple, t + 1), (render_matrix(a), t)
+        kinds["cyclic"] += 1
+        kinds["gamma > 1"] += triple.gamma > 1
+        kinds["reducible"] += not spectrum(a)._strongly_connected
+    assert kinds["cyclic"] >= 800 and kinds["gamma > 1"] >= 200 and kinds["reducible"] >= 200, kinds
+
+
+def test_each_row_retires_where_it_meets_the_residue(monkeypatch):
+    # analyze's sweep multiplies at step t exactly the rows i of P^t with
+    # max(T_i, 1) > t, T_i where row i turns periodic by the oracle, in
+    # order and with their values, up to max(T, 1) or to its hand-over
+    rng = random.Random(2114)
+    products = []
+    int_mul = matrix._int_mul
+    monkeypatch.setattr(csr, "_int_mul", lambda arows, b: products.append(arows) or int_mul(arows, b))
+    kinds = Counter()
+    corpus = [random_irreducible(rng, k % 8 + 1, rng.choice((0.2, 0.4, 0.8))) for k in range(300)]
+    corpus += [_near_critical_loop(rng) for _ in range(40)]
+    for a in corpus:
+        triple = build_csr(a)
+        for t in range(1, triple.gamma + 1):
+            csr._residue(triple, t)  # read first, so the products recorded are the sweep's steps
+        products.clear()
+        t, at, *_ = csr._sweep(triple, True)
+        stop = max(t, 1) if at is None else t
+        steps = products[: stop - 1]
+        p = normalized(a)
+        periodic_from = row_transients_by_steps(p.raw(), triple.gamma, stop)
+        powers = walk_powers(p, stop)
+        for s, left in enumerate(steps, 1):
+            scaled = [[None if x is None else Fraction(x, triple._d) for x in row] for row in left]
+            assert scaled == [powers[s][i] for i, ti in enumerate(periodic_from) if ti is None or max(ti, 1) > s]
+        assert len(steps) == stop - 1
+        kinds["handed over" if at is not None else "stepped to T"] += 1
+        kinds["gamma > 1"] += triple.gamma > 1
+    assert kinds["stepped to T"] >= 250 and kinds["handed over"] >= 10 and kinds["gamma > 1"] >= 20, kinds
+
+
+def test_T_is_the_larger_of_T1_and_T2():
+    # the paper's identity, ROADMAP direction 3: max(T, 1) = max(T1, T2),
+    # T2 the least t >= 1 from which (B - lambda)^s <= Q_s, by the oracle
+    rng = random.Random(2113)
+    kinds = Counter()
+    for k in range(600):
+        a = random_irreducible(rng, k % 8 + 2, rng.choice((0.2, 0.4, 0.8)))
+        report = analyze(a)
+        big_t = transient_by_steps(normalized(a).raw(), report.gamma)
+        assert report.t == big_t
+        t2 = weak_threshold_T2(a, max(big_t, 1))
+        assert max(report.t, 1) == max(report.t1, t2), render_matrix(a)
+        kinds["T2 > T1" if t2 > report.t1 else "T2 < T1" if t2 < report.t1 else "T2 = T1"] += 1
+    assert kinds["T2 > T1"] >= 100 and kinds["T2 < T1"] >= 100, kinds
+
+
+def test_the_boolean_index_reads_each_components_residue_in_closed_form():
+    # extremal._class_residue against _residue of the component's own
+    # 0/-inf matrix, at t = 0 (Q_gamma) to gamma, over every component
+    rng = random.Random(2115)
+    kinds = Counter()
+    while kinds["critical graphs"] < 300:
+        n = rng.randint(1, 9)
+        a = (_binary if kinds["critical graphs"] % 2 else random_matrix)(rng, n, rng.choice((0.2, 0.4)))
+        crit = spectrum(a).crit
+        if crit is None:
+            continue
+        kinds["critical graphs"] += 1
+        succ = digraph._successors(n, crit.arcs)
+        for comp in crit.scc.components:
+            nodes = sorted(comp.nodes)
+            rows = [[0 if (i, j) in crit.arcs else None for j in nodes] for i in nodes]
+            triple = build_csr(MaxPlusMatrix(rows))
+            assert triple.gamma == comp.cyclicity and triple._d == 1
+            closed = extremal._class_residue([digraph._levels(succ, comp.nodes)[i] for i in nodes], comp.cyclicity)
+            for t in range(comp.cyclicity + 1):
+                assert closed(t) == csr._residue(triple, t)
+            kinds["components"] += 1
+            kinds["gamma > 1"] += comp.cyclicity > 1
+    assert kinds["components"] >= 300 and kinds["gamma > 1"] >= 50, kinds
+
+
+def test_a_deadline_fails_a_loop_that_never_ends():
+    # conftest's deadline, which every test runs under, and the nested one
+    # the n = 1 tests below add: the loop fails, and the outer deadline is
+    # armed again afterwards with what is left of it
+    if not hasattr(signal, "setitimer"):
+        return
+    with pytest.raises(TimeoutError, match="no answer within 0.05 s"):
+        with deadline(0.05):
+            while True:
+                pass
+    left, _ = signal.getitimer(signal.ITIMER_REAL)
+    assert 0 < left <= PER_TEST_SECONDS
+
+
+@pytest.mark.parametrize("entry", [3, Fraction(-1, 2)])
+def test_one_by_one_input_with_a_loop_answers_at_once(entry):
+    # n = 1 has the ceiling c = 0 below t1 = 1: a sweep that tests up to c
+    # and stops only once no row fails would never stop
+    a = MaxPlusMatrix([[entry]])
+    with deadline(5):
+        wx = weak_threshold_T1(a)
+        assert (wx.t1, wx.rows, wx.cols) == (1, {0: 1}, {0: 1})
+        assert crit_row_col_profile(a) == (1, {0: 1}, {0: 1})
+        report = analyze(a)
+        assert (report.t, report.t1, report.g, report.gamma, report.wi, report.dm) == (0, 1, 1, 1, 0, 0)
+        assert report.crit_rc_transient == 1 and not (report.attains_dm or report.attains_wiel)
+        assert transient_T(a) == 0
+
+
+def test_one_by_one_input_without_a_loop_answers_at_once():
+    a = MaxPlusMatrix([[None]])
+    with deadline(5):
+        wx = weak_threshold_T1(a)
+        assert (wx.t1, wx.rows, wx.cols) == (1, {}, {})
+        with pytest.raises(ValueError, match="no critical rows or columns: the digraph is acyclic"):
+            crit_row_col_profile(a)
+        report = analyze(a)
+        assert (report.t, report.t1, report.g, report.gamma, report.wi, report.dm) == (None, 1, None, None, 0, None)
+        assert report.crit_rc_transient is None
+        with pytest.raises(ValueError, match="transient undefined: single node without a loop"):
+            transient_T(a)
 
 
 # ---------------------------------------------------------------------------

@@ -828,14 +828,20 @@ def test_generators_verify_one_candidate_and_power_the_chord_layer_once(monkeypa
         monkeypatch.setattr(extremal, name, wrapper)
 
     # the verdict runs on the private path that reuses the skeleton's
-    # triple, and powers the int rows of b1 once
-    names = ("_int_power", "verify_dm", "_dm_verdict", "verify_wielandt", "_wielandt_verdict", "_t1_at_ceiling")
+    # triple, and takes row g of b1's power once, stepping that row alone:
+    # no power of the whole of b1
+    names = ("_int_mul", "verify_dm", "_dm_verdict", "verify_wielandt", "_wielandt_verdict", "_t1_at_ceiling")
     for name in (*names, "_inherit_skeleton"):
         counted(name)
+    left_rows = []
+    int_mul = extremal._int_mul
+    monkeypatch.setattr(extremal, "_int_mul", lambda arows, b: left_rows.append(len(arows)) or int_mul(arows, b))
+    assert "_int_power" not in vars(extremal)
     for seed in range(3):
-        calls.clear()
-        generate_dm(7, 3, seed)  # n >= 2g: the verdict powers b1 to DM(3, 7) - 1
-        assert calls == Counter(_int_power=1, _dm_verdict=1, _t1_at_ceiling=1, _inherit_skeleton=1)
+        calls.clear(), left_rows.clear()
+        generate_dm(7, 3, seed)  # n >= 2g: the verdict steps row g of b1 to DM(3, 7) - 1 = 21
+        assert calls == Counter(_int_mul=20, _dm_verdict=1, _t1_at_ceiling=1, _inherit_skeleton=1)
+        assert left_rows == [1] * 20
         for case in ("n-1", "n"):
             calls.clear()
             generate_wielandt(7, seed, case=case)

@@ -432,11 +432,11 @@ def test_transient_with_a_coprime_mean_denominator():
 
 
 def test_sweep_matches_the_full_ceiling_scan(monkeypatch):
-    # analyze's sweep on strongly connected input stops at T + gamma when
-    # that comes before the ceiling; the T1-only sweep, of
-    # weak_threshold_T1 and of analyze on other input, stops at t1, after
-    # t1 - 1 steps.  Both test a row only until it holds; the oracle
-    # compares every row at every t up to the ceiling
+    # analyze's sweep on strongly connected input stops at max(T, 1), where
+    # the last row meets the residue, when that comes before the ceiling;
+    # the T1-only sweep, of weak_threshold_T1 and of analyze on other
+    # input, stops at t1, after t1 - 1 steps.  Both test a row only until
+    # it holds; the oracle compares every row at every t up to the ceiling
     found, steps = [], []
     sweep, int_mul = csr._sweep, matrix._int_mul
 
@@ -457,7 +457,7 @@ def test_sweep_matches_the_full_ceiling_scan(monkeypatch):
         steps.clear()
         wx = weak_threshold_T1(a)
         assert (wx.t1, wx.rows, wx.cols) == (t1, rows, cols)
-        assert found[0] in (None, 0) and len(steps) == t1 - 1  # T = 0 when P = I retires every row at t = 1
+        assert found[0] is None and len(steps) == t1 - 1
         steps.clear()
         report = analyze(a)
         crit_rc = max([*rows.values(), *cols.values()], default=None)
@@ -475,30 +475,31 @@ def test_sweep_matches_the_full_ceiling_scan(monkeypatch):
         big_t = None if None in periodic_from else max(periodic_from)
         if connected:
             assert found[1] in (None, report.t)
-            if found[1] is not None and found[1] + gamma < ceiling:
-                kinds["irreducible, stopped at T + gamma before the ceiling"] += 1
+            if found[1] is not None and max(found[1], 1) < ceiling:
+                kinds["irreducible, stopped at T before the ceiling"] += 1
         else:
-            assert found[1] in (None, 0) and len(steps) == t1 - 1
-        if t1 < (ceiling if big_t is None else big_t) + gamma:
-            kinds[f"{kind}, T1-only stopped before min(T, c) + gamma"] += 1
-        if any(ti is not None and ti + gamma < t1 for ti in periodic_from):
+            assert found[1] is None and len(steps) == t1 - 1
+        if t1 < (ceiling if big_t is None else max(big_t, 1)):
+            kinds[f"{kind}, T1-only stopped before min(T, c)"] += 1
+        if any(ti is not None and max(ti, 1) < t1 for ti in periodic_from):
             kinds[f"{kind}, a row retires before T1"] += 1
-        if connected and found[1] is not None and any(ti is not None and ti <= found[1] - 2 for ti in periodic_from):
+        if connected and found[1] is not None and any(ti is not None and max(ti, 1) <= found[1] - 2 for ti in periodic_from):
             kinds["irreducible, a row retires 2 steps before T"] += 1
-    assert kinds["acyclic"] >= 30 and kinds["reducible"] >= 100 and kinds["irreducible"] >= 100
-    assert kinds["irreducible, stopped at T + gamma before the ceiling"] >= 80
-    assert kinds["reducible, T1-only stopped before min(T, c) + gamma"] >= 80
-    assert kinds["irreducible, T1-only stopped before min(T, c) + gamma"] >= 150
-    assert kinds["reducible, a row retires before T1"] >= 15 and kinds["irreducible, a row retires before T1"] >= 30
-    assert kinds["irreducible, a row retires 2 steps before T"] >= 50
+    assert kinds["acyclic"] >= 30 and kinds["reducible"] >= 100 and kinds["irreducible"] >= 100, kinds
+    assert kinds["irreducible, stopped at T before the ceiling"] >= 100, kinds
+    assert kinds["reducible, T1-only stopped before min(T, c)"] >= 60, kinds
+    assert kinds["irreducible, T1-only stopped before min(T, c)"] >= 80, kinds
+    assert kinds["reducible, a row retires before T1"] >= 50 and kinds["irreducible, a row retires before T1"] >= 140, kinds
+    assert kinds["irreducible, a row retires 2 steps before T"] >= 120, kinds
 
 
 def test_the_sweep_multiplies_only_the_rows_not_yet_periodic(monkeypatch):
     # row i is periodic from T_i on, by the oracle, and retires at
-    # T_i + gamma; until then it is one left row of each step's product.
-    # T is the largest T_i.  With transient, on strongly connected input,
-    # the sweep stops at T + gamma, or past the ceiling hands P^t over;
-    # the T1-only sweep stops at t1
+    # max(T_i, 1), where it meets the residue; until then it is one left
+    # row of each step's product.  T is the largest T_i.  With transient,
+    # on strongly connected input, the sweep stops at max(T, 1), or past
+    # the ceiling hands P^t over; the T1-only sweep multiplies only the
+    # rows that fail at t, by the walk powers and csr_at, and stops at t1
     left_rows, int_mul = [], matrix._int_mul
     monkeypatch.setattr(csr, "_int_mul", lambda arows, b: left_rows.append(len(arows)) or int_mul(arows, b))
 
@@ -510,29 +511,35 @@ def test_the_sweep_multiplies_only_the_rows_not_yet_periodic(monkeypatch):
         left_rows.clear()
         t, at, t1, *_ = csr._sweep(triple, transient)
         if not transient:
-            assert at is None and t in (None, 0)  # T = 0 when P = I retires every row at t = 1
-            stop = t1
-        elif at is None:
-            stop = t + gamma
-        else:  # P^t for the search past the ceiling, retired rows copied in phase
-            stop = t + gamma - 1
+            assert at is None and t is None
+            powers, failing = walk_powers(a, t1), []
+            for s in range(1, t1):
+                q = csr_at(triple, s).raw()
+                failing.append(sum(not below([q[i]], [powers[s][i]]) for i in range(a.n)))
+            assert left_rows == failing
+            return None, list(left_rows)
+        if at is None:
+            stop = max(t, 1)
+        else:  # P^t for the search past the ceiling, retired rows filled from the residue
+            stop = t
             assert [[None if x is None else Fraction(x, triple._d) for x in row] for row in at] == walk_power(
                 normalized(a), t
             )
             kinds["handed over with rows retired, gamma > 1"] += gamma > 1 and sum(left_rows) < a.n * len(left_rows)
         periodic_from = row_transients_by_steps(normalized(a).raw(), gamma, stop)  # None: past stop
-        if transient and at is None:
+        if at is None:
             assert t == max(periodic_from)
         assert len(left_rows) == stop - 1  # one product a step
-        assert sum(left_rows) == sum(stop - 1 if ti is None else min(ti + gamma, stop) - 1 for ti in periodic_from)
+        assert left_rows == [sum(ti is None or max(ti, 1) > s for ti in periodic_from) for s in range(1, stop)]
         return periodic_from, list(left_rows)
 
-    # rows periodic from 6, 8, 7, 5, 5, 5, 7 at gamma 3: 57 left rows in 10
-    # steps, not 70, to T + gamma = 11; T1 = 8 takes 7 steps
+    # rows periodic from 6, 8, 7, 5, 5, 5, 7 at gamma 3: 36 left rows in 7
+    # steps to T = 8; T1 = 8 takes 7 steps too, and the rows failing at
+    # each t are those not yet periodic
     kinds = Counter()
     periodic_from, steps = sweep(third_mean_cycle(7), True)
-    assert periodic_from == [6, 8, 7, 5, 5, 5, 7] and steps == [7] * 7 + [4, 3, 1]
-    assert sweep(third_mean_cycle(7), False)[1] == [7] * 7
+    assert periodic_from == [6, 8, 7, 5, 5, 5, 7] and steps == [7] * 4 + [4, 3, 1]
+    assert sweep(third_mean_cycle(7), False)[1] == [7] * 4 + [4, 3, 1]
     rng = random.Random(14)
     for a in [*instances(12, 120, make=irreducible), *instances(13, 120), *(slow_loop(rng) for _ in range(40))]:
         sp = spectrum(a)
@@ -561,9 +568,10 @@ def slow_loop(rng):
             return MaxPlusMatrix(raw)
 
 
-def test_analyze_stops_the_sweep_at_T_plus_gamma(monkeypatch):
-    # M takes gamma - 1 products and the residues 2 gamma; the sweep at
-    # most T + gamma powers of A - lambda, and none of B - lambda
+def test_analyze_stops_the_sweep_at_T(monkeypatch):
+    # M takes gamma - 1 products and the residues 2 gamma; the sweep
+    # max(T, 1) - 1 steps over the powers of A - lambda, and none of
+    # B - lambda
     products = Counter()
     int_mul = matrix._int_mul
 
@@ -574,31 +582,30 @@ def test_analyze_stops_the_sweep_at_T_plus_gamma(monkeypatch):
     for module in (matrix, spectral, csr):
         if "_int_mul" in vars(module):
             monkeypatch.setattr(module, "_int_mul", counted)
-    cases = [(third_mean_cycle(7), 8, 3, 8)]  # T + gamma = 11, the ceiling is 22
+    cases = [(third_mean_cycle(7), 8, 3, 8)]  # T = 8, the ceiling is 22
     for n in range(1, 6):  # bare cycles are periodic from T = 0; T1 is 1 by convention
         cases.append((from_entries(n, {(i, (i + 1) % n): 0 for i in range(n)}), 0, n, 1))
     for a, t, gamma, t1 in cases:
         products.clear()
         report = analyze(a)
         assert (report.t, report.gamma, report.t1) == (t, gamma, t1)
-        assert products["_int_mul"] <= 3 * gamma - 1 + (t + gamma)
+        assert products["_int_mul"] <= 3 * gamma - 1 + max(t, 1) - 1
     assert analyze(third_mean_cycle(7)).dm == 22 < wielandt_bound(7)
     # past the ceiling c = DM(1, 3) = 4 the sweep steps on while its
     # steps cost no more than 2*bit_length(s)*M after s of them, with M =
-    # 3^2 + 3^3 the work of squaring the dense P^5: rows 1 and 2 stay
+    # 3^2 + 3^3 the work of squaring the dense P^4: rows 1 and 2 stay
     # active, a step counts n + 2*(n + nnz(P)) = 23, so it hands over
-    # after the least s with 23*s > 72*bit_length(s).  The search then
-    # gallops: P^gamma, then a probe, a square and a test per
-    # doubling, and a probe and a test per halving, fewer than
-    # log2(T - c) of each
+    # after the least s with 23*s > 72*bit_length(s), at t = c + s.  The
+    # search then gallops from there: a probe and a square per doubling,
+    # and a probe per halving, 3*bit_length(T - c) - 2 products at most
     gap = MaxPlusMatrix([[0, -5, None], [-5, Fraction(-1, 10**6), -5], [None, -5, Fraction(-1, 10**6)]])
     products.clear()
     report = analyze(gap)
     assert (report.t, report.gamma, report.t1, report.dm) == (2 * 10**7, 1, 2, 4)
     gamma, ceiling = 1, 4
     steps = next(s for s in range(1, 100) if 23 * s > 2 * s.bit_length() * (3**2 + 3**3))
-    tail = 2 * gamma.bit_length() + 5 * (report.t - ceiling).bit_length()
-    assert products["_int_mul"] <= 3 * gamma - 1 + (ceiling + gamma) + steps + tail
+    tail = 3 * (report.t - ceiling).bit_length() - 2
+    assert products["_int_mul"] <= 3 * gamma - 1 + (ceiling - 1 + steps) + tail
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,7 @@
+import random
+import re
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,6 +26,7 @@ from maxplus import (
     transpose,
     zeros,
 )
+from maxplus import matrix
 from conftest import normalized, random_cyclic_matrix, random_matrix
 
 from oracles import walk_power
@@ -217,6 +222,43 @@ def test_parse_reads_a_token_as_parse_scalar_does(token):
         assert str(err.value) == str(exc)
     else:
         assert parse_matrix(text).raw() == [[value, Fraction(1, 2)], [-3, value]]
+
+
+PLAIN_TOKENS = ["0", "-0", "7", "-12", "007", "3/4", "-6/04", "0/5", "-0/7", "10/10", "9" * 4000, "-1/" + "3" * 4000]
+
+
+def test_parse_reads_every_token_as_fraction_does(monkeypatch):
+    # an ASCII p or p/q, p digits with an optional "-" and q nonzero, is
+    # read by int alone; every other token goes through parse_scalar.
+    # Either way the value is Fraction(token), or the error parse_scalar gives
+    slow = []
+    monkeypatch.setattr(matrix, "parse_scalar", lambda tok: slow.append(tok) or parse_scalar(tok))
+    rng = random.Random(2116)
+    corpus = PLAIN_TOKENS + [param.values[0] for param in ODD_TOKENS] + ["1/-0", "x", "--1", "1//2", "\u00b2", "/2", "2/"]
+    for _ in range(500):
+        sign, num = rng.choice(("", "-", "-", "+")), str(rng.randint(0, 10**rng.randint(1, 12))).zfill(rng.randint(1, 4))
+        tail = rng.choice(("", "", f"/{rng.randint(0, 99)}", f"/0{rng.randint(1, 9)}", ".5", "e2", "/00"))
+        corpus.append(sign + num + tail)
+    kinds = Counter()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # int() refuses longer digit strings
+    for token in corpus:
+        plain = bool(re.fullmatch(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?", token))
+        plain = plain and (limit == 0 or max(len(part.lstrip("-")) for part in token.split("/")) <= limit)
+        slow.clear()
+        try:
+            want = None if token in ("-inf", "*") else Fraction(token)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ValueError, match=f"^bad scalar token {re.escape(repr(token))}$"):
+                parse_matrix(f"1\n{token}\n")
+            kinds["refused"] += 1
+        else:
+            assert parse_matrix(f"1\n{token}\n").raw() == [[want]]
+            kinds["read"] += 1
+        assert slow == ([] if plain else [token]), token
+        kinds["plain" if plain else "through parse_scalar"] += 1
+    assert min(kinds.values()) >= 50, kinds
+    text = "3\n" + "\n".join(" ".join(corpus[3 * k : 3 * k + 3]) for k in range(3)) + "\n"
+    assert parse_matrix(text).raw() == [[Fraction(tok) for tok in corpus[3 * k : 3 * k + 3]] for k in range(3)]
 
 
 def test_parse_reports_the_first_bad_token_in_reading_order():
