@@ -46,7 +46,7 @@ keeps C and R as int rows; C and R become Fraction matrices when the
 properties are read, and each residue is computed the first time csr_at
 or the sweep reads it.  The triple of a matrix's whole critical graph is
 built once per matrix and stored on it, like its spectrum, or inherited
-with it (see extremal._inherit_skeleton).
+with it (see _inherit_triple).  C S^t R is read as int rows (_int_csr_at).
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from .matrix import (
     zeros,
 )
 from .semiring import BOTTOM, MaxPlusScalar, _check_exponent
-from .spectral import CritGraph, spectrum
+from .spectral import CritGraph, Spectrum, _times, spectrum
 
 
 @dataclass(eq=False)
@@ -167,28 +167,58 @@ def _residue(triple: CsrTriple, t: int) -> list[list]:
     return triple._residues[k]
 
 
+def _int_csr_at(triple: CsrTriple, t: int) -> tuple[int, list[list]]:
+    """(d, the rows of C S^t R scaled by d), d the triple's scale, t >= 1:
+    the residue of t plus t*lambda*d, an int as d is a multiple of
+    lambda's denominator, and the residue's own rows when that is 0, as
+    at lambda = 0; read them only.  They are all None when acyclic."""
+    n, d = triple.n, triple._d
+    if triple.crit is None:
+        return d, [[None] * n for _ in range(n)]
+    lam, rows = triple.lam.value, _residue(triple, t)
+    shift = t * lam.numerator * (d // lam.denominator)
+    return d, [[None if x is None else x + shift for x in row] for row in rows] if shift else rows
+
+
 def csr_at(triple: CsrTriple, t: int) -> MaxPlusMatrix:
     """Evaluate C S^t R exactly, t >= 1, from the residue of t modulo gamma."""
     _check_exponent("csr_at", t)
     if t < 1:
         raise ValueError(f"csr_at needs t >= 1, got {t}")
-    if triple.lam.is_bottom:
-        return zeros(triple.n)
-    shift = _shift(triple, t)
-    shifted = [[None if x is None else x + shift for x in row] for row in _residue(triple, t)]
-    return _unscaled(shifted, triple._d)
+    d, rows = _int_csr_at(triple, t)
+    return _unscaled(rows, d)
 
 
 def _csr_entry(triple: CsrTriple, t: int, i: int, j: int) -> MaxPlusScalar:
-    """Entry (i, j) of csr_at(triple, t), read from the int residue alone."""
-    q = None if triple.lam.is_bottom else _residue(triple, t)[i][j]
-    return MaxPlusScalar(None if q is None else Fraction(q + _shift(triple, t), triple._d))
+    """Entry (i, j) of csr_at(triple, t)."""
+    d, rows = _int_csr_at(triple, t)
+    return MaxPlusScalar(None if rows[i][j] is None else Fraction(rows[i][j], d))
 
 
-def _shift(triple: CsrTriple, t: int) -> int:
-    """t*lambda scaled by _d, an int: _d is a multiple of lambda's denominator."""
-    lam = triple.lam.value
-    return t * lam.numerator * (triple._d // lam.denominator)
+def _below_csr_at_one(triple: CsrTriple, entries: list[tuple[int, int, Fraction]]) -> bool:
+    """Does each finite entry p/q, q > 0, at (i, j) lie strictly below CSR
+    at t = 1?  With that entry of CSR as an int y scaled by d (see
+    _int_csr_at), it does iff y is finite and p*d < y*q."""
+    d, rows = _int_csr_at(triple, 1)
+    return all(rows[i][j] is not None and x.numerator * d < rows[i][j] * x.denominator for i, j, x in entries)
+
+
+def _inherit_triple(a: MaxPlusMatrix, triple: CsrTriple) -> None:
+    """Store triple on a, rescaled to a's inherited spectrum (see _rescaled)."""
+    a._csr = _rescaled(triple, spectrum(a))
+
+
+def _rescaled(triple: CsrTriple, sp: Spectrum) -> CsrTriple:
+    """triple at the scale of sp, a multiple of the triple's, for a matrix
+    of the triple's lambda, critical graph and M: every int row, residues
+    too, is multiplied by sp._d // triple._d; the rows of A - lambda are sp's."""
+    f = sp._d // triple._d
+    cs = [_times(rows, f) for rows in triple._cs]
+    return CsrTriple(
+        s=triple.s, lam=triple.lam, gamma=triple.gamma, crit=triple.crit, _d=sp._d, _norm=sp._norm, _c=cs[0],
+        _r=_times(triple._r, f), _s_norm=[[(j, x * f) for j, x in row] for row in triple._s_norm], _cs=cs,
+        _residues={k: _times(rows, f) for k, rows in triple._residues.items()},
+    )
 
 
 def nachtigall_matrix(a: MaxPlusMatrix, crit: CritGraph | None) -> MaxPlusMatrix:

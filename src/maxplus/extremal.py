@@ -21,21 +21,19 @@ walks weighed on the integers.  A numbering search lists the critical
 graph's cycles of the length it ranks first: when there are any they
 are exactly the heaviest (see _heaviest_cycle), and only when there are
 none are the cycles of the whole support enumerated and ranked.  The
-remainder test compares a2 with the skeleton triple's integer residue
-(see _remainder_below_csr), and verify_crit_rc_wielandt skips a rotation
+remainder test compares a2 with CSR(a1) at t = 1 on the integers (see
+_remainder_below_csr), and verify_crit_rc_wielandt skips a rotation
 that puts a critical arc off the skeleton before that test.
 
 A generator builds its skeleton a1, with a1's spectrum and CSR triple,
-once: the triple bounds the remainder it samples, and the verdict on the
-candidate reads it again for the remainder and chord-power checks once
-a1 equals the layer it carves (see _skeleton).  The candidate, a1 plus
-entries strictly below CSR(a1) at t = 1, inherits a1's spectrum and
-triple, rescaled (see _inherit_skeleton), and the verdict and the T1
-check read them.  A generated matrix thereby costs one spectrum, a1's.
+once: the triple bounds the remainder it samples, and the verdict reads
+it again once a1 equals the layer it carves (see _skeleton).  The
+candidate, a1 plus entries strictly below CSR(a1) at t = 1, inherits
+a1's spectrum and triple (see _inherit_skeleton): one spectrum a matrix.
 A skeleton a1 that a verifier carves out of any other input takes the
-input's lambda and critical graph, relabeled, when every critical arc
-lies on a1's support, and computes only its own closure (see
-_inherit_input).
+input's lambda and critical graph (see _inherit_input).  This module
+only proves and checks the hypotheses of these hand-overs; `spectral`
+and `csr` rescale and relabel what they hand over.
 
 Node indices are 0-based throughout; a numbering is a permutation tuple
 ``sigma`` placing original node ``sigma[p]`` at position ``p``.
@@ -45,17 +43,19 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, product
 from math import gcd
 
 from .bounds import dm_bound, wielandt_bound
-from .csr import CsrTriple, _csr_entry, _int_identity, _residue, _shift, _t1_at_ceiling, _transient, build_csr
-from .digraph import SccDecomposition, WeightedDigraph, _cycles, _levels, _successors, _support
+from .csr import CsrTriple, _below_csr_at_one, _csr_entry, _inherit_triple, _int_csr_at, _int_identity, build_csr
+from .csr import _t1_at_ceiling, _transient
+from .digraph import WeightedDigraph, _cycles, _levels, _successors, _support
 from .matrix import MaxPlusMatrix, _finite_entries, _int_mul, _scaled, from_entries
-from .semiring import MaxPlusScalar
-from .spectral import CritGraph, Spectrum, _cyclic_spectrum, _finite_spectrum, _normalized, critical_graph, spectrum
+from .semiring import MaxPlusScalar, _check_exponent
+from .spectral import CritGraph, Spectrum, _cyclic_spectrum, _inherit_critical, _inherit_spectrum, _relabeled
+from .spectral import critical_graph, spectrum
 
 SEARCH_LIMIT = 10  # exhaustive Hamiltonian-cycle search is desk-scale only
 _WALK_LIMIT = 8  # largest n the twice-optimal walk oracle accepts
@@ -239,11 +239,6 @@ def _fail(conditions: dict, key: str, detail: str = "") -> None:
     conditions[key] = ConditionCheck(passed=False, detail=detail)
 
 
-def _crit_positions(crit: CritGraph, numbering: tuple[int, ...]) -> set[tuple[int, int]]:
-    inv = {node: pos for pos, node in enumerate(numbering)}
-    return {(inv[i], inv[j]) for (i, j) in crit.arcs}
-
-
 def _cycle_arcs(k: int) -> list[tuple[int, int]]:
     """The arcs of the cycle 0 -> 1 -> ... -> k-1 -> 0."""
     return [(i, i + 1) for i in range(k - 1)] + [(k - 1, 0)]
@@ -254,8 +249,8 @@ def _support_check(praw, arcs) -> ConditionCheck:
     return ConditionCheck(not missing, detail=f"missing arcs {missing}" if missing else "")
 
 
-def _critical_check(arcs, crit_pos: set[tuple[int, int]]) -> ConditionCheck:
-    noncrit = [arc for arc in arcs if arc not in crit_pos]
+def _critical_check(arcs, crit_arcs: frozenset[tuple[int, int]]) -> ConditionCheck:
+    noncrit = [arc for arc in arcs if arc not in crit_arcs]
     return ConditionCheck(not noncrit, detail=f"non-critical arcs {noncrit}" if noncrit else "")
 
 
@@ -357,10 +352,11 @@ def _dm_conditions(
 ) -> None:
     n = a.n
     dec = decompose(a, g, numbering)
-    a1 = _inherit_input(_skeleton(a1, dec.a1), sp, numbering)
+    relabeled = _relabeled(sp.crit, numbering)
+    a1 = _inherit_input(_skeleton(a1, dec.a1), sp.lam, relabeled)
     # the Hamiltonian arcs belong to the a1 pattern
     conditions["hamiltonian_support"] = _support_check(dec.a1.raw(), _cycle_arcs(n))
-    conditions["short_cycle_critical"] = _critical_check(_cycle_arcs(g), _crit_positions(sp.crit, numbering))
+    conditions["short_cycle_critical"] = _critical_check(_cycle_arcs(g), relabeled.arcs)
 
     conditions["coprime"] = ConditionCheck(gcd(g, n) == 1, detail=f"gcd({g},{n})={gcd(g, n)}")
 
@@ -487,17 +483,17 @@ def _wielandt_conditions(
     crit = sp.crit
     g_crit = crit.girth
     praw = apply_numbering(a, numbering).raw()
-    crit_pos = _crit_positions(crit, numbering)
+    relabeled = _relabeled(crit, numbering)
     skeleton = a1_pattern(n, n - 1)
 
     conditions["skeleton_support"] = _support_check(praw, sorted(skeleton))
 
     case: str | None = None
     if g_crit == n:
-        conditions["named_cycle_critical"] = _critical_check(_cycle_arcs(n), crit_pos)
+        conditions["named_cycle_critical"] = _critical_check(_cycle_arcs(n), relabeled.arcs)
         case = "n"
     elif g_crit == n - 1:
-        conditions["named_cycle_critical"] = _critical_check(_cycle_arcs(n - 1), crit_pos)
+        conditions["named_cycle_critical"] = _critical_check(_cycle_arcs(n - 1), relabeled.arcs)
         conditions["crit_strongly_connected"] = ConditionCheck(
             len(crit.scc.components) == 1
         )
@@ -513,7 +509,7 @@ def _wielandt_conditions(
         return None
 
     layer, a2 = _carve(praw, skeleton)
-    a1 = _inherit_input(_skeleton(a1, layer), sp, numbering)
+    a1 = _inherit_input(_skeleton(a1, layer), sp.lam, relabeled)
     conditions["remainder_below_csr"] = ConditionCheck(_remainder_below_csr(a1, a2))
     return case
 
@@ -534,34 +530,23 @@ def _skeleton(a1: MaxPlusMatrix | None, layer: MaxPlusMatrix) -> MaxPlusMatrix:
     return a1
 
 
-def _inherit_input(a1: MaxPlusMatrix, sp: Spectrum, numbering: tuple[int, ...]) -> MaxPlusMatrix:
-    """a1, the skeleton layer carved out of a under numbering, given a's
-    spectrum sp; it takes lambda(a) and crit(a), relabeled by the
-    numbering, when it holds no spectrum yet and every critical arc of a
-    lies on its support.  Its scale, its rows of A - lambda and their
-    closure are its own, and so is strong connectivity, read off that
-    closure (see spectral._finite_spectrum).
+def _inherit_input(a1: MaxPlusMatrix, lam: MaxPlusScalar, crit: CritGraph) -> MaxPlusMatrix:
+    """a1, the skeleton layer carved out of a under a numbering, given
+    lambda(a) and crit, crit(a) relabeled by the numbering; it takes them
+    when it holds no spectrum yet and every arc of crit lies on its
+    support, and computes only its own closure (see
+    spectral._inherit_critical).  A generator's a1 keeps its spectrum.
 
     Lemma.  a1 <= a, read in the numbering's positions, with equality on
     the support of a1.  So a1's cycles are cycles of a, of the same
-    weights, and lambda(a1) <= lambda(a);
-    and a's critical cycles, whose arcs all lie on that support, are
-    cycles of a1.  Hence lambda(a1) = lambda(a), and the cycles of a1 of
-    that mean are exactly the critical cycles of a: crit(a1) = crit(a).
-    Otherwise a1 computes its own spectrum, as any matrix does.  A
-    generator's a1 keeps the one it holds (see _inherit_skeleton).
+    weights, and lambda(a1) <= lambda(a); and a's critical cycles, whose
+    arcs all lie on that support, are cycles of a1.  Hence lambda(a1) =
+    lambda(a), and the cycles of a1 of that mean are exactly the critical
+    cycles of a: crit(a1) = crit(a).
     """
-    if a1._spectrum is not None:
-        return a1
-    crit, raw, inv = sp.crit, a1.raw(), {node: pos for pos, node in enumerate(numbering)}
-    arcs = frozenset((inv[i], inv[j]) for i, j in crit.arcs)
-    if any(raw[i][j] is None for i, j in arcs):
-        return a1
-    comps = [replace(c, nodes=frozenset(inv[v] for v in c.nodes)) for c in crit.scc.components]
-    scc = SccDecomposition(tuple(sorted(comps, key=lambda c: min(c.nodes))))
-    relabeled = CritGraph(frozenset(inv[v] for v in crit.nodes), arcs, scc, crit.girth, crit.cyclicity)
-    d, (rows,) = _scaled([a1])
-    a1._spectrum = _finite_spectrum(d, rows, sp.lam.value, relabeled)
+    raw = a1.raw()
+    if a1._spectrum is None and all(raw[i][j] is not None for i, j in crit.arcs):
+        _inherit_critical(a1, lam, crit)
     return a1
 
 
@@ -573,43 +558,20 @@ def _remainder_below_csr(a1: MaxPlusMatrix, a2: MaxPlusMatrix) -> bool:
     residue-chord layer of the general decomposition would swallow the
     (1, 1) loop; it belongs to the remainder there, consistently with the
     2x2 characterization (attainment iff the two loops differ).
-
-    It is decided on the integers (see _below_csr_at_one).
     """
     finite = [(i, j, x) for i, row in enumerate(a2.raw()) for j, x in enumerate(row) if x is not None]
     return _below_csr_at_one(build_csr(a1), finite)
 
 
-def _below_csr_at_one(triple: CsrTriple, entries: list[tuple[int, int, Fraction]]) -> bool:
-    """Does each finite entry x at (i, j) lie strictly below CSR at t = 1?
-
-    It is decided on the integers, without building CSR at t = 1 as
-    Fractions.  The triple's residue Q = C S R - lambda holds int rows
-    scaled by its d, of which lambda*d is an int, so CSR at t = 1 is
-    (Q(i, j) + lambda*d)/d, and -inf where Q(i, j) is.  An entry p/q,
-    q > 0, lies strictly below it iff Q(i, j) is finite and p*d <
-    (Q(i, j) + lambda*d)*q, both sides multiplied by d*q > 0.  An acyclic
-    digraph has CSR = -inf everywhere, and no entry lies below it.
-    """
-    if triple.crit is None:
-        return not entries
-    d, shift, residue = triple._d, _shift(triple, 1), _residue(triple, 1)
-    return all(
-        residue[i][j] is not None and x.numerator * d < (residue[i][j] + shift) * x.denominator for i, j, x in entries
-    )
-
-
 def _inherit_skeleton(candidate: MaxPlusMatrix, a1: MaxPlusMatrix) -> None:
-    """Store a1's spectrum and CSR triple on candidate, when the lemma
-    below grants them, rescaled to candidate's own scale.
+    """Hand a1's spectrum and CSR triple over to candidate when the lemma
+    below grants them.
 
     The lemma's hypothesis: candidate equals a1 on a1's support, and
-    every other finite entry lies strictly below CSR(a1) at t = 1, which
-    the remainder test's integer comparison decides (see
-    _below_csr_at_one).  When it fails, or a1 is acyclic, nothing is
-    stored, and spectrum and build_csr compute candidate's as they do
-    for any matrix.  The verdicts and _t1_at_ceiling then read what is
-    stored, and run in full.
+    every other finite entry lies strictly below CSR(a1) at t = 1 (see
+    csr._below_csr_at_one).  When it fails, or a1 is acyclic, nothing is
+    stored, and candidate computes its own, as any matrix does.  The
+    verdicts and _t1_at_ceiling then read what is stored, and run in full.
 
     Lemma.  Let lam = lam(a1), gamma the cyclicity of crit(a1), and weigh
     walks in A - lam, where every closed walk of a1 weighs <= 0 and
@@ -639,10 +601,8 @@ def _inherit_skeleton(candidate: MaxPlusMatrix, a1: MaxPlusMatrix) -> None:
       entries on the critical arcs, arcs of a1 where the two agree, and
       so every residue C S^r R - r*lam is a1's too.
 
-    Scale: a1's entries are among candidate's, so the lcm d1 of their
-    denominators and lam's divides candidate's d, and every int row of
-    a1's spectrum and triple, the residues already read among them, is
-    multiplied by d/d1.  The rows of A - lam are candidate's own.
+    Scale: a1's entries are among candidate's, so a1's scale divides
+    candidate's, to which a1's memos are rescaled (see csr._rescaled).
     """
     triple = build_csr(a1)
     if triple.crit is None:
@@ -654,28 +614,9 @@ def _inherit_skeleton(candidate: MaxPlusMatrix, a1: MaxPlusMatrix) -> None:
                 return
             if x1 is None and x is not None:
                 off.append((i, j, x))
-    if not _below_csr_at_one(triple, off):
-        return
-    sp = spectrum(a1)
-    d, (rows,) = _scaled([candidate])
-    d, norm = _normalized(d, rows, sp.lam.value)
-    f = d // sp._d
-
-    def times(rows: list[list]) -> list[list]:
-        return [[None if x is None else x * f for x in row] for row in rows]
-
-    candidate._spectrum = Spectrum(sp.lam, sp.crit, sp._strongly_connected, d, norm, times(sp._closure))
-    cs = [times(rows) for rows in triple._cs]
-    candidate._csr = replace(
-        triple,
-        _d=d,
-        _norm=norm,
-        _c=cs[0],
-        _r=times(triple._r),
-        _s_norm=[[(j, x * f) for j, x in row] for row in triple._s_norm],
-        _cs=cs,
-        _residues={k: times(rows) for k, rows in triple._residues.items()},
-    )
+    if _below_csr_at_one(triple, off):
+        _inherit_spectrum(candidate, spectrum(a1))
+        _inherit_triple(candidate, triple)
 
 
 # ---------------------------------------------------------------------------
@@ -777,13 +718,14 @@ def verify_crit_rc_wielandt(
         candidates = [numbering] if numbering in candidates else []
     pattern = a1_pattern(n, n - 1)
     for cand in candidates:
-        if not _crit_positions(crit, cand) <= pattern:
+        relabeled = _relabeled(crit, cand)
+        if not relabeled.arcs <= pattern:
             continue  # crit(a) = crit(a1) would lie within the skeleton's arcs
         praw = apply_numbering(a, cand).raw()
         if not _support_check(praw, pattern).passed:
             continue
         a1, a2 = _carve(praw, pattern)
-        if _remainder_below_csr(_inherit_input(a1, sp, cand), a2):
+        if _remainder_below_csr(_inherit_input(a1, sp.lam, relabeled), a2):
             return True
     return False
 
@@ -838,27 +780,20 @@ def _sample_remainder(
     triple's CSR at t = 1 by a random margin (see _margin).
 
     Each position off `taken` is drawn with probability 1/2, and a margin
-    is drawn for it when CSR at t = 1 is finite there.  The entry is read
-    on the integers: with the int residue q = Q(i, j) of C S R - lambda,
-    scaled by the triple's d, and shift = lambda*d, an int, CSR at t = 1
-    is (q + shift)/d, and less the margin r/den it is ((q + shift)*den -
-    r*d)/(d*den), one Fraction.  An acyclic triple is -inf everywhere:
-    only the positions are drawn.
+    r/den for it when CSR at t = 1 is finite there.  With that entry as an
+    int y scaled by d (see csr._int_csr_at), the result is the Fraction
+    (y*den - r*d)/(d*den).  An acyclic triple draws only positions.
     """
-    n, d = triple.n, triple._d
-    if triple.crit is None:
-        residue, shift = [[None] * n] * n, 0
-    else:
-        residue, shift = _residue(triple, 1), _shift(triple, 1)
+    d, rows = _int_csr_at(triple, 1)
     entries: dict[tuple[int, int], Fraction] = {}
-    for i in range(n):
-        for j in range(n):
+    for i in range(triple.n):
+        for j in range(triple.n):
             if (i, j) in taken or rng.random() >= 0.5:
                 continue
-            q = residue[i][j]
-            if q is not None:
+            y = rows[i][j]
+            if y is not None:
                 r, den = _margin(rng)
-                entries[(i, j)] = Fraction((q + shift) * den - r * d, d * den)
+                entries[(i, j)] = Fraction(y * den - r * d, d * den)
     return entries
 
 
@@ -1007,8 +942,11 @@ def twice_optimal_walk(
     n = a.n
     if n > _WALK_LIMIT:
         raise ValueError(f"instance too large for the walk oracle: n={n} > {_WALK_LIMIT}")
+    _check_exponent("twice_optimal_walk", t)
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (i, j)):
+        raise TypeError(f"walk endpoints must be ints, got {i!r} and {j!r}")
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError("walk endpoints out of range")
     sp = _cyclic_spectrum(a)

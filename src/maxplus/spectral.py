@@ -8,10 +8,10 @@ keeps that integer form on the returned Spectrum, together with its
 closure A'+ and whether the digraph is strongly connected, which is
 read off that closure; the CSR terms and both scans in `csr` read them
 instead of scaling again.  A matrix's spectrum is computed once: it is
-stored on the matrix and returned by every later call.  A generated
-matrix inherits its skeleton's instead, and a skeleton that a verifier
-carves out of its input takes the input's lambda and critical graph
-(see extremal._inherit_skeleton and extremal._inherit_input).
+stored on the matrix and returned by every later call, or handed over
+when its caller has proven it: another matrix's, rescaled, or a lambda
+and a relabeled critical graph (see _inherit_spectrum, _rescaled,
+_inherit_critical and _relabeled, called by `extremal`).
 The critical graph (all nodes and arcs of cycles attaining the maximum
 mean) is read off the closure: an arc (i, j) is critical exactly when
 it closes a zero-weight circuit, i.e. when a'_ij + (A'+)_ji = 0 for
@@ -169,6 +169,46 @@ def _finite_spectrum(d: int, rows: list[list], lam: Fraction, crit: CritGraph | 
         crit = _critical_graph_at(norm, closure)
     strongly_connected = all(x is not None for row in closure for x in row)
     return Spectrum(MaxPlusScalar(lam), crit, strongly_connected, d_lam, norm, closure)
+
+
+def _inherit_spectrum(a: MaxPlusMatrix, sp: Spectrum) -> None:
+    """Store sp on a at a's scale, a multiple of sp._d; the caller has
+    proven sp's lambda, critical graph, strong connectivity and closure
+    a's (see extremal._inherit_skeleton).  The rows of A - lambda are a's."""
+    d, (rows,) = _scaled([a])
+    a._spectrum = _rescaled(sp, *_normalized(d, rows, sp.lam.value))
+
+
+def _inherit_critical(a: MaxPlusMatrix, lam: MaxPlusScalar, crit: CritGraph) -> None:
+    """Store on a the spectrum of cycle mean lam and critical graph crit,
+    both proven a's by its caller (see extremal._inherit_input); a's rows
+    of A - lambda, their closure and strong connectivity are its own."""
+    d, (rows,) = _scaled([a])
+    a._spectrum = _finite_spectrum(d, rows, lam.value, crit)
+
+
+def _rescaled(sp: Spectrum, d: int, norm: list[list]) -> Spectrum:
+    """sp at the scale d, a multiple of sp._d, with norm the rows of
+    A - lambda scaled by d: the closure is multiplied by d // sp._d."""
+    closure = _times(sp._closure, d // sp._d)
+    return Spectrum(
+        lam=sp.lam, crit=sp.crit, _strongly_connected=sp._strongly_connected, _d=d, _norm=norm, _closure=closure
+    )
+
+
+def _times(rows: list[list], f: int) -> list[list]:
+    """Int-or-None rows with every finite entry multiplied by f."""
+    return [[None if x is None else x * f for x in row] for row in rows]
+
+
+def _relabeled(crit: CritGraph, numbering: tuple[int, ...]) -> CritGraph:
+    """crit with original node numbering[p] renamed p, the components
+    ordered by their least node again; girths and cyclicities stay."""
+    pos = {node: p for p, node in enumerate(numbering)}.get
+    comps = [SccInfo(frozenset(map(pos, c.nodes)), c.girth, c.cyclicity) for c in crit.scc.components]
+    scc = SccDecomposition(tuple(sorted(comps, key=lambda c: min(c.nodes))))
+    arcs = frozenset((pos(i), pos(j)) for i, j in crit.arcs)
+    return CritGraph(frozenset(map(pos, crit.nodes)), arcs, scc, crit.girth, crit.cyclicity)
 
 
 def _normalized(d: int, rows: list[list], lam: Fraction) -> tuple[int, list[list]]:

@@ -40,6 +40,7 @@ the spectrum alone.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import deque
 from fractions import Fraction
 from itertools import count, permutations
@@ -47,7 +48,9 @@ from math import gcd, lcm
 
 from maxplus import (
     MaxPlusMatrix,
+    csr,
     digraph,
+    spectral,
     MaxPlusScalar,
     apply_numbering,
     build_csr,
@@ -497,20 +500,25 @@ def heaviest_cycle_exhaustive(a, k):
     return None, False, "no Hamiltonian cycle" if k == a.n else f"no cycle of length {k}", top
 
 
+# The lazily grown chain C (S - lambda)^k and the residues read so far:
+# their length is how far a triple was read, not what it holds, and the
+# residues 1..gamma they yield are compared one by one instead.
+LAZY_TRIPLE_FIELDS = ("_cs", "_residues")
+
+
 def memo_differences(a):
     """The fields in which the spectrum and CSR triple stored on a differ
     from spectral._spectrum and csr._build_csr run on a copy of a with
-    empty memos: lambda, the critical graph, strong connectivity, the
-    scale _d, the rows of A - lambda and their closure, gamma, S, C, R and
-    every residue C S^k R - k*lambda, k = 1..gamma.  A residue a has not
-    read yet is computed from what it stores."""
-    from maxplus import csr, spectral
-
+    empty memos: every field of Spectrum and of CsrTriple but
+    LAZY_TRIPLE_FIELDS, and every residue C S^k R - k*lambda, k =
+    1..gamma.  A residue a has not read yet is computed from what it
+    stores."""
     fresh = MaxPlusMatrix._from_raw(a.raw())
     fresh._spectrum = spectral._spectrum(fresh)
     fresh._csr = csr._build_csr(fresh, None)
-    pairs = [(a._spectrum, fresh._spectrum, SPECTRUM_FIELDS)]
-    pairs.append((a._csr, fresh._csr, ("s", "lam", "gamma", "crit", "_d", "_norm", "_c", "_r", "_s_norm")))
+    triple_fields = [f.name for f in dataclasses.fields(csr.CsrTriple) if f.name not in LAZY_TRIPLE_FIELDS]
+    spectrum_fields = [f.name for f in dataclasses.fields(spectral.Spectrum)]
+    pairs = [(a._spectrum, fresh._spectrum, spectrum_fields), (a._csr, fresh._csr, triple_fields)]
     diffs = [name for mine, theirs, names in pairs for name in names if getattr(mine, name) != getattr(theirs, name)]
     if a._csr.crit is not None:
         gamma = fresh._csr.gamma
@@ -606,15 +614,10 @@ def spectrum_by_tarjan(a):
     return lam, len(comps) == 1, crit
 
 
-SPECTRUM_FIELDS = ("lam", "crit", "_strongly_connected", "_d", "_norm", "_closure")
-
-
 def spectrum_differences(a):
     """The fields in which the spectrum stored on a differs from
-    spectral._spectrum run on a copy of a with empty memos: lambda, the
-    critical graph, strong connectivity, the scale _d, the rows of
-    A - lambda and their closure."""
-    from maxplus import spectral
-
+    spectral._spectrum run on a copy of a with empty memos: every field
+    of Spectrum."""
     fresh = spectral._spectrum(MaxPlusMatrix._from_raw(a.raw()))
-    return [name for name in SPECTRUM_FIELDS if getattr(a._spectrum, name) != getattr(fresh, name)]
+    names = [f.name for f in dataclasses.fields(spectral.Spectrum)]
+    return [name for name in names if getattr(a._spectrum, name) != getattr(fresh, name)]

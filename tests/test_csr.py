@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import signal
 from collections import Counter
@@ -471,6 +472,28 @@ def _refusals(rng, a1, raw):
         bad = [row[:] for row in raw]
         bad[i][j] = x
         yield name, MaxPlusMatrix(bad)
+
+
+def test_rescaled_builds_its_dataclass_with_every_field_by_name(monkeypatch):
+    # spectral._rescaled and csr._rescaled name each field of Spectrum and
+    # CsrTriple: a field added to either and not handled there fails here,
+    # instead of being left at its default, a stale memo on the candidate
+    a = random_cyclic_matrix(random.Random(22), 6)
+    sp, triple = spectrum(a), build_csr(a)
+    csr._residue(triple, 1)
+    for module, cls, rescale in (
+        (spectral, spectral.Spectrum, lambda: spectral._rescaled(sp, 2 * sp._d, sp._norm)),
+        (csr, csr.CsrTriple, lambda: csr._rescaled(triple, sp)),
+    ):
+        calls = []
+
+        def recorded(*args, cls=cls, **kwargs):
+            calls.append((args, set(kwargs)))
+            return cls(*args, **kwargs)
+
+        monkeypatch.setattr(module, cls.__name__, recorded)
+        rescale()
+        assert calls == [((), {f.name for f in dataclasses.fields(cls)})], cls.__name__
 
 
 def test_a_candidate_inherits_its_skeletons_spectrum_and_triple():

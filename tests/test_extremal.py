@@ -40,7 +40,6 @@ from maxplus import (
 )
 from maxplus.digraph import associated_digraph
 from maxplus import extremal
-from maxplus.csr import _shift
 from maxplus.extremal import SEARCH_LIMIT, a1_pattern, b1_pattern
 from conftest import rand_weight, random_cyclic_matrix, random_matrix, random_reducible
 from oracles import (
@@ -772,7 +771,7 @@ def test_the_integer_remainder_draw_matches_the_fraction_formula():
         if triple.crit is None:
             seen["acyclic"] += 1
         else:
-            seen["shift"] += _shift(triple, 1) != 0
+            seen["shift"] += triple.lam.value != 0
             seen["gamma > 1"] += triple.gamma > 1
     assert len(triples) >= 300 and drawn >= 1000
     assert min(seen[key] for key in ("rescaled", "acyclic", "shift", "gamma > 1")) >= 20, seen
@@ -920,15 +919,14 @@ def test_a_carved_skeleton_takes_the_inputs_lambda_and_critical_graph(monkeypatc
     # the skeleton a1 a verifier carves takes lambda(a) and crit(a) exactly
     # when every critical arc of a lies on its support, and what it stores
     # then equals its own spectrum; the verdicts are those it gives when
-    # every a1 computes its own
+    # every a1 computes its own.  crit is crit(a) relabeled by the numbering
     real, kinds = extremal._inherit_input, Counter()
 
-    def checked(a1, sp, numbering):
+    def checked(a1, lam, crit):
         fresh = a1._spectrum is None
-        out = real(a1, sp, numbering)
+        out = real(a1, lam, crit)
         if fresh:
-            inv = {node: p for p, node in enumerate(numbering)}
-            if any(a1.raw()[inv[i]][inv[j]] is None for i, j in sp.crit.arcs):
+            if any(a1.raw()[i][j] is None for i, j in crit.arcs):
                 assert a1._spectrum is None
                 kinds["refused"] += 1
             else:
@@ -940,7 +938,7 @@ def test_a_carved_skeleton_takes_the_inputs_lambda_and_critical_graph(monkeypatc
     inputs = _skeleton_inputs()
     monkeypatch.setattr(extremal, "_inherit_input", checked)
     verdicts = [_verdicts(a, numbering) for a, numbering in inputs]
-    monkeypatch.setattr(extremal, "_inherit_input", lambda a1, sp, numbering: a1)
+    monkeypatch.setattr(extremal, "_inherit_input", lambda a1, lam, crit: a1)
     assert verdicts == [_verdicts(a, numbering) for a, numbering in inputs]
     assert kinds["inherited"] >= 50 and kinds["refused"] >= 50 and kinds["not strongly connected"] >= 10, kinds
 
@@ -1034,3 +1032,16 @@ def test_oracle_weight_is_the_weight_of_its_walk():
         assert (walk.length - t) % critical_graph(a).girth == 0
         found += max_cycle_mean(a).value != 0
     assert found >= 30
+
+
+def test_the_walk_oracle_takes_int_t_and_endpoints_only():
+    # a non-int t matches no walk length modulo g and a bool passes as an
+    # int; a float endpoint passes the range check: each is refused up front
+    a = generate_dm(5, 2, seed=13)
+    assert twice_optimal_walk(a, 2, 4, 1) is not None
+    for t in (1.5, 1.0, True, Fraction(1)):
+        with pytest.raises(TypeError, match="twice_optimal_walk needs an int t"):
+            twice_optimal_walk(a, 2, 4, t)
+    for i, j in ((0.0, 4), (2, 4.0), (True, 4), (2, Fraction(4))):
+        with pytest.raises(TypeError, match="walk endpoints must be ints"):
+            twice_optimal_walk(a, i, j, 1)
