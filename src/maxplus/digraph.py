@@ -6,9 +6,10 @@ elementary-cycle enumeration for small instances.
 
 Below the public `WeightedDigraph`, the algorithms run on sorted
 successor lists (`_successors`), which `spectral` and `extremal` build
-from the spectrum's integer rows with no weighted digraph in between.
-Every cycle search, the Hamiltonian ones included, goes through one
-depth-first search, `_cycles`, for the cycles of one exact length.
+from the critical arcs with no weighted digraph in between.  Every
+cycle listing, the Hamiltonian one included, goes through one
+depth-first search, `_cycles`, for the cycles of one exact length;
+`extremal` ranks cycles by weight with a pruned search of its own.
 
 A caution on terminology: ``maximal_girth`` is the maximum over
 components of the per-component girth (minimal cycle length), not the
@@ -50,11 +51,6 @@ def _successors(n: int, arcs: Iterable[tuple[int, int]]) -> list[list[int]]:
     for i, j in sorted(arcs):
         succ[i].append(j)
     return succ
-
-
-def _support(rows: list[list]) -> list[list[int]]:
-    """The successor lists of the finite (not None) entries of some rows."""
-    return [[j for j, x in enumerate(row) if x is not None] for row in rows]
 
 
 def associated_digraph(a: MaxPlusMatrix) -> WeightedDigraph:

@@ -15,15 +15,16 @@ decomposition, the condition verifiers for both bounds (including the
 critical row/column variants), randomized generators of attaining
 instances, and the twice-optimal walk oracle used to inspect them.
 The verdicts and the oracle read the spectrum's integer rows of
-A - lambda: cycles are searched on their successor lists (critical
-ones on those of the critical arcs), then ranked, chords checked and
-walks weighed on the integers.  A numbering search lists the critical
-graph's cycles of the length it ranks first: when there are any they
-are exactly the heaviest (see _heaviest_cycle), and only when there are
-none are the cycles of the whole support enumerated and ranked.  The
-remainder test compares a2 with CSR(a1) at t = 1 on the integers (see
-_remainder_below_csr), and verify_crit_rc_wielandt skips a rotation
-that puts a critical arc off the skeleton before that test.
+A - lambda: cycles are ranked, chords checked and walks weighed on the
+integers.  A numbering search ranks the cycles of one length by a DFS
+over the support that cuts a path once the closure of those rows shows
+that no cycle through it can be as heavy as the best found so far (see
+_heaviest_cycle); the critical cycles of that length, when there are
+any, are the heaviest.  The remainder test compares a2 with CSR(a1) at
+t = 1 on the integers (see _remainder_below_csr), and
+verify_crit_rc_wielandt skips a rotation that puts a critical arc off
+the skeleton before that test.  The critical graph's index runs on bit
+rows (see _boolean_index).
 
 A generator builds its skeleton a1, with a1's spectrum and CSR triple,
 once: the triple bounds the remainder it samples, and the verdict reads
@@ -49,15 +50,14 @@ from itertools import accumulate, product
 from math import gcd
 
 from .bounds import dm_bound, wielandt_bound
-from .csr import CsrTriple, _below_csr_at_one, _csr_entry, _inherit_triple, _int_csr_at, _int_identity, build_csr
-from .csr import _t1_at_ceiling, _transient
-from .digraph import WeightedDigraph, _cycles, _levels, _successors, _support
+from .csr import CsrTriple, _below_csr_at_one, _csr_entry, _inherit_triple, _int_csr_at, _t1_at_ceiling, build_csr
+from .digraph import WeightedDigraph, _cycles, _levels, _successors
 from .matrix import MaxPlusMatrix, _finite_entries, _int_mul, _scaled, from_entries
 from .semiring import MaxPlusScalar, _check_exponent
 from .spectral import CritGraph, Spectrum, _cyclic_spectrum, _inherit_critical, _inherit_spectrum, _relabeled
 from .spectral import critical_graph, spectrum
 
-SEARCH_LIMIT = 10  # exhaustive Hamiltonian-cycle search is desk-scale only
+SEARCH_LIMIT = 10  # the pruned cycle search still lists every cycle when all tie, as on constant weights
 _WALK_LIMIT = 8  # largest n the twice-optimal walk oracle accepts
 
 
@@ -142,29 +142,6 @@ def _carve(praw: list[list], *patterns: set[tuple[int, int]]) -> list[MaxPlusMat
 def hamiltonian_cycles(dg: WeightedDigraph) -> list[tuple[int, ...]]:
     """All Hamiltonian cycles as node tuples starting at node 0."""
     return _cycles(dg._succ, dg.n)
-
-
-def _unique_max_weight(norm: list[list], cycles: list[tuple[int, ...]]) -> tuple[int, ...] | None:
-    """The single heaviest cycle of the list, or None on ties / empty input.
-
-    Cycles are ranked on norm, the spectrum's integer rows d(A - lambda).
-    Every cycle of one ranking has the same length k (n for the
-    Hamiltonian cycles, n - 1 for the subcycles), so the scaled weight
-    d(w - k lambda) of a cycle keeps both the order and the ties of its
-    weight w.
-    """
-    best_w = None
-    winners: list[tuple[int, ...]] = []
-    for cyc in cycles:
-        try:
-            w = norm[cyc[-1]][cyc[0]] + sum(norm[u][v] for u, v in zip(cyc, cyc[1:]))
-        except TypeError:  # None + int: the cycle uses a missing arc
-            raise AssertionError(f"cycle {cyc} has a missing arc") from None
-        if best_w is None or w > best_w:
-            best_w, winners = w, [cyc]
-        elif w == best_w:
-            winners.append(cyc)
-    return winners[0] if len(winners) == 1 else None
 
 
 def _check_search_limit(n: int) -> None:
@@ -308,32 +285,57 @@ def _heaviest_cycle(a: MaxPlusMatrix, k: int, key: str, conditions: dict) -> tup
     """The unique maximum-weight cycle of k nodes in the digraph of a, or
     None; the ranking's verdict is recorded under key.
 
-    The critical graph's k-cycles are searched first, on the successor
-    lists of the critical arcs.  In the spectrum's rows of A - lambda
-    every cycle weighs <= 0, and a cycle weighs 0 exactly when each of
-    its arcs is critical: a visualization, a diagonal similarity that
-    leaves every cycle's weight as it is, puts every arc at <= 0 and
-    every critical arc at 0.  So when the critical graph has k-cycles,
-    they are exactly the heaviest k-cycles of a, tied at 0, and the
-    ranking is unique iff there is one.  Only when it has none does the
-    search enumerate the k-cycles of the whole support and rank them on
-    norm (see _unique_max_weight).  A cycle is the same node tuple,
-    rooted at its least node, in either search.
+    One branch-and-bound DFS over the support, on the spectrum's rows P =
+    d(A - lambda) and their closure P+.  Every cycle of the ranking has k
+    nodes, so its weight in P, d(w - k lambda), keeps both the order and
+    the ties of its weight w.  A cycle is rooted at its least node and
+    extended by larger nodes, as in digraph._cycles.  A path from the root
+    to v, of weight w in P, is cut when P+(v, root) is -inf or w + P+(v,
+    root) lies strictly below the heaviest cycle found so far.
+
+    Proof that no heaviest cycle is cut: the rest of any cycle through the
+    path is a walk from v to the root of length >= 1, which weighs at most
+    P+(v, root); so the cycle weighs at most w + P+(v, root), and a cut
+    drops only cycles strictly lighter than one already found.  A tie is
+    never cut, so the best weight and whether it is tied come out as from
+    ranking every k-cycle, and the first k-cycle found is never cut, so
+    there is one exactly when the search finds one.  Every cycle weighs
+    <= 0 in P, and exactly the critical cycles weigh 0: the critical
+    k-cycles, when there are any, are exactly the winners of weight 0, and
+    past the first of them every path whose bound is below 0 is cut.
     """
     sp = _cyclic_spectrum(a)
-    cycles = _critical_cycles_of_length(a, sp.crit, k)
-    if cycles:
-        best = cycles[0] if len(cycles) == 1 else None
-    else:
-        cycles = _cycles(_support(sp._norm), k)
-        best = _unique_max_weight(sp._norm, cycles)
-    if best is not None:
+    norm, closure = sp._norm, sp._closure
+    succ = _finite_entries(norm)
+    path, on_path = [], [False] * a.n
+    top, best, tied = None, None, False
+
+    def extend(root: int, u: int, w: int) -> None:
+        nonlocal top, best, tied
+        if len(path) == k:
+            x = norm[u][root]
+            if x is not None and (top is None or w + x >= top):
+                tied, top, best = w + x == top, w + x, tuple(path)  # best is read only when untied
+            return
+        for v, x in succ[u]:
+            back = closure[v][root]
+            if v > root and not on_path[v] and back is not None and (top is None or w + x + back >= top):
+                path.append(v)
+                on_path[v] = True
+                extend(root, v, w + x)
+                on_path[v] = False
+                path.pop()
+
+    for root in range(a.n - k + 1):
+        path.append(root)
+        extend(root, root, 0)
+        path.pop()
+    if top is not None and not tied:
         conditions[key] = ConditionCheck(True)
-    elif k == a.n:
-        _fail(conditions, key, "maximum-weight Hamiltonian cycle is not unique" if cycles else "no Hamiltonian cycle")
-    else:
-        _fail(conditions, key, f"maximum-weight {k}-cycle is not unique" if cycles else f"no cycle of length {k}")
-    return best
+        return best
+    what, none = ("Hamiltonian cycle", "no Hamiltonian cycle") if k == a.n else (f"{k}-cycle", f"no cycle of length {k}")
+    _fail(conditions, key, none if top is None else f"maximum-weight {what} is not unique")
+    return None
 
 
 def _search_dm_numbering(a: MaxPlusMatrix, short_cycle: tuple[int, ...], conditions: dict) -> tuple[int, ...] | None:
@@ -628,32 +630,69 @@ def _boolean_index(crit: CritGraph) -> int:
 
     Each component is strongly connected and every cycle in it weighs 0,
     so its 0/-inf matrix has cycle mean 0, is its own A - lambda, and has
-    the whole component as critical graph, of cyclicity comp.cyclicity:
-    the search for the transient runs on those rows directly, from t = 0,
-    against the residues in closed form (see _class_residue).
+    the whole component as critical graph, of cyclicity comp.cyclicity.
+    The matrix is 0/-inf, so its powers are too: they run on bit rows,
+    row i the mask of the nodes j with entry (i, j) 0, and a product ORs
+    the rows of the right factor that a left row selects.  Row i of the
+    residue Q_t is the mask of a cyclic class (see _class_masks).  No arc
+    joins two components, so a power's rows are those of each component's
+    powers, and P^t = Q_t for all components at once exactly when t is at
+    least each component's transient, from which that equality holds (see
+    csr._sweep): the search gallops by P, P^2, P^4, ... from t = 0 to the
+    first square that meets Q, then bisects back with the smaller squares,
+    and the first t at which P^t = Q_t is the largest transient.
     """
     succ = _successors(max(crit.nodes) + 1, crit.arcs)
-    worst = 0
-    for comp in crit.scc.components:
-        nodes = sorted(comp.nodes)
-        rows = [[0 if (i, j) in crit.arcs else None for j in nodes] for i in nodes]
-        levels = _levels(succ, comp.nodes)
-        residue = _class_residue([levels[i] for i in nodes], comp.cyclicity)
-        worst = max(worst, _transient(rows, 0, _int_identity(len(nodes)), residue))
-    return worst
+    residue = _class_masks(succ, crit)
+    at = [1 << i if i in crit.nodes else 0 for i in range(len(succ))]  # P^0 on the critical rows
+    if at == residue(0):
+        return 0
+    squares = [[sum(1 << j for j in row) for row in succ]]  # squares[k] is P^(2^k)
+    while squares[-1] != residue(1 << (len(squares) - 1)):
+        squares.append(_bit_mul(squares[-1], squares[-1]))
+    if len(squares) == 1:
+        return 1
+    t, at = 1 << (len(squares) - 2), squares[-2]  # the transient is in (t, 2t]
+    for k in reversed(range(len(squares) - 2)):
+        probe = _bit_mul(at, squares[k])
+        if probe != residue(t + (1 << k)):
+            t, at = t + (1 << k), probe
+    return t + 1
 
 
-def _class_residue(levels: list[int], gamma: int) -> Callable[[int], list[list]]:
-    """t -> the residue Q_t of a strongly connected 0/-inf matrix of
-    cyclicity gamma, given the BFS levels l of its nodes (digraph._levels).
+def _bit_mul(x: list[int], y: list[int]) -> list[int]:
+    """The Boolean product of bit rows: row i ORs the rows y[j] of the bits j of x[i]."""
+    out = []
+    for row in x:
+        acc = 0
+        while row:
+            low = row & -row
+            acc |= y[low.bit_length() - 1]
+            row ^= low
+        out.append(acc)
+    return out
 
-    Every arc (u, v) has l(v) = l(u) + 1 (mod gamma), so every walk from i
-    to j has length = l(j) - l(i), and past some length there is one of
-    each such length.  So M = (P^gamma)^* is 0 exactly on the pairs of one
-    cyclic class, and Q_t = C S^t R is 0 at (i, j) exactly when
-    l(j) - l(i) = t (mod gamma), -inf elsewhere; t = 0 gives Q_gamma.
+
+def _class_masks(succ: list[list[int]], crit: CritGraph) -> Callable[[int], list[int]]:
+    """t -> the residue Q_t of the critical graph's 0/-inf matrix as bit
+    rows, 0 off the critical nodes, given its successor lists.
+
+    Lemma.  In a component of cyclicity gamma, with l its BFS levels
+    (digraph._levels), every arc (u, v) has l(v) = l(u) + 1 (mod gamma),
+    so every walk from i to j has length = l(j) - l(i), and past some
+    length there is one of each such length.  So M = (P^gamma)^* is 0
+    exactly on the pairs of one cyclic class, and Q_t = C S^t R is 0 at
+    (i, j) exactly when l(j) - l(i) = t (mod gamma), -inf elsewhere: row
+    i of Q_t is the class of the nodes j with l(j) = l(i) + t (mod gamma).
+    t = 0 gives Q_gamma.
     """
-    return lambda t: [[0 if (lj - li - t) % gamma == 0 else None for lj in levels] for li in levels]
+    rows: list[list[int] | None] = [None] * len(succ)  # rows[i][t % gamma] is row i of Q_t
+    for comp in crit.scc.components:
+        levels, gamma = _levels(succ, comp.nodes), comp.cyclicity
+        classes = [sum(1 << v for v, level in levels.items() if level % gamma == r) for r in range(gamma)]
+        for v, level in levels.items():
+            rows[v] = classes[level % gamma :] + classes[: level % gamma]
+    return lambda t: [0 if row is None else row[t % len(row)] for row in rows]
 
 
 def verify_crit_rc_dm(a: MaxPlusMatrix) -> bool:

@@ -35,7 +35,10 @@ components, Karp on each of them, and the library's _scc_decomposition
 (Tarjan again) on the critical arcs.  closure_live is the Floyd-Warshall
 closure that reads pivot row k live, as the library did before it read
 the row once per pivot.  spectrum_differences is memo_differences for
-the spectrum alone.
+the spectrum alone.  boolean_index_int is the critical graph's index as
+the library computed it before it ran on bit rows: csr._transient on
+each component's 0/-inf rows in the int kernel, against the residues in
+closed form of class_residue.
 """
 
 from __future__ import annotations
@@ -621,3 +624,26 @@ def spectrum_differences(a):
     fresh = spectral._spectrum(MaxPlusMatrix._from_raw(a.raw()))
     names = [f.name for f in dataclasses.fields(spectral.Spectrum)]
     return [name for name in names if getattr(a._spectrum, name) != getattr(fresh, name)]
+
+
+def class_residue(levels, gamma):
+    """t -> the residue Q_t of a strongly connected 0/-inf matrix of
+    cyclicity gamma as int-or-None rows, given the BFS levels l of its
+    nodes (digraph._levels): 0 at (i, j) exactly when l(j) - l(i) = t
+    (mod gamma), -inf elsewhere; t = 0 gives Q_gamma."""
+    return lambda t: [[0 if (lj - li - t) % gamma == 0 else None for lj in levels] for li in levels]
+
+
+def boolean_index_int(crit):
+    """The transient of the critical graph as a 0/-inf matrix, the max over
+    its components of csr._transient run from t = 0 on the component's
+    int rows against class_residue."""
+    succ = digraph._successors(max(crit.nodes) + 1, crit.arcs)
+    worst = 0
+    for comp in crit.scc.components:
+        nodes = sorted(comp.nodes)
+        rows = [[0 if (i, j) in crit.arcs else None for j in nodes] for i in nodes]
+        levels = digraph._levels(succ, comp.nodes)
+        residue = class_residue([levels[i] for i in nodes], comp.cyclicity)
+        worst = max(worst, csr._transient(rows, 0, csr._int_identity(len(nodes)), residue))
+    return worst

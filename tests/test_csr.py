@@ -18,6 +18,7 @@ from maxplus import (
     critical_graph,
     csr_at,
     dm_bound,
+    dm_skeleton,
     from_entries,
     generate_dm,
     generate_wielandt,
@@ -54,6 +55,7 @@ from conftest import (
     random_strictly_below,
 )
 from oracles import (
+    boolean_index_int,
     csr_walk_oracle,
     memo_differences,
     row_transients_by_steps,
@@ -941,8 +943,9 @@ def test_T_is_the_larger_of_T1_and_T2():
 
 
 def test_the_boolean_index_reads_each_components_residue_in_closed_form():
-    # extremal._class_residue against _residue of the component's own
-    # 0/-inf matrix, at t = 0 (Q_gamma) to gamma, over every component
+    # extremal._class_masks against _residue of each component's own
+    # 0/-inf matrix, at t = 0 (Q_gamma) to gamma, over every component:
+    # row i of the component's residue, read as a bit row over all nodes
     rng = random.Random(2115)
     kinds = Counter()
     while kinds["critical graphs"] < 300:
@@ -952,18 +955,70 @@ def test_the_boolean_index_reads_each_components_residue_in_closed_form():
         if crit is None:
             continue
         kinds["critical graphs"] += 1
-        succ = digraph._successors(n, crit.arcs)
+        residue = extremal._class_masks(digraph._successors(n, crit.arcs), crit)
+        for i in range(n):
+            if i not in crit.nodes:
+                assert all(residue(t)[i] == 0 for t in range(crit.cyclicity + 1))
         for comp in crit.scc.components:
             nodes = sorted(comp.nodes)
             rows = [[0 if (i, j) in crit.arcs else None for j in nodes] for i in nodes]
             triple = build_csr(MaxPlusMatrix(rows))
             assert triple.gamma == comp.cyclicity and triple._d == 1
-            closed = extremal._class_residue([digraph._levels(succ, comp.nodes)[i] for i in nodes], comp.cyclicity)
             for t in range(comp.cyclicity + 1):
-                assert closed(t) == csr._residue(triple, t)
+                masks = [sum(1 << j for j, x in zip(nodes, row) if x is not None) for row in csr._residue(triple, t)]
+                assert [residue(t)[i] for i in nodes] == masks
             kinds["components"] += 1
             kinds["gamma > 1"] += comp.cyclicity > 1
     assert kinds["components"] >= 300 and kinds["gamma > 1"] >= 50, kinds
+
+
+def _planted_critical(rng, n):
+    """A random matrix, n nodes, whose critical graph is planted: one to
+    three blocks, each a cycle of 0 arcs through its nodes in a random
+    order plus random 0 arcs from one cyclic class to the next, so each
+    component's cyclicity is a multiple of a random divisor gamma of its
+    size; every other entry is negative or -inf."""
+    order = list(range(n))
+    rng.shuffle(order)
+    cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(0, 2))))
+    entries = {}
+    for block in (order[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, n])):
+        s = len(block)
+        gamma = rng.choice([d for d in range(1, s + 1) if s % d == 0])
+        for p, u in enumerate(block):
+            entries[(u, block[(p + 1) % s])] = 0
+            for q, v in enumerate(block):
+                if (q - p - 1) % gamma == 0 and rng.random() < 0.3:
+                    entries[(u, v)] = 0
+    for i in range(n):
+        for j in range(n):
+            if (i, j) not in entries and rng.random() < 0.3:
+                entries[(i, j)] = -Fraction(rng.randint(1, 6), rng.choice((1, 2)))
+    return from_entries(n, entries)
+
+
+def test_the_bit_row_index_matches_the_int_kernel():
+    # extremal._boolean_index against oracles.boolean_index_int on the
+    # critical graphs of random matrices, n <= 12, and of every DM and
+    # Wielandt skeleton up to n = 12
+    rng = random.Random(2125)
+    kinds = Counter()
+    for k in range(660):
+        n = rng.randint(1, 12)
+        a = (_planted_critical, _binary, random_matrix)[k % 3](rng, n, *((rng.choice((0.2, 0.4)),) if k % 3 else ()))
+        crit = spectrum(a).crit
+        if crit is None:
+            continue
+        assert _boolean_index(crit) == boolean_index_int(crit), render_matrix(a)
+        kinds["critical graphs"] += 1
+        kinds["several components"] += len(crit.scc.components) > 1
+        kinds["gamma > 1"] += any(comp.cyclicity > 1 for comp in crit.scc.components)
+    assert kinds["critical graphs"] >= 500 and kinds["several components"] >= 150 and kinds["gamma > 1"] >= 150, kinds
+    skeletons = [dm_skeleton(n, g) for n in range(1, 13) for g in range(1, n + 1)]
+    skeletons += [wielandt_skeleton(n) for n in range(2, 13)]
+    for a in skeletons:
+        crit = critical_graph(a)
+        assert _boolean_index(crit) == boolean_index_int(crit), render_matrix(a)
 
 
 def test_a_deadline_fails_a_loop_that_never_ends():

@@ -1,5 +1,7 @@
 import hashlib
+import os
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -39,7 +41,7 @@ from maxplus import (
     zeros,
 )
 from maxplus.digraph import associated_digraph
-from maxplus import extremal
+from maxplus import digraph, extremal
 from maxplus.extremal import SEARCH_LIMIT, a1_pattern, b1_pattern
 from conftest import rand_weight, random_cyclic_matrix, random_matrix, random_reducible
 from oracles import (
@@ -48,7 +50,6 @@ from oracles import (
     residue_chords_brute,
     sample_remainder_fractions,
     spectrum_differences,
-    unique_max_weight_brute,
 )
 
 N = None
@@ -262,20 +263,22 @@ def _verdict_or_error(verify, a):
 
 
 def test_integer_cycle_ranking_matches_the_fraction_oracle(monkeypatch):
-    # The searches rank cycles on the spectrum's scaled int rows; the same
-    # verdicts with the Fraction ranking of the oracle must agree field by field.
+    # The pruned search ranks cycles on the spectrum's scaled int rows; the
+    # same verdicts with every k-cycle of the support ranked by exact
+    # Fraction weight (oracles.unique_max_weight_brute) must agree field by field.
     matrices = _ranking_matrices()
     verdicts = [(_verdict_or_error(verify_dm, a), _verdict_or_error(verify_wielandt, a)) for a in matrices]
     branches = Counter()
 
-    def ranked_by_oracle(norm, cycles):
-        winner = unique_max_weight_brute(current, cycles)
-        branches["not unique" if winner is None else "unique"] += bool(cycles)
-        return winner
+    def ranked_by_oracle(a, k, key, conditions):
+        cycle, passed, detail, top = heaviest_cycle_exhaustive(a, k)
+        branches["unique" if passed else "not unique"] += top is not None
+        conditions[key] = extremal.ConditionCheck(passed, detail=detail)
+        return cycle
 
-    monkeypatch.setattr(extremal, "_unique_max_weight", ranked_by_oracle)
-    for current, expected in zip(matrices, verdicts):
-        assert (_verdict_or_error(verify_dm, current), _verdict_or_error(verify_wielandt, current)) == expected
+    monkeypatch.setattr(extremal, "_heaviest_cycle", ranked_by_oracle)
+    for a, expected in zip(matrices, verdicts):
+        assert (_verdict_or_error(verify_dm, a), _verdict_or_error(verify_wielandt, a)) == expected
     assert branches["unique"] >= 20 and branches["not unique"] >= 20, branches
     assert sum(dm[0] is True or wiel[0] is True for dm, wiel in verdicts) >= 10
 
@@ -310,9 +313,9 @@ def _search_matrices():
 
 
 def test_heaviest_cycle_matches_the_full_support_search():
-    # the critical graph's k-cycles, when it has any, are the heaviest
-    # k-cycles; every answer, and the recorded verdict, must be those of
-    # ranking all k-cycles of the whole support by exact weight
+    # the pruned search against ranking all k-cycles of the whole support
+    # by exact weight, answer and recorded verdict; its winners weigh k
+    # lambda exactly when they are the critical graph's k-cycles
     answered, matrices = Counter(), _search_matrices()
     assert len(matrices) >= 500
     for a in matrices:
@@ -328,6 +331,67 @@ def test_heaviest_cycle_matches_the_full_support_search():
             answered["critical graph, tied"] += by_crit and not passed
     assert answered["critical graph"] >= 50 and answered["whole support"] >= 50, answered
     assert answered["critical graph, tied"] >= 20, answered
+
+
+def _calls(fn, *args):
+    """fn(*args), and the calls made meanwhile, counted by (file name,
+    function name) with a profiler: a recursive DFS is called once for
+    each path it visits, so its count is machine-independent."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[os.path.basename(frame.f_code.co_filename), frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        return fn(*args), calls
+    finally:
+        sys.setprofile(None)
+
+
+def test_the_pruned_search_visits_fewer_paths_than_listing_every_cycle():
+    # the numbering searches of every case-n Wielandt instance (k = n and
+    # n - 1) and of every DM instance with g < n - 1 (k = n), n = 7..10,
+    # renumbered at random: the pruned DFS against digraph._cycles over the
+    # support, the listing that ranking every k-cycle walks
+    rng = random.Random(7919)
+    checked = 0
+    for n in range(7, 11):
+        generated = [(generate_wielandt(n, seed, case="n"), (n, n - 1)) for seed in range(2)]
+        generated += [(generate_dm(n, g, seed), (n,)) for g in range(2, n - 1) if gcd(g, n) == 1 for seed in range(2)]
+        for a, lengths in generated:
+            a = _renumbered(rng, a)[0]
+            support = [[j for j, x in enumerate(row) if x is not None] for row in a.raw()]
+            max_cycle_mean(a)  # the spectrum is computed before the count
+            pruned = listed = 0
+            for k in lengths:
+                best, calls = _calls(extremal._heaviest_cycle, a, k, "ranking", {})
+                pruned += calls["extremal.py", "extend"]
+                cycles, calls = _calls(digraph._cycles, support, k)
+                listed += calls["digraph.py", "dfs"]
+                assert best is None or best in cycles
+            assert 0 < pruned < listed, (n, lengths, pruned, listed)
+            checked += 1
+    assert checked == 2 * (4 + 12)
+
+
+def test_the_pruned_search_keeps_every_tie():
+    # constant weights off the diagonal tie every cycle, critical ones; a
+    # heavier loop at node 0 leaves them tied below lambda
+    for n in range(3, 8):
+        for c in (Fraction(-2), Fraction(0), Fraction(5, 3)):
+            for loop in (None, c + 1):
+                a = MaxPlusMatrix([[(loop if i == 0 else None) if i == j else c for j in range(n)] for i in range(n)])
+                for k, what in ((n, "Hamiltonian cycle"), (n - 1, f"{n - 1}-cycle")):
+                    conditions = {}
+                    assert extremal._heaviest_cycle(a, k, "ranking", conditions) is None
+                    assert conditions["ranking"].detail == f"maximum-weight {what} is not unique"
+                verdict = verify_wielandt(a)
+                assert verdict.numbering is None
+                assert verdict.conditions["unique_max_weight_hamiltonian"].detail == (
+                    "maximum-weight Hamiltonian cycle is not unique"
+                )
 
 
 def test_integer_remainder_test_matches_the_fraction_comparison():
