@@ -1,15 +1,17 @@
 """Digraph analytics for max-plus matrices.
 
-Associated digraphs, strongly connected components with per-component
-girth and cyclicity, the aggregate maximal girth / cyclicity, and
-elementary-cycle enumeration for small instances.
+The digraph of a matrix has an arc (i, j) at each finite entry, weighed
+by that entry; every reader here takes the matrix itself.  Strongly
+connected components with per-component girth and cyclicity, the
+aggregate maximal girth / cyclicity, elementary-cycle enumeration for
+small instances and DOT export.
 
-Below the public `WeightedDigraph`, the algorithms run on sorted
-successor lists (`_successors`), which `spectral` and `extremal` build
-from the critical arcs with no weighted digraph in between.  Every
-cycle listing, the Hamiltonian one included, goes through one
-depth-first search, `_cycles`, for the cycles of one exact length;
-`extremal` ranks cycles by weight with a pruned search of its own.
+The algorithms run on sorted successor lists: `_support` gives those of
+a matrix, and `_successors` those of an arc set, which is how `spectral`
+and `extremal` pass the critical arcs.  Every cycle listing, the
+Hamiltonian one included, goes through one depth-first search,
+`_cycles`, for the cycles of one exact length; `extremal` ranks cycles
+by weight with a pruned search of its own.
 
 A caution on terminology: ``maximal_girth`` is the maximum over
 components of the per-component girth (minimal cycle length), not the
@@ -23,26 +25,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .matrix import MaxPlusMatrix
-from .semiring import BOTTOM, UNIT, MaxPlusScalar, otimes
-
-
-class WeightedDigraph:
-    """A digraph on nodes 0..n-1 with at most one exact-weight arc per pair."""
-
-    __slots__ = ("n", "arcs", "_succ")
-
-    def __init__(self, n: int, arcs: dict[tuple[int, int], MaxPlusScalar]):
-        self.n = n
-        for (i, j), w in arcs.items():
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"arc ({i},{j}) out of range for n={n}")
-            if w.is_bottom:
-                raise ValueError(f"arc ({i},{j}) must carry a finite weight")
-        self.arcs = dict(arcs)
-        self._succ = _successors(n, arcs)
-
-    def weight(self, i: int, j: int) -> MaxPlusScalar:
-        return self.arcs.get((i, j), BOTTOM)
+from .semiring import MaxPlusScalar
 
 
 def _successors(n: int, arcs: Iterable[tuple[int, int]]) -> list[list[int]]:
@@ -53,14 +36,9 @@ def _successors(n: int, arcs: Iterable[tuple[int, int]]) -> list[list[int]]:
     return succ
 
 
-def associated_digraph(a: MaxPlusMatrix) -> WeightedDigraph:
-    """Arcs at exactly the finite entries of the matrix."""
-    arcs = {}
-    for i, row in enumerate(a.raw()):
-        for j, w in enumerate(row):
-            if w is not None:
-                arcs[(i, j)] = MaxPlusScalar(w)
-    return WeightedDigraph(a.n, arcs)
+def _support(a: MaxPlusMatrix) -> list[list[int]]:
+    """The sorted successor lists of the digraph of a: j follows i where a[i, j] is finite."""
+    return [[j for j, x in enumerate(row) if x is not None] for row in a.raw()]
 
 
 @dataclass(frozen=True)
@@ -80,12 +58,6 @@ class SccInfo:
 @dataclass(frozen=True)
 class SccDecomposition:
     components: tuple[SccInfo, ...]
-
-    def component_of(self, v: int) -> SccInfo:
-        for comp in self.components:
-            if v in comp.nodes:
-                return comp
-        raise KeyError(v)
 
 
 def _tarjan(succ: Sequence[Sequence[int]], nodes: Iterable[int]) -> list[set[int]]:
@@ -198,9 +170,14 @@ def _scc_decomposition(succ: Sequence[Sequence[int]], nodes: Iterable[int]) -> S
     return SccDecomposition(components=tuple(comps))
 
 
-def scc_decompose(g: WeightedDigraph, nodes: Iterable[int] | None = None) -> SccDecomposition:
-    """Partition the node set (default: all nodes) into SCCs with girth/cyclicity."""
-    return _scc_decomposition(g._succ, range(g.n) if nodes is None else nodes)
+def scc_decompose(a: MaxPlusMatrix, nodes: Iterable[int] | None = None) -> SccDecomposition:
+    """The SCCs, with girth and cyclicity, of the digraph of a on the given
+    nodes (default: all); a node outside 0..n-1 raises ValueError."""
+    nodes = range(a.n) if nodes is None else set(nodes)
+    bad = sorted(v for v in nodes if not 0 <= v < a.n)
+    if bad:
+        raise ValueError(f"nodes {bad} out of range for n={a.n}")
+    return _scc_decomposition(_support(a), nodes)
 
 
 def maximal_girth(d: SccDecomposition) -> int:
@@ -230,22 +207,22 @@ class Cycle:
     weight: MaxPlusScalar
 
 
-def enumerate_cycles(g: WeightedDigraph, max_n: int = 8, max_length: int | None = None) -> list[Cycle]:
-    """All elementary cycles with their exact weights, for small instances.
+def enumerate_cycles(a: MaxPlusMatrix, max_n: int = 8, max_length: int | None = None) -> list[Cycle]:
+    """All elementary cycles of the digraph of a with their exact weights,
+    the sums of a's entries along them, for small instances.
 
     The cycles of each length k = 1, 2, ... up to max_length (default n)
     come from `_cycles`, the one cycle DFS of the package, and only those
     it returns are weighed.  Refuses instances with more than max_n nodes.
     """
-    if g.n > max_n:
-        raise ValueError(f"instance too large for cycle enumeration: n={g.n} > {max_n}")
+    if a.n > max_n:
+        raise ValueError(f"instance too large for cycle enumeration: n={a.n} > {max_n}")
+    raw, succ = a.raw(), _support(a)
     cycles = []
-    for k in range(1, (g.n if max_length is None else min(max_length, g.n)) + 1):
-        for nodes in _cycles(g._succ, k):
-            weight = UNIT
-            for u, v in zip(nodes, nodes[1:] + nodes[:1]):
-                weight = otimes(weight, g.weight(u, v))
-            cycles.append(Cycle(nodes, k, weight))
+    for k in range(1, (a.n if max_length is None else min(max_length, a.n)) + 1):
+        for nodes in _cycles(succ, k):
+            weight = sum(raw[u][v] for u, v in zip(nodes, nodes[1:] + nodes[:1]))
+            cycles.append(Cycle(nodes, k, MaxPlusScalar(weight)))
     cycles.sort(key=lambda c: (c.length, c.nodes))
     return cycles
 
@@ -284,17 +261,19 @@ def _cycles(succ: Sequence[Sequence[int]], length: int) -> list[tuple[int, ...]]
     return cycles
 
 
-def to_dot(g: WeightedDigraph, critical_arcs: Iterable[tuple[int, int]] | None = None) -> str:
-    """DOT rendering with critical arcs drawn bold red."""
+def to_dot(a: MaxPlusMatrix, critical_arcs: Iterable[tuple[int, int]] | None = None) -> str:
+    """DOT rendering of the digraph of a, each arc labeled by its entry,
+    with critical arcs drawn bold red."""
     crit = set(critical_arcs or ())
     lines = ["digraph G {"]
-    for v in range(g.n):
+    for v in range(a.n):
         lines.append(f"  {v};")
-    for (i, j) in sorted(g.arcs):
-        attrs = [f'label="{g.arcs[(i, j)]}"']
-        if (i, j) in crit:
-            attrs.append("color=red")
-            attrs.append("penwidth=2")
-        lines.append(f"  {i} -> {j} [{', '.join(attrs)}];")
+    for i, succ in enumerate(_support(a)):
+        for j in succ:
+            attrs = [f'label="{a[i, j]}"']
+            if (i, j) in crit:
+                attrs.append("color=red")
+                attrs.append("penwidth=2")
+            lines.append(f"  {i} -> {j} [{', '.join(attrs)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -51,13 +51,13 @@ from math import gcd
 
 from .bounds import dm_bound, wielandt_bound
 from .csr import CsrTriple, _below_csr_at_one, _csr_entry, _inherit_triple, _int_csr_at, _t1_at_ceiling, build_csr
-from .digraph import WeightedDigraph, _cycles, _levels, _successors
+from .digraph import _cycles, _levels, _successors, _support
 from .matrix import MaxPlusMatrix, _finite_entries, _int_mul, _scaled, from_entries
 from .semiring import MaxPlusScalar, _check_exponent
 from .spectral import CritGraph, Spectrum, _cyclic_spectrum, _inherit_critical, _inherit_spectrum, _relabeled
 from .spectral import critical_graph, spectrum
 
-SEARCH_LIMIT = 10  # the pruned cycle search still lists every cycle when all tie, as on constant weights
+SEARCH_LIMIT = 10  # the pruned cycle search still lists every cycle tied below lambda, as beside a heavier loop
 _WALK_LIMIT = 8  # largest n the twice-optimal walk oracle accepts
 
 
@@ -139,9 +139,9 @@ def _carve(praw: list[list], *patterns: set[tuple[int, int]]) -> list[MaxPlusMat
 # cycle searches
 
 
-def hamiltonian_cycles(dg: WeightedDigraph) -> list[tuple[int, ...]]:
-    """All Hamiltonian cycles as node tuples starting at node 0."""
-    return _cycles(dg._succ, dg.n)
+def hamiltonian_cycles(a: MaxPlusMatrix) -> list[tuple[int, ...]]:
+    """All Hamiltonian cycles of the digraph of a, as node tuples starting at node 0."""
+    return _cycles(_support(a), a.n)
 
 
 def _check_search_limit(n: int) -> None:
@@ -281,6 +281,10 @@ def _dm_verdict(a: MaxPlusMatrix, numbering: tuple[int, ...] | None, a1: MaxPlus
     return DmVerdict(holds=holds, numbering=numbering, conditions=conditions)
 
 
+class _TiedAtZero(Exception):
+    """Ends _heaviest_cycle's search once two cycles tie at weight 0."""
+
+
 def _heaviest_cycle(a: MaxPlusMatrix, k: int, key: str, conditions: dict) -> tuple[int, ...] | None:
     """The unique maximum-weight cycle of k nodes in the digraph of a, or
     None; the ranking's verdict is recorded under key.
@@ -302,7 +306,11 @@ def _heaviest_cycle(a: MaxPlusMatrix, k: int, key: str, conditions: dict) -> tup
     there is one exactly when the search finds one.  Every cycle weighs
     <= 0 in P, and exactly the critical cycles weigh 0: the critical
     k-cycles, when there are any, are exactly the winners of weight 0, and
-    past the first of them every path whose bound is below 0 is cut.
+    past the first of them every path whose bound is below 0 is cut.  Once
+    a second one ties the first, no cycle can be heavier, so the verdict
+    "not unique" is final and the search stops there.  A tie below 0 (no
+    critical cycle has k nodes) is not final, and where many cycles tie
+    there the search stays exponential: SEARCH_LIMIT.
     """
     sp = _cyclic_spectrum(a)
     norm, closure = sp._norm, sp._closure
@@ -316,6 +324,8 @@ def _heaviest_cycle(a: MaxPlusMatrix, k: int, key: str, conditions: dict) -> tup
             x = norm[u][root]
             if x is not None and (top is None or w + x >= top):
                 tied, top, best = w + x == top, w + x, tuple(path)  # best is read only when untied
+                if tied and top == 0:
+                    raise _TiedAtZero
             return
         for v, x in succ[u]:
             back = closure[v][root]
@@ -326,10 +336,13 @@ def _heaviest_cycle(a: MaxPlusMatrix, k: int, key: str, conditions: dict) -> tup
                 on_path[v] = False
                 path.pop()
 
-    for root in range(a.n - k + 1):
-        path.append(root)
-        extend(root, root, 0)
-        path.pop()
+    try:
+        for root in range(a.n - k + 1):
+            path.append(root)
+            extend(root, root, 0)
+            path.pop()
+    except _TiedAtZero:
+        pass
     if top is not None and not tied:
         conditions[key] = ConditionCheck(True)
         return best

@@ -11,7 +11,6 @@ from maxplus import (
     MaxPlusMatrix,
     analyze,
     as_scalar,
-    associated_digraph,
     build_csr,
     crit_row_col_profile,
     critical_components,
@@ -600,7 +599,7 @@ def test_lazy_triples_match_the_walk_oracle():
 
 def test_spectrum_records_strong_connectivity():
     for a in _lazy_triple_inputs():
-        assert spectrum(a)._strongly_connected == (len(scc_decompose(associated_digraph(a)).components) == 1)
+        assert spectrum(a)._strongly_connected == (len(scc_decompose(a).components) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +685,7 @@ def test_transient_search_matches_the_stepping_search():
             continue
         crit = critical_graph(a)
         assert _boolean_index(crit) == stepping_index(crit)
-        if len(scc_decompose(associated_digraph(a)).components) > 1:
+        if len(scc_decompose(a).components) > 1:
             kinds["reducible"] += 1
             assert analyze(a).t is None
             continue

@@ -1,17 +1,15 @@
 import random
-from fractions import Fraction
+import re
 from math import gcd
 
 import pytest
 
 from maxplus import (
     MaxPlusMatrix,
-    WeightedDigraph,
-    associated_digraph,
     enumerate_cycles,
     from_entries,
-    global_cyclicity,
     identity,
+    global_cyclicity,
     maximal_girth,
     scc_decompose,
     to_dot,
@@ -30,28 +28,24 @@ def cycle_matrix(n):
     return from_entries(n, {(i, (i + 1) % n): 0 for i in range(n)})
 
 
-def test_associated_digraph_examples():
-    assert associated_digraph(zeros(3)).arcs == {}
-    g = associated_digraph(identity(3))
-    assert set(g.arcs) == {(0, 0), (1, 1), (2, 2)}
-    g = associated_digraph(MaxPlusMatrix([[N, 0], [1, N]]))
-    assert {(i, j, w.value) for (i, j), w in g.arcs.items()} == {
-        (0, 1, Fraction(0)),
-        (1, 0, Fraction(1)),
-    }
+def test_the_readers_take_the_finite_entries_as_arcs():
+    assert enumerate_cycles(zeros(3)) == [] and "->" not in to_dot(zeros(3))
+    assert [c.nodes for c in enumerate_cycles(identity(3))] == [(0,), (1,), (2,)]
+    a = MaxPlusMatrix([[N, 0], [1, N]])
+    assert [(c.nodes, c.weight.value) for c in enumerate_cycles(a)] == [((0, 1), 1)]
+    assert '0 -> 1 [label="0"]' in to_dot(a) and '1 -> 0 [label="1"]' in to_dot(a)
 
 
-def test_digraph_rejects_bottom_arcs_and_bad_nodes():
-    from maxplus import BOTTOM, MaxPlusScalar
-
-    with pytest.raises(ValueError):
-        WeightedDigraph(2, {(0, 1): BOTTOM})
-    with pytest.raises(ValueError):
-        WeightedDigraph(2, {(0, 2): MaxPlusScalar(0)})
+def test_scc_decompose_refuses_nodes_out_of_range():
+    a = cycle_matrix(3)
+    for nodes in ([5], [-1], [0, -1, 3]):
+        with pytest.raises(ValueError, match=re.escape(f"nodes {sorted(set(nodes) - {0})} out of range for n=3")):
+            scc_decompose(a, nodes)
+    assert scc_decompose(a, [0, 1]).components == scc_decompose(a, iter([1, 0])).components
 
 
 def test_scc_single_cycle():
-    d = scc_decompose(associated_digraph(cycle_matrix(5)))
+    d = scc_decompose(cycle_matrix(5))
     assert len(d.components) == 1
     comp = d.components[0]
     assert comp.nodes == frozenset(range(5))
@@ -61,13 +55,13 @@ def test_scc_single_cycle():
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_scc_wielandt_digraph(n):
     # Hamiltonian cycle plus an (n-1)-cycle chord: girth n-1, cyclicity 1.
-    d = scc_decompose(associated_digraph(wielandt_skeleton(n)))
+    d = scc_decompose(wielandt_skeleton(n))
     assert len(d.components) == 1
     comp = d.components[0]
     assert comp.girth == n - 1
     assert comp.cyclicity == gcd(n, n - 1) == 1
     # cross-check both against enumerated cycle lengths
-    lengths = [c.length for c in enumerate_cycles(associated_digraph(wielandt_skeleton(n)))]
+    lengths = [c.length for c in enumerate_cycles(wielandt_skeleton(n))]
     assert comp.girth == min(lengths)
     g = 0
     for ln in lengths:
@@ -77,7 +71,7 @@ def test_scc_wielandt_digraph(n):
 
 def test_two_disjoint_two_cycles():
     a = from_entries(4, {(0, 1): 0, (1, 0): 0, (2, 3): 0, (3, 2): 0})
-    d = scc_decompose(associated_digraph(a))
+    d = scc_decompose(a)
     assert len(d.components) == 2
     assert maximal_girth(d) == 2
     assert global_cyclicity(d) == 2
@@ -86,29 +80,29 @@ def test_two_disjoint_two_cycles():
 def test_maximal_girth_examples():
     # girth-2 and girth-3 simple cycles in separate components
     a = from_entries(5, {(0, 1): 0, (1, 0): 0, (2, 3): 0, (3, 4): 0, (4, 2): 0})
-    d = scc_decompose(associated_digraph(a))
+    d = scc_decompose(a)
     assert maximal_girth(d) == 3
     assert global_cyclicity(d) == 6
-    assert maximal_girth(scc_decompose(associated_digraph(cycle_matrix(6)))) == 6
+    assert maximal_girth(scc_decompose(cycle_matrix(6))) == 6
 
 
 def test_maximal_girth_rejects_acyclic():
     a = from_entries(3, {(0, 1): 0, (1, 2): 0})
     with pytest.raises(ValueError):
-        maximal_girth(scc_decompose(associated_digraph(a)))
+        maximal_girth(scc_decompose(a))
 
 
 def test_global_cyclicity_rejects_acyclic_component():
     a = from_entries(3, {(0, 1): 0, (1, 0): 0})  # node 2 is an acyclic component
     with pytest.raises(ValueError):
-        global_cyclicity(scc_decompose(associated_digraph(a)))
+        global_cyclicity(scc_decompose(a))
 
 
 def test_cyclicity_gcd_within_one_component():
     # one SCC with cycle lengths 3 and 12 only -> cyclicity 3
     arcs = {(i, (i + 1) % 12): 0 for i in range(12)}
     arcs[(2, 0)] = 0  # 3-cycle 0,1,2
-    d = scc_decompose(WeightedDigraph(12, {k: __import__("maxplus").MaxPlusScalar(v) for k, v in arcs.items()}))
+    d = scc_decompose(from_entries(12, arcs))
     assert len(d.components) == 1
     assert d.components[0].cyclicity == 3
     assert d.components[0].girth == 3
@@ -117,39 +111,39 @@ def test_cyclicity_gcd_within_one_component():
 def test_coprime_cycle_lengths_give_cyclicity_one():
     # strongly connected with cycle lengths g and n coprime
     a = from_entries(5, {(i, (i + 1) % 5): 0 for i in range(5)} | {(2, 0): 0})
-    d = scc_decompose(associated_digraph(a))
+    d = scc_decompose(a)
     assert global_cyclicity(d) == 1
 
 
 def test_enumerate_cycles_examples(rng):
     two = from_entries(2, {(0, 1): 1, (1, 0): 2})
-    cycles = enumerate_cycles(associated_digraph(two))
+    cycles = enumerate_cycles(two)
     assert [(c.nodes, c.length, c.weight.value) for c in cycles] == [((0, 1), 2, 3)]
 
     complete3 = MaxPlusMatrix([[N, 0, 0], [0, N, 0], [0, 0, N]])
-    cycles = enumerate_cycles(associated_digraph(complete3))
+    cycles = enumerate_cycles(complete3)
     assert sum(1 for c in cycles if c.length == 2) == 3
     assert sum(1 for c in cycles if c.length == 3) == 2
 
     chain = from_entries(3, {(0, 1): 0, (1, 2): 0})
-    assert enumerate_cycles(associated_digraph(chain)) == []
+    assert enumerate_cycles(chain) == []
 
 
 def test_enumerate_cycles_size_guard():
     with pytest.raises(ValueError):
-        enumerate_cycles(associated_digraph(zeros(9)))
-    enumerate_cycles(associated_digraph(zeros(9)), max_n=9)
+        enumerate_cycles(zeros(9))
+    enumerate_cycles(zeros(9), max_n=9)
 
 
 def test_enumerate_cycles_against_permutation_bruteforce(rng):
     for n in (2, 3, 4, 5):
         for _ in range(5):
             a = random_matrix(rng, n, density=0.5)
-            got = {(c.nodes, c.weight.value) for c in enumerate_cycles(associated_digraph(a))}
+            got = {(c.nodes, c.weight.value) for c in enumerate_cycles(a)}
             want = set(cycles_by_permutations(a).items())
             assert got == want
             for cap in range(n + 1):
-                got = {(c.nodes, c.weight.value) for c in enumerate_cycles(associated_digraph(a), max_length=cap)}
+                got = {(c.nodes, c.weight.value) for c in enumerate_cycles(a, max_length=cap)}
                 assert got == {(nodes, w) for nodes, w in want if len(nodes) <= cap}
 
 
@@ -171,9 +165,8 @@ def test_girth_and_cyclicity_match_enumeration(rng):
     for n in (3, 4, 5, 6, 7, 8):
         for _ in range(5):
             a = random_matrix(rng, n, density=0.45)
-            g = associated_digraph(a)
-            d = scc_decompose(g)
-            cycles = enumerate_cycles(g, max_n=8)
+            d = scc_decompose(a)
+            cycles = enumerate_cycles(a, max_n=8)
             for comp in d.components:
                 lens = [c.length for c in cycles if set(c.nodes) <= comp.nodes]
                 if comp.girth is None:
@@ -194,8 +187,8 @@ def test_scc_invariant_under_renumbering(rng):
         b = MaxPlusMatrix(
             [[a.raw()[perm[i]][perm[j]] for j in range(6)] for i in range(6)]
         )
-        da = scc_decompose(associated_digraph(a))
-        db = scc_decompose(associated_digraph(b))
+        da = scc_decompose(a)
+        db = scc_decompose(b)
         inv = {node: pos for pos, node in enumerate(perm)}
         mapped = sorted(
             (tuple(sorted(inv[v] for v in comp.nodes)), comp.girth, comp.cyclicity)
@@ -210,6 +203,6 @@ def test_scc_invariant_under_renumbering(rng):
 
 def test_dot_export_flags_critical_arcs():
     a = from_entries(2, {(0, 1): 1, (1, 0): -1})
-    dot = to_dot(associated_digraph(a), critical_arcs=[(0, 1)])
+    dot = to_dot(a, critical_arcs=[(0, 1)])
     assert "0 -> 1" in dot and "color=red" in dot
     assert dot.count("->") == 2

@@ -40,7 +40,6 @@ from maxplus import (
     wielandt_skeleton,
     zeros,
 )
-from maxplus.digraph import associated_digraph
 from maxplus import digraph, extremal
 from maxplus.extremal import SEARCH_LIMIT, a1_pattern, b1_pattern
 from conftest import rand_weight, random_cyclic_matrix, random_matrix, random_reducible
@@ -220,7 +219,7 @@ def test_verify_dm_search_limit(monkeypatch):
 def test_unique_max_weight_hamiltonian_on_extremal_instances():
     for g, n in [(2, 5), (3, 5), (3, 8), (5, 7)]:
         a = generate_dm(n, g, seed=7)
-        hams = hamiltonian_cycles(associated_digraph(a))
+        hams = hamiltonian_cycles(a)
         weights = []
         for cyc in hams:
             raw = a.raw()
@@ -392,6 +391,26 @@ def test_the_pruned_search_keeps_every_tie():
                 assert verdict.conditions["unique_max_weight_hamiltonian"].detail == (
                     "maximum-weight Hamiltonian cycle is not unique"
                 )
+
+
+def test_the_search_stops_at_a_tie_at_lambda():
+    # constant weights off the diagonal: every cycle is critical, so the
+    # second cycle found ties the first at weight 0 in P and the search
+    # stops there, with the verdict of ranking every cycle
+    for n in range(3, SEARCH_LIMIT + 1):
+        for c in (Fraction(-2), Fraction(0), Fraction(5, 3)):
+            a = MaxPlusMatrix([[None if i == j else c for j in range(n)] for i in range(n)])
+            max_cycle_mean(a)  # the spectrum is computed before the count
+            for k, what in ((n, "Hamiltonian cycle"), (n - 1, f"{n - 1}-cycle")):
+                conditions = {}
+                best, calls = _calls(extremal._heaviest_cycle, a, k, "ranking", conditions)
+                assert best is None and conditions["ranking"].detail == f"maximum-weight {what} is not unique"
+                assert calls["extremal.py", "extend"] <= 3 * n, (n, k, calls["extremal.py", "extend"])
+            verdict = verify_wielandt(a)
+            assert verdict.numbering is None
+            assert verdict.conditions["unique_max_weight_hamiltonian"].detail == (
+                "maximum-weight Hamiltonian cycle is not unique"
+            )
 
 
 def test_integer_remainder_test_matches_the_fraction_comparison():

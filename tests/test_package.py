@@ -1,4 +1,5 @@
 import ast
+import re
 import types
 from pathlib import Path
 
@@ -18,3 +19,9 @@ def test_all_lists_exactly_the_public_imports():
     assert set(maxplus.__all__) == set(imported)
     for name in maxplus.__all__:
         assert not isinstance(getattr(maxplus, name), types.ModuleType), name
+
+
+def test_the_readme_documents_every_exported_name():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    missing = [name for name in maxplus.__all__ if not re.search(rf"\b{re.escape(name)}\b", readme)]
+    assert missing == []

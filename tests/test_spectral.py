@@ -23,7 +23,6 @@ from maxplus import (
     visualize,
     zeros,
 )
-from maxplus.digraph import WeightedDigraph
 from conftest import rand_weight, random_cyclic_matrix, random_irreducible, random_matrix, random_reducible
 
 from oracles import critical_arcs_brute, cycles_by_permutations, max_cycle_mean_brute, spectrum_by_tarjan
@@ -89,9 +88,7 @@ def test_crit_scc_agrees_with_digraph_recomputation(rng):
             a = random_cyclic_matrix(rng, 6, density=0.6)
             a = MaxPlusMatrix([[None if x is None else -(x.numerator % 2) for x in row] for row in a.raw()])
         crit = critical_graph(a)
-        sub = WeightedDigraph(
-            a.n, {(i, j): a[i, j] for (i, j) in crit.arcs}
-        )
+        sub = from_entries(a.n, {(i, j): a.raw()[i][j] for (i, j) in crit.arcs})
         again = scc_decompose(sub, crit.nodes)
         assert again == crit.scc
         lam = max_cycle_mean_brute(a)

@@ -26,5 +26,5 @@ def test_transcript_moves_with_a_library_reader(monkeypatch):
 
     digest = transcript(seed=4, count=40)[1]
     enumerate_cycles = maxplus.enumerate_cycles
-    monkeypatch.setattr(maxplus, "enumerate_cycles", lambda g, max_length=None: enumerate_cycles(g))
+    monkeypatch.setattr(maxplus, "enumerate_cycles", lambda a, max_length=None: enumerate_cycles(a))
     assert transcript(seed=4, count=40)[1] != digest

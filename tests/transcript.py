@@ -17,10 +17,9 @@ Each call's arguments, exit code, stdout and stderr go into one sha256.
 
 The same hash then takes in library readers that no verb prints, each
 read on a matrix parsed afresh, its value or its exception:
-`hamiltonian_cycles` and `enumerate_cycles` with max_length 1 to n on
-the associated digraph; `visualize`; the full CSR triple's `.c`, `.r`
-and `.s` and `csr_at` at a few t; and the same for the triple of each
-of `critical_components`.
+`hamiltonian_cycles` and `enumerate_cycles` with max_length 1 to n;
+`visualize`; the full CSR triple's `.c`, `.r` and `.s` and `csr_at` at
+a few t; and the same for the triple of each of `critical_components`.
 
 It prints the number of CLI calls per exit code and the hash; two source
 trees give the same hash exactly when every call and every reader gave
@@ -104,11 +103,8 @@ def library_readings(text: str) -> list[tuple[str, str]]:
     """(reader, its value or exception) for the library readers on one matrix."""
     import maxplus as mp
 
-    def digraph():
-        return mp.associated_digraph(mp.parse_matrix(text))
-
     def cycles(cap: int) -> str:
-        found = mp.enumerate_cycles(digraph(), max_length=cap)
+        found = mp.enumerate_cycles(mp.parse_matrix(text), max_length=cap)
         return repr([(c.nodes, c.length, str(c.weight)) for c in found])
 
     def visualized() -> str:
@@ -124,7 +120,7 @@ def library_readings(text: str) -> list[tuple[str, str]]:
         return "|".join(triple(mp.build_csr(a, comp)) for comp in mp.critical_components(mp.critical_graph(a)))
 
     n = int(text.split("\n", 1)[0])
-    readers = [("hamiltonian_cycles", lambda: repr(mp.hamiltonian_cycles(digraph())))]
+    readers = [("hamiltonian_cycles", lambda: repr(mp.hamiltonian_cycles(mp.parse_matrix(text))))]
     readers += [(f"enumerate_cycles max_length={k}", lambda k=k: cycles(k)) for k in range(1, n + 1)]
     readers += [
         ("visualize", visualized),
