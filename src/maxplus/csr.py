@@ -24,6 +24,9 @@ on T1 it steps on while that costs less than the galloping search of
 _transient would, and hands over to the search when it does not.
 Whether T1 equals that ceiling is also decided at two powers alone (see
 _t1_at_ceiling); the generators in `extremal` check their candidates so.
+On a critical graph that covers every node as one component of
+cyclicity 1, T1 and T are its exponent (see _primitive_cover), found on
+bit rows by _boolean_index: analyze and _t1_at_ceiling take no power.
 
 The triple may also be built with respect to a completely reducible
 subgraph of the critical graph (then gamma is the subgraph's cyclicity
@@ -58,6 +61,7 @@ from functools import partial
 from itertools import count
 
 from .bounds import dm_bound, wielandt_bound
+from .digraph import _levels, _successors
 from .matrix import (
     MaxPlusMatrix,
     _finite_entries,
@@ -465,6 +469,104 @@ def _excess(triple: CsrTriple, t: int, at: list[list] | dict[int, list], rows: l
     ]
 
 
+def _boolean_index(crit: CritGraph) -> int:
+    """Transient of the critical graph as a 0/-inf matrix (max over components).
+
+    Each component is strongly connected and every cycle in it weighs 0,
+    so its 0/-inf matrix has cycle mean 0, is its own A - lambda, and has
+    the whole component as critical graph, of cyclicity comp.cyclicity.
+    The matrix is 0/-inf, so its powers are too: they run on bit rows,
+    row i the mask of the nodes j with entry (i, j) 0, and a product ORs
+    the rows of the right factor that a left row selects.  Row i of the
+    residue Q_t is the mask of a cyclic class (see _class_masks).  No arc
+    joins two components, so a power's rows are those of each component's
+    powers, and P^t = Q_t for all components at once exactly when t is at
+    least each component's transient, from which that equality holds (see
+    _sweep): the search gallops by P, P^2, P^4, ... from t = 0 to the
+    first square that meets Q, then bisects back with the smaller squares,
+    and the first t at which P^t = Q_t is the largest transient.
+    """
+    succ = _successors(max(crit.nodes) + 1, crit.arcs)
+    residue = _class_masks(succ, crit)
+    at = [1 << i if i in crit.nodes else 0 for i in range(len(succ))]  # P^0 on the critical rows
+    if at == residue(0):
+        return 0
+    squares = [[sum(1 << j for j in row) for row in succ]]  # squares[k] is P^(2^k)
+    while squares[-1] != residue(1 << (len(squares) - 1)):
+        squares.append(_bit_mul(squares[-1], squares[-1]))
+    if len(squares) == 1:
+        return 1
+    t, at = 1 << (len(squares) - 2), squares[-2]  # the transient is in (t, 2t]
+    for k in reversed(range(len(squares) - 2)):
+        probe = _bit_mul(at, squares[k])
+        if probe != residue(t + (1 << k)):
+            t, at = t + (1 << k), probe
+    return t + 1
+
+
+def _bit_mul(x: list[int], y: list[int]) -> list[int]:
+    """The Boolean product of bit rows: row i ORs the rows y[j] of the bits j of x[i]."""
+    out = []
+    for row in x:
+        acc = 0
+        while row:
+            low = row & -row
+            acc |= y[low.bit_length() - 1]
+            row ^= low
+        out.append(acc)
+    return out
+
+
+def _class_masks(succ: list[list[int]], crit: CritGraph) -> Callable[[int], list[int]]:
+    """t -> the residue Q_t of the critical graph's 0/-inf matrix as bit
+    rows, 0 off the critical nodes, given its successor lists.
+
+    Lemma.  In a component of cyclicity gamma, with l its BFS levels
+    (digraph._levels), every arc (u, v) has l(v) = l(u) + 1 (mod gamma),
+    so every walk from i to j has length = l(j) - l(i), and past some
+    length there is one of each such length.  So M = (P^gamma)^* is 0
+    exactly on the pairs of one cyclic class, and Q_t = C S^t R is 0 at
+    (i, j) exactly when l(j) - l(i) = t (mod gamma), -inf elsewhere: row
+    i of Q_t is the class of the nodes j with l(j) = l(i) + t (mod gamma).
+    t = 0 gives Q_gamma.
+    """
+    rows: list[list[int] | None] = [None] * len(succ)  # rows[i][t % gamma] is row i of Q_t
+    for comp in crit.scc.components:
+        levels, gamma = _levels(succ, comp.nodes), comp.cyclicity
+        classes = [sum(1 << v for v, level in levels.items() if level % gamma == r) for r in range(gamma)]
+        for v, level in levels.items():
+            rows[v] = classes[level % gamma :] + classes[: level % gamma]
+    return lambda t: [0 if row is None else row[t % len(row)] for row in rows]
+
+
+def _primitive_cover(crit: CritGraph | None, n: int) -> bool:
+    """Whether crit covers all n nodes as one component of cyclicity 1.
+
+    Then T = e, and T1 = max(e, 1), as is the largest critical row or
+    column transient, e the exponent of crit's 0/1 matrix N: the least t
+    with N^t = J, all ones, which _boolean_index returns (its one class
+    mask is every node).  Proof, with P = A - lambda, P+ its closure and
+    Q_t = C (S - lambda)^t R.
+    1. A critical walk i -> j and one j -> i close a critical walk, of
+       weight 0, and concatenated critical walks are critical: every
+       critical walk i -> j weighs the same, u(i, j), u is additive, and
+       u = P+ as P+(i, j) + u(j, i) <= 0.
+    2. A walk of length t from i to j of weight P+(i, j), closed by a
+       critical walk j -> i, weighs 0: each cycle it splits into is
+       critical, and so is each of its arcs.  So P^t(i, j) = P+(i, j)
+       where N^t(i, j) = 1, and P^t(i, j) < P+(i, j) elsewhere.
+    3. M = I (+) P+ = P+ at gamma = 1, and each finite term of Q_t(i, j),
+       at (k, l) with N^t(k, l) = 1, weighs u(i, k) + u(k, l) + u(l, j) =
+       P+(i, j); there is one, so Q_t = P+ for t >= 1.
+    4. So a row or column of P^t meets Q_t (see _excess) iff it is all
+       ones in N^t, and it stays so, as N has no zero row or column:
+       T1 = max(e, 1), every row and column being critical.  A row retires
+       in _sweep at the first t >= 1 where it meets Q_t, so T = e: for
+       n >= 2, N^0 = I is not J, and at n = 1, Q_1 = P+ = I.
+    """
+    return crit is not None and len(crit.nodes) == n and len(crit.scc.components) == 1 and crit.cyclicity == 1
+
+
 def _t1_at_ceiling(a: MaxPlusMatrix, bound: int) -> bool:
     """Whether weak_threshold_T1(a).t1 == bound and bound is a's ceiling c.
 
@@ -478,11 +580,14 @@ def _t1_at_ceiling(a: MaxPlusMatrix, bound: int) -> bool:
     c - 1 hold at c, and only those rows of P^(c-1) are multiplied by P.
     c >= 2 for n >= 2, and c = 0 < t1 for n = 1.  A bound other than the
     ceiling gives False even when t1 equals it, and so does an acyclic a,
-    which has no critical girth.
+    which has no critical girth.  When _primitive_cover holds, t1 is the
+    critical graph's exponent for n >= 2, and no power is taken.
     """
     triple = build_csr(a)
     if triple.crit is None or a.n == 1 or bound != _ceiling(triple):
         return False
+    if _primitive_cover(triple.crit, a.n):
+        return _boolean_index(triple.crit) == bound
     p = triple._norm
     at = _int_power(p, bound - 1)
     failing = sorted({i for i, _ in _excess(triple, bound - 1, at, range(a.n))})
@@ -555,18 +660,26 @@ class TransientReport:
 def analyze(a: MaxPlusMatrix) -> TransientReport:
     """Full transient report: lambda, crit summary, T, T1, bounds, flags.
 
-    One sweep gives T1 and the critical row and column transients, and on
-    strongly connected input T as well: past the ceiling it steps on
-    until T, or hands over to the galloping search of _transient, within
-    twice the search's bound (see _sweep).  On other input it stops at
-    T1, and T is None.
+    When the critical graph covers every node as one component of
+    cyclicity 1, T = e and T1 = crit_rc_transient = max(e, 1), e its
+    exponent (see _primitive_cover), read on bit rows with no CSR triple
+    and no power of A.  Otherwise one sweep gives T1 and the critical row
+    and column transients, and on strongly connected input T as well:
+    past the ceiling it steps on until T, or hands over to the galloping
+    search of _transient, within twice the search's bound (see _sweep).
+    On other input it stops at T1, and T is None.
     """
-    connected = spectrum(a)._strongly_connected
-    triple = build_csr(a)
-    t, at, t1, rows, cols = _sweep(triple, connected)
-    lam, crit = triple.lam, triple.crit
-    if connected and at is not None:
-        t = _transient(triple._norm, t, at, partial(_residue, triple))
+    sp = spectrum(a)
+    connected, lam, crit = sp._strongly_connected, sp.lam, sp.crit
+    if _primitive_cover(crit, a.n):
+        t = _boolean_index(crit)
+        t1 = crit_rc = max(t, 1)
+    else:
+        triple = build_csr(a)
+        t, at, t1, rows, cols = _sweep(triple, connected)
+        if connected and at is not None:
+            t = _transient(triple._norm, t, at, partial(_residue, triple))
+        crit_rc = _crit_rc_overall(rows, cols)
     wi = wielandt_bound(a.n)
     dm = None if crit is None else dm_bound(crit.girth, a.n)
     return TransientReport(
@@ -580,5 +693,5 @@ def analyze(a: MaxPlusMatrix) -> TransientReport:
         dm=dm,
         attains_dm=t1 == dm,
         attains_wiel=t1 == wi,
-        crit_rc_transient=_crit_rc_overall(rows, cols),
+        crit_rc_transient=crit_rc,
     )

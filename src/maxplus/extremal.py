@@ -23,8 +23,8 @@ _heaviest_cycle); the critical cycles of that length, when there are
 any, are the heaviest.  The remainder test compares a2 with CSR(a1) at
 t = 1 on the integers (see _remainder_below_csr), and
 verify_crit_rc_wielandt skips a rotation that puts a critical arc off
-the skeleton before that test.  The critical graph's index runs on bit
-rows (see _boolean_index).
+the skeleton before that test.  verify_crit_rc_dm and the generators'
+T1 check read the critical graph's index, on bit rows, from `csr`.
 
 A generator builds its skeleton a1, with a1's spectrum and CSR triple,
 once: the triple bounds the remainder it samples, and the verdict reads
@@ -43,15 +43,15 @@ Node indices are 0-based throughout; a numbering is a permutation tuple
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, product
 from math import gcd
 
 from .bounds import dm_bound, wielandt_bound
-from .csr import CsrTriple, _below_csr_at_one, _csr_entry, _inherit_triple, _int_csr_at, _t1_at_ceiling, build_csr
-from .digraph import _cycles, _levels, _successors, _support
+from .csr import CsrTriple, _below_csr_at_one, _boolean_index, _csr_entry, _inherit_triple, _int_csr_at
+from .csr import _t1_at_ceiling, build_csr
+from .digraph import _cycles, _successors, _support
 from .matrix import MaxPlusMatrix, _finite_entries, _int_mul, _scaled, from_entries
 from .semiring import MaxPlusScalar, _check_exponent
 from .spectral import CritGraph, Spectrum, _cyclic_spectrum, _inherit_critical, _inherit_spectrum, _relabeled
@@ -636,76 +636,6 @@ def _inherit_skeleton(candidate: MaxPlusMatrix, a1: MaxPlusMatrix) -> None:
 
 # ---------------------------------------------------------------------------
 # critical row/column variants
-
-
-def _boolean_index(crit: CritGraph) -> int:
-    """Transient of the critical graph as a 0/-inf matrix (max over components).
-
-    Each component is strongly connected and every cycle in it weighs 0,
-    so its 0/-inf matrix has cycle mean 0, is its own A - lambda, and has
-    the whole component as critical graph, of cyclicity comp.cyclicity.
-    The matrix is 0/-inf, so its powers are too: they run on bit rows,
-    row i the mask of the nodes j with entry (i, j) 0, and a product ORs
-    the rows of the right factor that a left row selects.  Row i of the
-    residue Q_t is the mask of a cyclic class (see _class_masks).  No arc
-    joins two components, so a power's rows are those of each component's
-    powers, and P^t = Q_t for all components at once exactly when t is at
-    least each component's transient, from which that equality holds (see
-    csr._sweep): the search gallops by P, P^2, P^4, ... from t = 0 to the
-    first square that meets Q, then bisects back with the smaller squares,
-    and the first t at which P^t = Q_t is the largest transient.
-    """
-    succ = _successors(max(crit.nodes) + 1, crit.arcs)
-    residue = _class_masks(succ, crit)
-    at = [1 << i if i in crit.nodes else 0 for i in range(len(succ))]  # P^0 on the critical rows
-    if at == residue(0):
-        return 0
-    squares = [[sum(1 << j for j in row) for row in succ]]  # squares[k] is P^(2^k)
-    while squares[-1] != residue(1 << (len(squares) - 1)):
-        squares.append(_bit_mul(squares[-1], squares[-1]))
-    if len(squares) == 1:
-        return 1
-    t, at = 1 << (len(squares) - 2), squares[-2]  # the transient is in (t, 2t]
-    for k in reversed(range(len(squares) - 2)):
-        probe = _bit_mul(at, squares[k])
-        if probe != residue(t + (1 << k)):
-            t, at = t + (1 << k), probe
-    return t + 1
-
-
-def _bit_mul(x: list[int], y: list[int]) -> list[int]:
-    """The Boolean product of bit rows: row i ORs the rows y[j] of the bits j of x[i]."""
-    out = []
-    for row in x:
-        acc = 0
-        while row:
-            low = row & -row
-            acc |= y[low.bit_length() - 1]
-            row ^= low
-        out.append(acc)
-    return out
-
-
-def _class_masks(succ: list[list[int]], crit: CritGraph) -> Callable[[int], list[int]]:
-    """t -> the residue Q_t of the critical graph's 0/-inf matrix as bit
-    rows, 0 off the critical nodes, given its successor lists.
-
-    Lemma.  In a component of cyclicity gamma, with l its BFS levels
-    (digraph._levels), every arc (u, v) has l(v) = l(u) + 1 (mod gamma),
-    so every walk from i to j has length = l(j) - l(i), and past some
-    length there is one of each such length.  So M = (P^gamma)^* is 0
-    exactly on the pairs of one cyclic class, and Q_t = C S^t R is 0 at
-    (i, j) exactly when l(j) - l(i) = t (mod gamma), -inf elsewhere: row
-    i of Q_t is the class of the nodes j with l(j) = l(i) + t (mod gamma).
-    t = 0 gives Q_gamma.
-    """
-    rows: list[list[int] | None] = [None] * len(succ)  # rows[i][t % gamma] is row i of Q_t
-    for comp in crit.scc.components:
-        levels, gamma = _levels(succ, comp.nodes), comp.cyclicity
-        classes = [sum(1 << v for v, level in levels.items() if level % gamma == r) for r in range(gamma)]
-        for v, level in levels.items():
-            rows[v] = classes[level % gamma :] + classes[: level % gamma]
-    return lambda t: [0 if row is None else row[t % len(row)] for row in rows]
 
 
 def verify_crit_rc_dm(a: MaxPlusMatrix) -> bool:

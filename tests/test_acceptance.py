@@ -37,7 +37,7 @@ from maxplus import (
     wielandt_bound,
     wielandt_skeleton,
 )
-from maxplus.extremal import _boolean_index
+from maxplus.csr import _boolean_index
 from conftest import (
     normalized,
     random_cyclic_matrix,

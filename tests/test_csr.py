@@ -42,7 +42,8 @@ from maxplus import (
     zeros,
 )
 from maxplus import csr, digraph, extremal, matrix, spectral
-from maxplus.extremal import _boolean_index, _inherit_skeleton
+from maxplus.csr import _boolean_index
+from maxplus.extremal import _inherit_skeleton
 from conftest import (
     PER_TEST_SECONDS,
     deadline,
@@ -942,7 +943,7 @@ def test_T_is_the_larger_of_T1_and_T2():
 
 
 def test_the_boolean_index_reads_each_components_residue_in_closed_form():
-    # extremal._class_masks against _residue of each component's own
+    # csr._class_masks against _residue of each component's own
     # 0/-inf matrix, at t = 0 (Q_gamma) to gamma, over every component:
     # row i of the component's residue, read as a bit row over all nodes
     rng = random.Random(2115)
@@ -954,7 +955,7 @@ def test_the_boolean_index_reads_each_components_residue_in_closed_form():
         if crit is None:
             continue
         kinds["critical graphs"] += 1
-        residue = extremal._class_masks(digraph._successors(n, crit.arcs), crit)
+        residue = csr._class_masks(digraph._successors(n, crit.arcs), crit)
         for i in range(n):
             if i not in crit.nodes:
                 assert all(residue(t)[i] == 0 for t in range(crit.cyclicity + 1))
@@ -997,7 +998,7 @@ def _planted_critical(rng, n):
 
 
 def test_the_bit_row_index_matches_the_int_kernel():
-    # extremal._boolean_index against oracles.boolean_index_int on the
+    # csr._boolean_index against oracles.boolean_index_int on the
     # critical graphs of random matrices, n <= 12, and of every DM and
     # Wielandt skeleton up to n = 12
     rng = random.Random(2125)
@@ -1018,6 +1019,91 @@ def test_the_bit_row_index_matches_the_int_kernel():
     for a in skeletons:
         crit = critical_graph(a)
         assert _boolean_index(crit) == boolean_index_int(crit), render_matrix(a)
+
+
+def _planted_tight(rng, n, shape):
+    """(a, tight): random potentials p and a cycle mean lam, tight arcs
+    lam + p[j] - p[i] on strongly connected blocks, each a shuffled
+    Hamiltonian cycle plus random chords, and every other arc strictly
+    below tight or -inf; the tight arcs are then the critical graph.
+    "cover": one block on every node; "bipartite": the same with chords
+    only between the cycle's two alternating classes (n even), so every
+    cycle is even; "two blocks": two blocks that together cover every
+    node; "one off": one block on all nodes but one."""
+    lam = Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3, 7)))
+    p = [Fraction(rng.randint(-30, 30), rng.choice((1, 2, 5))) for _ in range(n)]
+    order = list(range(n))
+    rng.shuffle(order)
+    cut = rng.randint(1, n - 1) if shape == "two blocks" else 1 if shape == "one off" else 0
+    blocks = [order[:cut], order[cut:]] if shape == "two blocks" else [order[cut:]]
+    tight, density = set(), rng.choice((0.05, 0.15, 0.4))
+    for block in blocks:
+        tight.update((u, block[(k + 1) % len(block)]) for k, u in enumerate(block))
+        tight.update(
+            (u, v)
+            for k, u in enumerate(block)
+            for q, v in enumerate(block)
+            if (shape != "bipartite" or (k - q) % 2) and rng.random() < density
+        )
+    entries = {(i, j): lam + p[j] - p[i] for i, j in tight}
+    for i in range(n):
+        for j in range(n):
+            if (i, j) not in tight and rng.random() < 0.5:
+                entries[(i, j)] = lam + p[j] - p[i] - Fraction(rng.randint(1, 9), rng.choice((1, 3)))
+    return from_entries(n, entries), tight
+
+
+def test_analyze_reads_T1_and_T_off_a_primitive_covering_critical_graph(monkeypatch):
+    # a critical graph that covers every node, one component of cyclicity
+    # 1, has T = e, T1 = crit_rc_transient = max(e, 1), e its exponent
+    # (csr._primitive_cover): analyze answers with no sweep, no product
+    # and no CSR triple.  Planted inputs, n = 1..9, against the full
+    # ceiling scan, the stepping search for T and the sweep's
+    # weak_threshold_T1; near misses (cyclicity > 1, two components, a
+    # node off the critical graph) sweep and agree too
+    calls, int_mul, sweep = Counter(), matrix._int_mul, csr._sweep
+    monkeypatch.setattr(matrix, "_int_mul", lambda *args: calls.update(["_int_mul"]) or int_mul(*args))
+    monkeypatch.setattr(csr, "_int_mul", matrix._int_mul)
+    monkeypatch.setattr(csr, "_sweep", lambda *args: calls.update(["_sweep"]) or sweep(*args))
+
+    def check(a):
+        calls.clear()
+        report = analyze(a)
+        made, triple = dict(calls), a._csr
+        t1, rows, cols = weak_threshold_T1_full(a)
+        assert (report.t1, report.crit_rc_transient) == (t1, max([*rows.values(), *cols.values()]))
+        assert weak_threshold_T1(a).t1 == t1
+        connected = spectrum(a)._strongly_connected
+        assert report.t == (transient_by_steps(normalized(a).raw(), report.gamma) if connected else None)
+        return report, made, triple
+
+    rng = random.Random(2531)
+    kinds = Counter()
+    shapes = ("cover",) * 7 + ("bipartite", "two blocks", "one off")
+    for k in range(1000):
+        shape = shapes[k % len(shapes)]
+        n = rng.randint(2, 9) // 2 * 2 if shape == "bipartite" else rng.randint(1 if shape == "cover" else 2, 9)
+        a, tight = _planted_tight(rng, n, shape)
+        crit = spectrum(a).crit
+        assert crit.arcs == tight, render_matrix(a)
+        report, made, triple = check(a)
+        if shape == "cover" and crit.cyclicity == 1:
+            assert made == {} and triple is None, render_matrix(a)
+            assert report.t == (0 if n == 1 else report.t1)
+            kinds["exponent"] += 1
+            kinds["exponent, n = 9"] += n == 9
+        else:
+            assert made["_sweep"] == 1, render_matrix(a)
+            kinds[f"{shape}, swept"] += 1
+            kinds["cyclicity 2"] += crit.cyclicity == 2
+    assert kinds["exponent"] >= 500 and kinds["exponent, n = 9"] >= 40, kinds
+    assert kinds["cover, swept"] >= 20 and kinds["cyclicity 2"] >= 40, kinds
+    assert min(kinds[f"{shape}, swept"] for shape in ("bipartite", "two blocks", "one off")) >= 70, kinds
+    # n = 1 with a loop: T = 0 and T1 = 1; the 2x2 zero matrix: T = T1 = 1
+    for entries, expected in (({(0, 0): Fraction(-3, 2)}, (0, 1)), ({(i, j): 0 for i in range(2) for j in range(2)}, (1, 1))):
+        a = from_entries(max(i for i, _ in entries) + 1, entries)
+        report, made, triple = check(a)
+        assert (report.t, report.t1, report.crit_rc_transient) == (*expected, 1) and made == {} and triple is None
 
 
 def test_a_deadline_fails_a_loop_that_never_ends():

@@ -435,7 +435,10 @@ def test_sweep_matches_the_full_ceiling_scan(monkeypatch):
     # the last row meets the residue, when that comes before the ceiling;
     # the T1-only sweep, of weak_threshold_T1 and of analyze on other
     # input, stops at t1, after t1 - 1 steps.  Both test a row only until
-    # it holds; the oracle compares every row at every t up to the ceiling
+    # it holds; the oracle compares every row at every t up to the ceiling.
+    # Here only n = 1 with a loop has a critical graph that covers every
+    # node, one component of cyclicity 1: analyze reads T = 0 and T1 = 1
+    # off it with no sweep and no product (see csr._primitive_cover)
     found, steps = [], []
     sweep, int_mul = csr._sweep, matrix._int_mul
 
@@ -465,6 +468,10 @@ def test_sweep_matches_the_full_ceiling_scan(monkeypatch):
         if wx.csr.crit is None:
             kinds["acyclic"] += 1
             continue
+        if a.n == 1:  # a loop: only weak_threshold_T1 swept
+            assert found == [None] and steps == [] and report.t == transient_T(a) == 0
+            kinds["a loop, no sweep in analyze"] += 1
+            continue
         connected = len(scc_decompose(a).components) == 1
         kind = "irreducible" if connected else "reducible"
         kinds[kind] += 1
@@ -485,6 +492,7 @@ def test_sweep_matches_the_full_ceiling_scan(monkeypatch):
         if connected and found[1] is not None and any(ti is not None and max(ti, 1) <= found[1] - 2 for ti in periodic_from):
             kinds["irreducible, a row retires 2 steps before T"] += 1
     assert kinds["acyclic"] >= 30 and kinds["reducible"] >= 100 and kinds["irreducible"] >= 100, kinds
+    assert kinds["a loop, no sweep in analyze"] >= 20, kinds
     assert kinds["irreducible, stopped at T before the ceiling"] >= 100, kinds
     assert kinds["reducible, T1-only stopped before min(T, c)"] >= 60, kinds
     assert kinds["irreducible, T1-only stopped before min(T, c)"] >= 80, kinds
@@ -685,7 +693,10 @@ def perturbed(rng, a):
 
 def test_point_check_matches_the_full_sweep():
     # csr._t1_at_ceiling(a, bound) is T1 == bound with bound the ceiling,
-    # for every bound Wi(n) and DM(g, n), g = 1..n, against the oracle
+    # for every bound Wi(n) and DM(g, n), g = 1..n, against the oracle; it
+    # holds both where it reads T1 as the critical graph's exponent (the
+    # graph covers every node, one component of cyclicity 1) and where it
+    # squares A - lambda
     rng = random.Random(13)
     attaining = []
     for n in range(2, 9):
@@ -710,19 +721,24 @@ def test_point_check_matches_the_full_sweep():
         t1 = weak_threshold_T1_full(a)[0]
         crit = spectrum(a).crit
         ceiling = None if crit is None else min(wielandt_bound(a.n), dm_bound(crit.girth, a.n))
+        exponent = crit is not None and len(crit.nodes) == a.n and len(crit.scc.components) == 1 and crit.cyclicity == 1
         for bound in {wielandt_bound(a.n), *(dm_bound(g, a.n) for g in range(1, a.n + 1))}:
             check = csr._t1_at_ceiling(a, bound)
             assert check == (t1 == bound and bound == ceiling), (a, bound)
-            outcomes["positive"] += check
+            outcomes[f"positive, {'exponent' if exponent else 'squared'}"] += check
             outcomes["T1 at a bound below the ceiling"] += t1 == bound != ceiling
-    assert outcomes["positive"] >= 100 and outcomes["T1 at a bound below the ceiling"] >= 1
+    assert outcomes["positive, exponent"] >= 50 and outcomes["positive, squared"] >= 50, outcomes
+    assert outcomes["T1 at a bound below the ceiling"] >= 1
 
 
 def test_the_ceiling_check_steps_to_c_only_the_rows_failing_at_c_minus_1(monkeypatch):
     # a row that holds at t holds at t + 1 (see weak_threshold_T1), so
     # _t1_at_ceiling multiplies by P only the rows of P^(c-1) that fail
-    # there, and tests only those at c; on a generated instance that is
-    # one row
+    # there, and tests only those at c; on a generated instance that
+    # squares (case-n Wielandt, where gamma = n) that is one row.  On a
+    # critical graph that covers every node, one component of cyclicity 1
+    # (every generated DM and case-(n-1) Wielandt instance), T1 is its
+    # exponent: no power of A is taken and no row tested
     rng = random.Random(29)
     generated = []
     for n in range(2, 13):
@@ -733,8 +749,8 @@ def test_the_ceiling_check_steps_to_c_only_the_rows_failing_at_c_minus_1(monkeyp
     for _ in range(300):
         n = rng.randint(2, 7)
         cases.append(sparse(rng, n, rng.random()))
-    excess, int_mul = csr._excess, matrix._int_mul
-    tests, steps = [], []
+    excess, int_mul, int_power = csr._excess, matrix._int_mul, matrix._int_power
+    tests, steps, powers = [], [], []
 
     def tested(triple, t, at, rows):
         out = excess(triple, t, at, rows)
@@ -743,7 +759,8 @@ def test_the_ceiling_check_steps_to_c_only_the_rows_failing_at_c_minus_1(monkeyp
 
     monkeypatch.setattr(csr, "_excess", tested)
     monkeypatch.setattr(csr, "_int_mul", lambda arows, b: steps.append(arows) or int_mul(arows, b))
-    stepped = Counter()
+    monkeypatch.setattr(csr, "_int_power", lambda rows, t: powers.append(t) or int_power(rows, t))
+    stepped, kinds = Counter(), Counter()
     for k, a in enumerate(cases):
         triple = build_csr(a)
         if triple.crit is None or a.n == 1:
@@ -753,7 +770,18 @@ def test_the_ceiling_check_steps_to_c_only_the_rows_failing_at_c_minus_1(monkeyp
             csr._residue(triple, t)  # read before, so the one product left is the step
         tests.clear()
         steps.clear()
+        powers.clear()
         holds = csr._t1_at_ceiling(a, c)
+        origin = "generated" if k < len(generated) else "other"
+        crit = triple.crit
+        if len(crit.nodes) == a.n and len(crit.scc.components) == 1 and crit.cyclicity == 1:
+            assert tests == steps == powers == []
+            assert holds == (weak_threshold_T1(a).t1 == c)
+            kinds[f"{origin}, exponent"] += 1
+            if origin == "generated":
+                assert holds, (a, c)
+            continue
+        assert powers == [c - 1]
         (t, power, rows, excess_below), *at_c = tests
         assert (t, list(rows)) == (c - 1, list(range(a.n)))
         failing = sorted({i for i, _ in excess_below})
@@ -764,20 +792,24 @@ def test_the_ceiling_check_steps_to_c_only_the_rows_failing_at_c_minus_1(monkeyp
         else:
             assert steps == at_c == [] and not holds
         stepped[len(failing)] += 1
-        if k < len(generated):
+        kinds[f"{origin}, squared"] += 1
+        if origin == "generated":
             assert holds and len(failing) == 1, (a, c)
-    assert stepped[1] >= len(generated) and stepped[0] >= 100
+    assert stepped[1] >= kinds["generated, squared"] >= 30 and stepped[0] >= 100, (stepped, kinds)
+    assert kinds["generated, exponent"] >= 100 and kinds["other, exponent"] >= 20 and kinds["other, squared"] >= 300, kinds
 
 
 @pytest.mark.parametrize(
-    "generate",
-    [lambda seed: generate_wielandt(12, seed, case="n"), lambda seed: generate_dm(12, 11, seed)],
+    "generate, squares",
+    [(lambda seed: generate_wielandt(12, seed, case="n"), True), (lambda seed: generate_dm(12, 11, seed), False)],
     ids=["wielandt-n", "dm-g11"],
 )
-def test_generators_check_T1_at_two_powers_only(monkeypatch, generate):
-    # no sweep: O(log bound) products beyond the CSR triple's own (its
-    # residues, computed when first read, included), all of them powers
-    # of A - lambda
+def test_generators_check_T1_at_two_powers_only(monkeypatch, generate, squares):
+    # no sweep.  Case-n Wielandt, gamma = n: O(log bound) products beyond
+    # the CSR triple's own (its residues, computed when first read,
+    # included), all of them powers of A - lambda.  DM with g = n - 1:
+    # the critical graph covers every node, one component of cyclicity 1,
+    # and T1 is its exponent, read on bit rows with no product at all
     calls, depth = Counter(), [0]
     int_mul = matrix._int_mul
 
@@ -810,6 +842,7 @@ def test_generators_check_T1_at_two_powers_only(monkeypatch, generate):
     for seed in range(3):
         calls.clear()
         a = generate(seed)
-        assert 0 < calls["_int_mul"] <= 2 * bound.bit_length() + 4
+        assert (spectrum(a).crit.cyclicity == 1) != squares
+        assert 0 < calls["_int_mul"] <= 2 * bound.bit_length() + 4 if squares else calls["_int_mul"] == 0
     monkeypatch.undo()
     assert weak_threshold_T1(a).t1 == bound
