@@ -26,7 +26,8 @@ Whether T1 equals that ceiling is also decided at two powers alone (see
 _t1_at_ceiling); the generators in `extremal` check their candidates so.
 On a critical graph that covers every node as one component of
 cyclicity 1, T1 and T are its exponent (see _primitive_cover), found on
-bit rows by _boolean_index: analyze and _t1_at_ceiling take no power.
+bit rows by _boolean_index: analyze and _t1_at_ceiling take no power,
+and every residue C S^t R - t*lambda is M itself.
 
 The triple may also be built with respect to a completely reducible
 subgraph of the critical graph (then gamma is the subgraph's cyclicity
@@ -45,11 +46,13 @@ every comparison, and only the public C, R and the values csr_at
 returns are converted back to Fractions.
 
 A triple is built only as far as it is read.  build_csr computes M and
-keeps C and R as int rows; C and R become Fraction matrices when the
-properties are read, and each residue is computed the first time csr_at
-or the sweep reads it.  The triple of a matrix's whole critical graph is
-built once per matrix and stored on it, like its spectrum, or inherited
-with it (see _inherit_triple).  C S^t R is read as int rows (_int_csr_at).
+keeps C and R as int rows, M's own rows when every node is critical; C
+and R become Fraction matrices when the properties are read, and each
+residue is computed the first time csr_at or the sweep reads it, or is
+C's rows, with no product, when _primitive_cover holds.  The triple of
+a matrix's whole critical graph is built once per matrix and stored on
+it, like its spectrum, or inherited with it (see _inherit_triple).
+C S^t R is read as int rows (_int_csr_at).
 """
 
 from __future__ import annotations
@@ -131,6 +134,10 @@ def build_csr(a: MaxPlusMatrix, subgraph: CritGraph | None = None) -> CsrTriple:
 
 
 def _build_csr(a: MaxPlusMatrix, subgraph: CritGraph | None) -> CsrTriple:
+    """The triple of a at k, the subgraph or the critical graph.  When k
+    has all n nodes, C and R are M's rows themselves, and so may be the
+    residues (see _residue): every reader only reads them, _sweep copies
+    the outer list, and _rescaled and the properties c, r make new rows."""
     sp = spectrum(a)
     n = a.n
     if sp.crit is None:
@@ -149,8 +156,11 @@ def _build_csr(a: MaxPlusMatrix, subgraph: CritGraph | None) -> CsrTriple:
         _int_closure(m)
     for i, row in enumerate(m):
         row[i] = 0  # M = ((A - lambda)^gamma)^*; its cycles weigh <= 0
-    c = [[m[i][j] if j in k.nodes else None for j in range(n)] for i in range(n)]
-    r = [[m[i][j] if i in k.nodes else None for j in range(n)] for i in range(n)]
+    if len(k.nodes) == n:
+        c = r = m
+    else:
+        c = [[m[i][j] if j in k.nodes else None for j in range(n)] for i in range(n)]
+        r = [[m[i][j] if i in k.nodes else None for j in range(n)] for i in range(n)]
     s_norm = [[(j, norm[i][j]) for j in range(n) if (i, j) in k.arcs] for i in range(n)]
     araw = a.raw()
     s = [[araw[i][j] if (i, j) in k.arcs else None for j in range(n)] for i in range(n)]
@@ -161,9 +171,13 @@ def _build_csr(a: MaxPlusMatrix, subgraph: CritGraph | None) -> CsrTriple:
 
 def _residue(triple: CsrTriple, t: int) -> list[list]:
     """C S^t R - t*lambda as int rows scaled by _d, t >= 1, from the chain
-    C (S - lambda)^k; it depends on t modulo gamma only."""
+    C (S - lambda)^k; it depends on t modulo gamma only.  When the triple's
+    (sub)graph meets _primitive_cover, it is C itself at every t (step 3
+    there), taken with no product; the rows are C's, so read them only."""
     k = (t - 1) % triple.gamma + 1
-    if k not in triple._residues:
+    if k not in triple._residues and _primitive_cover(triple.crit, triple.n):
+        triple._residues[k] = triple._c
+    elif k not in triple._residues:
         cs = triple._cs
         while len(cs) <= k:
             cs.append(_int_mul(cs[-1], triple._s_norm))
@@ -545,19 +559,26 @@ def _primitive_cover(crit: CritGraph | None, n: int) -> bool:
     Then T = e, and T1 = max(e, 1), as is the largest critical row or
     column transient, e the exponent of crit's 0/1 matrix N: the least t
     with N^t = J, all ones, which _boolean_index returns (its one class
-    mask is every node).  Proof, with P = A - lambda, P+ its closure and
-    Q_t = C (S - lambda)^t R.
+    mask is every node): analyze and _t1_at_ceiling read it so.  And
+    every residue Q_t is C = M, which _residue reads with no product.
+    Proof, with P = A - lambda, P+ its closure and Q_t = C (S - lambda)^t R.
     1. A critical walk i -> j and one j -> i close a critical walk, of
        weight 0, and concatenated critical walks are critical: every
        critical walk i -> j weighs the same, u(i, j), u is additive, and
-       u = P+ as P+(i, j) + u(j, i) <= 0.
+       u = P+ as P+(i, j) + u(j, i) <= 0.  This step needs one component
+       on every node only, at any cyclicity; by it a skeleton that
+       extremal._inherit_input hands crit(a) takes a's P+ too.
     2. A walk of length t from i to j of weight P+(i, j), closed by a
        critical walk j -> i, weighs 0: each cycle it splits into is
        critical, and so is each of its arcs.  So P^t(i, j) = P+(i, j)
        where N^t(i, j) = 1, and P^t(i, j) < P+(i, j) elsewhere.
     3. M = I (+) P+ = P+ at gamma = 1, and each finite term of Q_t(i, j),
        at (k, l) with N^t(k, l) = 1, weighs u(i, k) + u(k, l) + u(l, j) =
-       P+(i, j); there is one, so Q_t = P+ for t >= 1.
+       P+(i, j); there is one, so Q_t = P+ = M = C for t >= 1.  So also
+       at a subgraph K of crit that meets the predicate (build_csr(a, K)):
+       crit holds K, so it is one component on every node, of cyclicity
+       dividing K's; M is the whole closure, and the terms run over
+       critical walks of K, which has some of every length t >= 1.
     4. So a row or column of P^t meets Q_t (see _excess) iff it is all
        ones in N^t, and it stays so, as N has no zero row or column:
        T1 = max(e, 1), every row and column being critical.  A row retires

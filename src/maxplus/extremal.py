@@ -32,9 +32,10 @@ it again once a1 equals the layer it carves (see _skeleton).  The
 candidate, a1 plus entries strictly below CSR(a1) at t = 1, inherits
 a1's spectrum and triple (see _inherit_skeleton): one spectrum a matrix.
 A skeleton a1 that a verifier carves out of any other input takes the
-input's lambda and critical graph (see _inherit_input).  This module
-only proves and checks the hypotheses of these hand-overs; `spectral`
-and `csr` rescale and relabel what they hand over.
+input's lambda and critical graph, and its closure when that graph is
+one component on every node (see _inherit_input).  This module only
+proves and checks the hypotheses of these hand-overs; `spectral` and
+`csr` rescale and relabel what they hand over.
 
 Node indices are 0-based throughout; a numbering is a permutation tuple
 ``sigma`` placing original node ``sigma[p]`` at position ``p``.
@@ -54,8 +55,8 @@ from .csr import _t1_at_ceiling, build_csr
 from .digraph import _cycles, _successors, _support
 from .matrix import MaxPlusMatrix, _finite_entries, _int_mul, _scaled, from_entries
 from .semiring import MaxPlusScalar, _check_exponent
-from .spectral import CritGraph, Spectrum, _cyclic_spectrum, _inherit_critical, _inherit_spectrum, _relabeled
-from .spectral import critical_graph, spectrum
+from .spectral import CritGraph, Spectrum, _cyclic_spectrum, _inherit_closure, _inherit_critical, _inherit_spectrum
+from .spectral import _relabeled, critical_graph, spectrum
 
 SEARCH_LIMIT = 10  # the pruned cycle search still lists every cycle tied below lambda, as beside a heavier loop
 _WALK_LIMIT = 8  # largest n the twice-optimal walk oracle accepts
@@ -368,7 +369,7 @@ def _dm_conditions(
     n = a.n
     dec = decompose(a, g, numbering)
     relabeled = _relabeled(sp.crit, numbering)
-    a1 = _inherit_input(_skeleton(a1, dec.a1), sp.lam, relabeled)
+    a1 = _inherit_input(_skeleton(a1, dec.a1), sp, numbering, relabeled)
     # the Hamiltonian arcs belong to the a1 pattern
     conditions["hamiltonian_support"] = _support_check(dec.a1.raw(), _cycle_arcs(n))
     conditions["short_cycle_critical"] = _critical_check(_cycle_arcs(g), relabeled.arcs)
@@ -524,7 +525,7 @@ def _wielandt_conditions(
         return None
 
     layer, a2 = _carve(praw, skeleton)
-    a1 = _inherit_input(_skeleton(a1, layer), sp.lam, relabeled)
+    a1 = _inherit_input(_skeleton(a1, layer), sp, numbering, relabeled)
     conditions["remainder_below_csr"] = ConditionCheck(_remainder_below_csr(a1, a2))
     return case
 
@@ -545,23 +546,30 @@ def _skeleton(a1: MaxPlusMatrix | None, layer: MaxPlusMatrix) -> MaxPlusMatrix:
     return a1
 
 
-def _inherit_input(a1: MaxPlusMatrix, lam: MaxPlusScalar, crit: CritGraph) -> MaxPlusMatrix:
-    """a1, the skeleton layer carved out of a under a numbering, given
-    lambda(a) and crit, crit(a) relabeled by the numbering; it takes them
+def _inherit_input(a1: MaxPlusMatrix, sp: Spectrum, numbering: tuple[int, ...], crit: CritGraph) -> MaxPlusMatrix:
+    """a1, the skeleton layer carved out of a under numbering, given a's
+    spectrum sp and crit, crit(a) relabeled; it takes lambda(a) and crit
     when it holds no spectrum yet and every arc of crit lies on its
-    support, and computes only its own closure (see
-    spectral._inherit_critical).  A generator's a1 keeps its spectrum.
+    support, and a's closure, relabeled, when crit is one component on
+    every node (see spectral._inherit_closure), or else computes its own
+    (see spectral._inherit_critical).  A generator's a1 keeps its spectrum.
 
     Lemma.  a1 <= a, read in the numbering's positions, with equality on
     the support of a1.  So a1's cycles are cycles of a, of the same
     weights, and lambda(a1) <= lambda(a); and a's critical cycles, whose
     arcs all lie on that support, are cycles of a1.  Hence lambda(a1) =
     lambda(a), and the cycles of a1 of that mean are exactly the critical
-    cycles of a: crit(a1) = crit(a).
+    cycles of a: crit(a1) = crit(a).  When that is one component on every
+    node, a critical walk i -> j weighs P+(i, j), P = A - lambda, in a1
+    and in a alike, at any cyclicity (step 1 of csr._primitive_cover):
+    P+(a1) is P+(a) read under the numbering.
     """
     raw = a1.raw()
     if a1._spectrum is None and all(raw[i][j] is not None for i, j in crit.arcs):
-        _inherit_critical(a1, lam, crit)
+        if len(crit.nodes) == a1.n and len(crit.scc.components) == 1:
+            _inherit_closure(a1, sp, numbering, crit)
+        else:
+            _inherit_critical(a1, sp.lam, crit)
     return a1
 
 
@@ -707,7 +715,7 @@ def verify_crit_rc_wielandt(
         if not _support_check(praw, pattern).passed:
             continue
         a1, a2 = _carve(praw, pattern)
-        if _remainder_below_csr(_inherit_input(a1, sp.lam, relabeled), a2):
+        if _remainder_below_csr(_inherit_input(a1, sp, cand, relabeled), a2):
             return True
     return False
 

@@ -10,8 +10,10 @@ read off that closure; the CSR terms and both scans in `csr` read them
 instead of scaling again.  A matrix's spectrum is computed once: it is
 stored on the matrix and returned by every later call, or handed over
 when its caller has proven it: another matrix's, rescaled, or a lambda
-and a relabeled critical graph (see _inherit_spectrum, _rescaled,
-_inherit_critical and _relabeled, called by `extremal`).
+and a relabeled critical graph, with the closure relabeled too when
+that graph covers every node as one component (see _inherit_spectrum,
+_rescaled, _inherit_closure, _inherit_critical and _relabeled, called
+by `extremal`).
 The critical graph (all nodes and arcs of cycles attaining the maximum
 mean) is read off the closure: an arc (i, j) is critical exactly when
 it closes a zero-weight circuit, i.e. when a'_ij + (A'+)_ji = 0 for
@@ -181,10 +183,25 @@ def _inherit_spectrum(a: MaxPlusMatrix, sp: Spectrum) -> None:
 
 def _inherit_critical(a: MaxPlusMatrix, lam: MaxPlusScalar, crit: CritGraph) -> None:
     """Store on a the spectrum of cycle mean lam and critical graph crit,
-    both proven a's by its caller (see extremal._inherit_input); a's rows
-    of A - lambda, their closure and strong connectivity are its own."""
+    both proven a's by its caller (see extremal._inherit_input); it
+    computes only its own rows of A - lambda, their closure and strong
+    connectivity."""
     d, (rows,) = _scaled([a])
     a._spectrum = _finite_spectrum(d, rows, lam.value, crit)
+
+
+def _inherit_closure(a: MaxPlusMatrix, sp: Spectrum, numbering: tuple[int, ...], crit: CritGraph) -> None:
+    """Store on a sp's cycle mean, crit (sp.crit relabeled by numbering)
+    and sp's closure read under numbering, all proven a's by its caller
+    (see extremal._inherit_input); crit, one component on every node,
+    makes a strongly connected, and a's rows of A - lambda are its own.  a's scale d divides sp._d, and each
+    entry of the closure is a sum of a's arc weights less lambda's, so
+    dividing it by sp._d // d leaves no remainder."""
+    d, (rows,) = _scaled([a])
+    d, norm = _normalized(d, rows, sp.lam.value)
+    f = sp._d // d
+    closure = [[sp._closure[i][j] // f for j in numbering] for i in numbering]
+    a._spectrum = Spectrum(sp.lam, crit, True, d, norm, closure)
 
 
 def _rescaled(sp: Spectrum, d: int, norm: list[list]) -> Spectrum:

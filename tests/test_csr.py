@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import random
 import signal
@@ -1104,6 +1105,115 @@ def test_analyze_reads_T1_and_T_off_a_primitive_covering_critical_graph(monkeypa
         a = from_entries(max(i for i, _ in entries) + 1, entries)
         report, made, triple = check(a)
         assert (report.t, report.t1, report.crit_rc_transient) == (*expected, 1) and made == {} and triple is None
+
+
+def _masked_m(sp, k):
+    """(C, R) masked out of M = ((A - lambda)^gamma)^* at k's nodes, M from
+    a fresh closure of P^gamma, gamma = k.cyclicity, as int rows."""
+    n = len(sp._norm)
+    m = [row[:] for row in matrix._int_power(sp._norm, k.cyclicity)]
+    matrix._int_closure(m)
+    for i in range(n):
+        m[i][i] = 0
+    c = [[m[i][j] if j in k.nodes else None for j in range(n)] for i in range(n)]
+    return c, [[m[i][j] if i in k.nodes else None for j in range(n)] for i in range(n)]
+
+
+def _residue_by_chain(sp, k, t):
+    """C (S - lambda)^t R as int rows by the chain of products, t >= 1 taken
+    modulo gamma, C and R masked out of M (see _masked_m) and S - lambda
+    carved from the spectrum's rows at k's arcs."""
+    n = len(sp._norm)
+    c, r = _masked_m(sp, k)
+    s_norm = [[(j, sp._norm[i][j]) for j in range(n) if (i, j) in k.arcs] for i in range(n)]
+    for _ in range((t - 1) % k.cyclicity + 1):
+        c = matrix._int_mul(c, s_norm)
+    return matrix._int_mul(c, matrix._finite_entries(r))
+
+
+def test_a_primitive_cover_reads_each_residue_as_c_and_a_covering_triple_binds_c_and_r_to_m(monkeypatch):
+    # at a (sub)graph that meets csr._primitive_cover every residue is C,
+    # read with no product; at any (sub)graph on every node C = R = M.
+    # Planted inputs, n = 1..9 (see _planted_tight): the whole critical
+    # graph, built alone and as a subgraph, and each component, residues
+    # at t = 1..gamma + 1 against the chain of products on masked copies
+    # of M, and against the walk oracle for n <= 5; near misses (cyclicity
+    # > 1, one node off, two components) still take products
+    int_mul, calls = matrix._int_mul, Counter()
+    monkeypatch.setattr(csr, "_int_mul", lambda *args: calls.update(["_int_mul"]) or int_mul(*args))
+    rng = random.Random(2626)
+    kinds = Counter()
+    shapes = ("cover",) * 4 + ("bipartite", "two blocks", "one off")
+    for k_input in range(420):
+        shape = shapes[k_input % len(shapes)]
+        n = rng.randint(2, 9) // 2 * 2 if shape == "bipartite" else rng.randint(1 if shape == "cover" else 2, 9)
+        a, _ = _planted_tight(rng, n, shape)
+        sp = spectrum(a)
+        lam, d = sp.lam.value, sp._d
+        an = scalar_times(negate(sp.lam), a)
+        parts = [(sp.crit, lambda: build_csr(a)), (sp.crit, lambda: build_csr(a, sp.crit))]
+        parts += [(k, lambda k=k: build_csr(a, k)) for k in critical_components(sp.crit)]
+        for k, build in parts:
+            a._csr = None
+            triple = build()
+            c, r = _masked_m(sp, k)
+            assert triple._c == c and triple._r == r and triple.c.raw() == csr._unscaled(c, d).raw()
+            assert triple.r.raw() == csr._unscaled(r, d).raw()
+            assert (triple._c is triple._r) == (len(k.nodes) == n)
+            covered = csr._primitive_cover(k, n)
+            calls.clear()
+            for t in range(1, k.cyclicity + 2):
+                expected = _residue_by_chain(sp, k, t)
+                assert csr._residue(triple, t) == expected, render_matrix(a)
+                shifted = [[None if x is None else Fraction(x, d) + t * lam for x in row] for row in expected]
+                assert csr_at(triple, t).raw() == shifted
+                if covered:
+                    assert expected == c and csr._residue(triple, t) is triple._c
+                if n <= 5:
+                    walks = csr_walk_oracle(an, k.nodes, k.cyclicity, t, k.cyclicity * n + n)
+                    assert csr_at(triple, t).raw() == [[None if x is None else x + t * lam for x in row] for row in walks]
+            if covered:
+                assert calls["_int_mul"] == 0, render_matrix(a)
+                kinds["primitive cover"] += 1
+            else:
+                assert calls["_int_mul"] >= 2, render_matrix(a)
+                if len(sp.crit.scc.components) == 2:
+                    kinds["two components"] += 1
+                else:
+                    kinds["one node off" if len(k.nodes) < n else "cover, cyclicity > 1"] += 1
+    assert kinds["primitive cover"] >= 300 and min(kinds.values()) >= 60, kinds
+
+
+def test_rows_a_covering_triple_shares_are_never_written():
+    # C, R, M and the residues may be one list of rows (see the test
+    # above): reading .c, .r and csr_at, both sweeps, the ceiling check,
+    # the test at t = 1 and rescaling leave them, and the spectrum's
+    # closure, as they were.  Planted covers and generated instances
+    rng = random.Random(2627)
+    inputs = [_planted_tight(rng, rng.randint(1, 8), "cover")[0] for _ in range(60)]
+    inputs += [_planted_tight(rng, rng.randint(1, 4) * 2, "bipartite")[0] for _ in range(20)]
+    inputs += [generate_dm(n, g, 3) for n in range(3, 9) for g in range(2, n) if gcd(g, n) == 1]
+    inputs += [generate_wielandt(n, 3, case=case) for n in range(2, 9) for case in ("n-1", "n")]
+    kinds = Counter()
+    for a in inputs:
+        a = MaxPlusMatrix._from_raw(a.raw())
+        sp, triple = spectrum(a), build_csr(a)
+        assert triple._c is triple._r
+        kinds["residue is C" if csr._residue(triple, 1) is triple._c else "residue computed"] += 1
+        for t in range(2, triple.gamma + 1):
+            csr._residue(triple, t)
+        snapshot = [copy.deepcopy(x) for x in (triple._c, triple._r, triple._residues, sp._closure)]
+        for t in (1, 2, 3, triple.gamma + 1, 7):
+            assert triple.c.raw() == triple.r.raw() and csr_at(triple, t).n == a.n
+        csr._sweep(triple)
+        if sp._strongly_connected:
+            csr._sweep(triple, True)
+        csr._t1_at_ceiling(a, csr._ceiling(triple))
+        csr._below_csr_at_one(triple, [(i, j, Fraction(-10**6)) for i in range(a.n) for j in range(a.n)])
+        csr._rescaled(triple, sp)
+        csr._rescaled(triple, spectral._rescaled(sp, 3 * sp._d, spectral._times(sp._norm, 3)))
+        assert [triple._c, triple._r, triple._residues, sp._closure] == snapshot, render_matrix(a)
+    assert kinds["residue is C"] >= 50 and kinds["residue computed"] >= 20, kinds
 
 
 def test_a_deadline_fails_a_loop_that_never_ends():

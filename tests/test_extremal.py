@@ -40,7 +40,7 @@ from maxplus import (
     wielandt_skeleton,
     zeros,
 )
-from maxplus import digraph, extremal
+from maxplus import digraph, extremal, spectral
 from maxplus.extremal import SEARCH_LIMIT, a1_pattern, b1_pattern
 from conftest import rand_weight, random_cyclic_matrix, random_matrix, random_reducible
 from oracles import (
@@ -1000,30 +1000,38 @@ def _verdicts(a, numbering):
 
 def test_a_carved_skeleton_takes_the_inputs_lambda_and_critical_graph(monkeypatch):
     # the skeleton a1 a verifier carves takes lambda(a) and crit(a) exactly
-    # when every critical arc of a lies on its support, and what it stores
-    # then equals its own spectrum; the verdicts are those it gives when
-    # every a1 computes its own.  crit is crit(a) relabeled by the numbering
-    real, kinds = extremal._inherit_input, Counter()
+    # when every critical arc of a lies on its support, and a's closure,
+    # relabeled, with no closure of its own, exactly when crit(a) is also
+    # one component on every node; what it stores then equals its own
+    # spectrum, and the verdicts are those it gives when every a1
+    # computes its own.  crit is crit(a) relabeled by the numbering
+    real, kinds, closures, closure = extremal._inherit_input, Counter(), Counter(), spectral._int_closure
+    monkeypatch.setattr(spectral, "_int_closure", lambda rows: closures.update(["closed"]) or closure(rows))
 
-    def checked(a1, lam, crit):
+    def checked(a1, sp, numbering, crit):
         fresh = a1._spectrum is None
-        out = real(a1, lam, crit)
+        closures.clear()
+        out = real(a1, sp, numbering, crit)
         if fresh:
             if any(a1.raw()[i][j] is None for i, j in crit.arcs):
-                assert a1._spectrum is None
+                assert a1._spectrum is None and not closures
                 kinds["refused"] += 1
             else:
+                covers = len(crit.nodes) == a1.n and len(crit.scc.components) == 1
+                assert closures["closed"] == (not covers)
                 assert a1._spectrum is not None and spectrum_differences(a1) == []
-                kinds["inherited"] += 1
+                gamma = "gamma 1" if crit.cyclicity == 1 else "gamma > 1"
+                kinds[f"closure handed, {gamma}" if covers else "own closure"] += 1
                 kinds["not strongly connected"] += not a1._spectrum._strongly_connected
         return out
 
     inputs = _skeleton_inputs()
     monkeypatch.setattr(extremal, "_inherit_input", checked)
     verdicts = [_verdicts(a, numbering) for a, numbering in inputs]
-    monkeypatch.setattr(extremal, "_inherit_input", lambda a1, lam, crit: a1)
+    monkeypatch.setattr(extremal, "_inherit_input", lambda a1, sp, numbering, crit: a1)
     assert verdicts == [_verdicts(a, numbering) for a, numbering in inputs]
-    assert kinds["inherited"] >= 50 and kinds["refused"] >= 50 and kinds["not strongly connected"] >= 10, kinds
+    floors = {"closure handed, gamma 1": 100, "closure handed, gamma > 1": 100, "own closure": 50, "refused": 50}
+    assert all(kinds[path] >= floor for path, floor in floors.items()) and kinds["not strongly connected"] >= 10, kinds
 
 
 # ---------------------------------------------------------------------------
