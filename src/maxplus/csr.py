@@ -73,10 +73,9 @@ from .matrix import (
     _int_power,
     _unscaled,
     mat_mul,  # unused here; perfbench/test_bench.py reads csr.mat_mul
-    zeros,
 )
 from .semiring import BOTTOM, MaxPlusScalar, _check_exponent
-from .spectral import CritGraph, Spectrum, _times, spectrum
+from .spectral import CritGraph, spectrum
 
 
 @dataclass(eq=False)
@@ -86,14 +85,14 @@ class CsrTriple:
     crit is the critical (sub)graph that C, S and R were carved at, or
     None when the digraph is acyclic.  C and R are kept as int rows _c
     and _r, scaled by _d like the spectrum's rows _norm of A - lambda,
-    and the properties c and r convert them when read.  csr_at evaluates
+    and S as _s_norm, the finite entries of S - lambda on those rows;
+    the properties c, r and s convert them when read.  csr_at evaluates
     C S^t R for any t >= 1 from the residue C S^r R - r*lambda, r = t
     modulo gamma, which _residue computes on its first read from the
     chain _cs of C (S - lambda)^k, k = 0, 1, ..., grown only as far as
     it is read, and keeps in _residues.
     """
 
-    s: MaxPlusMatrix
     lam: MaxPlusScalar
     gamma: int
     crit: CritGraph | None = None
@@ -107,7 +106,7 @@ class CsrTriple:
 
     @property
     def n(self) -> int:
-        return self.s.n
+        return len(self._c)
 
     @property
     def c(self) -> MaxPlusMatrix:
@@ -116,6 +115,14 @@ class CsrTriple:
     @property
     def r(self) -> MaxPlusMatrix:
         return _unscaled(self._r, self._d)
+
+    @property
+    def s(self) -> MaxPlusMatrix:
+        rows = [[None] * self.n for _ in range(self.n)]
+        for i, row in enumerate(self._s_norm):  # no arcs when acyclic
+            for j, x in row:
+                rows[i][j] = Fraction(x, self._d) + self.lam.value
+        return MaxPlusMatrix._from_raw(rows)
 
 
 def build_csr(a: MaxPlusMatrix, subgraph: CritGraph | None = None) -> CsrTriple:
@@ -134,17 +141,18 @@ def build_csr(a: MaxPlusMatrix, subgraph: CritGraph | None = None) -> CsrTriple:
 
 
 def _build_csr(a: MaxPlusMatrix, subgraph: CritGraph | None) -> CsrTriple:
-    """The triple of a at k, the subgraph or the critical graph.  When k
-    has all n nodes, C and R are M's rows themselves, and so may be the
-    residues (see _residue): every reader only reads them, _sweep copies
-    the outer list, and _rescaled and the properties c, r make new rows."""
+    """The triple of a at k, the subgraph or the critical graph, read off
+    a's spectrum alone.  When k has all n nodes, C and R are M's rows
+    themselves, and so may be the residues (see _residue): every reader
+    only reads them, _sweep copies the outer list, and _inherit_triple
+    and the properties c, r make new rows."""
     sp = spectrum(a)
     n = a.n
     if sp.crit is None:
         if subgraph is not None:
             raise ValueError("no critical subgraph exists for an acyclic digraph")
         z = [[None] * n for _ in range(n)]
-        return CsrTriple(s=zeros(n), lam=BOTTOM, gamma=1, _c=z, _r=z)
+        return CsrTriple(lam=BOTTOM, gamma=1, _c=z, _r=z)
     k = sp.crit if subgraph is None else subgraph
     if not k.arcs <= sp.crit.arcs:
         raise ValueError("subgraph is not contained in the critical graph")
@@ -162,11 +170,7 @@ def _build_csr(a: MaxPlusMatrix, subgraph: CritGraph | None) -> CsrTriple:
         c = [[m[i][j] if j in k.nodes else None for j in range(n)] for i in range(n)]
         r = [[m[i][j] if i in k.nodes else None for j in range(n)] for i in range(n)]
     s_norm = [[(j, norm[i][j]) for j in range(n) if (i, j) in k.arcs] for i in range(n)]
-    araw = a.raw()
-    s = [[araw[i][j] if (i, j) in k.arcs else None for j in range(n)] for i in range(n)]
-    return CsrTriple(
-        MaxPlusMatrix._from_raw(s), sp.lam, k.cyclicity, k, _d=sp._d, _norm=norm, _c=c, _r=r, _s_norm=s_norm, _cs=[c]
-    )
+    return CsrTriple(sp.lam, k.cyclicity, k, _d=sp._d, _norm=norm, _c=c, _r=r, _s_norm=s_norm, _cs=[c])
 
 
 def _residue(triple: CsrTriple, t: int) -> list[list]:
@@ -222,20 +226,18 @@ def _below_csr_at_one(triple: CsrTriple, entries: list[tuple[int, int, Fraction]
 
 
 def _inherit_triple(a: MaxPlusMatrix, triple: CsrTriple) -> None:
-    """Store triple on a, rescaled to a's inherited spectrum (see _rescaled)."""
-    a._csr = _rescaled(triple, spectrum(a))
-
-
-def _rescaled(triple: CsrTriple, sp: Spectrum) -> CsrTriple:
-    """triple at the scale of sp, a multiple of the triple's, for a matrix
-    of the triple's lambda, critical graph and M: every int row, residues
-    too, is multiplied by sp._d // triple._d; the rows of A - lambda are sp's."""
-    f = sp._d // triple._d
-    cs = [_times(rows, f) for rows in triple._cs]
-    return CsrTriple(
-        s=triple.s, lam=triple.lam, gamma=triple.gamma, crit=triple.crit, _d=sp._d, _norm=sp._norm, _c=cs[0],
-        _r=_times(triple._r, f), _s_norm=[[(j, x * f) for j, x in row] for row in triple._s_norm], _cs=cs,
-        _residues={k: _times(rows, f) for k, rows in triple._residues.items()},
+    """Store triple on a, of its lambda, critical graph and M (see
+    extremal._inherit_skeleton), at the scale of a's spectrum: each list
+    of int rows is multiplied by sp._d // triple._d once, so lists shared
+    in triple (C = R = M, a residue = C) stay shared, to be read only."""
+    sp = spectrum(a)
+    f, distinct = sp._d // triple._d, {id(rows): rows for rows in (*triple._cs, triple._r, *triple._residues.values())}
+    scaled = {key: [[None if x is None else x * f for x in row] for row in rows] for key, rows in distinct.items()}
+    a._csr = CsrTriple(
+        lam=triple.lam, gamma=triple.gamma, crit=triple.crit, _d=sp._d, _norm=sp._norm, _c=scaled[id(triple._c)],
+        _r=scaled[id(triple._r)], _s_norm=[[(j, x * f) for j, x in row] for row in triple._s_norm],
+        _cs=[scaled[id(rows)] for rows in triple._cs],
+        _residues={k: scaled[id(rows)] for k, rows in triple._residues.items()},
     )
 
 

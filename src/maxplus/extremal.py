@@ -34,8 +34,8 @@ a1's spectrum and triple (see _inherit_skeleton): one spectrum a matrix.
 A skeleton a1 that a verifier carves out of any other input takes the
 input's lambda and critical graph, and its closure when that graph is
 one component on every node (see _inherit_input).  This module only
-proves and checks the hypotheses of these hand-overs; `spectral` and
-`csr` rescale and relabel what they hand over.
+proves and checks the hypotheses of these hand-overs, with one call per
+memo; `spectral` and `csr` rescale and relabel what they hand over.
 
 Node indices are 0-based throughout; a numbering is a permutation tuple
 ``sigma`` placing original node ``sigma[p]`` at position ``p``.
@@ -55,7 +55,7 @@ from .csr import _t1_at_ceiling, build_csr
 from .digraph import _cycles, _successors, _support
 from .matrix import MaxPlusMatrix, _finite_entries, _int_mul, _scaled, from_entries
 from .semiring import MaxPlusScalar, _check_exponent
-from .spectral import CritGraph, Spectrum, _cyclic_spectrum, _inherit_closure, _inherit_critical, _inherit_spectrum
+from .spectral import CritGraph, Spectrum, _cyclic_spectrum, _inherit_critical, _inherit_spectrum
 from .spectral import _relabeled, critical_graph, spectrum
 
 SEARCH_LIMIT = 10  # the pruned cycle search still lists every cycle tied below lambda, as beside a heavier loop
@@ -551,7 +551,7 @@ def _inherit_input(a1: MaxPlusMatrix, sp: Spectrum, numbering: tuple[int, ...], 
     spectrum sp and crit, crit(a) relabeled; it takes lambda(a) and crit
     when it holds no spectrum yet and every arc of crit lies on its
     support, and a's closure, relabeled, when crit is one component on
-    every node (see spectral._inherit_closure), or else computes its own
+    every node (see spectral._inherit_spectrum), or else computes its own
     (see spectral._inherit_critical).  A generator's a1 keeps its spectrum.
 
     Lemma.  a1 <= a, read in the numbering's positions, with equality on
@@ -567,7 +567,7 @@ def _inherit_input(a1: MaxPlusMatrix, sp: Spectrum, numbering: tuple[int, ...], 
     raw = a1.raw()
     if a1._spectrum is None and all(raw[i][j] is not None for i, j in crit.arcs):
         if len(crit.nodes) == a1.n and len(crit.scc.components) == 1:
-            _inherit_closure(a1, sp, numbering, crit)
+            _inherit_spectrum(a1, sp, numbering, crit)
         else:
             _inherit_critical(a1, sp.lam, crit)
     return a1
@@ -625,7 +625,7 @@ def _inherit_skeleton(candidate: MaxPlusMatrix, a1: MaxPlusMatrix) -> None:
       so every residue C S^r R - r*lam is a1's too.
 
     Scale: a1's entries are among candidate's, so a1's scale divides
-    candidate's, to which a1's memos are rescaled (see csr._rescaled).
+    candidate's, to which a1's memos are brought (see _inherit_triple).
     """
     triple = build_csr(a1)
     if triple.crit is None:
@@ -925,9 +925,10 @@ def twice_optimal_walk(
     Considers walks through the unique critical g-cycle, g the critical
     girth; among those with length congruent to t it maximizes the exact
     weight and then minimizes the length.  Returns None when no such walk
-    exists.  Walk lengths are capped at g*n + n - g - 1: any longer walk
-    reduces, by removing and reinserting cycles of the critical g-cycle,
-    to one within the cap with the same residue and at least the weight.
+    exists.  Walk lengths are capped at max(g*n + n - g - 1, g): for n >= 2
+    any longer walk reduces, by removing and reinserting cycles of the
+    critical g-cycle, to one within the cap with the same residue and at
+    least the weight; at n = 1 the walks circle the loop, of length g = 1.
     """
     n = a.n
     if n > _WALK_LIMIT:
@@ -951,7 +952,7 @@ def twice_optimal_walk(
     norm = sp._norm
     arcs = [(u, v, w) for u, row in enumerate(norm) for v, w in enumerate(row) if w is not None]
 
-    cap = g * n + n - g - 1
+    cap = max(g * n + n - g - 1, g)
     # dp[l][v][flag]: best weight in norm, the spectrum's rows d(A - lambda),
     # of a length-l walk from i to v, flag marking whether a node of the
     # critical cycle was visited.

@@ -9,11 +9,10 @@ closure A'+ and whether the digraph is strongly connected, which is
 read off that closure; the CSR terms and both scans in `csr` read them
 instead of scaling again.  A matrix's spectrum is computed once: it is
 stored on the matrix and returned by every later call, or handed over
-when its caller has proven it: another matrix's, rescaled, or a lambda
-and a relabeled critical graph, with the closure relabeled too when
-that graph covers every node as one component (see _inherit_spectrum,
-_rescaled, _inherit_closure, _inherit_critical and _relabeled, called
-by `extremal`).
+when its caller has proven it: another matrix's, brought to its scale
+and read under a numbering (see _inherit_spectrum), or a lambda and a
+relabeled critical graph with a closure of its own (see
+_inherit_critical and _relabeled, called by `extremal`).
 The critical graph (all nodes and arcs of cycles attaining the maximum
 mean) is read off the closure: an arc (i, j) is critical exactly when
 it closes a zero-weight circuit, i.e. when a'_ij + (A'+)_ji = 0 for
@@ -173,12 +172,21 @@ def _finite_spectrum(d: int, rows: list[list], lam: Fraction, crit: CritGraph | 
     return Spectrum(MaxPlusScalar(lam), crit, strongly_connected, d_lam, norm, closure)
 
 
-def _inherit_spectrum(a: MaxPlusMatrix, sp: Spectrum) -> None:
-    """Store sp on a at a's scale, a multiple of sp._d; the caller has
-    proven sp's lambda, critical graph, strong connectivity and closure
-    a's (see extremal._inherit_skeleton).  The rows of A - lambda are a's."""
+def _inherit_spectrum(a: MaxPlusMatrix, sp: Spectrum, numbering: tuple | None = None, crit: CritGraph | None = None):
+    """Store on a sp's lambda, critical graph (or crit, it relabeled by
+    numbering), strong connectivity and closure read under numbering, all
+    proven a's by its caller (see extremal._inherit_skeleton and
+    _inherit_input); a's rows of A - lambda are its own.  The closure
+    comes to a's scale d as x * d // sp._d, exact whether d is a multiple
+    of sp._d (a candidate) or divides it (a carved skeleton): x = sp._d * w,
+    w the weight of a walk of a in A - lambda, and d * w is an int."""
     d, (rows,) = _scaled([a])
-    a._spectrum = _rescaled(sp, *_normalized(d, rows, sp.lam.value))
+    d, norm = _normalized(d, rows, sp.lam.value)
+    order = range(a.n) if numbering is None else numbering
+    closure = [[None if (x := sp._closure[i][j]) is None else x * d // sp._d for j in order] for i in order]
+    a._spectrum = Spectrum(
+        lam=sp.lam, crit=crit or sp.crit, _strongly_connected=sp._strongly_connected, _d=d, _norm=norm, _closure=closure
+    )
 
 
 def _inherit_critical(a: MaxPlusMatrix, lam: MaxPlusScalar, crit: CritGraph) -> None:
@@ -188,34 +196,6 @@ def _inherit_critical(a: MaxPlusMatrix, lam: MaxPlusScalar, crit: CritGraph) -> 
     connectivity."""
     d, (rows,) = _scaled([a])
     a._spectrum = _finite_spectrum(d, rows, lam.value, crit)
-
-
-def _inherit_closure(a: MaxPlusMatrix, sp: Spectrum, numbering: tuple[int, ...], crit: CritGraph) -> None:
-    """Store on a sp's cycle mean, crit (sp.crit relabeled by numbering)
-    and sp's closure read under numbering, all proven a's by its caller
-    (see extremal._inherit_input); crit, one component on every node,
-    makes a strongly connected, and a's rows of A - lambda are its own.  a's scale d divides sp._d, and each
-    entry of the closure is a sum of a's arc weights less lambda's, so
-    dividing it by sp._d // d leaves no remainder."""
-    d, (rows,) = _scaled([a])
-    d, norm = _normalized(d, rows, sp.lam.value)
-    f = sp._d // d
-    closure = [[sp._closure[i][j] // f for j in numbering] for i in numbering]
-    a._spectrum = Spectrum(sp.lam, crit, True, d, norm, closure)
-
-
-def _rescaled(sp: Spectrum, d: int, norm: list[list]) -> Spectrum:
-    """sp at the scale d, a multiple of sp._d, with norm the rows of
-    A - lambda scaled by d: the closure is multiplied by d // sp._d."""
-    closure = _times(sp._closure, d // sp._d)
-    return Spectrum(
-        lam=sp.lam, crit=sp.crit, _strongly_connected=sp._strongly_connected, _d=d, _norm=norm, _closure=closure
-    )
-
-
-def _times(rows: list[list], f: int) -> list[list]:
-    """Int-or-None rows with every finite entry multiplied by f."""
-    return [[None if x is None else x * f for x in row] for row in rows]
 
 
 def _relabeled(crit: CritGraph, numbering: tuple[int, ...]) -> CritGraph:

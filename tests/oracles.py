@@ -39,6 +39,12 @@ the spectrum alone.  boolean_index_int is the critical graph's index as
 the library computed it before it ran on bit rows: csr._transient on
 each component's 0/-inf rows in the int kernel, against the residues in
 closed form of class_residue.
+twice_optimal_walks_brute is the walk oracle's DP from the elementary
+cycles and best_walks_through, with a longer length cap than the
+library's.  successor_set_index finds the index, period and girth of a
+0/-inf matrix from the definitions alone, by stepping the sets of walk
+ends until they repeat; unweighted_disagreements compares analyze, the
+crit-rc profile and the four verdicts with it.
 """
 
 from __future__ import annotations
@@ -55,8 +61,10 @@ from maxplus import (
     digraph,
     spectral,
     MaxPlusScalar,
+    analyze,
     apply_numbering,
     build_csr,
+    crit_row_col_profile,
     critical_graph,
     csr_at,
     decompose,
@@ -64,6 +72,10 @@ from maxplus import (
     mat_power,
     max_cycle_mean,
     strictly_dominated_by,
+    verify_crit_rc_dm,
+    verify_crit_rc_wielandt,
+    verify_dm,
+    verify_wielandt,
     wielandt_bound,
 )
 
@@ -647,3 +659,84 @@ def boolean_index_int(crit):
         residue = class_residue([levels[i] for i in nodes], comp.cyclicity)
         worst = max(worst, csr._transient(rows, 0, csr._int_identity(len(nodes)), residue))
     return worst
+
+
+def twice_optimal_walks_brute(a):
+    """{(i, j, r): (weight, length)} of the twice-optimal walk from i to j
+    of length = r modulo g, r = 0..g-1, for every pair that has one, or
+    None when no critical g-cycle is unique; g is the critical girth (the
+    largest of its components'), the cycle found among the elementary
+    cycles.  best_walks_through that cycle on A - lambda, lengths 1 to
+    (g + 1)*n + g, past the library's cap, gives the best weight in
+    A - lambda, then the least length; the weight is returned in A's
+    units."""
+    lam, (g, _) = max_cycle_mean_brute(a), critical_girth_cyclicity_brute(a)
+    short = [nodes for nodes, w in cycles_by_permutations(a).items() if len(nodes) == g and w == lam * g]
+    if len(short) != 1:
+        return None
+    shifted = MaxPlusMatrix([[None if x is None else x - lam for x in row] for row in a.raw()])
+    cap = (g + 1) * a.n + g
+    table, best = best_walks_through(shifted, set(short[0]), cap), {}
+    for length in range(1, cap + 1):
+        for i, row in enumerate(table[length]):
+            for j, x in enumerate(row):
+                key = (i, j, length % g)
+                if x is not None and (key not in best or x > best[key][0]):
+                    best[key] = (x, length)
+    return {key: (x + length * lam, length) for key, (x, length) in best.items()}
+
+
+def successor_set_index(n, mask):
+    """(T, gamma, g) of the 0/-inf matrix whose arc (i, j) is bit i*n + j of
+    mask, from the definitions alone, or None unless it is strongly
+    connected (every node reaches every node by a walk of length >= 1).
+
+    Entry (i, j) of A^t is 0 exactly when a walk of length t leads from i
+    to j, so A^t is the tuple of the sets of ends of the walks of length t
+    from each node.  Stepping it from A^0 = I until the tuple repeats,
+    first at A^(s+p) = A^s, gives T = s and the period p, which is gamma
+    for a strongly connected digraph; g is the least t >= 1 at which some
+    node is among its own ends."""
+    succ = [frozenset(j for j in range(n) if mask >> (i * n + j) & 1) for i in range(n)]
+    reach, seen, girth, reached = tuple(frozenset({i}) for i in range(n)), {}, None, [set() for _ in range(n)]
+    for t in count():
+        if reach in seen:
+            return (seen[reach], t - seen[reach], girth) if all(len(r) == n for r in reached) else None
+        seen[reach] = t
+        reach = tuple(frozenset().union(*(succ[k] for k in ends)) for ends in reach)
+        for i, ends in enumerate(reach):
+            reached[i] |= ends
+            if girth is None and i in ends:
+                girth = t + 1
+
+
+def unweighted_disagreements(n, mask):
+    """Where the library departs from successor_set_index on the 0/-inf
+    matrix of mask, or None unless it is strongly connected: analyze's T,
+    T1 = max(T, 1) and gamma; verify_wielandt(a).holds == (T1 == Wi(n))
+    for n >= 2; verify_dm(a).holds == (T1 == DM(g, n)) for g >= 2; and
+    verify_crit_rc_wielandt (n >= 2) and verify_crit_rc_dm against
+    crit_row_col_profile's overall == the bound, that overall being T1, as
+    every node is critical.  Wi(n) = (n - 1)^2 + 1 and DM(g, n) = n +
+    g*(n - 2) are written out here.  The documented 2x2 exception, where
+    verify_dm fails with T1 = DM(2, 2), needs a loop that is not critical,
+    which a 0/-inf strongly connected matrix has not: every arc is
+    critical; it is named so that a case of it would show."""
+    index = successor_set_index(n, mask)
+    if index is None:
+        return None
+    big_t, gamma, g = index
+    t1, wi, dm = max(big_t, 1), (n - 1) ** 2 + 1, n + g * (n - 2)
+    a = MaxPlusMatrix([[0 if mask >> (i * n + j) & 1 else None for j in range(n)] for i in range(n)])
+    report = analyze(MaxPlusMatrix(a.raw()))
+    overall, _, _ = crit_row_col_profile(MaxPlusMatrix(a.raw()))
+    found = [] if (report.t, report.t1, report.gamma, report.g) == (big_t, t1, gamma, g) else ["analyze"]
+    found += [] if overall == t1 else ["crit_row_col_profile"]
+    found += [] if verify_crit_rc_dm(MaxPlusMatrix(a.raw())) == (overall == dm) else ["verify_crit_rc_dm"]
+    if n >= 2:
+        found += [] if verify_wielandt(MaxPlusMatrix(a.raw())).holds == (t1 == wi) else ["verify_wielandt"]
+        found += [] if verify_crit_rc_wielandt(MaxPlusMatrix(a.raw())) == (overall == wi) else ["verify_crit_rc_wielandt"]
+    if g >= 2:
+        exception = n == 2 and t1 == dm  # the 2x2 case: verify_dm does not hold there
+        found += [] if verify_dm(MaxPlusMatrix(a.raw())).holds == (t1 == dm and not exception) else ["verify_dm"]
+    return found

@@ -478,15 +478,18 @@ def _refusals(rng, a1, raw):
 
 
 def test_rescaled_builds_its_dataclass_with_every_field_by_name(monkeypatch):
-    # spectral._rescaled and csr._rescaled name each field of Spectrum and
-    # CsrTriple: a field added to either and not handled there fails here,
-    # instead of being left at its default, a stale memo on the candidate
+    # spectral._inherit_spectrum and csr._inherit_triple name each field of
+    # Spectrum and CsrTriple: a field added to either and not handled there
+    # fails here, instead of being left at its default, a stale memo on the
+    # matrix that inherits
     a = random_cyclic_matrix(random.Random(22), 6)
-    sp, triple = spectrum(a), build_csr(a)
+    sp, triple, b = spectrum(a), build_csr(a), MaxPlusMatrix(a.raw())
     csr._residue(triple, 1)
+    numbering = tuple(range(a.n))
     for module, cls, rescale in (
-        (spectral, spectral.Spectrum, lambda: spectral._rescaled(sp, 2 * sp._d, sp._norm)),
-        (csr, csr.CsrTriple, lambda: csr._rescaled(triple, sp)),
+        (spectral, spectral.Spectrum, lambda: spectral._inherit_spectrum(b, sp)),
+        (spectral, spectral.Spectrum, lambda: spectral._inherit_spectrum(b, sp, numbering, sp.crit)),
+        (csr, csr.CsrTriple, lambda: csr._inherit_triple(b, triple)),
     ):
         calls = []
 
@@ -1187,8 +1190,11 @@ def test_a_primitive_cover_reads_each_residue_as_c_and_a_covering_triple_binds_c
 def test_rows_a_covering_triple_shares_are_never_written():
     # C, R, M and the residues may be one list of rows (see the test
     # above): reading .c, .r and csr_at, both sweeps, the ceiling check,
-    # the test at t = 1 and rescaling leave them, and the spectrum's
-    # closure, as they were.  Planted covers and generated instances
+    # the test at t = 1 and handing the triple over at a scale factor of
+    # 1 and of 3 leave them, and the spectrum's closure, as they were.
+    # The triple handed over holds new rows, shared as the source's are,
+    # each the source's times the factor.  Planted covers and generated
+    # instances
     rng = random.Random(2627)
     inputs = [_planted_tight(rng, rng.randint(1, 8), "cover")[0] for _ in range(60)]
     inputs += [_planted_tight(rng, rng.randint(1, 4) * 2, "bipartite")[0] for _ in range(20)]
@@ -1210,10 +1216,62 @@ def test_rows_a_covering_triple_shares_are_never_written():
             csr._sweep(triple, True)
         csr._t1_at_ceiling(a, csr._ceiling(triple))
         csr._below_csr_at_one(triple, [(i, j, Fraction(-10**6)) for i in range(a.n) for j in range(a.n)])
-        csr._rescaled(triple, sp)
-        csr._rescaled(triple, spectral._rescaled(sp, 3 * sp._d, spectral._times(sp._norm, 3)))
+        for f in (1, 3):
+            b = MaxPlusMatrix._from_raw(a.raw())
+            b._spectrum = dataclasses.replace(sp, _d=f * sp._d, _norm=_times(sp._norm, f))
+            csr._inherit_triple(b, triple)
+            held = b._csr
+            assert held._c is held._r and held._c is not triple._c and held._c == _times(triple._c, f)
+            for t, rows in triple._residues.items():
+                assert held._residues[t] == _times(rows, f) and (held._residues[t] is held._c) == (rows is triple._c)
         assert [triple._c, triple._r, triple._residues, sp._closure] == snapshot, render_matrix(a)
     assert kinds["residue is C"] >= 50 and kinds["residue computed"] >= 20, kinds
+
+
+def _times(rows, f):
+    return [[None if x is None else x * f for x in row] for row in rows]
+
+
+def test_a_covering_candidate_holds_its_skeletons_rows_as_one_list():
+    # a generated candidate whose critical graph covers every node as one
+    # component inherits C = R = M as one list, and at cyclicity 1 its
+    # residue at t = 1, read on the skeleton while sampling, is that list
+    # too; what it holds equals a fresh computation
+    generated = [generate_dm(n, g, seed) for n in range(3, 10) for g in range(2, n) if gcd(g, n) == 1 for seed in range(2)]
+    generated += [generate_wielandt(n, seed, case=case) for n in range(2, 10) for case in ("n-1", "n") for seed in range(2)]
+    kinds = Counter()
+    for a in generated:
+        crit = a._csr.crit
+        if len(crit.nodes) < a.n or len(crit.scc.components) > 1:
+            kinds["no cover"] += 1
+            continue
+        assert a._csr._c is a._csr._r, render_matrix(a)
+        if csr._primitive_cover(crit, a.n):
+            assert a._csr._residues[1] is a._csr._c, render_matrix(a)
+            kinds["primitive cover"] += 1
+        else:
+            kinds["cover, cyclicity > 1"] += 1
+        assert memo_differences(a) == [], render_matrix(a)
+    assert kinds["primitive cover"] >= 50 and kinds["cover, cyclicity > 1"] >= 10, kinds
+
+
+def test_s_holds_the_entries_of_a_on_the_arcs_it_was_carved_at(rng):
+    # S is read off the triple's rows of S - lambda; it equals a's entries
+    # on the arcs of the critical graph, or of the subgraph it was built at
+    kinds = Counter()
+    for _ in range(150):
+        a = random_matrix(rng, rng.randint(1, 6))
+        crit = spectrum(a).crit
+        if crit is None:
+            assert build_csr(a).s == zeros(a.n)
+            kinds["acyclic"] += 1
+            continue
+        for k in [None, *critical_components(crit)]:
+            arcs = crit.arcs if k is None else k.arcs
+            expected = [[x if (i, j) in arcs else None for j, x in enumerate(row)] for i, row in enumerate(a.raw())]
+            assert build_csr(MaxPlusMatrix(a.raw()), k).s.raw() == expected, render_matrix(a)
+            kinds["whole graph" if k is None else "component"] += 1
+    assert min(kinds.values()) >= 10, kinds
 
 
 def test_a_deadline_fails_a_loop_that_never_ends():

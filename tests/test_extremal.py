@@ -4,6 +4,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -49,6 +50,8 @@ from oracles import (
     residue_chords_brute,
     sample_remainder_fractions,
     spectrum_differences,
+    twice_optimal_walks_brute,
+    unweighted_disagreements,
 )
 
 N = None
@@ -1123,6 +1126,54 @@ def test_oracle_weight_is_the_weight_of_its_walk():
         assert (walk.length - t) % critical_graph(a).girth == 0
         found += max_cycle_mean(a).value != 0
     assert found >= 30
+
+
+def test_the_walk_oracle_matches_a_brute_force_dp_up_to_n_4():
+    # twice_optimal_walk against oracles.twice_optimal_walks_brute, which
+    # takes the critical g-cycle from the elementary cycles and runs past
+    # the library's length cap: every (i, j) and t = 1..g, on 1x1 loops,
+    # where that cap g*n + n - g - 1 is 0, and random matrices, n = 1..4;
+    # where the cycle is not unique both refuse
+    rng = random.Random(2727)
+    inputs = [MaxPlusMatrix([[x]]) for x in (0, 3, Fraction(-5, 2))]
+    inputs += [MaxPlusMatrix([[0] * n for _ in range(n)]) for n in (2, 3, 4)]  # n critical loops
+    inputs += [from_entries(4, {(0, 1): 0, (1, 0): 0, (2, 3): 0, (3, 2): 0})]  # two critical 2-cycles
+    inputs += [random_cyclic_matrix(rng, rng.randint(1, 4), density=rng.choice((0.3, 0.6))) for _ in range(150)]
+    kinds = Counter()
+    for a in inputs:
+        expected = twice_optimal_walks_brute(a)
+        g = critical_graph(a).girth
+        for i, j, t in product(range(a.n), range(a.n), range(1, g + 1)):
+            try:
+                walk = twice_optimal_walk(a, i, j, t)
+            except ValueError:  # no unique critical g-cycle
+                assert expected is None
+                kinds["refused"] += 1
+                break
+            got = None if walk is None else (walk.weight.value, walk.length)
+            assert got == expected.get((i, j, t % g)), (render_matrix(a), i, j, t)
+            if walk is not None:
+                raw = a.raw()
+                assert (walk.nodes[0], walk.nodes[-1], len(walk.nodes)) == (i, j, walk.length + 1)
+                assert walk.weight.value == sum(raw[u][v] for u, v in zip(walk.nodes, walk.nodes[1:]))
+            kinds["none" if walk is None else f"walk, n = {a.n}" if a.n == 1 else "walk"] += 1
+    assert kinds["walk, n = 1"] >= 20 and kinds["walk"] >= 500 and kinds["none"] >= 200 and kinds["refused"] >= 5, kinds
+
+
+def test_unweighted_digraphs_agree_with_their_successor_set_index():
+    # every 0/-inf matrix with n <= 3 and every 13th mask at n = 4 (an odd
+    # stride: a power of two would leave row 0 empty, and no input strongly
+    # connected); on the strongly connected ones analyze's T, T1 and gamma,
+    # the crit-rc profile and the four verdicts must follow from the index
+    # found by stepping sets of walk ends, nothing taken from the library
+    # (see oracles.unweighted_disagreements).  The one disagreement is
+    # pinned: on the 1x1 loop verify_crit_rc_dm holds, comparing the index
+    # 0 with DM(1, 1) = 0, while the crit-rc transient is T1 = 1
+    masks = [(n, mask) for n in (1, 2, 3) for mask in range(1 << n * n)] + [(4, mask) for mask in range(0, 1 << 16, 13)]
+    found = {(n, mask): unweighted_disagreements(n, mask) for n, mask in masks}
+    strongly_connected = {key: diffs for key, diffs in found.items() if diffs is not None}
+    assert len(strongly_connected) == 2126
+    assert {key: diffs for key, diffs in strongly_connected.items() if diffs} == {(1, 1): ["verify_crit_rc_dm"]}
 
 
 def test_the_walk_oracle_takes_int_t_and_endpoints_only():
