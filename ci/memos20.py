@@ -4,7 +4,8 @@ skeletons inherit.
     PYTHONPATH=src:tests python ci/memos20.py
 
 The four instances of ci/instances20.py, as generated: what each
-inherits from its skeleton, rescaled, equals a fresh computation.  Each
+inherits from its skeleton, rescaled, equals a fresh computation, and
+at cyclicity 1 its triple's M is its spectrum's closure itself.  Each
 skeleton a1 that a verdict on a parsed copy carves and that takes the
 input's lambda and critical graph, relabeled, holds the spectrum it
 would compute for itself.  All four critical graphs are one component on
@@ -43,6 +44,8 @@ extremal._inherit_input = checked
 for name, a in [("dm 19", generate_dm(20, 19, 0)), ("dm 3", generate_dm(20, 3, 0)),
                 ("wielandt n-1", generate_wielandt(20, 0, case="n-1")), ("wielandt n", generate_wielandt(20, 0, case="n"))]:
     diffs = memo_differences(a)
+    if (a._csr._m is a._spectrum._closure) != (a._csr.gamma == 1):
+        diffs.append(f"M {'is not' if a._csr.gamma == 1 else 'is'} the spectrum's closure at cyclicity {a._csr.gamma}")
     parsed, identity = MaxPlusMatrix(a.raw()), tuple(range(20))
     verify = extremal.verify_dm if name.startswith("dm") else extremal.verify_wielandt
     before = len(inherited)

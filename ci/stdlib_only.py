@@ -8,7 +8,8 @@
   post-verification: every coprime (g, n) and both Wielandt cases up to
   n = 20, past the unit-test sizes.  The candidate inherits its
   skeleton's spectrum and CSR triple; they must equal spectrum and
-  build_csr run on a copy with empty memos, every residue k <= gamma too.
+  build_csr run on a copy with empty memos, every residue k <= gamma too,
+  and at cyclicity 1 the triple's M must be the spectrum's closure itself.
 - A usage error exits 1 (argparse's error paths differ between versions).
 - The numbering searches at the size limit (SEARCH_LIMIT = 10), with no
   --numbering.
@@ -45,7 +46,12 @@ def generated() -> None:
         if diffs := memo_differences(a):
             print(f"n = {a.n}: inherited {diffs} differ from a fresh computation")
             sys.exit(1)
-    print(f"every inherited spectrum and triple equals a fresh computation ({time.time() - start:.1f} s)")
+        if (a._csr._m is a._spectrum._closure) != (a._csr.gamma == 1):
+            print(f"n = {a.n}: at cyclicity {a._csr.gamma} M is {'' if a._csr.gamma > 1 else 'not '}the spectrum's closure")
+            sys.exit(1)
+    shared = sum(a._csr.gamma == 1 for a in dm + wi)
+    print(f"every inherited spectrum and triple equals a fresh computation, {shared} at cyclicity 1 with M the "
+          f"spectrum's closure ({time.time() - start:.1f} s)")
 
 
 def main(tmp: Path) -> None:

@@ -1,11 +1,12 @@
 """CSR terms, the Nachtigall matrix, weak expansion thresholds, transients.
 
 For a matrix with finite maximum cycle mean lambda and critical graph of
-cyclicity gamma, the CSR triple is carved out of
-M = ((lambda^-1 * A)^gamma)^*: C keeps the columns of M at critical
-nodes, R the rows of M at critical nodes, and S the entries of A on the
-critical arcs.  C S^t R is then purely pseudoperiodic in t with period
-gamma (up to a lambda^gamma shift), and the weak expansion
+cyclicity gamma, the CSR triple is carved out of M, the closure of
+(lambda^-1 * A)^gamma: C keeps the columns of M at critical nodes, R
+the rows of M at critical nodes (M is 0 at (k, k), k critical, as the
+Kleene star is), and S the entries of A on the critical arcs.  C S^t R
+is then purely pseudoperiodic in t with period gamma (up to a
+lambda^gamma shift), and the weak expansion
 
     A^t = C S^t R  (+)  B^t
 
@@ -39,18 +40,18 @@ convention and B = A, so the expansion holds trivially from t = 1.
 Everything here works on the scaled integer rows of A - lambda that
 `spectrum` computed, the one place that scales A with lambda: M, the
 gamma residues C S^r R - r*lambda, and the powers of A - lambda in the
-sweep.  At gamma = 1, M = I (+) (A - lambda)+ comes from the closure
-the spectrum kept; at gamma > 1 it is the closure of (A - lambda)^gamma,
-that power taken by repeated squaring.  t*lambda thereby drops out of
-every comparison, and only the public C, R and the values csr_at
-returns are converted back to Fractions.
+sweep.  At gamma = 1, M is the closure P+ of P = A - lambda that the
+spectrum kept; at gamma > 1 it is the closure of P^gamma, that power
+taken by repeated squaring.  t*lambda thereby drops out of every
+comparison, and only the public C, S, R and the values csr_at returns
+are converted back to Fractions.
 
-A triple is built only as far as it is read.  build_csr computes M and
-keeps C and R as int rows, M's own rows when every node is critical; C
-and R become Fraction matrices when the properties are read, and each
-residue is computed the first time csr_at or the sweep reads it, or is
-C's rows, with no product, when _primitive_cover holds.  The triple of
-a matrix's whole critical graph is built once per matrix and stored on
+A triple is built only as far as it is read: build_csr computes M
+alone, C, S and R are carved when the properties are read, and each
+residue the first time csr_at or the sweep reads it, as C R at r =
+gamma and as one product by P of the one before elsewhere (see
+_residue), or as M itself when _primitive_cover holds.  The triple of a
+matrix's whole critical graph is built once per matrix and stored on
 it, like its spectrum, or inherited with it (see _inherit_triple).
 C S^t R is read as int rows (_int_csr_at).
 """
@@ -83,14 +84,13 @@ class CsrTriple:
     """The matrices C, S, R with the cycle mean and defining cyclicity.
 
     crit is the critical (sub)graph that C, S and R were carved at, or
-    None when the digraph is acyclic.  C and R are kept as int rows _c
-    and _r, scaled by _d like the spectrum's rows _norm of A - lambda,
-    and S as _s_norm, the finite entries of S - lambda on those rows;
-    the properties c, r and s convert them when read.  csr_at evaluates
-    C S^t R for any t >= 1 from the residue C S^r R - r*lambda, r = t
-    modulo gamma, which _residue computes on its first read from the
-    chain _cs of C (S - lambda)^k, k = 0, 1, ..., grown only as far as
-    it is read, and keeps in _residues.
+    None when the digraph is acyclic.  _m holds the int rows of M, the
+    closure that C and R are carved from at crit's nodes, scaled by _d
+    like the spectrum's rows _norm of A - lambda, from which S - lambda
+    is read on crit's arcs; the properties c, r and s carve and convert
+    them when read.  csr_at evaluates C S^t R for any t >= 1 from the
+    residue C S^r R - r*lambda, r = t modulo gamma, which _residue
+    computes on its first read and keeps in _residues.
     """
 
     lam: MaxPlusScalar
@@ -98,30 +98,28 @@ class CsrTriple:
     crit: CritGraph | None = None
     _d: int = field(default=1, repr=False)
     _norm: list[list] | None = field(default=None, repr=False)
-    _c: list[list] = field(default_factory=list, repr=False)
-    _r: list[list] = field(default_factory=list, repr=False)
-    _s_norm: list[list] = field(default_factory=list, repr=False)
-    _cs: list[list[list]] = field(default_factory=list, repr=False)
+    _m: list[list] = field(default_factory=list, repr=False)
     _residues: dict[int, list[list]] = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
-        return len(self._c)
+        return len(self._m)
 
     @property
     def c(self) -> MaxPlusMatrix:
-        return _unscaled(self._c, self._d)
+        nodes = () if self.crit is None else self.crit.nodes
+        return _unscaled([[x if j in nodes else None for j, x in enumerate(row)] for row in self._m], self._d)
 
     @property
     def r(self) -> MaxPlusMatrix:
-        return _unscaled(self._r, self._d)
+        nodes = () if self.crit is None else self.crit.nodes
+        return _unscaled([row if i in nodes else [None] * self.n for i, row in enumerate(self._m)], self._d)
 
     @property
     def s(self) -> MaxPlusMatrix:
         rows = [[None] * self.n for _ in range(self.n)]
-        for i, row in enumerate(self._s_norm):  # no arcs when acyclic
-            for j, x in row:
-                rows[i][j] = Fraction(x, self._d) + self.lam.value
+        for i, j in () if self.crit is None else self.crit.arcs:
+            rows[i][j] = Fraction(self._norm[i][j], self._d) + self.lam.value
         return MaxPlusMatrix._from_raw(rows)
 
 
@@ -142,51 +140,59 @@ def build_csr(a: MaxPlusMatrix, subgraph: CritGraph | None = None) -> CsrTriple:
 
 def _build_csr(a: MaxPlusMatrix, subgraph: CritGraph | None) -> CsrTriple:
     """The triple of a at k, the subgraph or the critical graph, read off
-    a's spectrum alone.  When k has all n nodes, C and R are M's rows
-    themselves, and so may be the residues (see _residue): every reader
-    only reads them, _sweep copies the outer list, and _inherit_triple
-    and the properties c, r make new rows."""
+    a's spectrum alone.  At gamma = 1, M is the spectrum's closure P+
+    itself, and so may be the residues (see _residue): every reader only
+    reads them, _sweep copies the outer list, and _inherit_triple and the
+    properties c, r make new rows."""
     sp = spectrum(a)
-    n = a.n
     if sp.crit is None:
         if subgraph is not None:
             raise ValueError("no critical subgraph exists for an acyclic digraph")
-        z = [[None] * n for _ in range(n)]
-        return CsrTriple(lam=BOTTOM, gamma=1, _c=z, _r=z)
+        return CsrTriple(lam=BOTTOM, gamma=1, _m=[[None] * a.n for _ in range(a.n)])
     k = sp.crit if subgraph is None else subgraph
     if not k.arcs <= sp.crit.arcs:
         raise ValueError("subgraph is not contained in the critical graph")
-    norm = sp._norm
-    if k.cyclicity == 1:
-        m = [row[:] for row in sp._closure]
-    else:
-        m = [row[:] for row in _int_power(norm, k.cyclicity)]
+    m = sp._closure
+    if k.cyclicity > 1:
+        m = _int_power(sp._norm, k.cyclicity)  # new rows, as gamma >= 2
         _int_closure(m)
-    for i, row in enumerate(m):
-        row[i] = 0  # M = ((A - lambda)^gamma)^*; its cycles weigh <= 0
-    if len(k.nodes) == n:
-        c = r = m
-    else:
-        c = [[m[i][j] if j in k.nodes else None for j in range(n)] for i in range(n)]
-        r = [[m[i][j] if i in k.nodes else None for j in range(n)] for i in range(n)]
-    s_norm = [[(j, norm[i][j]) for j in range(n) if (i, j) in k.arcs] for i in range(n)]
-    return CsrTriple(sp.lam, k.cyclicity, k, _d=sp._d, _norm=norm, _c=c, _r=r, _s_norm=s_norm, _cs=[c])
+    return CsrTriple(sp.lam, k.cyclicity, k, _d=sp._d, _norm=sp._norm, _m=m)
 
 
 def _residue(triple: CsrTriple, t: int) -> list[list]:
-    """C S^t R - t*lambda as int rows scaled by _d, t >= 1, from the chain
-    C (S - lambda)^k; it depends on t modulo gamma only.  When the triple's
-    (sub)graph meets _primitive_cover, it is C itself at every t (step 3
-    there), taken with no product; the rows are C's, so read them only."""
+    """Q_t = C S^t R - t*lambda as int rows scaled by _d, t >= 1; it depends
+    on t modulo gamma only, and t = 0 reads Q_gamma.  Q_gamma = C R, one
+    product of M by its critical rows, and Q_k = Q_(k-1) P for k = 1, ...,
+    gamma - 1, P = A - lambda and Q_0 = Q_gamma, each taken on its first
+    read.  When the
+    triple's (sub)graph meets _primitive_cover, every Q_t is M itself
+    (step 3 there), taken with no product; read its rows only.
+
+    Lemma.  C (S - lambda)^gamma R = C R, so Q_gamma = C R; the
+    recurrence is _sweep's lemma.  Proof, for critical k and l, with
+    walks weighed in P.  (<=) M(i, k) + (S - lambda)^gamma(k, l) <=
+    M(i, l), as the two walks together have a length that is a positive
+    multiple of gamma: each term M(i, k) + (S - lambda)^gamma(k, l) +
+    M(l, j) is at most the term M(i, l) + M(l, j) of C R.  (>=) k lies
+    on a critical cycle, so a critical walk W of length gamma leads from
+    k to some l.  The cyclicity of k's component divides gamma, so a
+    critical walk Z from l back to k has a length that is a positive
+    multiple of gamma, and closes W at weight 0.  So M(l, j) >= w(Z) +
+    M(k, j) = M(k, j) - w(W), and the term at (k, l) is at least M(i, k)
+    + w(W) + M(k, j) - w(W).
+    """
     k = (t - 1) % triple.gamma + 1
-    if k not in triple._residues and _primitive_cover(triple.crit, triple.n):
-        triple._residues[k] = triple._c
-    elif k not in triple._residues:
-        cs = triple._cs
-        while len(cs) <= k:
-            cs.append(_int_mul(cs[-1], triple._s_norm))
-        triple._residues[k] = _int_mul(cs[k], _finite_entries(triple._r))
-    return triple._residues[k]
+    if k in triple._residues:
+        return triple._residues[k]
+    m = triple._m
+    if _primitive_cover(triple.crit, triple.n):
+        rows = m
+    elif k == triple.gamma:
+        rows = _int_mul(m, _finite_entries([row if i in triple.crit.nodes else [] for i, row in enumerate(m)]))
+    else:
+        rows = _int_mul(_residue(triple, k - 1), _finite_entries(triple._norm))
+    triple._residues[k] = rows
+    return rows
 
 
 def _int_csr_at(triple: CsrTriple, t: int) -> tuple[int, list[list]]:
@@ -227,16 +233,19 @@ def _below_csr_at_one(triple: CsrTriple, entries: list[tuple[int, int, Fraction]
 
 def _inherit_triple(a: MaxPlusMatrix, triple: CsrTriple) -> None:
     """Store triple on a, of its lambda, critical graph and M (see
-    extremal._inherit_skeleton), at the scale of a's spectrum: each list
-    of int rows is multiplied by sp._d // triple._d once, so lists shared
-    in triple (C = R = M, a residue = C) stay shared, to be read only."""
+    extremal._inherit_skeleton), at the scale of a's spectrum, which was
+    handed over with them.  At gamma = 1, M is that spectrum's closure P+
+    itself; otherwise each list of int rows is multiplied by sp._d //
+    triple._d once.  Either way a residue that is M stays M, to be read
+    only."""
     sp = spectrum(a)
-    f, distinct = sp._d // triple._d, {id(rows): rows for rows in (*triple._cs, triple._r, *triple._residues.values())}
-    scaled = {key: [[None if x is None else x * f for x in row] for row in rows] for key, rows in distinct.items()}
+    f = sp._d // triple._d
+    scaled = {id(triple._m): sp._closure} if triple.gamma == 1 else {}
+    for rows in (triple._m, *triple._residues.values()):
+        if id(rows) not in scaled:
+            scaled[id(rows)] = [[None if x is None else x * f for x in row] for row in rows]
     a._csr = CsrTriple(
-        lam=triple.lam, gamma=triple.gamma, crit=triple.crit, _d=sp._d, _norm=sp._norm, _c=scaled[id(triple._c)],
-        _r=scaled[id(triple._r)], _s_norm=[[(j, x * f) for j, x in row] for row in triple._s_norm],
-        _cs=[scaled[id(rows)] for rows in triple._cs],
+        lam=triple.lam, gamma=triple.gamma, crit=triple.crit, _d=sp._d, _norm=sp._norm, _m=scaled[id(triple._m)],
         _residues={k: scaled[id(rows)] for k, rows in triple._residues.items()},
     )
 
@@ -280,8 +289,9 @@ def weak_threshold_T1(a: MaxPlusMatrix) -> WeakExpansion:
     Holding at t implies holding at t + 1, in the whole matrix and in each
     row and column alone.  Proof.  Write P = A - lambda, S' = S - lambda
     (the arcs of P on the critical graph) and Q_t = C S'^t R, so that the
-    expansion holds at t iff Q_t <= P^t.  M = (P^gamma)^* >= P^(m*gamma)
-    for all m >= 0.  For a critical k, (S' R)(k, j) is the weight of a
+    expansion holds at t iff Q_t <= P^t.  M >= P^(m*gamma) for all m >=
+    1, and M(k, k) = 0 at a critical k, so row k of M is at least that
+    of P^(m*gamma) for m = 0 too.  For a critical k, (S' R)(k, j) is the weight of a
     best walk from k to j of length m*gamma + 1, m >= 0, that starts with
     a critical arc.  That walk is also m*gamma arcs to some u followed by
     the arc (u, j), so it weighs at most M(k, u) + P(u, j) = R(k, u) +
@@ -467,8 +477,8 @@ def _excess(triple: CsrTriple, t: int, at: list[list] | dict[int, list], rows: l
     where closed walks weigh 0, has walks from k to some k' of length
     = -a, from k' to some l of length t, and from l back to k of length
     = a - t (mod gamma; the lengths agree modulo the cyclicity of k's
-    component).  Their weights w1, w2, w3 sum to 0, and M = (P^gamma)^*
-    has M(i, k') >= w(W1) + w1 and M(l, j) >= w3 + w(W2), while
+    component; each may be taken of positive length).  Their weights w1,
+    w2, w3 sum to 0, and M has M(i, k') >= w(W1) + w1 and M(l, j) >= w3 + w(W2), while
     (S - lambda)^t has (k', l) >= w2, so Q_t(i, j) >= w(W).  Hence
     P^t <= Q_t (+) (B - lambda)^t, while (B - lambda)^t <= P^t as B <= A:
     the expansion holds iff Q_t <= P^t.  Every walk from or to a critical
@@ -540,8 +550,8 @@ def _class_masks(succ: list[list[int]], crit: CritGraph) -> Callable[[int], list
     Lemma.  In a component of cyclicity gamma, with l its BFS levels
     (digraph._levels), every arc (u, v) has l(v) = l(u) + 1 (mod gamma),
     so every walk from i to j has length = l(j) - l(i), and past some
-    length there is one of each such length.  So M = (P^gamma)^* is 0
-    exactly on the pairs of one cyclic class, and Q_t = C S^t R is 0 at
+    length there is one of each such length.  So M, the closure of
+    P^gamma, is 0 exactly on the pairs of one cyclic class, and Q_t = C S^t R is 0 at
     (i, j) exactly when l(j) - l(i) = t (mod gamma), -inf elsewhere: row
     i of Q_t is the class of the nodes j with l(j) = l(i) + t (mod gamma).
     t = 0 gives Q_gamma.
@@ -562,7 +572,7 @@ def _primitive_cover(crit: CritGraph | None, n: int) -> bool:
     column transient, e the exponent of crit's 0/1 matrix N: the least t
     with N^t = J, all ones, which _boolean_index returns (its one class
     mask is every node): analyze and _t1_at_ceiling read it so.  And
-    every residue Q_t is C = M, which _residue reads with no product.
+    every residue Q_t is M, which _residue reads with no product.
     Proof, with P = A - lambda, P+ its closure and Q_t = C (S - lambda)^t R.
     1. A critical walk i -> j and one j -> i close a critical walk, of
        weight 0, and concatenated critical walks are critical: every
@@ -574,9 +584,9 @@ def _primitive_cover(crit: CritGraph | None, n: int) -> bool:
        critical walk j -> i, weighs 0: each cycle it splits into is
        critical, and so is each of its arcs.  So P^t(i, j) = P+(i, j)
        where N^t(i, j) = 1, and P^t(i, j) < P+(i, j) elsewhere.
-    3. M = I (+) P+ = P+ at gamma = 1, and each finite term of Q_t(i, j),
-       at (k, l) with N^t(k, l) = 1, weighs u(i, k) + u(k, l) + u(l, j) =
-       P+(i, j); there is one, so Q_t = P+ = M = C for t >= 1.  So also
+    3. M = P+ at gamma = 1, and each finite term of Q_t(i, j), at (k, l)
+       with N^t(k, l) = 1, weighs u(i, k) + u(k, l) + u(l, j) = P+(i,
+       j); there is one, so Q_t = P+ = M for t >= 1.  So also
        at a subgraph K of crit that meets the predicate (build_csr(a, K)):
        crit holds K, so it is one component on every node, of cyclicity
        dividing K's; M is the whole closure, and the terms run over

@@ -618,11 +618,12 @@ def _inherit_skeleton(candidate: MaxPlusMatrix, a1: MaxPlusMatrix) -> None:
     - P+ = P (+) P^2 (+) ..., P = A - lam: entry (i, j) is the best
       weight of a walk of length >= 1 from i to j, and each walk of
       candidate is outweighed by one of a1, so P+ is a1's.
-    - M = (P^gamma)^*: entry (i, j) is the best weight of a walk of
-      length 0 modulo gamma, a length the replacement keeps, so M is
-      a1's, and so are C and R, M at the critical nodes.  S is the
-      entries on the critical arcs, arcs of a1 where the two agree, and
-      so every residue C S^r R - r*lam is a1's too.
+    - M, the closure of P^gamma: entry (i, j) is the best weight of a
+      walk whose length is a positive multiple of gamma, a length the
+      replacement keeps, so M is a1's, and so are C and R, M at the
+      critical nodes.  S is the entries on the critical arcs, arcs of a1
+      where the two agree, and so every residue C S^r R - r*lam is a1's
+      too.
 
     Scale: a1's entries are among candidate's, so a1's scale divides
     candidate's, to which a1's memos are brought (see _inherit_triple).
@@ -647,13 +648,14 @@ def _inherit_skeleton(candidate: MaxPlusMatrix, a1: MaxPlusMatrix) -> None:
 
 
 def verify_crit_rc_dm(a: MaxPlusMatrix) -> bool:
-    """Does the critical graph's index equal DM(g, n)?
+    """Does the critical graph's index, or 1 when it is 0, equal DM(g, n)?
 
-    Equivalent to the transient of the critical rows and columns hitting
-    the DM bound.
+    Equivalent to the transient of the critical rows and columns, which
+    is max(index, 1), hitting the DM bound.  At n >= 2, DM(g, n) >= 2,
+    so the max moves only the 1x1 loop, of index 0 = DM(1, 1).
     """
     crit = critical_graph(a)
-    return _boolean_index(crit) == dm_bound(crit.girth, a.n)
+    return max(_boolean_index(crit), 1) == dm_bound(crit.girth, a.n)
 
 
 def verify_crit_rc_wielandt(

@@ -20,7 +20,7 @@ the normalized A' = A - lambda, and two critical nodes share a
 component exactly when they close one.  The girths and cyclicities of
 the components come from the successor lists of those integer arcs,
 and `visualize` bumps the same rows of A - lambda.  At cyclicity 1
-`csr` carves M = I (+) A'+ from the closure.
+`csr` carves C and R from the closure A'+ itself.
 
 A visualization is a diagonal scaling pushing every entry to at most the
 cycle mean; a strict visualization additionally puts an entry *at* the

@@ -1,50 +1,66 @@
-"""Independent brute-force oracles the library is checked against.
+"""Brute-force and regression oracles the library is checked against.
 
-Everything here is deliberately naive: dynamic programs over explicit
-walk lengths and exhaustive enumeration over node permutations.  None of
-it shares code with the library paths under test, except
-crit_rc_wielandt_brute, which checks only how the library narrows its
-search, and weak_threshold_T1_full, which checks where the library stops
-its sweep and its one-sided test (C S^t R <= A^t) against the full
-comparison with B^t; both take the CSR terms from the library itself.
-unique_max_weight_brute ranks cycles by their exact Fraction weights,
-where the library ranks them on the spectrum's scaled integer rows.
-residue_chords_brute takes the support layers, the cycle mean and the
-powers of a1 from the library, where verify_dm reads the chords off the
-spectrum's integer rows.  hamiltonian_cycles_dfs and
+Everything here is deliberately naive.  The oracles are of three kinds.
+
+Independent: from the definitions alone, sharing no code with the
+library paths under test.  walk_power and walk_powers step the walk DP
+on exact Fractions; cycles_by_permutations enumerates elementary cycles
+over node permutations, and max_cycle_mean_brute, critical_arcs_brute
+and critical_girth_cyclicity_brute read lambda and the critical graph
+off them.  best_walks_through and csr_walk_oracle give C S^t R as the
+best walks through a critical node of each length modulo gamma, on a
+matrix already normalized by lambda.  unique_max_weight_brute ranks
+given cycles by their exact Fraction weights, where the library ranks
+them on the spectrum's scaled integer rows.  twice_optimal_walks_brute
+is the walk oracle's DP from the elementary cycles and
+best_walks_through, with a longer length cap than the library's.
+successor_set_index finds the index, period and girth of a 0/-inf
+matrix by stepping the sets of walk ends until they repeat;
+unweighted_disagreements compares analyze, the crit-rc profile and the
+four verdicts with it.
+
+Regression: the library's earlier code, kept to fix what the current
+code must return.  hamiltonian_cycles_dfs and
 cycles_of_length_by_filter are the two cycle searches the library ran
 before its one exact-length DFS: they fix the lists, and the order,
 that DFS must return.  transient_by_steps is the library's search for T
 before it galloped: one power at a time, capped so a test cannot hang.
 row_transients_by_steps finds, by the same stepping, where each row of
 the powers turns periodic, which the sweep reads off the residue.
-weak_threshold_T2 steps the powers of B - lambda, B the Nachtigall
-matrix, and compares them with the CSR terms the library gives.
 heaviest_cycle_exhaustive is the numbering searches' ranking as it was
 before they looked at the critical graph first: every cycle of one
 length in the whole support, ranked by exact weight.
-memo_differences runs the library's own spectrum and CSR triple on a
-copy with empty memos: what a generated matrix inherits from its
-skeleton must equal what it would compute for itself.
 sample_remainder_fractions is the generators' remainder draw as it was
 before it read the integer residue: CSR at t = 1 as a Fraction, less a
 Fraction margin; it must make the same draws and give the same entries.
 spectrum_by_tarjan is the spectrum as the library computed it before it
 read components and strong connectivity off the closure: Tarjan's
-components, Karp on each of them, and the library's _scc_decomposition
-(Tarjan again) on the critical arcs.  closure_live is the Floyd-Warshall
-closure that reads pivot row k live, as the library did before it read
-the row once per pivot.  spectrum_differences is memo_differences for
-the spectrum alone.  boolean_index_int is the critical graph's index as
-the library computed it before it ran on bit rows: csr._transient on
-each component's 0/-inf rows in the int kernel, against the residues in
-closed form of class_residue.
-twice_optimal_walks_brute is the walk oracle's DP from the elementary
-cycles and best_walks_through, with a longer length cap than the
-library's.  successor_set_index finds the index, period and girth of a
-0/-inf matrix from the definitions alone, by stepping the sets of walk
-ends until they repeat; unweighted_disagreements compares analyze, the
-crit-rc profile and the four verdicts with it.
+components, Karp on each of them (karp_scc), and the library's
+_scc_decomposition (Tarjan again) on the critical arcs.  closure_live
+is the Floyd-Warshall closure that reads pivot row k live, as the
+library did before it read the row once per pivot.  boolean_index_int
+is the critical graph's index as the library computed it before it ran
+on bit rows: csr._transient on each component's 0/-inf rows in the int
+kernel, against the residues in closed form of class_residue.
+masked_m and residue_by_chain are the CSR triple as the library built
+it before it read every residue off its closure M: C and R masked out
+of a fresh M, and each residue C (S - lambda)^t R by a chain of
+products on them.
+
+Partial: oracles that take some of their parts from the library.
+crit_rc_wielandt_brute checks only how the library narrows its search,
+and weak_threshold_T1_full checks where the library stops its sweep and
+its one-sided test (C S^t R <= A^t) against the full comparison with
+B^t; both take the CSR terms from the library itself.
+weak_threshold_T2 steps the powers of B - lambda, B the Nachtigall
+matrix, and compares them with the CSR terms the library gives.
+residue_chords_brute takes the support layers, the cycle mean and the
+powers of a1 from the library, where verify_dm reads the chords off the
+spectrum's integer rows.  memo_differences runs the library's own
+spectrum and CSR triple on a copy with empty memos: what a generated
+matrix inherits from its skeleton must equal what it would compute for
+itself; spectrum_differences is memo_differences for the spectrum
+alone.
 """
 
 from __future__ import annotations
@@ -59,6 +75,7 @@ from maxplus import (
     MaxPlusMatrix,
     csr,
     digraph,
+    matrix,
     spectral,
     MaxPlusScalar,
     analyze,
@@ -515,10 +532,9 @@ def heaviest_cycle_exhaustive(a, k):
     return None, False, "no Hamiltonian cycle" if k == a.n else f"no cycle of length {k}", top
 
 
-# The lazily grown chain C (S - lambda)^k and the residues read so far:
-# their length is how far a triple was read, not what it holds, and the
-# residues 1..gamma they yield are compared one by one instead.
-LAZY_TRIPLE_FIELDS = ("_cs", "_residues")
+# The residues read so far: how far a triple was read, not what it holds;
+# the residues 1..gamma they yield are compared one by one instead.
+LAZY_TRIPLE_FIELDS = ("_residues",)
 
 
 def memo_differences(a):
@@ -539,6 +555,33 @@ def memo_differences(a):
         gamma = fresh._csr.gamma
         diffs += [f"residue {k}" for k in range(1, gamma + 1) if csr._residue(a._csr, k) != csr._residue(fresh._csr, k)]
     return diffs
+
+
+def masked_m(sp, k):
+    """(C, R) as int rows scaled like sp._norm: the columns and the rows at
+    k's nodes of M = ((A - lambda)^gamma)^*, gamma = k.cyclicity, masked
+    out of a fresh closure of (A - lambda)^gamma with 0 put on the
+    diagonal, as the library carved them before it read them off M."""
+    n = len(sp._norm)
+    m = [row[:] for row in matrix._int_power(sp._norm, k.cyclicity)]
+    matrix._int_closure(m)
+    for i in range(n):
+        m[i][i] = 0
+    c = [[m[i][j] if j in k.nodes else None for j in range(n)] for i in range(n)]
+    return c, [[m[i][j] if i in k.nodes else None for j in range(n)] for i in range(n)]
+
+
+def residue_by_chain(sp, k, t):
+    """C (S - lambda)^t R as int rows scaled like sp._norm, t >= 1 taken
+    modulo gamma = k.cyclicity, by the chain of products the library took
+    before it read Q_gamma as C R: C and R from masked_m, S - lambda
+    carved from sp's rows at k's arcs, and C multiplied by it t times."""
+    n = len(sp._norm)
+    c, r = masked_m(sp, k)
+    s_norm = [[(j, sp._norm[i][j]) for j in range(n) if (i, j) in k.arcs] for i in range(n)]
+    for _ in range((t - 1) % k.cyclicity + 1):
+        c = matrix._int_mul(c, s_norm)
+    return matrix._int_mul(c, matrix._finite_entries(r))
 
 
 def sample_remainder_fractions(rng, triple, taken):

@@ -58,8 +58,10 @@ from conftest import (
 from oracles import (
     boolean_index_int,
     csr_walk_oracle,
+    masked_m,
     memo_differences,
     row_transients_by_steps,
+    residue_by_chain,
     transient_by_steps,
     walk_power,
     walk_powers,
@@ -588,14 +590,11 @@ def test_lazy_triples_match_the_walk_oracle():
                             m[i][j] = p[i][j]
             assert triple.c.raw() == [[m[i][j] if j in k.nodes else None for j in range(n)] for i in range(n)]
             assert triple.r.raw() == [[m[i][j] if i in k.nodes else None for j in range(n)] for i in range(n)]
-            # at gamma = 1 M is I (+) the spectrum's closure P+; the integer
-            # rows agree with M from P^gamma and a fresh closure either way
+            # the integer rows M are the closure of P^gamma, at gamma = 1
+            # the spectrum's closure P+ itself, and equal a fresh closure
             m = [row[:] for row in matrix._int_power(sp._norm, gamma)]
             matrix._int_closure(m)
-            for i in range(n):
-                m[i][i] = 0
-            assert triple._c == [[m[i][j] if j in k.nodes else None for j in range(n)] for i in range(n)]
-            assert triple._r == [[m[i][j] if i in k.nodes else None for j in range(n)] for i in range(n)]
+            assert triple._m == m and (triple._m is sp._closure) == (gamma == 1)
             if gamma == 1 and sp.crit.cyclicity > 1:
                 kinds["component at gamma 1, full gamma > 1"] += 1
     assert min(kinds[kind] for kind in ("acyclic", "reducible", "irreducible")) >= 20
@@ -1110,38 +1109,17 @@ def test_analyze_reads_T1_and_T_off_a_primitive_covering_critical_graph(monkeypa
         assert (report.t, report.t1, report.crit_rc_transient) == (*expected, 1) and made == {} and triple is None
 
 
-def _masked_m(sp, k):
-    """(C, R) masked out of M = ((A - lambda)^gamma)^* at k's nodes, M from
-    a fresh closure of P^gamma, gamma = k.cyclicity, as int rows."""
-    n = len(sp._norm)
-    m = [row[:] for row in matrix._int_power(sp._norm, k.cyclicity)]
-    matrix._int_closure(m)
-    for i in range(n):
-        m[i][i] = 0
-    c = [[m[i][j] if j in k.nodes else None for j in range(n)] for i in range(n)]
-    return c, [[m[i][j] if i in k.nodes else None for j in range(n)] for i in range(n)]
-
-
-def _residue_by_chain(sp, k, t):
-    """C (S - lambda)^t R as int rows by the chain of products, t >= 1 taken
-    modulo gamma, C and R masked out of M (see _masked_m) and S - lambda
-    carved from the spectrum's rows at k's arcs."""
-    n = len(sp._norm)
-    c, r = _masked_m(sp, k)
-    s_norm = [[(j, sp._norm[i][j]) for j in range(n) if (i, j) in k.arcs] for i in range(n)]
-    for _ in range((t - 1) % k.cyclicity + 1):
-        c = matrix._int_mul(c, s_norm)
-    return matrix._int_mul(c, matrix._finite_entries(r))
-
-
-def test_a_primitive_cover_reads_each_residue_as_c_and_a_covering_triple_binds_c_and_r_to_m(monkeypatch):
-    # at a (sub)graph that meets csr._primitive_cover every residue is C,
-    # read with no product; at any (sub)graph on every node C = R = M.
+def test_a_primitive_cover_reads_each_residue_as_m_with_no_product(monkeypatch):
+    # at a (sub)graph that meets csr._primitive_cover every residue is M,
+    # read with no product; elsewhere reading t = 1..gamma + 1 takes gamma
+    # products, C R and then one by A - lambda for each other residue.
     # Planted inputs, n = 1..9 (see _planted_tight): the whole critical
-    # graph, built alone and as a subgraph, and each component, residues
-    # at t = 1..gamma + 1 against the chain of products on masked copies
-    # of M, and against the walk oracle for n <= 5; near misses (cyclicity
-    # > 1, one node off, two components) still take products
+    # graph, built alone and as a subgraph, and each component; .c and .r
+    # against masked copies of a fresh M (oracles.masked_m), residues at t
+    # = 1..gamma + 1 against the chain of products on them
+    # (oracles.residue_by_chain), and against the walk oracle for n <= 5;
+    # near misses (cyclicity > 1, one node off, two components) still
+    # take products
     int_mul, calls = matrix._int_mul, Counter()
     monkeypatch.setattr(csr, "_int_mul", lambda *args: calls.update(["_int_mul"]) or int_mul(*args))
     rng = random.Random(2626)
@@ -1159,42 +1137,76 @@ def test_a_primitive_cover_reads_each_residue_as_c_and_a_covering_triple_binds_c
         for k, build in parts:
             a._csr = None
             triple = build()
-            c, r = _masked_m(sp, k)
-            assert triple._c == c and triple._r == r and triple.c.raw() == csr._unscaled(c, d).raw()
-            assert triple.r.raw() == csr._unscaled(r, d).raw()
-            assert (triple._c is triple._r) == (len(k.nodes) == n)
+            c, r = masked_m(sp, k)
+            assert triple.c.raw() == csr._unscaled(c, d).raw() and triple.r.raw() == csr._unscaled(r, d).raw()
             covered = csr._primitive_cover(k, n)
             calls.clear()
             for t in range(1, k.cyclicity + 2):
-                expected = _residue_by_chain(sp, k, t)
+                expected = residue_by_chain(sp, k, t)
                 assert csr._residue(triple, t) == expected, render_matrix(a)
                 shifted = [[None if x is None else Fraction(x, d) + t * lam for x in row] for row in expected]
                 assert csr_at(triple, t).raw() == shifted
                 if covered:
-                    assert expected == c and csr._residue(triple, t) is triple._c
+                    assert expected == c and csr._residue(triple, t) is triple._m
                 if n <= 5:
                     walks = csr_walk_oracle(an, k.nodes, k.cyclicity, t, k.cyclicity * n + n)
                     assert csr_at(triple, t).raw() == [[None if x is None else x + t * lam for x in row] for row in walks]
+            assert calls["_int_mul"] == (0 if covered else k.cyclicity), render_matrix(a)
             if covered:
-                assert calls["_int_mul"] == 0, render_matrix(a)
                 kinds["primitive cover"] += 1
+            elif len(sp.crit.scc.components) == 2:
+                kinds["two components"] += 1
             else:
-                assert calls["_int_mul"] >= 2, render_matrix(a)
-                if len(sp.crit.scc.components) == 2:
-                    kinds["two components"] += 1
-                else:
-                    kinds["one node off" if len(k.nodes) < n else "cover, cyclicity > 1"] += 1
+                kinds["one node off" if len(k.nodes) < n else "cover, cyclicity > 1"] += 1
     assert kinds["primitive cover"] >= 300 and min(kinds.values()) >= 60, kinds
 
 
+def test_residues_from_c_r_and_the_recurrence_match_the_chain():
+    # Q_gamma = C R and Q_(t+1) = Q_t (A - lambda) against the chain C (S -
+    # lambda)^t R on masked copies of a fresh M (oracles.residue_by_chain),
+    # at every t = 1..2 gamma + 1 read in shuffled order, and csr_at against
+    # the walk oracle for n <= 5: the whole critical graph and each
+    # component, on random irreducible and reducible matrices, n <= 8, a
+    # loop beside a longer cycle and planted pairs of blocks, whose
+    # components often differ in cyclicity.  At gamma = 1 the whole
+    # triple's M is the spectrum's closure itself
+    rng = random.Random(2828)
+    inputs = [random_irreducible(rng, rng.randint(1, 8)) for _ in range(120)]
+    inputs += [random_reducible(rng, rng.randint(2, 8)) for _ in range(120)]
+    inputs += [*_loop_beside_a_cycle(40), *(_planted_tight(rng, rng.randint(2, 8), "two blocks")[0] for _ in range(60))]
+    kinds = Counter()
+    for a in inputs:
+        sp, n = spectrum(a), a.n
+        if sp.crit is None:
+            continue
+        kinds["irreducible" if sp._strongly_connected else "reducible"] += 1
+        components = critical_components(sp.crit)
+        kinds["components of different cyclicities"] += len({k.cyclicity for k in components}) > 1
+        kinds["gamma > 1"] += sp.crit.cyclicity > 1
+        assert (build_csr(a)._m is sp._closure) == (sp.crit.cyclicity == 1)
+        lam, d, an = sp.lam.value, sp._d, scalar_times(negate(sp.lam), a)
+        for k, triple in [(sp.crit, build_csr(a)), *((k, build_csr(a, k)) for k in components)]:
+            ts = list(range(1, 2 * k.cyclicity + 2))
+            rng.shuffle(ts)
+            for t in ts:
+                assert csr._residue(triple, t) == residue_by_chain(sp, k, t), (render_matrix(a), t)
+                if n <= 5:
+                    walks = csr_walk_oracle(an, k.nodes, k.cyclicity, t, k.cyclicity * n + n)
+                    assert csr_at(triple, t).raw() == [[None if x is None else x + t * lam for x in row] for row in walks]
+    assert sum(kinds[kind] for kind in ("irreducible", "reducible")) >= 300, kinds
+    assert min(kinds.values()) >= 40, kinds
+
+
 def test_rows_a_covering_triple_shares_are_never_written():
-    # C, R, M and the residues may be one list of rows (see the test
-    # above): reading .c, .r and csr_at, both sweeps, the ceiling check,
-    # the test at t = 1 and handing the triple over at a scale factor of
-    # 1 and of 3 leave them, and the spectrum's closure, as they were.
-    # The triple handed over holds new rows, shared as the source's are,
-    # each the source's times the factor.  Planted covers and generated
-    # instances
+    # at cyclicity 1, M is the spectrum's closure and, on a primitive
+    # cover, every residue is M (see the tests above): reading .c, .r, .s
+    # and csr_at, both sweeps, the ceiling check, the test at t = 1 and
+    # handing the triple over at a scale factor of 1 and of 3 leave them,
+    # and the spectrum's closure, as they were.  The triple handed over
+    # holds as M the closure of the spectrum it is handed with at
+    # cyclicity 1, and new rows above it; each list is the source's times
+    # the factor, and a residue that is M stays M.  Planted covers and
+    # generated instances
     rng = random.Random(2627)
     inputs = [_planted_tight(rng, rng.randint(1, 8), "cover")[0] for _ in range(60)]
     inputs += [_planted_tight(rng, rng.randint(1, 4) * 2, "bipartite")[0] for _ in range(20)]
@@ -1204,13 +1216,13 @@ def test_rows_a_covering_triple_shares_are_never_written():
     for a in inputs:
         a = MaxPlusMatrix._from_raw(a.raw())
         sp, triple = spectrum(a), build_csr(a)
-        assert triple._c is triple._r
-        kinds["residue is C" if csr._residue(triple, 1) is triple._c else "residue computed"] += 1
+        assert (triple._m is sp._closure) == (triple.gamma == 1)
+        kinds["residue is M" if csr._residue(triple, 1) is triple._m else "residue computed"] += 1
         for t in range(2, triple.gamma + 1):
             csr._residue(triple, t)
-        snapshot = [copy.deepcopy(x) for x in (triple._c, triple._r, triple._residues, sp._closure)]
+        snapshot = [copy.deepcopy(x) for x in (triple._m, triple._residues, sp._closure)]
         for t in (1, 2, 3, triple.gamma + 1, 7):
-            assert triple.c.raw() == triple.r.raw() and csr_at(triple, t).n == a.n
+            assert triple.c.raw() == triple.r.raw() and triple.s.n == csr_at(triple, t).n == a.n
         csr._sweep(triple)
         if sp._strongly_connected:
             csr._sweep(triple, True)
@@ -1218,14 +1230,15 @@ def test_rows_a_covering_triple_shares_are_never_written():
         csr._below_csr_at_one(triple, [(i, j, Fraction(-10**6)) for i in range(a.n) for j in range(a.n)])
         for f in (1, 3):
             b = MaxPlusMatrix._from_raw(a.raw())
-            b._spectrum = dataclasses.replace(sp, _d=f * sp._d, _norm=_times(sp._norm, f))
+            b._spectrum = dataclasses.replace(sp, _d=f * sp._d, _norm=_times(sp._norm, f), _closure=_times(sp._closure, f))
             csr._inherit_triple(b, triple)
             held = b._csr
-            assert held._c is held._r and held._c is not triple._c and held._c == _times(triple._c, f)
+            assert held._m is not triple._m and held._m == _times(triple._m, f)
+            assert (held._m is b._spectrum._closure) == (triple.gamma == 1)
             for t, rows in triple._residues.items():
-                assert held._residues[t] == _times(rows, f) and (held._residues[t] is held._c) == (rows is triple._c)
-        assert [triple._c, triple._r, triple._residues, sp._closure] == snapshot, render_matrix(a)
-    assert kinds["residue is C"] >= 50 and kinds["residue computed"] >= 20, kinds
+                assert held._residues[t] == _times(rows, f) and (held._residues[t] is held._m) == (rows is triple._m)
+        assert [triple._m, triple._residues, sp._closure] == snapshot, render_matrix(a)
+    assert kinds["residue is M"] >= 50 and kinds["residue computed"] >= 20, kinds
 
 
 def _times(rows, f):
@@ -1234,9 +1247,10 @@ def _times(rows, f):
 
 def test_a_covering_candidate_holds_its_skeletons_rows_as_one_list():
     # a generated candidate whose critical graph covers every node as one
-    # component inherits C = R = M as one list, and at cyclicity 1 its
+    # component of cyclicity 1 holds its spectrum's closure as M, and its
     # residue at t = 1, read on the skeleton while sampling, is that list
-    # too; what it holds equals a fresh computation
+    # too; above cyclicity 1 M is a list of its own.  What it holds equals
+    # a fresh computation
     generated = [generate_dm(n, g, seed) for n in range(3, 10) for g in range(2, n) if gcd(g, n) == 1 for seed in range(2)]
     generated += [generate_wielandt(n, seed, case=case) for n in range(2, 10) for case in ("n-1", "n") for seed in range(2)]
     kinds = Counter()
@@ -1245,11 +1259,11 @@ def test_a_covering_candidate_holds_its_skeletons_rows_as_one_list():
         if len(crit.nodes) < a.n or len(crit.scc.components) > 1:
             kinds["no cover"] += 1
             continue
-        assert a._csr._c is a._csr._r, render_matrix(a)
         if csr._primitive_cover(crit, a.n):
-            assert a._csr._residues[1] is a._csr._c, render_matrix(a)
+            assert a._csr._m is a._spectrum._closure and a._csr._residues[1] is a._csr._m, render_matrix(a)
             kinds["primitive cover"] += 1
         else:
+            assert a._csr._m is not a._spectrum._closure, render_matrix(a)
             kinds["cover, cyclicity > 1"] += 1
         assert memo_differences(a) == [], render_matrix(a)
     assert kinds["primitive cover"] >= 50 and kinds["cover, cyclicity > 1"] >= 10, kinds
@@ -1301,6 +1315,7 @@ def test_one_by_one_input_with_a_loop_answers_at_once(entry):
         assert (report.t, report.t1, report.g, report.gamma, report.wi, report.dm) == (0, 1, 1, 1, 0, 0)
         assert report.crit_rc_transient == 1 and not (report.attains_dm or report.attains_wiel)
         assert transient_T(a) == 0
+        assert not extremal.verify_crit_rc_dm(a)  # the crit-rc transient 1 is not DM(1, 1) = 0
 
 
 def test_one_by_one_input_without_a_loop_answers_at_once():

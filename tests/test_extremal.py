@@ -1166,14 +1166,14 @@ def test_unweighted_digraphs_agree_with_their_successor_set_index():
     # connected); on the strongly connected ones analyze's T, T1 and gamma,
     # the crit-rc profile and the four verdicts must follow from the index
     # found by stepping sets of walk ends, nothing taken from the library
-    # (see oracles.unweighted_disagreements).  The one disagreement is
-    # pinned: on the 1x1 loop verify_crit_rc_dm holds, comparing the index
-    # 0 with DM(1, 1) = 0, while the crit-rc transient is T1 = 1
+    # (see oracles.unweighted_disagreements).  None disagrees, the 1x1
+    # loop included: its index is 0 = DM(1, 1), and verify_crit_rc_dm
+    # compares max(index, 1) = 1, its crit-rc transient, with the bound
     masks = [(n, mask) for n in (1, 2, 3) for mask in range(1 << n * n)] + [(4, mask) for mask in range(0, 1 << 16, 13)]
     found = {(n, mask): unweighted_disagreements(n, mask) for n, mask in masks}
     strongly_connected = {key: diffs for key, diffs in found.items() if diffs is not None}
     assert len(strongly_connected) == 2126
-    assert {key: diffs for key, diffs in strongly_connected.items() if diffs} == {(1, 1): ["verify_crit_rc_dm"]}
+    assert {key: diffs for key, diffs in strongly_connected.items() if diffs} == {}
 
 
 def test_the_walk_oracle_takes_int_t_and_endpoints_only():

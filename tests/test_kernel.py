@@ -576,7 +576,8 @@ def slow_loop(rng):
 
 
 def test_analyze_stops_the_sweep_at_T(monkeypatch):
-    # M takes gamma - 1 products and the residues 2 gamma; the sweep
+    # M takes at most gamma - 1 products and the residues gamma, C R and
+    # one product by A - lambda for each other residue; the sweep
     # max(T, 1) - 1 steps over the powers of A - lambda, and none of
     # B - lambda
     products = Counter()
@@ -596,7 +597,7 @@ def test_analyze_stops_the_sweep_at_T(monkeypatch):
         products.clear()
         report = analyze(a)
         assert (report.t, report.gamma, report.t1) == (t, gamma, t1)
-        assert products["_int_mul"] <= 3 * gamma - 1 + max(t, 1) - 1
+        assert products["_int_mul"] <= 2 * gamma - 1 + max(t, 1) - 1
     assert analyze(third_mean_cycle(7)).dm == 22 < wielandt_bound(7)
     # past the ceiling c = DM(1, 3) = 4 the sweep steps on while its
     # steps cost no more than 2*bit_length(s)*M after s of them, with M =
@@ -612,7 +613,7 @@ def test_analyze_stops_the_sweep_at_T(monkeypatch):
     gamma, ceiling = 1, 4
     steps = next(s for s in range(1, 100) if 23 * s > 2 * s.bit_length() * (3**2 + 3**3))
     tail = 3 * (report.t - ceiling).bit_length() - 2
-    assert products["_int_mul"] <= 3 * gamma - 1 + (ceiling - 1 + steps) + tail
+    assert products["_int_mul"] <= 2 * gamma - 1 + (ceiling - 1 + steps) + tail
 
 
 # ---------------------------------------------------------------------------
