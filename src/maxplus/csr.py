@@ -22,9 +22,11 @@ when it equals the same row of C S^t R; the sweep then retires it and
 multiplies only the rows not yet periodic, so T = max(T1, T2) row by
 row, T2 the time after which C S^t R dominates B^t.  Past the ceiling
 on T1 it steps on while that costs less than the galloping search of
-_transient would, and hands over to the search when it does not.
-Whether T1 equals that ceiling is also decided at two powers alone (see
-_t1_at_ceiling); the generators in `extremal` check their candidates so.
+_transient would, and hands over to the search when it does not: the
+sweep returns T either way.  Whether T1 equals that ceiling is decided
+by the same sweep started one power below the ceiling, at two powers
+alone (see _t1_at_ceiling); the generators in `extremal` check their
+candidates so.
 On a critical graph that covers every node as one component of
 cyclicity 1, T1 and T are its exponent (see _primitive_cover), found on
 bit rows by _boolean_index: analyze and _t1_at_ceiling take no power,
@@ -305,7 +307,7 @@ def weak_threshold_T1(a: MaxPlusMatrix) -> WeakExpansion:
     first at which that row held.
     """
     triple = build_csr(a)
-    _, _, t1, rows, cols = _sweep(triple)
+    _, t1, rows, cols = _sweep(triple)
     return WeakExpansion(csr=triple, b=nachtigall_matrix(a, triple.crit), t1=t1, rows=rows, cols=cols)
 
 
@@ -329,16 +331,16 @@ def _int_identity(n: int) -> list[list]:
 
 
 def _sweep(
-    triple: CsrTriple, transient: bool = False
-) -> tuple[int | None, list[list] | None, int, dict[int, int], dict[int, int]]:
-    """(t, at, t1, rows, cols) from one loop over the powers P^t of P = A - lambda.
+    triple: CsrTriple, transient: bool = False, start: int = 1
+) -> tuple[int | None, int, dict[int, int], dict[int, int]]:
+    """(T, t1, rows, cols) from one loop over the powers P^t of P = A - lambda.
 
     T is the least t >= 0 with P^(t+gamma) = P^t, and Q_t = C S'^t R the
     residue of t (see _residue), S' = S - lambda.  Row i of P^t is
     periodic from t >= 1 exactly when it equals row i of Q_t, so the sweep
     retires row i at the first t >= 1 where the two are equal, multiplies
     only the active rows by P, and takes each retired row of P^(t+1) from
-    Q_(t+1).  With transient it stops when no row is left, with (T, None).
+    Q_(t+1).  With transient it stops when no row is left, with T.
 
     Lemma.  On the critical rows R P = S' R, so Q_t P = Q_(t+1) for t >= 1
     (and Q_gamma P = Q_1).  R P >= S' R is in weak_threshold_T1's proof.
@@ -368,16 +370,25 @@ def _sweep(
     the ceiling c = min(Wi(n), DM(g, n)), the proven bound on t1.  A
     failing row differs from Q_t, so it is active; a retired one never
     fails again.  Without transient the sweep multiplies only the failing
-    rows and returns at t1, or at c (n = 1 has c = 0 < t1 = 1), with
-    (None, None), after t1 - 1 steps.  An acyclic digraph has no critical
-    graph and no T; it gives (None, None, 1, {}, {}).
+    rows and returns at t1, or at c (n = 1 has c = 0 < t1 = 1), with T
+    None, after t1 - 1 steps.  An acyclic digraph has no critical graph
+    and no T; it gives (None, 1, {}, {}).
+
+    The T1-only sweep may start at a later t = start, from P^start taken
+    by _int_power, testing every row there.  As a row that holds keeps
+    holding, the t at which some row fails form 1, ..., t1 - 1, so from
+    start it returns t1 itself when t = start fails, and t1 = 1 when it
+    holds, as then no later t fails; rows and cols likewise.  From start =
+    c - 1 that is two tests and one product of the failing rows: t1 = c
+    exactly when t = c - 1 fails and t = c holds (see _t1_at_ceiling).
 
     Past c, which only the sweep with transient reaches with rows left,
     T may lie arbitrarily far on.  There the sweep, which needs P strongly
     connected so that its powers end periodic, steps on while that is
     cheaper than the galloping search of _transient, a ski-rental rule:
     at t = c + s it hands (t, P^t) over as soon as the work of its s steps
-    past c exceeds 2*bit_length(s)*M.  Work counts as the kernel's (see
+    past c exceeds 2*bit_length(s)*M, and returns the T that the search
+    finds from there.  Work counts as the kernel's (see
     _square_work): a step passes over the rows and multiplies each active
     one by P, so it is counted as n, plus n + nnz(P) per active row, and M
     is the work of squaring P^c, the price of one product of the search.
@@ -394,19 +405,19 @@ def _sweep(
     either way.
     """
     if triple.crit is None:
-        return None, None, 1, {}, {}
+        return None, 1, {}, {}
     norm, n = triple._norm, triple.n
     step = _finite_entries(norm)
-    at, active, failing = norm, range(n), list(range(n))  # every row is tested at t = 1
+    at, active, failing = _int_power(norm, start), range(n), list(range(n))  # every row is tested at start
     nodes = sorted(triple.crit.nodes)
     ceiling, t1, rows, cols = _ceiling(triple), 1, dict.fromkeys(nodes, 1), dict.fromkeys(nodes, 1)
     nnz, spent = sum(map(len, step)), 0  # nnz(P) bounds a row's step; spent counts the steps past c
-    for t in count(1):
+    for t in count(start):
         if transient:
             residue = _residue(triple, t)
             active = [i for i in active if at[i] != residue[i]]
             if not active:
-                return (0 if t == 1 and _residue(triple, 0) == _int_identity(n) else t), None, t1, rows, cols
+                return (0 if t == 1 and _residue(triple, 0) == _int_identity(n) else t), t1, rows, cols
         if failing and t <= ceiling:
             excess = _excess(triple, t, at, failing)
             failing = sorted({i for i, _ in excess})
@@ -415,11 +426,11 @@ def _sweep(
                 rows.update((i, t + 1) for i in failing if i in rows)
                 cols.update((j, t + 1) for _, j in excess if j in cols)
         if not transient and (not failing or t >= ceiling):
-            return None, None, t1, rows, cols
+            return None, t1, rows, cols
         if transient and t >= ceiling:
             square = square if spent else _square_work(at)
             if spent > 2 * (t - ceiling).bit_length() * square:
-                return t, at, t1, rows, cols
+                return _transient(norm, t, at, partial(_residue, triple)), t1, rows, cols
             spent += n + len(active) * (n + nnz)
         left = active if transient else failing
         nxt = _residue(triple, t + 1)[:]  # the retired rows of P^(t+1); rows neither left nor retired are not read
@@ -463,7 +474,7 @@ def _ceiling(triple: CsrTriple) -> int:
     return min(wielandt_bound(n), dm_bound(triple.crit.girth, n))
 
 
-def _excess(triple: CsrTriple, t: int, at: list[list] | dict[int, list], rows: list[int] | range) -> list[tuple[int, int]]:
+def _excess(triple: CsrTriple, t: int, at: list[list], rows: list[int]) -> list[tuple[int, int]]:
     """The entries (i, j), i in the given rows, where the residue Q_t of t
     exceeds at = P^t.
 
@@ -603,31 +614,22 @@ def _primitive_cover(crit: CritGraph | None, n: int) -> bool:
 def _t1_at_ceiling(a: MaxPlusMatrix, bound: int) -> bool:
     """Whether weak_threshold_T1(a).t1 == bound and bound is a's ceiling c.
 
-    c = min(Wi(n), DM(g, n)), g the critical girth.  Exactness: the
-    sweep's t1 is one more than the last t <= c at which the residue of
-    t exceeds P^t, P = A - lambda, somewhere (see _excess), and 1 when
-    no t fails (see _sweep).  So t1 == c exactly when t = c - 1 fails
-    and t = c holds.  P^(c-1) comes by repeated squaring, in O(log c)
-    products.  A row that holds at t holds at t + 1 (the proof is in
-    weak_threshold_T1), so t = c holds exactly when the rows that fail at
-    c - 1 hold at c, and only those rows of P^(c-1) are multiplied by P.
-    c >= 2 for n >= 2, and c = 0 < t1 for n = 1.  A bound other than the
-    ceiling gives False even when t1 equals it, and so does an acyclic a,
-    which has no critical girth.  When _primitive_cover holds, t1 is the
-    critical graph's exponent for n >= 2, and no power is taken.
+    c = min(Wi(n), DM(g, n)), g the critical girth.  The T1-only sweep
+    runs from t = c - 1, on P^(c-1) by repeated squaring in O(log c)
+    products, P = A - lambda, and its exactness is the sweep's (see
+    _sweep): t1 = c exactly when t = c - 1 fails and t = c holds, two
+    tests and one product of the failing rows.  c >= 2 for n >= 2, and
+    c = 0 < t1 for n = 1.  A bound other than the ceiling gives False
+    even when t1 equals it, and so does an acyclic a, which has no
+    critical girth.  When _primitive_cover holds, t1 is the critical
+    graph's exponent for n >= 2, and no power is taken.
     """
     triple = build_csr(a)
     if triple.crit is None or a.n == 1 or bound != _ceiling(triple):
         return False
     if _primitive_cover(triple.crit, a.n):
         return _boolean_index(triple.crit) == bound
-    p = triple._norm
-    at = _int_power(p, bound - 1)
-    failing = sorted({i for i, _ in _excess(triple, bound - 1, at, range(a.n))})
-    if not failing:
-        return False
-    stepped = dict(zip(failing, _int_mul([at[i] for i in failing], _finite_entries(p))))  # rows of P^c
-    return not _excess(triple, bound, stepped, failing)
+    return _sweep(triple, False, bound - 1)[1] == bound
 
 
 def crit_row_col_profile(a: MaxPlusMatrix) -> tuple[int, dict[int, int], dict[int, int]]:
@@ -699,8 +701,9 @@ def analyze(a: MaxPlusMatrix) -> TransientReport:
     and no power of A.  Otherwise one sweep gives T1 and the critical row
     and column transients, and on strongly connected input T as well:
     past the ceiling it steps on until T, or hands over to the galloping
-    search of _transient, within twice the search's bound (see _sweep).
-    On other input it stops at T1, and T is None.
+    search of _transient and returns what that finds, within twice the
+    search's bound (see _sweep).  On other input it stops at T1, and T is
+    None.
     """
     sp = spectrum(a)
     connected, lam, crit = sp._strongly_connected, sp.lam, sp.crit
@@ -708,10 +711,7 @@ def analyze(a: MaxPlusMatrix) -> TransientReport:
         t = _boolean_index(crit)
         t1 = crit_rc = max(t, 1)
     else:
-        triple = build_csr(a)
-        t, at, t1, rows, cols = _sweep(triple, connected)
-        if connected and at is not None:
-            t = _transient(triple._norm, t, at, partial(_residue, triple))
+        t, t1, rows, cols = _sweep(build_csr(a), connected)
         crit_rc = _crit_rc_overall(rows, cols)
     wi = wielandt_bound(a.n)
     dm = None if crit is None else dm_bound(crit.girth, a.n)

@@ -931,6 +931,15 @@ def twice_optimal_walk(
     any longer walk reduces, by removing and reinserting cycles of the
     critical g-cycle, to one within the cap with the same residue and at
     least the weight; at n = 1 the walks circle the loop, of length g = 1.
+
+    The best weights come from one row per length over the 2n states
+    (node, whether the critical cycle was visited), each the product of
+    the one before by the state step with the kernel's _int_mul.  The
+    walk is then read backwards: at each length it steps back to the
+    least state 2*u + f, so u ascending and then f = 0, 1, whose weight
+    plus the arc's is the step's weight.  Among tied walks that picks the
+    nodes a forward relaxation picks when it keeps the first best
+    predecessor of each state.
     """
     n = a.n
     if n > _WALK_LIMIT:
@@ -951,51 +960,29 @@ def twice_optimal_walk(
             f"the walk oracle needs a unique critical {g}-cycle, found {len(z0_cycles)}"
         )
     z0 = set(z0_cycles[0])
-    norm = sp._norm
-    arcs = [(u, v, w) for u, row in enumerate(norm) for v, w in enumerate(row) if w is not None]
-
-    cap = max(g * n + n - g - 1, g)
-    # dp[l][v][flag]: best weight in norm, the spectrum's rows d(A - lambda),
-    # of a length-l walk from i to v, flag marking whether a node of the
-    # critical cycle was visited.
-    dp = [[[None, None] for _ in range(n)] for _ in range(cap + 1)]
-    parent: list[list[list[tuple[int, int] | None]]] = [
-        [[None, None] for _ in range(n)] for _ in range(cap + 1)
-    ]
-    dp[0][i][1 if i in z0 else 0] = 0
-    for l in range(cap):
-        cur = dp[l]
-        for u, v, w in arcs:
-            vflag_extra = 1 if v in z0 else 0
+    # state 2*v + f: at node v, f marking whether a node of the critical
+    # cycle was visited; an arc (u, v) of norm, the spectrum's rows
+    # d(A - lambda), leads from 2*u + f to 2*v + (f or v in z0)
+    step = [[None] * (2 * n) for _ in range(2 * n)]
+    for u, row in enumerate(sp._norm):
+        for v, w in enumerate(row):
             for f in (0, 1):
-                x = cur[u][f]
-                if x is None:
-                    continue
-                nf = f | vflag_extra
-                s = x + w
-                if dp[l + 1][v][nf] is None or s > dp[l + 1][v][nf]:
-                    dp[l + 1][v][nf] = s
-                    parent[l + 1][v][nf] = (u, f)
+                step[2 * u + f][2 * v + (f or v in z0)] = w
+    # dp[l][s]: best weight of a length-l walk from i to state s
+    dp = [[None] * (2 * n)]
+    dp[0][2 * i + (i in z0)] = 0
+    finite = _finite_entries(step)
+    for _ in range(max(g * n + n - g - 1, g)):
+        dp += _int_mul(dp[-1:], finite)
 
-    best_w = None
-    best_l = None
-    for l in range(1, cap + 1):
-        if (l - t) % g != 0:
-            continue
-        x = dp[l][j][1]
-        if x is None:
-            continue
-        if best_w is None or x > best_w or (x == best_w and l < best_l):
-            best_w, best_l = x, l
-    if best_w is None:
+    ends = [(x, l) for l, row in enumerate(dp) if l and (l - t) % g == 0 and (x := row[2 * j + 1]) is not None]
+    if not ends:
         return None
-
-    nodes = [j]
-    v, f = j, 1
-    for l in range(best_l, 0, -1):
-        u, pf = parent[l][v][f]
-        nodes.append(u)
-        v, f = u, pf
+    best_w, best_l = max(ends, key=lambda e: (e[0], -e[1]))
+    nodes, s = [j], 2 * j + 1
+    for l in range(best_l, 0, -1):  # back to the least state r whose step attains dp[l][s]
+        s = next(r for r, x in enumerate(dp[l - 1]) if x is not None and (w := step[r][s]) is not None and x + w == dp[l][s])
+        nodes.append(s // 2)
     nodes.reverse()
     return WalkResult(
         nodes=tuple(nodes),

@@ -2,9 +2,10 @@
 
 The maximum cycle mean is computed by Karp's dynamic program, run once
 over the whole digraph from a virtual source, on the exactly scaled
-integer entries; no strongly connected components are found for it.
-`spectrum` scales A once, turns the rows into those of A - lambda, and
-keeps that integer form on the returned Spectrum, together with its
+integer entries, each of its rows one product of the row before by A in
+the kernel's _int_mul; no strongly connected components are found for
+it.  `spectrum` scales A once, turns the rows into those of A - lambda,
+and keeps that integer form on the returned Spectrum, together with its
 closure A'+ and whether the digraph is strongly connected, which is
 read off that closure; the CSR terms and both scans in `csr` read them
 instead of scaling again.  A matrix's spectrum is computed once: it is
@@ -52,6 +53,7 @@ from .matrix import (
     MaxPlusMatrix,
     _finite_entries,
     _int_closure,
+    _int_mul,
     _scaled,
     _unscaled,
     kleene_star,
@@ -110,23 +112,16 @@ def _karp(rows: list[list]) -> Fraction | None:
     exactly k arcs ending at v, and the mean is max over v of min over
     k < n of (dp[n][v] - dp[k][v]) / (n - k), leaving out the -inf
     terms.  A walk of n arcs repeats a node, so some dp[n][v] is finite
-    iff there is a cycle.  The n passes over the finite entries cost
-    O(n m), never more than the n^3 closure `spectrum` takes next.
+    iff there is a cycle.  Each row dp[k + 1] is the one-row product
+    dp[k] A by the kernel's _int_mul, so the n passes over the finite
+    entries cost O(n m), never more than the n^3 closure `spectrum`
+    takes next.
     """
     n = len(rows)
     finite = _finite_entries(rows)
     dp = [[0] * n]
     for _ in range(n):
-        nxt = [None] * n
-        for x, arcs in zip(dp[-1], finite):
-            if x is None:
-                continue
-            for v, w in arcs:
-                s = x + w
-                b = nxt[v]
-                if b is None or s > b:
-                    nxt[v] = s
-        dp.append(nxt)
+        dp += _int_mul(dp[-1:], finite)
     # every quotient times the lcm L of 1..n is an integer: compare those
     big = lcm(*range(1, n + 1))
     means = [

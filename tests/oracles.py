@@ -45,7 +45,10 @@ kernel, against the residues in closed form of class_residue.
 masked_m and residue_by_chain are the CSR triple as the library built
 it before it read every residue off its closure M: C and R masked out
 of a fresh M, and each residue C (S - lambda)^t R by a chain of
-products on them.
+products on them.  twice_optimal_walk_relaxed is the walk oracle as it
+ran before it stepped with the kernel's product: a relaxation over the
+arcs with a table of parents, which fixes the walk, and so the nodes
+among tied walks, that the library's backward scan must return.
 
 Partial: oracles that take some of their parts from the library.
 crit_rc_wielandt_brute checks only how the library narrows its search,
@@ -75,7 +78,9 @@ from maxplus import (
     MaxPlusMatrix,
     csr,
     digraph,
+    extremal,
     matrix,
+    semiring,
     spectral,
     MaxPlusScalar,
     analyze,
@@ -727,6 +732,62 @@ def twice_optimal_walks_brute(a):
                 if x is not None and (key not in best or x > best[key][0]):
                     best[key] = (x, length)
     return {key: (x + length * lam, length) for key, (x, length) in best.items()}
+
+
+def twice_optimal_walk_relaxed(a, i, j, t):
+    """extremal.twice_optimal_walk as the library ran it before its walk DP
+    stepped with the kernel's _int_mul: the same checks, then one
+    relaxation over the arcs per length, with a table of parents that
+    keeps, for each (node, visited) state, the first (u, f) in arc order
+    (u ascending, then f = 0, 1) that reaches its best weight."""
+    n = a.n
+    if n > extremal._WALK_LIMIT:
+        raise ValueError(f"instance too large for the walk oracle: n={n} > {extremal._WALK_LIMIT}")
+    semiring._check_exponent("twice_optimal_walk", t)
+    if t < 1:
+        raise ValueError(f"need t >= 1, got {t}")
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (i, j)):
+        raise TypeError(f"walk endpoints must be ints, got {i!r} and {j!r}")
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError("walk endpoints out of range")
+    sp = spectral._cyclic_spectrum(a)
+    g = sp.crit.girth
+    z0_cycles = extremal._critical_cycles_of_length(a, sp.crit, g)
+    if len(z0_cycles) != 1:
+        raise ValueError(f"the walk oracle needs a unique critical {g}-cycle, found {len(z0_cycles)}")
+    z0 = set(z0_cycles[0])
+    arcs = [(u, v, w) for u, row in enumerate(sp._norm) for v, w in enumerate(row) if w is not None]
+    cap = max(g * n + n - g - 1, g)
+    dp = [[[None, None] for _ in range(n)] for _ in range(cap + 1)]
+    parent = [[[None, None] for _ in range(n)] for _ in range(cap + 1)]
+    dp[0][i][1 if i in z0 else 0] = 0
+    for l in range(cap):
+        for u, v, w in arcs:
+            for f in (0, 1):
+                x = dp[l][u][f]
+                if x is None:
+                    continue
+                nf = f | (1 if v in z0 else 0)
+                if dp[l + 1][v][nf] is None or x + w > dp[l + 1][v][nf]:
+                    dp[l + 1][v][nf] = x + w
+                    parent[l + 1][v][nf] = (u, f)
+    best_w = best_l = None
+    for l in range(1, cap + 1):
+        x = dp[l][j][1]
+        if (l - t) % g == 0 and x is not None and (best_w is None or x > best_w):
+            best_w, best_l = x, l
+    if best_w is None:
+        return None
+    nodes, v, f = [j], j, 1
+    for l in range(best_l, 0, -1):
+        v, f = parent[l][v][f]
+        nodes.append(v)
+    return extremal.WalkResult(
+        nodes=tuple(reversed(nodes)),
+        length=best_l,
+        weight=MaxPlusScalar(Fraction(best_w, sp._d) + best_l * sp.lam.value),
+        interesting=best_l == dm_bound(g, n) + g - 1,
+    )
 
 
 def successor_set_index(n, mask):

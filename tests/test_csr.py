@@ -642,8 +642,10 @@ def test_transient_of_a_small_gap_is_found_in_logarithmic_products(monkeypatch):
         if "_int_mul" in vars(module):
             monkeypatch.setattr(module, "_int_mul", counted)
     for eps in (Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10**6)):
+        a = small_gap(eps)
+        spectrum(a)  # Karp's rows are products too: counted before
         products.clear()
-        assert transient_T(small_gap(eps)) == 20 / eps
+        assert transient_T(a) == 20 / eps
         assert products["_int_mul"] <= 150
 
 
@@ -818,8 +820,10 @@ def test_analyze_steps_then_gallops_on_a_small_gap(monkeypatch):
     transient = csr._transient
     monkeypatch.setattr(csr, "_transient", lambda *args: handovers.append(args[1]) or transient(*args))
     for eps, galloping in ((Fraction(1, 100), 815), (Fraction(1, 1000), 1139), (Fraction(1, 10**6), 1949)):
+        a = small_gap(eps)
+        spectrum(a)  # Karp's rows are products too: counted before
         ops.clear(), handovers.clear()
-        assert analyze(small_gap(eps)).t == 20 / eps
+        assert analyze(a).t == 20 / eps
         assert ops["entries"] <= 2 * galloping and len(handovers) == 1, (eps, ops)
 
 
@@ -901,11 +905,13 @@ def test_the_residue_times_P_is_the_next_residue():
 def test_each_row_retires_where_it_meets_the_residue(monkeypatch):
     # analyze's sweep multiplies at step t exactly the rows i of P^t with
     # max(T_i, 1) > t, T_i where row i turns periodic by the oracle, in
-    # order and with their values, up to max(T, 1) or to its hand-over
+    # order and with their values, up to max(T, 1) or to its hand-over,
+    # where the products it made before _transient's are counted
     rng = random.Random(2114)
-    products = []
-    int_mul = matrix._int_mul
+    products, handovers = [], []
+    int_mul, transient = matrix._int_mul, csr._transient
     monkeypatch.setattr(csr, "_int_mul", lambda arows, b: products.append(arows) or int_mul(arows, b))
+    monkeypatch.setattr(csr, "_transient", lambda norm, t, *args: handovers.append((t, len(products))) or transient(norm, t, *args))
     kinds = Counter()
     corpus = [random_irreducible(rng, k % 8 + 1, rng.choice((0.2, 0.4, 0.8))) for k in range(300)]
     corpus += [_near_critical_loop(rng) for _ in range(40)]
@@ -913,18 +919,19 @@ def test_each_row_retires_where_it_meets_the_residue(monkeypatch):
         triple = build_csr(a)
         for t in range(1, triple.gamma + 1):
             csr._residue(triple, t)  # read first, so the products recorded are the sweep's steps
-        products.clear()
-        t, at, *_ = csr._sweep(triple, True)
-        stop = max(t, 1) if at is None else t
-        steps = products[: stop - 1]
+        products.clear(), handovers.clear()
+        t, *_ = csr._sweep(triple, True)
+        assert t == transient_by_steps(normalized(a).raw(), triple.gamma)
+        stop, made = handovers[0] if handovers else (max(t, 1), len(products))  # the hand-over's t and products before it
+        steps = products[:made]
         p = normalized(a)
         periodic_from = row_transients_by_steps(p.raw(), triple.gamma, stop)
         powers = walk_powers(p, stop)
         for s, left in enumerate(steps, 1):
             scaled = [[None if x is None else Fraction(x, triple._d) for x in row] for row in left]
             assert scaled == [powers[s][i] for i, ti in enumerate(periodic_from) if ti is None or max(ti, 1) > s]
-        assert len(steps) == stop - 1
-        kinds["handed over" if at is not None else "stepped to T"] += 1
+        assert len(steps) == stop - 1 and len(handovers) <= 1
+        kinds["handed over" if handovers else "stepped to T"] += 1
         kinds["gamma > 1"] += triple.gamma > 1
     assert kinds["stepped to T"] >= 250 and kinds["handed over"] >= 10 and kinds["gamma > 1"] >= 20, kinds
 

@@ -50,6 +50,7 @@ from oracles import (
     residue_chords_brute,
     sample_remainder_fractions,
     spectrum_differences,
+    twice_optimal_walk_relaxed,
     twice_optimal_walks_brute,
     unweighted_disagreements,
 )
@@ -1158,6 +1159,48 @@ def test_the_walk_oracle_matches_a_brute_force_dp_up_to_n_4():
                 assert walk.weight.value == sum(raw[u][v] for u, v in zip(walk.nodes, walk.nodes[1:]))
             kinds["none" if walk is None else f"walk, n = {a.n}" if a.n == 1 else "walk"] += 1
     assert kinds["walk, n = 1"] >= 20 and kinds["walk"] >= 500 and kinds["none"] >= 200 and kinds["refused"] >= 5, kinds
+
+
+def test_the_walk_dp_on_the_kernel_matches_the_relaxation_it_replaced():
+    # twice_optimal_walk steps one dp row per length with _int_mul and
+    # reads the walk back, taking the least state that attains each step;
+    # oracles.twice_optimal_walk_relaxed is the relaxation with a table of
+    # parents that it replaced.  Both give the same WalkResult, nodes
+    # included, or the same exception, at every (i, j) with a random t in
+    # 0..2g, on random matrices with n = 1..8, a third of them with {0, 1}
+    # weights, where many walks tie, and on the generated DM and Wielandt
+    # instances up to n = 8
+    rng = random.Random(2929)
+    inputs = []
+    for k in range(330):
+        n, density = k % 8 + 1, rng.choice((0.2, 0.35, 0.5))
+        if k % 3:
+            inputs.append(("weighted", random_matrix(rng, n, density)))
+        else:
+            rows = [[rng.randint(0, 1) if rng.random() < density else None for _ in range(n)] for _ in range(n)]
+            inputs.append(("{0, 1}", MaxPlusMatrix(rows)))
+    for g, n in COPRIME_PAIRS:
+        inputs.append(("generated", generate_dm(n, g, seed=g)))
+    for n in range(2, 9):
+        inputs += [("generated", generate_wielandt(n, 0, case=case)) for case in ("n-1", "n")]
+    kinds = Counter()
+    for kind, a in inputs:
+        crit = spectral.spectrum(a).crit
+        g = crit.girth if crit else 1
+        for i, j in product(range(a.n), range(a.n)):
+            t = rng.randint(0, 2 * g)
+            outcomes = []
+            for walk in (twice_optimal_walk, twice_optimal_walk_relaxed):
+                try:
+                    outcomes.append(walk(a, i, j, t))
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], (render_matrix(a), i, j, t)
+            found = outcomes[0]
+            kinds[f"{kind}, {'refused' if isinstance(found, str) else 'none' if found is None else 'walk'}"] += 1
+    assert len(inputs) >= 300 + 30, len(inputs)
+    assert kinds["{0, 1}, walk"] >= 500 and kinds["weighted, walk"] >= 2000 and kinds["generated, walk"] >= 800, kinds
+    assert min(kinds[f"{kind}, {out}"] for kind in ("{0, 1}", "weighted") for out in ("none", "refused")) >= 300, kinds
 
 
 def test_unweighted_digraphs_agree_with_their_successor_set_index():

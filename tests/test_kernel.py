@@ -439,15 +439,17 @@ def test_sweep_matches_the_full_ceiling_scan(monkeypatch):
     # Here only n = 1 with a loop has a critical graph that covers every
     # node, one component of cyclicity 1: analyze reads T = 0 and T1 = 1
     # off it with no sweep and no product (see csr._primitive_cover)
-    found, steps = [], []
-    sweep, int_mul = csr._sweep, matrix._int_mul
+    found, steps, handovers = [], [], []
+    sweep, int_mul, transient = csr._sweep, matrix._int_mul, csr._transient
 
     def recorded(*args):
+        handovers.clear()
         out = sweep(*args)
-        found.append(out[0] if out[1] is None else None)  # T, if the sweep found it
+        found.append(None if handovers else out[0])  # T, if the sweep found it without handing over
         return out
 
     monkeypatch.setattr(csr, "_sweep", recorded)
+    monkeypatch.setattr(csr, "_transient", lambda *args: handovers.append(args[1]) or transient(*args))
     monkeypatch.setattr(csr, "_int_mul", lambda *args: steps.append(1) or int_mul(*args))
     kinds = Counter()
     for a in [*instances(10, 300), *instances(11, 100, make=irreducible)]:
@@ -505,18 +507,29 @@ def test_the_sweep_multiplies_only_the_rows_not_yet_periodic(monkeypatch):
     # max(T_i, 1), where it meets the residue; until then it is one left
     # row of each step's product.  T is the largest T_i.  With transient,
     # on strongly connected input, the sweep stops at max(T, 1), or past
-    # the ceiling hands P^t over; the T1-only sweep multiplies only the
-    # rows that fail at t, by the walk powers and csr_at, and stops at t1
-    left_rows, int_mul = [], matrix._int_mul
+    # the ceiling hands P^t over to _transient, whose products are not
+    # its steps; the T1-only sweep multiplies only the rows that fail at
+    # t, by the walk powers and csr_at, and stops at t1
+    left_rows, handovers, int_mul, search = [], [], matrix._int_mul, csr._transient
     monkeypatch.setattr(csr, "_int_mul", lambda arows, b: left_rows.append(len(arows)) or int_mul(arows, b))
+
+    def handed_over(norm, t, at, residue):  # where the search starts, with what, after how many products
+        handovers.append((t, at, len(left_rows)))
+        return search(norm, t, at, residue)
+
+    monkeypatch.setattr(csr, "_transient", handed_over)
 
     def sweep(a, transient):
         triple = build_csr(a)
         gamma = triple.gamma
         for t in range(1, gamma + 1):
             csr._residue(triple, t)  # read first, so the sweep's products are its steps alone
-        left_rows.clear()
-        t, at, t1, *_ = csr._sweep(triple, transient)
+        left_rows.clear(), handovers.clear()
+        t, t1, *_ = csr._sweep(triple, transient)
+        at = None
+        if handovers:
+            (t, at, made), = handovers
+            del left_rows[made:]  # the search's products
         if not transient:
             assert at is None and t is None
             powers, failing = walk_powers(a, t1), []
@@ -579,7 +592,8 @@ def test_analyze_stops_the_sweep_at_T(monkeypatch):
     # M takes at most gamma - 1 products and the residues gamma, C R and
     # one product by A - lambda for each other residue; the sweep
     # max(T, 1) - 1 steps over the powers of A - lambda, and none of
-    # B - lambda
+    # B - lambda.  The spectrum, whose Karp rows are products too, is
+    # computed before the count
     products = Counter()
     int_mul = matrix._int_mul
 
@@ -594,6 +608,7 @@ def test_analyze_stops_the_sweep_at_T(monkeypatch):
     for n in range(1, 6):  # bare cycles are periodic from T = 0; T1 is 1 by convention
         cases.append((from_entries(n, {(i, (i + 1) % n): 0 for i in range(n)}), 0, n, 1))
     for a, t, gamma, t1 in cases:
+        spectrum(a)
         products.clear()
         report = analyze(a)
         assert (report.t, report.gamma, report.t1) == (t, gamma, t1)
@@ -607,6 +622,7 @@ def test_analyze_stops_the_sweep_at_T(monkeypatch):
     # search then gallops from there: a probe and a square per doubling,
     # and a probe per halving, 3*bit_length(T - c) - 2 products at most
     gap = MaxPlusMatrix([[0, -5, None], [-5, Fraction(-1, 10**6), -5], [None, -5, Fraction(-1, 10**6)]])
+    spectrum(gap)
     products.clear()
     report = analyze(gap)
     assert (report.t, report.gamma, report.t1, report.dm) == (2 * 10**7, 1, 2, 4)
@@ -806,13 +822,15 @@ def test_the_ceiling_check_steps_to_c_only_the_rows_failing_at_c_minus_1(monkeyp
     ids=["wielandt-n", "dm-g11"],
 )
 def test_generators_check_T1_at_two_powers_only(monkeypatch, generate, squares):
-    # no sweep.  Case-n Wielandt, gamma = n: O(log bound) products beyond
-    # the CSR triple's own (its residues, computed when first read,
-    # included), all of them powers of A - lambda.  DM with g = n - 1:
-    # the critical graph covers every node, one component of cyclicity 1,
-    # and T1 is its exponent, read on bit rows with no product at all
-    calls, depth = Counter(), [0]
-    int_mul = matrix._int_mul
+    # Case-n Wielandt, gamma = n: the sweep runs from c - 1 = bound - 1
+    # alone, tests t = c - 1 and t = c only, and takes O(log bound)
+    # products beyond the CSR triple's own (its residues, computed when
+    # first read, included), all of them powers of A - lambda.  DM with
+    # g = n - 1: the critical graph covers every node, one component of
+    # cyclicity 1, and T1 is its exponent, read on bit rows with no sweep
+    # and no product at all
+    calls, depth, tested = Counter(), [0], []
+    int_mul, sweep, excess = matrix._int_mul, csr._sweep, csr._excess
 
     def counted(*args):
         calls["_int_mul"] += depth[0] == 0
@@ -828,8 +846,10 @@ def test_generators_check_T1_at_two_powers_only(monkeypatch, generate, squares):
 
         return wrapper
 
-    def no_sweep(*args):
-        raise AssertionError("the generator ran the sweep")
+    def sweep_from_c_minus_1(triple, transient, start):
+        assert squares and (transient, start) == (False, bound - 1), "the generator ran the sweep from t = 1"
+        calls["_sweep"] += 1
+        return sweep(triple, transient, start)
 
     for module in (matrix, spectral, csr, extremal):
         if "_int_mul" in vars(module):
@@ -838,12 +858,14 @@ def test_generators_check_T1_at_two_powers_only(monkeypatch, generate, squares):
             if name in vars(module):
                 monkeypatch.setattr(module, name, inside(vars(module)[name]))
         if "_sweep" in vars(module):
-            monkeypatch.setattr(module, "_sweep", no_sweep)
+            monkeypatch.setattr(module, "_sweep", sweep_from_c_minus_1)
+    monkeypatch.setattr(csr, "_excess", lambda triple, t, *args: tested.append(t) or excess(triple, t, *args))
     bound = wielandt_bound(12)  # = DM(11, 12) = 122
     for seed in range(3):
-        calls.clear()
+        calls.clear(), tested.clear()
         a = generate(seed)
         assert (spectrum(a).crit.cyclicity == 1) != squares
         assert 0 < calls["_int_mul"] <= 2 * bound.bit_length() + 4 if squares else calls["_int_mul"] == 0
+        assert (calls["_sweep"], tested) == ((1, [bound - 1, bound]) if squares else (0, []))
     monkeypatch.undo()
     assert weak_threshold_T1(a).t1 == bound
