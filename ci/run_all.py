@@ -20,6 +20,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = [
     "stdlib_only", "instances20", "memos20", "large", "exponent", "heaviest", "transcript_hashes", "spectrum", "unweighted",
+    "loc",
 ]
 
 env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))

@@ -589,8 +589,8 @@ def _primitive_cover(crit: CritGraph | None, n: int) -> bool:
        weight 0, and concatenated critical walks are critical: every
        critical walk i -> j weighs the same, u(i, j), u is additive, and
        u = P+ as P+(i, j) + u(j, i) <= 0.  This step needs one component
-       on every node only, at any cyclicity; by it a skeleton that
-       extremal._inherit_input hands crit(a) takes a's P+ too.
+       on every node only, at any cyclicity; by it a skeleton carved out
+       of a that holds crit(a) takes a's P+ too (see extremal._skeleton).
     2. A walk of length t from i to j of weight P+(i, j), closed by a
        critical walk j -> i, weighs 0: each cycle it splits into is
        critical, and so is each of its arcs.  So P^t(i, j) = P+(i, j)

@@ -31,14 +31,19 @@ once: the triple bounds the remainder it samples, and the verdict reads
 it again once a1 equals the layer it carves (see _skeleton).  The
 candidate, a1 plus entries strictly below CSR(a1) at t = 1, inherits
 a1's spectrum and triple (see _inherit_skeleton): one spectrum a matrix.
-A skeleton a1 that a verifier carves out of any other input takes the
-input's lambda and critical graph, and its closure when that graph is
-one component on every node (see _inherit_input).  This module only
-proves and checks the hypotheses of these hand-overs, with one call per
-memo; `spectral` and `csr` rescale and relabel what they hand over.
+A verifier carves the skeleton out of any other input in the input's
+own labels, the a1 and b1 patterns mapped through the numbering; it
+takes the input's whole spectrum when every critical arc lies on it and
+the critical graph is one component on every node (see _skeleton).
+This module only proves and checks the hypotheses of these hand-overs,
+with one call per memo; `spectral` and `csr` rescale what they hand
+over and read no numbering.
 
 Node indices are 0-based throughout; a numbering is a permutation tuple
-``sigma`` placing original node ``sigma[p]`` at position ``p``.
+``sigma`` placing original node ``sigma[p]`` at position ``p``.  Only
+`decompose` and `apply_numbering` build a permuted matrix; the verdicts
+read the input's own rows at (sigma[p], sigma[q]) and name arcs in their
+details by positions (p, q).
 """
 
 from __future__ import annotations
@@ -55,8 +60,7 @@ from .csr import _t1_at_ceiling, build_csr
 from .digraph import _cycles, _successors, _support
 from .matrix import MaxPlusMatrix, _finite_entries, _int_mul, _scaled, from_entries
 from .semiring import MaxPlusScalar, _check_exponent
-from .spectral import CritGraph, Spectrum, _cyclic_spectrum, _inherit_critical, _inherit_spectrum
-from .spectral import _relabeled, critical_graph, spectrum
+from .spectral import CritGraph, Spectrum, _cyclic_spectrum, _inherit_spectrum, critical_graph, spectrum
 
 SEARCH_LIMIT = 10  # the pruned cycle search still lists every cycle tied below lambda, as beside a heavier loop
 _WALK_LIMIT = 8  # largest n the twice-optimal walk oracle accepts
@@ -125,15 +129,21 @@ def decompose(a: MaxPlusMatrix, g: int, numbering: tuple[int, ...]) -> Decomposi
     return Decomposition(a1=a1, b1=b1, a2=a2, g=g, numbering=tuple(numbering))
 
 
-def _carve(praw: list[list], *patterns: set[tuple[int, int]]) -> list[MaxPlusMatrix]:
-    """One matrix per arc pattern, holding the entries of the rows praw on
-    it, then one holding their entries on no pattern; -inf elsewhere."""
-    n = len(praw)
+def _carve(raw: list[list], *patterns: set[tuple[int, int]]) -> list[MaxPlusMatrix]:
+    """One matrix per set of arcs, holding the entries of the rows raw on
+    it, then one holding their entries on none; -inf elsewhere."""
+    n = len(raw)
     rest = set(product(range(n), repeat=2)).difference(*patterns)
     return [
-        MaxPlusMatrix._from_raw([[praw[i][j] if (i, j) in arcs else None for j in range(n)] for i in range(n)])
+        MaxPlusMatrix._from_raw([[raw[i][j] if (i, j) in arcs else None for j in range(n)] for i in range(n)])
         for arcs in (*patterns, rest)
     ]
+
+
+def _mapped(arcs, numbering: tuple[int, ...]) -> set[tuple[int, int]]:
+    """The arcs (numbering[p], numbering[q]) of the input named by the arcs
+    (p, q) in positions."""
+    return {(numbering[p], numbering[q]) for p, q in arcs}
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +232,15 @@ def _cycle_arcs(k: int) -> list[tuple[int, int]]:
     return [(i, i + 1) for i in range(k - 1)] + [(k - 1, 0)]
 
 
-def _support_check(praw, arcs) -> ConditionCheck:
-    missing = [arc for arc in arcs if praw[arc[0]][arc[1]] is None]
+def _support_check(raw, arcs, numbering: tuple[int, ...]) -> ConditionCheck:
+    """Do the input's rows raw hold every arc (p, q) of arcs, in positions?"""
+    missing = [(p, q) for p, q in arcs if raw[numbering[p]][numbering[q]] is None]
     return ConditionCheck(not missing, detail=f"missing arcs {missing}" if missing else "")
 
 
-def _critical_check(arcs, crit_arcs: frozenset[tuple[int, int]]) -> ConditionCheck:
-    noncrit = [arc for arc in arcs if arc not in crit_arcs]
+def _critical_check(arcs, crit_arcs: frozenset[tuple[int, int]], numbering: tuple[int, ...]) -> ConditionCheck:
+    """Is every arc (p, q) of arcs, in positions, critical in the input?"""
+    noncrit = [(p, q) for p, q in arcs if (numbering[p], numbering[q]) not in crit_arcs]
     return ConditionCheck(not noncrit, detail=f"non-critical arcs {noncrit}" if noncrit else "")
 
 
@@ -366,17 +378,16 @@ def _search_dm_numbering(a: MaxPlusMatrix, short_cycle: tuple[int, ...], conditi
 def _dm_conditions(
     a: MaxPlusMatrix, sp: Spectrum, g: int, numbering: tuple[int, ...], conditions: dict, a1: MaxPlusMatrix | None
 ) -> None:
-    n = a.n
-    dec = decompose(a, g, numbering)
-    relabeled = _relabeled(sp.crit, numbering)
-    a1 = _inherit_input(_skeleton(a1, dec.a1), sp, numbering, relabeled)
+    n, raw = a.n, a.raw()
+    layer, b1, a2 = _carve(raw, _mapped(a1_pattern(n, g), numbering), _mapped(b1_pattern(n, g), numbering))
+    a1 = _skeleton(a1, layer, sp)
     # the Hamiltonian arcs belong to the a1 pattern
-    conditions["hamiltonian_support"] = _support_check(dec.a1.raw(), _cycle_arcs(n))
-    conditions["short_cycle_critical"] = _critical_check(_cycle_arcs(g), relabeled.arcs)
+    conditions["hamiltonian_support"] = _support_check(raw, _cycle_arcs(n), numbering)
+    conditions["short_cycle_critical"] = _critical_check(_cycle_arcs(g), sp.crit.arcs, numbering)
 
     conditions["coprime"] = ConditionCheck(gcd(g, n) == 1, detail=f"gcd({g},{n})={gcd(g, n)}")
 
-    conditions["remainder_below_csr"] = ConditionCheck(_remainder_below_csr(a1, dec.a2))
+    conditions["remainder_below_csr"] = ConditionCheck(_remainder_below_csr(a1, a2))
 
     witnesses, qualifying = _residue_chord_witnesses(sp._norm, g, numbering)
     if qualifying == 0:
@@ -390,14 +401,15 @@ def _dm_conditions(
         # with |j - i - 1| <= n - g < g forces j = i + 1.  A path has no cycle.
         conditions["chord_power_below_csr"] = ConditionCheck(True, vacuous=True, detail="chord layer is acyclic")
     else:
-        t = dm_bound(g, n) - 1  # (b1^t)_{g, n-1} must lie strictly below (CSR(a1) at t)_{g, n-1}
-        d, (rows,) = _scaled([dec.b1])
-        row, step = rows[g], _finite_entries(rows)
+        t = dm_bound(g, n) - 1  # (b1^t)_{g, n-1} must lie strictly below (CSR(a1) at t)_{g, n-1}, in positions
+        first, last = numbering[g], numbering[n - 1]
+        d, (rows,) = _scaled([b1])
+        row, step = rows[first], _finite_entries(rows)
         for _ in range(t - 1):  # row g of b1^t, one row a step: t*nnz(b1) operations, not log t squarings
             (row,) = _int_mul([row], step)
-        power = row[n - 1]
+        power = row[last]
         lhs = MaxPlusScalar(None if power is None else Fraction(power, d))
-        rhs = _csr_entry(build_csr(a1), t, g, n - 1)
+        rhs = _csr_entry(build_csr(a1), t, first, last)
         conditions["chord_power_below_csr"] = ConditionCheck(lhs < rhs, detail=f"{lhs} vs {rhs}")
 
 
@@ -495,21 +507,19 @@ def _wielandt_conditions(
     conditions: dict[str, ConditionCheck],
     a1: MaxPlusMatrix | None,
 ) -> str | None:
-    n = a.n
+    n, raw = a.n, a.raw()
     crit = sp.crit
     g_crit = crit.girth
-    praw = apply_numbering(a, numbering).raw()
-    relabeled = _relabeled(crit, numbering)
-    skeleton = a1_pattern(n, n - 1)
+    skeleton = sorted(a1_pattern(n, n - 1))
 
-    conditions["skeleton_support"] = _support_check(praw, sorted(skeleton))
+    conditions["skeleton_support"] = _support_check(raw, skeleton, numbering)
 
     case: str | None = None
     if g_crit == n:
-        conditions["named_cycle_critical"] = _critical_check(_cycle_arcs(n), relabeled.arcs)
+        conditions["named_cycle_critical"] = _critical_check(_cycle_arcs(n), crit.arcs, numbering)
         case = "n"
     elif g_crit == n - 1:
-        conditions["named_cycle_critical"] = _critical_check(_cycle_arcs(n - 1), relabeled.arcs)
+        conditions["named_cycle_critical"] = _critical_check(_cycle_arcs(n - 1), crit.arcs, numbering)
         conditions["crit_strongly_connected"] = ConditionCheck(
             len(crit.scc.components) == 1
         )
@@ -524,53 +534,43 @@ def _wielandt_conditions(
         )
         return None
 
-    layer, a2 = _carve(praw, skeleton)
-    a1 = _inherit_input(_skeleton(a1, layer), sp, numbering, relabeled)
+    layer, a2 = _carve(raw, _mapped(skeleton, numbering))
+    a1 = _skeleton(a1, layer, sp)
     conditions["remainder_below_csr"] = ConditionCheck(_remainder_below_csr(a1, a2))
     return case
 
 
-def _skeleton(a1: MaxPlusMatrix | None, layer: MaxPlusMatrix) -> MaxPlusMatrix:
-    """The skeleton layer a verifier carved, or a1 in its place.
+def _skeleton(a1: MaxPlusMatrix | None, layer: MaxPlusMatrix, sp: Spectrum) -> MaxPlusMatrix:
+    """The skeleton a verdict reads: the layer carved out of the input a
+    in a's own labels, given a's spectrum sp, or a1 in its place.
 
     A generator builds its skeleton a1 first, with a1's spectrum and CSR
     triple, to sample the remainder below CSR(a1) at t = 1; handing a1
     to the verifier lets the remainder and chord-power checks read that
     triple instead of building it again for an equal matrix.  They run
     all the same, on a1, which must equal the layer entry for entry.
+    A carved layer takes sp whole (see spectral._inherit_spectrum) when
+    every arc of crit(a) lies on its support and crit(a) is one
+    component on every node; otherwise it computes its own when read.
+
+    Lemma.  The layer is <= a, with equality on its support.  So its
+    cycles are cycles of a, of the same weights, and lambda(layer) <=
+    lambda(a); and a's critical cycles, whose arcs all lie on that
+    support, are cycles of the layer.  Hence lambda(layer) = lambda(a),
+    and the cycles of the layer of that mean are exactly the critical
+    cycles of a: crit(layer) = crit(a).  When that is one component on
+    every node, both digraphs are strongly connected, and a critical walk
+    i -> j weighs P+(i, j), P = A - lambda, in the layer and in a alike,
+    at any cyclicity (step 1 of csr._primitive_cover): P+(layer) = P+(a).
     """
-    if a1 is None:
-        return layer
-    if a1 != layer:
-        raise AssertionError("the skeleton handed to the verifier is not the layer it carves")
-    return a1
-
-
-def _inherit_input(a1: MaxPlusMatrix, sp: Spectrum, numbering: tuple[int, ...], crit: CritGraph) -> MaxPlusMatrix:
-    """a1, the skeleton layer carved out of a under numbering, given a's
-    spectrum sp and crit, crit(a) relabeled; it takes lambda(a) and crit
-    when it holds no spectrum yet and every arc of crit lies on its
-    support, and a's closure, relabeled, when crit is one component on
-    every node (see spectral._inherit_spectrum), or else computes its own
-    (see spectral._inherit_critical).  A generator's a1 keeps its spectrum.
-
-    Lemma.  a1 <= a, read in the numbering's positions, with equality on
-    the support of a1.  So a1's cycles are cycles of a, of the same
-    weights, and lambda(a1) <= lambda(a); and a's critical cycles, whose
-    arcs all lie on that support, are cycles of a1.  Hence lambda(a1) =
-    lambda(a), and the cycles of a1 of that mean are exactly the critical
-    cycles of a: crit(a1) = crit(a).  When that is one component on every
-    node, a critical walk i -> j weighs P+(i, j), P = A - lambda, in a1
-    and in a alike, at any cyclicity (step 1 of csr._primitive_cover):
-    P+(a1) is P+(a) read under the numbering.
-    """
-    raw = a1.raw()
-    if a1._spectrum is None and all(raw[i][j] is not None for i, j in crit.arcs):
-        if len(crit.nodes) == a1.n and len(crit.scc.components) == 1:
-            _inherit_spectrum(a1, sp, numbering, crit)
-        else:
-            _inherit_critical(a1, sp.lam, crit)
-    return a1
+    if a1 is not None:
+        if a1 != layer:
+            raise AssertionError("the skeleton handed to the verifier is not the layer it carves")
+        return a1
+    crit, raw = sp.crit, layer.raw()
+    if len(crit.nodes) == layer.n and len(crit.scc.components) == 1 and all(raw[i][j] is not None for i, j in crit.arcs):
+        _inherit_spectrum(layer, sp)
+    return layer
 
 
 def _remainder_below_csr(a1: MaxPlusMatrix, a2: MaxPlusMatrix) -> bool:
@@ -690,9 +690,9 @@ def verify_crit_rc_wielandt(
     n-1) cannot succeed, so it is skipped before its support and CSR
     checks.  Conversely such a cycle has mean lam(a) >= lam(a1), so once
     it lies in a1 it is critical there, and only the support and CSR
-    checks remain; the a1 they test takes a's lambda and critical graph
-    (see _inherit_input).  An explicit numbering is checked only if it is one of
-    these candidates, which by the same argument loses no numbering that
+    checks remain; the a1 they test takes a's spectrum (see _skeleton).
+    An explicit numbering is checked only if it is one of these
+    candidates, which by the same argument loses no numbering that
     succeeds.
     """
     n = a.n
@@ -708,16 +708,15 @@ def verify_crit_rc_wielandt(
     ]
     if numbering is not None:
         candidates = [numbering] if numbering in candidates else []
-    pattern = a1_pattern(n, n - 1)
+    pattern, raw = a1_pattern(n, n - 1), a.raw()
     for cand in candidates:
-        relabeled = _relabeled(crit, cand)
-        if not relabeled.arcs <= pattern:
+        skeleton = _mapped(pattern, cand)
+        if not crit.arcs <= skeleton:
             continue  # crit(a) = crit(a1) would lie within the skeleton's arcs
-        praw = apply_numbering(a, cand).raw()
-        if not _support_check(praw, pattern).passed:
+        if any(raw[i][j] is None for i, j in skeleton):
             continue
-        a1, a2 = _carve(praw, pattern)
-        if _remainder_below_csr(_inherit_input(a1, sp, cand, relabeled), a2):
+        a1, a2 = _carve(raw, skeleton)
+        if _remainder_below_csr(_skeleton(None, a1, sp), a2):
             return True
     return False
 

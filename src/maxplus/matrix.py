@@ -173,12 +173,14 @@ def _int_power(rows: list[list], t: int) -> list[list]:
     every product that is not a squaring takes P itself as its right
     factor, not a square of P.  There are bit_length(t) - 1 squarings
     and popcount(t) - 1 products by P, as many as squaring from the
-    trailing bit takes, and the same result.
+    trailing bit takes, and the same result.  P's finite entries are
+    listed once, by the first squaring, and at t = 1 not at all.
     """
-    step = _finite_entries(rows)
-    result = rows
+    result, step = rows, None
     for bit in bin(t)[3:]:
-        result = _int_mul(result, _finite_entries(result))
+        entries = _finite_entries(result)
+        step = step or entries  # the first squaring's are P's
+        result = _int_mul(result, entries)
         if bit == "1":
             result = _int_mul(result, step)
     return result

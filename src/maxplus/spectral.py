@@ -10,10 +10,10 @@ closure A'+ and whether the digraph is strongly connected, which is
 read off that closure; the CSR terms and both scans in `csr` read them
 instead of scaling again.  A matrix's spectrum is computed once: it is
 stored on the matrix and returned by every later call, or handed over
-when its caller has proven it: another matrix's, brought to its scale
-and read under a numbering (see _inherit_spectrum), or a lambda and a
-relabeled critical graph with a closure of its own (see
-_inherit_critical and _relabeled, called by `extremal`).
+whole from another matrix when its caller has proven the two spectra
+equal, brought to its scale (see _inherit_spectrum, called by
+`extremal`).  Both matrices name their nodes alike: no function here
+reads a numbering.
 The critical graph (all nodes and arcs of cycles attaining the maximum
 mean) is read off the closure: an arc (i, j) is critical exactly when
 it closes a zero-weight circuit, i.e. when a'_ij + (A'+)_ji = 0 for
@@ -143,64 +143,37 @@ def spectrum(a: MaxPlusMatrix) -> Spectrum:
 
 
 def _spectrum(a: MaxPlusMatrix) -> Spectrum:
-    d, (rows,) = _scaled([a])
-    best = _karp(rows)
-    if best is None:  # one node without a loop is strongly connected, more are not
-        return Spectrum(lam=BOTTOM, crit=None, _strongly_connected=a.n == 1)
-    return _finite_spectrum(d, rows, best / d)
-
-
-def _finite_spectrum(d: int, rows: list[list], lam: Fraction, crit: CritGraph | None = None) -> Spectrum:
-    """The spectrum of the matrix whose rows, scaled by d, are given, with
-    its finite cycle mean lam, and crit its critical graph unless it is
-    None: then it is read off the closure (see _critical_graph_at).
+    """The spectrum of a, computed; with a finite cycle mean, the critical
+    graph is read off the closure P+ (see _critical_graph_at).
 
     P+(i, j) is finite exactly when a walk of length >= 1 leads from i to
     j, so the digraph is strongly connected iff every entry of P+ is.
     """
+    d, (rows,) = _scaled([a])
+    best = _karp(rows)
+    if best is None:  # one node without a loop is strongly connected, more are not
+        return Spectrum(lam=BOTTOM, crit=None, _strongly_connected=a.n == 1)
+    lam = best / d
     d_lam, norm = _normalized(d, rows, lam)
     closure = [row[:] for row in norm]
     _int_closure(closure)
-    if crit is None:
-        crit = _critical_graph_at(norm, closure)
     strongly_connected = all(x is not None for row in closure for x in row)
-    return Spectrum(MaxPlusScalar(lam), crit, strongly_connected, d_lam, norm, closure)
+    return Spectrum(MaxPlusScalar(lam), _critical_graph_at(norm, closure), strongly_connected, d_lam, norm, closure)
 
 
-def _inherit_spectrum(a: MaxPlusMatrix, sp: Spectrum, numbering: tuple | None = None, crit: CritGraph | None = None):
-    """Store on a sp's lambda, critical graph (or crit, it relabeled by
-    numbering), strong connectivity and closure read under numbering, all
-    proven a's by its caller (see extremal._inherit_skeleton and
-    _inherit_input); a's rows of A - lambda are its own.  The closure
-    comes to a's scale d as x * d // sp._d, exact whether d is a multiple
-    of sp._d (a candidate) or divides it (a carved skeleton): x = sp._d * w,
+def _inherit_spectrum(a: MaxPlusMatrix, sp: Spectrum) -> None:
+    """Store on a sp's lambda, critical graph, strong connectivity and
+    closure, all proven a's by its caller (see extremal._inherit_skeleton
+    and _skeleton); a's rows of A - lambda are its own.  The closure comes
+    to a's scale d as x * d // sp._d, exact whether d is a multiple of
+    sp._d (a candidate) or divides it (a carved skeleton): x = sp._d * w,
     w the weight of a walk of a in A - lambda, and d * w is an int."""
     d, (rows,) = _scaled([a])
     d, norm = _normalized(d, rows, sp.lam.value)
-    order = range(a.n) if numbering is None else numbering
-    closure = [[None if (x := sp._closure[i][j]) is None else x * d // sp._d for j in order] for i in order]
+    closure = [[None if x is None else x * d // sp._d for x in row] for row in sp._closure]
     a._spectrum = Spectrum(
-        lam=sp.lam, crit=crit or sp.crit, _strongly_connected=sp._strongly_connected, _d=d, _norm=norm, _closure=closure
+        lam=sp.lam, crit=sp.crit, _strongly_connected=sp._strongly_connected, _d=d, _norm=norm, _closure=closure
     )
-
-
-def _inherit_critical(a: MaxPlusMatrix, lam: MaxPlusScalar, crit: CritGraph) -> None:
-    """Store on a the spectrum of cycle mean lam and critical graph crit,
-    both proven a's by its caller (see extremal._inherit_input); it
-    computes only its own rows of A - lambda, their closure and strong
-    connectivity."""
-    d, (rows,) = _scaled([a])
-    a._spectrum = _finite_spectrum(d, rows, lam.value, crit)
-
-
-def _relabeled(crit: CritGraph, numbering: tuple[int, ...]) -> CritGraph:
-    """crit with original node numbering[p] renamed p, the components
-    ordered by their least node again; girths and cyclicities stay."""
-    pos = {node: p for p, node in enumerate(numbering)}.get
-    comps = [SccInfo(frozenset(map(pos, c.nodes)), c.girth, c.cyclicity) for c in crit.scc.components]
-    scc = SccDecomposition(tuple(sorted(comps, key=lambda c: min(c.nodes))))
-    arcs = frozenset((pos(i), pos(j)) for i, j in crit.arcs)
-    return CritGraph(frozenset(map(pos, crit.nodes)), arcs, scc, crit.girth, crit.cyclicity)
 
 
 def _normalized(d: int, rows: list[list], lam: Fraction) -> tuple[int, list[list]]:

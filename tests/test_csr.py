@@ -487,10 +487,8 @@ def test_rescaled_builds_its_dataclass_with_every_field_by_name(monkeypatch):
     a = random_cyclic_matrix(random.Random(22), 6)
     sp, triple, b = spectrum(a), build_csr(a), MaxPlusMatrix(a.raw())
     csr._residue(triple, 1)
-    numbering = tuple(range(a.n))
     for module, cls, rescale in (
         (spectral, spectral.Spectrum, lambda: spectral._inherit_spectrum(b, sp)),
-        (spectral, spectral.Spectrum, lambda: spectral._inherit_spectrum(b, sp, numbering, sp.crit)),
         (csr, csr.CsrTriple, lambda: csr._inherit_triple(b, triple)),
     ):
         calls = []

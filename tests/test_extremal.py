@@ -29,6 +29,7 @@ from maxplus import (
     max_cycle_mean,
     render_matrix,
     scalar_times,
+    spectrum,
     strictly_dominated_by,
     transient_T,
     twice_optimal_walk,
@@ -988,9 +989,9 @@ def _skeleton_inputs():
     return out
 
 
-def _verdicts(a, numbering):
-    """Every verdict on a, under numbering and searched for (n <= 8), or
-    the ValueError a verifier raises."""
+def _verdicts(a, numbering, search=True):
+    """Every verdict on a, under numbering and, when search and n <= 8,
+    searched for, or the ValueError a verifier raises."""
 
     def outcome(verify, *args):
         try:
@@ -998,44 +999,69 @@ def _verdicts(a, numbering):
         except ValueError as exc:
             return str(exc)
 
-    arg_lists = [(numbering,), ()] if a.n <= 8 else [(numbering,)]
+    arg_lists = [(numbering,), ()] if search and a.n <= 8 else [(numbering,)]
     return [outcome(verify, *args) for verify in (verify_dm, verify_wielandt, verify_crit_rc_wielandt) for args in arg_lists]
 
 
+def _in_positions(verdict):
+    """A verdict without its numbering: whether it holds, its case and
+    every condition's passed, vacuous and detail, or the ValueError's
+    message; verify_crit_rc_wielandt's bool as it is."""
+    if isinstance(verdict, (str, bool)):
+        return verdict
+    return verdict.holds, getattr(verdict, "case", None), verdict.conditions
+
+
 def test_a_carved_skeleton_takes_the_inputs_lambda_and_critical_graph(monkeypatch):
-    # the skeleton a1 a verifier carves takes lambda(a) and crit(a) exactly
-    # when every critical arc of a lies on its support, and a's closure,
-    # relabeled, with no closure of its own, exactly when crit(a) is also
-    # one component on every node; what it stores then equals its own
-    # spectrum, and the verdicts are those it gives when every a1
-    # computes its own.  crit is crit(a) relabeled by the numbering
-    real, kinds, closures, closure = extremal._inherit_input, Counter(), Counter(), spectral._int_closure
+    # the skeleton a1 a verifier carves, in the input's own labels, holds
+    # crit(a) exactly when every critical arc of a lies on its support;
+    # _skeleton then hands it a's whole spectrum, with no closure of its
+    # own, exactly when crit(a) is also one component on every node, and
+    # what it stores equals its own spectrum; otherwise a1 computes its
+    # own, whose critical graph is crit(a).  The verdicts are those given
+    # when every a1 computes its own, and under a numbering sigma they are
+    # those on a renumbered by sigma under the identity: the details name
+    # arcs in positions
+    real, kinds, closures, closure = extremal._skeleton, Counter(), Counter(), spectral._int_closure
     monkeypatch.setattr(spectral, "_int_closure", lambda rows: closures.update(["closed"]) or closure(rows))
 
-    def checked(a1, sp, numbering, crit):
-        fresh = a1._spectrum is None
+    def checked(a1, layer, sp):
         closures.clear()
-        out = real(a1, sp, numbering, crit)
-        if fresh:
-            if any(a1.raw()[i][j] is None for i, j in crit.arcs):
-                assert a1._spectrum is None and not closures
-                kinds["refused"] += 1
-            else:
-                covers = len(crit.nodes) == a1.n and len(crit.scc.components) == 1
-                assert closures["closed"] == (not covers)
-                assert a1._spectrum is not None and spectrum_differences(a1) == []
-                gamma = "gamma 1" if crit.cyclicity == 1 else "gamma > 1"
-                kinds[f"closure handed, {gamma}" if covers else "own closure"] += 1
-                kinds["not strongly connected"] += not a1._spectrum._strongly_connected
+        out = real(a1, layer, sp)
+        assert a1 is None and out is layer and not closures
+        crit = sp.crit
+        if any(layer.raw()[i][j] is None for i, j in crit.arcs):
+            assert layer._spectrum is None
+            kinds["refused"] += 1
+            return out
+        covers = len(crit.nodes) == layer.n and len(crit.scc.components) == 1
+        assert (layer._spectrum is not None) == covers
+        if covers:
+            assert spectrum_differences(layer) == []
+        assert spectrum(layer).crit == crit
+        gamma = "gamma 1" if crit.cyclicity == 1 else "gamma > 1"
+        kinds[f"spectrum handed, {gamma}" if covers else "own spectrum"] += 1
+        kinds["not strongly connected"] += not spectrum(layer)._strongly_connected
         return out
 
     inputs = _skeleton_inputs()
-    monkeypatch.setattr(extremal, "_inherit_input", checked)
+    monkeypatch.setattr(extremal, "_skeleton", checked)
     verdicts = [_verdicts(a, numbering) for a, numbering in inputs]
-    monkeypatch.setattr(extremal, "_inherit_input", lambda a1, sp, numbering, crit: a1)
+    monkeypatch.setattr(extremal, "_skeleton", real)
+    monkeypatch.setattr(extremal, "_inherit_spectrum", lambda a, sp: None)
     assert verdicts == [_verdicts(a, numbering) for a, numbering in inputs]
-    floors = {"closure handed, gamma 1": 100, "closure handed, gamma > 1": 100, "own closure": 50, "refused": 50}
+    floors = {"spectrum handed, gamma 1": 100, "spectrum handed, gamma > 1": 100, "own spectrum": 50, "refused": 50}
     assert all(kinds[path] >= floor for path, floor in floors.items()) and kinds["not strongly connected"] >= 10, kinds
+
+    for (a, numbering), mine in zip(inputs, verdicts):
+        identity = tuple(range(a.n))
+        theirs = _verdicts(apply_numbering(a, numbering), identity, search=False)
+        numbered = mine[:: len(mine) // 3]  # mine holds per verifier its verdict under the numbering, then searched when n <= 8
+        assert [_in_positions(v) for v in numbered] == [_in_positions(v) for v in theirs], (a.raw(), numbering)
+        details = [c.detail for v in numbered if not isinstance(v, (str, bool)) for c in v.conditions.values()]
+        kinds["renumbered"] += numbering != identity
+        kinds["arcs named in a detail"] += numbering != identity and any("arcs" in detail for detail in details)
+    assert kinds["renumbered"] >= 250 and kinds["arcs named in a detail"] >= 150, kinds
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 
 from maxplus import (
     MaxPlusMatrix,
-    apply_numbering,
     as_scalar,
     critical_components,
     critical_graph,
@@ -233,32 +232,3 @@ def test_visualized_entries_bounded_by_lambda(rng):
         _, b = visualize(a)
         lam = max_cycle_mean(b)
         assert all(w <= lam for _, _, w in b.entries())
-
-
-def test_relabeled_is_the_critical_graph_of_the_renumbered_matrix():
-    # spectral._relabeled(crit(a), sigma) is crit(a renumbered by sigma):
-    # nodes, arcs, the components in the order of their least node, girth
-    # and cyclicity; {0, 1} weights give ties and several components
-    rng = random.Random(2214)
-    kinds = Counter()
-    while kinds["checked"] < 400:
-        n = rng.randint(1, 9)
-        kind = rng.choice(("cyclic", "reducible", "binary"))
-        if kind == "cyclic":
-            a = random_cyclic_matrix(rng, n, rng.random())
-        elif kind == "reducible":
-            a = random_reducible(rng, n, rng.random())
-        else:
-            a = MaxPlusMatrix([[rng.choice((None, None, 0, 1)) for _ in range(n)] for _ in range(n)])
-        if spectrum(a).crit is None:
-            continue
-        sigma = tuple(rng.sample(range(n), n))
-        mine, theirs = spectral._relabeled(critical_graph(a), sigma), critical_graph(apply_numbering(a, sigma))
-        parts = lambda c: (c.nodes, c.arcs, c.scc.components, c.girth, c.cyclicity)
-        assert parts(mine) == parts(theirs), (a.raw(), sigma)
-        kinds["checked"] += 1
-        kinds["reducible"] += not spectrum(a)._strongly_connected
-        kinds["several components"] += len(mine.scc.components) > 1
-        least = [min(sigma.index(v) for v in c.nodes) for c in critical_graph(a).scc.components]
-        kinds["reordered"] += least != sorted(least)
-    assert min(kinds.values()) >= 40, kinds

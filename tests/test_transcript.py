@@ -1,6 +1,8 @@
 """The A/B transcript tool (tests/transcript.py) is repeatable and sees a
 one-off change in T1, and a change that only a library reader sees."""
 
+from collections import Counter
+
 from maxplus import csr
 from transcript import transcript
 
@@ -10,14 +12,19 @@ def test_transcript_repeats_and_moves_with_T1(monkeypatch):
     assert transcript(seed=4, count=40) == (codes, digest)
     assert sum(codes.values()) >= 40 * 14 and set(codes) <= {0, 1, 2}
 
-    sweep = csr._sweep
+    sweep, runs = csr._sweep, Counter()
 
     def t1_off_by_one(*args, **kwargs):
+        runs["called"] += 1
         t, t1, rows, cols = sweep(*args, **kwargs)
+        runs["returned"] += 1
         return t, t1 + 1, rows, cols
 
     monkeypatch.setattr(csr, "_sweep", t1_off_by_one)
     assert transcript(seed=4, count=40)[1] != digest
+    # the transcript records an exception as an output, so a wrapper that
+    # raised would move the digest too: every call must have returned
+    assert runs["called"] > 0 and runs["returned"] == runs["called"], runs
 
 
 def test_transcript_moves_with_a_library_reader(monkeypatch):
