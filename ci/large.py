@@ -66,7 +66,7 @@ print(f"all agree ({time.time() - start:.1f} s)")
 
 # where analyze hands over to the galloping search, if it does
 handovers, transient = [], csr._transient
-csr._transient = lambda norm, t, at, residue: handovers.append(t) or transient(norm, t, at, residue)
+csr._transient = lambda norm, t, *args: handovers.append(t) or transient(norm, t, *args)
 start, ways = time.time(), set()
 
 def check_t(name, a, expected):

@@ -7,6 +7,22 @@ PYTHONPATH=src:tests.  The transcript hashes were pinned on Python 3.11,
 and like the workflow this runs them there only.  Prints each script's
 exit code and time, and exits 1 if any script failed.  Standard library
 only.
+
+These scripts repeat a tier-1 test at a larger size; a change to the
+test, or to what it pins, goes into the script too:
+- large: tests/test_csr.py::test_the_sweep_tests_only_failing_rows_and_steps_past_the_ceiling
+  and test_the_residue_times_P_is_the_next_residue, at n = 24 and 32;
+- spectrum: tests/test_spectral.py::test_spectrum_matches_the_tarjan_path,
+  at n = 24, 32 and 40;
+- heaviest: tests/test_extremal.py::test_heaviest_cycle_matches_the_full_support_search,
+  at n = 9 and 10;
+- unweighted: tests/test_extremal.py::test_unweighted_digraphs_agree_with_their_successor_set_index,
+  every mask at n = 4 and slices at n = 5 and 6;
+- stdlib_only and memos20: tests/test_csr.py::test_a_candidate_inherits_its_skeletons_spectrum_and_triple,
+  up to n = 20;
+- exponent: tests/test_csr.py::test_analyze_reads_T1_and_T_off_a_primitive_covering_critical_graph
+  and tests/test_kernel.py::test_analyze_searches_once_on_the_wielandt_case_n_family,
+  at n = 48 and 64.
 """
 
 from __future__ import annotations

@@ -27,10 +27,13 @@ sweep returns T either way.  Whether T1 equals that ceiling is decided
 by the same sweep started one power below the ceiling, at two powers
 alone (see _t1_at_ceiling); the generators in `extremal` check their
 candidates so.
-On a critical graph that covers every node as one component of
-cyclicity 1, T1 and T are its exponent (see _primitive_cover), found on
-bit rows by _boolean_index: analyze and _t1_at_ceiling take no power,
-and every residue C S^t R - t*lambda is M itself.
+When the critical graph covers every node, A^t never exceeds C S^t R,
+and analyze finds T1 and T by one galloping search for the first t at
+which the two are equal, with no sweep (see analyze and _transient).  On
+a critical graph that covers every node as one component of cyclicity
+1, that t is its exponent (see _primitive_cover), found on bit rows by
+_boolean_index: analyze and _t1_at_ceiling take no power, and every
+residue C S^t R - t*lambda is M itself.
 
 The triple may also be built with respect to a completely reducible
 subgraph of the critical graph (then gamma is the subgraph's cyclicity
@@ -323,7 +326,7 @@ def transient_T(a: MaxPlusMatrix) -> int:
         raise ValueError("transient is defined for strongly connected digraphs only")
     if sp.crit is None:
         raise ValueError("transient undefined: single node without a loop")
-    return _transient(sp._norm, 0, _int_identity(a.n), partial(_residue, build_csr(a)))
+    return _transient(sp._norm, 0, _int_identity(a.n), partial(_residue, build_csr(a)), _int_product)
 
 
 def _int_identity(n: int) -> list[list]:
@@ -393,16 +396,15 @@ def _sweep(
     one by P, so it is counted as n, plus n + nnz(P) per active row, and M
     is the work of squaring P^c, the price of one product of the search.
 
-    The bound, in units of M.  From t' with u = T - t' >= 1, _transient
-    makes bit_length(u) probes, all but the last with a square, and
-    bit_length(u) - 1 halvings: G(u) = 3*bit_length(u) - 2 products.  Let
-    u = T - c.  If all rows retire first, the rule held after u - 1 steps,
-    which cost at most 2*bit_length(u)*M, at most G(u)*M for u >= 2.  If
-    it hands over after s >= 1 steps, then 1 <= s < u, those steps cost
-    at most 2*bit_length(u)*M and the search from c + s at most G(u)*M.
-    Plus a step, that is at most (5*b - 2)/(3*b - 2) <= 2 times the bound
-    G(u)*M on the search from c, b = bit_length(u) >= 2; T is exact
-    either way.
+    The bound, in units of M.  From t' >= 1 with u = T - t' >= 1, the
+    search makes G(u) = 3*bit_length(u - 1) products for u >= 2, and one
+    for u = 1 (see _transient).  Let u = T - c.  If all rows retire
+    first, the rule held after u - 1 steps, which cost at most
+    2*bit_length(u - 1)*M, at most two thirds of G(u)*M for u >= 2.  If it
+    hands over after s >= 1 steps, then 1 <= s < u, those steps cost at
+    most 2*bit_length(s - 1)*M plus a step, and the search from c + s at
+    most G(u - s)*M <= G(u)*M.  Plus a step, that is at most 5/3 of the
+    bound G(u)*M on the search from c; T is exact either way.
     """
     if triple.crit is None:
         return None, 1, {}, {}
@@ -430,7 +432,7 @@ def _sweep(
         if transient and t >= ceiling:
             square = square if spent else _square_work(at)
             if spent > 2 * (t - ceiling).bit_length() * square:
-                return _transient(norm, t, at, partial(_residue, triple)), t1, rows, cols
+                return _transient(norm, t, at, partial(_residue, triple), _int_product), t1, rows, cols
             spent += n + len(active) * (n + nnz)
         left = active if transient else failing
         nxt = _residue(triple, t + 1)[:]  # the retired rows of P^(t+1); rows neither left nor retired are not read
@@ -439,24 +441,44 @@ def _sweep(
         at = nxt
 
 
-def _transient(norm: list[list], t: int, at: list[list], residue: Callable[[int], list[list]]) -> int:
-    """Least T >= t with P^T = Q_T, P = norm and Q_T = residue(T), given
-    at = P^t and the equality failing below t; it holds from T on (see
-    _sweep), so the search gallops by P, P^2, P^4, ... and bisects back
-    over the squares, one product a probe: O(log(T - t)) in all.  From
-    t = 0, at = I and residue(0) = Q_gamma it returns T itself.  P must be
-    strongly connected, so that its powers end periodic."""
+def _transient(p: list, t: int, at: list, residue: Callable[[int], list], mul: Callable[[list, list], list]) -> int:
+    """Least T >= t with P^T = Q_T, given the rows p of P, at = P^t,
+    residue(T) = Q_T and mul, the product of two lists of rows; the
+    equality fails below t and, once it holds, holds from there on.
+
+    The one search over squares: it gallops by probing t + 1, t + 2,
+    t + 4, ..., at times P, P^2, P^4, ..., up to the first probe that
+    meets Q, then bisects back between the last two probes with the
+    smaller squares, one product a probe.  From t = 0, at = I, the probes
+    are the squares themselves, with no product.  With u = T - t >= 2
+    and b = bit_length(u - 1), the gallop squares b times and the bisection
+    probes b - 1 times: 2*b - 1 products from t = 0, and 3*b from t >= 1,
+    whose gallop also makes b + 1 probes; u = 1 takes one probe (none
+    from t = 0).  Its rows are int rows (_int_product) or bit rows
+    (_bit_mul).  The search needs only that P's powers end periodic, so
+    that some T exists: T1 is reached within the ceiling on every input
+    whose nodes are all critical (see analyze), and on strongly connected
+    input T exists (see _sweep).
+    """
     if at == residue(t):
         return t
-    squares = [norm]  # squares[k] is P^(2^k)
-    while (probe := _int_mul(at, _finite_entries(squares[-1]))) != residue(t + (1 << (len(squares) - 1))):
-        t, at = t + (1 << (len(squares) - 1)), probe
-        squares.append(_int_power(squares[-1], 2))
-    for k in reversed(range(len(squares) - 1)):  # T - t is in (0, 2^(k+1)]
-        probe = _int_mul(at, _finite_entries(squares[k]))
+    squares = [p]  # squares[k] is P^(2^k)
+    while (probe := squares[-1] if t == 0 else mul(at, squares[-1])) != residue(t + (1 << (len(squares) - 1))):
+        last = probe
+        squares.append(mul(squares[-1], squares[-1]))
+    if len(squares) == 1:
+        return t + 1
+    t, at = t + (1 << (len(squares) - 2)), last
+    for k in reversed(range(len(squares) - 2)):  # T - t is in (0, 2^(k+1)]
+        probe = mul(at, squares[k])
         if probe != residue(t + (1 << k)):
             t, at = t + (1 << k), probe
     return t + 1
+
+
+def _int_product(x: list[list], y: list[list]) -> list[list]:
+    """The max-plus product of int rows x and y, for _transient."""
+    return _int_mul(x, _finite_entries(y))
 
 
 def _square_work(at: list[list]) -> int:
@@ -519,26 +541,12 @@ def _boolean_index(crit: CritGraph) -> int:
     joins two components, so a power's rows are those of each component's
     powers, and P^t = Q_t for all components at once exactly when t is at
     least each component's transient, from which that equality holds (see
-    _sweep): the search gallops by P, P^2, P^4, ... from t = 0 to the
-    first square that meets Q, then bisects back with the smaller squares,
-    and the first t at which P^t = Q_t is the largest transient.
+    _sweep): _transient, run on bit rows from t = 0, finds that first t,
+    the largest transient.
     """
     succ = _successors(max(crit.nodes) + 1, crit.arcs)
-    residue = _class_masks(succ, crit)
     at = [1 << i if i in crit.nodes else 0 for i in range(len(succ))]  # P^0 on the critical rows
-    if at == residue(0):
-        return 0
-    squares = [[sum(1 << j for j in row) for row in succ]]  # squares[k] is P^(2^k)
-    while squares[-1] != residue(1 << (len(squares) - 1)):
-        squares.append(_bit_mul(squares[-1], squares[-1]))
-    if len(squares) == 1:
-        return 1
-    t, at = 1 << (len(squares) - 2), squares[-2]  # the transient is in (t, 2t]
-    for k in reversed(range(len(squares) - 2)):
-        probe = _bit_mul(at, squares[k])
-        if probe != residue(t + (1 << k)):
-            t, at = t + (1 << k), probe
-    return t + 1
+    return _transient([sum(1 << j for j in row) for row in succ], 0, at, _class_masks(succ, crit), _bit_mul)
 
 
 def _bit_mul(x: list[int], y: list[int]) -> list[int]:
@@ -602,11 +610,10 @@ def _primitive_cover(crit: CritGraph | None, n: int) -> bool:
        crit holds K, so it is one component on every node, of cyclicity
        dividing K's; M is the whole closure, and the terms run over
        critical walks of K, which has some of every length t >= 1.
-    4. So a row or column of P^t meets Q_t (see _excess) iff it is all
-       ones in N^t, and it stays so, as N has no zero row or column:
-       T1 = max(e, 1), every row and column being critical.  A row retires
-       in _sweep at the first t >= 1 where it meets Q_t, so T = e: for
-       n >= 2, N^0 = I is not J, and at n = 1, Q_1 = P+ = I.
+    4. So P^t = Q_t exactly when N^t = J, by steps 2 and 3 for t >= 1,
+       and at t = 0, where Q_0 reads Q_gamma = P+: P^0 = I is P+ only at
+       n = 1, where N^0 = J.  By analyze's lemma, then, T = e and T1 =
+       crit_rc_transient = max(e, 1).
     """
     return crit is not None and len(crit.nodes) == n and len(crit.scc.components) == 1 and crit.cyclicity == 1
 
@@ -695,20 +702,44 @@ class TransientReport:
 def analyze(a: MaxPlusMatrix) -> TransientReport:
     """Full transient report: lambda, crit summary, T, T1, bounds, flags.
 
-    When the critical graph covers every node as one component of
-    cyclicity 1, T = e and T1 = crit_rc_transient = max(e, 1), e its
-    exponent (see _primitive_cover), read on bit rows with no CSR triple
-    and no power of A.  Otherwise one sweep gives T1 and the critical row
-    and column transients, and on strongly connected input T as well:
-    past the ceiling it steps on until T, or hands over to the galloping
-    search of _transient and returns what that finds, within twice the
-    search's bound (see _sweep).  On other input it stops at T1, and T is
-    None.
+    When the critical graph covers every node, one search gives T1 and T:
+    T' is the least t >= 0 with P^t = Q_t, P = A - lambda, Q_t the
+    residue of t (see _residue; Q_0 reads Q_gamma), found by _transient
+    from t = 0.  Then T1 = crit_rc_transient = max(T', 1), and T = T' on
+    strongly connected input.  On a primitive cover (one component of
+    cyclicity 1) T' is the critical graph's exponent, read on bit rows
+    with no CSR triple and no power of A (see _primitive_cover); on any
+    other cover the search runs on int rows against the triple's
+    residues.  Otherwise one sweep gives T1 and the critical row and
+    column transients, and on strongly connected input T as well: past
+    the ceiling it steps on until T, or hands over to the search and
+    returns what that finds (see _sweep).  On other input it stops at
+    T1, and T is None.
+
+    Lemma.  If every node is critical, P^t <= Q_t for every t >= 1, and
+    the expansion holds at t exactly when P^t = Q_t; that equality, once
+    it holds at some t >= 0, holds at every later t.  Proof.  B - lambda
+    is -inf on every row and column, so _excess gives P^t <= Q_t (+)
+    (B - lambda)^t = Q_t, and the expansion, which holds iff Q_t <= P^t,
+    holds iff P^t = Q_t.  By _sweep's lemma, Q_t P = Q_(t+1) for t >= 1
+    and Q_gamma P = Q_1, so P^t = Q_t gives P^(t+1) = Q_(t+1), from t = 0
+    too.  Hence the powers end periodic, from T1 <= the ceiling on, and
+    the search finds T'.  T1, the least t >= 1 at which the expansion
+    holds, is max(T', 1).  Every row and column is critical, and the
+    expansion holds at t exactly when it holds in each row, so the largest
+    row transient is T1, and no column's exceeds it: crit_rc_transient =
+    T1.  A row of P^t is periodic
+    from t >= 1 exactly when it equals the row of Q_t (_sweep's lemma),
+    so max(T, 1) = max(T', 1).  When that is 1, P^gamma = Q_gamma, and
+    T = 0 exactly when P^gamma = P^0 = I, that is when Q_0 = I: T' = 0.
     """
     sp = spectrum(a)
     connected, lam, crit = sp._strongly_connected, sp.lam, sp.crit
-    if _primitive_cover(crit, a.n):
-        t = _boolean_index(crit)
+    if crit is not None and len(crit.nodes) == a.n:
+        if _primitive_cover(crit, a.n):
+            t = _boolean_index(crit)
+        else:
+            t = _transient(sp._norm, 0, _int_identity(a.n), partial(_residue, build_csr(a)), _int_product)
         t1 = crit_rc = max(t, 1)
     else:
         t, t1, rows, cols = _sweep(build_csr(a), connected)

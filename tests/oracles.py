@@ -705,7 +705,7 @@ def boolean_index_int(crit):
         rows = [[0 if (i, j) in crit.arcs else None for j in nodes] for i in nodes]
         levels = digraph._levels(succ, comp.nodes)
         residue = class_residue([levels[i] for i in nodes], comp.cyclicity)
-        worst = max(worst, csr._transient(rows, 0, csr._int_identity(len(nodes)), residue))
+        worst = max(worst, csr._transient(rows, 0, csr._int_identity(len(nodes)), residue, csr._int_product))
     return worst
 
 

@@ -739,9 +739,9 @@ def test_the_sweep_tests_only_failing_rows_and_steps_past_the_ceiling(monkeypatc
         excess_calls.append((t, list(rows), found))
         return found
 
-    def recorded_transient(norm, t, at, residue):
+    def recorded_transient(norm, t, *args):
         handovers.append((t, len(left_rows)))  # where the search starts, after how many products
-        return transient(norm, t, at, residue)
+        return transient(norm, t, *args)
 
     monkeypatch.setattr(csr, "_excess", recorded_excess)
     monkeypatch.setattr(csr, "_int_mul", lambda arows, b: left_rows.append(len(arows)) or int_mul(arows, b))
@@ -799,8 +799,8 @@ def test_the_sweep_tests_only_failing_rows_and_steps_past_the_ceiling(monkeypatc
 def test_analyze_steps_then_gallops_on_a_small_gap(monkeypatch):
     # T = 20/eps lies far past the ceiling 4: the sweep steps while its
     # steps cost less than galloping would, then hands over.  Galloping
-    # from c + 1 alone, from P^(c+1) with the residues read, takes 815,
-    # 1139 and 1949 entry operations; the rule may cost up to twice that,
+    # from c + 1 alone, from P^(c+1) with the residues read, takes 869,
+    # 1193 and 2003 entry operations; the rule may cost up to twice that,
     # and at most 300 products
     ops = Counter()
     int_mul = matrix._int_mul
@@ -817,7 +817,7 @@ def test_analyze_steps_then_gallops_on_a_small_gap(monkeypatch):
     handovers = []
     transient = csr._transient
     monkeypatch.setattr(csr, "_transient", lambda *args: handovers.append(args[1]) or transient(*args))
-    for eps, galloping in ((Fraction(1, 100), 815), (Fraction(1, 1000), 1139), (Fraction(1, 10**6), 1949)):
+    for eps, galloping in ((Fraction(1, 100), 869), (Fraction(1, 1000), 1193), (Fraction(1, 10**6), 2003)):
         a = small_gap(eps)
         spectrum(a)  # Karp's rows are products too: counted before
         ops.clear(), handovers.clear()
@@ -1037,13 +1037,21 @@ def _planted_tight(rng, n, shape):
     "cover": one block on every node; "bipartite": the same with chords
     only between the cycle's two alternating classes (n even), so every
     cycle is even; "two blocks": two blocks that together cover every
-    node; "one off": one block on all nodes but one."""
+    node; "one off": one block on all nodes but one; "cycles": two to
+    four blocks that cover every node, each a bare cycle, with the other
+    arcs only from a block to itself or a later one, so a is reducible
+    (n >= 2)."""
     lam = Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3, 7)))
     p = [Fraction(rng.randint(-30, 30), rng.choice((1, 2, 5))) for _ in range(n)]
     order = list(range(n))
     rng.shuffle(order)
-    cut = rng.randint(1, n - 1) if shape == "two blocks" else 1 if shape == "one off" else 0
-    blocks = [order[:cut], order[cut:]] if shape == "two blocks" else [order[cut:]]
+    if shape == "cycles":
+        cuts = sorted(rng.sample(range(1, n), rng.randint(1, min(3, n - 1))))
+        blocks = [order[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, n])]
+    else:
+        cut = rng.randint(1, n - 1) if shape == "two blocks" else 1 if shape == "one off" else 0
+        blocks = [order[:cut], order[cut:]] if shape == "two blocks" else [order[cut:]]
+    block_of = {u: b for b, block in enumerate(blocks) for u in block}
     tight, density = set(), rng.choice((0.05, 0.15, 0.4))
     for block in blocks:
         tight.update((u, block[(k + 1) % len(block)]) for k, u in enumerate(block))
@@ -1051,39 +1059,53 @@ def _planted_tight(rng, n, shape):
             (u, v)
             for k, u in enumerate(block)
             for q, v in enumerate(block)
-            if (shape != "bipartite" or (k - q) % 2) and rng.random() < density
+            if shape != "cycles" and (shape != "bipartite" or (k - q) % 2) and rng.random() < density
         )
     entries = {(i, j): lam + p[j] - p[i] for i, j in tight}
     for i in range(n):
         for j in range(n):
-            if (i, j) not in tight and rng.random() < 0.5:
+            if (i, j) not in tight and (shape != "cycles" or block_of[i] <= block_of[j]) and rng.random() < 0.5:
                 entries[(i, j)] = lam + p[j] - p[i] - Fraction(rng.randint(1, 9), rng.choice((1, 3)))
     return from_entries(n, entries), tight
 
 
 def test_analyze_reads_T1_and_T_off_a_primitive_covering_critical_graph(monkeypatch):
-    # a critical graph that covers every node, one component of cyclicity
-    # 1, has T = e, T1 = crit_rc_transient = max(e, 1), e its exponent
-    # (csr._primitive_cover): analyze answers with no sweep, no product
-    # and no CSR triple.  Planted inputs, n = 1..9, against the full
-    # ceiling scan, the stepping search for T and the sweep's
-    # weak_threshold_T1; near misses (cyclicity > 1, two components, a
-    # node off the critical graph) sweep and agree too
-    calls, int_mul, sweep = Counter(), matrix._int_mul, csr._sweep
+    # a critical graph that covers every node gives P^t <= Q_t, so analyze
+    # runs no sweep but one search for T', the least t >= 0 with P^t =
+    # Q_t: T1 = crit_rc_transient = max(T', 1), and T = T' on strongly
+    # connected input (csr.analyze).  On one component of cyclicity 1, T'
+    # is its exponent (csr._primitive_cover), read with no product and no
+    # CSR triple; other covers (cyclicity > 1, two blocks, several bare
+    # cycles with arcs only forward, so reducible) search the triple's int
+    # rows, within 2*bit_length(gamma) + gamma + 2*bit_length(T')
+    # products.  Planted inputs, n = 1..9, against the full ceiling scan,
+    # the stepping search (T' on reducible covers too) and the sweep's
+    # weak_threshold_T1; a node off the critical graph still sweeps
+    calls, searched = Counter(), []
+    int_mul, sweep, search = matrix._int_mul, csr._sweep, csr._transient
     monkeypatch.setattr(matrix, "_int_mul", lambda *args: calls.update(["_int_mul"]) or int_mul(*args))
     monkeypatch.setattr(csr, "_int_mul", matrix._int_mul)
     monkeypatch.setattr(csr, "_sweep", lambda *args: calls.update(["_sweep"]) or sweep(*args))
+    monkeypatch.setattr(csr, "_transient", lambda *args: searched.append(search(*args)) or searched[-1])
 
     def check(a):
-        calls.clear()
+        calls.clear(), searched.clear()
         report = analyze(a)
-        made, triple = dict(calls), a._csr
+        made, found, triple = dict(calls), list(searched), a._csr
         t1, rows, cols = weak_threshold_T1_full(a)
         assert (report.t1, report.crit_rc_transient) == (t1, max([*rows.values(), *cols.values()]))
         assert weak_threshold_T1(a).t1 == t1
-        connected = spectrum(a)._strongly_connected
-        assert report.t == (transient_by_steps(normalized(a).raw(), report.gamma) if connected else None)
+        connected, covered = spectrum(a)._strongly_connected, len(spectrum(a).crit.nodes) == a.n
+        stepped = transient_by_steps(normalized(a).raw(), report.gamma) if connected or covered else None
+        assert report.t == (stepped if connected else None)
+        if covered:
+            assert "_sweep" not in made and found == [stepped], render_matrix(a)
+            assert (report.t1, report.crit_rc_transient) == (max(stepped, 1),) * 2
         return report, made, triple
+
+    def searched_on_int_rows(a, made, triple):
+        gamma, t = triple.gamma, searched[0]
+        assert made.get("_int_mul", 0) <= 2 * gamma.bit_length() + gamma + 2 * t.bit_length(), render_matrix(a)
 
     rng = random.Random(2531)
     kinds = Counter()
@@ -1100,13 +1122,27 @@ def test_analyze_reads_T1_and_T_off_a_primitive_covering_critical_graph(monkeypa
             assert report.t == (0 if n == 1 else report.t1)
             kinds["exponent"] += 1
             kinds["exponent, n = 9"] += n == 9
-        else:
+        elif shape == "one off":
             assert made["_sweep"] == 1, render_matrix(a)
-            kinds[f"{shape}, swept"] += 1
+            kinds["one off, swept"] += 1
+            kinds["cyclicity 2"] += crit.cyclicity == 2
+        else:
+            searched_on_int_rows(a, made, triple)
+            kinds[f"{shape}, searched"] += 1
             kinds["cyclicity 2"] += crit.cyclicity == 2
     assert kinds["exponent"] >= 500 and kinds["exponent, n = 9"] >= 40, kinds
-    assert kinds["cover, swept"] >= 20 and kinds["cyclicity 2"] >= 40, kinds
-    assert min(kinds[f"{shape}, swept"] for shape in ("bipartite", "two blocks", "one off")) >= 70, kinds
+    assert kinds["cover, searched"] >= 20 and kinds["cyclicity 2"] >= 40, kinds
+    assert min(kinds[shape] for shape in ("bipartite, searched", "two blocks, searched", "one off, swept")) >= 70, kinds
+    for _ in range(300):
+        a, tight = _planted_tight(rng, rng.randint(2, 9), "cycles")
+        crit = spectrum(a).crit
+        assert crit.arcs == tight and not spectrum(a)._strongly_connected, render_matrix(a)
+        report, made, triple = check(a)
+        searched_on_int_rows(a, made, triple)
+        kinds["cycles"] += 1
+        kinds["cycles, three or four"] += len(crit.scc.components) > 2
+        kinds["cycles, T' > gamma"] += searched[0] > crit.cyclicity
+    assert kinds["cycles, three or four"] >= 100 and kinds["cycles, T' > gamma"] >= 50, kinds
     # n = 1 with a loop: T = 0 and T1 = 1; the 2x2 zero matrix: T = T1 = 1
     for entries, expected in (({(0, 0): Fraction(-3, 2)}, (0, 1)), ({(i, j): 0 for i in range(2) for j in range(2)}, (1, 1))):
         a = from_entries(max(i for i, _ in entries) + 1, entries)

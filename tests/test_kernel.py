@@ -436,9 +436,10 @@ def test_sweep_matches_the_full_ceiling_scan(monkeypatch):
     # the T1-only sweep, of weak_threshold_T1 and of analyze on other
     # input, stops at t1, after t1 - 1 steps.  Both test a row only until
     # it holds; the oracle compares every row at every t up to the ceiling.
-    # Here only n = 1 with a loop has a critical graph that covers every
-    # node, one component of cyclicity 1: analyze reads T = 0 and T1 = 1
-    # off it with no sweep and no product (see csr._primitive_cover)
+    # When the critical graph covers every node, analyze runs no sweep but
+    # one search from t = 0 (see csr.analyze), whose products are at most
+    # 2*bit_length(T1 - 1) - 1 once the residues are read, and none when
+    # T1 = 1
     found, steps, handovers = [], [], []
     sweep, int_mul, transient = csr._sweep, matrix._int_mul, csr._transient
 
@@ -470,11 +471,13 @@ def test_sweep_matches_the_full_ceiling_scan(monkeypatch):
         if wx.csr.crit is None:
             kinds["acyclic"] += 1
             continue
-        if a.n == 1:  # a loop: only weak_threshold_T1 swept
-            assert found == [None] and steps == [] and report.t == transient_T(a) == 0
-            kinds["a loop, no sweep in analyze"] += 1
-            continue
         connected = len(scc_decompose(a).components) == 1
+        if len(wx.csr.crit.nodes) == a.n:  # only weak_threshold_T1 swept
+            assert found == [None] and len(steps) <= max(2 * (t1 - 1).bit_length() - 1, 0)
+            assert report.t == (transient_T(a) if connected else None)
+            kinds["every node critical, no sweep in analyze"] += 1
+            kinds["every node critical, n >= 2"] += a.n >= 2
+            continue
         kind = "irreducible" if connected else "reducible"
         kinds[kind] += 1
         assert report.t == (transient_T(a) if connected else None)
@@ -494,7 +497,8 @@ def test_sweep_matches_the_full_ceiling_scan(monkeypatch):
         if connected and found[1] is not None and any(ti is not None and max(ti, 1) <= found[1] - 2 for ti in periodic_from):
             kinds["irreducible, a row retires 2 steps before T"] += 1
     assert kinds["acyclic"] >= 30 and kinds["reducible"] >= 100 and kinds["irreducible"] >= 100, kinds
-    assert kinds["a loop, no sweep in analyze"] >= 20, kinds
+    assert kinds["every node critical, no sweep in analyze"] >= 20, kinds
+    assert kinds["every node critical, n >= 2"] >= 15, kinds
     assert kinds["irreducible, stopped at T before the ceiling"] >= 100, kinds
     assert kinds["reducible, T1-only stopped before min(T, c)"] >= 60, kinds
     assert kinds["irreducible, T1-only stopped before min(T, c)"] >= 80, kinds
@@ -513,9 +517,9 @@ def test_the_sweep_multiplies_only_the_rows_not_yet_periodic(monkeypatch):
     left_rows, handovers, int_mul, search = [], [], matrix._int_mul, csr._transient
     monkeypatch.setattr(csr, "_int_mul", lambda arows, b: left_rows.append(len(arows)) or int_mul(arows, b))
 
-    def handed_over(norm, t, at, residue):  # where the search starts, with what, after how many products
+    def handed_over(norm, t, at, *args):  # where the search starts, with what, after how many products
         handovers.append((t, at, len(left_rows)))
-        return search(norm, t, at, residue)
+        return search(norm, t, at, *args)
 
     monkeypatch.setattr(csr, "_transient", handed_over)
 
@@ -595,7 +599,7 @@ def test_analyze_stops_the_sweep_at_T(monkeypatch):
     # B - lambda.  The spectrum, whose Karp rows are products too, is
     # computed before the count
     products = Counter()
-    int_mul = matrix._int_mul
+    int_mul, sweep = matrix._int_mul, csr._sweep
 
     def counted(*args):
         products["_int_mul"] += 1
@@ -604,23 +608,34 @@ def test_analyze_stops_the_sweep_at_T(monkeypatch):
     for module in (matrix, spectral, csr):
         if "_int_mul" in vars(module):
             monkeypatch.setattr(module, "_int_mul", counted)
-    cases = [(third_mean_cycle(7), 8, 3, 8)]  # T = 8, the ceiling is 22
-    for n in range(1, 6):  # bare cycles are periodic from T = 0; T1 is 1 by convention
-        cases.append((from_entries(n, {(i, (i + 1) % n): 0 for i in range(n)}), 0, n, 1))
-    for a, t, gamma, t1 in cases:
+    monkeypatch.setattr(csr, "_sweep", lambda *args: products.update(["_sweep"]) or sweep(*args))
+    a = third_mean_cycle(7)  # T = 8, the ceiling is 22
+    spectrum(a)
+    products.clear()
+    report = analyze(a)
+    assert (report.t, report.gamma, report.t1) == (8, 3, 8)
+    assert products["_sweep"] == 1 and products["_int_mul"] <= 2 * 3 - 1 + 8 - 1
+    assert analyze(third_mean_cycle(7)).dm == 22 < wielandt_bound(7)
+    # bare cycles are periodic from T = 0; T1 is 1 by convention.  Every
+    # node is critical, so analyze runs no sweep but one search from t = 0
+    # (see csr.analyze): M = I takes at most 2*(bit_length(gamma) - 1)
+    # products, and the search reads only Q_0 = Q_gamma = C R, one product,
+    # which equals P^0 = I.  At n = 1 the bit rows take none
+    for n in range(1, 6):
+        a = from_entries(n, {(i, (i + 1) % n): 0 for i in range(n)})
         spectrum(a)
         products.clear()
         report = analyze(a)
-        assert (report.t, report.gamma, report.t1) == (t, gamma, t1)
-        assert products["_int_mul"] <= 2 * gamma - 1 + max(t, 1) - 1
-    assert analyze(third_mean_cycle(7)).dm == 22 < wielandt_bound(7)
+        assert (report.t, report.gamma, report.t1) == (0, n, 1)
+        assert products["_sweep"] == 0 and products["_int_mul"] <= (2 * (n.bit_length() - 1) + 1 if n > 1 else 0)
     # past the ceiling c = DM(1, 3) = 4 the sweep steps on while its
     # steps cost no more than 2*bit_length(s)*M after s of them, with M =
     # 3^2 + 3^3 the work of squaring the dense P^4: rows 1 and 2 stay
     # active, a step counts n + 2*(n + nnz(P)) = 23, so it hands over
     # after the least s with 23*s > 72*bit_length(s), at t = c + s.  The
-    # search then gallops from there: a probe and a square per doubling,
-    # and a probe per halving, 3*bit_length(T - c) - 2 products at most
+    # search then gallops from there, u = T - c - s: a probe at c + s + 2^k
+    # for k = 0..b, b = bit_length(u - 1), a square for each k >= 1, and
+    # b - 1 probes back, 3*b <= 3*bit_length(T - c - 1) products
     gap = MaxPlusMatrix([[0, -5, None], [-5, Fraction(-1, 10**6), -5], [None, -5, Fraction(-1, 10**6)]])
     spectrum(gap)
     products.clear()
@@ -628,8 +643,40 @@ def test_analyze_stops_the_sweep_at_T(monkeypatch):
     assert (report.t, report.gamma, report.t1, report.dm) == (2 * 10**7, 1, 2, 4)
     gamma, ceiling = 1, 4
     steps = next(s for s in range(1, 100) if 23 * s > 2 * s.bit_length() * (3**2 + 3**3))
-    tail = 3 * (report.t - ceiling).bit_length() - 2
+    tail = 3 * (report.t - ceiling - 1).bit_length()
     assert products["_int_mul"] <= 2 * gamma - 1 + (ceiling - 1 + steps) + tail
+
+
+
+def test_analyze_searches_once_on_the_wielandt_case_n_family(monkeypatch):
+    # a case-n Wielandt instance has its Hamiltonian cycle as critical
+    # graph, gamma = n, and T = T1 = Wi(n): every node is critical, so
+    # analyze runs no sweep but one search from t = 0 (see csr.analyze).
+    # M takes at most 2*(bit_length(gamma) - 1) products, the residues
+    # gamma, and the search, whose probes from t = 0 are the squares
+    # themselves, 2*bit_length(T - 1) - 1.  The spectrum, whose Karp rows
+    # are products too, is computed before the count
+    products = Counter()
+    int_mul, sweep = matrix._int_mul, csr._sweep
+
+    def counted(*args):
+        products["_int_mul"] += 1
+        return int_mul(*args)
+
+    for module in (matrix, spectral, csr):
+        if "_int_mul" in vars(module):
+            monkeypatch.setattr(module, "_int_mul", counted)
+    monkeypatch.setattr(csr, "_sweep", lambda *args: products.update(["_sweep"]) or sweep(*args))
+    for n in range(6, 17):
+        for seed in (0, 1):
+            a = generate_wielandt(n, seed, case="n")
+            spectrum(a)
+            products.clear()
+            report = analyze(a)
+            wi = wielandt_bound(n)
+            assert (report.gamma, report.t, report.t1, report.crit_rc_transient) == (n, wi, wi, wi)
+            assert products["_sweep"] == 0, (n, seed)
+            assert products["_int_mul"] <= 2 * n.bit_length() + n + 2 * wi.bit_length(), (n, seed, products)
 
 
 # ---------------------------------------------------------------------------
