@@ -1,0 +1,192 @@
+"""Mutation checks: each mutant is one exact text change to src/maxplus
+that the tests it names must catch.
+
+    python ci/mutants.py
+
+For each mutant, src is copied to a temporary directory, the one
+replacement is made in the copy, and the named tests run against it as
+`python -m pytest -x` in a child interpreter, from the repository root,
+with the copy and tests on PYTHONPATH.  The mutant is killed when a test
+fails.  A mutant marked equivalent changes no result, for the reason it
+gives, and is not run.  Prints one line per mutant, and exits 1 when a
+killable mutant survives, when pytest cannot run its tests (a test that
+no longer exists), or when a mutant's old text does not occur exactly
+once in its file: a change that moves the code re-aims the mutants that
+probe it.  Standard library only; the tests need pytest.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.stdout.reconfigure(line_buffering=True)
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # a file of src/maxplus
+    old: str
+    new: str
+    tests: tuple[str, ...] = ()  # pytest node ids, one of which must fail
+    equivalent: str = ""  # why no test can fail, given instead of tests
+
+
+KERNEL, CSR, EXTREMAL = "tests/test_kernel.py", "tests/test_csr.py", "tests/test_extremal.py"
+SPECTRAL, MATRIX = "tests/test_spectral.py", "tests/test_matrix.py"
+
+MUTANTS = [
+    # csr: the one-sided test, the residues, the sweep, the searches
+    Mutant(
+        "excess counts equal entries", "csr.py",
+        "if q is not None and (p is None or q > p)", "if q is not None and (p is None or q >= p)",
+        (f"{KERNEL}::test_sweep_matches_the_full_ceiling_scan",),
+    ),
+    Mutant(
+        "Q_gamma taken as M", "csr.py",
+        "        rows = _int_mul(m, _finite_entries([row if i in triple.crit.nodes else [] for i, row in enumerate(m)]))",
+        "        rows = m",
+        (f"{CSR}::test_lazy_triples_match_the_walk_oracle",),
+    ),
+    Mutant(
+        "ceiling check accepts any bound up to the ceiling", "csr.py",
+        "bound != _ceiling(triple)", "bound > _ceiling(triple)",
+        (f"{KERNEL}::test_point_check_matches_the_full_sweep",),
+    ),
+    Mutant(
+        "row transients written at column indices", "csr.py",
+        "rows.update((i, t + 1) for i in failing if i in rows)", "rows.update((j, t + 1) for _, j in excess if j in rows)",
+        (f"{KERNEL}::test_sweep_matches_the_full_ceiling_scan",),
+    ),
+    Mutant(
+        "T = t when every row retires at t = 1", "csr.py",
+        "return (0 if t == 1 and _residue(triple, 0) == _int_identity(n) else t), t1, rows, cols",
+        "return t, t1, rows, cols",
+        (f"{CSR}::test_each_row_retires_where_it_meets_the_residue",),
+    ),
+    Mutant(
+        "primitive cover at any cyclicity", "csr.py",
+        " and crit.cyclicity == 1", "",
+        (f"{CSR}::test_analyze_reads_T1_and_T_off_a_primitive_covering_critical_graph",),
+    ),
+    Mutant(
+        "class masks stepped backwards", "csr.py",
+        "row[t % len(row)] for row in rows]", "row[-t % len(row)] for row in rows]",
+        (f"{CSR}::test_the_boolean_index_reads_each_components_residue_in_closed_form",),
+    ),
+    Mutant(
+        "search returns one past T", "csr.py",
+        "    return t + 1\n\n\ndef _int_product", "    return t + 2\n\n\ndef _int_product",
+        (f"{CSR}::test_transient_search_matches_the_stepping_search",),
+    ),
+    Mutant(
+        "crit-rc transient taken as the least", "csr.py",
+        "max([*rows.values(), *cols.values()], default=None)", "min([*rows.values(), *cols.values()], default=None)",
+        (f"{CSR}::test_crit_rc_profile_per_index",),
+    ),
+    Mutant(
+        "remainder may equal CSR at t = 1", "csr.py",
+        "x.numerator * d < rows[i][j] * x.denominator", "x.numerator * d <= rows[i][j] * x.denominator",
+        (f"{EXTREMAL}::test_integer_remainder_test_matches_the_fraction_comparison",),
+    ),
+    # spectral: Karp, the critical graph, the hand-over, the visualization
+    Mutant(
+        "Karp takes the max over k", "spectral.py",
+        "min((x - dk[v])", "max((x - dk[v])",
+        (f"{SPECTRAL}::test_max_cycle_mean_matches_enumeration",),
+    ),
+    Mutant(
+        "critical arcs close circuits of weight >= 0", "spectral.py",
+        "w + closure[j][i] == 0", "w + closure[j][i] >= 0",
+        equivalent="no closed walk of A - lambda weighs more than 0, so the sum is never positive",
+    ),
+    Mutant(
+        "an acyclic digraph strongly connected", "spectral.py",
+        "_strongly_connected=a.n == 1)", "_strongly_connected=True)",
+        (f"{SPECTRAL}::test_spectrum_matches_the_tarjan_path",),
+    ),
+    Mutant(
+        "inherited closure not rescaled", "spectral.py",
+        "closure = [[None if x is None else x * d // sp._d for x in row] for row in sp._closure]",
+        "closure = sp._closure",
+        (f"{CSR}::test_a_candidate_inherits_its_skeletons_spectrum_and_triple",),
+    ),
+    Mutant(
+        "visualization not strict", "spectral.py",
+        "else w is None or w < lv", "else w is None or w <= lv",
+        (f"{SPECTRAL}::test_is_visualized_examples",),
+    ),
+    # matrix: the kernel
+    Mutant(
+        "product keeps the least", "matrix.py",
+        "if b is None or s > b:\n                    best[j] = s", "if b is None or s < b:\n                    best[j] = s",
+        (f"{KERNEL}::test_mat_mul_matches_walk_dp_on_a_block_matrix",),
+    ),
+    Mutant(
+        "product overwrites ties", "matrix.py",
+        "if b is None or s > b:\n                    best[j] = s", "if b is None or s >= b:\n                    best[j] = s",
+        equivalent="a tie stores the value already there",
+    ),
+    Mutant(
+        "power multiplies by a square", "matrix.py",
+        "step = step or entries", "step = entries",
+        (f"{KERNEL}::test_mat_power_matches_walk_dp",),
+    ),
+    Mutant(
+        "domination allows equality", "matrix.py",
+        "            if y is None or x >= y:", "            if y is None or x > y:",
+        (f"{MATRIX}::test_strict_domination",),
+    ),
+    # extremal: the numbering search, the chords, the walk oracle
+    Mutant(
+        "numbering search cuts ties", "extremal.py",
+        "(top is None or w + x + back >= top)", "(top is None or w + x + back > top)",
+        (f"{EXTREMAL}::test_heaviest_cycle_matches_the_full_support_search",),
+    ),
+    Mutant(
+        "a chord may equal its path", "extremal.py",
+        "(path is None or chord >= path)", "(path is None or chord > path)",
+        (f"{EXTREMAL}::test_residue_chords_match_the_power_oracle",),
+    ),
+    Mutant(
+        "walk oracle takes the longest walk", "extremal.py",
+        "max(ends, key=lambda e: (e[0], -e[1]))", "max(ends, key=lambda e: (e[0], e[1]))",
+        (f"{EXTREMAL}::test_the_walk_dp_on_the_kernel_matches_the_relaxation_it_replaced",),
+    ),
+]
+
+
+def check(mutant: Mutant) -> str | None:
+    """None when the mutant is killed or equivalent, else what went wrong."""
+    text = (ROOT / "src" / "maxplus" / mutant.module).read_text()
+    if text.count(mutant.old) != 1:
+        return f"its old text occurs {text.count(mutant.old)} times in {mutant.module}"
+    if mutant.equivalent:
+        return None
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
+        (copy / "maxplus" / mutant.module).write_text(text.replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(copy), str(ROOT / "tests")]), PYTHONDONTWRITEBYTECODE="1")
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests]
+        rc = subprocess.run(command, cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    return None if rc == 1 else "survived" if rc == 0 else f"pytest exit {rc}: the tests did not run"
+
+
+failed = []
+for mutant in MUTANTS:
+    start = time.time()
+    problem = check(mutant)
+    outcome = problem or ("equivalent: " + mutant.equivalent if mutant.equivalent else "killed")
+    print(f"{mutant.module}: {mutant.name}: {outcome} ({time.time() - start:.1f} s)")
+    if problem:
+        failed.append(mutant.name)
+print(f"{len(MUTANTS)} mutants, " + (f"failed: {', '.join(failed)}" if failed else "every killable one killed"))
+sys.exit(1 if failed else 0)

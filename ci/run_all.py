@@ -18,6 +18,8 @@ test, or to what it pins, goes into the script too:
   at n = 9 and 10;
 - unweighted: tests/test_extremal.py::test_unweighted_digraphs_agree_with_their_successor_set_index,
   every mask at n = 4 and slices at n = 5 and 6;
+- weighted3: tests/test_extremal.py::test_weighted_3x3_verdicts_hold_exactly_when_t1_attains_the_bound,
+  on all 4^9 matrices;
 - stdlib_only and memos20: tests/test_csr.py::test_a_candidate_inherits_its_skeletons_spectrum_and_triple,
   up to n = 20;
 - exponent: tests/test_csr.py::test_analyze_reads_T1_and_T_off_a_primitive_covering_critical_graph
@@ -36,7 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = [
     "stdlib_only", "instances20", "memos20", "large", "exponent", "heaviest", "transcript_hashes", "spectrum", "unweighted",
-    "loc",
+    "weighted3", "loc",
 ]
 
 env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))

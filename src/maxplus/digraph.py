@@ -3,8 +3,8 @@
 The digraph of a matrix has an arc (i, j) at each finite entry, weighed
 by that entry; every reader here takes the matrix itself.  Strongly
 connected components with per-component girth and cyclicity, the
-aggregate maximal girth / cyclicity, elementary-cycle enumeration for
-small instances and DOT export.
+aggregate maximal girth / cyclicity, and elementary-cycle enumeration
+for small instances.
 
 The algorithms run on sorted successor lists: `_support` gives those of
 a matrix, and `_successors` those of an arc set, which is how `spectral`
@@ -260,20 +260,3 @@ def _cycles(succ: Sequence[Sequence[int]], length: int) -> list[tuple[int, ...]]
         path.pop()
     return cycles
 
-
-def to_dot(a: MaxPlusMatrix, critical_arcs: Iterable[tuple[int, int]] | None = None) -> str:
-    """DOT rendering of the digraph of a, each arc labeled by its entry,
-    with critical arcs drawn bold red."""
-    crit = set(critical_arcs or ())
-    lines = ["digraph G {"]
-    for v in range(a.n):
-        lines.append(f"  {v};")
-    for i, succ in enumerate(_support(a)):
-        for j in succ:
-            attrs = [f'label="{a[i, j]}"']
-            if (i, j) in crit:
-                attrs.append("color=red")
-                attrs.append("penwidth=2")
-            lines.append(f"  {i} -> {j} [{', '.join(attrs)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

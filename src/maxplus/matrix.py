@@ -220,13 +220,6 @@ def mat_oplus(a: MaxPlusMatrix, b: MaxPlusMatrix) -> MaxPlusMatrix:
     return MaxPlusMatrix._from_raw(out)
 
 
-def transpose(a: MaxPlusMatrix) -> MaxPlusMatrix:
-    n = a.n
-    return MaxPlusMatrix._from_raw(
-        [[a._rows[j][i] for j in range(n)] for i in range(n)]
-    )
-
-
 def scalar_times(alpha: MaxPlusScalar, a: MaxPlusMatrix) -> MaxPlusMatrix:
     """alpha tensor a: add alpha to every entry."""
     v = alpha.value

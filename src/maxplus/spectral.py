@@ -275,41 +275,17 @@ def visualize(a: MaxPlusMatrix) -> tuple[DiagonalScaling, MaxPlusMatrix]:
     d = DiagonalScaling([MaxPlusScalar(p) for p in potentials])
     b = scale(a, d)
 
-    if not _check_visualized(b, lam, crit, strict=True):
+    if not _check_visualized(b, lam, crit):
         raise AssertionError("strict visualization postcondition failed")
     return d, b
 
 
-def _check_visualized(a: MaxPlusMatrix, lam: MaxPlusScalar, crit: CritGraph, strict: bool) -> bool:
+def _check_visualized(a: MaxPlusMatrix, lam: MaxPlusScalar, crit: CritGraph) -> bool:
+    """visualize's postcondition: every entry of a lies at lambda on the
+    critical arcs of crit, and strictly below it (or at -inf) elsewhere."""
     lv = lam.value
-    for i, row in enumerate(a.raw()):
-        for j, w in enumerate(row):
-            if w is None:
-                if (i, j) in crit.arcs:
-                    return False
-                continue
-            if w > lv:
-                return False
-            if (i, j) in crit.arcs:
-                if w != lv:
-                    return False
-            elif strict and w == lv:
-                return False
-    return True
-
-
-def _visualized(a: MaxPlusMatrix, strict: bool) -> bool:
-    sp = spectrum(a)
-    if sp.crit is None:
-        raise ValueError("visualization predicates need a finite cycle mean")
-    return _check_visualized(a, sp.lam, sp.crit, strict)
-
-
-def is_visualized(a: MaxPlusMatrix) -> bool:
-    """Every entry <= lambda, with entries on critical arcs equal to lambda."""
-    return _visualized(a, strict=False)
-
-
-def is_strictly_visualized(a: MaxPlusMatrix) -> bool:
-    """Visualized with equality to lambda exactly on the critical arcs."""
-    return _visualized(a, strict=True)
+    return all(
+        w == lv if (i, j) in crit.arcs else w is None or w < lv
+        for i, row in enumerate(a.raw())
+        for j, w in enumerate(row)
+    )

@@ -67,6 +67,11 @@ def normalized(a: MaxPlusMatrix) -> MaxPlusMatrix:
     return scalar_times(negate(lam), a)
 
 
+def transpose(a: MaxPlusMatrix) -> MaxPlusMatrix:
+    """The matrix of a's reversed digraph: entry (i, j) is a's (j, i)."""
+    return MaxPlusMatrix([list(col) for col in zip(*a.raw())])
+
+
 def random_strictly_below(rng: random.Random, bound: MaxPlusMatrix, prob: float = 0.5) -> MaxPlusMatrix:
     """A random matrix strictly dominated by `bound` (entrywise, exactly)."""
     raw = bound.raw()

@@ -17,7 +17,9 @@ best_walks_through, with a longer length cap than the library's.
 successor_set_index finds the index, period and girth of a 0/-inf
 matrix by stepping the sets of walk ends until they repeat;
 unweighted_disagreements compares analyze, the crit-rc profile and the
-four verdicts with it.
+four verdicts with it.  weighted3_matrix numbers the 3x3 matrices over
+{-inf, -1, 0, 1}, and weighted3_disagreements compares verify_dm and
+verify_wielandt on them with a given T1 attaining the bound.
 
 Regression: the library's earlier code, kept to fix what the current
 code must return.  hamiltonian_cycles_dfs and
@@ -843,4 +845,29 @@ def unweighted_disagreements(n, mask):
     if g >= 2:
         exception = n == 2 and t1 == dm  # the 2x2 case: verify_dm does not hold there
         found += [] if verify_dm(MaxPlusMatrix(a.raw())).holds == (t1 == dm and not exception) else ["verify_dm"]
+    return found
+
+
+WEIGHTS3 = (None, -1, 0, 1)
+
+
+def weighted3_matrix(k):
+    """The 3x3 matrix over {-inf, -1, 0, 1} numbered k, 0 <= k < 4^9: entry
+    (i, j) is WEIGHTS3[d], d the base-4 digit 3*i + j of k."""
+    return MaxPlusMatrix([[WEIGHTS3[k >> 2 * (3 * i + j) & 3] for j in range(3)] for i in range(3)])
+
+
+def weighted3_disagreements(a, t1):
+    """The verdicts on the 3x3 matrix a that depart from T1 = t1 attaining
+    the bound, or None unless a's critical girth g is at least 2:
+    verify_dm(a).holds == (t1 == DM(2, 3)) when g = 2, and
+    verify_wielandt(a).holds == (t1 == Wi(3)) when g is 2 or 3.  DM(2, 3)
+    = Wi(3) = 5 is written out here.  The documented exception, the 2x2
+    case with a critical 2-cycle, needs n = 2: none arises at n = 3."""
+    crit = spectral.spectrum(a).crit
+    if crit is None or crit.girth < 2:
+        return None
+    found = [] if verify_wielandt(a).holds == (t1 == 5) else ["verify_wielandt"]
+    if crit.girth == 2:
+        found += [] if verify_dm(a).holds == (t1 == 5) else ["verify_dm"]
     return found

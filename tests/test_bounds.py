@@ -1,6 +1,6 @@
 import pytest
 
-from maxplus import compare_bounds, dm_bound, wielandt_bound
+from maxplus import dm_bound, wielandt_bound
 
 
 @pytest.mark.parametrize("n,expected", [(1, 0), (2, 2), (3, 5), (5, 17), (8, 50)])
@@ -25,26 +25,6 @@ def test_domain_errors():
         dm_bound(0, 3)
     with pytest.raises(ValueError):
         dm_bound(4, 3)
-    with pytest.raises(ValueError):
-        compare_bounds(1, 1)
-
-
-def test_compare_bounds_ordering():
-    for n in range(2, 13):
-        for g in range(1, n + 1):
-            cmp = compare_bounds(g, n)
-            if g == n - 1:
-                assert cmp.smaller == "equal"
-            elif g < n - 1:
-                assert cmp.smaller == "dm"
-            elif n > 2:  # g == n
-                assert cmp.smaller == "wi"
-            assert cmp.wielandt_attainable == (g >= n - 1)
-
-
-def test_compare_bounds_g_equals_n():
-    assert compare_bounds(2, 2).smaller == "equal"  # Wi(2) = DM(2,2) = 2
-    assert compare_bounds(4, 4).smaller == "wi"
 
 
 def test_dm_monotone_in_g():

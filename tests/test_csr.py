@@ -36,7 +36,6 @@ from maxplus import (
     spectrum,
     strictly_dominated_by,
     transient_T,
-    transpose,
     weak_threshold_T1,
     wielandt_bound,
     wielandt_skeleton,
@@ -54,6 +53,7 @@ from conftest import (
     random_matrix,
     random_reducible,
     random_strictly_below,
+    transpose,
 )
 from oracles import (
     boolean_index_int,

@@ -12,7 +12,6 @@ from maxplus import (
     global_cyclicity,
     maximal_girth,
     scc_decompose,
-    to_dot,
     wielandt_skeleton,
     zeros,
 )
@@ -29,11 +28,10 @@ def cycle_matrix(n):
 
 
 def test_the_readers_take_the_finite_entries_as_arcs():
-    assert enumerate_cycles(zeros(3)) == [] and "->" not in to_dot(zeros(3))
+    assert enumerate_cycles(zeros(3)) == []
     assert [c.nodes for c in enumerate_cycles(identity(3))] == [(0,), (1,), (2,)]
     a = MaxPlusMatrix([[N, 0], [1, N]])
     assert [(c.nodes, c.weight.value) for c in enumerate_cycles(a)] == [((0, 1), 1)]
-    assert '0 -> 1 [label="0"]' in to_dot(a) and '1 -> 0 [label="1"]' in to_dot(a)
 
 
 def test_scc_decompose_refuses_nodes_out_of_range():
@@ -200,9 +198,3 @@ def test_scc_invariant_under_renumbering(rng):
         )
         assert mapped == got
 
-
-def test_dot_export_flags_critical_arcs():
-    a = from_entries(2, {(0, 1): 1, (1, 0): -1})
-    dot = to_dot(a, critical_arcs=[(0, 1)])
-    assert "0 -> 1" in dot and "color=red" in dot
-    assert dot.count("->") == 2

@@ -12,6 +12,7 @@ import pytest
 from maxplus import (
     MaxPlusMatrix,
     MaxPlusScalar,
+    analyze,
     apply_numbering,
     build_csr,
     crit_row_col_profile,
@@ -54,6 +55,9 @@ from oracles import (
     twice_optimal_walk_relaxed,
     twice_optimal_walks_brute,
     unweighted_disagreements,
+    weak_threshold_T1_full,
+    weighted3_disagreements,
+    weighted3_matrix,
 )
 
 N = None
@@ -1243,6 +1247,27 @@ def test_unweighted_digraphs_agree_with_their_successor_set_index():
     strongly_connected = {key: diffs for key, diffs in found.items() if diffs is not None}
     assert len(strongly_connected) == 2126
     assert {key: diffs for key, diffs in strongly_connected.items() if diffs} == {}
+
+
+def test_weighted_3x3_verdicts_hold_exactly_when_t1_attains_the_bound():
+    # every 97th 3x3 matrix over {-inf, -1, 0, 1} (oracles.weighted3_matrix;
+    # ci/weighted3.py runs all 4^9).  T1 from the full-ceiling scan is
+    # analyze's, and where the critical girth g is at least 2, verify_dm
+    # (g = 2) and verify_wielandt hold exactly when T1 is DM(2, 3) = Wi(3)
+    # = 5 (oracles.weighted3_disagreements): the paper's "iff" on weights
+    checked, attaining, found = 0, 0, {}
+    for k in range(0, 4**9, 97):
+        a = weighted3_matrix(k)
+        t1 = weak_threshold_T1_full(a)[0]
+        assert analyze(a).t1 == t1, k
+        diffs = weighted3_disagreements(a, t1)
+        if diffs is not None:
+            checked += 1
+            attaining += t1 == 5
+            if diffs:
+                found[k] = diffs
+    assert found == {}
+    assert checked >= 820 and attaining >= 55, (checked, attaining)
 
 
 def test_the_walk_oracle_takes_int_t_and_endpoints_only():

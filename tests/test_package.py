@@ -25,3 +25,18 @@ def test_the_readme_documents_every_exported_name():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     missing = [name for name in maxplus.__all__ if not re.search(rf"\b{re.escape(name)}\b", readme)]
     assert missing == []
+
+
+def test_the_removed_names_stay_gone():
+    # no verb, generator, verifier or acceptance test read these; visualize
+    # still asserts its own postcondition (spectral._check_visualized)
+    removed = {
+        "spectral": ["is_visualized", "is_strictly_visualized", "_visualized"],
+        "matrix": ["transpose"],
+        "digraph": ["to_dot"],
+        "bounds": ["compare_bounds", "BoundComparison"],
+    }
+    for module, names in removed.items():
+        for name in names:
+            assert not hasattr(maxplus, name), name
+            assert not hasattr(getattr(maxplus, module), name), f"{module}.{name}"

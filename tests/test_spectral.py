@@ -11,8 +11,6 @@ from maxplus import (
     critical_components,
     critical_graph,
     from_entries,
-    is_strictly_visualized,
-    is_visualized,
     max_cycle_mean,
     scalar_times,
     scale,
@@ -200,13 +198,12 @@ def test_visualize_postcondition_random(rng):
                 assert w == lam
             else:
                 assert w < lam
-        assert is_visualized(b) and is_strictly_visualized(b)
 
 
 def test_visualize_of_visualized_stays_visualized():
     a = MaxPlusMatrix([[0, 0], [0, 0]])
     d, b = visualize(a)
-    assert is_strictly_visualized(b)
+    assert b == a  # every arc is critical, so every entry stays at lambda = 0
 
 
 def test_visualize_rejects_acyclic():
@@ -215,15 +212,23 @@ def test_visualize_rejects_acyclic():
 
 
 def test_is_visualized_examples():
+    # spectral._check_visualized, the postcondition visualize asserts:
+    # lambda on every critical arc, below it or -inf on every other entry
+    def check(b, a):  # b against a's lambda and critical graph
+        sp = spectrum(a)
+        return spectral._check_visualized(b, sp.lam, sp.crit)
+
     allzero = MaxPlusMatrix([[0, 0], [0, 0]])
-    assert is_visualized(allzero) and is_strictly_visualized(allzero)
-    # non-critical arc sitting exactly at lambda: visualized but not strictly
-    a = from_entries(3, {(0, 1): 0, (1, 0): 0, (1, 2): 0})
-    assert is_visualized(a)
-    assert not is_strictly_visualized(a)
-    # entry above lambda on a non-critical arc
-    b = from_entries(3, {(0, 1): 0, (1, 0): 0, (1, 2): 1})
-    assert not is_visualized(b)
+    assert check(allzero, allzero)
+    a = from_entries(3, {(0, 1): 0, (1, 0): 0, (1, 2): -1})
+    assert check(a, a)
+    for b in (
+        from_entries(3, {(0, 1): 0, (1, 0): 0, (1, 2): 0}),  # a non-critical arc at lambda
+        from_entries(3, {(0, 1): 0, (1, 0): 0, (1, 2): 1}),  # an entry above lambda
+        from_entries(3, {(0, 1): 0, (1, 0): -1}),  # a critical arc below lambda
+        from_entries(3, {(0, 1): 0}),  # a critical arc at -inf
+    ):
+        assert not check(b, a)
 
 
 def test_visualized_entries_bounded_by_lambda(rng):
