@@ -3,21 +3,23 @@ unit-test and benchmark sizes.
 
     PYTHONPATH=src:tests python ci/large.py
 
-T1 and crit_rc_transient against the full-ceiling scan of
-A^t = C S^t R (+) B^t, and T against the step-by-step search, on seeded
-random matrices, irreducible and reducible; analyze's sweep retires each
-row of A^t once it meets C S^t R, which holds for good since
-Q_t (A - lambda) = Q_(t+1) for the residues Q_t, checked here too.  Then
-matrices whose T lies past the ceiling: past it the sweep steps on while
-that is cheaper than galloping, and hands over to the galloping search
-when it is not.  Standard library only.
+T1, crit_rc_transient and crit_row_col_profile's row and column
+transients against the full-ceiling scan of A^t = C S^t R (+) B^t, and T
+against the step-by-step search, on seeded random matrices, irreducible
+and reducible; analyze's sweep retires each row of A^t once it meets
+C S^t R, which holds for good since Q_t (A - lambda) = Q_(t+1) for the
+residues Q_t, checked here too.  Then matrices whose T lies past the
+ceiling: past it the sweep steps on while that is cheaper than
+galloping, and hands over to the galloping search when it is not; on
+each, some step multiplies a row that already holds at its entries above
+Q_t alone, onto its row of Q_(t+1).  Standard library only.
 """
 
 from __future__ import annotations
 
 import random, sys, time
 from fractions import Fraction
-from maxplus import analyze, critical_graph, csr, from_entries, matrix, max_cycle_mean, negate, scalar_times
+from maxplus import analyze, crit_row_col_profile, critical_graph, csr, from_entries, matrix, max_cycle_mean, negate, scalar_times
 from oracles import transient_by_steps, weak_threshold_T1_full
 
 def block(rng, nodes, density, entries):
@@ -62,24 +64,39 @@ for n in (24, 32):
               f"T1 {report.t1} vs {t1}, crit-rc {report.crit_rc_transient} vs {crit_rc}, T {report.t} vs {big_t} ({time.time() - t0:.1f} s)")
         if (report.t1, report.crit_rc_transient, report.t) != (t1, crit_rc, big_t):
             sys.exit(1)
+        if crit_row_col_profile(a) != (crit_rc, rows, cols):
+            print(f"n={n} seed={seed}: crit_row_col_profile differs from the full-ceiling scan's rows and cols")
+            sys.exit(1)
 print(f"all agree ({time.time() - start:.1f} s)")
 
-# where analyze hands over to the galloping search, if it does
-handovers, transient = [], csr._transient
+# where analyze hands over to the galloping search, if it does, and how
+# many rows its steps multiplied onto a row of Q_(t+1), the rows that hold
+handovers, transient, int_mul = [], csr._transient, csr._int_mul
 csr._transient = lambda norm, t, *args: handovers.append(t) or transient(norm, t, *args)
+held = []
+
+def counted(arows, b, starts=None):
+    held.append(sum(any(x is not None for x in row) for row in starts or ()))
+    return int_mul(arows, b, starts)
+
+csr._int_mul = counted
 start, ways = time.time(), set()
 
 def check_t(name, a, expected):
-    handovers.clear()
+    handovers.clear(), held.clear()
     t0 = time.time()
     report = analyze(a)
     c = min(report.wi, report.dm)
     way = "within the ceiling" if report.t <= c else f"handed over at t = {handovers[0]}" if handovers else "stepped to T"
-    print(f"{name}: gamma {report.gamma}, ceiling {c}, T {report.t} vs {expected}, {way} ({time.time() - t0:.2f} s)")
+    print(f"{name}: gamma {report.gamma}, ceiling {c}, T {report.t} vs {expected}, {way}, "
+          f"{sum(held)} holding rows stepped ({time.time() - t0:.2f} s)")
     if report.t != expected:
         sys.exit(1)
     if report.t > c:
         ways.add(bool(handovers))
+        if not sum(held):
+            print(f"{name}: no step multiplied a holding row at its entries above Q_t")
+            sys.exit(1)
 
 # a loop just below lambda at a node off the critical graph puts T past the ceiling
 for n in (24, 32):

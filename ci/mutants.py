@@ -46,7 +46,7 @@ MUTANTS = [
     # csr: the one-sided test, the residues, the sweep, the searches
     Mutant(
         "excess counts equal entries", "csr.py",
-        "if q is not None and (p is None or q > p)", "if q is not None and (p is None or q >= p)",
+        "return q is not None and (p is None or q > p)", "return q is not None and (p is None or q >= p)",
         (f"{KERNEL}::test_sweep_matches_the_full_ceiling_scan",),
     ),
     Mutant(
@@ -62,8 +62,35 @@ MUTANTS = [
     ),
     Mutant(
         "row transients written at column indices", "csr.py",
-        "rows.update((i, t + 1) for i in failing if i in rows)", "rows.update((j, t + 1) for _, j in excess if j in rows)",
+        "rows.update((i, t + 1) for i in failing if i in rows)", "rows.update((j, t + 1) for j in over if j in rows)",
         (f"{KERNEL}::test_sweep_matches_the_full_ceiling_scan",),
+    ),
+    Mutant(
+        "holding row accumulates onto Q_t", "csr.py",
+        "starts = [blank if i in failed else nxt[i] for i in left]", "starts = [blank if i in failed else residue[i] for i in left]",
+        (f"{CSR}::test_each_row_retires_where_it_meets_the_residue",),
+    ),
+    Mutant(
+        "holding row accumulates onto -inf", "csr.py",
+        "starts = [blank if i in failed else nxt[i] for i in left]", "starts = [blank for i in left]",
+        (f"{CSR}::test_each_row_retires_where_it_meets_the_residue",),
+    ),
+    Mutant(
+        "mask keeps the entries equal to Q_t and drops those above", "csr.py",
+        "from operator import ne", "from operator import eq as ne",
+        (f"{CSR}::test_a_holding_row_steps_only_its_entries_above_the_residue",),
+    ),
+    Mutant(
+        "failing row stepped as holding", "csr.py",
+        "failed, blank = set(failing), [None] * n", "failed, blank = set(), [None] * n",
+        (f"{CSR}::test_a_holding_row_steps_only_its_entries_above_the_residue",),
+    ),
+    Mutant(
+        # the rows stepped stay exact, so no end result moves; the test
+        # that names each holding row's entry operations sees the work
+        "mask keeps the entries equal to Q_t", "csr.py",
+        "else _above(at[i], residue[i]) for i in left]", "else _above(at[i], blank) for i in left]",
+        (f"{CSR}::test_a_holding_row_steps_only_its_entries_above_the_residue",),
     ),
     Mutant(
         "T = t when every row retires at t = 1", "csr.py",

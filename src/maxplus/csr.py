@@ -20,8 +20,11 @@ so the sweep tests only the rows that failed one power back and stops
 testing at T1.  A row of the powers is periodic from t >= 1 exactly
 when it equals the same row of C S^t R; the sweep then retires it and
 multiplies only the rows not yet periodic, so T = max(T1, T2) row by
-row, T2 the time after which C S^t R dominates B^t.  Past the ceiling
-on T1 it steps on while that costs less than the galloping search of
+row, T2 the time after which C S^t R dominates B^t.  An active row that
+C S^t R exceeds nowhere is that row of C S^t R (+) B^t, and only its B^t
+part can still move: the sweep multiplies only its entries above
+C S^t R, onto the same row of C S^(t+1) R.  Past the ceiling on T1 it
+steps on while that costs less than the galloping search of
 _transient would, and hands over to the search when it does not: the
 sweep returns T either way.  Whether T1 equals that ceiling is decided
 by the same sweep started one power below the ceiling, at two powers
@@ -67,7 +70,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import count
+from itertools import compress, count
+from operator import ne
 
 from .bounds import dm_bound, wielandt_bound
 from .digraph import _levels, _successors
@@ -343,7 +347,10 @@ def _sweep(
     periodic from t >= 1 exactly when it equals row i of Q_t, so the sweep
     retires row i at the first t >= 1 where the two are equal, multiplies
     only the active rows by P, and takes each retired row of P^(t+1) from
-    Q_(t+1).  With transient it stops when no row is left, with T.
+    Q_(t+1).  With transient it stops when no row is left, with T.  An
+    active row that holds at t (Q_t <= P^t on it, see below) is multiplied
+    at its entries above Q_t alone, onto its row of Q_(t+1) (see
+    _above and _int_mul's start rows); a failing row is multiplied in full.
 
     Lemma.  On the critical rows R P = S' R, so Q_t P = Q_(t+1) for t >= 1
     (and Q_gamma P = Q_1).  R P >= S' R is in weak_threshold_T1's proof.
@@ -363,6 +370,16 @@ def _sweep(
     the last retirement, or 0 when every row retires at t = 1 and
     Q_gamma = I (_residue maps t = 0 to gamma).  Irreducibility is not
     used, but on reducible input some rows may never retire.
+
+    Lemma (holding rows).  If row i holds at t >= 1, row i of P^(t+1) is
+    row i of Q_(t+1) (+) the product by P of row i of P^t with -inf at
+    each entry where it equals Q_t.  Proof.  Row i of P^t is >= that of
+    Q_t, so it differs from it exactly where it exceeds it.  An entry k
+    where the two are equal adds P^t(i, k) + P(k, j) <= (Q_t P)(i, j) =
+    Q_(t+1)(i, j) to entry (i, j) of P^(t+1), by the lemma above, and
+    Q_(t+1)(i, j) <= P^(t+1)(i, j) as the row still holds at t + 1 (see
+    weak_threshold_T1): dropping those entries and adding Q_(t+1) changes
+    no entry of the row.
 
     It also finds where Q_t exceeds P^t (see _excess), for t1 and the
     critical row and column transients.  A row that holds at t holds at
@@ -395,6 +412,10 @@ def _sweep(
     _square_work): a step passes over the rows and multiplies each active
     one by P, so it is counted as n, plus n + nnz(P) per active row, and M
     is the work of squaring P^c, the price of one product of the search.
+    A holding row, multiplied at its entries S above Q_t alone, makes n
+    plus the sum over k in S of nnz(P_k), P_k row k of P, and is counted
+    at n + nnz(P) too: the bound below needs only an upper bound on the
+    work of the steps, and T is exact either way.
 
     The bound, in units of M.  From t' >= 1 with u = T - t' >= 1, the
     search makes G(u) = 3*bit_length(u - 1) products for u >= 2, and one
@@ -421,12 +442,11 @@ def _sweep(
             if not active:
                 return (0 if t == 1 and _residue(triple, 0) == _int_identity(n) else t), t1, rows, cols
         if failing and t <= ceiling:
-            excess = _excess(triple, t, at, failing)
-            failing = sorted({i for i, _ in excess})
-            if excess:
+            failing, over = _excess(triple, t, at, failing)
+            if failing:
                 t1 = t + 1
                 rows.update((i, t + 1) for i in failing if i in rows)
-                cols.update((j, t + 1) for _, j in excess if j in cols)
+                cols.update(dict.fromkeys(over, t + 1))
         if not transient and (not failing or t >= ceiling):
             return None, t1, rows, cols
         if transient and t >= ceiling:
@@ -436,7 +456,13 @@ def _sweep(
             spent += n + len(active) * (n + nnz)
         left = active if transient else failing
         nxt = _residue(triple, t + 1)[:]  # the retired rows of P^(t+1); rows neither left nor retired are not read
-        for i, row in zip(left, _int_mul([at[i] for i in left], step)):
+        if transient:  # a holding row steps its entries above Q_t alone, onto its row of Q_(t+1)
+            failed, blank = set(failing), [None] * n
+            arows = [at[i] if i in failed else _above(at[i], residue[i]) for i in left]
+            starts = [blank if i in failed else nxt[i] for i in left]
+        else:
+            arows, starts = [at[i] for i in left], None
+        for i, row in zip(left, _int_mul(arows, step, starts)):
             nxt[i] = row
         at = nxt
 
@@ -496,9 +522,12 @@ def _ceiling(triple: CsrTriple) -> int:
     return min(wielandt_bound(n), dm_bound(triple.crit.girth, n))
 
 
-def _excess(triple: CsrTriple, t: int, at: list[list], rows: list[int]) -> list[tuple[int, int]]:
-    """The entries (i, j), i in the given rows, where the residue Q_t of t
-    exceeds at = P^t.
+def _excess(triple: CsrTriple, t: int, at: list[list], rows: list[int]) -> tuple[list[int], list[int]]:
+    """(failing, cols): the given rows i, in their order, at which the
+    residue Q_t of t exceeds at = P^t at some entry (i, j), and the
+    critical columns j with such an entry; what the sweep reads.  A row's
+    scan ends at its first excess, and a column is scanned on the failing
+    rows alone, as no other row has one.
 
     With P = A - lambda and Q_t = C S^t R - t*lambda, the expansion at t
     is P^t = Q_t (+) (B - lambda)^t.  It holds exactly when no entry
@@ -519,13 +548,22 @@ def _excess(triple: CsrTriple, t: int, at: list[list], rows: list[int]) -> list[
     and column k of P^t are <= those of Q_t.
     """
     residue = _residue(triple, t)
-    return [
-        (i, j)
-        for i in rows
-        if residue[i] != at[i]
-        for j, (q, p) in enumerate(zip(residue[i], at[i]))
-        if q is not None and (p is None or q > p)
-    ]
+    failing = [i for i in rows if residue[i] != at[i] and any(map(_exceeds, residue[i], at[i]))]
+    return failing, [j for j in triple.crit.nodes if any(_exceeds(residue[i][j], at[i][j]) for i in failing)]
+
+
+def _exceeds(q: int | None, p: int | None) -> bool:
+    """Whether the int q exceeds p, None being -inf."""
+    return q is not None and (p is None or q > p)
+
+
+def _above(row: list, q: list) -> list:
+    """row with -inf wherever it equals q: where row >= q, its entries
+    that exceed q."""
+    kept = [None] * len(row)
+    for k in compress(range(len(row)), map(ne, row, q)):
+        kept[k] = row[k]
+    return kept
 
 
 def _boolean_index(crit: CritGraph) -> int:

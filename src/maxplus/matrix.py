@@ -20,6 +20,7 @@ value returned.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -120,13 +121,15 @@ def _finite_entries(rows: list[list]) -> list[list]:
     return [[(j, y) for j, y in enumerate(row) if y is not None] for row in rows]
 
 
-def _int_mul(arows: list[list], bfinite: list[list]) -> list[list]:
+def _int_mul(arows: list[list], bfinite: list[list], starts: list[list] | None = None) -> list[list]:
     """Max-plus product of int-or-None rows and a right factor given by
-    _finite_entries; -inf entries of a left row are skipped."""
+    _finite_entries; -inf entries of a left row are skipped.  With starts,
+    one int-or-None row per left row, each product row accumulates onto a
+    copy of its start row rather than onto -inf: it is their max-plus sum."""
     n = len(bfinite)
     out = []
-    for arow in arows:
-        best = [None] * n
+    for arow, start in zip(arows, repeat([None] * n) if starts is None else starts):
+        best = start[:]
         for x, finite in zip(arow, bfinite):
             if x is None:
                 continue

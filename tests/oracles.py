@@ -29,6 +29,9 @@ that DFS must return.  transient_by_steps is the library's search for T
 before it galloped: one power at a time, capped so a test cannot hang.
 row_transients_by_steps finds, by the same stepping, where each row of
 the powers turns periodic, which the sweep reads off the residue.
+excess_entries is the sweep's one-sided test as it was before it
+returned only the failing rows and critical columns: every entry of the
+given rows where the residue exceeds the power.
 heaviest_cycle_exhaustive is the numbering searches' ranking as it was
 before they looked at the critical graph first: every cycle of one
 length in the whole support, ranked by exact weight.
@@ -383,6 +386,18 @@ def row_transients_by_steps(rows, gamma, horizon):
                         nxt[i][j] = at[i][k] + rows[k][j]
         powers.append(nxt)
     return [next((t for t in range(horizon + 1) if powers[t][i] == powers[t + gamma][i]), None) for i in range(n)]
+
+
+def excess_entries(triple, t, at, rows):
+    """The entries (i, j), i in the given rows, in order, where the residue
+    Q_t of t exceeds at = P^t, both int rows at the triple's scale."""
+    residue = csr._residue(triple, t)
+    return [
+        (i, j)
+        for i in rows
+        for j, (q, p) in enumerate(zip(residue[i], at[i]))
+        if q is not None and (p is None or q > p)
+    ]
 
 
 def crit_rc_wielandt_brute(a, numbering=None):

@@ -48,6 +48,7 @@ from conftest import (
     PER_TEST_SECONDS,
     deadline,
     normalized,
+    rand_weight,
     random_cyclic_matrix,
     random_irreducible,
     random_matrix,
@@ -58,6 +59,7 @@ from conftest import (
 from oracles import (
     boolean_index_int,
     csr_walk_oracle,
+    excess_entries,
     masked_m,
     memo_differences,
     row_transients_by_steps,
@@ -254,7 +256,9 @@ def _expansion_matrices(rng, count):
 def test_the_expansion_once_holding_holds_at_every_later_t():
     # weak_threshold_T1's proof: Q_t <= P^t gives Q_(t+1) <= P^(t+1), in
     # the whole matrix and in every row and column alone; checked up to
-    # the ceiling c plus 2 gamma, past where the sweep may stop
+    # the ceiling c plus 2 gamma, past where the sweep may stop, on every
+    # entry where Q_t exceeds P^t.  The sweep's _excess gives the rows and
+    # the critical columns of those entries
     rng = random.Random(1709)
     late = 0
     for a in _expansion_matrices(rng, 2000):
@@ -262,7 +266,10 @@ def test_the_expansion_once_holding_holds_at_every_later_t():
         step = matrix._finite_entries(triple._norm)
         at, held, rows_held, cols_held = triple._norm, False, set(), set()
         for t in range(1, csr._ceiling(triple) + 2 * triple.gamma + 1):
-            excess = csr._excess(triple, t, at, range(n))
+            excess = excess_entries(triple, t, at, range(n))
+            failing, cols = csr._excess(triple, t, at, list(range(n)))
+            assert failing == sorted({i for i, _ in excess}), render_matrix(a)
+            assert sorted(cols) == sorted({j for _, j in excess} & triple.crit.nodes), render_matrix(a)
             assert not (held and excess), render_matrix(a)
             held = not excess
             rows = set(range(n)) - {i for i, _ in excess}
@@ -730,13 +737,16 @@ def test_the_sweep_tests_only_failing_rows_and_steps_past_the_ceiling(monkeypatc
     # scan, T step by step, and past the ceiling the rows analyze's
     # sweep multiplies at each step by the rows' own transients T_i (row
     # i is multiplied at t while max(T_i, 1) > t), up to T or to its
-    # hand-over to the galloping search
+    # hand-over to the galloping search.  Each test gives the rows and the
+    # critical columns of the entries where Q_t exceeds P^t, by the oracle
     excess_calls, left_rows, handovers = [], [], []
     excess, int_mul, transient = csr._excess, matrix._int_mul, csr._transient
 
     def recorded_excess(triple, t, at, rows):
         found = excess(triple, t, at, rows)
-        excess_calls.append((t, list(rows), found))
+        entries = excess_entries(triple, t, at, rows)
+        assert found[0] == sorted({i for i, _ in entries}) and sorted(found[1]) == sorted({j for _, j in entries} & triple.crit.nodes)
+        excess_calls.append((t, list(rows), entries))
         return found
 
     def recorded_transient(norm, t, *args):
@@ -744,7 +754,7 @@ def test_the_sweep_tests_only_failing_rows_and_steps_past_the_ceiling(monkeypatc
         return transient(norm, t, *args)
 
     monkeypatch.setattr(csr, "_excess", recorded_excess)
-    monkeypatch.setattr(csr, "_int_mul", lambda arows, b: left_rows.append(len(arows)) or int_mul(arows, b))
+    monkeypatch.setattr(csr, "_int_mul", lambda arows, *args: left_rows.append(len(arows)) or int_mul(arows, *args))
     monkeypatch.setattr(csr, "_transient", recorded_transient)
     rng = random.Random(1717)
     corpus = []
@@ -805,11 +815,11 @@ def test_analyze_steps_then_gallops_on_a_small_gap(monkeypatch):
     ops = Counter()
     int_mul = matrix._int_mul
 
-    def counted(arows, bfinite):
+    def counted(arows, bfinite, *starts):
         ops["_int_mul"] += 1
         ops["entries"] += sum(len(bfinite[k]) for row in arows for k, x in enumerate(row) if x is not None)
         assert ops["_int_mul"] <= 300, "more than 300 products"
-        return int_mul(arows, bfinite)
+        return int_mul(arows, bfinite, *starts)
 
     for module in (matrix, spectral, csr):
         if "_int_mul" in vars(module):
@@ -903,35 +913,146 @@ def test_the_residue_times_P_is_the_next_residue():
 def test_each_row_retires_where_it_meets_the_residue(monkeypatch):
     # analyze's sweep multiplies at step t exactly the rows i of P^t with
     # max(T_i, 1) > t, T_i where row i turns periodic by the oracle, in
-    # order and with their values, up to max(T, 1) or to its hand-over,
-    # where the products it made before _transient's are counted
+    # order, up to max(T, 1) or to its hand-over, where the products it
+    # made before _transient's are counted.  A row that fails at t goes in
+    # with its values and starts at -inf; a row that holds (Q_t <= P^t on
+    # it) goes in masked, onto its row of Q_(t+1): every entry handed over
+    # equals P^t's, and every one dropped is at or below Q_t's, by the walk
+    # powers and csr_at.  A product past max(T, 1) - 1 steps and one
+    # search, 3*bit_length(T) products at most, fails at once
     rng = random.Random(2114)
-    products, handovers = [], []
+    products, handovers, cap = [], [], [None]
     int_mul, transient = matrix._int_mul, csr._transient
-    monkeypatch.setattr(csr, "_int_mul", lambda arows, b: products.append(arows) or int_mul(arows, b))
+
+    def recorded(arows, b, starts=None):
+        products.append((arows, starts))
+        assert cap[0] is None or len(products) <= cap[0], "more products than the steps to T and one search"
+        return int_mul(arows, b, starts)
+
+    monkeypatch.setattr(csr, "_int_mul", recorded)
     monkeypatch.setattr(csr, "_transient", lambda norm, t, *args: handovers.append((t, len(products))) or transient(norm, t, *args))
     kinds = Counter()
     corpus = [random_irreducible(rng, k % 8 + 1, rng.choice((0.2, 0.4, 0.8))) for k in range(300)]
     corpus += [_near_critical_loop(rng) for _ in range(40)]
     for a in corpus:
-        triple = build_csr(a)
+        triple, cap[0] = build_csr(a), None
         for t in range(1, triple.gamma + 1):
             csr._residue(triple, t)  # read first, so the products recorded are the sweep's steps
+        big_t = transient_by_steps(normalized(a).raw(), triple.gamma)
+        cap[0] = max(big_t, 1) - 1 + 3 * big_t.bit_length()
         products.clear(), handovers.clear()
         t, *_ = csr._sweep(triple, True)
-        assert t == transient_by_steps(normalized(a).raw(), triple.gamma)
+        assert t == big_t
         stop, made = handovers[0] if handovers else (max(t, 1), len(products))  # the hand-over's t and products before it
         steps = products[:made]
         p = normalized(a)
         periodic_from = row_transients_by_steps(p.raw(), triple.gamma, stop)
         powers = walk_powers(p, stop)
-        for s, left in enumerate(steps, 1):
-            scaled = [[None if x is None else Fraction(x, triple._d) for x in row] for row in left]
-            assert scaled == [powers[s][i] for i, ti in enumerate(periodic_from) if ti is None or max(ti, 1) > s]
+        lam = triple.lam.value
+        residues = [None] + [
+            [[None if x is None else x - s * lam for x in row] for row in csr_at(triple, s).raw()] for s in range(1, stop + 1)
+        ]
+        for s, (left, starts) in enumerate(steps, 1):
+            rows = [i for i, ti in enumerate(periodic_from) if ti is None or max(ti, 1) > s]
+            assert len(left) == len(starts) == len(rows)
+            for row, start, i in zip(left, starts, rows):
+                row, start = ([None if x is None else Fraction(x, triple._d) for x in r] for r in (row, start))
+                power, q = powers[s][i], residues[s][i]
+                if any(z is not None and (y is None or z > y) for y, z in zip(power, q)):  # the row fails at s
+                    assert row == power and start == [None] * a.n
+                    continue
+                assert start == residues[s + 1][i]
+                for x, y, z in zip(row, power, q):
+                    assert x == y if x is not None else y is None or z is not None and y <= z
+                kinds["holding rows"] += 1
+                kinds["entries dropped"] += sum(x is None and y is not None for x, y in zip(row, power))
         assert len(steps) == stop - 1 and len(handovers) <= 1
         kinds["handed over" if handovers else "stepped to T"] += 1
         kinds["gamma > 1"] += triple.gamma > 1
     assert kinds["stepped to T"] >= 250 and kinds["handed over"] >= 10 and kinds["gamma > 1"] >= 20, kinds
+    assert kinds["holding rows"] >= 4000 and kinds["entries dropped"] >= 10000, kinds
+
+
+def _imprimitive(rng, n, classes):
+    """A random strongly connected matrix whose arcs all lead from class
+    c to class c + 1 (mod classes), node i in class i % classes, with
+    classes dividing n: the cycle 0 -> 1 -> ... -> n - 1 -> 0 plus chords,
+    so every power keeps -inf entries."""
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if j == (i + 1) % n or j % classes == (i + 1) % classes and rng.random() < 0.5:
+                rows[i][j] = rand_weight(rng)
+    return MaxPlusMatrix(rows)
+
+
+def test_a_holding_row_steps_only_its_entries_above_the_residue(monkeypatch):
+    # analyze's sweep hands a row that holds at t (Q_t <= P^t on it) to
+    # the kernel at its entries S above Q_t alone: its step makes exactly
+    # the sum over k in S of |P_k| entry operations, |P_k| the finite
+    # entries of row k of P, where a failing row makes it over every finite
+    # entry of its row, and the T1-only sweep hands over no start rows.
+    # analyze, weak_threshold_T1 and crit_row_col_profile meet the
+    # oracles: T by stepping, T1 and the row and column transients by the
+    # full ceiling scan, and the rows each step multiplies by where each
+    # turns periodic.  On random irreducible matrices, imprimitive ones
+    # whose powers keep -inf entries, reducible ones, on which analyze
+    # stops at T1 and some rows never retire, and a small gap, whose T
+    # lies past the ceiling
+    products, handovers = [], []
+    int_mul, transient = matrix._int_mul, csr._transient
+    monkeypatch.setattr(csr, "_int_mul", lambda arows, b, starts=None: products.append((arows, b, starts)) or int_mul(arows, b, starts))
+    monkeypatch.setattr(csr, "_transient", lambda norm, t, *args: handovers.append((t, len(products))) or transient(norm, t, *args))
+    rng = random.Random(3301)
+    corpus = [("irreducible", random_irreducible(rng, 6 + k % 11, rng.choice((0.15, 0.3, 0.45, 0.6)))) for k in range(22)]
+    corpus += [("imprimitive", _imprimitive(rng, n, classes)) for n, classes in [(6, 2), (6, 3), (8, 2), (9, 3), (12, 3), (12, 4)] * 3]
+    corpus += [("reducible", random_reducible(rng, rng.randint(6, 10), rng.choice((0.3, 0.5)))) for _ in range(30)]
+    corpus.append(("small gap", small_gap(Fraction(1, 50))))
+    kinds = Counter()
+    for kind, a in corpus:
+        t1, rows, cols = weak_threshold_T1_full(a)
+        crit_rc = max([*rows.values(), *cols.values()], default=None)
+        wx = weak_threshold_T1(a)
+        assert (wx.t1, wx.rows, wx.cols) == (t1, rows, cols), render_matrix(a)
+        triple = wx.csr
+        if triple.crit is None:
+            continue
+        assert crit_row_col_profile(a) == (crit_rc, rows, cols), render_matrix(a)
+        for t in range(1, triple.gamma + 1):
+            csr._residue(triple, t)  # read first, so the products recorded are the sweep's steps
+        products.clear(), handovers.clear()
+        report = analyze(a)
+        assert (report.t1, report.crit_rc_transient) == (t1, crit_rc), render_matrix(a)
+        if not spectrum(a)._strongly_connected:
+            assert report.t is None and [starts for *_, starts in products] == [None] * (t1 - 1), render_matrix(a)
+            kinds["reducible, stepped"] += t1 > 1
+            continue
+        p = normalized(a).raw()
+        assert report.t == transient_by_steps(p, triple.gamma), render_matrix(a)
+        if len(triple.crit.nodes) == a.n:
+            continue  # one search from t = 0, no sweep
+        stop, made = handovers[0] if handovers else (max(report.t, 1), len(products))
+        periodic_from = row_transients_by_steps(p, triple.gamma, stop)
+        powers, lam = walk_powers(normalized(a), stop), triple.lam.value
+        nnz = [sum(x is not None for x in row) for row in p]
+        assert made == stop - 1
+        for s, (left, b, starts) in enumerate(products[:made], 1):
+            active = [i for i, ti in enumerate(periodic_from) if ti is None or max(ti, 1) > s]
+            assert len(left) == len(starts) == len(active), render_matrix(a)
+            q = [[None if x is None else x - s * lam for x in row] for row in csr_at(triple, s).raw()]
+            for row, i in zip(left, active):
+                power = powers[s][i]
+                holds = all(z is None or y is not None and z <= y for y, z in zip(power, q[i]))
+                stepped = [k for k, (y, z) in enumerate(zip(power, q[i])) if y is not None and (not holds or z is None or y > z)]
+                ops = sum(len(b[k]) for k, x in enumerate(row) if x is not None)
+                assert ops == sum(nnz[k] for k in stepped), (render_matrix(a), s, i)
+                if holds:
+                    kinds[f"{kind}, holding row steps"] += 1
+                    kinds["holding row steps below a full row"] += len(stepped) < sum(y is not None for y in power)
+        kinds[f"{kind}, handed over" if handovers else f"{kind}, stepped to T"] += 1
+    assert kinds["irreducible, holding row steps"] >= 500 and kinds["imprimitive, holding row steps"] >= 150, kinds
+    assert kinds["small gap, holding row steps"] >= 20 and kinds["small gap, handed over"] == 1, kinds
+    assert kinds["holding row steps below a full row"] >= 800 and kinds["reducible, stepped"] >= 15, kinds
 
 
 def test_T_is_the_larger_of_T1_and_T2():

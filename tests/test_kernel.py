@@ -51,6 +51,7 @@ from oracles import (
     critical_arcs_brute,
     critical_girth_cyclicity_brute,
     csr_walk_oracle,
+    excess_entries,
     max_cycle_mean_brute,
     row_transients_by_steps,
     walk_power,
@@ -513,9 +514,16 @@ def test_the_sweep_multiplies_only_the_rows_not_yet_periodic(monkeypatch):
     # on strongly connected input, the sweep stops at max(T, 1), or past
     # the ceiling hands P^t over to _transient, whose products are not
     # its steps; the T1-only sweep multiplies only the rows that fail at
-    # t, by the walk powers and csr_at, and stops at t1
+    # t, by the walk powers and csr_at, in full with no start rows, and
+    # stops at t1
     left_rows, handovers, int_mul, search = [], [], matrix._int_mul, csr._transient
-    monkeypatch.setattr(csr, "_int_mul", lambda arows, b: left_rows.append(len(arows)) or int_mul(arows, b))
+    starts_given = []
+
+    def recorded(arows, b, starts=None):
+        left_rows.append(len(arows)), starts_given.append(starts)
+        return int_mul(arows, b, starts)
+
+    monkeypatch.setattr(csr, "_int_mul", recorded)
 
     def handed_over(norm, t, at, *args):  # where the search starts, with what, after how many products
         handovers.append((t, at, len(left_rows)))
@@ -528,14 +536,14 @@ def test_the_sweep_multiplies_only_the_rows_not_yet_periodic(monkeypatch):
         gamma = triple.gamma
         for t in range(1, gamma + 1):
             csr._residue(triple, t)  # read first, so the sweep's products are its steps alone
-        left_rows.clear(), handovers.clear()
+        left_rows.clear(), handovers.clear(), starts_given.clear()
         t, t1, *_ = csr._sweep(triple, transient)
         at = None
         if handovers:
             (t, at, made), = handovers
-            del left_rows[made:]  # the search's products
+            del left_rows[made:], starts_given[made:]  # the search's products
         if not transient:
-            assert at is None and t is None
+            assert at is None and t is None and starts_given == [None] * len(left_rows)
             powers, failing = walk_powers(a, t1), []
             for s in range(1, t1):
                 q = csr_at(triple, s).raw()
@@ -554,6 +562,7 @@ def test_the_sweep_multiplies_only_the_rows_not_yet_periodic(monkeypatch):
         if at is None:
             assert t == max(periodic_from)
         assert len(left_rows) == stop - 1  # one product a step
+        assert [len(starts) for starts in starts_given] == left_rows  # a start row for each left row
         assert left_rows == [sum(ti is None or max(ti, 1) > s for ti in periodic_from) for s in range(1, stop)]
         return periodic_from, list(left_rows)
 
@@ -798,11 +807,12 @@ def test_point_check_matches_the_full_sweep():
 def test_the_ceiling_check_steps_to_c_only_the_rows_failing_at_c_minus_1(monkeypatch):
     # a row that holds at t holds at t + 1 (see weak_threshold_T1), so
     # _t1_at_ceiling multiplies by P only the rows of P^(c-1) that fail
-    # there, and tests only those at c; on a generated instance that
-    # squares (case-n Wielandt, where gamma = n) that is one row.  On a
-    # critical graph that covers every node, one component of cyclicity 1
-    # (every generated DM and case-(n-1) Wielandt instance), T1 is its
-    # exponent: no power of A is taken and no row tested
+    # there, in full, and tests only those at c, each test giving the rows
+    # and critical columns of the oracle's excess entries; on a generated
+    # instance that squares (case-n Wielandt, where gamma = n) that is one
+    # row.  On a critical graph that covers every node, one component of
+    # cyclicity 1 (every generated DM and case-(n-1) Wielandt instance), T1
+    # is its exponent: no power of A is taken and no row tested
     rng = random.Random(29)
     generated = []
     for n in range(2, 13):
@@ -816,13 +826,15 @@ def test_the_ceiling_check_steps_to_c_only_the_rows_failing_at_c_minus_1(monkeyp
     excess, int_mul, int_power = csr._excess, matrix._int_mul, matrix._int_power
     tests, steps, powers = [], [], []
 
-    def tested(triple, t, at, rows):
+    def tested(triple, t, at, rows):  # with the entries where Q_t exceeds at, by the oracle
         out = excess(triple, t, at, rows)
-        tests.append((t, at, rows, out))
+        entries = excess_entries(triple, t, at, rows)
+        assert out[0] == sorted({i for i, _ in entries}) and sorted(out[1]) == sorted({j for _, j in entries} & triple.crit.nodes)
+        tests.append((t, at, rows, entries))
         return out
 
     monkeypatch.setattr(csr, "_excess", tested)
-    monkeypatch.setattr(csr, "_int_mul", lambda arows, b: steps.append(arows) or int_mul(arows, b))
+    monkeypatch.setattr(csr, "_int_mul", lambda arows, b, starts=None: steps.append((arows, starts)) or int_mul(arows, b, starts))
     monkeypatch.setattr(csr, "_int_power", lambda rows, t: powers.append(t) or int_power(rows, t))
     stepped, kinds = Counter(), Counter()
     for k, a in enumerate(cases):
@@ -850,7 +862,7 @@ def test_the_ceiling_check_steps_to_c_only_the_rows_failing_at_c_minus_1(monkeyp
         assert (t, list(rows)) == (c - 1, list(range(a.n)))
         failing = sorted({i for i, _ in excess_below})
         if failing:
-            assert steps == [[power[i] for i in failing]]
+            assert steps == [([power[i] for i in failing], None)]  # in full, with no start rows
             assert [(t, rows) for t, _, rows, _ in at_c] == [(c, failing)]
             assert holds == (not at_c[0][3])
         else:
