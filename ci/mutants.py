@@ -171,7 +171,7 @@ MUTANTS = [
         "            if y is None or x >= y:", "            if y is None or x > y:",
         (f"{MATRIX}::test_strict_domination",),
     ),
-    # extremal: the numbering search, the chords, the walk oracle
+    # extremal: the numbering search, the chords, the remainder tests, the walk oracle
     Mutant(
         "numbering search cuts ties", "extremal.py",
         "(top is None or w + x + back >= top)", "(top is None or w + x + back > top)",
@@ -181,6 +181,33 @@ MUTANTS = [
         "a chord may equal its path", "extremal.py",
         "(path is None or chord >= path)", "(path is None or chord > path)",
         (f"{EXTREMAL}::test_residue_chords_match_the_power_oracle",),
+    ),
+    Mutant(
+        "a remainder arc may equal CSR(a) at t = 1", "extremal.py",
+        "(q[i][j] is None or x >= q[i][j])", "(q[i][j] is None or x > q[i][j])",
+        (
+            f"{EXTREMAL}::test_weighted_3x3_verdicts_hold_exactly_when_t1_attains_the_bound",
+            f"{EXTREMAL}::test_wielandt_remainder_on_the_inputs_csr_matches_the_carved_skeleton",
+        ),
+    ),
+    Mutant(
+        "the Wielandt remainder read against Q_gamma", "extremal.py",
+        "_residue(build_csr(a), 1)", "_residue(build_csr(a), 0)",
+        (f"{EXTREMAL}::test_wielandt_remainder_on_the_inputs_csr_matches_the_carved_skeleton",),
+    ),
+    Mutant(
+        "DM's remainder tested on the input's own CSR", "extremal.py",
+        "ConditionCheck(_remainder_below_csr(a1, a2))",
+        "ConditionCheck(_not_below_csr(a) <= _mapped(a1_pattern(n, g) | b1_pattern(n, g), numbering))",
+        (f"{EXTREMAL}::test_wielandt_remainder_on_the_inputs_csr_matches_the_carved_skeleton",),
+    ),
+    Mutant(
+        "crit-rc skeleton not checked against the support", "extremal.py",
+        "if fixed <= skeleton and all(raw[i][j] is not None for i, j in skeleton):", "if fixed <= skeleton:",
+        (
+            f"{EXTREMAL}::test_crit_rc_wielandt_matches_exhaustive_search",
+            f"{EXTREMAL}::test_unweighted_digraphs_agree_with_their_successor_set_index",
+        ),
     ),
     Mutant(
         "walk oracle takes the longest walk", "extremal.py",

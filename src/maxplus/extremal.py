@@ -20,24 +20,27 @@ integers.  A numbering search ranks the cycles of one length by a DFS
 over the support that cuts a path once the closure of those rows shows
 that no cycle through it can be as heavy as the best found so far (see
 _heaviest_cycle); the critical cycles of that length, when there are
-any, are the heaviest.  The remainder test compares a2 with CSR(a1) at
-t = 1 on the integers (see _remainder_below_csr), and
-verify_crit_rc_wielandt skips a rotation that puts a critical arc off
-the skeleton before that test.  verify_crit_rc_dm and the generators'
-T1 check read the critical graph's index, on bit rows, from `csr`.
+any, are the heaviest.  The Wielandt verdicts test the remainder on the
+input's own CSR at t = 1, as the set of arcs not strictly below it,
+which must lie on the skeleton's arcs (see _not_below_csr): they build
+no skeleton, and verify_crit_rc_wielandt computes that set once for
+every rotation it tries.  The DM verdict compares its remainder with
+CSR(a1) at t = 1 on the integers (see _remainder_below_csr).
+verify_crit_rc_dm and the generators' T1 check read the critical
+graph's index, on bit rows, from `csr`.
 
 A generator builds its skeleton a1, with a1's spectrum and CSR triple,
-once: the triple bounds the remainder it samples, and the verdict reads
-it again once a1 equals the layer it carves (see _skeleton).  The
-candidate, a1 plus entries strictly below CSR(a1) at t = 1, inherits
-a1's spectrum and triple (see _inherit_skeleton): one spectrum a matrix.
-A verifier carves the skeleton out of any other input in the input's
-own labels, the a1 and b1 patterns mapped through the numbering; it
-takes the input's whole spectrum when every critical arc lies on it and
-the critical graph is one component on every node (see _skeleton).
-This module only proves and checks the hypotheses of these hand-overs,
-with one call per memo; `spectral` and `csr` rescale what they hand
-over and read no numbering.
+once: the triple bounds the remainder it samples.  The candidate, a1
+plus entries strictly below CSR(a1) at t = 1, inherits a1's spectrum
+and triple (see _inherit_skeleton): one spectrum a matrix.  The DM
+verdict reads a1's triple again once a1 equals the layer it carves
+(see _skeleton); on any other input it carves the skeleton in the
+input's own labels, the a1 and b1 patterns mapped through the
+numbering, and the skeleton takes the input's whole spectrum when every
+critical arc lies on it and the critical graph is one component on
+every node.  This module only proves and checks the hypotheses of these
+hand-overs, with one call per memo; `spectral` and `csr` rescale what
+they hand over and read no numbering.
 
 Node indices are 0-based throughout; a numbering is a permutation tuple
 ``sigma`` placing original node ``sigma[p]`` at position ``p``.  Only
@@ -56,7 +59,7 @@ from math import gcd
 
 from .bounds import dm_bound, wielandt_bound
 from .csr import CsrTriple, _below_csr_at_one, _boolean_index, _csr_entry, _inherit_triple, _int_csr_at
-from .csr import _t1_at_ceiling, build_csr
+from .csr import _residue, _t1_at_ceiling, build_csr
 from .digraph import _cycles, _successors, _support
 from .matrix import MaxPlusMatrix, _finite_entries, _int_mul, _scaled, from_entries
 from .semiring import MaxPlusScalar, _check_exponent
@@ -260,7 +263,9 @@ def verify_dm(
 
 def _dm_verdict(a: MaxPlusMatrix, numbering: tuple[int, ...] | None, a1: MaxPlusMatrix | None) -> DmVerdict:
     """verify_dm, reusing a1, the skeleton layer of a under numbering with
-    the triple its generator built, unless a1 is None (see _skeleton)."""
+    the triple generate_dm built, unless a1 is None (see _skeleton): the
+    one verdict that takes a skeleton, as DM's remainder test is not the
+    input's own CSR test (see _not_below_csr)."""
     n = a.n
     if numbering is not None:
         numbering = _check_numbering(n, numbering)
@@ -453,18 +458,12 @@ def verify_wielandt(
 
     Attainment forces the critical girth to be n-1 or n.  In both cases
     the support layers are taken with the chord at (n-2, 0), and the
-    remainder must be strictly dominated by the CSR term of the skeleton.
+    remainder must be strictly dominated by the CSR term of the skeleton,
+    which is tested on the CSR term of the input (see _not_below_csr).
     In search mode the numbering comes from the unique maximum-weight
     Hamiltonian cycle rotated so the unique maximum-weight (n-1)-cycle
     occupies the leading positions.
     """
-    return _wielandt_verdict(a, numbering, None)
-
-
-def _wielandt_verdict(
-    a: MaxPlusMatrix, numbering: tuple[int, ...] | None, a1: MaxPlusMatrix | None
-) -> WielandtVerdict:
-    """verify_wielandt, reusing a1 like _dm_verdict."""
     n = a.n
     if numbering is not None:
         numbering = _check_numbering(n, numbering)
@@ -478,7 +477,7 @@ def _wielandt_verdict(
         if numbering is None:
             return WielandtVerdict(holds=False, numbering=None, case=None, conditions=conditions)
 
-    case = _wielandt_conditions(a, sp, numbering, conditions, a1)
+    case = _wielandt_conditions(a, sp, numbering, conditions)
     holds = all(c.passed for c in conditions.values())
     return WielandtVerdict(holds=holds, numbering=numbering, case=case, conditions=conditions)
 
@@ -505,7 +504,6 @@ def _wielandt_conditions(
     sp: Spectrum,
     numbering: tuple[int, ...],
     conditions: dict[str, ConditionCheck],
-    a1: MaxPlusMatrix | None,
 ) -> str | None:
     n, raw = a.n, a.raw()
     crit = sp.crit
@@ -534,24 +532,25 @@ def _wielandt_conditions(
         )
         return None
 
-    layer, a2 = _carve(raw, _mapped(skeleton, numbering))
-    a1 = _skeleton(a1, layer, sp)
-    conditions["remainder_below_csr"] = ConditionCheck(_remainder_below_csr(a1, a2))
+    conditions["remainder_below_csr"] = ConditionCheck(_not_below_csr(a) <= _mapped(skeleton, numbering))
     return case
 
 
 def _skeleton(a1: MaxPlusMatrix | None, layer: MaxPlusMatrix, sp: Spectrum) -> MaxPlusMatrix:
-    """The skeleton a verdict reads: the layer carved out of the input a
-    in a's own labels, given a's spectrum sp, or a1 in its place.
+    """The skeleton the DM verdict reads: the layer carved out of the
+    input a in a's own labels, given a's spectrum sp, or a1 in its place.
 
-    A generator builds its skeleton a1 first, with a1's spectrum and CSR
+    generate_dm builds its skeleton a1 first, with a1's spectrum and CSR
     triple, to sample the remainder below CSR(a1) at t = 1; handing a1
-    to the verifier lets the remainder and chord-power checks read that
+    to the verdict lets the remainder and chord-power checks read that
     triple instead of building it again for an equal matrix.  They run
     all the same, on a1, which must equal the layer entry for entry.
     A carved layer takes sp whole (see spectral._inherit_spectrum) when
     every arc of crit(a) lies on its support and crit(a) is one
     component on every node; otherwise it computes its own when read.
+    The Wielandt verdicts carve no skeleton (see _not_below_csr); DM's
+    remainder is compared with CSR(a1) beside the residue chords b1,
+    which need not lie below it, so CSR(a) may differ from CSR(a1).
 
     Lemma.  The layer is <= a, with equality on its support.  So its
     cycles are cycles of a, of the same weights, and lambda(layer) <=
@@ -576,14 +575,52 @@ def _skeleton(a1: MaxPlusMatrix | None, layer: MaxPlusMatrix, sp: Spectrum) -> M
 def _remainder_below_csr(a1: MaxPlusMatrix, a2: MaxPlusMatrix) -> bool:
     """Is the remainder a2 strictly below CSR(a1) at t = 1, a1 the skeleton?
 
-    In the Wielandt split a1 is the skeleton (Hamiltonian arcs + chord at
-    (n-2, 0)) and a2 the complement of its pattern.  For n = 2 the
-    residue-chord layer of the general decomposition would swallow the
-    (1, 1) loop; it belongs to the remainder there, consistently with the
-    2x2 characterization (attainment iff the two loops differ).
+    The DM verdict's test, on the a1 and a2 layers it carves; the
+    Wielandt verdicts test their remainder on a's own CSR instead (see
+    _not_below_csr), which is not the same test here (see _skeleton).
     """
     finite = [(i, j, x) for i, row in enumerate(a2.raw()) for j, x in enumerate(row) if x is not None]
     return _below_csr_at_one(build_csr(a1), finite)
+
+
+def _not_below_csr(a: MaxPlusMatrix) -> set[tuple[int, int]]:
+    """The arcs (i, j) of a that do not lie strictly below CSR(a) at t = 1:
+    those with P(i, j) >= Q_1(i, j), or Q_1(i, j) = -inf, where P =
+    d(A - lambda) is the spectrum's rows and Q_1 = C S R - lambda the
+    residue at the same scale (see csr._residue).  A Wielandt verdict
+    splits a under a numbering into the skeleton a1, the Hamiltonian arcs
+    plus the chord (n-2, 0), and the remainder a2, everything else; by
+    the lemma below, a2 < CSR(a1) at t = 1 exactly when this set lies on
+    the skeleton's arcs, so no skeleton is built.  For n = 2 the (1, 1)
+    loop, which DM's residue-chord layer would swallow, is in a2, as the
+    2x2 characterization needs (attainment iff the two loops differ).
+
+    Lemma.  Let a = a1 (+) a2 with disjoint supports.  Then a2 < CSR(a1)
+    at t = 1 exactly when a2 < CSR(a) at t = 1.
+    (=>) a then holds a1's spectrum and triple, so CSR(a) = CSR(a1):
+    this is _inherit_skeleton's lemma (an acyclic a1 leaves a2 no finite
+    entry, and then a = a1).
+    (<=) Weigh walks in P, lambda = lambda(a), gamma the cyclicity of
+    crit(a).  Q_1(i, j) is the weight of a heaviest walk from i to j of
+    positive length = 1 (mod gamma) through a critical node: each term
+    M(i, k) + (S - lambda)(k, l) + M(l, j) of Q_1 is such a walk, and
+    _excess's proof, read at every length = t (mod gamma) and not only
+    t, bounds any such walk by a term.  A critical arc (u, v) is such a walk, and
+    any such walk from u to v, closed by the critical walk from v back
+    to u, of weight -P(u, v), weighs at most P(u, v): so Q_1(u, v) = P(u,
+    v), and every critical arc of a lies on a1.  So a1 has a's lambda and
+    critical graph (_skeleton's lemma), and so a's gamma.  A walk of a1
+    is one of a, of the same weight, so Q_1(a1) <= Q_1(a).  A heaviest
+    walk W of a for Q_1(a)(i, j) takes no arc (u, v) of a2: there P(u, v)
+    < Q_1(a)(u, v), and putting a walk of that weight in place of the
+    arc gives a heavier walk from i to j through a critical node, of the
+    same length modulo gamma.  So W is a walk of a1, Q_1(a1) = Q_1(a),
+    and a2 < CSR(a) = CSR(a1) at t = 1.
+    """
+    norm, q = _cyclic_spectrum(a)._norm, _residue(build_csr(a), 1)
+    return {
+        (i, j) for i, row in enumerate(norm) for j, x in enumerate(row) if x is not None and (q[i][j] is None or x >= q[i][j])
+    }
 
 
 def _inherit_skeleton(candidate: MaxPlusMatrix, a1: MaxPlusMatrix) -> None:
@@ -670,35 +707,23 @@ def verify_crit_rc_wielandt(
     exactly when the critical rows and columns have transient Wi(n); the
     critical graph itself may be a bare Hamiltonian cycle.
 
-    Only the Hamiltonian cycles of crit(a), the critical graph of a, are
-    tried, because a2 < CSR(a1) forces crit(a) = crit(a1).  Proof: a1
-    and a2 have disjoint supports and a = a1 (+) a2.  Let lam = lam(a1)
-    and weigh walks in a1 - lam, where every closed walk weighs <= 0 and
-    exactly the critical cycles of a1 weigh 0.  A finite entry (i, j) of
-    CSR(a1) - lam = C (S - lam) R is the weight of a walk of a1 from i
-    to j, so each arc (i, j) of a2 is strictly lighter than some walk
-    P_ij of a1.  Replacing every a2 arc of a cycle Z of a by its P_ij
-    gives a closed walk of a1, hence w(Z) <= 0, strictly so when Z uses
-    an arc of a2.  So lam(a) <= lam(a1) <= lam(a), and the cycles of
-    weight 0, the critical ones, are the same in a and a1.
-
-    Hence the Hamiltonian cycle of a numbering that succeeds is critical
-    in a, and crit(a) = crit(a1) lies within the n + 1 skeleton arcs: it
-    covers all n nodes, has at most n + 1 arcs and at most two
-    Hamiltonian cycles, each tried in its n rotations.  A rotation that
-    puts some critical arc of a off the skeleton positions a1_pattern(n,
-    n-1) cannot succeed, so it is skipped before its support and CSR
-    checks.  Conversely such a cycle has mean lam(a) >= lam(a1), so once
-    it lies in a1 it is critical there, and only the support and CSR
-    checks remain; the a1 they test takes a's spectrum (see _skeleton).
-    An explicit numbering is checked only if it is one of these
-    candidates, which by the same argument loses no numbering that
-    succeeds.
+    By _not_below_csr's lemma, a2 < CSR(a1) at t = 1 exactly when the
+    arcs of a not strictly below CSR(a) at t = 1 lie on the skeleton, and
+    then crit(a) = crit(a1), whose arcs are among those.  So only the
+    Hamiltonian cycles of crit(a) are tried: the Hamiltonian cycle of a
+    numbering that succeeds is critical in a, and crit(a) lies within the
+    n + 1 skeleton arcs: it covers all n nodes, has at most n + 1 arcs
+    and at most two Hamiltonian cycles, each tried in its n rotations.
+    Conversely such a cycle has mean lam(a) >= lam(a1), so once it lies
+    in a1 it is critical there, and a rotation succeeds exactly when that
+    set lies within its skeleton arcs and they within a's support.  The
+    set is computed once, and no rotation builds a matrix.  An explicit
+    numbering is checked only if it is one of these candidates, which by
+    the same argument loses no numbering that succeeds.
     """
     n = a.n
     _need_two_nodes(n)
-    sp = _cyclic_spectrum(a)  # precondition: a finite cycle mean
-    crit = sp.crit
+    crit = _cyclic_spectrum(a).crit  # precondition: a finite cycle mean
     if numbering is not None:
         numbering = _check_numbering(n, numbering)
     if len(crit.nodes) < n or len(crit.arcs) > n + 1:
@@ -708,15 +733,12 @@ def verify_crit_rc_wielandt(
     ]
     if numbering is not None:
         candidates = [numbering] if numbering in candidates else []
-    pattern, raw = a1_pattern(n, n - 1), a.raw()
+    if not candidates:
+        return False
+    pattern, raw, fixed = a1_pattern(n, n - 1), a.raw(), _not_below_csr(a)
     for cand in candidates:
         skeleton = _mapped(pattern, cand)
-        if not crit.arcs <= skeleton:
-            continue  # crit(a) = crit(a1) would lie within the skeleton's arcs
-        if any(raw[i][j] is None for i, j in skeleton):
-            continue
-        a1, a2 = _carve(raw, skeleton)
-        if _remainder_below_csr(_skeleton(None, a1, sp), a2):
+        if fixed <= skeleton and all(raw[i][j] is not None for i, j in skeleton):
             return True
     return False
 
@@ -873,7 +895,8 @@ def generate_wielandt(n: int, seed, case: str = "n-1") -> MaxPlusMatrix:
     verdict's case is the one asked for, Wi(n) is the ceiling, and the
     remainder lies a margin below CSR(a1) at t = 1 by construction.  It
     is the only layer off the skeleton, so the candidate inherits a1's
-    spectrum and triple (see _inherit_skeleton).
+    spectrum and triple (see _inherit_skeleton), and the verdict reads
+    CSR at t = 1 off that triple, where sampling left it, with no product.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -892,7 +915,7 @@ def generate_wielandt(n: int, seed, case: str = "n-1") -> MaxPlusMatrix:
     a2_entries = _sample_remainder(rng, build_csr(a1), a1_pattern(n, n - 1))
     candidate = from_entries(n, {**entries, **a2_entries})
     _inherit_skeleton(candidate, a1)
-    verdict = _wielandt_verdict(candidate, tuple(range(n)), a1)
+    verdict = verify_wielandt(candidate, tuple(range(n)))
     if not (verdict.holds and verdict.case == case and _t1_at_ceiling(candidate, wielandt_bound(n))):
         raise AssertionError(
             f"generated Wielandt candidate fails its post-verification (n={n}, case={case}, seed={seed!r})"

@@ -163,8 +163,9 @@ def _spectrum(a: MaxPlusMatrix) -> Spectrum:
 
 def _inherit_spectrum(a: MaxPlusMatrix, sp: Spectrum) -> None:
     """Store on a sp's lambda, critical graph, strong connectivity and
-    closure, all proven a's by its caller (see extremal._inherit_skeleton
-    and _skeleton); a's rows of A - lambda are its own.  The closure comes
+    closure, all proven a's by its caller (see extremal._inherit_skeleton,
+    and extremal._skeleton for the DM verdict's carved skeleton); a's rows
+    of A - lambda are its own.  The closure comes
     to a's scale d as x * d // sp._d, exact whether d is a multiple of
     sp._d (a candidate) or divides it (a carved skeleton): x = sp._d * w,
     w the weight of a walk of a in A - lambda, and d * w is an int."""

@@ -57,9 +57,11 @@ among tied walks, that the library's backward scan must return.
 
 Partial: oracles that take some of their parts from the library.
 crit_rc_wielandt_brute checks only how the library narrows its search,
+wielandt_remainder_brute tests the Wielandt remainder against the CSR
+term of the carved skeleton, where the library reads the input's own,
 and weak_threshold_T1_full checks where the library stops its sweep and
 its one-sided test (C S^t R <= A^t) against the full comparison with
-B^t; both take the CSR terms from the library itself.
+B^t; all three take the CSR terms from the library itself.
 weak_threshold_T2 steps the powers of B - lambda, B the Nachtigall
 matrix, and compares them with the CSR terms the library gives.
 residue_chords_brute takes the support layers, the cycle mean and the
@@ -434,6 +436,19 @@ def crit_rc_wielandt_brute(a, numbering=None):
         if strictly_dominated_by(a2, csr_at(build_csr(a1), 1)):
             return True
     return False
+
+
+def wielandt_remainder_brute(a, numbering):
+    """The Wielandt remainder condition by the paper's split: the skeleton
+    a1 (Hamiltonian arcs plus the chord (n-2, 0)) and the remainder a2
+    carved out of a renumbered parsed copy of a, and a2 strictly below
+    CSR(a1) at t = 1, with a1's triple built from scratch."""
+    n = a.n
+    praw = apply_numbering(MaxPlusMatrix(a.raw()), numbering).raw()
+    skeleton = {(i, i + 1) for i in range(n - 1)} | {(n - 1, 0), (n - 2, 0)}
+    a1 = MaxPlusMatrix([[x if (i, j) in skeleton else None for j, x in enumerate(row)] for i, row in enumerate(praw)])
+    a2 = MaxPlusMatrix([[None if (i, j) in skeleton else x for j, x in enumerate(row)] for i, row in enumerate(praw)])
+    return strictly_dominated_by(a2, csr_at(build_csr(a1), 1))
 
 
 def weak_threshold_T1_full(a):

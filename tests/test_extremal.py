@@ -28,6 +28,7 @@ from maxplus import (
     mat_oplus,
     mat_power,
     max_cycle_mean,
+    parse_matrix,
     render_matrix,
     scalar_times,
     spectrum,
@@ -43,9 +44,9 @@ from maxplus import (
     wielandt_skeleton,
     zeros,
 )
-from maxplus import digraph, extremal, spectral
+from maxplus import csr, digraph, extremal, spectral
 from maxplus.extremal import SEARCH_LIMIT, a1_pattern, b1_pattern
-from conftest import rand_weight, random_cyclic_matrix, random_matrix, random_reducible
+from conftest import rand_weight, random_cyclic_matrix, random_irreducible, random_matrix, random_reducible
 from oracles import (
     crit_rc_wielandt_brute,
     heaviest_cycle_exhaustive,
@@ -58,6 +59,7 @@ from oracles import (
     weak_threshold_T1_full,
     weighted3_disagreements,
     weighted3_matrix,
+    wielandt_remainder_brute,
 )
 
 N = None
@@ -466,6 +468,52 @@ def test_integer_remainder_test_matches_the_fraction_comparison():
     assert seen["non-integer lambda"] >= 100, seen
 
 
+def test_wielandt_remainder_on_the_inputs_csr_matches_the_carved_skeleton():
+    # verify_wielandt reads a2 < CSR(a1) at t = 1 as "the arcs of a not
+    # strictly below CSR(a) at t = 1 lie on the skeleton" (see
+    # _not_below_csr), against the split carved out of a renumbered copy
+    # and CSR(a1) built from scratch; the lemma holds for any split, so
+    # where the verdict stops before the remainder (a critical girth
+    # below n - 1) the set itself is compared, and never lies on the
+    # skeleton, as it holds the critical arcs.  Under every rotation of
+    # every Hamiltonian cycle, and random numberings
+    rng = random.Random(34)
+    inputs = [generate_wielandt(n, seed, case=case) for n in range(2, 8) for case in ("n-1", "n") for seed in range(4)]
+    inputs += [generate_dm(n, g, seed) for g, n in COPRIME_PAIRS[:8] for seed in range(2)]
+    inputs += [_overwritten(rng, a, rng.randint(1, 3)) for a in list(inputs)]
+    inputs += [random_irreducible(rng, rng.randint(2, 5), rng.choice((0.2, 0.4))) for _ in range(60)]
+    inputs += [random_cyclic_matrix(rng, rng.randint(2, 5), rng.choice((0.5, 0.8))) for _ in range(40)]
+    seen = Counter()
+    for a in inputs:
+        n = a.n
+        numberings = {ham[k:] + ham[:k] for ham in hamiltonian_cycles(a) for k in range(n)}
+        numberings |= {tuple(rng.sample(range(n), n)) for _ in range(3)}
+        for numbering in sorted(numberings):
+            expected = wielandt_remainder_brute(a, numbering)
+            verdict = verify_wielandt(MaxPlusMatrix(a.raw()), numbering)
+            if "remainder_below_csr" in verdict.conditions:
+                assert verdict.conditions["remainder_below_csr"].passed == expected, (a.raw(), numbering)
+                seen[("verdict", expected)] += 1
+            else:
+                skeleton = extremal._mapped(a1_pattern(n, n - 1), numbering)
+                assert (extremal._not_below_csr(MaxPlusMatrix(a.raw())) <= skeleton) == expected, (a.raw(), numbering)
+                seen[("set", expected)] += 1
+    assert seen[("verdict", True)] >= 100 and seen[("verdict", False)] >= 300 and seen[("set", False)] >= 300, seen
+
+    # DM's split is three-way: the residue chords b1 sit between a1 and
+    # a2, and here a2 lies below CSR(a1) at t = 1 but not below CSR(a)
+    a = parse_matrix(
+        "5\n-4 3/2 -11/2 -9/2 -inf\n-3/2 -inf -1 -3 -inf\n-inf -5/2 -inf 0 -inf\n-inf -inf 7/2 -inf 3/4\n-5/4 -6 -inf -inf -inf"
+    )
+    identity = tuple(range(5))
+    dec = decompose(a, 2, identity)
+    assert critical_graph(a).girth == 2 and dec.a2 != zeros(5)
+    assert strictly_dominated_by(dec.a2, csr_at(build_csr(dec.a1), 1))
+    assert not strictly_dominated_by(dec.a2, csr_at(build_csr(a), 1))
+    assert verify_dm(a, identity).conditions["remainder_below_csr"].passed
+    assert not extremal._not_below_csr(a) <= a1_pattern(5, 2) | b1_pattern(5, 2)
+
+
 def test_remark_small_n_regime_reports_vacuous_conditions():
     # n < 2g: the residue-chord layer is a bare path, so both chord
     # conditions hold vacuously and its (n-g)-th power vanishes
@@ -723,6 +771,9 @@ def test_crit_rc_wielandt_matches_exhaustive_search():
         for count in (1, 2, 3):
             b = _overwritten(rng, a, count)
             cases.append(_renumbered(rng, b))
+    for n in range(2, 7):  # a bare Hamiltonian cycle: critical, but no rotation holds the chord
+        cycle = from_entries(n, {(i, (i + 1) % n): Fraction(rng.randint(-6, 6), 2) for i in range(n)})
+        cases.append(_renumbered(rng, cycle))
     positives = 0
     for a, numbering in cases:
         verdict = verify_crit_rc_wielandt(a)
@@ -732,18 +783,30 @@ def test_crit_rc_wielandt_matches_exhaustive_search():
     assert positives >= 30
 
 
+def _record_builds(monkeypatch):
+    """A list that gets "matrix" for every matrix built from here on, and
+    every matrix whose spectrum or CSR triple is computed."""
+    built = []
+    init, from_raw = MaxPlusMatrix.__init__, MaxPlusMatrix._from_raw.__func__
+    spectrum_of, triple_of = spectral._spectrum, csr._build_csr
+    monkeypatch.setattr(MaxPlusMatrix, "__init__", lambda m, rows: built.append("matrix") or init(m, rows))
+    monkeypatch.setattr(MaxPlusMatrix, "_from_raw", classmethod(lambda cls, raw: built.append("matrix") or from_raw(cls, raw)))
+    monkeypatch.setattr(spectral, "_spectrum", lambda b: built.append(b) or spectrum_of(b))
+    monkeypatch.setattr(csr, "_build_csr", lambda b, k: built.append(b) or triple_of(b, k))
+    return built
+
+
 def test_crit_rc_wielandt_tests_no_remainder_off_the_critical_graph(monkeypatch):
-    # a2 < CSR(a1) forces crit(a) = crit(a1), within the skeleton's arcs:
-    # a DM instance's critical graph, its n + 1 skeleton arcs, has one
-    # Hamiltonian cycle, and only a rotation that puts its chord (g-1, 0)
-    # on the skeleton's chord, which needs g = n - 1, gets a remainder test
-    real, tests = extremal._remainder_below_csr, Counter()
-
-    def counted(a1, a2):
-        tests["remainder"] += 1
-        return real(a1, a2)
-
-    monkeypatch.setattr(extremal, "_remainder_below_csr", counted)
+    # a2 < CSR(a1) at t = 1 exactly when the arcs of a not strictly below
+    # CSR(a) at t = 1 lie on the skeleton (see _not_below_csr), and then
+    # crit(a) = crit(a1), within the skeleton's arcs: a DM instance's
+    # critical graph, its n + 1 skeleton arcs, has one Hamiltonian cycle,
+    # and only a rotation that puts its chord (g-1, 0) on the skeleton's
+    # chord, which needs g = n - 1, succeeds.  A call computes that set
+    # once, for every rotation, and builds no matrix, spectrum or triple
+    # but the input's own spectrum and triple
+    real, sets = extremal._not_below_csr, Counter()
+    monkeypatch.setattr(extremal, "_not_below_csr", lambda b: sets.update(["set"]) or real(b))
     rng = random.Random(23)
     supported = 0
     for g, n in COPRIME_PAIRS:
@@ -753,9 +816,14 @@ def test_crit_rc_wielandt_tests_no_remainder_off_the_critical_graph(monkeypatch)
             hams = extremal._critical_cycles_of_length(a, crit, n)
             assert len(crit.arcs) == n + 1 and len(hams) == 1
             for explicit in (None, numbering):
-                tests.clear()
-                assert verify_crit_rc_wielandt(a, explicit) == crit_rc_wielandt_brute(a, explicit) == (g == n - 1)
-                assert tests["remainder"] == (g == n - 1), (g, n, seed, explicit)
+                expected = crit_rc_wielandt_brute(a, explicit)
+                sets.clear()
+                with monkeypatch.context() as patch:
+                    built = _record_builds(patch)
+                    assert verify_crit_rc_wielandt(a, explicit) == expected == (g == n - 1)
+                    assert all(b is a for b in built) and sets["set"] == 1, (g, n, seed, explicit, built, sets)
+                    crit_rc_wielandt_brute(a, explicit)  # which the recorder sees carve its skeletons
+                    assert "matrix" in built
             # rotations with the skeleton's support, which the search would test without the filter
             supported += sum(
                 all(apply_numbering(a, ham[k:] + ham[:k]).raw()[i][j] is not None for i, j in a1_pattern(n, n - 1))
@@ -918,10 +986,12 @@ def test_generators_verify_one_candidate_and_power_the_chord_layer_once(monkeypa
 
         monkeypatch.setattr(extremal, name, wrapper)
 
-    # the verdict runs on the private path that reuses the skeleton's
+    # the DM verdict runs on the private path that reuses the skeleton's
     # triple, and takes row g of b1's power once, stepping that row alone:
-    # no power of the whole of b1
-    names = ("_int_mul", "verify_dm", "_dm_verdict", "verify_wielandt", "_wielandt_verdict", "_t1_at_ceiling")
+    # no power of the whole of b1; the Wielandt verdict is the public one,
+    # and reads CSR at t = 1 off the triple the candidate inherited: it
+    # builds no matrix, spectrum or triple, and takes no product
+    names = ("_int_mul", "verify_dm", "_dm_verdict", "verify_wielandt", "_t1_at_ceiling")
     for name in (*names, "_inherit_skeleton"):
         counted(name)
     left_rows = []
@@ -936,31 +1006,36 @@ def test_generators_verify_one_candidate_and_power_the_chord_layer_once(monkeypa
         for case in ("n-1", "n"):
             calls.clear()
             generate_wielandt(7, seed, case=case)
-            assert calls == Counter(_wielandt_verdict=1, _t1_at_ceiling=1, _inherit_skeleton=1)
+            assert calls == Counter(verify_wielandt=1, _t1_at_ceiling=1, _inherit_skeleton=1)
+    verify, product, products = extremal.verify_wielandt, csr._int_mul, Counter()
+
+    def recorded(a, numbering):
+        with monkeypatch.context() as patch:
+            built = _record_builds(patch)
+            patch.setattr(csr, "_int_mul", lambda *args: products.update(["product"]) or product(*args))
+            verdict = verify(a, numbering)
+        assert built == [] and not products, (built, products)
+        return verdict
+
+    monkeypatch.setattr(extremal, "verify_wielandt", recorded)
+    for n in (2, 5, 7):
+        for case in ("n-1", "n"):
+            generate_wielandt(n, 0, case=case)
 
 
 def test_the_verdicts_take_a_skeleton_only_if_it_is_the_layer_they_carve():
-    # a generator hands the verdict its skeleton a1, which already holds
+    # generate_dm hands the verdict its skeleton a1, which already holds
     # a1's triple; the verdict checks it entry for entry against its own
     # layer, and gives what the public verdict gives
-    cases = [
-        (generate_dm(n, g, seed), g, extremal._dm_verdict, extremal.verify_dm)
-        for n, g in ((5, 2), (7, 3), (8, 3))
-        for seed in range(2)
-    ] + [
-        (generate_wielandt(n, seed, case=case), n - 1, extremal._wielandt_verdict, extremal.verify_wielandt)
-        for n in (2, 5, 7)
-        for case in ("n-1", "n")
-        for seed in range(2)
-    ]
-    for a, g, private, public in cases:
-        identity = tuple(range(a.n))
+    cases = [generate_dm(n, g, seed) for n, g in ((5, 2), (7, 3), (8, 3)) for seed in range(2)]
+    for a in cases:
+        identity, g = tuple(range(a.n)), critical_graph(a).girth
         a1 = decompose(a, g, identity).a1
-        assert private(a, identity, a1) == public(a, identity)
+        assert extremal._dm_verdict(a, identity, a1) == verify_dm(a, identity)
         raw = [row[:] for row in a1.raw()]
         raw[a.n - 1][0] -= 1  # the Hamiltonian arc closing the skeleton
         with pytest.raises(AssertionError, match="not the layer it carves"):
-            private(a, identity, MaxPlusMatrix(raw))
+            extremal._dm_verdict(a, identity, MaxPlusMatrix(raw))
 
 
 def _reweighted(rng, a):
@@ -977,7 +1052,11 @@ def _skeleton_inputs():
     """(matrix, numbering) pairs: generated DM and Wielandt instances with
     n <= 10, reweighted, and copies with one to three entries overwritten,
     all renumbered, with the numbering that undoes it; then random cyclic
-    matrices, n 2..7, with random numberings."""
+    matrices, n 2..7, with random numberings; then DM skeletons with
+    gcd(g, n) > 1, n <= 10, whose critical graph is the skeleton, of
+    cyclicity gcd(g, n): reweighted, with lighter entries off the
+    skeleton, and with one Hamiltonian arc off the g-cycle gone, all
+    renumbered likewise."""
     rng = random.Random(1920)
     out = []
     for n in range(2, 11):
@@ -990,6 +1069,15 @@ def _skeleton_inputs():
         n = rng.randint(2, 7)
         a = random_cyclic_matrix(rng, n, density=rng.choice((0.3, 0.5, 0.8)))
         out.append((a, tuple(rng.sample(range(n), n))))
+    for n in range(4, 11):
+        for g in (g for g in range(2, n) if gcd(g, n) > 1):
+            skeleton = dm_skeleton(n, g).raw()
+            lighter = [[Fraction(-rng.randint(1, 6), 2) if x is None and rng.random() < 0.3 else x for x in row] for row in skeleton]
+            cut = [row[:] for row in skeleton]
+            arc = rng.randrange(g - 1, n)  # the arc (arc, arc + 1), or (n - 1, 0)
+            cut[arc][(arc + 1) % n] = None
+            for rows in (skeleton, lighter, cut, cut):
+                out.append(_renumbered(rng, _reweighted(rng, MaxPlusMatrix(rows))))
     return out
 
 
@@ -1017,10 +1105,11 @@ def _in_positions(verdict):
 
 
 def test_a_carved_skeleton_takes_the_inputs_lambda_and_critical_graph(monkeypatch):
-    # the skeleton a1 a verifier carves, in the input's own labels, holds
-    # crit(a) exactly when every critical arc of a lies on its support;
-    # _skeleton then hands it a's whole spectrum, with no closure of its
-    # own, exactly when crit(a) is also one component on every node, and
+    # the skeleton a1 the DM verdict carves, in the input's own labels (the
+    # Wielandt verdicts carve none), holds crit(a) exactly when every
+    # critical arc of a lies on its support; _skeleton then hands it a's
+    # whole spectrum, with no closure of its own, exactly when crit(a) is
+    # also one component on every node, and
     # what it stores equals its own spectrum; otherwise a1 computes its
     # own, whose critical graph is crit(a).  The verdicts are those given
     # when every a1 computes its own, and under a numbering sigma they are
