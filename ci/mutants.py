@@ -197,9 +197,19 @@ MUTANTS = [
     ),
     Mutant(
         "DM's remainder tested on the input's own CSR", "extremal.py",
-        "ConditionCheck(_remainder_below_csr(a1, a2))",
-        "ConditionCheck(_not_below_csr(a) <= _mapped(a1_pattern(n, g) | b1_pattern(n, g), numbering))",
+        "ConditionCheck(_below_csr_at_one(build_csr(a1), a2))", "ConditionCheck(_not_below_csr(a) <= taken)",
         (f"{EXTREMAL}::test_wielandt_remainder_on_the_inputs_csr_matches_the_carved_skeleton",),
+    ),
+    Mutant(
+        "DM's remainder keeps the residue chords", "extremal.py",
+        "(i, j) not in taken]", "(i, j) not in a1_arcs]",
+        (f"{EXTREMAL}::test_wielandt_remainder_on_the_inputs_csr_matches_the_carved_skeleton",),
+    ),
+    Mutant(
+        "a carved skeleton takes the input's spectrum without the one-component guard", "extremal.py",
+        "if len(crit.nodes) == layer.n and len(crit.scc.components) == 1 and all(",
+        "if all(",
+        (f"{EXTREMAL}::test_a_carved_skeleton_takes_the_inputs_lambda_and_critical_graph",),
     ),
     Mutant(
         "crit-rc skeleton not checked against the support", "extremal.py",

@@ -22,7 +22,8 @@ test, or to what it pins, goes into the script too:
   on all 4^9 matrices;
 - stdlib_only and memos20: tests/test_csr.py::test_a_candidate_inherits_its_skeletons_spectrum_and_triple,
   up to n = 20; memos20 also tests/test_extremal.py::test_a_carved_skeleton_takes_the_inputs_lambda_and_critical_graph
-  for verify_dm and test_crit_rc_wielandt_tests_no_remainder_off_the_critical_graph for the Wielandt verdicts,
+  for verify_dm, test_generators_verify_one_candidate_and_power_the_chord_layer_once for generate_dm's one
+  spectrum, and test_crit_rc_wielandt_tests_no_remainder_off_the_critical_graph for the Wielandt verdicts,
   at n = 20;
 - exponent: tests/test_csr.py::test_analyze_reads_T1_and_T_off_a_primitive_covering_critical_graph
   and tests/test_kernel.py::test_analyze_searches_once_on_the_wielandt_case_n_family,

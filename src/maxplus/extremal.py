@@ -24,23 +24,23 @@ any, are the heaviest.  The Wielandt verdicts test the remainder on the
 input's own CSR at t = 1, as the set of arcs not strictly below it,
 which must lie on the skeleton's arcs (see _not_below_csr): they build
 no skeleton, and verify_crit_rc_wielandt computes that set once for
-every rotation it tries.  The DM verdict compares its remainder with
-CSR(a1) at t = 1 on the integers (see _remainder_below_csr).
-verify_crit_rc_dm and the generators' T1 check read the critical
-graph's index, on bit rows, from `csr`.
+every rotation it tries.  The DM verdict compares the input's entries
+off the mapped a1 and b1 patterns with CSR(a1) at t = 1 on the integers
+(see _dm_conditions).  verify_crit_rc_dm and the generators' T1 check
+read the critical graph's index, on bit rows, from `csr`.
 
 A generator builds its skeleton a1, with a1's spectrum and CSR triple,
 once: the triple bounds the remainder it samples.  The candidate, a1
 plus entries strictly below CSR(a1) at t = 1, inherits a1's spectrum
-and triple (see _inherit_skeleton): one spectrum a matrix.  The DM
-verdict reads a1's triple again once a1 equals the layer it carves
-(see _skeleton); on any other input it carves the skeleton in the
-input's own labels, the a1 and b1 patterns mapped through the
+and triple (see _inherit_skeleton): one spectrum a matrix.  Its
+post-verification is the public verdict.  The DM verdict carves the
+skeleton in the input's own labels, the a1 pattern mapped through the
 numbering, and the skeleton takes the input's whole spectrum when every
 critical arc lies on it and the critical graph is one component on
-every node.  This module only proves and checks the hypotheses of these
-hand-overs, with one call per memo; `spectral` and `csr` rescale what
-they hand over and read no numbering.
+every node (see _skeleton), as on every generated candidate.  This
+module only proves and checks the hypotheses of these hand-overs, with
+one call per memo; `spectral` and `csr` rescale what they hand over and
+read no numbering.
 
 Node indices are 0-based throughout; a numbering is a permutation tuple
 ``sigma`` placing original node ``sigma[p]`` at position ``p``.  Only
@@ -107,8 +107,11 @@ class Decomposition:
 
 
 def _check_numbering(n: int, numbering: tuple[int, ...]) -> tuple[int, ...]:
-    """The numbering as a tuple, once it is checked to be a permutation of 0..n-1."""
+    """The numbering as a tuple, once it is checked to be a permutation of
+    0..n-1 whose entries are ints (a bool or a float equal to one is not)."""
     numbering = tuple(numbering)
+    if not all(isinstance(p, int) and not isinstance(p, bool) for p in numbering):
+        raise TypeError(f"numbering entries must be ints, got {numbering!r}")
     if sorted(numbering) != list(range(n)):
         raise ValueError(f"numbering {numbering!r} is not a permutation of 0..{n - 1}")
     return numbering
@@ -124,22 +127,23 @@ def apply_numbering(a: MaxPlusMatrix, numbering: tuple[int, ...]) -> MaxPlusMatr
 
 
 def decompose(a: MaxPlusMatrix, g: int, numbering: tuple[int, ...]) -> Decomposition:
-    """Carve the permuted matrix into the a1 / b1 / a2 support layers."""
+    """Carve the permuted matrix into the a1 / b1 / a2 support layers; a2
+    is carved on every arc that neither other pattern holds."""
     n = a.n
     if not 1 <= g <= n:
         raise ValueError(f"need 1 <= g <= n, got g={g}")
-    a1, b1, a2 = _carve(apply_numbering(a, numbering).raw(), a1_pattern(n, g), b1_pattern(n, g))
+    layers = a1_pattern(n, g), b1_pattern(n, g)
+    a1, b1, a2 = _carve(apply_numbering(a, numbering).raw(), *layers, set(product(range(n), repeat=2)).difference(*layers))
     return Decomposition(a1=a1, b1=b1, a2=a2, g=g, numbering=tuple(numbering))
 
 
 def _carve(raw: list[list], *patterns: set[tuple[int, int]]) -> list[MaxPlusMatrix]:
-    """One matrix per set of arcs, holding the entries of the rows raw on
-    it, then one holding their entries on none; -inf elsewhere."""
+    """One matrix per set of arcs given, holding the entries of the rows
+    raw on it and -inf elsewhere."""
     n = len(raw)
-    rest = set(product(range(n), repeat=2)).difference(*patterns)
     return [
         MaxPlusMatrix._from_raw([[raw[i][j] if (i, j) in arcs else None for j in range(n)] for i in range(n)])
-        for arcs in (*patterns, rest)
+        for arcs in patterns
     ]
 
 
@@ -257,15 +261,10 @@ def verify_dm(
     unique maximum-weight Hamiltonian cycle, rotated so the unique
     critical g-cycle occupies the leading positions.  Girth-1 critical
     graphs are rejected: no attainment characterization is known there.
+    The verdict carves its skeleton a1 out of a itself (see _skeleton),
+    on generate_dm's candidates too; unlike the Wielandt verdicts it
+    cannot test the remainder on a's own CSR (see _not_below_csr).
     """
-    return _dm_verdict(a, numbering, None)
-
-
-def _dm_verdict(a: MaxPlusMatrix, numbering: tuple[int, ...] | None, a1: MaxPlusMatrix | None) -> DmVerdict:
-    """verify_dm, reusing a1, the skeleton layer of a under numbering with
-    the triple generate_dm built, unless a1 is None (see _skeleton): the
-    one verdict that takes a skeleton, as DM's remainder test is not the
-    input's own CSR test (see _not_below_csr)."""
     n = a.n
     if numbering is not None:
         numbering = _check_numbering(n, numbering)
@@ -294,7 +293,7 @@ def _dm_verdict(a: MaxPlusMatrix, numbering: tuple[int, ...] | None, a1: MaxPlus
         if numbering is None:
             return DmVerdict(holds=False, numbering=None, conditions=conditions)
 
-    _dm_conditions(a, sp, g, numbering, conditions, a1)
+    _dm_conditions(a, sp, g, numbering, conditions)
     holds = all(c.passed for c in conditions.values())
     return DmVerdict(holds=holds, numbering=numbering, conditions=conditions)
 
@@ -380,19 +379,28 @@ def _search_dm_numbering(a: MaxPlusMatrix, short_cycle: tuple[int, ...], conditi
     return numbering
 
 
-def _dm_conditions(
-    a: MaxPlusMatrix, sp: Spectrum, g: int, numbering: tuple[int, ...], conditions: dict, a1: MaxPlusMatrix | None
-) -> None:
+def _dm_conditions(a: MaxPlusMatrix, sp: Spectrum, g: int, numbering: tuple[int, ...], conditions: dict) -> None:
+    """The DM conditions on a under numbering, in the input's own labels.
+
+    Two layers are carved, the skeleton a1 (see _skeleton) and the
+    residue chords b1, on the a1 and b1 patterns mapped through the
+    numbering.  The remainder a2 is not: it is the list of a's finite
+    entries off both, each of which must lie strictly below CSR(a1) at
+    t = 1 (see csr._below_csr_at_one).
+    """
     n, raw = a.n, a.raw()
-    layer, b1, a2 = _carve(raw, _mapped(a1_pattern(n, g), numbering), _mapped(b1_pattern(n, g), numbering))
-    a1 = _skeleton(a1, layer, sp)
+    a1_arcs, b1_arcs = _mapped(a1_pattern(n, g), numbering), _mapped(b1_pattern(n, g), numbering)
+    a1, b1 = _carve(raw, a1_arcs, b1_arcs)
+    _skeleton(a1, sp)
     # the Hamiltonian arcs belong to the a1 pattern
     conditions["hamiltonian_support"] = _support_check(raw, _cycle_arcs(n), numbering)
     conditions["short_cycle_critical"] = _critical_check(_cycle_arcs(g), sp.crit.arcs, numbering)
 
     conditions["coprime"] = ConditionCheck(gcd(g, n) == 1, detail=f"gcd({g},{n})={gcd(g, n)}")
 
-    conditions["remainder_below_csr"] = ConditionCheck(_remainder_below_csr(a1, a2))
+    taken = a1_arcs | b1_arcs
+    a2 = [(i, j, x) for i, row in enumerate(raw) for j, x in enumerate(row) if x is not None and (i, j) not in taken]
+    conditions["remainder_below_csr"] = ConditionCheck(_below_csr_at_one(build_csr(a1), a2))
 
     witnesses, qualifying = _residue_chord_witnesses(sp._norm, g, numbering)
     if qualifying == 0:
@@ -518,9 +526,7 @@ def _wielandt_conditions(
         case = "n"
     elif g_crit == n - 1:
         conditions["named_cycle_critical"] = _critical_check(_cycle_arcs(n - 1), crit.arcs, numbering)
-        conditions["crit_strongly_connected"] = ConditionCheck(
-            len(crit.scc.components) == 1
-        )
+        conditions["crit_strongly_connected"] = ConditionCheck(len(crit.scc.components) == 1)
         subs = _critical_cycles_of_length(a, crit, n - 1)
         conditions["unique_critical_subcycle"] = ConditionCheck(
             len(subs) == 1, detail=f"found {len(subs)} critical {n - 1}-cycles"
@@ -536,21 +542,17 @@ def _wielandt_conditions(
     return case
 
 
-def _skeleton(a1: MaxPlusMatrix | None, layer: MaxPlusMatrix, sp: Spectrum) -> MaxPlusMatrix:
-    """The skeleton the DM verdict reads: the layer carved out of the
-    input a in a's own labels, given a's spectrum sp, or a1 in its place.
+def _skeleton(layer: MaxPlusMatrix, sp: Spectrum) -> None:
+    """Give the skeleton layer that the DM verdict carves out of the input
+    a, in a's own labels, a's spectrum sp when the lemma below grants it.
 
-    generate_dm builds its skeleton a1 first, with a1's spectrum and CSR
-    triple, to sample the remainder below CSR(a1) at t = 1; handing a1
-    to the verdict lets the remainder and chord-power checks read that
-    triple instead of building it again for an equal matrix.  They run
-    all the same, on a1, which must equal the layer entry for entry.
-    A carved layer takes sp whole (see spectral._inherit_spectrum) when
-    every arc of crit(a) lies on its support and crit(a) is one
-    component on every node; otherwise it computes its own when read.
-    The Wielandt verdicts carve no skeleton (see _not_below_csr); DM's
-    remainder is compared with CSR(a1) beside the residue chords b1,
-    which need not lie below it, so CSR(a) may differ from CSR(a1).
+    The layer takes sp whole (see spectral._inherit_spectrum) when every
+    arc of crit(a) lies on its support and crit(a) is one component on
+    every node, as on every generate_dm candidate; otherwise it computes
+    its own when read.  The Wielandt verdicts carve no skeleton (see
+    _not_below_csr); DM's remainder is compared with CSR(a1) beside the
+    residue chords b1, which need not lie below it, so CSR(a) may differ
+    from CSR(a1).
 
     Lemma.  The layer is <= a, with equality on its support.  So its
     cycles are cycles of a, of the same weights, and lambda(layer) <=
@@ -562,25 +564,9 @@ def _skeleton(a1: MaxPlusMatrix | None, layer: MaxPlusMatrix, sp: Spectrum) -> M
     i -> j weighs P+(i, j), P = A - lambda, in the layer and in a alike,
     at any cyclicity (step 1 of csr._primitive_cover): P+(layer) = P+(a).
     """
-    if a1 is not None:
-        if a1 != layer:
-            raise AssertionError("the skeleton handed to the verifier is not the layer it carves")
-        return a1
     crit, raw = sp.crit, layer.raw()
     if len(crit.nodes) == layer.n and len(crit.scc.components) == 1 and all(raw[i][j] is not None for i, j in crit.arcs):
         _inherit_spectrum(layer, sp)
-    return layer
-
-
-def _remainder_below_csr(a1: MaxPlusMatrix, a2: MaxPlusMatrix) -> bool:
-    """Is the remainder a2 strictly below CSR(a1) at t = 1, a1 the skeleton?
-
-    The DM verdict's test, on the a1 and a2 layers it carves; the
-    Wielandt verdicts test their remainder on a's own CSR instead (see
-    _not_below_csr), which is not the same test here (see _skeleton).
-    """
-    finite = [(i, j, x) for i, row in enumerate(a2.raw()) for j, x in enumerate(row) if x is not None]
-    return _below_csr_at_one(build_csr(a1), finite)
 
 
 def _not_below_csr(a: MaxPlusMatrix) -> set[tuple[int, int]]:
@@ -813,7 +799,7 @@ def _sample_remainder(
 def generate_dm(n: int, g: int, seed) -> MaxPlusMatrix:
     """A random matrix attaining T1 = DM(g, n) under the identity numbering.
 
-    One candidate is drawn and returned once it passes the verdict under
+    One candidate is drawn and returned once it passes verify_dm under
     the identity numbering and csr._t1_at_ceiling, which checks T1 ==
     DM(g, n) at the two powers that decide it.  By the proof below it
     always does, so a failure raises AssertionError.  Let p_k = hamw[0]
@@ -874,7 +860,7 @@ def generate_dm(n: int, g: int, seed) -> MaxPlusMatrix:
     a2_entries = _sample_remainder(rng, build_csr(a1), taken)
     candidate = from_entries(n, {**entries, **b1_entries, **a2_entries})
     _inherit_skeleton(candidate, a1)
-    if not (_dm_verdict(candidate, tuple(range(n)), a1).holds and _t1_at_ceiling(candidate, dm_bound(g, n))):
+    if not (verify_dm(candidate, tuple(range(n))).holds and _t1_at_ceiling(candidate, dm_bound(g, n))):
         raise AssertionError(f"generated DM candidate fails its post-verification (n={n}, g={g}, seed={seed!r})")
     return candidate
 

@@ -293,10 +293,19 @@ def test_matrix_text_roundtrip_via_cli(tmp_path, capsys):
     assert code == 0 and out == text
 
 
-def test_failed_generator_post_verification_is_exit_three(monkeypatch, capsys):
-    # a generator draws one candidate; failing its checks is a broken invariant
-    monkeypatch.setattr(extremal, "_t1_at_ceiling", lambda a, bound: False)
-    code, out, err = run(capsys, "generate", "dm", "--n", "5", "--g", "2")
+@pytest.mark.parametrize("family", ["dm", "wielandt"])
+@pytest.mark.parametrize("failing", ["verdict", "T1"])
+def test_failed_generator_post_verification_is_exit_three(monkeypatch, capsys, family, failing):
+    # a generator draws one candidate; failing either of its checks, the
+    # public verdict or the T1 check, is a broken invariant
+    if failing == "T1":
+        monkeypatch.setattr(extremal, "_t1_at_ceiling", lambda a, bound: False)
+    elif family == "dm":
+        monkeypatch.setattr(extremal, "verify_dm", lambda a, numbering: extremal.DmVerdict(holds=False, numbering=None))
+    else:
+        failed = extremal.WielandtVerdict(holds=False, numbering=None, case=None)
+        monkeypatch.setattr(extremal, "verify_wielandt", lambda a, numbering: failed)
+    code, out, err = run(capsys, "generate", family, "--n", "5", *(["--g", "2"] if family == "dm" else []))
     assert code == 3 and out == ""
     assert err.startswith("internal assertion failed")
     assert err.count("\n") == 1

@@ -119,6 +119,25 @@ def test_decompose_rejects_bad_input(rng):
         decompose(a, 2, (0, 1, 2, 2))
 
 
+@pytest.mark.parametrize(
+    "numbering", [(False, True, 2, 3, 4), (0.0, 1.0, 2, 3, 4), (0, 1, 2, 3, 4.0)], ids=["bools", "floats", "a float"]
+)
+def test_a_numbering_of_non_ints_is_a_type_error(numbering):
+    # a bool or a float equal to 0..n-1 passes the permutation check, and
+    # was echoed as the numbering or failed later on a list index
+    a = generate_dm(5, 2, 0)
+    for check in (
+        lambda: verify_dm(a, numbering),
+        lambda: verify_wielandt(a, numbering),
+        lambda: verify_crit_rc_wielandt(a, numbering),
+        lambda: apply_numbering(a, numbering),
+        lambda: decompose(a, 2, numbering),
+    ):
+        with pytest.raises(TypeError, match="numbering entries must be ints"):
+            check()
+    assert verify_dm(a, (0, 1, 2, 3, 4)).holds
+
+
 # ---------------------------------------------------------------------------
 # DM verification
 
@@ -458,7 +477,8 @@ def test_integer_remainder_test_matches_the_fraction_comparison():
             rows[i][j] = ceiling[i][j] + (0 if broken == "equal" else Fraction(1, 13))
         a2 = MaxPlusMatrix(rows)
         expected = strictly_dominated_by(a2, MaxPlusMatrix(ceiling))
-        assert extremal._remainder_below_csr(a1, a2) == expected, (kind, render_matrix(a1), render_matrix(a2))
+        finite = [(i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row) if x is not None]
+        assert csr._below_csr_at_one(build_csr(a1), finite) == expected, (kind, render_matrix(a1), render_matrix(a2))
         seen[(kind, expected)] += 1
         seen[broken] += not expected
         seen["non-integer lambda"] += max_cycle_mean(a1).value is not None and max_cycle_mean(a1).value.denominator > 1
@@ -986,12 +1006,12 @@ def test_generators_verify_one_candidate_and_power_the_chord_layer_once(monkeypa
 
         monkeypatch.setattr(extremal, name, wrapper)
 
-    # the DM verdict runs on the private path that reuses the skeleton's
-    # triple, and takes row g of b1's power once, stepping that row alone:
-    # no power of the whole of b1; the Wielandt verdict is the public one,
-    # and reads CSR at t = 1 off the triple the candidate inherited: it
-    # builds no matrix, spectrum or triple, and takes no product
-    names = ("_int_mul", "verify_dm", "_dm_verdict", "verify_wielandt", "_t1_at_ceiling")
+    # both verdicts are the public ones.  The DM verdict takes row g of
+    # b1's power once, stepping that row alone: no power of the whole of
+    # b1; the Wielandt verdict reads CSR at t = 1 off the triple the
+    # candidate inherited: it builds no matrix, spectrum or triple, and
+    # takes no product
+    names = ("_int_mul", "verify_dm", "verify_wielandt", "_t1_at_ceiling")
     for name in (*names, "_inherit_skeleton"):
         counted(name)
     left_rows = []
@@ -1001,7 +1021,7 @@ def test_generators_verify_one_candidate_and_power_the_chord_layer_once(monkeypa
     for seed in range(3):
         calls.clear(), left_rows.clear()
         generate_dm(7, 3, seed)  # n >= 2g: the verdict steps row g of b1 to DM(3, 7) - 1 = 21
-        assert calls == Counter(_int_mul=20, _dm_verdict=1, _t1_at_ceiling=1, _inherit_skeleton=1)
+        assert calls == Counter(_int_mul=20, verify_dm=1, _t1_at_ceiling=1, _inherit_skeleton=1)
         assert left_rows == [1] * 20
         for case in ("n-1", "n"):
             calls.clear()
@@ -1022,20 +1042,37 @@ def test_generators_verify_one_candidate_and_power_the_chord_layer_once(monkeypa
         for case in ("n-1", "n"):
             generate_wielandt(n, 0, case=case)
 
+    # generate_dm computes one spectrum and one closure, its skeleton
+    # a1's; the candidate inherits them, and so does the skeleton the
+    # verdict carves out of it, as its critical graph is one component on
+    # every node: the verdict builds that skeleton and the chord layer,
+    # and the skeleton's triple with no product
+    verify_dm_itself, closure, verdicts = extremal.verify_dm, spectral._int_closure, []
 
-def test_the_verdicts_take_a_skeleton_only_if_it_is_the_layer_they_carve():
-    # generate_dm hands the verdict its skeleton a1, which already holds
-    # a1's triple; the verdict checks it entry for entry against its own
-    # layer, and gives what the public verdict gives
-    cases = [generate_dm(n, g, seed) for n, g in ((5, 2), (7, 3), (8, 3)) for seed in range(2)]
-    for a in cases:
-        identity, g = tuple(range(a.n)), critical_graph(a).girth
-        a1 = decompose(a, g, identity).a1
-        assert extremal._dm_verdict(a, identity, a1) == verify_dm(a, identity)
-        raw = [row[:] for row in a1.raw()]
-        raw[a.n - 1][0] -= 1  # the Hamiltonian arc closing the skeleton
-        with pytest.raises(AssertionError, match="not the layer it carves"):
-            extremal._dm_verdict(a, identity, MaxPlusMatrix(raw))
+    def recorded_dm(a, numbering):
+        with monkeypatch.context() as patch:
+            built = _record_builds(patch)
+            patch.setattr(csr, "_int_mul", lambda *args: products.update(["product"]) or product(*args))
+            verdict = verify_dm_itself(a, numbering)
+        verdicts.append(built)
+        return verdict
+
+    monkeypatch.setattr(extremal, "verify_dm", recorded_dm)
+    for seed in range(3):
+        verdicts.clear(), left_rows.clear(), products.clear()
+        with monkeypatch.context() as patch:
+            built, spectra, closures, spectrum_of = _record_builds(patch), [], [], spectral._spectrum
+            patch.setattr(spectral, "_spectrum", lambda b: spectra.append(b) or spectrum_of(b))
+            patch.setattr(spectral, "_int_closure", lambda rows: closures.append(rows) or closure(rows))
+            a = generate_dm(7, 3, seed)
+        (carved,) = verdicts
+        skeleton = built[1]
+        # a1, its triple and spectrum; the candidate; the verdict's skeleton, chord layer and skeleton's triple
+        assert built == ["matrix", skeleton, skeleton, "matrix", *carved], built
+        assert carved[:2] == ["matrix", "matrix"] and len(carved) == 3 and carved[2] is not skeleton, carved
+        assert skeleton == carved[2] == decompose(a, 3, tuple(range(7))).a1
+        assert spectra == [skeleton] and len(closures) == 1, (spectra, closures)
+        assert left_rows == [1] * 20 and not products, (left_rows, products)
 
 
 def _reweighted(rng, a):
@@ -1118,15 +1155,14 @@ def test_a_carved_skeleton_takes_the_inputs_lambda_and_critical_graph(monkeypatc
     real, kinds, closures, closure = extremal._skeleton, Counter(), Counter(), spectral._int_closure
     monkeypatch.setattr(spectral, "_int_closure", lambda rows: closures.update(["closed"]) or closure(rows))
 
-    def checked(a1, layer, sp):
+    def checked(layer, sp):
         closures.clear()
-        out = real(a1, layer, sp)
-        assert a1 is None and out is layer and not closures
+        assert real(layer, sp) is None and not closures
         crit = sp.crit
         if any(layer.raw()[i][j] is None for i, j in crit.arcs):
             assert layer._spectrum is None
             kinds["refused"] += 1
-            return out
+            return
         covers = len(crit.nodes) == layer.n and len(crit.scc.components) == 1
         assert (layer._spectrum is not None) == covers
         if covers:
@@ -1135,7 +1171,6 @@ def test_a_carved_skeleton_takes_the_inputs_lambda_and_critical_graph(monkeypatc
         gamma = "gamma 1" if crit.cyclicity == 1 else "gamma > 1"
         kinds[f"spectrum handed, {gamma}" if covers else "own spectrum"] += 1
         kinds["not strongly connected"] += not spectrum(layer)._strongly_connected
-        return out
 
     inputs = _skeleton_inputs()
     monkeypatch.setattr(extremal, "_skeleton", checked)
