@@ -40,7 +40,7 @@ class Mutant(NamedTuple):
 
 
 KERNEL, CSR, EXTREMAL = "tests/test_kernel.py", "tests/test_csr.py", "tests/test_extremal.py"
-SPECTRAL, MATRIX = "tests/test_spectral.py", "tests/test_matrix.py"
+SPECTRAL, MATRIX, DIGRAPH = "tests/test_spectral.py", "tests/test_matrix.py", "tests/test_digraph.py"
 
 MUTANTS = [
     # csr: the one-sided test, the residues, the sweep, the searches
@@ -149,6 +149,12 @@ MUTANTS = [
         "visualization not strict", "spectral.py",
         "else w is None or w < lv", "else w is None or w <= lv",
         (f"{SPECTRAL}::test_is_visualized_examples",),
+    ),
+    # digraph: the components read off a closure
+    Mutant(
+        "components joined on one-sided reachability", "digraph.py",
+        "i == j or reach[i][j] is not None and reach[j][i] is not None", "i == j or reach[i][j] is not None",
+        (f"{DIGRAPH}::test_scc_decompose_matches_tarjan_on_random_node_subsets",),
     ),
     # matrix: the kernel
     Mutant(

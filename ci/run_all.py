@@ -13,7 +13,7 @@ test, or to what it pins, goes into the script too:
 - large: tests/test_csr.py::test_the_sweep_tests_only_failing_rows_and_steps_past_the_ceiling
   and test_the_residue_times_P_is_the_next_residue, at n = 24 and 32;
 - spectrum: tests/test_spectral.py::test_spectrum_matches_the_tarjan_path,
-  at n = 24, 32 and 40;
+  against the tests' own Tarjan search (oracles.tarjan), at n = 24, 32 and 40;
 - heaviest: tests/test_extremal.py::test_heaviest_cycle_matches_the_full_support_search,
   at n = 9 and 10;
 - unweighted: tests/test_extremal.py::test_unweighted_digraphs_agree_with_their_successor_set_index,

@@ -5,8 +5,9 @@ n = 24, 32 and 40.
 
 spectral._spectrum runs Karp once from a virtual source and reads strong
 connectivity and the critical components off the closure;
-oracles.spectrum_by_tarjan runs Karp on each of Tarjan's components and
-_scc_decomposition on the critical arcs.  Seeded matrices of one, two or
+oracles.spectrum_by_tarjan runs Karp on each of the components of the
+tests' own Tarjan search, oracles.tarjan, and that search again on the
+critical arcs.  Seeded matrices of one, two or
 three strongly connected blocks, some {0, 1}-weighted.  Standard library
 only.
 """

@@ -6,6 +6,13 @@ connected components with per-component girth and cyclicity, the
 aggregate maximal girth / cyclicity, and elementary-cycle enumeration
 for small instances.
 
+Strongly connected components come off a closure, by one grouping:
+`scc_decompose` closes the 0/-inf support on its nodes with the
+kernel's `_int_closure`, and `spectral._critical_graph_at` reads the
+critical components off the closure P+ its spectrum keeps.  Both hand
+the relation to `_components`, and the classes to `_decomposition`,
+which adds each one's girth and cyclicity.
+
 The algorithms run on sorted successor lists: `_support` gives those of
 a matrix, and `_successors` those of an arc set, which is how `spectral`
 and `extremal` pass the critical arcs.  Every cycle listing, the
@@ -22,9 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .matrix import MaxPlusMatrix
+from .matrix import MaxPlusMatrix, _int_closure
 from .semiring import MaxPlusScalar
 
 
@@ -60,57 +67,7 @@ class SccDecomposition:
     components: tuple[SccInfo, ...]
 
 
-def _tarjan(succ: Sequence[Sequence[int]], nodes: Iterable[int]) -> list[set[int]]:
-    """Iterative Tarjan SCC over the given node subset."""
-    nodeset = set(nodes)
-    index: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    sccs: list[set[int]] = []
-    counter = 0
-
-    for root in sorted(nodeset):
-        if root in index:
-            continue
-        work = [(root, iter([w for w in succ[root] if w in nodeset]))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter([u for u in succ[w] if u in nodeset])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-    return sccs
-
-
-def _component_girth(succ: Sequence[Sequence[int]], comp: set[int]) -> int | None:
+def _component_girth(succ: Sequence[Sequence[int]], comp: frozenset[int]) -> int | None:
     """Minimal directed cycle length inside the component, by BFS per node.
 
     The BFS from s stops at the first level whose nodes have an arc back
@@ -132,7 +89,7 @@ def _component_girth(succ: Sequence[Sequence[int]], comp: set[int]) -> int | Non
     return best
 
 
-def _levels(succ: Sequence[Sequence[int]], comp: set[int]) -> dict[int, int]:
+def _levels(succ: Sequence[Sequence[int]], comp: frozenset[int]) -> dict[int, int]:
     """BFS level of each node of comp from its least node, along arcs within comp."""
     root = min(comp)
     level = {root: 0}
@@ -148,7 +105,7 @@ def _levels(succ: Sequence[Sequence[int]], comp: set[int]) -> dict[int, int]:
     return level
 
 
-def _component_cyclicity(succ: Sequence[Sequence[int]], comp: set[int]) -> int | None:
+def _component_cyclicity(succ: Sequence[Sequence[int]], comp: frozenset[int]) -> int | None:
     """gcd of cycle lengths via BFS level labels: gcd of level(u)+1-level(v)."""
     level = _levels(succ, comp)
     result = 0
@@ -159,25 +116,41 @@ def _component_cyclicity(succ: Sequence[Sequence[int]], comp: set[int]) -> int |
     return result if result > 0 else None
 
 
-def _scc_decomposition(succ: Sequence[Sequence[int]], nodes: Iterable[int]) -> SccDecomposition:
-    """The SCCs of the subgraph induced on nodes, with girth and cyclicity."""
+def _components(nodes: Iterable[int], joined: Callable[[int, int], bool]) -> list[frozenset[int]]:
+    """The classes of the equivalence `joined` on nodes, ordered by least node."""
+    nodes = sorted(nodes)
+    seen: set[int] = set()
     comps = []
-    for comp in _tarjan(succ, nodes):
-        girth = _component_girth(succ, comp)
-        cyc = _component_cyclicity(succ, comp) if girth is not None else None
-        comps.append(SccInfo(nodes=frozenset(comp), girth=girth, cyclicity=cyc))
-    comps.sort(key=lambda c: min(c.nodes))
-    return SccDecomposition(components=tuple(comps))
+    for i in nodes:
+        if i not in seen:
+            comps.append(frozenset(j for j in nodes if joined(i, j)))
+            seen |= comps[-1]
+    return comps
+
+
+def _decomposition(succ: Sequence[Sequence[int]], comps: Iterable[frozenset[int]]) -> SccDecomposition:
+    """One SccInfo per component of comps, with its girth and cyclicity."""
+    return SccDecomposition(tuple(SccInfo(c, _component_girth(succ, c), _component_cyclicity(succ, c)) for c in comps))
 
 
 def scc_decompose(a: MaxPlusMatrix, nodes: Iterable[int] | None = None) -> SccDecomposition:
     """The SCCs, with girth and cyclicity, of the digraph of a on the given
-    nodes (default: all); a node outside 0..n-1 raises ValueError."""
+    nodes (default: all); a node outside 0..n-1 raises ValueError.
+
+    The 0/-inf support on those nodes is closed by the kernel's
+    _int_closure, and i and j share a component when each reaches the other.
+    """
     nodes = range(a.n) if nodes is None else set(nodes)
     bad = sorted(v for v in nodes if not 0 <= v < a.n)
     if bad:
         raise ValueError(f"nodes {bad} out of range for n={a.n}")
-    return _scc_decomposition(_support(a), nodes)
+    reach = [
+        [0 if x is not None and i in nodes and j in nodes else None for j, x in enumerate(row)]
+        for i, row in enumerate(a.raw())
+    ]
+    _int_closure(reach)
+    comps = _components(nodes, lambda i, j: i == j or reach[i][j] is not None and reach[j][i] is not None)
+    return _decomposition(_support(a), comps)
 
 
 def maximal_girth(d: SccDecomposition) -> int:

@@ -1,13 +1,14 @@
 """Exact scalar arithmetic over the max-plus semiring (Q and -inf, max, +).
 
 The additive zero is -inf (written ``BOTTOM``), the multiplicative unit is
-the rational 0 (``UNIT``).  All finite values are exact rationals kept in
+the rational 0.  All finite values are exact rationals kept in
 lowest terms, so structural equality coincides with semantic equality and
 no tolerance parameter exists anywhere downstream.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import total_ordering
 from typing import Union
@@ -59,7 +60,6 @@ class MaxPlusScalar:
 
 
 BOTTOM = MaxPlusScalar(None)
-UNIT = MaxPlusScalar(0)
 
 
 def as_scalar(x) -> MaxPlusScalar:
@@ -74,35 +74,31 @@ def as_scalar(x) -> MaxPlusScalar:
 
 
 def parse_scalar(token: str) -> MaxPlusScalar:
-    """Parse a scalar token: 'p/q', 'p', or '-inf' / '*' for the zero."""
+    """Parse a scalar token: 'p/q', 'p', or '-inf' / '*' for the zero.
+
+    Any form Fraction(str) reads is accepted, but a decimal exponent larger
+    in magnitude than int's default digit limit (4300) is refused before
+    any arithmetic: Fraction's time and memory grow with the exponent.
+    """
     token = token.strip()
     if token in ("-inf", "*"):
         return BOTTOM
     try:
+        _, e, exponent = token.lower().partition("e")
+        if e and abs(int(exponent)) > sys.int_info.default_max_str_digits:
+            raise ValueError("exponent out of range")
         return MaxPlusScalar(Fraction(token))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad scalar token {token!r}") from exc
 
 
-def oplus(a: MaxPlusScalar, b: MaxPlusScalar) -> MaxPlusScalar:
-    """Semiring addition: max(a, b)."""
-    return a if b < a else b
-
-
-def otimes(a: MaxPlusScalar, b: MaxPlusScalar) -> MaxPlusScalar:
-    """Semiring multiplication: a + b, with -inf absorbing."""
-    if a.value is None or b.value is None:
-        return BOTTOM
-    return MaxPlusScalar(a.value + b.value)
-
-
 def scalar_power(a: MaxPlusScalar, t: int) -> MaxPlusScalar:
-    """t-fold product of a with itself, i.e. t*a; the empty product is UNIT."""
+    """t-fold product of a with itself, i.e. t*a; the empty product is 0."""
     _check_exponent("scalar_power", t)
     if t < 0:
         raise ValueError(f"scalar_power needs t >= 0, got {t}")
     if t == 0:
-        return UNIT
+        return MaxPlusScalar(0)
     if a.value is None:
         return BOTTOM
     return MaxPlusScalar(a.value * t)

@@ -18,9 +18,11 @@ The critical graph (all nodes and arcs of cycles attaining the maximum
 mean) is read off the closure: an arc (i, j) is critical exactly when
 it closes a zero-weight circuit, i.e. when a'_ij + (A'+)_ji = 0 for
 the normalized A' = A - lambda, and two critical nodes share a
-component exactly when they close one.  The girths and cyclicities of
-the components come from the successor lists of those integer arcs,
-and `visualize` bumps the same rows of A - lambda.  At cyclicity 1
+component exactly when they close one.  The grouping and the girths and
+cyclicities, from the successor lists of those integer arcs, are
+digraph's `_components` and `_decomposition`, which `scc_decompose`
+runs on a closure of its own; no other component search exists.
+`visualize` bumps the same rows of A - lambda.  At cyclicity 1
 `csr` carves C and R from the closure A'+ itself.
 
 A visualization is a diagonal scaling pushing every entry to at most the
@@ -39,15 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .digraph import (
-    SccDecomposition,
-    SccInfo,
-    _component_cyclicity,
-    _component_girth,
-    _successors,
-    global_cyclicity,
-    maximal_girth,
-)
+from .digraph import SccDecomposition, _components, _decomposition, _successors, global_cyclicity, maximal_girth
 from .matrix import (
     DiagonalScaling,
     MaxPlusMatrix,
@@ -209,8 +203,9 @@ def _critical_graph_at(norm: list[list], closure: list[list]) -> CritGraph:
     critical walks i -> j -> i close a walk of critical arcs, which
     weighs 0 (a visualization puts each critical arc at 0 and keeps the
     weight of a closed walk), and no closed walk weighs more.  The
-    components are ordered by their least node; their girths and
-    cyclicities come from the successor lists of the critical arcs.
+    components come from digraph._components, ordered by their least
+    node, and their girths and cyclicities from digraph._decomposition
+    on the successor lists of the critical arcs.
     """
 
     def closes(i: int, j: int, w: int | None) -> bool:  # w + P+(j, i) = 0
@@ -218,18 +213,13 @@ def _critical_graph_at(norm: list[list], closure: list[list]) -> CritGraph:
 
     arcs = {(i, j) for i, row in enumerate(norm) for j, w in enumerate(row) if closes(i, j, w)}
     nodes = {i for (i, j) in arcs} | {j for (i, j) in arcs}
-    component: dict[int, frozenset[int]] = {}
-    for i in nodes:
-        if i not in component:
-            comp = frozenset(j for j in nodes if closes(i, j, closure[i][j]))
-            component.update(dict.fromkeys(comp, comp))
+    comps = _components(nodes, lambda i, j: closes(i, j, closure[i][j]))
+    component = {i: comp for comp in comps for i in comp}
     # Complete reducibility: every critical arc stays inside one component.
     for (i, j) in arcs:
-        if component[i] is not component[j]:
+        if j not in component[i]:
             raise AssertionError(f"critical arc ({i},{j}) crosses components")
-    succ = _successors(len(norm), arcs)
-    comps = sorted(set(component.values()), key=min)
-    scc = SccDecomposition(tuple(SccInfo(c, _component_girth(succ, c), _component_cyclicity(succ, c)) for c in comps))
+    scc = _decomposition(_successors(len(norm), arcs), comps)
     return CritGraph(frozenset(nodes), frozenset(arcs), scc, maximal_girth(scc), global_cyclicity(scc))
 
 

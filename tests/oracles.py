@@ -38,10 +38,12 @@ length in the whole support, ranked by exact weight.
 sample_remainder_fractions is the generators' remainder draw as it was
 before it read the integer residue: CSR at t = 1 as a Fraction, less a
 Fraction margin; it must make the same draws and give the same entries.
-spectrum_by_tarjan is the spectrum as the library computed it before it
-read components and strong connectivity off the closure: Tarjan's
-components, Karp on each of them (karp_scc), and the library's
-_scc_decomposition (Tarjan again) on the critical arcs.  closure_live
+tarjan is the component search the library ran before it read every
+component off a closure.  spectrum_by_tarjan is the spectrum as the
+library computed it before it read components and strong connectivity
+off the closure: tarjan's components, Karp on each of them (karp_scc),
+and tarjan again on the critical arcs, with the girths and cyclicities
+of digraph._decomposition.  closure_live
 is the Floyd-Warshall closure that reads pivot row k live, as the
 library did before it read the row once per pivot.  boolean_index_int
 is the critical graph's index as the library computed it before it ran
@@ -657,6 +659,55 @@ def closure_live(rows):
                     di[j] = s
 
 
+def tarjan(succ, nodes):
+    """The strongly connected components of the successor lists succ on the
+    given node subset, as sets, by iterative Tarjan: the search the
+    library ran before it read every component off a closure."""
+    nodeset = set(nodes)
+    index, lowlink = {}, {}
+    on_stack, stack, sccs = set(), [], []
+    counter = 0
+
+    for root in sorted(nodeset):
+        if root in index:
+            continue
+        work = [(root, iter([w for w in succ[root] if w in nodeset]))]
+        index[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = lowlink[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter([u for u in succ[w] if u in nodeset])))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    lowlink[v] = min(lowlink[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[v])
+            if lowlink[v] == index[v]:
+                comp = set()
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.add(w)
+                    if w == v:
+                        break
+                sccs.append(comp)
+    return sccs
+
+
 def karp_scc(rows, nodes):
     """Karp's maximum cycle mean of one strongly connected component, the
     sorted nodes of scaled int-or-None rows, in their units: walks start
@@ -684,11 +735,12 @@ def spectrum_by_tarjan(a):
     connected when Tarjan finds one component, and crit is None or the
     critical graph's (nodes, arcs, components, girth, cyclicity), its
     arcs those that close a zero-weight circuit in the live-read closure
-    of A - lam and its components from _scc_decomposition on them."""
+    of A - lam, and its components Tarjan's on them, with girths and
+    cyclicities from digraph._decomposition."""
     raw, n = a.raw(), a.n
     d = lcm(*(x.denominator for row in raw for x in row if x is not None))
     rows = [[None if x is None else int(x * d) for x in row] for row in raw]
-    comps = digraph._tarjan([[j for j, x in enumerate(row) if x is not None] for row in rows], range(n))
+    comps = tarjan([[j for j, x in enumerate(row) if x is not None] for row in rows], range(n))
     means = [karp_scc(rows, sorted(c)) for c in comps if len(c) > 1 or rows[min(c)][min(c)] is not None]
     if not means:
         return None, len(comps) == 1, None
@@ -704,7 +756,8 @@ def spectrum_by_tarjan(a):
         if norm[i][j] is not None and closure[j][i] is not None and norm[i][j] + closure[j][i] == 0
     }
     nodes = {v for arc in arcs for v in arc}
-    scc = digraph._scc_decomposition(digraph._successors(n, arcs), nodes)
+    succ = digraph._successors(n, arcs)
+    scc = digraph._decomposition(succ, sorted(map(frozenset, tarjan(succ, nodes)), key=min))
     crit = (nodes, arcs, scc.components, digraph.maximal_girth(scc), digraph.global_cyclicity(scc))
     return lam, len(comps) == 1, crit
 

@@ -1,5 +1,6 @@
 import argparse
 import json
+import time
 
 import pytest
 
@@ -73,6 +74,17 @@ def test_a_bad_token_is_exit_one_with_one_line_naming_it(tmp_path, capsys, token
     bad = tmp_path / "bad.txt"
     bad.write_text(f"2\n0 {token}\n1/2 0\n")
     assert run(capsys, "analyze", str(bad)) == (1, "", f"error: bad scalar token {token!r}\n")
+
+
+@pytest.mark.parametrize("token", ["1e5000", "1e30000000", "-1E-30000000"])
+def test_a_token_past_the_exponent_bound_is_refused_at_once(tmp_path, capsys, token):
+    # Fraction(token) spent 48 s and 144 MB on 1e30000000, and 1e5000 got
+    # through to render, which failed with Python's own digit-limit line
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"2\n{token} 0\n0 -inf\n")
+    start = time.perf_counter()
+    assert run(capsys, "analyze", str(bad)) == (1, "", f"error: bad scalar token {token!r}\n")
+    assert time.perf_counter() - start < 0.5
 
 
 def test_missing_file_is_usage_error(capsys):

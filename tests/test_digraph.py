@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -17,8 +18,8 @@ from maxplus import (
 )
 from conftest import random_matrix
 
-from maxplus.digraph import _cycles
-from oracles import cycles_by_permutations, cycles_of_length_by_filter, hamiltonian_cycles_dfs
+from maxplus.digraph import _cycles, _decomposition, _support
+from oracles import cycles_by_permutations, cycles_of_length_by_filter, hamiltonian_cycles_dfs, tarjan
 
 N = None
 
@@ -40,6 +41,25 @@ def test_scc_decompose_refuses_nodes_out_of_range():
         with pytest.raises(ValueError, match=re.escape(f"nodes {sorted(set(nodes) - {0})} out of range for n=3")):
             scc_decompose(a, nodes)
     assert scc_decompose(a, [0, 1]).components == scc_decompose(a, iter([1, 0])).components
+
+
+def test_scc_decompose_matches_tarjan_on_random_node_subsets():
+    # the components read off the closure against Tarjan's, each with the
+    # girth and cyclicity _decomposition gives it; loops included, and
+    # node subsets from empty through singletons to all nodes
+    rng = random.Random(36)
+    kinds = Counter()
+    for _ in range(800):
+        n = rng.randint(1, 9)
+        a = random_matrix(rng, n, density=rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)))
+        nodes = rng.sample(range(n), rng.choice((0, 1, rng.randint(0, n), n)))
+        comps = sorted(map(frozenset, tarjan(_support(a), nodes)), key=min)
+        got = scc_decompose(a, None if len(nodes) == n and rng.random() < 0.5 else nodes)
+        assert got == _decomposition(_support(a), comps), (a.raw(), nodes)
+        kinds[min(len(nodes), 2)] += 1
+        kinds["loop-free singleton"] += any(c.girth is None for c in got.components)
+        kinds["several cyclic components"] += sum(c.girth is not None for c in got.components) > 1
+    assert min(kinds.values()) >= 30, kinds
 
 
 def test_scc_single_cycle():

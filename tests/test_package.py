@@ -29,11 +29,13 @@ def test_the_readme_documents_every_exported_name():
 
 def test_the_removed_names_stay_gone():
     # no verb, generator, verifier or acceptance test read these; visualize
-    # still asserts its own postcondition (spectral._check_visualized)
+    # still asserts its own postcondition (spectral._check_visualized), and
+    # Tarjan's search is the tests' oracle (oracles.tarjan)
     removed = {
         "spectral": ["is_visualized", "is_strictly_visualized", "_visualized"],
         "matrix": ["transpose"],
-        "digraph": ["to_dot"],
+        "digraph": ["to_dot", "_tarjan", "_scc_decomposition"],
+        "semiring": ["UNIT", "oplus", "otimes"],
         "bounds": ["compare_bounds", "BoundComparison"],
     }
     for module, names in removed.items():

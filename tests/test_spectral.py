@@ -139,7 +139,7 @@ def spectrum_kinds():
 def test_spectrum_matches_the_tarjan_path():
     # lambda, strong connectivity and the critical graph, components in
     # order with their girths and cyclicities, as found by Tarjan's
-    # components, Karp on each and _scc_decomposition on the critical arcs
+    # components, Karp on each and Tarjan again on the critical arcs
     kinds = Counter()
     for kind, a in spectrum_kinds():
         lam, strongly_connected, crit = spectrum_by_tarjan(a)
