@@ -120,7 +120,7 @@ MUTANTS = [
     ),
     Mutant(
         "remainder may equal CSR at t = 1", "csr.py",
-        "x.numerator * d < rows[i][j] * x.denominator", "x.numerator * d <= rows[i][j] * x.denominator",
+        "x * d < rows[i][j] * e for i, j, x in entries", "x * d <= rows[i][j] * e for i, j, x in entries",
         (f"{EXTREMAL}::test_integer_remainder_test_matches_the_fraction_comparison",),
     ),
     # spectral: Karp, the critical graph, the hand-over, the visualization
@@ -177,6 +177,34 @@ MUTANTS = [
         "            if y is None or x >= y:", "            if y is None or x > y:",
         (f"{MATRIX}::test_strict_domination",),
     ),
+    # matrix: one least scale, from parse to render
+    Mutant(
+        "a result's scale not reduced to the least", "matrix.py",
+        "    if e == d:\n        return d, rows", "    if e <= d:\n        return d, rows",
+        (f"{MATRIX}::test_int_rows_match_the_fraction_reference_on_mixed_denominators",),
+    ),
+    Mutant(
+        "a reduced scale with its entries left at the old one", "matrix.py",
+        "map(floordiv, repeat(e), dens)", "map(floordiv, repeat(d), dens)",
+        (f"{MATRIX}::test_int_rows_match_the_fraction_reference_on_mixed_denominators",),
+    ),
+    Mutant(
+        "render without the gcd", "matrix.py",
+        '    g = gcd(x, d)\n    return str(x // g) if g == d else f"{x // g}/{d // g}"',
+        '    return str(x) if d == 1 else f"{x}/{d}"',
+        (f"{MATRIX}::test_int_rows_match_the_fraction_reference_on_mixed_denominators",),
+    ),
+    Mutant(
+        "parse scales by the largest denominator, not the lcm", "matrix.py",
+        "d = lcm(*{pq[1] for pq in values.values() if pq is not None})",
+        "d = max({pq[1] for pq in values.values() if pq is not None}, default=1)",
+        (f"{MATRIX}::test_int_rows_match_the_fraction_reference_on_mixed_denominators",),
+    ),
+    Mutant(
+        "a value of 4301 digits parses", "semiring.py",
+        "abs(value.numerator) >= _PRINTABLE", "abs(value.numerator) > _PRINTABLE",
+        ("tests/test_cli.py::test_a_value_too_long_to_print_is_refused_at_once",),
+    ),
     # extremal: the numbering search, the chords, the remainder tests, the walk oracle
     Mutant(
         "numbering search cuts ties", "extremal.py",
@@ -203,7 +231,7 @@ MUTANTS = [
     ),
     Mutant(
         "DM's remainder tested on the input's own CSR", "extremal.py",
-        "ConditionCheck(_below_csr_at_one(build_csr(a1), a2))", "ConditionCheck(_not_below_csr(a) <= taken)",
+        "ConditionCheck(_below_csr_at_one(build_csr(a1), a2, d))", "ConditionCheck(_not_below_csr(a) <= taken)",
         (f"{EXTREMAL}::test_wielandt_remainder_on_the_inputs_csr_matches_the_carved_skeleton",),
     ),
     Mutant(
@@ -219,11 +247,21 @@ MUTANTS = [
     ),
     Mutant(
         "crit-rc skeleton not checked against the support", "extremal.py",
-        "if fixed <= skeleton and all(raw[i][j] is not None for i, j in skeleton):", "if fixed <= skeleton:",
+        "if fixed <= skeleton and all(rows[i][j] is not None for i, j in skeleton):", "if fixed <= skeleton:",
         (
             f"{EXTREMAL}::test_crit_rc_wielandt_matches_exhaustive_search",
             f"{EXTREMAL}::test_unweighted_digraphs_agree_with_their_successor_set_index",
         ),
+    ),
+    Mutant(
+        "a candidate's entries compared with the skeleton's unscaled", "extremal.py",
+        "elif x is None or x1 * d != x * d1:", "elif x is None or x1 != x:",
+        (f"{CSR}::test_a_candidate_inherits_its_skeletons_spectrum_and_triple",),
+    ),
+    Mutant(
+        "a generator's margin drawn at scale 1", "extremal.py",
+        "    return rng.randint(1, 6 * den) * (_SCALE // den)", "    return rng.randint(1, 6 * den)",
+        (f"{EXTREMAL}::test_generators_draw_the_same_matrices_for_the_same_seed",),
     ),
     Mutant(
         "walk oracle takes the longest walk", "extremal.py",

@@ -25,6 +25,8 @@ test, or to what it pins, goes into the script too:
   for verify_dm, test_generators_verify_one_candidate_and_power_the_chord_layer_once for generate_dm's one
   spectrum, and test_crit_rc_wielandt_tests_no_remainder_off_the_critical_graph for the Wielandt verdicts,
   at n = 20;
+- mixed_denominators: tests/test_matrix.py::test_int_rows_match_the_fraction_reference_on_mixed_denominators,
+  on n = 24 to 40 with a distinct prime denominator in every entry;
 - exponent: tests/test_csr.py::test_analyze_reads_T1_and_T_off_a_primitive_covering_critical_graph
   and tests/test_kernel.py::test_analyze_searches_once_on_the_wielandt_case_n_family,
   at n = 48 and 64.
@@ -41,7 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = [
     "stdlib_only", "instances20", "memos20", "large", "exponent", "heaviest", "transcript_hashes", "spectrum", "unweighted",
-    "weighted3", "loc",
+    "weighted3", "mixed_denominators", "loc",
 ]
 
 env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))

@@ -51,8 +51,9 @@ gamma residues C S^r R - r*lambda, and the powers of A - lambda in the
 sweep.  At gamma = 1, M is the closure P+ of P = A - lambda that the
 spectrum kept; at gamma > 1 it is the closure of P^gamma, that power
 taken by repeated squaring.  t*lambda thereby drops out of every
-comparison, and only the public C, S, R and the values csr_at returns
-are converted back to Fractions.
+comparison, and the public C, S, R and the values csr_at returns are
+matrices of int rows again, at the triple's scale reduced to the least;
+no Fraction is built.
 
 A triple is built only as far as it is read: build_csr computes M
 alone, C, S and R are carved when the properties are read, and each
@@ -68,7 +69,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 from itertools import compress, count
 from operator import ne
@@ -81,7 +81,6 @@ from .matrix import (
     _int_closure,
     _int_mul,
     _int_power,
-    _unscaled,
     mat_mul,  # unused here; perfbench/test_bench.py reads csr.mat_mul
 )
 from .semiring import BOTTOM, MaxPlusScalar, _check_exponent
@@ -117,19 +116,22 @@ class CsrTriple:
     @property
     def c(self) -> MaxPlusMatrix:
         nodes = () if self.crit is None else self.crit.nodes
-        return _unscaled([[x if j in nodes else None for j, x in enumerate(row)] for row in self._m], self._d)
+        return MaxPlusMatrix._from_ints(self._d, [[x if j in nodes else None for j, x in enumerate(row)] for row in self._m])
 
     @property
     def r(self) -> MaxPlusMatrix:
         nodes = () if self.crit is None else self.crit.nodes
-        return _unscaled([row if i in nodes else [None] * self.n for i, row in enumerate(self._m)], self._d)
+        return MaxPlusMatrix._from_ints(self._d, [row if i in nodes else [None] * self.n for i, row in enumerate(self._m)])
 
     @property
     def s(self) -> MaxPlusMatrix:
         rows = [[None] * self.n for _ in range(self.n)]
-        for i, j in () if self.crit is None else self.crit.arcs:
-            rows[i][j] = Fraction(self._norm[i][j], self._d) + self.lam.value
-        return MaxPlusMatrix._from_raw(rows)
+        if self.crit is not None:
+            lam = self.lam.value
+            lam_d = lam.numerator * (self._d // lam.denominator)
+            for i, j in self.crit.arcs:
+                rows[i][j] = self._norm[i][j] + lam_d
+        return MaxPlusMatrix._from_ints(self._d, rows)
 
 
 def build_csr(a: MaxPlusMatrix, subgraph: CritGraph | None = None) -> CsrTriple:
@@ -223,21 +225,15 @@ def csr_at(triple: CsrTriple, t: int) -> MaxPlusMatrix:
     if t < 1:
         raise ValueError(f"csr_at needs t >= 1, got {t}")
     d, rows = _int_csr_at(triple, t)
-    return _unscaled(rows, d)
+    return MaxPlusMatrix._from_ints(d, rows)
 
 
-def _csr_entry(triple: CsrTriple, t: int, i: int, j: int) -> MaxPlusScalar:
-    """Entry (i, j) of csr_at(triple, t)."""
-    d, rows = _int_csr_at(triple, t)
-    return MaxPlusScalar(None if rows[i][j] is None else Fraction(rows[i][j], d))
-
-
-def _below_csr_at_one(triple: CsrTriple, entries: list[tuple[int, int, Fraction]]) -> bool:
-    """Does each finite entry p/q, q > 0, at (i, j) lie strictly below CSR
-    at t = 1?  With that entry of CSR as an int y scaled by d (see
-    _int_csr_at), it does iff y is finite and p*d < y*q."""
+def _below_csr_at_one(triple: CsrTriple, entries: list[tuple[int, int, int]], e: int) -> bool:
+    """Does each entry x/e at (i, j), x an int scaled by e, lie strictly
+    below CSR at t = 1?  With that entry of CSR as an int y scaled by d
+    (see _int_csr_at), it does iff y is finite and x*d < y*e."""
     d, rows = _int_csr_at(triple, 1)
-    return all(rows[i][j] is not None and x.numerator * d < rows[i][j] * x.denominator for i, j, x in entries)
+    return all(rows[i][j] is not None and x * d < rows[i][j] * e for i, j, x in entries)
 
 
 def _inherit_triple(a: MaxPlusMatrix, triple: CsrTriple) -> None:
@@ -264,8 +260,8 @@ def nachtigall_matrix(a: MaxPlusMatrix, crit: CritGraph | None) -> MaxPlusMatrix
     if crit is None:
         return a
     keep = [i not in crit.nodes for i in range(a.n)]
-    return MaxPlusMatrix._from_raw(
-        [[x if keep[i] and keep[j] else None for j, x in enumerate(row)] for i, row in enumerate(a.raw())]
+    return MaxPlusMatrix._from_ints(
+        a._d, [[x if keep[i] and keep[j] else None for j, x in enumerate(row)] for i, row in enumerate(a._rows)]
     )
 
 

@@ -45,7 +45,7 @@ def _successors(n: int, arcs: Iterable[tuple[int, int]]) -> list[list[int]]:
 
 def _support(a: MaxPlusMatrix) -> list[list[int]]:
     """The sorted successor lists of the digraph of a: j follows i where a[i, j] is finite."""
-    return [[j for j, x in enumerate(row) if x is not None] for row in a.raw()]
+    return [[j for j, x in enumerate(row) if x is not None] for row in a._rows]
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ def scc_decompose(a: MaxPlusMatrix, nodes: Iterable[int] | None = None) -> SccDe
         raise ValueError(f"nodes {bad} out of range for n={a.n}")
     reach = [
         [0 if x is not None and i in nodes and j in nodes else None for j, x in enumerate(row)]
-        for i, row in enumerate(a.raw())
+        for i, row in enumerate(a._rows)
     ]
     _int_closure(reach)
     comps = _components(nodes, lambda i, j: i == j or reach[i][j] is not None and reach[j][i] is not None)

@@ -30,7 +30,10 @@ off the mapped a1 and b1 patterns with CSR(a1) at t = 1 on the integers
 read the critical graph's index, on bit rows, from `csr`.
 
 A generator builds its skeleton a1, with a1's spectrum and CSR triple,
-once: the triple bounds the remainder it samples.  The candidate, a1
+once: the triple bounds the remainder it samples.  Every rational it
+draws has a denominator from 1 to 4, and is drawn as an int at the one
+scale 12 (_SCALE), so the skeleton's and the candidate's rows are built
+directly, each reduced to its least scale once, with no Fraction.  The candidate, a1
 plus entries strictly below CSR(a1) at t = 1, inherits a1's spectrum
 and triple (see _inherit_skeleton): one spectrum a matrix.  Its
 post-verification is the public verdict.  The DM verdict carves the
@@ -55,13 +58,13 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, product
-from math import gcd
+from math import gcd, lcm
 
 from .bounds import dm_bound, wielandt_bound
-from .csr import CsrTriple, _below_csr_at_one, _boolean_index, _csr_entry, _inherit_triple, _int_csr_at
+from .csr import CsrTriple, _below_csr_at_one, _boolean_index, _inherit_triple, _int_csr_at
 from .csr import _residue, _t1_at_ceiling, build_csr
 from .digraph import _cycles, _successors, _support
-from .matrix import MaxPlusMatrix, _finite_entries, _int_mul, _scaled, from_entries
+from .matrix import MaxPlusMatrix, _finite_entries, _int_mul, _text, from_entries
 from .semiring import MaxPlusScalar, _check_exponent
 from .spectral import CritGraph, Spectrum, _cyclic_spectrum, _inherit_spectrum, critical_graph, spectrum
 
@@ -120,9 +123,9 @@ def _check_numbering(n: int, numbering: tuple[int, ...]) -> tuple[int, ...]:
 def apply_numbering(a: MaxPlusMatrix, numbering: tuple[int, ...]) -> MaxPlusMatrix:
     """Relabel so that position p holds original node numbering[p]."""
     numbering = _check_numbering(a.n, numbering)
-    raw = a.raw()
-    return MaxPlusMatrix._from_raw(
-        [[raw[numbering[p]][numbering[q]] for q in range(a.n)] for p in range(a.n)]
+    rows = a._rows
+    return MaxPlusMatrix._from_ints(
+        a._d, [[rows[numbering[p]][numbering[q]] for q in range(a.n)] for p in range(a.n)]
     )
 
 
@@ -133,18 +136,17 @@ def decompose(a: MaxPlusMatrix, g: int, numbering: tuple[int, ...]) -> Decomposi
     if not 1 <= g <= n:
         raise ValueError(f"need 1 <= g <= n, got g={g}")
     layers = a1_pattern(n, g), b1_pattern(n, g)
-    a1, b1, a2 = _carve(apply_numbering(a, numbering).raw(), *layers, set(product(range(n), repeat=2)).difference(*layers))
+    b = apply_numbering(a, numbering)
+    a1, b1, a2 = (
+        MaxPlusMatrix._from_ints(b._d, _carve(b._rows, arcs))
+        for arcs in (*layers, set(product(range(n), repeat=2)).difference(*layers))
+    )
     return Decomposition(a1=a1, b1=b1, a2=a2, g=g, numbering=tuple(numbering))
 
 
-def _carve(raw: list[list], *patterns: set[tuple[int, int]]) -> list[MaxPlusMatrix]:
-    """One matrix per set of arcs given, holding the entries of the rows
-    raw on it and -inf elsewhere."""
-    n = len(raw)
-    return [
-        MaxPlusMatrix._from_raw([[raw[i][j] if (i, j) in arcs else None for j in range(n)] for i in range(n)])
-        for arcs in patterns
-    ]
+def _carve(rows: list[list], arcs: set[tuple[int, int]]) -> list[list]:
+    """New rows holding the entries of rows on the arcs given and -inf elsewhere."""
+    return [[x if (i, j) in arcs else None for j, x in enumerate(row)] for i, row in enumerate(rows)]
 
 
 def _mapped(arcs, numbering: tuple[int, ...]) -> set[tuple[int, int]]:
@@ -239,9 +241,9 @@ def _cycle_arcs(k: int) -> list[tuple[int, int]]:
     return [(i, i + 1) for i in range(k - 1)] + [(k - 1, 0)]
 
 
-def _support_check(raw, arcs, numbering: tuple[int, ...]) -> ConditionCheck:
-    """Do the input's rows raw hold every arc (p, q) of arcs, in positions?"""
-    missing = [(p, q) for p, q in arcs if raw[numbering[p]][numbering[q]] is None]
+def _support_check(rows, arcs, numbering: tuple[int, ...]) -> ConditionCheck:
+    """Do the input's rows hold every arc (p, q) of arcs, in positions?"""
+    missing = [(p, q) for p, q in arcs if rows[numbering[p]][numbering[q]] is None]
     return ConditionCheck(not missing, detail=f"missing arcs {missing}" if missing else "")
 
 
@@ -382,25 +384,26 @@ def _search_dm_numbering(a: MaxPlusMatrix, short_cycle: tuple[int, ...], conditi
 def _dm_conditions(a: MaxPlusMatrix, sp: Spectrum, g: int, numbering: tuple[int, ...], conditions: dict) -> None:
     """The DM conditions on a under numbering, in the input's own labels.
 
-    Two layers are carved, the skeleton a1 (see _skeleton) and the
-    residue chords b1, on the a1 and b1 patterns mapped through the
-    numbering.  The remainder a2 is not: it is the list of a's finite
-    entries off both, each of which must lie strictly below CSR(a1) at
-    t = 1 (see csr._below_csr_at_one).
+    Two layers are carved from a's int rows, on the a1 and b1 patterns
+    mapped through the numbering: the skeleton a1 (see _skeleton), as a
+    matrix, and the rows of the residue chords b1.  The remainder a2 is
+    not: it is the list of a's finite entries off both, each of which
+    must lie strictly below CSR(a1) at t = 1 (see
+    csr._below_csr_at_one).  Every comparison is one of ints.
     """
-    n, raw = a.n, a.raw()
+    n, rows, d = a.n, a._rows, a._d
     a1_arcs, b1_arcs = _mapped(a1_pattern(n, g), numbering), _mapped(b1_pattern(n, g), numbering)
-    a1, b1 = _carve(raw, a1_arcs, b1_arcs)
+    a1, b1 = MaxPlusMatrix._from_ints(d, _carve(rows, a1_arcs)), _carve(rows, b1_arcs)
     _skeleton(a1, sp)
     # the Hamiltonian arcs belong to the a1 pattern
-    conditions["hamiltonian_support"] = _support_check(raw, _cycle_arcs(n), numbering)
+    conditions["hamiltonian_support"] = _support_check(rows, _cycle_arcs(n), numbering)
     conditions["short_cycle_critical"] = _critical_check(_cycle_arcs(g), sp.crit.arcs, numbering)
 
     conditions["coprime"] = ConditionCheck(gcd(g, n) == 1, detail=f"gcd({g},{n})={gcd(g, n)}")
 
     taken = a1_arcs | b1_arcs
-    a2 = [(i, j, x) for i, row in enumerate(raw) for j, x in enumerate(row) if x is not None and (i, j) not in taken]
-    conditions["remainder_below_csr"] = ConditionCheck(_below_csr_at_one(build_csr(a1), a2))
+    a2 = [(i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row) if x is not None and (i, j) not in taken]
+    conditions["remainder_below_csr"] = ConditionCheck(_below_csr_at_one(build_csr(a1), a2, d))
 
     witnesses, qualifying = _residue_chord_witnesses(sp._norm, g, numbering)
     if qualifying == 0:
@@ -416,14 +419,13 @@ def _dm_conditions(a: MaxPlusMatrix, sp: Spectrum, g: int, numbering: tuple[int,
     else:
         t = dm_bound(g, n) - 1  # (b1^t)_{g, n-1} must lie strictly below (CSR(a1) at t)_{g, n-1}, in positions
         first, last = numbering[g], numbering[n - 1]
-        d, (rows,) = _scaled([b1])
-        row, step = rows[first], _finite_entries(rows)
+        row, step = b1[first], _finite_entries(b1)
         for _ in range(t - 1):  # row g of b1^t, one row a step: t*nnz(b1) operations, not log t squarings
             (row,) = _int_mul([row], step)
-        power = row[last]
-        lhs = MaxPlusScalar(None if power is None else Fraction(power, d))
-        rhs = _csr_entry(build_csr(a1), t, first, last)
-        conditions["chord_power_below_csr"] = ConditionCheck(lhs < rhs, detail=f"{lhs} vs {rhs}")
+        power, (e, q) = row[last], _int_csr_at(build_csr(a1), t)
+        rhs = q[first][last]  # scaled by e, as power by d
+        below = rhs is not None and (power is None or power * e < rhs * d)
+        conditions["chord_power_below_csr"] = ConditionCheck(below, detail=f"{_text(power, d)} vs {_text(rhs, e)}")
 
 
 def _residue_chord_witnesses(norm: list[list], g: int, numbering: tuple[int, ...]) -> tuple[list, int]:
@@ -513,12 +515,11 @@ def _wielandt_conditions(
     numbering: tuple[int, ...],
     conditions: dict[str, ConditionCheck],
 ) -> str | None:
-    n, raw = a.n, a.raw()
-    crit = sp.crit
+    n, crit = a.n, sp.crit
     g_crit = crit.girth
     skeleton = sorted(a1_pattern(n, n - 1))
 
-    conditions["skeleton_support"] = _support_check(raw, skeleton, numbering)
+    conditions["skeleton_support"] = _support_check(a._rows, skeleton, numbering)
 
     case: str | None = None
     if g_crit == n:
@@ -564,8 +565,8 @@ def _skeleton(layer: MaxPlusMatrix, sp: Spectrum) -> None:
     i -> j weighs P+(i, j), P = A - lambda, in the layer and in a alike,
     at any cyclicity (step 1 of csr._primitive_cover): P+(layer) = P+(a).
     """
-    crit, raw = sp.crit, layer.raw()
-    if len(crit.nodes) == layer.n and len(crit.scc.components) == 1 and all(raw[i][j] is not None for i, j in crit.arcs):
+    crit, rows = sp.crit, layer._rows
+    if len(crit.nodes) == layer.n and len(crit.scc.components) == 1 and all(rows[i][j] is not None for i, j in crit.arcs):
         _inherit_spectrum(layer, sp)
 
 
@@ -650,18 +651,20 @@ def _inherit_skeleton(candidate: MaxPlusMatrix, a1: MaxPlusMatrix) -> None:
 
     Scale: a1's entries are among candidate's, so a1's scale divides
     candidate's, to which a1's memos are brought (see _inherit_triple).
+    The entries are compared as ints, x1/d1 = x/d iff x1*d = x*d1.
     """
     triple = build_csr(a1)
     if triple.crit is None:
         return
-    off = []
-    for i, (row1, row) in enumerate(zip(a1.raw(), candidate.raw())):
+    d1, d, off = a1._d, candidate._d, []
+    for i, (row1, row) in enumerate(zip(a1._rows, candidate._rows)):
         for j, (x1, x) in enumerate(zip(row1, row)):
-            if x1 is not None and x != x1:
+            if x1 is None:
+                if x is not None:
+                    off.append((i, j, x))
+            elif x is None or x1 * d != x * d1:
                 return
-            if x1 is None and x is not None:
-                off.append((i, j, x))
-    if _below_csr_at_one(triple, off):
+    if _below_csr_at_one(triple, off, d):
         _inherit_spectrum(candidate, spectrum(a1))
         _inherit_triple(candidate, triple)
 
@@ -721,10 +724,10 @@ def verify_crit_rc_wielandt(
         candidates = [numbering] if numbering in candidates else []
     if not candidates:
         return False
-    pattern, raw, fixed = a1_pattern(n, n - 1), a.raw(), _not_below_csr(a)
+    pattern, rows, fixed = a1_pattern(n, n - 1), a._rows, _not_below_csr(a)
     for cand in candidates:
         skeleton = _mapped(pattern, cand)
-        if fixed <= skeleton and all(raw[i][j] is not None for i, j in skeleton):
+        if fixed <= skeleton and all(rows[i][j] is not None for i, j in skeleton):
             return True
     return False
 
@@ -747,53 +750,57 @@ def dm_skeleton(n: int, g: int) -> MaxPlusMatrix:
     return from_entries(n, {arc: 0 for arc in a1_pattern(n, g)})
 
 
-def _rand_fraction(rng: random.Random, lo: int, hi: int) -> Fraction:
+_SCALE = 12  # lcm(1, 2, 3, 4): the generators draw rationals of denominator 1 to 4 as ints at this scale
+
+
+def _rand_value(rng: random.Random, lo: int, hi: int) -> int:
+    """A random rational in [lo, hi] of denominator 1 to 4, scaled by _SCALE."""
     den = rng.choice((1, 2, 3, 4))
-    return Fraction(rng.randint(lo * den, hi * den), den)
+    return rng.randint(lo * den, hi * den) * (_SCALE // den)
 
 
-def _margin(rng: random.Random) -> tuple[int, int]:
-    """A random margin r/den in (0, 6], as its numerator and denominator."""
+def _margin(rng: random.Random) -> int:
+    """A random margin r/den in (0, 6], den from 1 to 4, scaled by _SCALE."""
     den = rng.choice((1, 2, 3, 4))
-    return rng.randint(1, 6 * den), den
+    return rng.randint(1, 6 * den) * (_SCALE // den)
 
 
-def _rand_margin(rng: random.Random) -> Fraction:
-    return Fraction(*_margin(rng))
+def _hamiltonian_rows(rng: random.Random, n: int) -> tuple[list[int], list[list]]:
+    """Random weights on the arcs (i, i+1), and rows scaled by _SCALE that
+    hold them and (n-1, 0), closing them at mean 0, with -inf elsewhere."""
+    hamw = [_rand_value(rng, -3, 3) for _ in range(n - 1)]
+    rows = [[None] * n for _ in range(n)]
+    for i, w in enumerate(hamw):
+        rows[i][i + 1] = w
+    rows[n - 1][0] = -sum(hamw)
+    return hamw, rows
 
 
-def _hamiltonian_entries(
-    rng: random.Random, n: int
-) -> tuple[list[Fraction], dict[tuple[int, int], Fraction]]:
-    """Random weights on the arcs (i, i+1), and (n-1, 0) closing them at mean 0."""
-    hamw = [_rand_fraction(rng, -3, 3) for _ in range(n - 1)]
-    entries = {(i, i + 1): hamw[i] for i in range(n - 1)}
-    entries[(n - 1, 0)] = -sum(hamw)
-    return hamw, entries
-
-
-def _sample_remainder(
-    rng: random.Random, triple: CsrTriple, taken: set[tuple[int, int]]
-) -> dict[tuple[int, int], Fraction]:
-    """Random entries off `taken`, each strictly below its entry of the
-    triple's CSR at t = 1 by a random margin (see _margin).
+def _sample_remainder(rng: random.Random, triple: CsrTriple, taken: set[tuple[int, int]], rows: list[list]) -> int:
+    """Random entries off `taken`, written into rows scaled by _SCALE, each
+    strictly below its entry of the triple's CSR at t = 1 by a random
+    margin (see _margin); the scale of the rows after, lcm(d, _SCALE).
 
     Each position off `taken` is drawn with probability 1/2, and a margin
-    r/den for it when CSR at t = 1 is finite there.  With that entry as an
-    int y scaled by d (see csr._int_csr_at), the result is the Fraction
-    (y*den - r*d)/(d*den).  An acyclic triple draws only positions.
+    for it when CSR at t = 1 is finite there.  That entry is an int y
+    scaled by d (see csr._int_csr_at).  For the generators the scale stays
+    _SCALE: their skeleton a1 has lambda = 0, so d is a1's scale, which
+    divides _SCALE as a1's entries are draws.  An acyclic triple draws
+    only positions.
     """
-    d, rows = _int_csr_at(triple, 1)
-    entries: dict[tuple[int, int], Fraction] = {}
+    d, csr = _int_csr_at(triple, 1)
+    scale = lcm(d, _SCALE)
+    f, g = scale // d, scale // _SCALE
+    if g > 1:
+        rows[:] = [[None if x is None else x * g for x in row] for row in rows]
     for i in range(triple.n):
         for j in range(triple.n):
             if (i, j) in taken or rng.random() >= 0.5:
                 continue
-            y = rows[i][j]
+            y = csr[i][j]
             if y is not None:
-                r, den = _margin(rng)
-                entries[(i, j)] = Fraction(y * den - r * d, d * den)
-    return entries
+                rows[i][j] = y * f - _margin(rng) * g
+    return scale
 
 
 def generate_dm(n: int, g: int, seed) -> MaxPlusMatrix:
@@ -838,27 +845,25 @@ def generate_dm(n: int, g: int, seed) -> MaxPlusMatrix:
     if gcd(g, n) != 1:
         raise ValueError(f"g={g} and n={n} are not coprime")
     rng = random.Random(seed)
-    hamw, entries = _hamiltonian_entries(rng, n)
+    hamw, rows = _hamiltonian_rows(rng, n)
     p = [0, *accumulate(hamw)]
-    entries[(g - 1, 0)] = -p[g - 1]
-    a1 = from_entries(n, entries)
+    rows[g - 1][0] = -p[g - 1]
+    a1 = MaxPlusMatrix._from_ints(_SCALE, [row[:] for row in rows])
 
-    wmax = max(max(abs(w) for w in entries.values()), Fraction(1))
-    big_m = 1 + 2 * n * n * wmax
+    wmax = max(*(abs(w) for row in rows for w in row if w is not None), _SCALE)
+    big_m = _SCALE + 2 * n * n * wmax
 
-    b1_entries: dict[tuple[int, int], Fraction] = {}
     for i in range(g, n):
         for j in range(g, n):
             if (j - i - 1) % g != 0 or j == i + 1 or i == j:
                 continue
             if j > i + 1 and rng.random() < 0.7:
-                b1_entries[(i, j)] = p[j] - p[i] - _rand_margin(rng)
+                rows[i][j] = p[j] - p[i] - _margin(rng)
             elif j < i and rng.random() < 0.5:
-                b1_entries[(i, j)] = p[j] - p[i] - big_m - _rand_margin(rng)
+                rows[i][j] = p[j] - p[i] - big_m - _margin(rng)
 
-    taken = a1_pattern(n, g) | b1_pattern(n, g)
-    a2_entries = _sample_remainder(rng, build_csr(a1), taken)
-    candidate = from_entries(n, {**entries, **b1_entries, **a2_entries})
+    scale = _sample_remainder(rng, build_csr(a1), a1_pattern(n, g) | b1_pattern(n, g), rows)
+    candidate = MaxPlusMatrix._from_ints(scale, rows)
     _inherit_skeleton(candidate, a1)
     if not (verify_dm(candidate, tuple(range(n))).holds and _t1_at_ceiling(candidate, dm_bound(g, n))):
         raise AssertionError(f"generated DM candidate fails its post-verification (n={n}, g={g}, seed={seed!r})")
@@ -889,17 +894,13 @@ def generate_wielandt(n: int, seed, case: str = "n-1") -> MaxPlusMatrix:
     if case not in ("n-1", "n"):
         raise ValueError(f"case must be 'n-1' or 'n', got {case!r}")
     rng = random.Random(seed)
-    chord = (n - 2, 0)
-    hamw, entries = _hamiltonian_entries(rng, n)
+    hamw, rows = _hamiltonian_rows(rng, n)
     chord_even = -sum(hamw[: n - 2])  # closes the (n-1)-cycle at mean 0
-    if case == "n-1":
-        entries[chord] = chord_even
-    else:
-        entries[chord] = chord_even - _rand_margin(rng)
-    a1 = from_entries(n, entries)
+    rows[n - 2][0] = chord_even if case == "n-1" else chord_even - _margin(rng)
+    a1 = MaxPlusMatrix._from_ints(_SCALE, [row[:] for row in rows])
 
-    a2_entries = _sample_remainder(rng, build_csr(a1), a1_pattern(n, n - 1))
-    candidate = from_entries(n, {**entries, **a2_entries})
+    scale = _sample_remainder(rng, build_csr(a1), a1_pattern(n, n - 1), rows)
+    candidate = MaxPlusMatrix._from_ints(scale, rows)
     _inherit_skeleton(candidate, a1)
     verdict = verify_wielandt(candidate, tuple(range(n)))
     if not (verdict.holds and verdict.case == case and _t1_at_ceiling(candidate, wielandt_bound(n))):

@@ -8,20 +8,26 @@ computed from it: `spectral.spectrum` and `csr.build_csr` store their
 results in its two private slots, and a second call returns them; a
 generated matrix gets its skeleton's there instead.
 
-A matrix holds rows of Fraction-or-None, None encoding -inf.  The
-products and closures run on an exact integer kernel instead: the
-entries (and the cycle mean, where one is involved) are brought to one
-common denominator d and each x is replaced by the integer x*d.  Sums
-and comparisons of the scaled integers are those of the rationals, so
-nothing is rounded; the rows convert back to Fraction only for the
-value returned.
+A matrix holds one scale d and rows of int-or-None, None encoding -inf:
+d is the least common denominator of its finite entries, and each entry
+x is held as the int x*d.  Sums and comparisons of the scaled ints are
+those of the rationals, so nothing is rounded, and as d is the least,
+two matrices are equal exactly when their n, d and rows are.  The
+products and closures run on that exact integer kernel; an operation on
+two matrices first brings both to the lcm of their scales, and every
+result is reduced to its least d once (_from_ints).  parse_matrix reads
+the text straight into the ints and render_matrix prints them with one
+gcd an entry, so no Fraction is built between the two.  raw(),
+indexing, entries() and the constructor from scalars are the Fraction
+face, converted on each call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from math import lcm
+from math import gcd, lcm
+from operator import floordiv, mul
 from typing import Iterable, Sequence
 
 from .semiring import MaxPlusScalar, _check_exponent, as_scalar, negate, parse_scalar
@@ -30,7 +36,7 @@ from .semiring import MaxPlusScalar, _check_exponent, as_scalar, negate, parse_s
 class MaxPlusMatrix:
     """An n-by-n matrix of max-plus scalars, n >= 1."""
 
-    __slots__ = ("n", "_rows", "_spectrum", "_csr")
+    __slots__ = ("n", "_d", "_rows", "_spectrum", "_csr")
 
     def __init__(self, rows: Sequence[Sequence]):
         n = len(rows)
@@ -41,42 +47,82 @@ class MaxPlusMatrix:
             if len(row) != n:
                 raise ValueError("matrix must be square")
             raw.append([as_scalar(x).value for x in row])
-        self.n = n
-        self._rows = raw
+        self._set(*_ints_of(raw))
+
+    def _set(self, d: int, rows: list[list]) -> None:
+        self.n, self._d, self._rows = len(rows), d, rows
         self._spectrum = self._csr = None
 
     @classmethod
     def _from_raw(cls, raw: list[list]) -> "MaxPlusMatrix":
-        """The matrix holding raw itself; callers must not mutate it after."""
+        """The matrix of Fraction-or-None rows raw."""
+        return cls._from_ints(*_ints_of(raw))
+
+    @classmethod
+    def _from_ints(cls, d: int, rows: list[list]) -> "MaxPlusMatrix":
+        """The matrix of int-or-None rows scaled by d >= 1, reduced to the
+        least scale (see _least_scale).  Where d is the least already the
+        matrix holds rows itself, so callers must not mutate them after;
+        no code mutates a matrix's rows."""
+        if d > 1:
+            d, rows = _least_scale(d, rows)
         m = object.__new__(cls)
-        m.n = len(raw)
-        m._rows = raw
-        m._spectrum = m._csr = None
+        m._set(d, rows)
         return m
 
     def raw(self) -> list[list]:
-        """Internal Fraction-or-None rows; callers must not mutate."""
-        return self._rows
+        """The entries as rows of Fraction-or-None, built on each call."""
+        d = self._d
+        return [[None if x is None else Fraction(x, d) for x in row] for row in self._rows]
 
     def __getitem__(self, ij: tuple[int, int]) -> MaxPlusScalar:
         i, j = ij
-        return MaxPlusScalar(self._rows[i][j])
+        x = self._rows[i][j]
+        return MaxPlusScalar(None if x is None else Fraction(x, self._d))
 
     def entries(self) -> Iterable[tuple[int, int, MaxPlusScalar]]:
-        for i in range(self.n):
-            for j in range(self.n):
-                yield i, j, MaxPlusScalar(self._rows[i][j])
+        for i, row in enumerate(self.raw()):
+            for j, x in enumerate(row):
+                yield i, j, MaxPlusScalar(x)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MaxPlusMatrix):
             return NotImplemented
-        return self.n == other.n and self._rows == other._rows
+        return self.n == other.n and self._d == other._d and self._rows == other._rows
 
     def __hash__(self):
-        return hash(tuple(tuple(r) for r in self._rows))
+        return hash((self._d, tuple(map(tuple, self._rows))))
 
     def __repr__(self) -> str:
         return f"MaxPlusMatrix.parse({render_matrix(self)!r})"
+
+
+def _ints_of(raw: list[list]) -> tuple[int, list[list]]:
+    """(d, rows) of Fraction-or-None rows: d the least common denominator
+    of the finite entries, and each x replaced by x*d."""
+    d = lcm(*{x.denominator for row in raw for x in row if x is not None})
+    return d, [[None if x is None else x.numerator * (d // x.denominator) for x in row] for row in raw]
+
+
+def _least_scale(d: int, rows: list[list]) -> tuple[int, list[list]]:
+    """(e, the rows scaled by e), e the least scale of int-or-None rows
+    scaled by d.
+
+    Each entry x comes to lowest terms alone, x/d = (x/h)/(d/h) with
+    h = gcd(x, d), and e is the lcm of the d/h.  d may be a product of
+    many primes, where a running gcd over the entries would shrink from d
+    only a few primes a step, and a division of every entry by d/e be
+    long, both at a cost quadratic in the number of entries; here each
+    entry is divided by its own h, near it in size, so every quotient is
+    small."""
+    finite = [x for row in rows for x in row if x is not None]
+    common = list(map(gcd, finite, repeat(d)))
+    dens = list(map(floordiv, repeat(d), common))
+    e = lcm(*dens)
+    if e == d:
+        return d, rows
+    reduced = map(mul, map(floordiv, finite, common), map(floordiv, repeat(e), dens))
+    return e, [[None if x is None else next(reduced) for x in row] for row in rows]
 
 
 def identity(n: int) -> MaxPlusMatrix:
@@ -94,26 +140,17 @@ def _check_dims(a: MaxPlusMatrix, b: MaxPlusMatrix) -> None:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
 
 
-def _scaled(mats: Sequence[MaxPlusMatrix]):
-    """The integer form of some matrices.
-
-    Returns (d, rows): d is the least common denominator of every finite
-    entry, and rows holds one list of int-or-None rows per matrix with
-    each x replaced by x*d.
-    """
-    d = lcm(*{x.denominator for m in mats for row in m._rows for x in row if x is not None})
-    rows = [
-        [[None if x is None else x.numerator * (d // x.denominator) for x in row] for row in m._rows]
-        for m in mats
-    ]
-    return d, rows
+def _common(a: MaxPlusMatrix, b: MaxPlusMatrix) -> tuple[int, list[list], list[list]]:
+    """(d, a's rows, b's rows), both scaled by d, the lcm of their scales."""
+    d = lcm(a._d, b._d)
+    return d, _rescaled(a, d), _rescaled(b, d)
 
 
-def _unscaled(rows: list[list], d: int) -> MaxPlusMatrix:
-    """The matrix whose entries are the scaled integers in rows divided by d."""
-    return MaxPlusMatrix._from_raw(
-        [[None if v is None else Fraction(v, d) for v in row] for row in rows]
-    )
+def _rescaled(m: MaxPlusMatrix, d: int) -> list[list]:
+    """m's rows scaled by d, a multiple of m's scale: at m's own scale,
+    its own rows, to be read only."""
+    f = d // m._d
+    return m._rows if f == 1 else [[None if x is None else x * f for x in row] for row in m._rows]
 
 
 def _finite_entries(rows: list[list]) -> list[list]:
@@ -192,8 +229,8 @@ def _int_power(rows: list[list], t: int) -> list[list]:
 def mat_mul(a: MaxPlusMatrix, b: MaxPlusMatrix) -> MaxPlusMatrix:
     """Exact max-plus product: (ab)_ij = max_k (a_ik + b_kj)."""
     _check_dims(a, b)
-    d, (arows, brows) = _scaled([a, b])
-    return _unscaled(_int_mul(arows, _finite_entries(brows)), d)
+    d, arows, brows = _common(a, b)
+    return MaxPlusMatrix._from_ints(d, _int_mul(arows, _finite_entries(brows)))
 
 
 def mat_power(a: MaxPlusMatrix, t: int) -> MaxPlusMatrix:
@@ -202,25 +239,17 @@ def mat_power(a: MaxPlusMatrix, t: int) -> MaxPlusMatrix:
     _check_exponent("mat_power", t)
     if t < 1:
         raise ValueError(f"mat_power needs t >= 1, got {t}")
-    d, (rows,) = _scaled([a])
-    return _unscaled(_int_power(rows, t), d)
+    return MaxPlusMatrix._from_ints(a._d, _int_power(a._rows, t))
 
 
 def mat_oplus(a: MaxPlusMatrix, b: MaxPlusMatrix) -> MaxPlusMatrix:
     """Entrywise max of two matrices."""
     _check_dims(a, b)
+    d, arows, brows = _common(a, b)
     out = []
-    for ra, rb in zip(a._rows, b._rows):
-        row = []
-        for x, y in zip(ra, rb):
-            if x is None:
-                row.append(y)
-            elif y is None or x >= y:
-                row.append(x)
-            else:
-                row.append(y)
-        out.append(row)
-    return MaxPlusMatrix._from_raw(out)
+    for ra, rb in zip(arows, brows):
+        out.append([y if x is None or y is not None and y > x else x for x, y in zip(ra, rb)])
+    return MaxPlusMatrix._from_ints(d, out)
 
 
 def scalar_times(alpha: MaxPlusScalar, a: MaxPlusMatrix) -> MaxPlusMatrix:
@@ -228,9 +257,9 @@ def scalar_times(alpha: MaxPlusScalar, a: MaxPlusMatrix) -> MaxPlusMatrix:
     v = alpha.value
     if v is None:
         return zeros(a.n)
-    return MaxPlusMatrix._from_raw(
-        [[None if x is None else x + v for x in row] for row in a._rows]
-    )
+    d = lcm(a._d, v.denominator)
+    shift = v.numerator * (d // v.denominator)
+    return MaxPlusMatrix._from_ints(d, [[None if x is None else x + shift for x in row] for row in _rescaled(a, d)])
 
 
 def kleene_star(a: MaxPlusMatrix) -> MaxPlusMatrix:
@@ -239,13 +268,13 @@ def kleene_star(a: MaxPlusMatrix) -> MaxPlusMatrix:
     Defined only when the maximum cycle mean is <= 0; a positive cycle
     makes the star diverge and is rejected.
     """
-    d, (rows,) = _scaled([a])
+    rows = [row[:] for row in a._rows]
     _int_closure(rows)
     for i, row in enumerate(rows):
         if row[i] is not None and row[i] > 0:
             raise ValueError("kleene_star diverges: digraph has a positive-weight cycle")
         row[i] = 0
-    return _unscaled(rows, d)
+    return MaxPlusMatrix._from_ints(a._d, rows)
 
 
 class DiagonalScaling:
@@ -279,19 +308,19 @@ def scale(a: MaxPlusMatrix, d: DiagonalScaling) -> MaxPlusMatrix:
     if len(d) != a.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {len(d)}")
     vals = [x.value for x in d.d]
-    out = []
-    for i, row in enumerate(a._rows):
-        di = vals[i]
-        out.append(
-            [None if x is None else x - di + vals[j] for j, x in enumerate(row)]
-        )
-    return MaxPlusMatrix._from_raw(out)
+    e = lcm(a._d, *(v.denominator for v in vals))
+    pot = [v.numerator * (e // v.denominator) for v in vals]
+    out = [
+        [None if x is None else x - pot[i] + pot[j] for j, x in enumerate(row)] for i, row in enumerate(_rescaled(a, e))
+    ]
+    return MaxPlusMatrix._from_ints(e, out)
 
 
 def strictly_dominated_by(a: MaxPlusMatrix, b: MaxPlusMatrix) -> bool:
     """Entrywise a <= b with equality allowed only at -inf entries."""
     _check_dims(a, b)
-    for ra, rb in zip(a._rows, b._rows):
+    _, arows, brows = _common(a, b)
+    for ra, rb in zip(arows, brows):
         for x, y in zip(ra, rb):
             if x is None:
                 continue
@@ -300,11 +329,20 @@ def strictly_dominated_by(a: MaxPlusMatrix, b: MaxPlusMatrix) -> bool:
     return True
 
 
+def _text(x: int | None, d: int) -> str:
+    """The text of the entry x scaled by d: str(Fraction(x, d)), by one
+    gcd, or -inf for None."""
+    if x is None:
+        return "-inf"
+    g = gcd(x, d)
+    return str(x // g) if g == d else f"{x // g}/{d // g}"
+
+
 def render_matrix(a: MaxPlusMatrix) -> str:
     """Bit-exact text form: the dimension, then one line per row."""
-    lines = [str(a.n)]
+    d, lines = a._d, [str(a.n)]
     for row in a._rows:
-        lines.append(" ".join("-inf" if x is None else str(x) for x in row))
+        lines.append(" ".join([_text(x, d) for x in row]))
     return "\n".join(lines) + "\n"
 
 
@@ -313,7 +351,9 @@ def parse_matrix(text: str) -> MaxPlusMatrix:
 
     Trailing content after the n matrix rows (e.g. a provenance record)
     is ignored, so generator output can be fed back directly.  Each
-    distinct token is read once (see _parse_token).
+    distinct token is read once, into a pair (see _parse_token), the rows
+    are scaled by the lcm of their denominators, and that scale is reduced
+    to the least (see _from_ints).
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -335,20 +375,27 @@ def parse_matrix(text: str) -> MaxPlusMatrix:
     values = dict.fromkeys(tok for row in rows for tok in row)  # in reading order: the first bad token raises
     for tok in values:
         values[tok] = _parse_token(tok)
-    return MaxPlusMatrix._from_raw([[values[tok] for tok in row] for row in rows])
+    d = lcm(*{pq[1] for pq in values.values() if pq is not None})
+    for tok, pq in values.items():
+        values[tok] = None if pq is None else pq[0] * (d // pq[1])
+    return MaxPlusMatrix._from_ints(d, [[values[tok] for tok in row] for row in rows])
 
 
-def _parse_token(tok: str) -> Fraction | None:
-    """parse_scalar(tok).value.  An ASCII p or p/q, p digits with an optional
-    "-" and q nonzero digits, is read by int alone, without the regex of
-    Fraction(str); every other token, and any int() refuses, by parse_scalar."""
+def _parse_token(tok: str) -> tuple[int, int] | None:
+    """parse_scalar(tok).value as a pair (p, q), p/q, q > 0, or None for
+    -inf.  An ASCII p or p/q, p digits with an optional "-" and q
+    nonzero digits, is read by int alone, with no Fraction; every other
+    token, and any int() refuses, by parse_scalar."""
     p, slash, q = tok.partition("/")
     if tok.isascii() and (p[1:] if p[:1] == "-" else p).isdigit() and (not slash or q.isdigit() and q.strip("0")):
         try:
-            return Fraction(int(p), int(q)) if slash else Fraction(int(p))
+            p, q = int(p), int(q) if slash else 1
         except ValueError:  # past int's digit limit: parse_scalar gives the error
             pass
-    return parse_scalar(tok).value
+        else:
+            return p, q
+    x = parse_scalar(tok).value
+    return None if x is None else (x.numerator, x.denominator)
 
 
 def from_entries(n: int, entries: dict[tuple[int, int], object]) -> MaxPlusMatrix:

@@ -60,6 +60,8 @@ class MaxPlusScalar:
 
 
 BOTTOM = MaxPlusScalar(None)
+_DIGITS = sys.int_info.default_max_str_digits
+_PRINTABLE = 10**_DIGITS  # the least int of more than _DIGITS digits
 
 
 def as_scalar(x) -> MaxPlusScalar:
@@ -76,18 +78,24 @@ def as_scalar(x) -> MaxPlusScalar:
 def parse_scalar(token: str) -> MaxPlusScalar:
     """Parse a scalar token: 'p/q', 'p', or '-inf' / '*' for the zero.
 
-    Any form Fraction(str) reads is accepted, but a decimal exponent larger
-    in magnitude than int's default digit limit (4300) is refused before
-    any arithmetic: Fraction's time and memory grow with the exponent.
+    Any form Fraction(str) reads is accepted, but only a value that prints
+    back: its numerator and denominator in lowest terms have at most
+    int's default digit limit (4300) of digits each.  A decimal exponent
+    larger in magnitude than that limit is refused before any arithmetic,
+    as Fraction's time and memory grow with the exponent; int() refuses a
+    longer mantissa, and the value's own digits are counted last.
     """
     token = token.strip()
     if token in ("-inf", "*"):
         return BOTTOM
     try:
         _, e, exponent = token.lower().partition("e")
-        if e and abs(int(exponent)) > sys.int_info.default_max_str_digits:
+        if e and abs(int(exponent)) > _DIGITS:
             raise ValueError("exponent out of range")
-        return MaxPlusScalar(Fraction(token))
+        value = Fraction(token)
+        if abs(value.numerator) >= _PRINTABLE or value.denominator >= _PRINTABLE:
+            raise ValueError("too many digits to print")
+        return MaxPlusScalar(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad scalar token {token!r}") from exc
 

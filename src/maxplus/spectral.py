@@ -1,14 +1,16 @@
 """Maximum cycle mean, critical graph extraction, and visualization scalings.
 
 The maximum cycle mean is computed by Karp's dynamic program, run once
-over the whole digraph from a virtual source, on the exactly scaled
-integer entries, each of its rows one product of the row before by A in
-the kernel's _int_mul; no strongly connected components are found for
-it.  `spectrum` scales A once, turns the rows into those of A - lambda,
-and keeps that integer form on the returned Spectrum, together with its
-closure A'+ and whether the digraph is strongly connected, which is
-read off that closure; the CSR terms and both scans in `csr` read them
-instead of scaling again.  A matrix's spectrum is computed once: it is
+over the whole digraph from a virtual source, on the int rows the
+matrix holds (see `matrix`), each of its rows one product of the row
+before by A in the kernel's _int_mul; no strongly connected components
+are found for it.  Lambda is the one Fraction it builds.  `spectrum`
+turns A's rows into those of A - lambda once, at the lcm of A's scale
+and lambda's denominator (_normalized), and keeps that integer form on
+the returned Spectrum, together with its closure A'+ and whether the
+digraph is strongly connected, which is read off that closure; the CSR
+terms and both scans in `csr` read them instead of scaling again.  A
+matrix's spectrum is computed once: it is
 stored on the matrix and returned by every later call, or handed over
 whole from another matrix when its caller has proven the two spectra
 equal, brought to its scale (see _inherit_spectrum, called by
@@ -48,8 +50,6 @@ from .matrix import (
     _finite_entries,
     _int_closure,
     _int_mul,
-    _scaled,
-    _unscaled,
     kleene_star,
     mat_mul,  # unused here; perfbench/test_bench.py reads spectral.mat_mul
     scale,
@@ -90,14 +90,13 @@ class Spectrum:
 
 def max_cycle_mean(a: MaxPlusMatrix) -> MaxPlusScalar:
     """Largest mean weight over all cycles; -inf when the digraph is acyclic."""
-    d, (rows,) = _scaled([a])
-    best = _karp(rows)
-    return BOTTOM if best is None else MaxPlusScalar(best / d)
+    best = _karp(a._rows, a._d)
+    return BOTTOM if best is None else MaxPlusScalar(best)
 
 
-def _karp(rows: list[list]) -> Fraction | None:
-    """The largest cycle mean of scaled int-or-None rows, in their units;
-    None when the digraph is acyclic.
+def _karp(rows: list[list], d: int = 1) -> Fraction | None:
+    """The largest cycle mean of int-or-None rows scaled by d, as the one
+    Fraction built; None when the digraph is acyclic.
 
     Karp's dynamic program from a virtual source with a 0-weight arc to
     every node, which adds no cycle and reaches every node, so one pass
@@ -123,7 +122,7 @@ def _karp(rows: list[list]) -> Fraction | None:
         for v, x in enumerate(dp[n])
         if x is not None
     ]
-    return Fraction(max(means), big) if means else None
+    return Fraction(max(means), big * d) if means else None
 
 
 def spectrum(a: MaxPlusMatrix) -> Spectrum:
@@ -143,12 +142,10 @@ def _spectrum(a: MaxPlusMatrix) -> Spectrum:
     P+(i, j) is finite exactly when a walk of length >= 1 leads from i to
     j, so the digraph is strongly connected iff every entry of P+ is.
     """
-    d, (rows,) = _scaled([a])
-    best = _karp(rows)
-    if best is None:  # one node without a loop is strongly connected, more are not
+    lam = _karp(a._rows, a._d)
+    if lam is None:  # one node without a loop is strongly connected, more are not
         return Spectrum(lam=BOTTOM, crit=None, _strongly_connected=a.n == 1)
-    lam = best / d
-    d_lam, norm = _normalized(d, rows, lam)
+    d_lam, norm = _normalized(a._d, a._rows, lam)
     closure = [row[:] for row in norm]
     _int_closure(closure)
     strongly_connected = all(x is not None for row in closure for x in row)
@@ -163,8 +160,7 @@ def _inherit_spectrum(a: MaxPlusMatrix, sp: Spectrum) -> None:
     to a's scale d as x * d // sp._d, exact whether d is a multiple of
     sp._d (a candidate) or divides it (a carved skeleton): x = sp._d * w,
     w the weight of a walk of a in A - lambda, and d * w is an int."""
-    d, (rows,) = _scaled([a])
-    d, norm = _normalized(d, rows, sp.lam.value)
+    d, norm = _normalized(a._d, a._rows, sp.lam.value)
     closure = [[None if x is None else x * d // sp._d for x in row] for row in sp._closure]
     a._spectrum = Spectrum(
         lam=sp.lam, crit=sp.crit, _strongly_connected=sp._strongly_connected, _d=d, _norm=norm, _closure=closure
@@ -172,8 +168,8 @@ def _inherit_spectrum(a: MaxPlusMatrix, sp: Spectrum) -> None:
 
 
 def _normalized(d: int, rows: list[list], lam: Fraction) -> tuple[int, list[list]]:
-    """(d', rows of A - lam scaled by d'), given A's rows scaled by d (see
-    _scaled) and a finite lam; d' is the lcm of d and lam's denominator."""
+    """(d', new rows of A - lam scaled by d'), given A's rows scaled by d
+    and a finite lam; d' is the lcm of d and lam's denominator."""
     d_lam = lcm(d, lam.denominator)
     lam_d = lam.numerator * (d_lam // lam.denominator)
     return d_lam, [[None if x is None else x * (d_lam // d) - lam_d for x in row] for row in rows]
@@ -243,25 +239,17 @@ def visualize(a: MaxPlusMatrix) -> tuple[DiagonalScaling, MaxPlusMatrix]:
     if sp.crit is None:
         raise ValueError("visualization undefined: the digraph is acyclic")
     lam, crit = sp.lam, sp.crit
-    nraw = _unscaled(sp._norm, sp._d).raw()
-
-    eps = Fraction(1)
-    while True:
-        braw = [
-            [
-                None
-                if w is None
-                else (w if (i, j) in crit.arcs else w + eps)
-                for j, w in enumerate(row)
-            ]
-            for i, row in enumerate(nraw)
+    k = 0
+    while True:  # the rows of A - lambda with eps = 2^-k on the non-critical arcs, scaled by d * 2^k
+        bumped = [
+            [None if w is None else w << k if (i, j) in crit.arcs else (w << k) + sp._d for j, w in enumerate(row)]
+            for i, row in enumerate(sp._norm)
         ]
-        bumped = MaxPlusMatrix._from_raw(braw)
-        if not max_cycle_mean(bumped) > MaxPlusScalar(0):
+        if not _karp(bumped) > 0:
             break
-        eps /= 2
+        k += 1
 
-    star = kleene_star(bumped)
+    star = kleene_star(MaxPlusMatrix._from_ints(sp._d << k, bumped))
     potentials = [max(x for x in row if x is not None) for row in star.raw()]
     d = DiagonalScaling([MaxPlusScalar(p) for p in potentials])
     b = scale(a, d)

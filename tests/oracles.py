@@ -56,6 +56,12 @@ products on them.  twice_optimal_walk_relaxed is the walk oracle as it
 ran before it stepped with the kernel's product: a relaxation over the
 arcs with a table of parents, which fixes the walk, and so the nodes
 among tied walks, that the library's backward scan must return.
+fraction_parse, fraction_render, fraction_mul, fraction_star,
+fraction_scale and fraction_dominated are the matrix layer as it ran
+before a matrix held int rows over one least denominator: Fraction-or-
+None rows, each token read by Fraction(str), printed by str, and every
+sum and comparison made on Fractions; two matrices are equal when those
+rows are.
 
 Partial: oracles that take some of their parts from the library.
 crit_rc_wielandt_brute checks only how the library narrows its search,
@@ -954,3 +960,53 @@ def weighted3_disagreements(a, t1):
     if crit.girth == 2:
         found += [] if verify_dm(a).holds == (t1 == 5) else ["verify_dm"]
     return found
+
+
+def fraction_parse(text):
+    """The Fraction-or-None rows of matrix text: the n rows after the
+    dimension line, each token read by Fraction(str), '-inf' and '*' as None."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    n = int(lines[0])
+    return [[None if tok in ("-inf", "*") else Fraction(tok) for tok in ln.split()] for ln in lines[1 : n + 1]]
+
+
+def fraction_render(rows):
+    """The text of Fraction-or-None rows: the dimension, then each entry by str."""
+    return "\n".join([str(len(rows)), *(" ".join("-inf" if x is None else str(x) for x in row) for row in rows)]) + "\n"
+
+
+def fraction_mul(x, y):
+    """The max-plus product of Fraction-or-None rows, entry by entry."""
+    n = len(x)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            terms = [x[i][k] + y[k][j] for k in range(n) if x[i][k] is not None and y[k][j] is not None]
+            row.append(max(terms) if terms else None)
+        out.append(row)
+    return out
+
+
+def fraction_star(rows):
+    """I (+) A (+) A^2 (+) ... (+) A^n of Fraction-or-None rows, or None
+    when a cycle weighs more than 0, which puts a positive entry on the
+    diagonal of some A^k, k <= n."""
+    n = len(rows)
+    power = acc = [[Fraction(0) if i == j else None for j in range(n)] for i in range(n)]
+    for _ in range(n):
+        power = fraction_mul(power, rows)
+        acc = [[y if x is None or y is not None and y > x else x for x, y in zip(r, s)] for r, s in zip(acc, power)]
+    return None if any(acc[i][i] > 0 for i in range(n)) else acc
+
+
+def fraction_scale(rows, potentials):
+    """Entry (i, j) of Fraction-or-None rows becomes -d_i + a_ij + d_j."""
+    return [
+        [None if x is None else x - potentials[i] + potentials[j] for j, x in enumerate(row)] for i, row in enumerate(rows)
+    ]
+
+
+def fraction_dominated(x, y):
+    """Entrywise x <= y on Fraction-or-None rows, equality only at -inf."""
+    return all(a is None or b is not None and a < b for r, s in zip(x, y) for a, b in zip(r, s))

@@ -1,10 +1,16 @@
 import argparse
+import cProfile
 import json
+import pstats
+import random
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from maxplus import (
+    MaxPlusMatrix,
     apply_numbering,
     dm_skeleton,
     generate_dm,
@@ -85,6 +91,27 @@ def test_a_token_past_the_exponent_bound_is_refused_at_once(tmp_path, capsys, to
     start = time.perf_counter()
     assert run(capsys, "analyze", str(bad)) == (1, "", f"error: bad scalar token {token!r}\n")
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("token", ["1e4300", "-1E-4300", "0.5e-4300", "1" + "0" * 4300, "1/" + "1" * 4301])
+def test_a_value_too_long_to_print_is_refused_at_once(tmp_path, capsys, token):
+    # 1e4300 and -1E-4300 passed the exponent bound with 4301 digits, and
+    # analyze exited 1 with Python's own digit-limit line when it printed
+    # lambda: the numerator and denominator of every value are bounded
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"2\n{token} 0\n0 -inf\n")
+    start = time.perf_counter()
+    assert run(capsys, "analyze", str(bad)) == (1, "", f"error: bad scalar token {token!r}\n")
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("token", ["1e4299", "-1E-4299", "5e-4300", "9" * 4300, "-1/" + "9" * 4300])
+def test_a_value_at_the_digit_bound_parses_and_prints_back(tmp_path, capsys, token):
+    # at most 4300 digits in the numerator and in the denominator: the
+    # value parses, and powers --t 1 prints it as str(Fraction) does
+    path = tmp_path / "a.txt"
+    path.write_text(f"2\n{token} 0\n0 -inf\n")
+    assert run(capsys, "powers", str(path), "--t", "1") == (0, f"2\n{Fraction(token)} 0\n0 -inf\n", "")
 
 
 def test_missing_file_is_usage_error(capsys):
@@ -224,6 +251,42 @@ def test_check_crit_rc_calls_each_public_verdict_once(tmp_path, capsys, monkeypa
             both = ["verify_crit_rc_dm", "verify_crit_rc_wielandt"]
             assert calls == (both[:1] if "acyclic" in err else both)
             assert (out == "") == (code == 1)
+
+
+def test_the_verbs_build_no_fraction_but_each_spectrums_lambda(tmp_path, capsys):
+    # a matrix holds int rows over one least denominator from parse to
+    # render: analyze, each check verb and generate build no Fraction but
+    # the public lambda of each spectrum they compute, one each.
+    # cProfile counts the calls of Fraction.__new__ and spectral._spectrum
+    rng = random.Random(37)
+    mixed = MaxPlusMatrix(
+        [[Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 5, 7))) if rng.random() < 0.6 else None for _ in range(7)] for _ in range(7)]
+    )
+    files = {
+        name: write_matrix(tmp_path, a, f"{name}.txt")
+        for name, a in (
+            ("mixed", mixed),
+            ("dm", apply_numbering(generate_dm(7, 3, 1), (3, 0, 6, 1, 5, 2, 4))),
+            ("wielandt", generate_wielandt(6, 2, case="n")),
+        )
+    }
+    runs = [("analyze", files[name]) for name in files] + [
+        ("check-dm", files["dm"]), ("check-dm", files["mixed"]), ("check-wiel", files["wielandt"]),
+        ("check-crit-rc", files["wielandt"]), ("check-crit-rc", files["dm"]),
+        ("generate", "dm", "--n", "7", "--g", "3"), ("generate", "wielandt", "--n", "6", "--case", "n"),
+        ("generate", "wielandt", "--n", "5", "--case", "n-1"),
+    ]
+    spectra = 0
+    for argv in runs:
+        profile = cProfile.Profile()
+        code = profile.runcall(main, list(argv))
+        out, err = capsys.readouterr()
+        assert code in (0, 2) and err == "", (argv, err)
+        calls = {(Path(file).name, name): count for (file, _, name), (count, *_) in pstats.Stats(profile).stats.items()}
+        built, computed = calls.get(("fractions.py", "__new__"), 0), calls.get(("spectral.py", "_spectrum"), 0)
+        assert built == computed >= 1, (argv, built, computed)
+        spectra += computed
+    assert spectra > len(runs)  # check-dm on the mixed input computes its carved skeleton's too
 
 
 def test_check_dm_with_explicit_numbering(tmp_path, capsys):

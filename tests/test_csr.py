@@ -1300,7 +1300,7 @@ def test_a_primitive_cover_reads_each_residue_as_m_with_no_product(monkeypatch):
             a._csr = None
             triple = build()
             c, r = masked_m(sp, k)
-            assert triple.c.raw() == csr._unscaled(c, d).raw() and triple.r.raw() == csr._unscaled(r, d).raw()
+            assert triple.c == MaxPlusMatrix._from_ints(d, c) and triple.r == MaxPlusMatrix._from_ints(d, r)
             covered = csr._primitive_cover(k, n)
             calls.clear()
             for t in range(1, k.cyclicity + 2):
@@ -1382,14 +1382,14 @@ def test_rows_a_covering_triple_shares_are_never_written():
         kinds["residue is M" if csr._residue(triple, 1) is triple._m else "residue computed"] += 1
         for t in range(2, triple.gamma + 1):
             csr._residue(triple, t)
-        snapshot = [copy.deepcopy(x) for x in (triple._m, triple._residues, sp._closure)]
+        snapshot = [copy.deepcopy(x) for x in (triple._m, triple._residues, sp._closure, a._rows)]
         for t in (1, 2, 3, triple.gamma + 1, 7):
             assert triple.c.raw() == triple.r.raw() and triple.s.n == csr_at(triple, t).n == a.n
         csr._sweep(triple)
         if sp._strongly_connected:
             csr._sweep(triple, True)
         csr._t1_at_ceiling(a, csr._ceiling(triple))
-        csr._below_csr_at_one(triple, [(i, j, Fraction(-10**6)) for i in range(a.n) for j in range(a.n)])
+        csr._below_csr_at_one(triple, [(i, j, -(10**6)) for i in range(a.n) for j in range(a.n)], 1)
         for f in (1, 3):
             b = MaxPlusMatrix._from_raw(a.raw())
             b._spectrum = dataclasses.replace(sp, _d=f * sp._d, _norm=_times(sp._norm, f), _closure=_times(sp._closure, f))
@@ -1399,7 +1399,7 @@ def test_rows_a_covering_triple_shares_are_never_written():
             assert (held._m is b._spectrum._closure) == (triple.gamma == 1)
             for t, rows in triple._residues.items():
                 assert held._residues[t] == _times(rows, f) and (held._residues[t] is held._m) == (rows is triple._m)
-        assert [triple._m, triple._residues, sp._closure] == snapshot, render_matrix(a)
+        assert [triple._m, triple._residues, sp._closure, a._rows] == snapshot, render_matrix(a)
     assert kinds["residue is M"] >= 50 and kinds["residue computed"] >= 20, kinds
 
 

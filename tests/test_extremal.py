@@ -5,7 +5,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -476,9 +476,11 @@ def test_integer_remainder_test_matches_the_fraction_comparison():
         elif broken != "none" and ceiling[i][j] is not None:
             rows[i][j] = ceiling[i][j] + (0 if broken == "equal" else Fraction(1, 13))
         a2 = MaxPlusMatrix(rows)
-        expected = strictly_dominated_by(a2, MaxPlusMatrix(ceiling))
         finite = [(i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row) if x is not None]
-        assert csr._below_csr_at_one(build_csr(a1), finite) == expected, (kind, render_matrix(a1), render_matrix(a2))
+        expected = all(ceiling[i][j] is not None and x < ceiling[i][j] for i, j, x in finite)
+        assert expected == strictly_dominated_by(a2, MaxPlusMatrix(ceiling))
+        scaled = [(i, j, x) for i, row in enumerate(a2._rows) for j, x in enumerate(row) if x is not None]
+        assert csr._below_csr_at_one(build_csr(a1), scaled, a2._d) == expected, (kind, render_matrix(a1), render_matrix(a2))
         seen[(kind, expected)] += 1
         seen[broken] += not expected
         seen["non-integer lambda"] += max_cycle_mean(a1).value is not None and max_cycle_mean(a1).value.denominator > 1
@@ -805,12 +807,14 @@ def test_crit_rc_wielandt_matches_exhaustive_search():
 
 def _record_builds(monkeypatch):
     """A list that gets "matrix" for every matrix built from here on, and
-    every matrix whose spectrum or CSR triple is computed."""
+    every matrix whose spectrum or CSR triple is computed.  Every matrix is
+    built by the constructor or _from_ints, which _from_raw and
+    parse_matrix call."""
     built = []
-    init, from_raw = MaxPlusMatrix.__init__, MaxPlusMatrix._from_raw.__func__
+    init, from_ints = MaxPlusMatrix.__init__, MaxPlusMatrix._from_ints.__func__
     spectrum_of, triple_of = spectral._spectrum, csr._build_csr
     monkeypatch.setattr(MaxPlusMatrix, "__init__", lambda m, rows: built.append("matrix") or init(m, rows))
-    monkeypatch.setattr(MaxPlusMatrix, "_from_raw", classmethod(lambda cls, raw: built.append("matrix") or from_raw(cls, raw)))
+    monkeypatch.setattr(MaxPlusMatrix, "_from_ints", classmethod(lambda cls, *args, **kwargs: built.append("matrix") or from_ints(cls, *args, **kwargs)))
     monkeypatch.setattr(spectral, "_spectrum", lambda b: built.append(b) or spectrum_of(b))
     monkeypatch.setattr(csr, "_build_csr", lambda b, k: built.append(b) or triple_of(b, k))
     return built
@@ -916,9 +920,11 @@ def test_generators_draw_the_same_matrices_for_the_same_seed():
 
 
 def test_the_integer_remainder_draw_matches_the_fraction_formula():
-    # _sample_remainder reads the int residue and builds one Fraction per
-    # entry; the Fraction formula must give the same entries and leave the
-    # random stream in the same state.  Triples: every generator skeleton
+    # _sample_remainder reads the int residue and writes int entries into
+    # rows at _SCALE, bringing them to the scale it returns, lcm(_SCALE, d);
+    # the Fraction formula must give the same entries and leave the random
+    # stream in the same state, and the entries on `taken`, written before
+    # at _SCALE, must keep their values.  Triples: every generator skeleton
     # (lambda = 0) and the rescaled triple its candidate inherits, n <= 12;
     # skeletons shifted by a non-integer lambda; random matrices, whose
     # critical graphs have cyclicity > 1 too; acyclic ones, where only the
@@ -944,8 +950,14 @@ def test_the_integer_remainder_draw_matches_the_fraction_formula():
     drawn = 0
     for k, (triple, taken) in enumerate(triples):
         mine, theirs = random.Random(k), random.Random(k)
-        entries = extremal._sample_remainder(mine, triple, taken)
+        before = {(i, j): rng.randint(-99, 99) for i, j in taken}
+        rows = [[before.get((i, j)) for j in range(triple.n)] for i in range(triple.n)]
+        scale = extremal._sample_remainder(mine, triple, taken, rows)
+        assert scale == lcm(extremal._SCALE, triple._d), k
+        entries = {(i, j): Fraction(x, scale) for i, row in enumerate(rows) for j, x in enumerate(row) if x is not None}
+        assert {ij: entries.pop(ij) for ij in taken} == {ij: Fraction(x, extremal._SCALE) for ij, x in before.items()}, k
         assert entries == sample_remainder_fractions(theirs, triple, taken), k
+        seen["scale past _SCALE"] += scale != extremal._SCALE
         assert mine.getstate() == theirs.getstate(), k
         drawn += len(entries)
         if triple.crit is None:
@@ -954,7 +966,7 @@ def test_the_integer_remainder_draw_matches_the_fraction_formula():
             seen["shift"] += triple.lam.value != 0
             seen["gamma > 1"] += triple.gamma > 1
     assert len(triples) >= 300 and drawn >= 1000
-    assert min(seen[key] for key in ("rescaled", "acyclic", "shift", "gamma > 1")) >= 20, seen
+    assert min(seen[key] for key in ("rescaled", "acyclic", "shift", "gamma > 1", "scale past _SCALE")) >= 20, seen
 
 
 def test_generated_dm_never_trusted_without_verification():
@@ -1045,8 +1057,9 @@ def test_generators_verify_one_candidate_and_power_the_chord_layer_once(monkeypa
     # generate_dm computes one spectrum and one closure, its skeleton
     # a1's; the candidate inherits them, and so does the skeleton the
     # verdict carves out of it, as its critical graph is one component on
-    # every node: the verdict builds that skeleton and the chord layer,
-    # and the skeleton's triple with no product
+    # every node: the verdict builds that skeleton, carves the chord layer
+    # as rows, not a matrix, and builds the skeleton's triple with no
+    # product
     verify_dm_itself, closure, verdicts = extremal.verify_dm, spectral._int_closure, []
 
     def recorded_dm(a, numbering):
@@ -1067,10 +1080,10 @@ def test_generators_verify_one_candidate_and_power_the_chord_layer_once(monkeypa
             a = generate_dm(7, 3, seed)
         (carved,) = verdicts
         skeleton = built[1]
-        # a1, its triple and spectrum; the candidate; the verdict's skeleton, chord layer and skeleton's triple
+        # a1, its triple and spectrum; the candidate; the verdict's skeleton and its triple (the chord layer is rows)
         assert built == ["matrix", skeleton, skeleton, "matrix", *carved], built
-        assert carved[:2] == ["matrix", "matrix"] and len(carved) == 3 and carved[2] is not skeleton, carved
-        assert skeleton == carved[2] == decompose(a, 3, tuple(range(7))).a1
+        assert carved[0] == "matrix" and len(carved) == 2 and carved[1] is not skeleton, carved
+        assert skeleton == carved[1] == decompose(a, 3, tuple(range(7))).a1
         assert spectra == [skeleton] and len(closures) == 1, (spectra, closures)
         assert left_rows == [1] * 20 and not products, (left_rows, products)
 

@@ -283,7 +283,7 @@ def test_int_closure_reads_the_pivot_row_once_and_matches_the_live_read():
     makers = [sparse, irreducible, random_reducible, huge]
     for k in range(240):
         a = makers[k % len(makers)](rng, 1 + k % 10, rng.choice((0.2, 0.45, 0.8)))
-        d, (rows,) = matrix._scaled([a])
+        d, rows = a._d, [row[:] for row in a._rows]  # a copy: a matrix's rows are read only
         if k % 3 == 0:  # an all-None row
             rows[rng.randrange(a.n)] = [None] * a.n
         lam = spectral._karp(rows)
@@ -694,8 +694,9 @@ def test_analyze_searches_once_on_the_wielandt_case_n_family(monkeypatch):
 
 def test_analyze_scales_once_and_runs_no_fraction_level_products(monkeypatch):
     # the spectrum is computed once, though analyze and build_csr both ask
-    # for it; it scales A, and everything after reads its rows of A - lambda.
-    # The report never reads B, so no Nachtigall matrix is built either.
+    # for it; it reads A's own int rows and turns them into those of A -
+    # lambda once (_normalized), and everything after reads those.  The
+    # report never reads B, so no Nachtigall matrix is built either.
     fraction_level = ("mat_mul", "mat_power", "kleene_star", "scalar_times", "nachtigall_matrix")
     calls = Counter()
 
@@ -707,7 +708,7 @@ def test_analyze_scales_once_and_runs_no_fraction_level_products(monkeypatch):
         return wrapper
 
     for module in (matrix, spectral, csr):
-        for name in ("_spectrum", "_scaled", *fraction_level):
+        for name in ("_spectrum", "_normalized", *fraction_level):
             if name in vars(module):
                 monkeypatch.setattr(module, name, counted(name, vars(module)[name]))
     loop = from_entries(3, {(0, 0): 1, (0, 1): 0, (1, 2): -1, (2, 0): 0})
@@ -715,7 +716,7 @@ def test_analyze_scales_once_and_runs_no_fraction_level_products(monkeypatch):
         calls.clear()
         report = csr.analyze(a)
         assert report.gamma == gamma and report.t is not None
-        assert calls["_spectrum"] == 1 and calls["_scaled"] <= 2
+        assert calls["_spectrum"] == 1 and calls["_normalized"] == 1
         assert [calls[name] for name in fraction_level] == [0] * len(fraction_level)
 
 

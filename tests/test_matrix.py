@@ -3,6 +3,7 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -25,10 +26,18 @@ from maxplus import (
     strictly_dominated_by,
     zeros,
 )
-from maxplus import matrix
+from maxplus import MaxPlusScalar, matrix, scalar_times
 from conftest import normalized, random_cyclic_matrix, random_matrix, transpose
 
-from oracles import walk_power
+from oracles import (
+    fraction_dominated,
+    fraction_mul,
+    fraction_parse,
+    fraction_render,
+    fraction_scale,
+    fraction_star,
+    walk_power,
+)
 
 N = None  # shorthand for -inf entries in literals
 
@@ -290,3 +299,107 @@ def test_dimension_one_is_legal():
     assert mat_power(a, 4)[0, 0].value == 6
     assert max_cycle_mean(a).value == Fraction(3, 2)
     assert kleene_star(M([[-1]])) == identity(1)
+
+
+MIXED_DENOMINATORS = (1, 2, 3, 4, 5, 7, 9, 11, 13, 25, 49)
+LARGE_PRIMES = (999979, 999983, 1000003, 1000033, 1000037, 1000039)  # four or more put a scale past 64 bits
+
+
+def _mixed_rows(rng, n, denominators=MIXED_DENOMINATORS):
+    """Fraction-or-None rows with denominators drawn from denominators,
+    and some multiples of 100."""
+    return [
+        [
+            None if rng.random() < 0.3
+            else Fraction(100 * rng.randint(-3, 3)) if rng.random() < 0.15
+            else Fraction(rng.randint(-60, 60), rng.choice(denominators))
+            for _ in range(n)
+        ]
+        for _ in range(n)
+    ]
+
+
+def _token(rng, x, kinds):
+    """A text form of x, a Fraction or None, picked at random among odd
+    ones, and counted in kinds: '-inf' or '*'; str(x); unreduced, as 2/4;
+    p/1, as 3/1; -0; 1e2."""
+    if x is None:
+        forms = {"-inf": "-inf", "*": "*"}
+    else:
+        k = rng.randint(2, 6)
+        forms = {"plain": str(x), "unreduced": f"{x.numerator * k}/{x.denominator * k}"}
+        if x.denominator == 1:
+            forms["p/1"] = f"{x.numerator}/1"
+            if x == 0:
+                forms["-0"] = "-0"
+            if x and x.numerator % 100 == 0:
+                forms["1e2"] = f"{x.numerator // 100}e2"
+    kind = rng.choice(sorted(forms))
+    kinds[kind] += 1
+    return forms[kind]
+
+
+def test_int_rows_match_the_fraction_reference_on_mixed_denominators():
+    # a matrix holds int rows over one least denominator; parse, render,
+    # mat_mul, kleene_star, scale, strictly_dominated_by and equality
+    # must give what the Fraction representation gave (oracles.fraction_*),
+    # byte for byte where text is printed.  Random matrices, n 1..6, with
+    # mixed coprime denominators, a third of them with large primes among
+    # them, so that a result's scale is a product of large primes (see
+    # matrix._least_scale), written with odd tokens: 2/4, -0, 3/1, 1e2,
+    # -inf and *
+    rng = random.Random(2237)
+    kinds = Counter()
+    for k in range(300):
+        n = rng.randint(1, 6)
+        denominators = MIXED_DENOMINATORS + LARGE_PRIMES if k % 3 == 2 else MIXED_DENOMINATORS
+        x_rows = _mixed_rows(rng, n, denominators)
+        y_rows = [row[:] for row in x_rows] if k % 5 == 0 else _mixed_rows(rng, n, denominators)
+        texts = [f"{n}\n" + "\n".join(" ".join(_token(rng, v, kinds) for v in row) for row in rows) + "\n" for rows in (x_rows, y_rows)]
+        a, b = map(parse_matrix, texts)
+        ref_a, ref_b = map(fraction_parse, texts)
+        # parse and render, and the least scale
+        assert a.raw() == ref_a and b.raw() == ref_b
+        assert render_matrix(a) == fraction_render(ref_a) and render_matrix(b) == fraction_render(ref_b)
+        assert parse_matrix(render_matrix(a)) == a
+        assert a._d == lcm(*(x.denominator for row in ref_a for x in row if x is not None))
+        kinds["three or more denominators"] += len({x.denominator for row in ref_a for x in row if x is not None}) >= 3
+        # equality and hashing
+        assert (a == b) == (ref_a == ref_b) and MaxPlusMatrix(ref_a) == a and hash(MaxPlusMatrix(ref_a)) == hash(a)
+        if a == b:
+            assert hash(a) == hash(b)
+            kinds["equal"] += 1
+        # mat_mul, at the lcm of two scales, reduced to the least
+        product, ref_product = mat_mul(a, b), fraction_mul(ref_a, ref_b)
+        assert product.raw() == ref_product and product == MaxPlusMatrix(ref_product)
+        assert render_matrix(product) == fraction_render(ref_product)
+        kinds["product scale reduced"] += product._d < lcm(a._d, b._d)
+        kinds["product scale reduced from past 64 bits"] += product._d < lcm(a._d, b._d) and lcm(a._d, b._d) >= 1 << 64
+        # kleene_star, of a and of a shifted below 0
+        for shift in (0, Fraction(-61, rng.choice(MIXED_DENOMINATORS))):
+            c = scalar_times(MaxPlusScalar(shift), a)
+            ref_c = [[None if x is None else x + shift for x in row] for row in ref_a]
+            assert c == MaxPlusMatrix(ref_c)
+            ref_star = fraction_star(ref_c)
+            if ref_star is None:
+                with pytest.raises(ValueError, match="diverges"):
+                    kleene_star(c)
+                kinds["star diverges"] += 1
+            else:
+                star = kleene_star(c)
+                assert star.raw() == ref_star and star == MaxPlusMatrix(ref_star)
+                kinds["star"] += 1
+        # scale by potentials of other denominators
+        potentials = [Fraction(rng.randint(-20, 20), rng.choice(MIXED_DENOMINATORS)) for _ in range(n)]
+        scaled, ref_scaled = scale(a, DiagonalScaling(potentials)), fraction_scale(ref_a, potentials)
+        assert scaled.raw() == ref_scaled and scaled == MaxPlusMatrix(ref_scaled)
+        # strict domination: against b, and against a nudged by margins of every sign
+        above = [
+            [None if x is None or rng.random() < 0.05 else x + Fraction(rng.choice((-1, 0, 1, 2, 3)), rng.choice(MIXED_DENOMINATORS)) for x in row]
+            for row in ref_a
+        ]
+        for other, ref_other in ((b, ref_b), (MaxPlusMatrix(above), above)):
+            verdict = strictly_dominated_by(a, other)
+            assert verdict == fraction_dominated(ref_a, ref_other)
+            kinds[f"dominated {verdict}"] += 1
+    assert min(kinds.values()) >= 20, kinds
