@@ -14,8 +14,14 @@ without the library's powers: it steps, for every node, the set of nodes
 that walks of length t along the critical arcs reach, and checks that the
 sets are not all full at t = T1 - 1 and all full at t = T1.  A case-n
 Wielandt instance has the Hamiltonian cycle as critical graph, of
-cyclicity n, which has no exponent; analyze searches its int rows there.
-The times are printed, not gated.  Standard library only.
+cyclicity n, which has no exponent; analyze searches its int rows there,
+against residues that cost no product: Q_n = C S^n R - n*lambda is M
+itself, and each other Q_k is Q_(k-1) with its rows shifted along the
+cycle's arcs (see csr._residue).  This script checks every residue
+Q_1, ..., Q_n of those instances against the chain of products C (S -
+lambda)^k R that the library no longer runs there
+(oracles.residue_by_chain).  The times are printed, not gated.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ import time
 from pathlib import Path
 
 from common import check, maxplus
-from maxplus import critical_graph, parse_matrix
+from maxplus import build_csr, critical_graph, csr, parse_matrix, spectrum
+from oracles import residue_by_chain
 
 
 def critical_exponent(matrix: Path, t1: int) -> bool:
@@ -44,15 +51,26 @@ def critical_exponent(matrix: Path, t1: int) -> bool:
     return full[-1] and not full[-2]
 
 
+def residues_by_chain(matrix: Path) -> bool:
+    """Whether each residue Q_1, ..., Q_gamma of the matrix's CSR triple
+    equals C (S - lambda)^k R by the chain of products."""
+    a = parse_matrix(matrix.read_text())
+    sp, triple = spectrum(a), build_csr(a)
+    return all(csr._residue(triple, k) == residue_by_chain(sp, sp.crit, k) for k in range(1, triple.gamma + 1))
+
+
 def report_check(matrix: Path, report_json: Path, generated: Path, spec: str) -> None:
     report = json.loads(report_json.read_text())
     verified = json.loads(generated.read_text())["verified_T1"]
     t1 = report["T1"]
     start = time.time()
-    exponent = None if spec.endswith("--case n") else critical_exponent(matrix, t1)  # None: not stepped
+    cover = spec.endswith("--case n")
+    exponent = None if cover else critical_exponent(matrix, t1)  # None: not stepped
+    residues = residues_by_chain(matrix) if cover else None  # None: not checked
     print(f"{spec}: T1 {t1}, T {report['T']}, crit_rc_transient {report['crit_rc_transient']}, "
-          f"verified_T1 {verified}, critical exponent T1: {exponent} ({time.time() - start:.1f} s)")
-    if exponent is False or not t1 == report["T"] == report["crit_rc_transient"] == verified:
+          f"verified_T1 {verified}, critical exponent T1: {exponent}, residues by chain: {residues} "
+          f"({time.time() - start:.1f} s)")
+    if exponent is False or residues is False or not t1 == report["T"] == report["crit_rc_transient"] == verified:
         sys.exit(1)
 
 

@@ -51,8 +51,8 @@ MUTANTS = [
     ),
     Mutant(
         "Q_gamma taken as M", "csr.py",
-        "        rows = _int_mul(m, _finite_entries([row if i in triple.crit.nodes else [] for i, row in enumerate(m)]))",
-        "        rows = m",
+        "            rows = _int_mul(m, _finite_entries([row if i in crit.nodes else [] for i, row in enumerate(m)]))",
+        "            rows = m",
         (f"{CSR}::test_lazy_triples_match_the_walk_oracle",),
     ),
     Mutant(
@@ -105,8 +105,28 @@ MUTANTS = [
     ),
     Mutant(
         "class masks stepped backwards", "csr.py",
-        "row[t % len(row)] for row in rows]", "row[-t % len(row)] for row in rows]",
+        "sum(row[t % len(row)] << (i * m)", "sum(row[-t % len(row)] << (i * m)",
         (f"{CSR}::test_the_boolean_index_reads_each_components_residue_in_closed_form",),
+    ),
+    Mutant(
+        "the cover shift reads Q_(k+1) for Q_(k-1)", "csr.py",
+        "before, rows = _residue(triple, k - 1), []", "before, rows = _residue(triple, k + 1), []",
+        (f"{CSR}::test_a_cover_shifts_each_residue_from_the_one_before",),
+    ),
+    Mutant(
+        "the cover shift adds P(s, i) for P(i, s)", "csr.py",
+        "p = triple._norm[i][s]", "p = triple._norm[s][i]",
+        (f"{CSR}::test_a_cover_shifts_each_residue_from_the_one_before",),
+    ),
+    Mutant(
+        "the packed product drops the row mask", "csr.py",
+        "z |= (col * full) & ((y & full) * e)", "z |= (col * full) & (y * e)",
+        (f"{CSR}::test_the_packed_bit_product_matches_the_bit_row_reference",),
+    ),
+    Mutant(
+        "the packed product drops the column mask", "csr.py",
+        "if col := x & e:", "if col := x:",
+        (f"{CSR}::test_the_packed_bit_product_matches_the_bit_row_reference",),
     ),
     Mutant(
         "search returns one past T", "csr.py",
@@ -190,9 +210,14 @@ MUTANTS = [
     ),
     Mutant(
         "render without the gcd", "matrix.py",
-        '    g = gcd(x, d)\n    return str(x // g) if g == d else f"{x // g}/{d // g}"',
-        '    return str(x) if d == 1 else f"{x}/{d}"',
+        '        return str(x // g) if g == d else f"{x // g}/{d // g}"',
+        '        return str(x) if d == 1 else f"{x}/{d}"',
         (f"{MATRIX}::test_int_rows_match_the_fraction_reference_on_mixed_denominators",),
+    ),
+    Mutant(
+        "a value too long to print left to Python's message", "matrix.py",
+        "    except ValueError:\n        limit", "    except ZeroDivisionError:\n        limit",
+        ("tests/test_cli.py::test_a_computed_value_too_long_to_print_is_refused_with_one_line",),
     ),
     Mutant(
         "parse scales by the largest denominator, not the lcm", "matrix.py",
@@ -241,7 +266,7 @@ MUTANTS = [
     ),
     Mutant(
         "a carved skeleton takes the input's spectrum without the one-component guard", "extremal.py",
-        "if len(crit.nodes) == layer.n and len(crit.scc.components) == 1 and all(",
+        "if _cover(crit, layer.n) and all(",
         "if all(",
         (f"{EXTREMAL}::test_a_carved_skeleton_takes_the_inputs_lambda_and_critical_graph",),
     ),

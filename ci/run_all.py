@@ -29,7 +29,8 @@ test, or to what it pins, goes into the script too:
   on n = 24 to 40 with a distinct prime denominator in every entry;
 - exponent: tests/test_csr.py::test_analyze_reads_T1_and_T_off_a_primitive_covering_critical_graph
   and tests/test_kernel.py::test_analyze_searches_once_on_the_wielandt_case_n_family,
-  at n = 48 and 64.
+  at n = 48 and 64; also tests/test_csr.py::test_a_cover_shifts_each_residue_from_the_one_before
+  on the case-n Wielandt instances there.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ from .extremal import (
     verify_dm,
     verify_wielandt,
 )
-from .matrix import MaxPlusMatrix, mat_power, parse_matrix, render_matrix
+from .matrix import MaxPlusMatrix, _scalar_text, mat_power, parse_matrix, render_matrix
 
 
 def _load(path: str) -> MaxPlusMatrix:
@@ -163,6 +163,7 @@ def _cmd_generate(args) -> int:
 def _cmd_oracle(args) -> int:
     a = _load(args.file)
     result = twice_optimal_walk(a, args.i, args.j, args.t)
+    weight = None if result is None else _scalar_text(result.weight)  # may refuse, before any output
     if args.json:
         if result is None:
             _emit_json({"walk": None})
@@ -172,7 +173,7 @@ def _cmd_oracle(args) -> int:
                     "walk": {
                         "nodes": list(result.nodes),
                         "length": result.length,
-                        "weight": str(result.weight),
+                        "weight": weight,
                         "interesting": result.interesting,
                     }
                 }
@@ -183,7 +184,7 @@ def _cmd_oracle(args) -> int:
     else:
         print("walk: " + " ".join(map(str, result.nodes)))
         print(f"length: {result.length}")
-        print(f"weight: {result.weight}")
+        print(f"weight: {weight}")
         print(f"interesting: {result.interesting}")
     return 0
 

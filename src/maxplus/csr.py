@@ -34,8 +34,10 @@ When the critical graph covers every node, A^t never exceeds C S^t R,
 and analyze finds T1 and T by one galloping search for the first t at
 which the two are equal, with no sweep (see analyze and _transient).  On
 a critical graph that covers every node as one component of cyclicity
-1, that t is its exponent (see _primitive_cover), found on bit rows by
-_boolean_index: analyze and _t1_at_ceiling take no power, and every
+1, that t is its exponent (see _primitive_cover), found by
+_boolean_index on packed ints, each 0/1 matrix on m nodes one int of
+m^2 bits, row i at bits i*m to i*m + m - 1, multiplied in m big-int
+steps (_bit_mul): analyze and _t1_at_ceiling take no power, and every
 residue C S^t R - t*lambda is M itself.
 
 The triple may also be built with respect to a completely reducible
@@ -59,7 +61,11 @@ A triple is built only as far as it is read: build_csr computes M
 alone, C, S and R are carved when the properties are read, and each
 residue the first time csr_at or the sweep reads it, as C R at r =
 gamma and as one product by P of the one before elsewhere (see
-_residue), or as M itself when _primitive_cover holds.  The triple of a
+_residue).  When the triple's (sub)graph covers every node as one
+component, at any cyclicity, no residue costs a product: C R is M
+itself, and each other residue is the one before with row i shifted
+along one arc (i, s), P(i, s) plus its row s; at cyclicity 1 every
+residue is M.  The triple of a
 matrix's whole critical graph is built once per matrix and stored on
 it, like its spectrum, or inherited with it (see _inherit_triple).
 C S^t R is read as int rows (_int_csr_at).
@@ -69,7 +75,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from itertools import compress, count
 from operator import ne
 
@@ -81,6 +87,7 @@ from .matrix import (
     _int_closure,
     _int_mul,
     _int_power,
+    _scalar_text,
     mat_mul,  # unused here; perfbench/test_bench.py reads csr.mat_mul
 )
 from .semiring import BOTTOM, MaxPlusScalar, _check_exponent
@@ -175,9 +182,28 @@ def _residue(triple: CsrTriple, t: int) -> list[list]:
     on t modulo gamma only, and t = 0 reads Q_gamma.  Q_gamma = C R, one
     product of M by its critical rows, and Q_k = Q_(k-1) P for k = 1, ...,
     gamma - 1, P = A - lambda and Q_0 = Q_gamma, each taken on its first
-    read.  When the
-    triple's (sub)graph meets _primitive_cover, every Q_t is M itself
-    (step 3 there), taken with no product; read its rows only.
+    read.  When the triple's (sub)graph K is one component on all n nodes
+    (_cover), at any cyclicity, no product is taken: Q_gamma is M itself,
+    and Q_k is Q_(k-1) with each row i replaced by P(i, s) + row s of
+    Q_(k-1), s the first successor of i in K (see the lemma on covers
+    below).  At gamma = 1 every Q_t is M; read its rows only.
+
+    Lemma on covers.  Let K be one component on all n nodes, of
+    cyclicity gamma.  By _excess's proof, read at every length = k
+    (mod gamma) and not only k, Q_k(i, j) is the weight of a heaviest
+    walk from i to j of positive length = k (mod gamma) through a node of
+    K, here any such walk: each term M(i, a) + (S - lambda)^k(a, b) +
+    M(b, j) is one, and every one is bounded by a term.  M(i, j) is the
+    weight of a heaviest walk of positive length = 0 (mod gamma), so
+    Q_gamma = M.  Let (i, s) be an arc of K and 1 <= k < gamma.  (>=)
+    The arc followed by a walk from s of positive length = k - 1 is a
+    walk from i of length = k, so Q_k(i, j) >= P(i, s) + Q_(k-1)(s, j).
+    (<=) K has a walk Z from s back to i of length = -1 (mod gamma),
+    which the arc (i, s) closes into a closed walk of K, of weight 0, so
+    w(Z) = -P(i, s).  A walk W from i to j of length = k gives the walk
+    Z W from s, of positive length = k - 1, so w(W) = w(Z W) + P(i, s)
+    <= Q_(k-1)(s, j) + P(i, s).  This is step 3 of _primitive_cover at
+    any cyclicity.
 
     Lemma.  C (S - lambda)^gamma R = C R, so Q_gamma = C R; the
     recurrence is _sweep's lemma.  Proof, for critical k and l, with
@@ -195,13 +221,19 @@ def _residue(triple: CsrTriple, t: int) -> list[list]:
     k = (t - 1) % triple.gamma + 1
     if k in triple._residues:
         return triple._residues[k]
-    m = triple._m
-    if _primitive_cover(triple.crit, triple.n):
-        rows = m
+    m, crit = triple._m, triple.crit
+    if not _cover(crit, triple.n):
+        if k == triple.gamma:
+            rows = _int_mul(m, _finite_entries([row if i in crit.nodes else [] for i, row in enumerate(m)]))
+        else:
+            rows = _int_mul(_residue(triple, k - 1), _finite_entries(triple._norm))
     elif k == triple.gamma:
-        rows = _int_mul(m, _finite_entries([row if i in triple.crit.nodes else [] for i, row in enumerate(m)]))
+        rows = m
     else:
-        rows = _int_mul(_residue(triple, k - 1), _finite_entries(triple._norm))
+        before, rows = _residue(triple, k - 1), []
+        for i, (s, *_) in enumerate(_successors(triple.n, crit.arcs)):
+            p = triple._norm[i][s]
+            rows.append([None if x is None else x + p for x in before[s]])
     triple._residues[k] = rows
     return rows
 
@@ -463,10 +495,10 @@ def _sweep(
         at = nxt
 
 
-def _transient(p: list, t: int, at: list, residue: Callable[[int], list], mul: Callable[[list, list], list]) -> int:
-    """Least T >= t with P^T = Q_T, given the rows p of P, at = P^t,
-    residue(T) = Q_T and mul, the product of two lists of rows; the
-    equality fails below t and, once it holds, holds from there on.
+def _transient(p, t: int, at, residue: Callable, mul: Callable) -> int:
+    """Least T >= t with P^T = Q_T, given P as p, at = P^t, residue(T) =
+    Q_T and mul, the product of two matrices in that form; the equality
+    fails below t and, once it holds, holds from there on.
 
     The one search over squares: it gallops by probing t + 1, t + 2,
     t + 4, ..., at times P, P^2, P^4, ..., up to the first probe that
@@ -476,11 +508,12 @@ def _transient(p: list, t: int, at: list, residue: Callable[[int], list], mul: C
     and b = bit_length(u - 1), the gallop squares b times and the bisection
     probes b - 1 times: 2*b - 1 products from t = 0, and 3*b from t >= 1,
     whose gallop also makes b + 1 probes; u = 1 takes one probe (none
-    from t = 0).  Its rows are int rows (_int_product) or bit rows
-    (_bit_mul).  The search needs only that P's powers end periodic, so
-    that some T exists: T1 is reached within the ceiling on every input
-    whose nodes are all critical (see analyze), and on strongly connected
-    input T exists (see _sweep).
+    from t = 0).  Its matrices are lists of int rows (_int_product) or
+    0/1 matrices packed in one int each (_bit_mul).  The search needs
+    only that P's powers end periodic, so that some T exists: T1 is
+    reached within the ceiling on every input whose nodes are all
+    critical (see analyze), and on strongly connected input T exists
+    (see _sweep).
     """
     if at == residue(t):
         return t
@@ -568,37 +601,52 @@ def _boolean_index(crit: CritGraph) -> int:
     Each component is strongly connected and every cycle in it weighs 0,
     so its 0/-inf matrix has cycle mean 0, is its own A - lambda, and has
     the whole component as critical graph, of cyclicity comp.cyclicity.
-    The matrix is 0/-inf, so its powers are too: they run on bit rows,
-    row i the mask of the nodes j with entry (i, j) 0, and a product ORs
-    the rows of the right factor that a left row selects.  Row i of the
-    residue Q_t is the mask of a cyclic class (see _class_masks).  No arc
-    joins two components, so a power's rows are those of each component's
-    powers, and P^t = Q_t for all components at once exactly when t is at
-    least each component's transient, from which that equality holds (see
-    _sweep): _transient, run on bit rows from t = 0, finds that first t,
-    the largest transient.
+    The matrix is 0/-inf, so its powers are too: on m = max(nodes) + 1
+    nodes each is one packed int of m^2 bits, row i at bits i*m to i*m +
+    m - 1, bit i*m + j set where entry (i, j) is 0, and a product is
+    _bit_mul's m big-int steps.  The residue Q_t is packed the same way,
+    row i the mask of a cyclic class (see _class_masks).  No arc joins
+    two components, so a power's rows are those of each component's
+    powers, and P^t = Q_t for all components at once exactly when t is
+    at least each component's transient, from which that equality holds
+    (see _sweep): _transient, run on packed ints from t = 0, finds that
+    first t, the largest transient.
     """
-    succ = _successors(max(crit.nodes) + 1, crit.arcs)
-    at = [1 << i if i in crit.nodes else 0 for i in range(len(succ))]  # P^0 on the critical rows
-    return _transient([sum(1 << j for j in row) for row in succ], 0, at, _class_masks(succ, crit), _bit_mul)
+    m = max(crit.nodes) + 1
+    p = sum(1 << (i * m + j) for i, j in crit.arcs)
+    at = sum(1 << (i * m + i) for i in crit.nodes)  # P^0 on the critical rows
+    return _transient(p, 0, at, _class_masks(_successors(m, crit.arcs), crit), partial(_bit_mul, m))
 
 
-def _bit_mul(x: list[int], y: list[int]) -> list[int]:
-    """The Boolean product of bit rows: row i ORs the rows y[j] of the bits j of x[i]."""
-    out = []
-    for row in x:
-        acc = 0
-        while row:
-            low = row & -row
-            acc |= y[low.bit_length() - 1]
-            row ^= low
-        out.append(acc)
-    return out
+def _bit_mul(m: int, x: int, y: int) -> int:
+    """The Boolean product of two 0/1 matrices on m nodes, each packed in
+    one int, row i at bits i*m to i*m + m - 1 (see _boolean_index).
+
+    Entry (i, j) of the product ORs x(i, k) AND y(k, j) over k.  For each
+    k, ((x >> k) & E) * (2^m - 1), E = the sum of 2^(i*m), spreads column
+    k of x into full rows: bit i*m becomes the m bits of row i, with no
+    carry, as each product stays in its row.  ((y >> k*m) & (2^m - 1)) *
+    E copies row k of y into every row.  Their AND is the terms of k, and
+    the product ORs them: m big-int steps, whatever the bits set.  The
+    loop shifts x by 1 and y by m at each step in place of shifting by k
+    and k*m.
+    """
+    full = (1 << m) - 1
+    e = ((1 << m * m) - 1) // full
+    z = 0
+    for _ in range(m):
+        if col := x & e:
+            z |= (col * full) & ((y & full) * e)
+        x >>= 1
+        y >>= m
+    return z
 
 
-def _class_masks(succ: list[list[int]], crit: CritGraph) -> Callable[[int], list[int]]:
-    """t -> the residue Q_t of the critical graph's 0/-inf matrix as bit
-    rows, 0 off the critical nodes, given its successor lists.
+def _class_masks(succ: list[list[int]], crit: CritGraph) -> Callable[[int], int]:
+    """t -> the residue Q_t of the critical graph's 0/-inf matrix packed as
+    _boolean_index packs it, on m = len(succ) nodes, 0 off the critical
+    nodes, given its successor lists; each residue is packed once per t
+    modulo crit's cyclicity, the lcm of its components'.
 
     Lemma.  In a component of cyclicity gamma, with l its BFS levels
     (digraph._levels), every arc (u, v) has l(v) = l(u) + 1 (mod gamma),
@@ -609,13 +657,15 @@ def _class_masks(succ: list[list[int]], crit: CritGraph) -> Callable[[int], list
     i of Q_t is the class of the nodes j with l(j) = l(i) + t (mod gamma).
     t = 0 gives Q_gamma.
     """
-    rows: list[list[int] | None] = [None] * len(succ)  # rows[i][t % gamma] is row i of Q_t
+    m = len(succ)
+    rows: list[list[int] | None] = [None] * m  # rows[i][t % gamma] is the bit row i of Q_t
     for comp in crit.scc.components:
         levels, gamma = _levels(succ, comp.nodes), comp.cyclicity
         classes = [sum(1 << v for v, level in levels.items() if level % gamma == r) for r in range(gamma)]
         for v, level in levels.items():
             rows[v] = classes[level % gamma :] + classes[: level % gamma]
-    return lambda t: [0 if row is None else row[t % len(row)] for row in rows]
+    packed = cache(lambda t: sum(row[t % len(row)] << (i * m) for i, row in enumerate(rows) if row is not None))
+    return lambda t: packed(t % crit.cyclicity)
 
 
 def _primitive_cover(crit: CritGraph | None, n: int) -> bool:
@@ -637,19 +687,20 @@ def _primitive_cover(crit: CritGraph | None, n: int) -> bool:
        critical walk j -> i, weighs 0: each cycle it splits into is
        critical, and so is each of its arcs.  So P^t(i, j) = P+(i, j)
        where N^t(i, j) = 1, and P^t(i, j) < P+(i, j) elsewhere.
-    3. M = P+ at gamma = 1, and each finite term of Q_t(i, j), at (k, l)
-       with N^t(k, l) = 1, weighs u(i, k) + u(k, l) + u(l, j) = P+(i,
-       j); there is one, so Q_t = P+ = M for t >= 1.  So also
-       at a subgraph K of crit that meets the predicate (build_csr(a, K)):
-       crit holds K, so it is one component on every node, of cyclicity
-       dividing K's; M is the whole closure, and the terms run over
-       critical walks of K, which has some of every length t >= 1.
+    3. M = P+ at gamma = 1, and Q_t = Q_gamma = M for t >= 1, by
+       _residue's lemma on covers, at crit or at a subgraph K of crit
+       that meets the predicate (build_csr(a, K)).
     4. So P^t = Q_t exactly when N^t = J, by steps 2 and 3 for t >= 1,
        and at t = 0, where Q_0 reads Q_gamma = P+: P^0 = I is P+ only at
        n = 1, where N^0 = J.  By analyze's lemma, then, T = e and T1 =
        crit_rc_transient = max(e, 1).
     """
-    return crit is not None and len(crit.nodes) == n and len(crit.scc.components) == 1 and crit.cyclicity == 1
+    return _cover(crit, n) and crit.cyclicity == 1
+
+
+def _cover(crit: CritGraph | None, n: int) -> bool:
+    """Whether crit covers all n nodes as one component, at any cyclicity."""
+    return crit is not None and len(crit.nodes) == n and len(crit.scc.components) == 1
 
 
 def _t1_at_ceiling(a: MaxPlusMatrix, bound: int) -> bool:
@@ -663,7 +714,11 @@ def _t1_at_ceiling(a: MaxPlusMatrix, bound: int) -> bool:
     c = 0 < t1 for n = 1.  A bound other than the ceiling gives False
     even when t1 equals it, and so does an acyclic a, which has no
     critical girth.  When _primitive_cover holds, t1 is the critical
-    graph's exponent for n >= 2, and no power is taken.
+    graph's exponent for n >= 2, and no power is taken.  On any other
+    critical graph that covers every node as one component, as on a
+    case-n Wielandt candidate, the two residues read cost no product (see
+    _residue): what is left is P^(c-1) and the one product of the
+    failing rows.
     """
     triple = build_csr(a)
     if triple.crit is None or a.n == 1 or bound != _ceiling(triple):
@@ -713,7 +768,7 @@ class TransientReport:
 
     def as_dict(self) -> dict:
         return {
-            "lambda": str(self.lam),
+            "lambda": _scalar_text(self.lam),
             "g": self.g,
             "gamma": self.gamma,
             "T": self.t,
@@ -741,10 +796,10 @@ def analyze(a: MaxPlusMatrix) -> TransientReport:
     residue of t (see _residue; Q_0 reads Q_gamma), found by _transient
     from t = 0.  Then T1 = crit_rc_transient = max(T', 1), and T = T' on
     strongly connected input.  On a primitive cover (one component of
-    cyclicity 1) T' is the critical graph's exponent, read on bit rows
-    with no CSR triple and no power of A (see _primitive_cover); on any
-    other cover the search runs on int rows against the triple's
-    residues.  Otherwise one sweep gives T1 and the critical row and
+    cyclicity 1) T' is the critical graph's exponent, read on packed
+    ints with no CSR triple and no power of A (see _primitive_cover); on
+    any other cover the search runs on int rows against the triple's
+    residues, which cost no product there (see _residue).  Otherwise one sweep gives T1 and the critical row and
     column transients, and on strongly connected input T as well: past
     the ceiling it steps on until T, or hands over to the search and
     returns what that finds (see _sweep).  On other input it stops at

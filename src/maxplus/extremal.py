@@ -27,7 +27,11 @@ no skeleton, and verify_crit_rc_wielandt computes that set once for
 every rotation it tries.  The DM verdict compares the input's entries
 off the mapped a1 and b1 patterns with CSR(a1) at t = 1 on the integers
 (see _dm_conditions).  verify_crit_rc_dm and the generators' T1 check
-read the critical graph's index, on bit rows, from `csr`.
+read the critical graph's index from `csr`, its 0/1 matrices each packed
+in one int and multiplied in m big-int steps on m nodes.  A case-n
+Wielandt candidate's critical graph is its Hamiltonian cycle, one
+component on every node, so the residues its T1 check reads are M and
+M's rows shifted along the cycle, with no product (see csr._residue).
 
 A generator builds its skeleton a1, with a1's spectrum and CSR triple,
 once: the triple bounds the remainder it samples.  Every rational it
@@ -62,7 +66,7 @@ from math import gcd, lcm
 
 from .bounds import dm_bound, wielandt_bound
 from .csr import CsrTriple, _below_csr_at_one, _boolean_index, _inherit_triple, _int_csr_at
-from .csr import _residue, _t1_at_ceiling, build_csr
+from .csr import _cover, _residue, _t1_at_ceiling, build_csr
 from .digraph import _cycles, _successors, _support
 from .matrix import MaxPlusMatrix, _finite_entries, _int_mul, _text, from_entries
 from .semiring import MaxPlusScalar, _check_exponent
@@ -566,7 +570,7 @@ def _skeleton(layer: MaxPlusMatrix, sp: Spectrum) -> None:
     at any cyclicity (step 1 of csr._primitive_cover): P+(layer) = P+(a).
     """
     crit, rows = sp.crit, layer._rows
-    if len(crit.nodes) == layer.n and len(crit.scc.components) == 1 and all(rows[i][j] is not None for i, j in crit.arcs):
+    if _cover(crit, layer.n) and all(rows[i][j] is not None for i, j in crit.arcs):
         _inherit_spectrum(layer, sp)
 
 

@@ -24,6 +24,7 @@ face, converted on each call.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
@@ -331,11 +332,26 @@ def strictly_dominated_by(a: MaxPlusMatrix, b: MaxPlusMatrix) -> bool:
 
 def _text(x: int | None, d: int) -> str:
     """The text of the entry x scaled by d: str(Fraction(x, d)), by one
-    gcd, or -inf for None."""
+    gcd, or -inf for None.  Every value the package prints goes through
+    here (see _scalar_text).  A numerator or denominator with more digits
+    than int's limit on a conversion to str (4300 by default, see
+    semiring.parse_scalar) raises ValueError naming that limit, in place
+    of Python's own message; the check is Python's, so it costs nothing
+    on the values that print."""
     if x is None:
         return "-inf"
     g = gcd(x, d)
-    return str(x // g) if g == d else f"{x // g}/{d // g}"
+    try:
+        return str(x // g) if g == d else f"{x // g}/{d // g}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"value too long to print: more than {limit} digits in its numerator or denominator") from None
+
+
+def _scalar_text(s: MaxPlusScalar) -> str:
+    """str(s), through _text."""
+    v = s.value
+    return _text(None, 1) if v is None else _text(v.numerator, v.denominator)
 
 
 def render_matrix(a: MaxPlusMatrix) -> str:

@@ -49,6 +49,9 @@ library did before it read the row once per pivot.  boolean_index_int
 is the critical graph's index as the library computed it before it ran
 on bit rows: csr._transient on each component's 0/-inf rows in the int
 kernel, against the residues in closed form of class_residue.
+bit_mul_rows is the Boolean product on a list of bit rows, one step per
+set bit, as the library took it before it packed each 0/1 matrix in one
+int; pack_bits and unpack_bits convert between the two forms.
 masked_m and residue_by_chain are the CSR triple as the library built
 it before it read every residue off its closure M: C and R masked out
 of a fresh M, and each residue C (S - lambda)^t R by a chain of
@@ -783,6 +786,33 @@ def class_residue(levels, gamma):
     nodes (digraph._levels): 0 at (i, j) exactly when l(j) - l(i) = t
     (mod gamma), -inf elsewhere; t = 0 gives Q_gamma."""
     return lambda t: [[0 if (lj - li - t) % gamma == 0 else None for lj in levels] for li in levels]
+
+
+def pack_bits(rows, m):
+    """The bit rows of a 0/1 matrix on m nodes, row i the mask of its
+    ones, packed in one int as csr._bit_mul reads it: row i at bits i*m to
+    i*m + m - 1."""
+    return sum(row << (i * m) for i, row in enumerate(rows))
+
+
+def unpack_bits(x, m):
+    """The m bit rows of a 0/1 matrix packed in the int x (see pack_bits)."""
+    return [(x >> (i * m)) & ((1 << m) - 1) for i in range(m)]
+
+
+def bit_mul_rows(x, y):
+    """The Boolean product of bit rows as the library took it before it
+    packed a matrix in one int: row i ORs the rows y[j] of the bits j of
+    x[i], one loop step per set bit."""
+    out = []
+    for row in x:
+        acc = 0
+        while row:
+            low = row & -row
+            acc |= y[low.bit_length() - 1]
+            row ^= low
+        out.append(acc)
+    return out
 
 
 def boolean_index_int(crit):

@@ -105,6 +105,24 @@ def test_a_value_too_long_to_print_is_refused_at_once(tmp_path, capsys, token):
     assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize(
+    "verb", [("analyze",), ("analyze", "--json"), ("powers", "--t", "2"), ("oracle", "--i", "0", "--j", "0", "--t", "2")]
+)
+def test_a_computed_value_too_long_to_print_is_refused_with_one_line(tmp_path, capsys, verb):
+    # each entry of the two-cycle has 2201 digits and parses, but lambda =
+    # (p + q)/(2pq) and the diagonal of A^2, (p + q)/(pq), have 4401-digit
+    # denominators: analyze, analyze --json, powers and oracle exited 1
+    # with Python's own digit-limit line, and oracle after printing part
+    # of its answer; every value is printed through matrix._text now
+    p, q = 10**2200 + 1, 10**2200 + 3
+    path = tmp_path / "a.txt"
+    path.write_text(f"2\n-inf 1/{p}\n1/{q} -inf\n")
+    start = time.perf_counter()
+    line = "error: value too long to print: more than 4300 digits in its numerator or denominator\n"
+    assert run(capsys, verb[0], str(path), *verb[1:]) == (1, "", line)
+    assert time.perf_counter() - start < 0.5
+
+
 @pytest.mark.parametrize("token", ["1e4299", "-1E-4299", "5e-4300", "9" * 4300, "-1/" + "9" * 4300])
 def test_a_value_at_the_digit_bound_parses_and_prints_back(tmp_path, capsys, token):
     # at most 4300 digits in the numerator and in the denominator: the

@@ -57,14 +57,17 @@ from conftest import (
     transpose,
 )
 from oracles import (
+    bit_mul_rows,
     boolean_index_int,
     csr_walk_oracle,
     excess_entries,
     masked_m,
     memo_differences,
+    pack_bits,
     row_transients_by_steps,
     residue_by_chain,
     transient_by_steps,
+    unpack_bits,
     walk_power,
     walk_powers,
     weak_threshold_T1_full,
@@ -1074,7 +1077,11 @@ def test_T_is_the_larger_of_T1_and_T2():
 def test_the_boolean_index_reads_each_components_residue_in_closed_form():
     # csr._class_masks against _residue of each component's own
     # 0/-inf matrix, at t = 0 (Q_gamma) to gamma, over every component:
-    # row i of the component's residue, read as a bit row over all nodes
+    # the residue is one int of n^2 bits (oracles.unpack_bits splits it
+    # into its n bit rows), and row i of the component's residue, read
+    # as a bit row over all nodes, is its row i; the rows off the
+    # critical graph are 0, no bit lies past n^2, and t and t + gamma
+    # read the one packed int
     rng = random.Random(2115)
     kinds = Counter()
     while kinds["critical graphs"] < 300:
@@ -1085,9 +1092,10 @@ def test_the_boolean_index_reads_each_components_residue_in_closed_form():
             continue
         kinds["critical graphs"] += 1
         residue = csr._class_masks(digraph._successors(n, crit.arcs), crit)
-        for i in range(n):
-            if i not in crit.nodes:
-                assert all(residue(t)[i] == 0 for t in range(crit.cyclicity + 1))
+        gamma = crit.cyclicity
+        for t in range(gamma + 1):
+            assert residue(t) >> n * n == 0 and residue(t) is residue(t + gamma)
+            assert all(unpack_bits(residue(t), n)[i] == 0 for i in range(n) if i not in crit.nodes)
         for comp in crit.scc.components:
             nodes = sorted(comp.nodes)
             rows = [[0 if (i, j) in crit.arcs else None for j in nodes] for i in nodes]
@@ -1095,7 +1103,7 @@ def test_the_boolean_index_reads_each_components_residue_in_closed_form():
             assert triple.gamma == comp.cyclicity and triple._d == 1
             for t in range(comp.cyclicity + 1):
                 masks = [sum(1 << j for j, x in zip(nodes, row) if x is not None) for row in csr._residue(triple, t)]
-                assert [residue(t)[i] for i in nodes] == masks
+                assert [unpack_bits(residue(t), n)[i] for i in nodes] == masks
             kinds["components"] += 1
             kinds["gamma > 1"] += comp.cyclicity > 1
     assert kinds["components"] >= 300 and kinds["gamma > 1"] >= 50, kinds
@@ -1149,6 +1157,75 @@ def test_the_bit_row_index_matches_the_int_kernel():
         crit = critical_graph(a)
         assert _boolean_index(crit) == boolean_index_int(crit), render_matrix(a)
 
+
+
+def test_the_packed_bit_product_matches_the_bit_row_reference():
+    # csr._bit_mul on two 0/1 matrices packed in one int each against the
+    # product on lists of bit rows (oracles.bit_mul_rows), m = 1..70, so
+    # the packed ints cross many 30-bit limbs and, from m = 31 on, a row
+    # does too; densities 0 to 1, with random rows forced empty or full
+    rng = random.Random(2141)
+    kinds = Counter()
+    for m in range(1, 71):
+        full = (1 << m) - 1
+        for _ in range(6):
+            pair = []
+            for _ in range(2):
+                density = rng.choice((0.0, 0.05, 0.3, 0.7, 1.0))
+                rows = [sum(1 << j for j in range(m) if rng.random() < density) for _ in range(m)]
+                for i in rng.sample(range(m), rng.randint(0, m // 3 + 1)):
+                    rows[i] = rng.choice((0, full))
+                pair.append(rows)
+            x, y = pair
+            assert csr._bit_mul(m, pack_bits(x, m), pack_bits(y, m)) == pack_bits(bit_mul_rows(x, y), m), (m, x, y)
+            kinds["empty row"] += 0 in x + y
+            kinds["full row"] += full in x + y
+            kinds["m > 30"] += m > 30
+    assert min(kinds.values()) >= 150, kinds
+
+
+def _planted_crit_graph(rng, m):
+    """A critical graph on m nodes with node m - 1 in it: one to three
+    blocks of random nodes, each a cycle through its nodes in a random
+    order plus random arcs from one cyclic class to the next, as in
+    _planted_critical, so each component's cyclicity is a multiple of a
+    random divisor gamma of its size; one to three such arcs, or an
+    eighth of them, so the index ranges up to about the square of a
+    block's size.  The other nodes lie off the graph."""
+    nodes = [m - 1, *rng.sample(range(m - 1), rng.randint(0, m - 1))]
+    rng.shuffle(nodes)
+    cuts = sorted(rng.sample(range(1, len(nodes)), min(len(nodes) - 1, rng.randint(0, 2))))
+    arcs, blocks = set(), []
+    for block in (nodes[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(nodes)])):
+        s = len(block)
+        gamma = rng.choice([d for d in range(1, s + 1) if s % d == 0])
+        arcs.update((u, block[(p + 1) % s]) for p, u in enumerate(block))
+        chords = [(u, v) for p, u in enumerate(block) for q, v in enumerate(block) if (q - p - 1) % gamma == 0]
+        arcs.update(rng.sample(chords, min(len(chords), rng.choice((1, 2, 3, len(chords) // 8)))))
+        blocks.append(frozenset(block))
+    scc = digraph._decomposition(digraph._successors(m, arcs), sorted(blocks, key=min))
+    return spectral.CritGraph(
+        frozenset(nodes), frozenset(arcs), scc, digraph.maximal_girth(scc), digraph.global_cyclicity(scc)
+    )
+
+
+def test_the_packed_index_matches_the_int_kernel_on_planted_critical_graphs():
+    # csr._boolean_index against oracles.boolean_index_int on planted
+    # critical graphs of one to three components, often of cyclicity > 1,
+    # on m = 1..70 nodes, some of them off the graph (see
+    # _planted_crit_graph)
+    rng = random.Random(2143)
+    kinds = Counter()
+    for k in range(260):
+        m = rng.randint(1, 20) if k % 13 else rng.randint(50, 70)
+        crit = _planted_crit_graph(rng, m)
+        assert _boolean_index(crit) == boolean_index_int(crit), (m, sorted(crit.arcs))
+        kinds["several components, gamma > 1"] += len(crit.scc.components) > 1 and crit.cyclicity > 1
+        kinds["nodes off the graph"] += len(crit.nodes) < m
+        kinds["m >= 50"] += m >= 50
+        kinds["m >= 50, several components"] += m >= 50 and len(crit.scc.components) > 1
+    assert kinds["several components, gamma > 1"] >= 60 and kinds["nodes off the graph"] >= 150, kinds
+    assert kinds["m >= 50"] >= 20 and kinds["m >= 50, several components"] >= 10, kinds
 
 def _planted_tight(rng, n, shape):
     """(a, tight): random potentials p and a cycle mean lam, tight arcs
@@ -1273,15 +1350,17 @@ def test_analyze_reads_T1_and_T_off_a_primitive_covering_critical_graph(monkeypa
 
 def test_a_primitive_cover_reads_each_residue_as_m_with_no_product(monkeypatch):
     # at a (sub)graph that meets csr._primitive_cover every residue is M,
-    # read with no product; elsewhere reading t = 1..gamma + 1 takes gamma
-    # products, C R and then one by A - lambda for each other residue.
-    # Planted inputs, n = 1..9 (see _planted_tight): the whole critical
-    # graph, built alone and as a subgraph, and each component; .c and .r
-    # against masked copies of a fresh M (oracles.masked_m), residues at t
-    # = 1..gamma + 1 against the chain of products on them
-    # (oracles.residue_by_chain), and against the walk oracle for n <= 5;
-    # near misses (cyclicity > 1, one node off, two components) still
-    # take products
+    # and at one that covers every node as one component at cyclicity
+    # gamma > 1 (csr._cover) Q_gamma is M and each other residue a row
+    # shift of the one before: either way read with no product.
+    # Elsewhere reading t = 1..gamma + 1 takes gamma products, C R and
+    # then one by A - lambda for each other residue.  Planted inputs, n =
+    # 1..9 (see _planted_tight): the whole critical graph, built alone and
+    # as a subgraph, and each component; .c and .r against masked copies
+    # of a fresh M (oracles.masked_m), residues at t = 1..gamma + 1
+    # against the chain of products on them (oracles.residue_by_chain),
+    # and against the walk oracle for n <= 5; near misses (one node off,
+    # two components) still take products
     int_mul, calls = matrix._int_mul, Counter()
     monkeypatch.setattr(csr, "_int_mul", lambda *args: calls.update(["_int_mul"]) or int_mul(*args))
     rng = random.Random(2626)
@@ -1301,7 +1380,7 @@ def test_a_primitive_cover_reads_each_residue_as_m_with_no_product(monkeypatch):
             triple = build()
             c, r = masked_m(sp, k)
             assert triple.c == MaxPlusMatrix._from_ints(d, c) and triple.r == MaxPlusMatrix._from_ints(d, r)
-            covered = csr._primitive_cover(k, n)
+            primitive, covered = csr._primitive_cover(k, n), csr._cover(k, n)
             calls.clear()
             for t in range(1, k.cyclicity + 2):
                 expected = residue_by_chain(sp, k, t)
@@ -1309,12 +1388,12 @@ def test_a_primitive_cover_reads_each_residue_as_m_with_no_product(monkeypatch):
                 shifted = [[None if x is None else Fraction(x, d) + t * lam for x in row] for row in expected]
                 assert csr_at(triple, t).raw() == shifted
                 if covered:
-                    assert expected == c and csr._residue(triple, t) is triple._m
+                    assert (csr._residue(triple, t) is triple._m) == (primitive or t == k.cyclicity)
                 if n <= 5:
                     walks = csr_walk_oracle(an, k.nodes, k.cyclicity, t, k.cyclicity * n + n)
                     assert csr_at(triple, t).raw() == [[None if x is None else x + t * lam for x in row] for row in walks]
             assert calls["_int_mul"] == (0 if covered else k.cyclicity), render_matrix(a)
-            if covered:
+            if primitive:
                 kinds["primitive cover"] += 1
             elif len(sp.crit.scc.components) == 2:
                 kinds["two components"] += 1
@@ -1358,6 +1437,69 @@ def test_residues_from_c_r_and_the_recurrence_match_the_chain():
     assert sum(kinds[kind] for kind in ("irreducible", "reducible")) >= 300, kinds
     assert min(kinds.values()) >= 40, kinds
 
+
+
+def _sub_cover(rng, crit, n):
+    """A subgraph of crit that still covers all n nodes as one component:
+    crit's arcs in random order, each dropped with probability 0.8 when
+    some arc is left and every node still reaches node 0 and is reached
+    from it.  Its
+    cyclicity is a multiple of crit's, often a larger one."""
+    arcs = set(crit.arcs)
+    for arc in rng.sample(sorted(arcs), len(arcs)):
+        if rng.random() < 0.8:
+            arcs.discard(arc)
+            if not arcs or any(len(_reached(n, pairs)) < n for pairs in (arcs, {(j, i) for i, j in arcs})):
+                arcs.add(arc)
+    scc = digraph._decomposition(digraph._successors(n, arcs), [frozenset(range(n))])
+    return spectral.CritGraph(frozenset(range(n)), frozenset(arcs), scc, scc.components[0].girth, scc.components[0].cyclicity)
+
+
+def _reached(n, arcs):
+    """The nodes that walks along arcs reach from node 0."""
+    seen, frontier = {0}, [0]
+    while frontier:
+        frontier = [j for i, j in arcs if i in frontier and j not in seen]
+        seen.update(frontier)
+    return seen
+
+
+def test_a_cover_shifts_each_residue_from_the_one_before(monkeypatch):
+    # at a (sub)graph K that covers every node as one component, at any
+    # cyclicity gamma, Q_gamma is M and Q_k is Q_(k-1) with row i replaced
+    # by P(i, s) + row s of Q_(k-1), s a successor of i in K (the lemma on
+    # covers of csr._residue), with no product: build_csr(a) and
+    # build_csr(a, k), k a one-component cover of all nodes pruned from
+    # the critical graph (_sub_cover), on planted covers, n = 1..9, at t =
+    # 1..2 gamma + 1 read in shuffled order, against the chain of
+    # products (oracles.residue_by_chain), and csr_at against the walk
+    # oracle for n <= 5
+    int_mul, calls = matrix._int_mul, Counter()
+    monkeypatch.setattr(csr, "_int_mul", lambda *args: calls.update(["_int_mul"]) or int_mul(*args))
+    rng = random.Random(2727)
+    kinds = Counter()
+    for k_input in range(240):
+        shape = ("cover", "bipartite")[k_input % 2]
+        n = rng.randint(2, 9) // 2 * 2 if shape == "bipartite" else rng.randint(1, 9)
+        a, _ = _planted_tight(rng, n, shape)
+        sp = spectrum(a)
+        lam, an, sub = sp.lam.value, scalar_times(negate(sp.lam), a), _sub_cover(rng, sp.crit, n)
+        for k, triple in ((sp.crit, build_csr(a)), (sub, build_csr(a, sub))):
+            assert csr._cover(k, n) and triple.gamma == k.cyclicity, render_matrix(a)
+            calls.clear()
+            ts = list(range(1, 2 * k.cyclicity + 2))
+            rng.shuffle(ts)
+            for t in ts:
+                assert csr._residue(triple, t) == residue_by_chain(sp, k, t), (render_matrix(a), sorted(k.arcs), t)
+                if n <= 5:
+                    walks = csr_walk_oracle(an, k.nodes, k.cyclicity, t, k.cyclicity * n + n)
+                    assert csr_at(triple, t).raw() == [[None if x is None else x + t * lam for x in row] for row in walks]
+            assert calls["_int_mul"] == 0, render_matrix(a)
+            kinds["gamma > 1"] += k.cyclicity > 1
+            kinds["gamma > 2"] += k.cyclicity > 2
+            kinds["n <= 5, gamma > 1"] += n <= 5 and k.cyclicity > 1
+        kinds["subgraph of a larger cyclicity"] += sub.cyclicity > sp.crit.cyclicity
+    assert kinds["gamma > 2"] >= 60 and min(kinds.values()) >= 40, kinds
 
 def test_rows_a_covering_triple_shares_are_never_written():
     # at cyclicity 1, M is the spectrum's closure and, on a primitive

@@ -628,15 +628,16 @@ def test_analyze_stops_the_sweep_at_T(monkeypatch):
     # bare cycles are periodic from T = 0; T1 is 1 by convention.  Every
     # node is critical, so analyze runs no sweep but one search from t = 0
     # (see csr.analyze): M = I takes at most 2*(bit_length(gamma) - 1)
-    # products, and the search reads only Q_0 = Q_gamma = C R, one product,
-    # which equals P^0 = I.  At n = 1 the bit rows take none
+    # products, and the search reads only Q_0 = Q_gamma, which is M on a
+    # cover (see csr._residue), with no product, and equals P^0 = I.  At
+    # n = 1 the packed ints take none
     for n in range(1, 6):
         a = from_entries(n, {(i, (i + 1) % n): 0 for i in range(n)})
         spectrum(a)
         products.clear()
         report = analyze(a)
         assert (report.t, report.gamma, report.t1) == (0, n, 1)
-        assert products["_sweep"] == 0 and products["_int_mul"] <= (2 * (n.bit_length() - 1) + 1 if n > 1 else 0)
+        assert products["_sweep"] == 0 and products["_int_mul"] <= 2 * (n.bit_length() - 1)
     # past the ceiling c = DM(1, 3) = 4 the sweep steps on while its
     # steps cost no more than 2*bit_length(s)*M after s of them, with M =
     # 3^2 + 3^3 the work of squaring the dense P^4: rows 1 and 2 stay
@@ -662,9 +663,10 @@ def test_analyze_searches_once_on_the_wielandt_case_n_family(monkeypatch):
     # graph, gamma = n, and T = T1 = Wi(n): every node is critical, so
     # analyze runs no sweep but one search from t = 0 (see csr.analyze).
     # M takes at most 2*(bit_length(gamma) - 1) products, the residues
-    # gamma, and the search, whose probes from t = 0 are the squares
-    # themselves, 2*bit_length(T - 1) - 1.  The spectrum, whose Karp rows
-    # are products too, is computed before the count
+    # none, as the critical graph covers every node as one component (see
+    # csr._residue), and the search, whose probes from t = 0 are the
+    # squares themselves, 2*bit_length(T - 1) - 1.  The spectrum, whose
+    # Karp rows are products too, is computed before the count
     products = Counter()
     int_mul, sweep = matrix._int_mul, csr._sweep
 
@@ -685,7 +687,7 @@ def test_analyze_searches_once_on_the_wielandt_case_n_family(monkeypatch):
             wi = wielandt_bound(n)
             assert (report.gamma, report.t, report.t1, report.crit_rc_transient) == (n, wi, wi, wi)
             assert products["_sweep"] == 0, (n, seed)
-            assert products["_int_mul"] <= 2 * n.bit_length() + n + 2 * wi.bit_length(), (n, seed, products)
+            assert products["_int_mul"] <= 2 * n.bit_length() + 2 * wi.bit_length(), (n, seed, products)
 
 
 # ---------------------------------------------------------------------------
