@@ -166,6 +166,26 @@ MUTANTS = [
         (f"{CSR}::test_a_candidate_inherits_its_skeletons_spectrum_and_triple",),
     ),
     Mutant(
+        "the certificate accepts an arc one unit above the potential", "spectral.py",
+        "                if w > tight[j]:\n                    return None", "                if w > tight[j] + 1:\n                    return None",
+        (f"{SPECTRAL}::test_the_hamiltonian_certificate_matches_karp_and_the_closure",),
+    ),
+    Mutant(
+        "the certificate takes an arc below tight as critical", "spectral.py",
+        "if w is not None and w >= tight[j]:", "if w is not None:",
+        (f"{SPECTRAL}::test_the_hamiltonian_certificate_matches_karp_and_the_closure",),
+    ),
+    Mutant(
+        "the potential accumulated against the cycle's arcs", "spectral.py",
+        "accumulate(norm[i][i + 1] for i in range(n - 1))", "accumulate(-norm[i][i + 1] for i in range(n - 1))",
+        (f"{SPECTRAL}::test_the_hamiltonian_certificate_matches_karp_and_the_closure",),
+    ),
+    Mutant(
+        "the certified closure read from j back to i", "spectral.py",
+        "closure = [[q - p for q in phi] for p in phi]", "closure = [[p - q for q in phi] for p in phi]",
+        (f"{SPECTRAL}::test_the_hamiltonian_certificate_matches_karp_and_the_closure",),
+    ),
+    Mutant(
         "visualization not strict", "spectral.py",
         "else w is None or w < lv", "else w is None or w <= lv",
         (f"{SPECTRAL}::test_is_visualized_examples",),
@@ -282,6 +302,16 @@ MUTANTS = [
         "a candidate's entries compared with the skeleton's unscaled", "extremal.py",
         "elif x is None or x1 * d != x * d1:", "elif x is None or x1 != x:",
         (f"{CSR}::test_a_candidate_inherits_its_skeletons_spectrum_and_triple",),
+    ),
+    Mutant(
+        "generate_dm leaves its skeleton's spectrum to Karp and the closure", "extremal.py",
+        "    a1._spectrum = _hamiltonian_spectrum(a1)\n\n    wmax", "\n    wmax",
+        (f"{CSR}::test_generator_computes_its_candidates_spectrum_once",),
+    ),
+    Mutant(
+        "generate_wielandt leaves its skeleton's spectrum to Karp and the closure", "extremal.py",
+        "    a1._spectrum = _hamiltonian_spectrum(a1)\n\n    scale", "\n    scale",
+        (f"{CSR}::test_generator_computes_its_candidates_spectrum_once",),
     ),
     Mutant(
         "a generator's margin drawn at scale 1", "extremal.py",

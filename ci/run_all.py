@@ -13,7 +13,9 @@ test, or to what it pins, goes into the script too:
 - large: tests/test_csr.py::test_the_sweep_tests_only_failing_rows_and_steps_past_the_ceiling
   and test_the_residue_times_P_is_the_next_residue, at n = 24 and 32;
 - spectrum: tests/test_spectral.py::test_spectrum_matches_the_tarjan_path,
-  against the tests' own Tarjan search (oracles.tarjan), at n = 24, 32 and 40;
+  against the tests' own Tarjan search (oracles.tarjan), at n = 24, 32 and 40,
+  and test_the_hamiltonian_certificate_matches_karp_and_the_closure on the
+  generators' skeletons at n = 24, 32, 48 and 64;
 - heaviest: tests/test_extremal.py::test_heaviest_cycle_matches_the_full_support_search,
   at n = 9 and 10;
 - unweighted: tests/test_extremal.py::test_unweighted_digraphs_agree_with_their_successor_set_index,
@@ -22,8 +24,8 @@ test, or to what it pins, goes into the script too:
   on all 4^9 matrices;
 - stdlib_only and memos20: tests/test_csr.py::test_a_candidate_inherits_its_skeletons_spectrum_and_triple,
   up to n = 20; memos20 also tests/test_extremal.py::test_a_carved_skeleton_takes_the_inputs_lambda_and_critical_graph
-  for verify_dm, test_generators_verify_one_candidate_and_power_the_chord_layer_once for generate_dm's one
-  spectrum, and test_crit_rc_wielandt_tests_no_remainder_off_the_critical_graph for the Wielandt verdicts,
+  for verify_dm, test_generators_verify_one_candidate_and_power_the_chord_layer_once for each generator's one
+  certified spectrum and no closure at cyclicity 1, and test_crit_rc_wielandt_tests_no_remainder_off_the_critical_graph for the Wielandt verdicts,
   at n = 20;
 - mixed_denominators: tests/test_matrix.py::test_int_rows_match_the_fraction_reference_on_mixed_denominators,
   on n = 24 to 40 with a distinct prime denominator in every entry;

@@ -34,7 +34,10 @@ component on every node, so the residues its T1 check reads are M and
 M's rows shifted along the cycle, with no product (see csr._residue).
 
 A generator builds its skeleton a1, with a1's spectrum and CSR triple,
-once: the triple bounds the remainder it samples.  Every rational it
+once: the triple bounds the remainder it samples.  a1's Hamiltonian
+cycle is critical by construction, so its spectrum is certified off
+that cycle's potential, not computed (see
+spectral._hamiltonian_spectrum).  Every rational it
 draws has a denominator from 1 to 4, and is drawn as an int at the one
 scale 12 (_SCALE), so the skeleton's and the candidate's rows are built
 directly, each reduced to its least scale once, with no Fraction.  The candidate, a1
@@ -70,7 +73,7 @@ from .csr import _cover, _residue, _t1_at_ceiling, build_csr
 from .digraph import _cycles, _successors, _support
 from .matrix import MaxPlusMatrix, _finite_entries, _int_mul, _text, from_entries
 from .semiring import MaxPlusScalar, _check_exponent
-from .spectral import CritGraph, Spectrum, _cyclic_spectrum, _inherit_spectrum, critical_graph, spectrum
+from .spectral import CritGraph, Spectrum, _cyclic_spectrum, _hamiltonian_spectrum, _inherit_spectrum, critical_graph, spectrum
 
 SEARCH_LIMIT = 10  # the pruned cycle search still lists every cycle tied below lambda, as beside a heavier loop
 _WALK_LIMIT = 8  # largest n the twice-optimal walk oracle accepts
@@ -829,10 +832,14 @@ def generate_dm(n: int, g: int, seed) -> MaxPlusMatrix:
        Hamiltonian cycle and the g-cycle on positions 0..g-1: strongly
        connected, of girth g, with a unique critical g-cycle.
     4. The remainder and residue-chord conditions hold by construction,
-       each by a strict margin; coprimality is checked on entry.  Every
-       arc off the skeleton lies strictly below CSR(a1) at t = 1, which
-       is p_j - p_i by step 5's argument at t = 1, so the candidate
-       inherits a1's spectrum and triple (see _inherit_skeleton).
+       each by a strict margin; coprimality is checked on entry.  a1's
+       spectrum is certified by its Hamiltonian cycle, critical by steps
+       1 and 3, and the potential p, with no Karp table and no closure
+       (see spectral._hamiltonian_spectrum; were it refused, a1 would
+       compute its own).  Every arc off the skeleton lies strictly below
+       CSR(a1) at t = 1, which is p_j - p_i by step 5's argument at
+       t = 1, so the candidate inherits a1's spectrum and triple (see
+       _inherit_skeleton).
     5. chord_power_below_csr (n >= 2g): the verifier's b1 also holds the
        path arcs (i, i+1), i >= g.  A walk of b1 of length DM - 1 from g
        to n - 1 takes a backward chord, since forward arcs only climb and
@@ -853,6 +860,7 @@ def generate_dm(n: int, g: int, seed) -> MaxPlusMatrix:
     p = [0, *accumulate(hamw)]
     rows[g - 1][0] = -p[g - 1]
     a1 = MaxPlusMatrix._from_ints(_SCALE, [row[:] for row in rows])
+    a1._spectrum = _hamiltonian_spectrum(a1)
 
     wmax = max(*(abs(w) for row in rows for w in row if w is not None), _SCALE)
     big_m = _SCALE + 2 * n * n * wmax
@@ -887,9 +895,11 @@ def generate_wielandt(n: int, seed, case: str = "n-1") -> MaxPlusMatrix:
     the critical graph is the skeleton, of girth n - 1, with a unique
     critical (n-1)-cycle; in case "n" the chord sits a margin below
     tight, so it is the Hamiltonian cycle, of girth n.  Either way the
-    verdict's case is the one asked for, Wi(n) is the ceiling, and the
-    remainder lies a margin below CSR(a1) at t = 1 by construction.  It
-    is the only layer off the skeleton, so the candidate inherits a1's
+    Hamiltonian cycle is critical, so a1's spectrum is certified by it,
+    with no Karp table and no closure (see spectral._hamiltonian_spectrum),
+    the verdict's case is the one asked for, Wi(n) is the ceiling, and
+    the remainder lies a margin below CSR(a1) at t = 1 by construction.
+    It is the only layer off the skeleton, so the candidate inherits a1's
     spectrum and triple (see _inherit_skeleton), and the verdict reads
     CSR at t = 1 off that triple, where sampling left it, with no product.
     """
@@ -902,6 +912,7 @@ def generate_wielandt(n: int, seed, case: str = "n-1") -> MaxPlusMatrix:
     chord_even = -sum(hamw[: n - 2])  # closes the (n-1)-cycle at mean 0
     rows[n - 2][0] = chord_even if case == "n-1" else chord_even - _margin(rng)
     a1 = MaxPlusMatrix._from_ints(_SCALE, [row[:] for row in rows])
+    a1._spectrum = _hamiltonian_spectrum(a1)
 
     scale = _sample_remainder(rng, build_csr(a1), a1_pattern(n, n - 1), rows)
     candidate = MaxPlusMatrix._from_ints(scale, rows)

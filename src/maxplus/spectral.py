@@ -15,7 +15,14 @@ stored on the matrix and returned by every later call, or handed over
 whole from another matrix when its caller has proven the two spectra
 equal, brought to its scale (see _inherit_spectrum, called by
 `extremal`).  Both matrices name their nodes alike: no function here
-reads a numbering.
+reads a numbering.  One caller proves a spectrum instead: the generators
+in `extremal` store on their skeleton a1 the spectrum that
+_hamiltonian_spectrum certifies from a1's critical Hamiltonian cycle
+0 -> 1 -> ... -> n-1 -> 0 and the potential tight along it, with no
+Karp table and no closure (lambda is the cycle's mean, the critical
+arcs are the arcs at their tight value, and P+(i, j) is the potential
+difference); when the certificate fails the memo stays empty, and every
+other matrix takes Karp and the closure.
 The critical graph (all nodes and arcs of cycles attaining the maximum
 mean) is read off the closure: an arc (i, j) is critical exactly when
 it closes a zero-weight circuit, i.e. when a'_ij + (A'+)_ji = 0 for
@@ -41,6 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 from .digraph import SccDecomposition, _components, _decomposition, _successors, global_cyclicity, maximal_girth
@@ -165,6 +173,54 @@ def _inherit_spectrum(a: MaxPlusMatrix, sp: Spectrum) -> None:
     a._spectrum = Spectrum(
         lam=sp.lam, crit=sp.crit, _strongly_connected=sp._strongly_connected, _d=d, _norm=norm, _closure=closure
     )
+
+
+def _hamiltonian_spectrum(a: MaxPlusMatrix) -> Spectrum | None:
+    """The spectrum of a, certified by its Hamiltonian cycle 0 -> 1 -> ...
+    -> n-1 -> 0, with no Karp table and no closure; None when a lacks an
+    arc of that cycle or the cycle is not critical.  Equal in every field
+    to _spectrum(a) when it is not None; the generators' skeletons, whose
+    cycle is critical by construction, are its one caller's inputs.
+
+    Let lam be the cycle's mean, P = A - lam, and phi the potential tight
+    along the cycle: phi(0) = 0 and phi(i+1) = phi(i) + P(i, i+1), which
+    closes at phi(n) = phi(0) as the cycle weighs 0 in P.  The certificate
+    is that every finite arc has reduced weight P(i, j) + phi(i) - phi(j)
+    <= 0, checked in one pass over the entries, which then yields:
+    - lambda: the cycle gives lambda >= lam.  Around any cycle the phi
+      terms telescope, so it weighs its reduced weights in P, <= 0: every
+      cycle mean is <= lam, and lambda = lam.
+    - the critical graph: a cycle of P-weight 0 takes only arcs of
+      reduced weight 0.  Those arcs contain the Hamiltonian cycle, so
+      each one (i, j) closes, with the cycle's path from j to i, a closed
+      walk of reduced weight 0, which splits into cycles of weight 0.  So
+      the critical arcs are exactly the arcs of reduced weight 0, and the
+      critical graph is one component on all n nodes, strongly connected.
+    - the closure: a walk from i to j weighs its reduced weights plus
+      phi(j) - phi(i), so P+(i, j) <= phi(j) - phi(i), with equality on
+      the cycle's path from i to j, of length n when i = j.
+    If the cycle is critical its mean is lambda, and each arc (i, j) with
+    the cycle's path back to i closes a walk of weight <= 0, the arc's
+    reduced weight: so the certificate holds exactly then.
+    """
+    rows, n = a._rows, a.n
+    cycle = [rows[i][(i + 1) % n] for i in range(n)]
+    if None in cycle:
+        return None
+    lam = Fraction(sum(cycle), n * a._d)
+    d, norm = _normalized(a._d, rows, lam)
+    phi = [0, *accumulate(norm[i][i + 1] for i in range(n - 1))]
+    closure = [[q - p for q in phi] for p in phi]
+    arcs = []
+    for i, (row, tight) in enumerate(zip(norm, closure)):
+        for j, w in enumerate(row):
+            if w is not None and w >= tight[j]:
+                if w > tight[j]:
+                    return None
+                arcs.append((i, j))
+    scc = _decomposition(_successors(n, arcs), [frozenset(range(n))])
+    crit = CritGraph(frozenset(range(n)), frozenset(arcs), scc, maximal_girth(scc), global_cyclicity(scc))
+    return Spectrum(MaxPlusScalar(lam), crit, True, d, norm, closure)
 
 
 def _normalized(d: int, rows: list[list], lam: Fraction) -> tuple[int, list[list]]:

@@ -274,8 +274,10 @@ def test_check_crit_rc_calls_each_public_verdict_once(tmp_path, capsys, monkeypa
 def test_the_verbs_build_no_fraction_but_each_spectrums_lambda(tmp_path, capsys):
     # a matrix holds int rows over one least denominator from parse to
     # render: analyze, each check verb and generate build no Fraction but
-    # the public lambda of each spectrum they compute, one each.
-    # cProfile counts the calls of Fraction.__new__ and spectral._spectrum
+    # the public lambda of each spectrum they compute, one each, by Karp
+    # (spectral._spectrum) or, for generate's skeleton, by its Hamiltonian
+    # cycle (spectral._hamiltonian_spectrum), with no Karp table.
+    # cProfile counts the calls of Fraction.__new__ and of both
     rng = random.Random(37)
     mixed = MaxPlusMatrix(
         [[Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 5, 7))) if rng.random() < 0.6 else None for _ in range(7)] for _ in range(7)]
@@ -301,9 +303,14 @@ def test_the_verbs_build_no_fraction_but_each_spectrums_lambda(tmp_path, capsys)
         out, err = capsys.readouterr()
         assert code in (0, 2) and err == "", (argv, err)
         calls = {(Path(file).name, name): count for (file, _, name), (count, *_) in pstats.Stats(profile).stats.items()}
-        built, computed = calls.get(("fractions.py", "__new__"), 0), calls.get(("spectral.py", "_spectrum"), 0)
-        assert built == computed >= 1, (argv, built, computed)
-        spectra += computed
+        built = calls.get(("fractions.py", "__new__"), 0)
+        computed, certified = (calls.get(("spectral.py", name), 0) for name in ("_spectrum", "_hamiltonian_spectrum"))
+        assert built == computed + certified >= 1, (argv, built, computed, certified)
+        if argv[0] == "generate":  # its skeleton's spectrum is certified, not computed
+            assert (computed, certified) == (0, 1), argv
+        else:
+            assert certified == 0, argv
+        spectra += computed + certified
     assert spectra > len(runs)  # check-dm on the mixed input computes its carved skeleton's too
 
 

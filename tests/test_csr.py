@@ -437,8 +437,15 @@ def test_a_matrix_keeps_its_spectrum_and_triple(monkeypatch, rng):
 def test_generator_computes_its_candidates_spectrum_once(monkeypatch):
     # the verdict and the check of T1 at two powers share it, and the
     # candidate inherits the spectrum and triple of the skeleton a1 that
-    # bounded the remainder: one spectrum per call, a1's
+    # bounded the remainder: one spectrum per call, a1's, certified by
+    # its Hamiltonian cycle (spectral._hamiltonian_spectrum) with no Karp
+    # table and no closure; at cyclicity 1 the triple's M is that
+    # certified closure, so no closure is taken at all
     computed = _recording_spectrum(monkeypatch)
+    certified, certify, closures, close = [], extremal._hamiltonian_spectrum, [], matrix._int_closure
+    monkeypatch.setattr(extremal, "_hamiltonian_spectrum", lambda b: certified.append((b, certify(b))) or certified[-1][1])
+    for module in (spectral, csr, digraph):
+        monkeypatch.setattr(module, "_int_closure", lambda rows: closures.append(rows) or close(rows))
     generators = [
         lambda seed: generate_dm(7, 3, seed),  # n >= 2g: the chord-power check reads CSR(a1) too
         lambda seed: generate_dm(12, 5, seed),
@@ -447,9 +454,12 @@ def test_generator_computes_its_candidates_spectrum_once(monkeypatch):
     ]
     for generate in generators:
         for seed in range(3):
-            computed.clear()
+            computed.clear(), certified.clear(), closures.clear()
             a = generate(seed)
-            assert len(computed) == 1 and computed[0] is not a and a._spectrum is not None
+            ((a1, sp),) = certified
+            assert not computed and a1 is not a and a1._spectrum is sp is not None
+            assert (a._spectrum.lam, a._spectrum.crit) == (sp.lam, sp.crit) and a._csr is not None
+            assert len(closures) == (a._csr.gamma > 1), (a._csr.gamma, len(closures))
 
 
 def _dominated_extension(rng, a1):

@@ -1022,9 +1022,10 @@ def test_generators_verify_one_candidate_and_power_the_chord_layer_once(monkeypa
     # b1's power once, stepping that row alone: no power of the whole of
     # b1; the Wielandt verdict reads CSR at t = 1 off the triple the
     # candidate inherited: it builds no matrix, spectrum or triple, and
-    # takes no product
+    # takes no product.  The skeleton's spectrum is certified once by its
+    # Hamiltonian cycle
     names = ("_int_mul", "verify_dm", "verify_wielandt", "_t1_at_ceiling")
-    for name in (*names, "_inherit_skeleton"):
+    for name in (*names, "_inherit_skeleton", "_hamiltonian_spectrum"):
         counted(name)
     left_rows = []
     int_mul = extremal._int_mul
@@ -1033,12 +1034,12 @@ def test_generators_verify_one_candidate_and_power_the_chord_layer_once(monkeypa
     for seed in range(3):
         calls.clear(), left_rows.clear()
         generate_dm(7, 3, seed)  # n >= 2g: the verdict steps row g of b1 to DM(3, 7) - 1 = 21
-        assert calls == Counter(_int_mul=20, verify_dm=1, _t1_at_ceiling=1, _inherit_skeleton=1)
+        assert calls == Counter(_int_mul=20, verify_dm=1, _t1_at_ceiling=1, _inherit_skeleton=1, _hamiltonian_spectrum=1)
         assert left_rows == [1] * 20
         for case in ("n-1", "n"):
             calls.clear()
             generate_wielandt(7, seed, case=case)
-            assert calls == Counter(verify_wielandt=1, _t1_at_ceiling=1, _inherit_skeleton=1)
+            assert calls == Counter(verify_wielandt=1, _t1_at_ceiling=1, _inherit_skeleton=1, _hamiltonian_spectrum=1)
     verify, product, products = extremal.verify_wielandt, csr._int_mul, Counter()
 
     def recorded(a, numbering):
@@ -1054,12 +1055,13 @@ def test_generators_verify_one_candidate_and_power_the_chord_layer_once(monkeypa
         for case in ("n-1", "n"):
             generate_wielandt(n, 0, case=case)
 
-    # generate_dm computes one spectrum and one closure, its skeleton
-    # a1's; the candidate inherits them, and so does the skeleton the
-    # verdict carves out of it, as its critical graph is one component on
-    # every node: the verdict builds that skeleton, carves the chord layer
-    # as rows, not a matrix, and builds the skeleton's triple with no
-    # product
+    # generate_dm computes no spectrum and no closure: its skeleton a1's
+    # spectrum is certified by the Hamiltonian cycle, with no Karp table,
+    # and at cyclicity 1 a1's triple takes M as that certified closure.
+    # The candidate inherits them, and so does the skeleton the verdict
+    # carves out of it, as its critical graph is one component on every
+    # node: the verdict builds that skeleton, carves the chord layer as
+    # rows, not a matrix, and builds the skeleton's triple with no product
     verify_dm_itself, closure, verdicts = extremal.verify_dm, spectral._int_closure, []
 
     def recorded_dm(a, numbering):
@@ -1075,16 +1077,22 @@ def test_generators_verify_one_candidate_and_power_the_chord_layer_once(monkeypa
         verdicts.clear(), left_rows.clear(), products.clear()
         with monkeypatch.context() as patch:
             built, spectra, closures, spectrum_of = _record_builds(patch), [], [], spectral._spectrum
+            certified, certify = [], extremal._hamiltonian_spectrum
             patch.setattr(spectral, "_spectrum", lambda b: spectra.append(b) or spectrum_of(b))
-            patch.setattr(spectral, "_int_closure", lambda rows: closures.append(rows) or closure(rows))
+            patch.setattr(extremal, "_hamiltonian_spectrum", lambda b: certified.append((b, certify(b))) or certified[-1][1])
+            for module in (spectral, csr, digraph):
+                patch.setattr(module, "_int_closure", lambda rows: closures.append(rows) or closure(rows))
             a = generate_dm(7, 3, seed)
         (carved,) = verdicts
         skeleton = built[1]
-        # a1, its triple and spectrum; the candidate; the verdict's skeleton and its triple (the chord layer is rows)
-        assert built == ["matrix", skeleton, skeleton, "matrix", *carved], built
+        # a1 and its triple; the candidate; the verdict's skeleton and its triple (the chord layer is rows)
+        assert built == ["matrix", skeleton, "matrix", *carved], built
         assert carved[0] == "matrix" and len(carved) == 2 and carved[1] is not skeleton, carved
         assert skeleton == carved[1] == decompose(a, 3, tuple(range(7))).a1
-        assert spectra == [skeleton] and len(closures) == 1, (spectra, closures)
+        assert spectra == [] and closures == [], (spectra, closures)
+        ((certified_skeleton, sp),) = certified
+        assert certified_skeleton is skeleton and skeleton._spectrum is sp is not None
+        assert a._spectrum.crit is sp.crit and carved[1]._spectrum.crit is sp.crit
         assert left_rows == [1] * 20 and not products, (left_rows, products)
 
 

@@ -10,8 +10,12 @@ from maxplus import (
     as_scalar,
     critical_components,
     critical_graph,
+    extremal,
     from_entries,
+    generate_dm,
+    generate_wielandt,
     max_cycle_mean,
+    render_matrix,
     scalar_times,
     scale,
     scc_decompose,
@@ -22,7 +26,14 @@ from maxplus import (
 )
 from conftest import rand_weight, random_cyclic_matrix, random_irreducible, random_matrix, random_reducible
 
-from oracles import critical_arcs_brute, cycles_by_permutations, max_cycle_mean_brute, spectrum_by_tarjan
+from oracles import (
+    critical_arcs_brute,
+    critical_girth_cyclicity_brute,
+    cycles_by_permutations,
+    max_cycle_mean_brute,
+    spectrum_by_tarjan,
+    spectrum_differences,
+)
 
 N = None
 
@@ -158,6 +169,91 @@ def test_spectrum_matches_the_tarjan_path():
         kinds["acyclic, n >= 2"] += lam is None and a.n > 1
     assert kinds["several critical components"] >= 100 and kinds["cyclic, not strongly connected"] >= 100, kinds
     assert kinds["acyclic, n >= 2"] >= 100, kinds
+
+
+def _generator_skeletons(monkeypatch):
+    """The skeletons a1 that the generators certify, copied with empty
+    memos: DM at every coprime (g, n) and Wielandt in both cases, n =
+    2..16, seeds 0..2."""
+    skeletons, certify = [], spectral._hamiltonian_spectrum
+    monkeypatch.setattr(extremal, "_hamiltonian_spectrum", lambda a: skeletons.append(a) or certify(a))
+    for n in range(2, 17):
+        for seed in range(3):
+            for g in range(2, n):
+                if gcd(g, n) == 1:
+                    generate_dm(n, g, seed)
+            for case in ("n-1", "n"):
+                generate_wielandt(n, seed, case=case)
+    return [MaxPlusMatrix._from_ints(a._d, a._rows) for a in skeletons]
+
+
+def _reweighted(rng, a):
+    """a_ij - d_i + d_j + c for random d and c: the same critical graph,
+    lambda shifted by c."""
+    d = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 5))) for _ in range(a.n)]
+    c = Fraction(rng.randint(-9, 9), rng.choice((1, 3)))
+    return MaxPlusMatrix([[None if x is None else x - d[i] + d[j] + c for j, x in enumerate(row)] for i, row in enumerate(a.raw())])
+
+
+def _edited(a, i, j, x):
+    """A copy of a with entry (i, j) set to x."""
+    raw = a.raw()
+    raw[i][j] = x
+    return MaxPlusMatrix(raw)
+
+
+def _hamiltonian_critical(a):
+    """Is the cycle 0 -> 1 -> ... -> n-1 -> 0 an arc set of a's critical
+    graph, as spectral._spectrum finds it?"""
+    crit = spectral._spectrum(a).crit
+    return crit is not None and all((i, (i + 1) % a.n) in crit.arcs for i in range(a.n))
+
+
+def test_the_hamiltonian_certificate_matches_karp_and_the_closure(monkeypatch):
+    # spectral._hamiltonian_spectrum certifies a spectrum off the cycle
+    # 0 -> 1 -> ... -> n-1 -> 0 and its potential, with no Karp table and
+    # no closure: on every generator skeleton and reweighted copies it
+    # equals spectral._spectrum in every field, and the brute-force
+    # cycle oracles for n <= 7.  It refuses, with None, exactly when the
+    # cycle is missing an arc or not critical: one off-cycle arc raised
+    # above its tight value (by one unit of the spectrum's scale, or
+    # more), one cycle arc removed, random matrices with a planted cycle
+    rng, outcomes = random.Random(39), Counter()
+
+    def check(a):
+        sp = spectral._hamiltonian_spectrum(a)
+        critical = _hamiltonian_critical(a)
+        assert (sp is not None) == critical, render_matrix(a)
+        outcomes["certified" if critical else "refused"] += 1
+        if critical:
+            a._spectrum = sp
+            assert spectrum_differences(a) == [], render_matrix(a)
+            if a.n <= 7:
+                assert sp.lam.value == max_cycle_mean_brute(a) and sp.crit.arcs == critical_arcs_brute(a)
+                assert (sp.crit.girth, sp.crit.cyclicity) == critical_girth_cyclicity_brute(a)
+                outcomes["against the brute force"] += 1
+        return sp
+
+    for a1 in _generator_skeletons(monkeypatch):
+        n = a1.n
+        for a in (a1, _reweighted(rng, a1)):
+            sp = check(a)
+            assert sp is not None
+            i = rng.randrange(n)
+            j = rng.choice([j for j in range(n) if j != (i + 1) % n])
+            tight = sp.lam.value + Fraction(sp._closure[i][j], sp._d)
+            raise_by = Fraction(1, sp._d) if rng.random() < 0.5 else Fraction(rng.randint(1, 9), rng.choice((1, 4)))
+            assert check(_edited(a, i, j, tight + raise_by)) is None
+            assert check(_edited(a, i, (i + 1) % n, None)) is None
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        raw = random_matrix(rng, n, rng.choice((0.2, 0.5, 0.8))).raw()
+        for i in range(n):
+            if raw[i][(i + 1) % n] is None:
+                raw[i][(i + 1) % n] = rand_weight(rng)
+        outcomes["planted, certified" if check(MaxPlusMatrix(raw)) is not None else "planted, refused"] += 1
+    assert outcomes["certified"] >= 500 and outcomes["refused"] >= 1000 and outcomes["against the brute force"] >= 150, outcomes
+    assert outcomes["planted, certified"] >= 20 and outcomes["planted, refused"] >= 100, outcomes
 
 
 def test_lambda_and_crit_invariant_under_scalar_shift(rng):
