@@ -146,13 +146,23 @@ MUTANTS = [
     # spectral: Karp, the critical graph, the hand-over, the visualization
     Mutant(
         "Karp takes the max over k", "spectral.py",
-        "min((x - dk[v])", "max((x - dk[v])",
+        "(x - y) * steps[k] < mean:", "(x - y) * steps[k] > mean:",
         (f"{SPECTRAL}::test_max_cycle_mean_matches_enumeration",),
     ),
     Mutant(
         "critical arcs close circuits of weight >= 0", "spectral.py",
-        "w + closure[j][i] == 0", "w + closure[j][i] >= 0",
+        "w + back == 0", "w + back >= 0",
         equivalent="no closed walk of A - lambda weighs more than 0, so the sum is never positive",
+    ),
+    Mutant(
+        "strong connectivity read off one row of the closure", "spectral.py",
+        "all(None not in row for row in closure)", "None not in closure[0]",
+        (f"{SPECTRAL}::test_spectrum_matches_the_tarjan_path",),
+    ),
+    Mutant(
+        "critical components joined on a circuit of weight >= 0", "spectral.py",
+        "x + y == 0}", "x + y >= 0}",
+        (f"{SPECTRAL}::test_a_critical_arc_between_components_is_an_assertion",),
     ),
     Mutant(
         "an acyclic digraph strongly connected", "spectral.py",
@@ -193,7 +203,7 @@ MUTANTS = [
     # digraph: the components read off a closure
     Mutant(
         "components joined on one-sided reachability", "digraph.py",
-        "i == j or reach[i][j] is not None and reach[j][i] is not None", "i == j or reach[i][j] is not None",
+        "if x is not None and y is not None}", "if x is not None}",
         (f"{DIGRAPH}::test_scc_decompose_matches_tarjan_on_random_node_subsets",),
     ),
     # matrix: the kernel

@@ -39,7 +39,9 @@ from .matrix import MaxPlusMatrix, _scalar_text, mat_power, parse_matrix, render
 
 
 def _load(path: str) -> MaxPlusMatrix:
-    return parse_matrix(Path(path).read_text())
+    """The matrix in the file at path, read as Path.read_text() reads it."""
+    with open(path) as f:
+        return parse_matrix(f.read())
 
 
 def _parse_numbering(text: str | None) -> tuple[int, ...] | None:

@@ -10,8 +10,9 @@ Strongly connected components come off a closure, by one grouping:
 `scc_decompose` closes the 0/-inf support on its nodes with the
 kernel's `_int_closure`, and `spectral._critical_graph_at` reads the
 critical components off the closure P+ its spectrum keeps.  Both hand
-the relation to `_components`, and the classes to `_decomposition`,
-which adds each one's girth and cyclicity.
+`_components` the relation one node at a time, as the class of a node
+read off its row and column of the closure, and the classes to
+`_decomposition`, which adds each one's girth and cyclicity.
 
 The algorithms run on sorted successor lists: `_support` gives those of
 a matrix, and `_successors` those of an arc set, which is how `spectral`
@@ -116,14 +117,14 @@ def _component_cyclicity(succ: Sequence[Sequence[int]], comp: frozenset[int]) ->
     return result if result > 0 else None
 
 
-def _components(nodes: Iterable[int], joined: Callable[[int, int], bool]) -> list[frozenset[int]]:
-    """The classes of the equivalence `joined` on nodes, ordered by least node."""
-    nodes = sorted(nodes)
+def _components(nodes: Iterable[int], joined: Callable[[int], Iterable[int]]) -> list[frozenset[int]]:
+    """The classes of an equivalence on nodes, ordered by least node;
+    joined(i) is the class of i, asked once per class, at its least node."""
     seen: set[int] = set()
     comps = []
-    for i in nodes:
+    for i in sorted(nodes):
         if i not in seen:
-            comps.append(frozenset(j for j in nodes if joined(i, j)))
+            comps.append(frozenset(joined(i)))
             seen |= comps[-1]
     return comps
 
@@ -149,8 +150,12 @@ def scc_decompose(a: MaxPlusMatrix, nodes: Iterable[int] | None = None) -> SccDe
         for i, row in enumerate(a._rows)
     ]
     _int_closure(reach)
-    comps = _components(nodes, lambda i, j: i == j or reach[i][j] is not None and reach[j][i] is not None)
-    return _decomposition(_support(a), comps)
+    cols = list(zip(*reach))
+
+    def joined(i: int) -> set[int]:  # i and the j with each reaching the other
+        return {i} | {j for j, (x, y) in enumerate(zip(reach[i], cols[i])) if x is not None and y is not None}
+
+    return _decomposition(_support(a), _components(nodes, joined))
 
 
 def maximal_girth(d: SccDecomposition) -> int:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd, lcm
 from operator import floordiv, mul
 from typing import Iterable, Sequence
@@ -388,7 +388,7 @@ def parse_matrix(text: str) -> MaxPlusMatrix:
         if len(tokens) != n:
             raise ValueError(f"row {ln!r} has {len(tokens)} entries, expected {n}")
         rows.append(tokens)
-    values = dict.fromkeys(tok for row in rows for tok in row)  # in reading order: the first bad token raises
+    values = dict.fromkeys(chain.from_iterable(rows))  # in reading order: the first bad token raises
     for tok in values:
         values[tok] = _parse_token(tok)
     d = lcm(*{pq[1] for pq in values.values() if pq is not None})

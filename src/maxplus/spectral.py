@@ -4,11 +4,13 @@ The maximum cycle mean is computed by Karp's dynamic program, run once
 over the whole digraph from a virtual source, on the int rows the
 matrix holds (see `matrix`), each of its rows one product of the row
 before by A in the kernel's _int_mul; no strongly connected components
-are found for it.  Lambda is the one Fraction it builds.  `spectrum`
+are found for it.  Lambda is the one Fraction it builds, and its means
+are compared as ints in one plain loop.  `spectrum`
 turns A's rows into those of A - lambda once, at the lcm of A's scale
 and lambda's denominator (_normalized), and keeps that integer form on
 the returned Spectrum, together with its closure A'+ and whether the
-digraph is strongly connected, which is read off that closure; the CSR
+digraph is strongly connected, which is read off that closure (no row
+holds -inf); the CSR
 terms and both scans in `csr` read them instead of scaling again.  A
 matrix's spectrum is computed once: it is
 stored on the matrix and returned by every later call, or handed over
@@ -26,8 +28,10 @@ other matrix takes Karp and the closure.
 The critical graph (all nodes and arcs of cycles attaining the maximum
 mean) is read off the closure: an arc (i, j) is critical exactly when
 it closes a zero-weight circuit, i.e. when a'_ij + (A'+)_ji = 0 for
-the normalized A' = A - lambda, and two critical nodes share a
-component exactly when they close one.  The grouping and the girths and
+the normalized A' = A - lambda, read in one plain pass of each row of
+A' against a column of A'+, and two critical nodes share a
+component exactly when they close one.  The grouping, which takes one
+node's class at a time off its row and column of A'+, and the girths and
 cyclicities, from the successor lists of those integer arcs, are
 digraph's `_components` and `_decomposition`, which `scc_decompose`
 runs on a closure of its own; no other component search exists.
@@ -48,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import lcm
 
 from .digraph import SccDecomposition, _components, _decomposition, _successors, global_cyclicity, maximal_girth
@@ -125,12 +129,19 @@ def _karp(rows: list[list], d: int = 1) -> Fraction | None:
         dp += _int_mul(dp[-1:], finite)
     # every quotient times the lcm L of 1..n is an integer: compare those
     big = lcm(*range(1, n + 1))
-    means = [
-        min((x - dk[v]) * (big // (n - k)) for k, dk in enumerate(dp[:n]) if dk[v] is not None)
-        for v, x in enumerate(dp[n])
-        if x is not None
-    ]
-    return Fraction(max(means), big * d) if means else None
+    steps = [big // (n - k) for k in range(n)]
+    best = None
+    for v, x in enumerate(dp[n]):
+        if x is None:
+            continue
+        mean = x * steps[0]  # k = 0: dp[0][v] = 0
+        for k in range(1, n):
+            y = dp[k][v]
+            if y is not None and (x - y) * steps[k] < mean:
+                mean = (x - y) * steps[k]
+        if best is None or mean > best:
+            best = mean
+    return None if best is None else Fraction(best, big * d)
 
 
 def spectrum(a: MaxPlusMatrix) -> Spectrum:
@@ -148,7 +159,7 @@ def _spectrum(a: MaxPlusMatrix) -> Spectrum:
     graph is read off the closure P+ (see _critical_graph_at).
 
     P+(i, j) is finite exactly when a walk of length >= 1 leads from i to
-    j, so the digraph is strongly connected iff every entry of P+ is.
+    j, so the digraph is strongly connected iff no row of P+ holds None.
     """
     lam = _karp(a._rows, a._d)
     if lam is None:  # one node without a loop is strongly connected, more are not
@@ -156,7 +167,7 @@ def _spectrum(a: MaxPlusMatrix) -> Spectrum:
     d_lam, norm = _normalized(a._d, a._rows, lam)
     closure = [row[:] for row in norm]
     _int_closure(closure)
-    strongly_connected = all(x is not None for row in closure for x in row)
+    strongly_connected = all(None not in row for row in closure)
     return Spectrum(MaxPlusScalar(lam), _critical_graph_at(norm, closure), strongly_connected, d_lam, norm, closure)
 
 
@@ -246,7 +257,8 @@ def critical_graph(a: MaxPlusMatrix) -> CritGraph:
 
 def _critical_graph_at(norm: list[list], closure: list[list]) -> CritGraph:
     """The critical graph, given the scaled int rows of A - lambda and of
-    their closure P+.
+    their closure P+, read in one plain pass of each row of A - lambda
+    against the column of P+ that closes its arcs.
 
     So are its components: critical nodes i and j share one iff P+(i, j)
     and P+(j, i) are finite and sum to 0.  If they do, the best walks
@@ -254,18 +266,25 @@ def _critical_graph_at(norm: list[list], closure: list[list]) -> CritGraph:
     weight <= 0, each of which weighs 0 and so is critical.  Conversely,
     critical walks i -> j -> i close a walk of critical arcs, which
     weighs 0 (a visualization puts each critical arc at 0 and keeps the
-    weight of a closed walk), and no closed walk weighs more.  The
-    components come from digraph._components, ordered by their least
-    node, and their girths and cyclicities from digraph._decomposition
-    on the successor lists of the critical arcs.
+    weight of a closed walk), and no closed walk weighs more.  So the
+    nodes j joined to a critical i are critical themselves, and i's
+    component is read off row i and column i of P+ alone, one node at a
+    time, by digraph._components, ordered by least node; their girths
+    and cyclicities come from digraph._decomposition on the successor
+    lists of the critical arcs.
     """
+    cols = list(zip(*closure))
+    arcs = []
+    for i, (row, col) in enumerate(zip(norm, cols)):  # (i, j) is critical iff w + P+(j, i) = 0
+        for j, (w, back) in enumerate(zip(row, col)):
+            if w is not None and back is not None and w + back == 0:
+                arcs.append((i, j))
+    nodes = set(chain.from_iterable(arcs))
 
-    def closes(i: int, j: int, w: int | None) -> bool:  # w + P+(j, i) = 0
-        return w is not None and closure[j][i] is not None and w + closure[j][i] == 0
+    def joined(i: int) -> set[int]:  # the j with P+(i, j) + P+(j, i) = 0
+        return {j for j, (x, y) in enumerate(zip(closure[i], cols[i])) if x is not None and y is not None and x + y == 0}
 
-    arcs = {(i, j) for i, row in enumerate(norm) for j, w in enumerate(row) if closes(i, j, w)}
-    nodes = {i for (i, j) in arcs} | {j for (i, j) in arcs}
-    comps = _components(nodes, lambda i, j: closes(i, j, closure[i][j]))
+    comps = _components(nodes, joined)
     component = {i: comp for comp in comps for i in comp}
     # Complete reducibility: every critical arc stays inside one component.
     for (i, j) in arcs:

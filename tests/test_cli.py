@@ -137,6 +137,22 @@ def test_missing_file_is_usage_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("verb", ["analyze", "powers", "check-dm"])
+@pytest.mark.parametrize("kind", ["directory", "undecodable"])
+def test_an_unreadable_file_is_usage_error_with_read_texts_message(tmp_path, capsys, verb, kind):
+    # a directory, and a file whose bytes no text encoding of the locale reads
+    # as a matrix: one error line, Path.read_text()'s own message, no output
+    path = tmp_path / "m"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"2\n0 \xff\xfe\n\x81 0\n")
+    with pytest.raises((OSError, ValueError)) as expected:
+        parse_matrix(path.read_text())
+    code, out, err = run(capsys, verb, str(path), *(["--t", "2"] if verb == "powers" else []))
+    assert (code, out, err) == (1, "", f"error: {expected.value}\n")
+
+
 def test_generate_check_dm_pipeline(tmp_path, capsys):
     out_path = str(tmp_path / "dm.txt")
     code, out, _ = run(

@@ -171,6 +171,20 @@ def test_spectrum_matches_the_tarjan_path():
     assert kinds["acyclic, n >= 2"] >= 100, kinds
 
 
+@pytest.mark.parametrize("p01", [-1, 1])
+def test_a_critical_arc_between_components_is_an_assertion(p01):
+    # Hand-built rows of A - lambda, and of a closure that no matrix has:
+    # the arc (0, 1) closes a circuit of weight 0 with P+(1, 0), but
+    # P+(0, 1) + P+(1, 0) != 0 puts 0 and 1 in separate components.  The
+    # closure it replaces, with P+(0, 1) = 0, joins them.
+    norm = [[0, 0], [None, 0]]
+    with pytest.raises(AssertionError, match=r"critical arc \(0,1\) crosses components"):
+        spectral._critical_graph_at(norm, [[0, p01], [0, 0]])
+    crit = spectral._critical_graph_at(norm, [[0, 0], [0, 0]])
+    assert [c.nodes for c in crit.scc.components] == [{0, 1}]
+    assert crit.arcs == {(0, 0), (0, 1), (1, 1)}
+
+
 def _generator_skeletons(monkeypatch):
     """The skeletons a1 that the generators certify, copied with empty
     memos: DM at every coprime (g, n) and Wielandt in both cases, n =
