@@ -70,16 +70,17 @@ for n in (24, 32):
 print(f"all agree ({time.time() - start:.1f} s)")
 
 # where analyze hands over to the galloping search, if it does, and how
-# many rows its steps multiplied onto a row of Q_(t+1), the rows that hold
-handovers, transient, int_mul = [], csr._transient, csr._int_mul
+# many rows its steps stepped at their entries above Q_t alone, onto a row
+# of Q_(t+1), the rows that hold
+handovers, transient, step_holding = [], csr._transient, csr._step_holding
 csr._transient = lambda norm, t, *args: handovers.append(t) or transient(norm, t, *args)
 held = []
 
-def counted(arows, b, starts=None):
-    held.append(sum(any(x is not None for x in row) for row in starts or ()))
-    return int_mul(arows, b, starts)
+def counted(nxt, at, residue, holding, b):
+    held.append(len(holding))
+    return step_holding(nxt, at, residue, holding, b)
 
-csr._int_mul = counted
+csr._step_holding = counted
 start, ways = time.time(), set()
 
 def check_t(name, a, expected):

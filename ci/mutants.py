@@ -46,7 +46,14 @@ MUTANTS = [
     # csr: the one-sided test, the residues, the sweep, the searches
     Mutant(
         "excess counts equal entries", "csr.py",
-        "return q is not None and (p is None or q > p)", "return q is not None and (p is None or q >= p)",
+        "if q is not None and (p is None or q > p):\n                    failing.append(i)",
+        "if q is not None and (p is None or q >= p):\n                    failing.append(i)",
+        (f"{KERNEL}::test_sweep_matches_the_full_ceiling_scan",),
+    ),
+    Mutant(
+        "the excess test skips a -inf entry of P^t", "csr.py",
+        "if q is not None and (p is None or q > p):\n                    failing.append(i)",
+        "if q is not None and p is not None and q > p:\n                    failing.append(i)",
         (f"{KERNEL}::test_sweep_matches_the_full_ceiling_scan",),
     ),
     Mutant(
@@ -67,12 +74,12 @@ MUTANTS = [
     ),
     Mutant(
         "holding row accumulates onto Q_t", "csr.py",
-        "starts = [blank if i in failed else nxt[i] for i in left]", "starts = [blank if i in failed else residue[i] for i in left]",
+        "row, best = at[i], nxt[i][:]", "row, best = at[i], residue[i][:]",
         (f"{CSR}::test_each_row_retires_where_it_meets_the_residue",),
     ),
     Mutant(
         "holding row accumulates onto -inf", "csr.py",
-        "starts = [blank if i in failed else nxt[i] for i in left]", "starts = [blank for i in left]",
+        "row, best = at[i], nxt[i][:]", "row, best = at[i], [None] * len(row)",
         (f"{CSR}::test_each_row_retires_where_it_meets_the_residue",),
     ),
     Mutant(
@@ -82,15 +89,26 @@ MUTANTS = [
     ),
     Mutant(
         "failing row stepped as holding", "csr.py",
-        "failed, blank = set(failing), [None] * n", "failed, blank = set(), [None] * n",
+        "[i for i in active if i not in failing] if failing else active", "active",
         (f"{CSR}::test_a_holding_row_steps_only_its_entries_above_the_residue",),
     ),
     Mutant(
         # the rows stepped stay exact, so no end result moves; the test
-        # that names each holding row's entry operations sees the work
+        # that names the rows of B - lambda each holding step reads sees the work
         "mask keeps the entries equal to Q_t", "csr.py",
-        "else _above(at[i], residue[i]) for i in left]", "else _above(at[i], blank) for i in left]",
+        "map(ne, row, residue[i])", "map(ne, row, [None] * len(row))",
         (f"{CSR}::test_a_holding_row_steps_only_its_entries_above_the_residue",),
+    ),
+    Mutant(
+        "a holding step also reads P's critical columns", "csr.py",
+        "[(j, y) for j, y in row if j not in crit]", "row",
+        equivalent="a critical column of P^(t+1) never exceeds Q_(t+1), which the step starts from (_sweep's lemma: B - lambda suffices)",
+    ),
+    Mutant(
+        # drops B's loop at k, a column off the critical nodes
+        "a holding step drops a non-critical column", "csr.py",
+        "[(j, y) for j, y in row if j not in crit]", "[(j, y) for j, y in row if j not in crit and j != k]",
+        (f"{CSR}::test_every_row_the_sweep_steps_is_its_row_of_the_next_power",),
     ),
     Mutant(
         "T = t when every row retires at t = 1", "csr.py",
@@ -291,7 +309,7 @@ MUTANTS = [
     ),
     Mutant(
         "DM's remainder keeps the residue chords", "extremal.py",
-        "(i, j) not in taken]", "(i, j) not in a1_arcs]",
+        "for i, j in a1_arcs | b1_arcs:", "for i, j in a1_arcs:",
         (f"{EXTREMAL}::test_wielandt_remainder_on_the_inputs_csr_matches_the_carved_skeleton",),
     ),
     Mutant(

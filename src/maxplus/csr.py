@@ -22,8 +22,9 @@ when it equals the same row of C S^t R; the sweep then retires it and
 multiplies only the rows not yet periodic, so T = max(T1, T2) row by
 row, T2 the time after which C S^t R dominates B^t.  An active row that
 C S^t R exceeds nowhere is that row of C S^t R (+) B^t, and only its B^t
-part can still move: the sweep multiplies only its entries above
-C S^t R, onto the same row of C S^(t+1) R.  Past the ceiling on T1 it
+part can still move: the sweep steps only its entries above C S^t R,
+each by its row of B - lambda, onto the same row of C S^(t+1) R, in one
+loop of its own (_step_holding).  Past the ceiling on T1 it
 steps on while that costs less than the galloping search of
 _transient would, and hands over to the search when it does not: the
 sweep returns T either way.  Whether T1 equals that ceiling is decided
@@ -376,9 +377,10 @@ def _sweep(
     retires row i at the first t >= 1 where the two are equal, multiplies
     only the active rows by P, and takes each retired row of P^(t+1) from
     Q_(t+1).  With transient it stops when no row is left, with T.  An
-    active row that holds at t (Q_t <= P^t on it, see below) is multiplied
-    at its entries above Q_t alone, onto its row of Q_(t+1) (see
-    _above and _int_mul's start rows); a failing row is multiplied in full.
+    active row that holds at t (Q_t <= P^t on it, see below) steps its
+    entries above Q_t alone, each by its row of B - lambda, onto its row
+    of Q_(t+1), in one call of _step_holding a step; a failing row is
+    multiplied by P in full, by _int_mul.
 
     Lemma.  On the critical rows R P = S' R, so Q_t P = Q_(t+1) for t >= 1
     (and Q_gamma P = Q_1).  R P >= S' R is in weak_threshold_T1's proof.
@@ -408,6 +410,16 @@ def _sweep(
     Q_(t+1)(i, j) <= P^(t+1)(i, j) as the row still holds at t + 1 (see
     weak_threshold_T1): dropping those entries and adding Q_(t+1) changes
     no entry of the row.
+
+    Lemma (B - lambda suffices).  In that product, each entry k above Q_t
+    may be multiplied by row k of B - lambda, P's finite entries off the
+    critical rows and columns, in place of row k of P.  Proof, in two
+    steps.  1. Every such k lies off the critical nodes, as a critical
+    column of P^t never exceeds Q_t (see _excess), so row k of B - lambda
+    is row k of P on the columns off the critical nodes.  2. A critical
+    column of P^(t+1) never exceeds Q_(t+1), by the same proof, and the
+    row starts from Q_(t+1): the terms P^t(i, k) + P(k, j) at a critical
+    j, which B - lambda drops, change nothing.
 
     It also finds where Q_t exceeds P^t (see _excess), for t1 and the
     critical row and column transients.  A row that holds at t holds at
@@ -440,10 +452,10 @@ def _sweep(
     _square_work): a step passes over the rows and multiplies each active
     one by P, so it is counted as n, plus n + nnz(P) per active row, and M
     is the work of squaring P^c, the price of one product of the search.
-    A holding row, multiplied at its entries S above Q_t alone, makes n
-    plus the sum over k in S of nnz(P_k), P_k row k of P, and is counted
-    at n + nnz(P) too: the bound below needs only an upper bound on the
-    work of the steps, and T is exact either way.
+    A holding row, stepped at its entries S above Q_t alone, makes n plus
+    the sum over k in S of nnz(B_k), B_k row k of B - lambda, at most n +
+    nnz(P), and is counted at n + nnz(P) too: the bound below needs only
+    an upper bound on the work of the steps, and T is exact either way.
 
     The bound, in units of M.  From t' >= 1 with u = T - t' >= 1, the
     search makes G(u) = 3*bit_length(u - 1) products for u >= 2, and one
@@ -460,9 +472,12 @@ def _sweep(
     norm, n = triple._norm, triple.n
     step = _finite_entries(norm)
     at, active, failing = _int_power(norm, start), range(n), list(range(n))  # every row is tested at start
-    nodes = sorted(triple.crit.nodes)
+    crit = triple.crit.nodes
+    nodes = sorted(crit)
     ceiling, t1, rows, cols = _ceiling(triple), 1, dict.fromkeys(nodes, 1), dict.fromkeys(nodes, 1)
     nnz, spent = sum(map(len, step)), 0  # nnz(P) bounds a row's step; spent counts the steps past c
+    if transient:  # B - lambda, for the holding rows
+        b = [[] if k in crit else [(j, y) for j, y in row if j not in crit] for k, row in enumerate(step)]
     for t in count(start):
         if transient:
             residue = _residue(triple, t)
@@ -482,17 +497,32 @@ def _sweep(
             if spent > 2 * (t - ceiling).bit_length() * square:
                 return _transient(norm, t, at, partial(_residue, triple), _int_product), t1, rows, cols
             spent += n + len(active) * (n + nnz)
-        left = active if transient else failing
-        nxt = _residue(triple, t + 1)[:]  # the retired rows of P^(t+1); rows neither left nor retired are not read
-        if transient:  # a holding row steps its entries above Q_t alone, onto its row of Q_(t+1)
-            failed, blank = set(failing), [None] * n
-            arows = [at[i] if i in failed else _above(at[i], residue[i]) for i in left]
-            starts = [blank if i in failed else nxt[i] for i in left]
-        else:
-            arows, starts = [at[i] for i in left], None
-        for i, row in zip(left, _int_mul(arows, step, starts)):
-            nxt[i] = row
+        nxt = _residue(triple, t + 1)[:]  # the retired rows of P^(t+1); rows neither stepped nor retired are not read
+        if failing:
+            for i, row in zip(failing, _int_mul([at[i] for i in failing], step)):
+                nxt[i] = row
+        if transient:  # every other active row holds
+            _step_holding(nxt, at, residue, [i for i in active if i not in failing] if failing else active, b)
         at = nxt
+
+
+def _step_holding(nxt: list[list], at: list[list], residue: list[list], holding: list[int], b: list[list]) -> None:
+    """Step each row i of holding, which holds at t, from at = P^t to
+    P^(t+1) in nxt, whose row i is Q_(t+1)'s on entry: each entry k where
+    row i of P^t differs from Q_t (residue) adds to row k of B - lambda,
+    b as _finite_entries lists it, onto a copy of that row of Q_(t+1).
+    Exact by _sweep's lemmas on holding rows; P^t(i, k) is finite there."""
+    cols = range(len(at))
+    for i in holding:
+        row, best = at[i], nxt[i][:]
+        for k in compress(cols, map(ne, row, residue[i])):
+            x = row[k]
+            for j, y in b[k]:
+                s = x + y
+                c = best[j]
+                if c is None or s > c:
+                    best[j] = s
+        nxt[i] = best
 
 
 def _transient(p, t: int, at, residue: Callable, mul: Callable) -> int:
@@ -576,23 +606,20 @@ def _excess(triple: CsrTriple, t: int, at: list[list], rows: list[int]) -> tuple
     k passes k, and (B - lambda)^t is -inf on row and column k, so row
     and column k of P^t are <= those of Q_t.
     """
-    residue = _residue(triple, t)
-    failing = [i for i in rows if residue[i] != at[i] and any(map(_exceeds, residue[i], at[i]))]
-    return failing, [j for j in triple.crit.nodes if any(_exceeds(residue[i][j], at[i][j]) for i in failing)]
-
-
-def _exceeds(q: int | None, p: int | None) -> bool:
-    """Whether the int q exceeds p, None being -inf."""
-    return q is not None and (p is None or q > p)
-
-
-def _above(row: list, q: list) -> list:
-    """row with -inf wherever it equals q: where row >= q, its entries
-    that exceed q."""
-    kept = [None] * len(row)
-    for k in compress(range(len(row)), map(ne, row, q)):
-        kept[k] = row[k]
-    return kept
+    residue, failing, cols = _residue(triple, t), [], []
+    for i in rows:
+        if residue[i] != at[i]:
+            for q, p in zip(residue[i], at[i]):
+                if q is not None and (p is None or q > p):
+                    failing.append(i)
+                    break
+    for j in triple.crit.nodes:
+        for i in failing:
+            q, p = residue[i][j], at[i][j]
+            if q is not None and (p is None or q > p):
+                cols.append(j)
+                break
+    return failing, cols
 
 
 def _boolean_index(crit: CritGraph) -> int:

@@ -92,13 +92,9 @@ def a1_pattern(n: int, g: int) -> set[tuple[int, int]]:
 
 
 def b1_pattern(n: int, g: int) -> set[tuple[int, int]]:
-    """Residue chords: (i, j) with i, j >= g and j = i+1 (mod g)."""
-    return {
-        (i, j)
-        for i in range(g, n)
-        for j in range(g, n)
-        if (j - i - 1) % g == 0
-    }
+    """Residue chords: (i, j) with i, j >= g and j = i+1 (mod g), each
+    row's columns by stride g from the least one."""
+    return {(i, j) for i in range(g, n) for j in range(g + (i + 1) % g, n, g)}
 
 
 @dataclass(frozen=True)
@@ -153,7 +149,10 @@ def decompose(a: MaxPlusMatrix, g: int, numbering: tuple[int, ...]) -> Decomposi
 
 def _carve(rows: list[list], arcs: set[tuple[int, int]]) -> list[list]:
     """New rows holding the entries of rows on the arcs given and -inf elsewhere."""
-    return [[x if (i, j) in arcs else None for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    carved = [[None] * len(row) for row in rows]
+    for i, j in arcs:
+        carved[i][j] = rows[i][j]
+    return carved
 
 
 def _mapped(arcs, numbering: tuple[int, ...]) -> set[tuple[int, int]]:
@@ -408,8 +407,10 @@ def _dm_conditions(a: MaxPlusMatrix, sp: Spectrum, g: int, numbering: tuple[int,
 
     conditions["coprime"] = ConditionCheck(gcd(g, n) == 1, detail=f"gcd({g},{n})={gcd(g, n)}")
 
-    taken = a1_arcs | b1_arcs
-    a2 = [(i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row) if x is not None and (i, j) not in taken]
+    rest = [row[:] for row in rows]
+    for i, j in a1_arcs | b1_arcs:
+        rest[i][j] = None
+    a2 = [(i, j, x) for i, row in enumerate(rest) for j, x in enumerate(row) if x is not None]
     conditions["remainder_below_csr"] = ConditionCheck(_below_csr_at_one(build_csr(a1), a2, d))
 
     witnesses, qualifying = _residue_chord_witnesses(sp._norm, g, numbering)
@@ -800,9 +801,12 @@ def _sample_remainder(rng: random.Random, triple: CsrTriple, taken: set[tuple[in
     f, g = scale // d, scale // _SCALE
     if g > 1:
         rows[:] = [[None if x is None else x * g for x in row] for row in rows]
-    for i in range(triple.n):
+    skip = [set() for _ in range(triple.n)]  # the columns taken in each row
+    for i, j in taken:
+        skip[i].add(j)
+    for i, cols in enumerate(skip):
         for j in range(triple.n):
-            if (i, j) in taken or rng.random() >= 0.5:
+            if j in cols or rng.random() >= 0.5:
                 continue
             y = csr[i][j]
             if y is not None:

@@ -159,15 +159,15 @@ def _finite_entries(rows: list[list]) -> list[list]:
     return [[(j, y) for j, y in enumerate(row) if y is not None] for row in rows]
 
 
-def _int_mul(arows: list[list], bfinite: list[list], starts: list[list] | None = None) -> list[list]:
+def _int_mul(arows: list[list], bfinite: list[list]) -> list[list]:
     """Max-plus product of int-or-None rows and a right factor given by
-    _finite_entries; -inf entries of a left row are skipped.  With starts,
-    one int-or-None row per left row, each product row accumulates onto a
-    copy of its start row rather than onto -inf: it is their max-plus sum."""
+    _finite_entries; -inf entries of a left row are skipped.  The sweep
+    steps its holding rows in csr._step_holding, this loop fused with the
+    choice of the left entries and onto a start row."""
     n = len(bfinite)
     out = []
-    for arow, start in zip(arows, repeat([None] * n) if starts is None else starts):
-        best = start[:]
+    for arow in arows:
+        best = [None] * n
         for x, finite in zip(arow, bfinite):
             if x is None:
                 continue

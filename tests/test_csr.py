@@ -748,12 +748,14 @@ def test_the_sweep_tests_only_failing_rows_and_steps_past_the_ceiling(monkeypatc
     # analyze, weak_threshold_T1 and crit_row_col_profile against the
     # oracles: T1 and the row and column transients by the full ceiling
     # scan, T step by step, and past the ceiling the rows analyze's
-    # sweep multiplies at each step by the rows' own transients T_i (row
-    # i is multiplied at t while max(T_i, 1) > t), up to T or to its
-    # hand-over to the galloping search.  Each test gives the rows and the
-    # critical columns of the entries where Q_t exceeds P^t, by the oracle
-    excess_calls, left_rows, handovers = [], [], []
-    excess, int_mul, transient = csr._excess, matrix._int_mul, csr._transient
+    # sweep steps at each step by the rows' own transients T_i (row i is
+    # stepped at t while max(T_i, 1) > t), up to T or to its hand-over to
+    # the galloping search: the failing rows of _int_mul's one product,
+    # if any, and the holding rows of the step's one _step_holding call.
+    # Each test gives the rows and the critical columns of the entries
+    # where Q_t exceeds P^t, by the oracle
+    excess_calls, left_rows, handovers, pending = [], [], [], []
+    excess, int_mul, step_holding, transient = csr._excess, matrix._int_mul, csr._step_holding, csr._transient
 
     def recorded_excess(triple, t, at, rows):
         found = excess(triple, t, at, rows)
@@ -766,8 +768,15 @@ def test_the_sweep_tests_only_failing_rows_and_steps_past_the_ceiling(monkeypatc
         handovers.append((t, len(left_rows)))  # where the search starts, after how many products
         return transient(norm, t, *args)
 
+    def recorded_step(nxt, at, residue, holding, b):  # the last call of a step: the rows it stepped
+        assert len(pending) <= 1, "more than one product of failing rows in a step"
+        left_rows.append(sum(pending) + len(holding))
+        pending.clear()
+        return step_holding(nxt, at, residue, holding, b)
+
     monkeypatch.setattr(csr, "_excess", recorded_excess)
-    monkeypatch.setattr(csr, "_int_mul", lambda arows, *args: left_rows.append(len(arows)) or int_mul(arows, *args))
+    monkeypatch.setattr(csr, "_int_mul", lambda arows, b: pending.append(len(arows)) or int_mul(arows, b))
+    monkeypatch.setattr(csr, "_step_holding", recorded_step)
     monkeypatch.setattr(csr, "_transient", recorded_transient)
     rng = random.Random(1717)
     corpus = []
@@ -791,7 +800,7 @@ def test_the_sweep_tests_only_failing_rows_and_steps_past_the_ceiling(monkeypatc
         gamma = triple.gamma
         for t in range(1, gamma + 1):
             csr._residue(triple, t)  # read first, so the sweep's products are its steps alone
-        excess_calls.clear(), left_rows.clear(), handovers.clear()
+        excess_calls.clear(), left_rows.clear(), handovers.clear(), pending.clear()
         report = analyze(a)
         assert (report.t1, report.crit_rc_transient) == (t1, crit_rc)
         _assert_tests_only_failing_rows(excess_calls, a.n, t1)
@@ -819,24 +828,50 @@ def test_the_sweep_tests_only_failing_rows_and_steps_past_the_ceiling(monkeypatc
     assert kinds["stepped to T"] >= 30 and kinds["handed over"] >= 10, kinds
 
 
+def _fractions(d, rows):
+    """int-or-None rows scaled by d as Fraction-or-None rows."""
+    return [[None if x is None else Fraction(x, d) for x in row] for row in rows]
+
+
+class _Reads(list):
+    """A list of rows that records the index of each row read from it."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read = []
+
+    def __getitem__(self, k):
+        self.read.append(k)
+        return super().__getitem__(k)
+
+
 def test_analyze_steps_then_gallops_on_a_small_gap(monkeypatch):
     # T = 20/eps lies far past the ceiling 4: the sweep steps while its
     # steps cost less than galloping would, then hands over.  Galloping
     # from c + 1 alone, from P^(c+1) with the residues read, takes 869,
     # 1193 and 2003 entry operations; the rule may cost up to twice that,
-    # and at most 300 products
+    # the holding rows' steps counted at the rows of B - lambda they read,
+    # and at most 300 products and steps
     ops = Counter()
-    int_mul = matrix._int_mul
+    int_mul, step_holding = matrix._int_mul, csr._step_holding
 
-    def counted(arows, bfinite, *starts):
+    def counted(arows, bfinite):
         ops["_int_mul"] += 1
         ops["entries"] += sum(len(bfinite[k]) for row in arows for k, x in enumerate(row) if x is not None)
-        assert ops["_int_mul"] <= 300, "more than 300 products"
-        return int_mul(arows, bfinite, *starts)
+        assert ops["_int_mul"] + ops["steps"] <= 300, "more than 300 products and steps"
+        return int_mul(arows, bfinite)
+
+    def counted_step(nxt, at, residue, holding, b):
+        reads = _Reads(b)
+        step_holding(nxt, at, residue, holding, reads)
+        ops["steps"] += 1
+        ops["entries"] += sum(len(b[k]) for k in reads.read)
+        assert ops["_int_mul"] + ops["steps"] <= 300, "more than 300 products and steps"
 
     for module in (matrix, spectral, csr):
         if "_int_mul" in vars(module):
             monkeypatch.setattr(module, "_int_mul", counted)
+    monkeypatch.setattr(csr, "_step_holding", counted_step)
     handovers = []
     transient = csr._transient
     monkeypatch.setattr(csr, "_transient", lambda *args: handovers.append(args[1]) or transient(*args))
@@ -924,66 +959,72 @@ def test_the_residue_times_P_is_the_next_residue():
 
 
 def test_each_row_retires_where_it_meets_the_residue(monkeypatch):
-    # analyze's sweep multiplies at step t exactly the rows i of P^t with
+    # analyze's sweep steps at t exactly the rows i of P^t with
     # max(T_i, 1) > t, T_i where row i turns periodic by the oracle, in
-    # order, up to max(T, 1) or to its hand-over, where the products it
-    # made before _transient's are counted.  A row that fails at t goes in
-    # with its values and starts at -inf; a row that holds (Q_t <= P^t on
-    # it) goes in masked, onto its row of Q_(t+1): every entry handed over
-    # equals P^t's, and every one dropped is at or below Q_t's, by the walk
-    # powers and csr_at.  A product past max(T, 1) - 1 steps and one
-    # search, 3*bit_length(T) products at most, fails at once
+    # order, up to max(T, 1) or to its hand-over, where the steps it made
+    # before _transient's products are counted.  A row that fails at t
+    # goes to the step's one product with its values, in full; a row
+    # that holds (Q_t <= P^t on it) goes to the step's one _step_holding
+    # call with its rows of P^t and Q_t, onto its row of Q_(t+1), by the
+    # walk powers and csr_at, and comes out as its row of P^(t+1).  Each
+    # finite entry of a holding row that equals Q_t's is one the step
+    # skips.  A step past max(T, 1) - 1, or a product past those steps and
+    # one search, 3*bit_length(T) products at most, fails at once
     rng = random.Random(2114)
-    products, handovers, cap = [], [], [None]
-    int_mul, transient = matrix._int_mul, csr._transient
+    steps, pending, handovers, cap = [], [], [], [None, None]
+    int_mul, step_holding, transient = matrix._int_mul, csr._step_holding, csr._transient
 
-    def recorded(arows, b, starts=None):
-        products.append((arows, starts))
-        assert cap[0] is None or len(products) <= cap[0], "more products than the steps to T and one search"
-        return int_mul(arows, b, starts)
+    def recorded(arows, b):
+        pending.append(arows)
+        assert cap[1] is None or len(pending) + len(steps) <= cap[1], "more products than the steps to T and one search"
+        return int_mul(arows, b)
+
+    def recorded_step(nxt, at, residue, holding, b):
+        starts = [nxt[i] for i in holding]
+        step_holding(nxt, at, residue, holding, b)
+        steps.append((pending[:], holding, [at[i] for i in holding], [residue[i] for i in holding], starts, [nxt[i] for i in holding]))
+        pending.clear()
+        assert cap[0] is None or len(steps) <= cap[0], "more steps than max(T, 1) - 1"
 
     monkeypatch.setattr(csr, "_int_mul", recorded)
-    monkeypatch.setattr(csr, "_transient", lambda norm, t, *args: handovers.append((t, len(products))) or transient(norm, t, *args))
+    monkeypatch.setattr(csr, "_step_holding", recorded_step)
+    monkeypatch.setattr(csr, "_transient", lambda norm, t, *args: handovers.append((t, len(steps))) or transient(norm, t, *args))
     kinds = Counter()
     corpus = [random_irreducible(rng, k % 8 + 1, rng.choice((0.2, 0.4, 0.8))) for k in range(300)]
     corpus += [_near_critical_loop(rng) for _ in range(40)]
     for a in corpus:
-        triple, cap[0] = build_csr(a), None
+        triple, cap[:] = build_csr(a), [None, None]
         for t in range(1, triple.gamma + 1):
             csr._residue(triple, t)  # read first, so the products recorded are the sweep's steps
         big_t = transient_by_steps(normalized(a).raw(), triple.gamma)
-        cap[0] = max(big_t, 1) - 1 + 3 * big_t.bit_length()
-        products.clear(), handovers.clear()
+        cap[:] = [max(big_t, 1) - 1, max(big_t, 1) - 1 + 3 * big_t.bit_length()]
+        steps.clear(), pending.clear(), handovers.clear()
         t, *_ = csr._sweep(triple, True)
         assert t == big_t
-        stop, made = handovers[0] if handovers else (max(t, 1), len(products))  # the hand-over's t and products before it
-        steps = products[:made]
+        stop, made = handovers[0] if handovers else (max(t, 1), len(steps))  # the hand-over's t and steps before it
         p = normalized(a)
         periodic_from = row_transients_by_steps(p.raw(), triple.gamma, stop)
         powers = walk_powers(p, stop)
-        lam = triple.lam.value
+        lam, d = triple.lam.value, triple._d
         residues = [None] + [
             [[None if x is None else x - s * lam for x in row] for row in csr_at(triple, s).raw()] for s in range(1, stop + 1)
         ]
-        for s, (left, starts) in enumerate(steps, 1):
+        for s, (products, holding, at, residue, starts, out) in enumerate(steps, 1):
             rows = [i for i, ti in enumerate(periodic_from) if ti is None or max(ti, 1) > s]
-            assert len(left) == len(starts) == len(rows)
-            for row, start, i in zip(left, starts, rows):
-                row, start = ([None if x is None else Fraction(x, triple._d) for x in r] for r in (row, start))
-                power, q = powers[s][i], residues[s][i]
-                if any(z is not None and (y is None or z > y) for y, z in zip(power, q)):  # the row fails at s
-                    assert row == power and start == [None] * a.n
-                    continue
-                assert start == residues[s + 1][i]
-                for x, y, z in zip(row, power, q):
-                    assert x == y if x is not None else y is None or z is not None and y <= z
-                kinds["holding rows"] += 1
-                kinds["entries dropped"] += sum(x is None and y is not None for x, y in zip(row, power))
-        assert len(steps) == stop - 1 and len(handovers) <= 1
+            q = residues[s]
+            failing = [i for i in rows if any(z is not None and (y is None or z > y) for y, z in zip(powers[s][i], q[i]))]
+            assert [_fractions(d, arows) for arows in products] == ([[powers[s][i] for i in failing]] if failing else [])
+            assert holding == [i for i in rows if i not in failing]
+            assert _fractions(d, at) == [powers[s][i] for i in holding] and _fractions(d, residue) == [q[i] for i in holding]
+            assert _fractions(d, starts) == [residues[s + 1][i] for i in holding]
+            assert _fractions(d, out) == [powers[s + 1][i] for i in holding]
+            kinds["holding rows"] += len(holding)
+            kinds["entries skipped"] += sum(y is not None and y == z for i in holding for y, z in zip(powers[s][i], q[i]))
+        assert len(steps) == stop - 1 and made == len(steps) and len(handovers) <= 1
         kinds["handed over" if handovers else "stepped to T"] += 1
         kinds["gamma > 1"] += triple.gamma > 1
     assert kinds["stepped to T"] >= 250 and kinds["handed over"] >= 10 and kinds["gamma > 1"] >= 20, kinds
-    assert kinds["holding rows"] >= 4000 and kinds["entries dropped"] >= 10000, kinds
+    assert kinds["holding rows"] >= 4000 and kinds["entries skipped"] >= 10000, kinds
 
 
 def _imprimitive(rng, n, classes):
@@ -1000,22 +1041,32 @@ def _imprimitive(rng, n, classes):
 
 
 def test_a_holding_row_steps_only_its_entries_above_the_residue(monkeypatch):
-    # analyze's sweep hands a row that holds at t (Q_t <= P^t on it) to
-    # the kernel at its entries S above Q_t alone: its step makes exactly
-    # the sum over k in S of |P_k| entry operations, |P_k| the finite
-    # entries of row k of P, where a failing row makes it over every finite
-    # entry of its row, and the T1-only sweep hands over no start rows.
-    # analyze, weak_threshold_T1 and crit_row_col_profile meet the
-    # oracles: T by stepping, T1 and the row and column transients by the
-    # full ceiling scan, and the rows each step multiplies by where each
-    # turns periodic.  On random irreducible matrices, imprimitive ones
-    # whose powers keep -inf entries, reducible ones, on which analyze
-    # stops at T1 and some rows never retire, and a small gap, whose T
-    # lies past the ceiling
-    products, handovers = [], []
-    int_mul, transient = matrix._int_mul, csr._transient
-    monkeypatch.setattr(csr, "_int_mul", lambda arows, b, starts=None: products.append((arows, b, starts)) or int_mul(arows, b, starts))
-    monkeypatch.setattr(csr, "_transient", lambda norm, t, *args: handovers.append((t, len(products))) or transient(norm, t, *args))
+    # analyze's sweep steps a row that holds at t (Q_t <= P^t on it) at its
+    # entries S above Q_t alone, each by its row of B - lambda: the step
+    # reads the rows k in S of B - lambda, in order, and no other, so it
+    # makes exactly the sum over k in S of |B_k| entry operations, |B_k|
+    # the finite entries of row k of B - lambda, P's off the critical rows
+    # and columns; a failing row goes to _int_mul and makes them over every
+    # finite entry of its row and all of P's, and the T1-only sweep makes
+    # no holding step.  analyze, weak_threshold_T1 and crit_row_col_profile
+    # meet the oracles: T by stepping, T1 and the row and column
+    # transients by the full ceiling scan, and the rows each step
+    # multiplies by where each turns periodic.  On random irreducible
+    # matrices, imprimitive ones whose powers keep -inf entries, reducible
+    # ones, on which analyze stops at T1 and some rows never retire, and a
+    # small gap, whose T lies past the ceiling
+    steps, pending, handovers = [], [], []
+    int_mul, step_holding, transient = matrix._int_mul, csr._step_holding, csr._transient
+
+    def recorded_step(nxt, at, residue, holding, b):
+        reads = _Reads(b)
+        step_holding(nxt, at, residue, holding, reads)
+        steps.append((pending[:], holding, b, reads.read))
+        pending.clear()
+
+    monkeypatch.setattr(csr, "_int_mul", lambda arows, b: pending.append((arows, b)) or int_mul(arows, b))
+    monkeypatch.setattr(csr, "_step_holding", recorded_step)
+    monkeypatch.setattr(csr, "_transient", lambda norm, t, *args: handovers.append((t, len(steps))) or transient(norm, t, *args))
     rng = random.Random(3301)
     corpus = [("irreducible", random_irreducible(rng, 6 + k % 11, rng.choice((0.15, 0.3, 0.45, 0.6)))) for k in range(22)]
     corpus += [("imprimitive", _imprimitive(rng, n, classes)) for n, classes in [(6, 2), (6, 3), (8, 2), (9, 3), (12, 3), (12, 4)] * 3]
@@ -1033,39 +1084,125 @@ def test_a_holding_row_steps_only_its_entries_above_the_residue(monkeypatch):
         assert crit_row_col_profile(a) == (crit_rc, rows, cols), render_matrix(a)
         for t in range(1, triple.gamma + 1):
             csr._residue(triple, t)  # read first, so the products recorded are the sweep's steps
-        products.clear(), handovers.clear()
+        steps.clear(), pending.clear(), handovers.clear()
         report = analyze(a)
         assert (report.t1, report.crit_rc_transient) == (t1, crit_rc), render_matrix(a)
         if not spectrum(a)._strongly_connected:
-            assert report.t is None and [starts for *_, starts in products] == [None] * (t1 - 1), render_matrix(a)
+            assert report.t is None and steps == [] and len(pending) == t1 - 1, render_matrix(a)
             kinds["reducible, stepped"] += t1 > 1
             continue
         p = normalized(a).raw()
         assert report.t == transient_by_steps(p, triple.gamma), render_matrix(a)
         if len(triple.crit.nodes) == a.n:
             continue  # one search from t = 0, no sweep
-        stop, made = handovers[0] if handovers else (max(report.t, 1), len(products))
+        stop, made = handovers[0] if handovers else (max(report.t, 1), len(steps))
         periodic_from = row_transients_by_steps(p, triple.gamma, stop)
-        powers, lam = walk_powers(normalized(a), stop), triple.lam.value
+        powers, lam, crit = walk_powers(normalized(a), stop), triple.lam.value, triple.crit.nodes
         nnz = [sum(x is not None for x in row) for row in p]
-        assert made == stop - 1
-        for s, (left, b, starts) in enumerate(products[:made], 1):
+        b_rows = [[] if k in crit else [(j, x) for j, x in enumerate(row) if x is not None and j not in crit] for k, row in enumerate(p)]
+        nnz_b = list(map(len, b_rows))
+        assert made == len(steps) == stop - 1
+        for s, (products, holding, b, reads) in enumerate(steps, 1):
+            assert [[(j, Fraction(y, triple._d)) for j, y in row] for row in b] == b_rows, render_matrix(a)
             active = [i for i, ti in enumerate(periodic_from) if ti is None or max(ti, 1) > s]
-            assert len(left) == len(starts) == len(active), render_matrix(a)
             q = [[None if x is None else x - s * lam for x in row] for row in csr_at(triple, s).raw()]
-            for row, i in zip(left, active):
-                power = powers[s][i]
-                holds = all(z is None or y is not None and z <= y for y, z in zip(power, q[i]))
-                stepped = [k for k, (y, z) in enumerate(zip(power, q[i])) if y is not None and (not holds or z is None or y > z)]
-                ops = sum(len(b[k]) for k, x in enumerate(row) if x is not None)
-                assert ops == sum(nnz[k] for k in stepped), (render_matrix(a), s, i)
-                if holds:
-                    kinds[f"{kind}, holding row steps"] += 1
-                    kinds["holding row steps below a full row"] += len(stepped) < sum(y is not None for y in power)
+            held = [i for i in active if all(z is None or y is not None and z <= y for y, z in zip(powers[s][i], q[i]))]
+            assert holding == held, (render_matrix(a), s)
+            above = [[k for k, (y, z) in enumerate(zip(powers[s][i], q[i])) if y is not None and (z is None or y > z)] for i in held]
+            assert reads == [k for ks in above for k in ks], (render_matrix(a), s)
+            assert sum(len(b[k]) for k in reads) == sum(nnz_b[k] for ks in above for k in ks)
+            for arows, step in products:
+                failing = [i for i in active if i not in held]
+                assert len(arows) == len(failing), (render_matrix(a), s)
+                for row, i in zip(arows, failing):
+                    ops = sum(len(step[k]) for k, x in enumerate(row) if x is not None)
+                    assert ops == sum(nnz[k] for k, y in enumerate(powers[s][i]) if y is not None), (render_matrix(a), s, i)
+            kinds[f"{kind}, holding row steps"] += len(held)
+            kinds["holding row steps below a full row"] += sum(
+                len(ks) < sum(y is not None for y in powers[s][i]) for i, ks in zip(held, above)
+            )
         kinds[f"{kind}, handed over" if handovers else f"{kind}, stepped to T"] += 1
     assert kinds["irreducible, holding row steps"] >= 500 and kinds["imprimitive, holding row steps"] >= 150, kinds
     assert kinds["small gap, holding row steps"] >= 20 and kinds["small gap, handed over"] == 1, kinds
     assert kinds["holding row steps below a full row"] >= 800 and kinds["reducible, stepped"] >= 15, kinds
+
+
+class _Stop(Exception):
+    """Ends a sweep where the test has seen enough of its steps."""
+
+
+def test_every_row_the_sweep_steps_is_its_row_of_the_next_power(monkeypatch):
+    # csr._sweep with transient, up to T, its hand-over to the search, or
+    # a horizon past the ceiling, where the test stops it: after each
+    # step from P^t, every row it stepped, failing (_int_mul's one
+    # product) or holding (_step_holding's one call), is its row of
+    # P^(t+1) by oracles.walk_powers, and so is every retired row, read
+    # from Q_(t+1).  A holding step reads only rows k of B - lambda off
+    # the critical nodes, and no entry of them lies in a critical column:
+    # the entries of P's rows k in the critical columns are dropped.  On
+    # random irreducible matrices, imprimitive ones, reducible ones, on
+    # which some rows never retire, and small gaps, whose T lies past the
+    # ceiling
+    steps, pending, horizon = [], [], [0]
+    int_mul, step_holding = matrix._int_mul, csr._step_holding
+
+    def recorded(arows, b):
+        out = int_mul(arows, b)
+        pending.append((arows, out))
+        return out
+
+    def recorded_step(nxt, at, residue, holding, b):
+        reads = _Reads(b)
+        step_holding(nxt, at, residue, holding, reads)
+        steps.append((pending[:], at, residue, holding, b, reads.read, nxt))
+        pending.clear()
+        if len(steps) >= horizon[0]:
+            raise _Stop
+
+    def search(*args):
+        raise _Stop
+
+    monkeypatch.setattr(csr, "_int_mul", recorded)
+    monkeypatch.setattr(csr, "_step_holding", recorded_step)
+    monkeypatch.setattr(csr, "_transient", search)
+    rng = random.Random(4201)
+    corpus = [("irreducible", random_irreducible(rng, 3 + k % 9, rng.choice((0.15, 0.3, 0.5)))) for k in range(60)]
+    corpus += [("imprimitive", _imprimitive(rng, n, classes)) for n, classes in [(6, 2), (6, 3), (8, 2), (9, 3), (12, 4)] * 2]
+    corpus += [("reducible", random_reducible(rng, rng.randint(4, 10), rng.choice((0.3, 0.5)))) for _ in range(40)]
+    corpus += [("small gap", small_gap(eps)) for eps in (Fraction(1, 50), Fraction(1, 7))]
+    kinds = Counter()
+    for kind, a in corpus:
+        triple = build_csr(a)
+        if triple.crit is None:
+            continue
+        for t in range(1, triple.gamma + 1):
+            csr._residue(triple, t)  # read first, so the products recorded are the sweep's steps
+        steps.clear(), pending.clear()
+        horizon[0] = csr._ceiling(triple) + 4
+        try:
+            csr._sweep(triple, True)
+        except _Stop:
+            pass
+        d, crit = triple._d, triple.crit.nodes
+        p = normalized(a)
+        powers, raw = walk_powers(p, len(steps) + 1), p.raw()
+
+        for s, (products, at, residue, holding, b, reads, nxt) in enumerate(steps, 1):
+            assert _fractions(d, at) == powers[s] and _fractions(d, nxt) == powers[s + 1], (render_matrix(a), s)
+            failing = [i for i in range(a.n) if at[i] != residue[i] and i not in holding]
+            if failing:
+                (arows, out), = products
+                assert arows == [at[i] for i in failing] and _fractions(d, out) == [powers[s + 1][i] for i in failing]
+            else:
+                assert products == []
+            assert _fractions(d, [nxt[i] for i in holding]) == [powers[s + 1][i] for i in holding]
+            assert not crit & set(reads) and not any(j in crit for k in reads for j, _ in b[k]), (render_matrix(a), s)
+            kinds[f"{kind}, holding steps"] += len(holding)
+            kinds[f"{kind}, failing steps"] += len(failing)
+            kinds["critical entries dropped"] += sum(raw[k][j] is not None for k in reads for j in crit)
+    assert kinds["irreducible, holding steps"] >= 800 and kinds["imprimitive, holding steps"] >= 50, kinds
+    assert kinds["reducible, holding steps"] >= 1200 and kinds["small gap, holding steps"] >= 20, kinds
+    assert kinds["irreducible, failing steps"] >= 1000 and kinds["critical entries dropped"] >= 3000, kinds
 
 
 def test_T_is_the_larger_of_T1_and_T2():

@@ -513,17 +513,26 @@ def test_the_sweep_multiplies_only_the_rows_not_yet_periodic(monkeypatch):
     # row of each step's product.  T is the largest T_i.  With transient,
     # on strongly connected input, the sweep stops at max(T, 1), or past
     # the ceiling hands P^t over to _transient, whose products are not
-    # its steps; the T1-only sweep multiplies only the rows that fail at
-    # t, by the walk powers and csr_at, in full with no start rows, and
+    # its steps.  A step with transient makes at most one product, of
+    # its failing rows, and then one _step_holding call, of its holding
+    # rows; the T1-only sweep makes no holding step, multiplies only the
+    # rows that fail at t, by the walk powers and csr_at, in full, and
     # stops at t1
-    left_rows, handovers, int_mul, search = [], [], matrix._int_mul, csr._transient
-    starts_given = []
+    left_rows, handovers, int_mul, search, step_holding = [], [], matrix._int_mul, csr._transient, csr._step_holding
+    pending, holding_steps = [], []
 
-    def recorded(arows, b, starts=None):
-        left_rows.append(len(arows)), starts_given.append(starts)
-        return int_mul(arows, b, starts)
+    def recorded(arows, b):
+        pending.append(len(arows))
+        return int_mul(arows, b)
+
+    def recorded_step(nxt, at, residue, holding, b):  # the last call of a step with transient
+        assert len(pending) <= 1, "more than one product of failing rows in a step"
+        left_rows.append(sum(pending) + len(holding)), holding_steps.append(len(holding))
+        pending.clear()
+        return step_holding(nxt, at, residue, holding, b)
 
     monkeypatch.setattr(csr, "_int_mul", recorded)
+    monkeypatch.setattr(csr, "_step_holding", recorded_step)
 
     def handed_over(norm, t, at, *args):  # where the search starts, with what, after how many products
         handovers.append((t, at, len(left_rows)))
@@ -536,14 +545,15 @@ def test_the_sweep_multiplies_only_the_rows_not_yet_periodic(monkeypatch):
         gamma = triple.gamma
         for t in range(1, gamma + 1):
             csr._residue(triple, t)  # read first, so the sweep's products are its steps alone
-        left_rows.clear(), handovers.clear(), starts_given.clear()
+        left_rows.clear(), handovers.clear(), pending.clear(), holding_steps.clear()
         t, t1, *_ = csr._sweep(triple, transient)
         at = None
         if handovers:
             (t, at, made), = handovers
-            del left_rows[made:], starts_given[made:]  # the search's products
+            assert made == len(left_rows)  # the search's products come after the last step
         if not transient:
-            assert at is None and t is None and starts_given == [None] * len(left_rows)
+            assert at is None and t is None and holding_steps == []
+            left_rows[:] = pending  # one product a step
             powers, failing = walk_powers(a, t1), []
             for s in range(1, t1):
                 q = csr_at(triple, s).raw()
@@ -561,8 +571,7 @@ def test_the_sweep_multiplies_only_the_rows_not_yet_periodic(monkeypatch):
         periodic_from = row_transients_by_steps(normalized(a).raw(), gamma, stop)  # None: past stop
         if at is None:
             assert t == max(periodic_from)
-        assert len(left_rows) == stop - 1  # one product a step
-        assert [len(starts) for starts in starts_given] == left_rows  # a start row for each left row
+        assert len(left_rows) == len(holding_steps) == stop - 1  # one holding call a step
         assert left_rows == [sum(ti is None or max(ti, 1) > s for ti in periodic_from) for s in range(1, stop)]
         return periodic_from, list(left_rows)
 
@@ -605,10 +614,11 @@ def test_analyze_stops_the_sweep_at_T(monkeypatch):
     # M takes at most gamma - 1 products and the residues gamma, C R and
     # one product by A - lambda for each other residue; the sweep
     # max(T, 1) - 1 steps over the powers of A - lambda, and none of
-    # B - lambda.  The spectrum, whose Karp rows are products too, is
-    # computed before the count
+    # B - lambda: one _step_holding call a step, and at most one product
+    # of its failing rows.  The spectrum, whose Karp rows are products
+    # too, is computed before the count
     products = Counter()
-    int_mul, sweep = matrix._int_mul, csr._sweep
+    int_mul, sweep, step_holding = matrix._int_mul, csr._sweep, csr._step_holding
 
     def counted(*args):
         products["_int_mul"] += 1
@@ -618,12 +628,13 @@ def test_analyze_stops_the_sweep_at_T(monkeypatch):
         if "_int_mul" in vars(module):
             monkeypatch.setattr(module, "_int_mul", counted)
     monkeypatch.setattr(csr, "_sweep", lambda *args: products.update(["_sweep"]) or sweep(*args))
+    monkeypatch.setattr(csr, "_step_holding", lambda *args: products.update(["step"]) or step_holding(*args))
     a = third_mean_cycle(7)  # T = 8, the ceiling is 22
     spectrum(a)
     products.clear()
     report = analyze(a)
     assert (report.t, report.gamma, report.t1) == (8, 3, 8)
-    assert products["_sweep"] == 1 and products["_int_mul"] <= 2 * 3 - 1 + 8 - 1
+    assert products["_sweep"] == 1 and products["_int_mul"] <= 2 * 3 - 1 + 8 - 1 and products["step"] == 8 - 1
     assert analyze(third_mean_cycle(7)).dm == 22 < wielandt_bound(7)
     # bare cycles are periodic from T = 0; T1 is 1 by convention.  Every
     # node is critical, so analyze runs no sweep but one search from t = 0
@@ -637,7 +648,7 @@ def test_analyze_stops_the_sweep_at_T(monkeypatch):
         products.clear()
         report = analyze(a)
         assert (report.t, report.gamma, report.t1) == (0, n, 1)
-        assert products["_sweep"] == 0 and products["_int_mul"] <= 2 * (n.bit_length() - 1)
+        assert products["_sweep"] == products["step"] == 0 and products["_int_mul"] <= 2 * (n.bit_length() - 1)
     # past the ceiling c = DM(1, 3) = 4 the sweep steps on while its
     # steps cost no more than 2*bit_length(s)*M after s of them, with M =
     # 3^2 + 3^3 the work of squaring the dense P^4: rows 1 and 2 stay
@@ -654,7 +665,7 @@ def test_analyze_stops_the_sweep_at_T(monkeypatch):
     gamma, ceiling = 1, 4
     steps = next(s for s in range(1, 100) if 23 * s > 2 * s.bit_length() * (3**2 + 3**3))
     tail = 3 * (report.t - ceiling - 1).bit_length()
-    assert products["_int_mul"] <= 2 * gamma - 1 + (ceiling - 1 + steps) + tail
+    assert products["_int_mul"] <= 2 * gamma - 1 + (ceiling - 1 + steps) + tail and products["step"] == ceiling - 1 + steps
 
 
 
@@ -837,7 +848,8 @@ def test_the_ceiling_check_steps_to_c_only_the_rows_failing_at_c_minus_1(monkeyp
         return out
 
     monkeypatch.setattr(csr, "_excess", tested)
-    monkeypatch.setattr(csr, "_int_mul", lambda arows, b, starts=None: steps.append((arows, starts)) or int_mul(arows, b, starts))
+    monkeypatch.setattr(csr, "_int_mul", lambda arows, b: steps.append(arows) or int_mul(arows, b))
+    monkeypatch.setattr(csr, "_step_holding", lambda *args: pytest.fail("the T1-only sweep made a holding step"))
     monkeypatch.setattr(csr, "_int_power", lambda rows, t: powers.append(t) or int_power(rows, t))
     stepped, kinds = Counter(), Counter()
     for k, a in enumerate(cases):
@@ -865,7 +877,7 @@ def test_the_ceiling_check_steps_to_c_only_the_rows_failing_at_c_minus_1(monkeyp
         assert (t, list(rows)) == (c - 1, list(range(a.n)))
         failing = sorted({i for i, _ in excess_below})
         if failing:
-            assert steps == [([power[i] for i in failing], None)]  # in full, with no start rows
+            assert steps == [[power[i] for i in failing]]  # in full
             assert [(t, rows) for t, _, rows, _ in at_c] == [(c, failing)]
             assert holds == (not at_c[0][3])
         else:
