@@ -8,7 +8,11 @@ transients against the full-ceiling scan of A^t = C S^t R (+) B^t, and T
 against the step-by-step search, on seeded random matrices, irreducible
 and reducible; analyze's sweep retires each row of A^t once it meets
 C S^t R, which holds for good since Q_t (A - lambda) = Q_(t+1) for the
-residues Q_t, checked here too.  Then matrices whose T lies past the
+residues Q_t, checked here too.  Each residue Q_t, t = 1..gamma + 1, is
+checked against the chain C (S - lambda)^t R (oracles.residue_by_chain),
+at the whole critical graph and at each of its components, where the
+rows off the component come from the product of the residue's rule.
+Then matrices whose T lies past the
 ceiling: past it the sweep steps on while that is cheaper than
 galloping, and hands over to the galloping search when it is not; on
 each, some step multiplies a row that already holds at its entries above
@@ -19,8 +23,9 @@ from __future__ import annotations
 
 import random, sys, time
 from fractions import Fraction
-from maxplus import analyze, crit_row_col_profile, critical_graph, csr, from_entries, matrix, max_cycle_mean, negate, scalar_times
-from oracles import transient_by_steps, weak_threshold_T1_full
+from maxplus import analyze, crit_row_col_profile, critical_components, critical_graph, csr, from_entries, matrix, max_cycle_mean
+from maxplus import negate, scalar_times, spectrum
+from oracles import residue_by_chain, transient_by_steps, weak_threshold_T1_full
 
 def block(rng, nodes, density, entries):
     """A Hamiltonian cycle through nodes plus random chords among them."""
@@ -54,6 +59,12 @@ for n in (24, 32):
             if matrix._int_mul(csr._residue(triple, t), step) != csr._residue(triple, t + 1):
                 print(f"n={n} seed={seed}: Q_t (A - lambda) differs from Q_(t+1) at t = {t}")
                 sys.exit(1)
+        sp = spectrum(a)
+        for k, part in [(sp.crit, triple), *((k, csr.build_csr(a, k)) for k in critical_components(sp.crit))]:
+            for t in range(1, part.gamma + 2):
+                if csr._residue(part, t) != residue_by_chain(sp, k, t):
+                    print(f"n={n} seed={seed}: Q_{t} at {len(k.nodes)} critical nodes differs from the chain C (S - lambda)^t R")
+                    sys.exit(1)
         t0 = time.time()
         report = analyze(a)
         t1, rows, cols = weak_threshold_T1_full(a)

@@ -58,9 +58,18 @@ MUTANTS = [
     ),
     Mutant(
         "Q_gamma taken as M", "csr.py",
-        "            rows = _int_mul(m, _finite_entries([row if i in crit.nodes else [] for i, row in enumerate(m)]))",
-        "            rows = m",
+        "    if k == triple.gamma:\n        for i in nodes:", "    if k == triple.gamma:\n        return m\n        for i in nodes:",
         (f"{CSR}::test_lazy_triples_match_the_walk_oracle",),
+    ),
+    Mutant(
+        "the K-rows of Q_1 taken as M's, and those of Q_gamma shifted", "csr.py",
+        "if k == triple.gamma:", "if k == 1:",
+        (f"{CSR}::test_residues_from_c_r_and_the_recurrence_match_the_chain",),
+    ),
+    Mutant(
+        "the rows off K left at -inf", "csr.py",
+        "            rows[i] = row", "            rows[i] = [None] * n",
+        (f"{CSR}::test_residues_from_c_r_and_the_recurrence_match_the_chain",),
     ),
     Mutant(
         "ceiling check accepts any bound up to the ceiling", "csr.py",
@@ -127,14 +136,19 @@ MUTANTS = [
         (f"{CSR}::test_the_boolean_index_reads_each_components_residue_in_closed_form",),
     ),
     Mutant(
-        "the cover shift reads Q_(k+1) for Q_(k-1)", "csr.py",
-        "before, rows = _residue(triple, k - 1), []", "before, rows = _residue(triple, k + 1), []",
+        "the shift reads Q_(k+1) for Q_(k-1)", "csr.py",
+        "before, succ = _residue(triple, k - 1),", "before, succ = _residue(triple, k + 1),",
         (f"{CSR}::test_a_cover_shifts_each_residue_from_the_one_before",),
     ),
     Mutant(
-        "the cover shift adds P(s, i) for P(i, s)", "csr.py",
+        "the shift adds P(s, i) for P(i, s)", "csr.py",
         "p = triple._norm[i][s]", "p = triple._norm[s][i]",
         (f"{CSR}::test_a_cover_shifts_each_residue_from_the_one_before",),
+    ),
+    Mutant(
+        "the shift along the last successor of i in K", "csr.py",
+        "s = succ[i][0]", "s = succ[i][-1]",
+        equivalent="_residue's lemma on K's rows holds for any arc (i, s) of K",
     ),
     Mutant(
         "the packed product drops the row mask", "csr.py",

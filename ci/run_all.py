@@ -10,8 +10,9 @@ only.
 
 These scripts repeat a tier-1 test at a larger size; a change to the
 test, or to what it pins, goes into the script too:
-- large: tests/test_csr.py::test_the_sweep_tests_only_failing_rows_and_steps_past_the_ceiling
-  and test_the_residue_times_P_is_the_next_residue, at n = 24 and 32;
+- large: tests/test_csr.py::test_the_sweep_tests_only_failing_rows_and_steps_past_the_ceiling,
+  test_the_residue_times_P_is_the_next_residue and test_residues_from_c_r_and_the_recurrence_match_the_chain
+  (each residue against the chain, at the critical graph and each component), at n = 24 and 32;
 - spectrum: tests/test_spectral.py::test_spectrum_matches_the_tarjan_path,
   against the tests' own Tarjan search (oracles.tarjan), at n = 24, 32 and 40,
   and test_the_hamiltonian_certificate_matches_karp_and_the_closure on the

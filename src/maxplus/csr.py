@@ -39,7 +39,7 @@ a critical graph that covers every node as one component of cyclicity
 _boolean_index on packed ints, each 0/1 matrix on m nodes one int of
 m^2 bits, row i at bits i*m to i*m + m - 1, multiplied in m big-int
 steps (_bit_mul): analyze and _t1_at_ceiling take no power, and every
-residue C S^t R - t*lambda is M itself.
+residue C S^t R - t*lambda holds M's own rows.
 
 The triple may also be built with respect to a completely reducible
 subgraph of the critical graph (then gamma is the subgraph's cyclicity
@@ -60,16 +60,16 @@ no Fraction is built.
 
 A triple is built only as far as it is read: build_csr computes M
 alone, C, S and R are carved when the properties are read, and each
-residue the first time csr_at or the sweep reads it, as C R at r =
-gamma and as one product by P of the one before elsewhere (see
-_residue).  When the triple's (sub)graph covers every node as one
-component, at any cyclicity, no residue costs a product: C R is M
-itself, and each other residue is the one before with row i shifted
-along one arc (i, s), P(i, s) plus its row s; at cyclicity 1 every
-residue is M.  The triple of a
-matrix's whole critical graph is built once per matrix and stored on
-it, like its spectrum, or inherited with it (see _inherit_triple).
-C S^t R is read as int rows (_int_csr_at).
+residue the first time csr_at or the sweep reads it, by one rule at
+the triple's (sub)graph K (see _residue).  At a node i of K its row is
+M's row at r = gamma, and the row s of the residue before plus P(i, s)
+elsewhere, (i, s) an arc of K; every other row is C times those rows,
+one product of M's rows off K.  So a residue reads M only on K's rows
+and at K's columns, and a K that holds every node costs no product.
+The triple of a matrix's whole critical graph is built once per matrix
+and stored on it, like its spectrum, or inherited with it, as lambda,
+the critical graph and M alone (see _inherit_triple).  C S^t R is read
+as int rows (_int_csr_at).
 """
 
 from __future__ import annotations
@@ -160,9 +160,9 @@ def build_csr(a: MaxPlusMatrix, subgraph: CritGraph | None = None) -> CsrTriple:
 def _build_csr(a: MaxPlusMatrix, subgraph: CritGraph | None) -> CsrTriple:
     """The triple of a at k, the subgraph or the critical graph, read off
     a's spectrum alone.  At gamma = 1, M is the spectrum's closure P+
-    itself, and so may be the residues (see _residue): every reader only
-    reads them, _sweep copies the outer list, and _inherit_triple and the
-    properties c, r make new rows."""
+    itself, and the rows of Q_gamma at k's nodes are M's own rows (see
+    _residue): every reader only reads them, _sweep copies the outer
+    list, and _inherit_triple and the properties c, r make new rows."""
     sp = spectrum(a)
     if sp.crit is None:
         if subgraph is not None:
@@ -180,34 +180,42 @@ def _build_csr(a: MaxPlusMatrix, subgraph: CritGraph | None) -> CsrTriple:
 
 def _residue(triple: CsrTriple, t: int) -> list[list]:
     """Q_t = C S^t R - t*lambda as int rows scaled by _d, t >= 1; it depends
-    on t modulo gamma only, and t = 0 reads Q_gamma.  Q_gamma = C R, one
-    product of M by its critical rows, and Q_k = Q_(k-1) P for k = 1, ...,
-    gamma - 1, P = A - lambda and Q_0 = Q_gamma, each taken on its first
-    read.  When the triple's (sub)graph K is one component on all n nodes
-    (_cover), at any cyclicity, no product is taken: Q_gamma is M itself,
-    and Q_k is Q_(k-1) with each row i replaced by P(i, s) + row s of
-    Q_(k-1), s the first successor of i in K (see the lemma on covers
-    below).  At gamma = 1 every Q_t is M; read its rows only.
+    on t modulo gamma only, and t = 0 reads Q_gamma.  Each Q_k, k = 1, ...,
+    gamma, is taken on its first read by one rule, at any (sub)graph K
+    that the triple was carved at.  Row i of Q_k at a node i of K is row i
+    of M at k = gamma, and P(i, s) + row s of Q_(k-1) at k < gamma, with
+    P = A - lambda and s the first successor of i in K (the lemma on K's
+    rows); every other row is that row of C times the K-rows of Q_k, one
+    product of M's rows off K (the lemma on the other rows).  A K that
+    holds every node takes no product, and the K-rows of Q_gamma are M's
+    own rows: read them only.
 
-    Lemma on covers.  Let K be one component on all n nodes, of
-    cyclicity gamma.  By _excess's proof, read at every length = k
-    (mod gamma) and not only k, Q_k(i, j) is the weight of a heaviest
-    walk from i to j of positive length = k (mod gamma) through a node of
-    K, here any such walk: each term M(i, a) + (S - lambda)^k(a, b) +
-    M(b, j) is one, and every one is bounded by a term.  M(i, j) is the
-    weight of a heaviest walk of positive length = 0 (mod gamma), so
-    Q_gamma = M.  Let (i, s) be an arc of K and 1 <= k < gamma.  (>=)
-    The arc followed by a walk from s of positive length = k - 1 is a
-    walk from i of length = k, so Q_k(i, j) >= P(i, s) + Q_(k-1)(s, j).
-    (<=) K has a walk Z from s back to i of length = -1 (mod gamma),
-    which the arc (i, s) closes into a closed walk of K, of weight 0, so
-    w(Z) = -P(i, s).  A walk W from i to j of length = k gives the walk
-    Z W from s, of positive length = k - 1, so w(W) = w(Z W) + P(i, s)
-    <= Q_(k-1)(s, j) + P(i, s).  This is step 3 of _primitive_cover at
-    any cyclicity.
+    Lemma on K's rows.  By _excess's proof, read at every length = k (mod
+    gamma) and not only k, Q_k(i, j) is the weight of a heaviest walk from
+    i to j of positive length = k (mod gamma) through a node of K: each
+    term M(i, a) + (S - lambda)^k(a, b) + M(b, j) is one, and every one is
+    bounded by a term.  Let i be a node of K; every walk from i passes K.
+    M(i, j) is the weight of a heaviest walk of positive length = 0 (mod
+    gamma), so Q_gamma(i, j) = M(i, j).  Let (i, s) be an arc of K and
+    1 <= k < gamma.  (>=) The arc followed by a walk from s of positive
+    length = k - 1 is a walk from i of length = k, so Q_k(i, j) >= P(i, s)
+    + Q_(k-1)(s, j).  (<=) K has a walk Z from s back to i of length = -1
+    (mod gamma), as the cyclicity of their component divides gamma, which
+    the arc (i, s) closes into a closed walk of K, of weight 0, so w(Z) =
+    -P(i, s).  A walk W from i to j of length = k gives the walk Z W from
+    s, of positive length = k - 1, so w(W) = w(Z W) + P(i, s) <=
+    Q_(k-1)(s, j) + P(i, s).  Any arc (i, s) of K serves.  On a K that
+    covers every node as one component this is step 3 of _primitive_cover
+    at any cyclicity.
 
-    Lemma.  C (S - lambda)^gamma R = C R, so Q_gamma = C R; the
-    recurrence is _sweep's lemma.  Proof, for critical k and l, with
+    Lemma on the other rows.  Q_k = C Q_k[K], Q_k[K] the rows of Q_k at
+    K's nodes, -inf elsewhere.  Proof.  Q_k[K] = C[K] (S - lambda)^k R,
+    C[K] the rows of C at K's nodes, which are M at K's rows and columns.
+    M M <= M, as M is the sum of the positive powers of P^gamma, so
+    C C[K] <= C, and M(c, c) = 0 at each node c of K, so C C[K] >= C.
+
+    Lemma.  C (S - lambda)^gamma R = C R, so Q_gamma = C R; Q_k P =
+    Q_(k+1) is _sweep's lemma.  Proof, for critical k and l, with
     walks weighed in P.  (<=) M(i, k) + (S - lambda)^gamma(k, l) <=
     M(i, l), as the two walks together have a length that is a positive
     multiple of gamma: each term M(i, k) + (S - lambda)^gamma(k, l) +
@@ -222,19 +230,21 @@ def _residue(triple: CsrTriple, t: int) -> list[list]:
     k = (t - 1) % triple.gamma + 1
     if k in triple._residues:
         return triple._residues[k]
-    m, crit = triple._m, triple.crit
-    if not _cover(crit, triple.n):
-        if k == triple.gamma:
-            rows = _int_mul(m, _finite_entries([row if i in crit.nodes else [] for i, row in enumerate(m)]))
-        else:
-            rows = _int_mul(_residue(triple, k - 1), _finite_entries(triple._norm))
-    elif k == triple.gamma:
-        rows = m
+    m, nodes, n = triple._m, triple.crit.nodes, triple.n
+    rows = [[]] * n  # a row off K stays empty until the product, which reads the K-rows
+    if k == triple.gamma:
+        for i in nodes:
+            rows[i] = m[i]
     else:
-        before, rows = _residue(triple, k - 1), []
-        for i, (s, *_) in enumerate(_successors(triple.n, crit.arcs)):
+        before, succ = _residue(triple, k - 1), _successors(n, triple.crit.arcs)
+        for i in nodes:
+            s = succ[i][0]
             p = triple._norm[i][s]
-            rows.append([None if x is None else x + p for x in before[s]])
+            rows[i] = [None if x is None else x + p for x in before[s]]
+    off = [i for i in range(n) if i not in nodes]
+    if off:
+        for i, row in zip(off, _int_mul([m[i] for i in off], _finite_entries(rows))):
+            rows[i] = row
     triple._residues[k] = rows
     return rows
 
@@ -270,22 +280,15 @@ def _below_csr_at_one(triple: CsrTriple, entries: list[tuple[int, int, int]], e:
 
 
 def _inherit_triple(a: MaxPlusMatrix, triple: CsrTriple) -> None:
-    """Store triple on a, of its lambda, critical graph and M (see
+    """Store triple on a, of its lambda, critical graph and M alone (see
     extremal._inherit_skeleton), at the scale of a's spectrum, which was
     handed over with them.  At gamma = 1, M is that spectrum's closure P+
-    itself; otherwise each list of int rows is multiplied by sp._d //
-    triple._d once.  Either way a residue that is M stays M, to be read
-    only."""
+    itself; otherwise triple's M is multiplied by sp._d // triple._d once.
+    a reads each residue afresh off M (see _residue)."""
     sp = spectrum(a)
     f = sp._d // triple._d
-    scaled = {id(triple._m): sp._closure} if triple.gamma == 1 else {}
-    for rows in (triple._m, *triple._residues.values()):
-        if id(rows) not in scaled:
-            scaled[id(rows)] = [[None if x is None else x * f for x in row] for row in rows]
-    a._csr = CsrTriple(
-        lam=triple.lam, gamma=triple.gamma, crit=triple.crit, _d=sp._d, _norm=sp._norm, _m=scaled[id(triple._m)],
-        _residues={k: scaled[id(rows)] for k, rows in triple._residues.items()},
-    )
+    m = sp._closure if triple.gamma == 1 else [[None if x is None else x * f for x in row] for row in triple._m]
+    a._csr = CsrTriple(lam=triple.lam, gamma=triple.gamma, crit=triple.crit, _d=sp._d, _norm=sp._norm, _m=m)
 
 
 def nachtigall_matrix(a: MaxPlusMatrix, crit: CritGraph | None) -> MaxPlusMatrix:
@@ -702,7 +705,7 @@ def _primitive_cover(crit: CritGraph | None, n: int) -> bool:
     column transient, e the exponent of crit's 0/1 matrix N: the least t
     with N^t = J, all ones, which _boolean_index returns (its one class
     mask is every node): analyze and _t1_at_ceiling read it so.  And
-    every residue Q_t is M, which _residue reads with no product.
+    every residue Q_t is M, whose own rows _residue reads with no product.
     Proof, with P = A - lambda, P+ its closure and Q_t = C (S - lambda)^t R.
     1. A critical walk i -> j and one j -> i close a critical walk, of
        weight 0, and concatenated critical walks are critical: every
@@ -715,8 +718,8 @@ def _primitive_cover(crit: CritGraph | None, n: int) -> bool:
        critical, and so is each of its arcs.  So P^t(i, j) = P+(i, j)
        where N^t(i, j) = 1, and P^t(i, j) < P+(i, j) elsewhere.
     3. M = P+ at gamma = 1, and Q_t = Q_gamma = M for t >= 1, by
-       _residue's lemma on covers, at crit or at a subgraph K of crit
-       that meets the predicate (build_csr(a, K)).
+       _residue's lemma on K's rows, every row being one, at crit or at
+       a subgraph K of crit that meets the predicate (build_csr(a, K)).
     4. So P^t = Q_t exactly when N^t = J, by steps 2 and 3 for t >= 1,
        and at t = 0, where Q_0 reads Q_gamma = P+: P^0 = I is P+ only at
        n = 1, where N^0 = J.  By analyze's lemma, then, T = e and T1 =
@@ -742,9 +745,9 @@ def _t1_at_ceiling(a: MaxPlusMatrix, bound: int) -> bool:
     even when t1 equals it, and so does an acyclic a, which has no
     critical girth.  When _primitive_cover holds, t1 is the critical
     graph's exponent for n >= 2, and no power is taken.  On any other
-    critical graph that covers every node as one component, as on a
-    case-n Wielandt candidate, the two residues read cost no product (see
-    _residue): what is left is P^(c-1) and the one product of the
+    critical graph that holds every node, as on a case-n Wielandt
+    candidate, the two residues read cost no product, only row shifts
+    (see _residue): what is left is P^(c-1) and the one product of the
     failing rows.
     """
     triple = build_csr(a)
@@ -826,7 +829,8 @@ def analyze(a: MaxPlusMatrix) -> TransientReport:
     cyclicity 1) T' is the critical graph's exponent, read on packed
     ints with no CSR triple and no power of A (see _primitive_cover); on
     any other cover the search runs on int rows against the triple's
-    residues, which cost no product there (see _residue).  Otherwise one sweep gives T1 and the critical row and
+    residues, row shifts of M with no product there (see _residue).
+    Otherwise one sweep gives T1 and the critical row and
     column transients, and on strongly connected input T as well: past
     the ceiling it steps on until T, or hands over to the search and
     returns what that finds (see _sweep).  On other input it stops at

@@ -28,10 +28,11 @@ every rotation it tries.  The DM verdict compares the input's entries
 off the mapped a1 and b1 patterns with CSR(a1) at t = 1 on the integers
 (see _dm_conditions).  verify_crit_rc_dm and the generators' T1 check
 read the critical graph's index from `csr`, its 0/1 matrices each packed
-in one int and multiplied in m big-int steps on m nodes.  A case-n
-Wielandt candidate's critical graph is its Hamiltonian cycle, one
-component on every node, so the residues its T1 check reads are M and
-M's rows shifted along the cycle, with no product (see csr._residue).
+in one int and multiplied in m big-int steps on m nodes.  A generated
+candidate's critical graph holds every node, so each residue its checks
+read comes from M's rows alone, with no product (see csr._residue): a
+case-n Wielandt candidate shifts them along its Hamiltonian cycle, and
+every other candidate, of cyclicity 1, reads M's own rows.
 
 A generator builds its skeleton a1, with a1's spectrum and CSR triple,
 once: the triple bounds the remainder it samples.  a1's Hamiltonian
@@ -42,7 +43,9 @@ draws has a denominator from 1 to 4, and is drawn as an int at the one
 scale 12 (_SCALE), so the skeleton's and the candidate's rows are built
 directly, each reduced to its least scale once, with no Fraction.  The candidate, a1
 plus entries strictly below CSR(a1) at t = 1, inherits a1's spectrum
-and triple (see _inherit_skeleton): one spectrum a matrix.  Its
+and triple (see _inherit_skeleton): one spectrum a matrix, and of the
+triple lambda, the critical graph and M, off which it reads its own
+residues.  Its
 post-verification is the public verdict.  The DM verdict carves the
 skeleton in the input's own labels, the a1 pattern mapped through the
 numbering, and the skeleton takes the input's whole spectrum when every
@@ -905,7 +908,7 @@ def generate_wielandt(n: int, seed, case: str = "n-1") -> MaxPlusMatrix:
     the remainder lies a margin below CSR(a1) at t = 1 by construction.
     It is the only layer off the skeleton, so the candidate inherits a1's
     spectrum and triple (see _inherit_skeleton), and the verdict reads
-    CSR at t = 1 off that triple, where sampling left it, with no product.
+    CSR at t = 1 off that triple's M, with no product.
     """
     if n < 2:
         raise ValueError("need n >= 2")

@@ -57,6 +57,7 @@ from conftest import (
     transpose,
 )
 from oracles import (
+    LAZY_TRIPLE_FIELDS,
     bit_mul_rows,
     boolean_index_int,
     csr_walk_oracle,
@@ -501,9 +502,11 @@ def _refusals(rng, a1, raw):
 
 def test_rescaled_builds_its_dataclass_with_every_field_by_name(monkeypatch):
     # spectral._inherit_spectrum and csr._inherit_triple name each field of
-    # Spectrum and CsrTriple: a field added to either and not handled there
-    # fails here, instead of being left at its default, a stale memo on the
-    # matrix that inherits
+    # Spectrum and CsrTriple but the residues read so far
+    # (oracles.LAZY_TRIPLE_FIELDS), which the triple handed over starts
+    # without: a field added to either and not handled there fails here,
+    # instead of being left at its default, a stale memo on the matrix
+    # that inherits
     a = random_cyclic_matrix(random.Random(22), 6)
     sp, triple, b = spectrum(a), build_csr(a), MaxPlusMatrix(a.raw())
     csr._residue(triple, 1)
@@ -519,7 +522,8 @@ def test_rescaled_builds_its_dataclass_with_every_field_by_name(monkeypatch):
 
         monkeypatch.setattr(module, cls.__name__, recorded)
         rescale()
-        assert calls == [((), {f.name for f in dataclasses.fields(cls)})], cls.__name__
+        assert calls == [((), {f.name for f in dataclasses.fields(cls)} - set(LAZY_TRIPLE_FIELDS))], cls.__name__
+    assert triple._residues and b._csr._residues == {}
 
 
 def test_a_candidate_inherits_its_skeletons_spectrum_and_triple():
@@ -1496,20 +1500,19 @@ def test_analyze_reads_T1_and_T_off_a_primitive_covering_critical_graph(monkeypa
 
 
 def test_a_primitive_cover_reads_each_residue_as_m_with_no_product(monkeypatch):
-    # at a (sub)graph that meets csr._primitive_cover every residue is M,
-    # and at one that covers every node as one component at cyclicity
-    # gamma > 1 (csr._cover) Q_gamma is M and each other residue a row
-    # shift of the one before: either way read with no product.
-    # Elsewhere reading t = 1..gamma + 1 takes gamma products, C R and
-    # then one by A - lambda for each other residue.  Planted inputs, n =
-    # 1..9 (see _planted_tight): the whole critical graph, built alone and
-    # as a subgraph, and each component; .c and .r against masked copies
-    # of a fresh M (oracles.masked_m), residues at t = 1..gamma + 1
-    # against the chain of products on them (oracles.residue_by_chain),
-    # and against the walk oracle for n <= 5; near misses (one node off,
-    # two components) still take products
-    int_mul, calls = matrix._int_mul, Counter()
-    monkeypatch.setattr(csr, "_int_mul", lambda *args: calls.update(["_int_mul"]) or int_mul(*args))
+    # every residue is read by one rule at the (sub)graph K it was carved
+    # at (csr._residue): the K-rows of Q_gamma are M's own row objects,
+    # every other K-row a shift of Q_(t-1), and the rows off K one product
+    # whose left rows are exactly M's rows off K.  So reading t = 1..gamma
+    # + 1 takes no product when K holds every node (a primitive cover, a
+    # cover at gamma > 1, two components on every node) and gamma products
+    # otherwise.  Planted inputs, n = 1..9 (see _planted_tight): the whole
+    # critical graph, built alone and as a subgraph, and each component;
+    # .c and .r against masked copies of a fresh M (oracles.masked_m),
+    # residues at t = 1..gamma + 1 against the chain of products on them
+    # (oracles.residue_by_chain), and against the walk oracle for n <= 5
+    int_mul, lefts = matrix._int_mul, []
+    monkeypatch.setattr(csr, "_int_mul", lambda *args: lefts.append(args[0]) or int_mul(*args))
     rng = random.Random(2626)
     kinds = Counter()
     shapes = ("cover",) * 4 + ("bipartite", "two blocks", "one off")
@@ -1527,36 +1530,43 @@ def test_a_primitive_cover_reads_each_residue_as_m_with_no_product(monkeypatch):
             triple = build()
             c, r = masked_m(sp, k)
             assert triple.c == MaxPlusMatrix._from_ints(d, c) and triple.r == MaxPlusMatrix._from_ints(d, r)
-            primitive, covered = csr._primitive_cover(k, n), csr._cover(k, n)
-            calls.clear()
+            off = [i for i in range(n) if i not in k.nodes]
+            lefts.clear()
             for t in range(1, k.cyclicity + 2):
                 expected = residue_by_chain(sp, k, t)
-                assert csr._residue(triple, t) == expected, render_matrix(a)
+                residue = csr._residue(triple, t)
+                assert residue == expected, render_matrix(a)
                 shifted = [[None if x is None else Fraction(x, d) + t * lam for x in row] for row in expected]
                 assert csr_at(triple, t).raw() == shifted
-                if covered:
-                    assert (csr._residue(triple, t) is triple._m) == (primitive or t == k.cyclicity)
+                shared = [residue[i] is triple._m[i] for i in range(n)]
+                assert shared == [i in k.nodes and t % k.cyclicity == 0 for i in range(n)], render_matrix(a)
                 if n <= 5:
                     walks = csr_walk_oracle(an, k.nodes, k.cyclicity, t, k.cyclicity * n + n)
                     assert csr_at(triple, t).raw() == [[None if x is None else x + t * lam for x in row] for row in walks]
-            assert calls["_int_mul"] == (0 if covered else k.cyclicity), render_matrix(a)
-            if primitive:
+            assert len(lefts) == (k.cyclicity if off else 0), render_matrix(a)
+            for left in lefts:
+                assert len(left) == len(off) and all(x is triple._m[i] for i, x in zip(off, left)), render_matrix(a)
+            if csr._primitive_cover(k, n):
                 kinds["primitive cover"] += 1
             elif len(sp.crit.scc.components) == 2:
-                kinds["two components"] += 1
+                kinds["two components" if off else "two components on every node"] += 1
             else:
-                kinds["one node off" if len(k.nodes) < n else "cover, cyclicity > 1"] += 1
+                kinds["one node off" if off else "cover, cyclicity > 1"] += 1
     assert kinds["primitive cover"] >= 300 and min(kinds.values()) >= 60, kinds
 
 
 def test_residues_from_c_r_and_the_recurrence_match_the_chain():
-    # Q_gamma = C R and Q_(t+1) = Q_t (A - lambda) against the chain C (S -
-    # lambda)^t R on masked copies of a fresh M (oracles.residue_by_chain),
-    # at every t = 1..2 gamma + 1 read in shuffled order, and csr_at against
-    # the walk oracle for n <= 5: the whole critical graph and each
-    # component, on random irreducible and reducible matrices, n <= 8, a
-    # loop beside a longer cycle and planted pairs of blocks, whose
-    # components often differ in cyclicity.  At gamma = 1 the whole
+    # every residue against the chain C (S - lambda)^t R on masked copies of
+    # a fresh M (oracles.residue_by_chain), at every t = 1..2 gamma + 1
+    # read in shuffled order, and csr_at against the walk oracle for n <=
+    # 5: the whole critical graph and each component K, on random
+    # irreducible and reducible matrices, n <= 8, a loop beside a longer
+    # cycle and planted pairs of blocks, whose components often differ in
+    # cyclicity.  The two halves of csr._residue's rule, each on its own:
+    # a row of Q_t at a node i of K is M's row at t = 0 (mod gamma), and
+    # P(i, s) + row s of Q_(t-1) for every successor s of i in K, not only
+    # the one the rule reads; every other row is the max over c in K of
+    # M(i, c) + Q_t(c, .), in plain loops.  At gamma = 1 the whole
     # triple's M is the spectrum's closure itself
     rng = random.Random(2828)
     inputs = [random_irreducible(rng, rng.randint(1, 8)) for _ in range(120)]
@@ -1576,8 +1586,25 @@ def test_residues_from_c_r_and_the_recurrence_match_the_chain():
         for k, triple in [(sp.crit, build_csr(a)), *((k, build_csr(a, k)) for k in components)]:
             ts = list(range(1, 2 * k.cyclicity + 2))
             rng.shuffle(ts)
+            c, r = masked_m(sp, k)
             for t in ts:
-                assert csr._residue(triple, t) == residue_by_chain(sp, k, t), (render_matrix(a), t)
+                q, before = csr._residue(triple, t), csr._residue(triple, t - 1)
+                assert q == residue_by_chain(sp, k, t), (render_matrix(a), t)
+                for i, j in k.arcs:
+                    assert q[i] == [None if x is None else x + sp._norm[i][j] for x in before[j]], (render_matrix(a), t)
+                    kinds["K-rows shifted along a second successor"] += any(i == u and j > v for u, v in k.arcs)
+                for i in range(n):
+                    if i in k.nodes:
+                        assert t % k.cyclicity or q[i] == r[i], (render_matrix(a), t)
+                        continue
+                    row = [None] * n
+                    for h in k.nodes:
+                        if c[i][h] is not None:
+                            for j in range(n):
+                                if q[h][j] is not None and (row[j] is None or c[i][h] + q[h][j] > row[j]):
+                                    row[j] = c[i][h] + q[h][j]
+                    assert q[i] == row, (render_matrix(a), t)
+                    kinds["rows off K"] += 1
                 if n <= 5:
                     walks = csr_walk_oracle(an, k.nodes, k.cyclicity, t, k.cyclicity * n + n)
                     assert csr_at(triple, t).raw() == [[None if x is None else x + t * lam for x in row] for row in walks]
@@ -1615,7 +1642,7 @@ def test_a_cover_shifts_each_residue_from_the_one_before(monkeypatch):
     # at a (sub)graph K that covers every node as one component, at any
     # cyclicity gamma, Q_gamma is M and Q_k is Q_(k-1) with row i replaced
     # by P(i, s) + row s of Q_(k-1), s a successor of i in K (the lemma on
-    # covers of csr._residue), with no product: build_csr(a) and
+    # K's rows of csr._residue), with no product: build_csr(a) and
     # build_csr(a, k), k a one-component cover of all nodes pruned from
     # the critical graph (_sub_cover), on planted covers, n = 1..9, at t =
     # 1..2 gamma + 1 read in shuffled order, against the chain of
@@ -1650,14 +1677,15 @@ def test_a_cover_shifts_each_residue_from_the_one_before(monkeypatch):
 
 def test_rows_a_covering_triple_shares_are_never_written():
     # at cyclicity 1, M is the spectrum's closure and, on a primitive
-    # cover, every residue is M (see the tests above): reading .c, .r, .s
-    # and csr_at, both sweeps, the ceiling check, the test at t = 1 and
-    # handing the triple over at a scale factor of 1 and of 3 leave them,
-    # and the spectrum's closure, as they were.  The triple handed over
-    # holds as M the closure of the spectrum it is handed with at
-    # cyclicity 1, and new rows above it; each list is the source's times
-    # the factor, and a residue that is M stays M.  Planted covers and
-    # generated instances
+    # cover, every row of every residue is M's row (see the tests above):
+    # reading .c, .r, .s and csr_at, both sweeps, the ceiling check, the
+    # test at t = 1 and handing the triple over at a scale factor of 1 and
+    # of 3 leave them, and the spectrum's closure, as they were.  The
+    # triple handed over holds as M the closure of the spectrum it is
+    # handed with at cyclicity 1, and new rows above it, the source's
+    # times the factor; it holds no residue, each residue it reads is the
+    # source's times the factor, and reading them leaves its spectrum's
+    # closure as it was.  Planted covers and generated instances
     rng = random.Random(2627)
     inputs = [_planted_tight(rng, rng.randint(1, 8), "cover")[0] for _ in range(60)]
     inputs += [_planted_tight(rng, rng.randint(1, 4) * 2, "bipartite")[0] for _ in range(20)]
@@ -1668,7 +1696,8 @@ def test_rows_a_covering_triple_shares_are_never_written():
         a = MaxPlusMatrix._from_raw(a.raw())
         sp, triple = spectrum(a), build_csr(a)
         assert (triple._m is sp._closure) == (triple.gamma == 1)
-        kinds["residue is M" if csr._residue(triple, 1) is triple._m else "residue computed"] += 1
+        shared = all(x is y for x, y in zip(csr._residue(triple, 1), triple._m))
+        kinds["residue holds M's rows" if shared else "residue computed"] += 1
         for t in range(2, triple.gamma + 1):
             csr._residue(triple, t)
         snapshot = [copy.deepcopy(x) for x in (triple._m, triple._residues, sp._closure, a._rows)]
@@ -1685,11 +1714,13 @@ def test_rows_a_covering_triple_shares_are_never_written():
             csr._inherit_triple(b, triple)
             held = b._csr
             assert held._m is not triple._m and held._m == _times(triple._m, f)
-            assert (held._m is b._spectrum._closure) == (triple.gamma == 1)
-            for t, rows in triple._residues.items():
-                assert held._residues[t] == _times(rows, f) and (held._residues[t] is held._m) == (rows is triple._m)
+            assert (held._m is b._spectrum._closure) == (triple.gamma == 1) and held._residues == {}
+            closure = copy.deepcopy(b._spectrum._closure)
+            for t in range(1, triple.gamma + 1):
+                assert csr._residue(held, t) == _times(csr._residue(triple, t), f), render_matrix(a)
+            assert b._spectrum._closure == closure and held._m == _times(triple._m, f), render_matrix(a)
         assert [triple._m, triple._residues, sp._closure, a._rows] == snapshot, render_matrix(a)
-    assert kinds["residue is M"] >= 50 and kinds["residue computed"] >= 20, kinds
+    assert kinds["residue holds M's rows"] >= 50 and kinds["residue computed"] >= 20, kinds
 
 
 def _times(rows, f):
@@ -1699,9 +1730,8 @@ def _times(rows, f):
 def test_a_covering_candidate_holds_its_skeletons_rows_as_one_list():
     # a generated candidate whose critical graph covers every node as one
     # component of cyclicity 1 holds its spectrum's closure as M, and its
-    # residue at t = 1, read on the skeleton while sampling, is that list
-    # too; above cyclicity 1 M is a list of its own.  What it holds equals
-    # a fresh computation
+    # residue at t = 1 holds that list's own rows; above cyclicity 1 M is
+    # a list of its own.  What it holds equals a fresh computation
     generated = [generate_dm(n, g, seed) for n in range(3, 10) for g in range(2, n) if gcd(g, n) == 1 for seed in range(2)]
     generated += [generate_wielandt(n, seed, case=case) for n in range(2, 10) for case in ("n-1", "n") for seed in range(2)]
     kinds = Counter()
@@ -1711,7 +1741,9 @@ def test_a_covering_candidate_holds_its_skeletons_rows_as_one_list():
             kinds["no cover"] += 1
             continue
         if csr._primitive_cover(crit, a.n):
-            assert a._csr._m is a._spectrum._closure and a._csr._residues[1] is a._csr._m, render_matrix(a)
+            residue = csr._residue(a._csr, 1)
+            assert a._csr._m is a._spectrum._closure, render_matrix(a)
+            assert len(residue) == a.n and all(x is y for x, y in zip(residue, a._csr._m)), render_matrix(a)
             kinds["primitive cover"] += 1
         else:
             assert a._csr._m is not a._spectrum._closure, render_matrix(a)

@@ -611,8 +611,8 @@ def slow_loop(rng):
 
 
 def test_analyze_stops_the_sweep_at_T(monkeypatch):
-    # M takes at most gamma - 1 products and the residues gamma, C R and
-    # one product by A - lambda for each other residue; the sweep
+    # M takes at most gamma - 1 products and the residues gamma, one each
+    # of M's rows off the critical graph (see csr._residue); the sweep
     # max(T, 1) - 1 steps over the powers of A - lambda, and none of
     # B - lambda: one _step_holding call a step, and at most one product
     # of its failing rows.  The spectrum, whose Karp rows are products
@@ -639,8 +639,8 @@ def test_analyze_stops_the_sweep_at_T(monkeypatch):
     # bare cycles are periodic from T = 0; T1 is 1 by convention.  Every
     # node is critical, so analyze runs no sweep but one search from t = 0
     # (see csr.analyze): M = I takes at most 2*(bit_length(gamma) - 1)
-    # products, and the search reads only Q_0 = Q_gamma, which is M on a
-    # cover (see csr._residue), with no product, and equals P^0 = I.  At
+    # products, and the search reads only Q_0 = Q_gamma, whose rows are
+    # M's on a cover (see csr._residue), with no product, and equals P^0 = I.  At
     # n = 1 the packed ints take none
     for n in range(1, 6):
         a = from_entries(n, {(i, (i + 1) % n): 0 for i in range(n)})
